@@ -8,7 +8,7 @@
 use crate::capture::{CaptureConfig, CaptureEngine, CaptureOutcome};
 use crate::error::CoreResult;
 use crate::event::BrowserEvent;
-use bp_graph::frozen::{FrozenGraph, FrozenHandle, ScoreCache};
+use bp_graph::frozen::{FrozenGraph, FrozenHandle, Refresh, ScoreCache};
 use bp_graph::{NodeId, NodeKind, ProvenanceGraph};
 use bp_obs::Obs;
 use bp_storage::{ProvenanceStore, SizeReport, SyncPolicy};
@@ -46,8 +46,9 @@ const INGEST_GROUP_MAX: usize = 256;
 pub struct ProvenanceBrowser {
     engine: CaptureEngine,
     index: InvertedIndex,
-    /// Lazily rebuilt CSR snapshot of the graph, invalidated by the graph
-    /// epoch — relevance queries walk this instead of the live adjacency.
+    /// Lazily refreshed CSR snapshot of the graph, invalidated by the
+    /// graph epoch — relevance queries walk this instead of the live
+    /// adjacency.
     frozen: FrozenHandle,
     /// Epoch-keyed converged-walk score cache shared by the ppr,
     /// personalize, and context query paths.
@@ -226,14 +227,29 @@ impl ProvenanceBrowser {
         self.engine.store().graph()
     }
 
-    /// The current CSR read-snapshot of the graph, rebuilt when the graph
-    /// epoch has moved since the last call (any capture mutation bumps
-    /// it). Cheap when current: one mutex probe and an `Arc` clone.
+    /// The current CSR read-snapshot of the graph, refreshed when the
+    /// graph epoch has moved since the last call (any capture mutation
+    /// bumps it): extended with what capture appended, or rebuilt after a
+    /// redaction. Cheap when current: one mutex probe and an `Arc` clone.
+    /// Each refresh counts in `bp_graph_frozen.extend` or
+    /// `bp_graph_frozen.rebuild` and records its wall time in
+    /// `bp_graph_frozen.build_us`.
     pub fn frozen(&self) -> std::sync::Arc<FrozenGraph> {
-        self.frozen.snapshot(self.engine.store().graph())
+        let (frozen, refresh) = self.frozen.snapshot(self.engine.store().graph());
+        if let Some((how, took)) = refresh {
+            let obs = self.obs();
+            match how {
+                Refresh::Extended => obs.counter("bp_graph_frozen.extend").inc(),
+                Refresh::Rebuilt => obs.counter("bp_graph_frozen.rebuild").inc(),
+            }
+            obs.histogram("bp_graph_frozen.build_us")
+                .record_duration(took);
+        }
+        frozen
     }
 
-    /// `(rebuild count, last rebuild µs)` of the frozen snapshot handle.
+    /// `(snapshots produced, last refresh µs)` of the frozen snapshot
+    /// handle; extensions and rebuilds both count.
     pub fn frozen_stats(&self) -> (u64, u64) {
         (self.frozen.builds(), self.frozen.last_build_us())
     }
@@ -477,12 +493,27 @@ mod tests {
     #[test]
     fn frozen_snapshot_follows_capture_mutations() {
         let dir = TempDir::new("frozen");
-        let mut b = ProvenanceBrowser::open(&dir.0, CaptureConfig::default()).unwrap();
+        let obs = Obs::isolated();
+        let mut b = ProvenanceBrowser::open_with_obs(
+            &dir.0,
+            CaptureConfig::default(),
+            SyncPolicy::OsManaged,
+            obs.clone(),
+        )
+        .unwrap();
         browse(&mut b);
+        let refreshes = || {
+            (
+                obs.counter("bp_graph_frozen.extend").get(),
+                obs.counter("bp_graph_frozen.rebuild").get(),
+                obs.histogram("bp_graph_frozen.build_us").count(),
+            )
+        };
         let a = b.frozen();
         let again = b.frozen();
         assert!(std::sync::Arc::ptr_eq(&a, &again), "stable epoch: cached");
         assert_eq!(b.frozen_stats().0, 1);
+        assert_eq!(refreshes(), (0, 1, 1), "first snapshot is built");
         assert_eq!(a.node_count(), b.graph().node_count());
         b.ingest(&BrowserEvent::navigate(
             t(4),
@@ -495,7 +526,11 @@ mod tests {
         let fresh = b.frozen();
         assert!(!std::sync::Arc::ptr_eq(&a, &fresh), "ingest invalidates");
         assert_eq!(b.frozen_stats().0, 2);
+        assert_eq!(refreshes(), (1, 1, 2), "appends extend");
         assert_eq!(fresh.node_count(), b.graph().node_count());
+        b.redact("http://films/kane").unwrap();
+        b.frozen();
+        assert_eq!(refreshes(), (1, 2, 3), "a redaction rebuilds");
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::event::{BrowserEvent, EventKind, NavigationCause, TabId};
 use bp_graph::{AttrValue, EdgeKind, NodeId, NodeKind, Timestamp};
 use bp_obs::{Counter, Histogram};
 use bp_storage::ProvenanceStore;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Which relationships and objects the capture layer records.
@@ -55,8 +55,9 @@ impl Default for CaptureConfig {
             record_search_terms: true,
             record_form_entries: true,
             record_page_objects: true,
-            // One materialized association per navigation (to the most
-            // recently active other tab). The interval index answers the
+            // One materialized association per navigation (to the
+            // lowest-numbered other open tab showing a page, so replays
+            // produce the same graph). The interval index answers the
             // full overlap relation from close records; materializing
             // O(open tabs) edges per navigation would dominate the store
             // (§3.2's relationships should cost tens of percent, not 3x).
@@ -128,7 +129,9 @@ pub struct CaptureOutcome {
 pub struct CaptureEngine {
     store: ProvenanceStore,
     config: CaptureConfig,
-    tabs: HashMap<TabId, TabState>,
+    /// Open tabs, ordered by id so the temporal-overlap partner a
+    /// navigation picks (the lowest other open tab) is deterministic.
+    tabs: BTreeMap<TabId, TabState>,
     bookmarks: HashMap<String, NodeId>,
     search_terms: HashMap<String, NodeId>,
     pages: HashMap<String, NodeId>,
@@ -150,7 +153,7 @@ impl CaptureEngine {
         let mut engine = CaptureEngine {
             store,
             config,
-            tabs: HashMap::new(),
+            tabs: BTreeMap::new(),
             bookmarks: HashMap::new(),
             search_terms: HashMap::new(),
             pages: HashMap::new(),
@@ -207,11 +210,9 @@ impl CaptureEngine {
             .map_or(0, |(_, v)| v.number() + 1)
     }
 
-    /// Currently open tabs.
+    /// Currently open tabs, in id order.
     pub fn open_tabs(&self) -> Vec<TabId> {
-        let mut v: Vec<TabId> = self.tabs.keys().copied().collect();
-        v.sort();
-        v
+        self.tabs.keys().copied().collect()
     }
 
     /// Redacts every history object whose key (URL, query, file path)
@@ -520,7 +521,9 @@ impl CaptureEngine {
         }
 
         // Temporal overlap with other open tabs' current pages (§3.2),
-        // directed later → earlier to keep the DAG invariant.
+        // directed later → earlier to keep the DAG invariant. Tabs are
+        // visited in id order, so the partners are the lowest-numbered
+        // ones.
         if self.config.record_temporal_overlap {
             let others: Vec<NodeId> = self
                 .tabs
@@ -935,16 +938,28 @@ mod tests {
     fn temporal_overlap_between_tabs() {
         let dir = TempDir::new("overlap");
         let mut e = engine(&dir, CaptureConfig::default());
-        e.handle(&BrowserEvent::tab_opened(t(0), TabId(0), None))
+        let overlap = |e: &CaptureEngine, visit: NodeId| -> Vec<NodeId> {
+            let g = e.store().graph();
+            g.parents(visit)
+                .filter(|&(eid, _)| g.edge(eid).unwrap().kind() == EdgeKind::TemporalOverlap)
+                .map(|(_, p)| p)
+                .collect()
+        };
+        e.handle(&BrowserEvent::tab_opened(t(0), TabId(1), None))
             .unwrap();
-        let wine = nav(&mut e, 1, 0, "http://wine/", NavigationCause::Typed);
-        e.handle(&BrowserEvent::tab_opened(t(2), TabId(1), None))
+        let wine = nav(&mut e, 1, 1, "http://wine/", NavigationCause::Typed);
+        e.handle(&BrowserEvent::tab_opened(t(2), TabId(2), None))
             .unwrap();
-        let tickets = nav(&mut e, 3, 1, "http://tickets/", NavigationCause::Typed);
-        let g = e.store().graph();
-        assert!(g
-            .parents(tickets)
-            .any(|(eid, p)| p == wine && g.edge(eid).unwrap().kind() == EdgeKind::TemporalOverlap));
+        let tickets = nav(&mut e, 3, 2, "http://tickets/", NavigationCause::Typed);
+        assert_eq!(overlap(&e, tickets), vec![wine]);
+        // The partner is the lowest-numbered other open tab, whatever
+        // order the tabs were opened in.
+        e.handle(&BrowserEvent::tab_opened(t(4), TabId(0), None))
+            .unwrap();
+        let hotel = nav(&mut e, 5, 0, "http://hotel/", NavigationCause::Typed);
+        assert_eq!(overlap(&e, hotel), vec![wine]);
+        let cheese = nav(&mut e, 6, 2, "http://cheese/", NavigationCause::Link);
+        assert_eq!(overlap(&e, cheese), vec![hotel]);
     }
 
     #[test]

@@ -99,8 +99,28 @@ enum Message {
     /// so the capture thread's ingest (and any error it logs) carries the
     /// same trace ID as the request that enqueued the work.
     Event(Box<BrowserEvent>, Option<bp_obs::trace::Context>),
+    /// A [`CapturePipeline::submit_all`] chunk under one trace context:
+    /// it reaches the capture thread whole, so the chunk lands in one
+    /// write group instead of being split by an early wake-up.
+    Events(Vec<BrowserEvent>, Option<bp_obs::trace::Context>),
     Flush(Sender<()>),
     Shutdown,
+}
+
+/// Queued events with the trace context each was submitted under.
+type Batch = Vec<(BrowserEvent, Option<bp_obs::trace::Context>)>;
+
+/// Moves `message`'s events into `batch`, or hands a control message
+/// back.
+fn collect(batch: &mut Batch, message: Message) -> Option<Message> {
+    match message {
+        Message::Event(event, context) => batch.push((*event, context)),
+        Message::Events(events, context) => {
+            batch.extend(events.into_iter().map(|event| (event, context)));
+        }
+        control => return Some(control),
+    }
+    None
 }
 
 /// A background capture pipeline.
@@ -150,10 +170,12 @@ pub struct CapturePipeline {
 impl CapturePipeline {
     /// Wraps `browser` and starts the capture thread.
     ///
-    /// The thread drains the queue in batches: up to [`DRAIN_BATCH_MAX`]
-    /// queued events are applied under **one** write lock and one store
-    /// write group, so per-event mutex/WAL/metric costs amortize across
-    /// the batch while readers still interleave between batches.
+    /// The thread drains the queue in batches: queued messages are
+    /// gathered until the batch reaches [`DRAIN_BATCH_MAX`] events (a
+    /// message is never split) and applied under **one** write lock and
+    /// one store write group, so per-event mutex/WAL/metric costs
+    /// amortize across the batch while readers still interleave between
+    /// batches.
     pub fn start(browser: ProvenanceBrowser) -> Self {
         let obs = browser.obs().clone();
         let queue_depth = obs.gauge("capture.queue_depth");
@@ -177,16 +199,11 @@ impl CapturePipeline {
                 // already queued (stopping at control messages so flush
                 // acknowledgements still order after prior events).
                 let Ok(first) = receiver.recv() else { return };
-                let mut events = Vec::new();
-                let mut tail = None;
-                match first {
-                    Message::Event(event, context) => events.push((event, context)),
-                    other => tail = Some(other),
-                }
+                let mut events = Batch::new();
+                let mut tail = collect(&mut events, first);
                 while tail.is_none() && events.len() < DRAIN_BATCH_MAX {
                     match receiver.try_recv() {
-                        Some(Message::Event(event, context)) => events.push((event, context)),
-                        Some(other) => tail = Some(other),
+                        Some(message) => tail = collect(&mut events, message),
                         None => break,
                     }
                 }
@@ -281,10 +298,10 @@ impl CapturePipeline {
                         let _ = ack.send(());
                     }
                     Some(Message::Shutdown) => return,
-                    // Events never land in `tail` (the drain loop pushes
-                    // them into the batch); nothing to do when the queue
+                    // Events never land in `tail` (`collect` moves them
+                    // into the batch); nothing to do when the queue
                     // simply ran dry.
-                    Some(Message::Event(..)) | None => {}
+                    Some(Message::Event(..) | Message::Events(..)) | None => {}
                 }
             }
         });
@@ -321,25 +338,24 @@ impl CapturePipeline {
 
     /// Enqueues a batch of events under the submitter's current trace
     /// context, with one queue-depth update for the whole batch (the
-    /// per-event gauge write is measurable at feeder rates). Returns how
-    /// many events were accepted — fewer than the batch only when the
-    /// pipeline has stopped.
+    /// per-event gauge write is measurable at feeder rates). The batch
+    /// travels as messages of up to [`DRAIN_BATCH_MAX`] events, each
+    /// applied in one write group. Returns how many events were accepted
+    /// — fewer than the batch only when the pipeline has stopped.
     pub fn submit_all(&self, events: impl IntoIterator<Item = BrowserEvent>) -> usize {
         let context = bp_obs::trace::current();
         let events: Vec<BrowserEvent> = events.into_iter().collect();
         let total = events.len();
         self.queue_depth.add(total as i64);
         let mut accepted = 0usize;
-        for event in events {
-            if self
-                .sender
-                .send(Message::Event(Box::new(event), context))
-                .is_ok()
-            {
-                accepted += 1;
-            } else {
+        let mut events = events.into_iter();
+        loop {
+            let chunk: Vec<BrowserEvent> = events.by_ref().take(DRAIN_BATCH_MAX).collect();
+            let len = chunk.len();
+            if len == 0 || self.sender.send(Message::Events(chunk, context)).is_err() {
                 break;
             }
+            accepted += len;
         }
         if accepted < total {
             self.queue_depth.sub((total - accepted) as i64);
@@ -681,6 +697,52 @@ mod tests {
                 .nodes_of_kind(bp_graph::NodeKind::PageVisit)
                 .count(),
             40
+        );
+    }
+
+    #[test]
+    fn submit_all_chunks_apply_in_one_write_group_each() {
+        let dir = TempDir::new("chunk");
+        let obs = bp_obs::Obs::isolated();
+        let b = ProvenanceBrowser::open_with_obs(
+            &dir.0,
+            CaptureConfig::default(),
+            bp_storage::SyncPolicy::OsManaged,
+            obs.clone(),
+        )
+        .unwrap();
+        let pipeline = CapturePipeline::start(b);
+        let navigations = |from: usize, len: usize| {
+            (from..from + len).map(|i| {
+                BrowserEvent::navigate(
+                    t(i as i64 + 1),
+                    TabId(0),
+                    format!("http://c{i}/"),
+                    None,
+                    NavigationCause::Link,
+                )
+            })
+        };
+        let chunk: Vec<BrowserEvent> =
+            std::iter::once(BrowserEvent::tab_opened(t(0), TabId(0), None))
+                .chain(navigations(0, 15))
+                .collect();
+        assert_eq!(pipeline.submit_all(chunk), 16);
+        pipeline.flush();
+        let batches = obs.histogram("capture.batch_len");
+        assert_eq!(batches.count(), 1, "a 16-event chunk is one batch");
+        // A chunk longer than DRAIN_BATCH_MAX travels as bounded pieces.
+        let long = DRAIN_BATCH_MAX + 44;
+        assert_eq!(pipeline.submit_all(navigations(15, long)), long);
+        pipeline.flush();
+        assert_eq!(batches.count(), 3);
+        assert_eq!(obs.gauge("capture.queue_depth").get(), 0);
+        let b = pipeline.shutdown();
+        assert_eq!(
+            b.graph()
+                .nodes_of_kind(bp_graph::NodeKind::PageVisit)
+                .count(),
+            15 + long
         );
     }
 

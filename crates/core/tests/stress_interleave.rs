@@ -1,13 +1,15 @@
 //! Deterministic-interleaving stress test for the capture queue: several
 //! producer threads drive seeded schedules of valid and deliberately
-//! invalid events — with yield-injection to perturb the interleaving —
-//! while reader threads traverse the graph. After a flush the totals
-//! (visits, rejections, queue depth) must be exact, for every seed.
+//! invalid events — sent one by one or in `submit_all` chunks, with
+//! flushes and yield-injection to perturb the interleaving — while
+//! reader threads traverse the graph. After a flush the totals (visits,
+//! rejections, queue depth) must be exact and each producer's events
+//! applied in the order it sent them, for every seed.
 
 use bp_core::{
     BrowserEvent, CaptureConfig, CapturePipeline, NavigationCause, ProvenanceBrowser, TabId,
 };
-use bp_graph::Timestamp;
+use bp_graph::{EdgeKind, NodeKind, Timestamp};
 use std::path::PathBuf;
 
 const PRODUCERS: u32 = 4;
@@ -58,6 +60,41 @@ impl Schedule {
     }
 }
 
+/// Sends one producer's events in order, each either on its own with
+/// `submit` or held for a `submit_all` chunk of seed-determined length,
+/// with a `flush` now and then.
+struct Producer<'a> {
+    pipeline: &'a CapturePipeline,
+    schedule: Schedule,
+    chunk: Vec<BrowserEvent>,
+}
+
+impl Producer<'_> {
+    fn send(&mut self, event: BrowserEvent) {
+        // Once a chunk is open every event joins it until it is sent, so
+        // the producer's order survives the mix.
+        if !self.chunk.is_empty() || self.schedule.next().is_multiple_of(3) {
+            self.chunk.push(event);
+            if self.schedule.next().is_multiple_of(6) {
+                self.send_chunk();
+            }
+        } else {
+            assert!(self.pipeline.submit(event));
+        }
+        if self.schedule.next().is_multiple_of(64) {
+            self.send_chunk();
+            self.pipeline.flush();
+        }
+        self.schedule.maybe_yield();
+    }
+
+    fn send_chunk(&mut self) {
+        let chunk = std::mem::take(&mut self.chunk);
+        let len = chunk.len();
+        assert_eq!(self.pipeline.submit_all(chunk), len);
+    }
+}
+
 #[test]
 fn capture_totals_are_exact_under_seeded_interleavings() {
     for seed in [3u64, 11, 29] {
@@ -72,40 +109,44 @@ fn capture_totals_are_exact_under_seeded_interleavings() {
             for p in 0..PRODUCERS {
                 let pipeline = &pipeline;
                 producers.push(scope.spawn(move || {
-                    let mut schedule = Schedule::new(seed * 97 + u64::from(p));
+                    let mut producer = Producer {
+                        pipeline,
+                        schedule: Schedule::new(seed * 97 + u64::from(p)),
+                        chunk: Vec::new(),
+                    };
                     // Disjoint timestamp ranges per producer: the graph's
                     // invariants are node-id based, but disjoint ranges keep
                     // per-URL visit timelines sensible for the final checks.
                     let base = i64::from(p) * 1_000_000;
-                    assert!(pipeline.submit(BrowserEvent::tab_opened(
+                    producer.send(BrowserEvent::tab_opened(
                         Timestamp::from_secs(base),
                         TabId(p),
                         None,
-                    )));
+                    ));
                     let mut rejected = 0u64;
                     for i in 0..NAVS_PER_PRODUCER {
                         // Seed-determined fault injection: a navigation in a
                         // tab nobody opened must be counted, not applied —
                         // and must not disturb the valid stream around it.
-                        if schedule.next().is_multiple_of(16) {
-                            assert!(pipeline.submit(BrowserEvent::navigate(
+                        if producer.schedule.next().is_multiple_of(16) {
+                            producer.send(BrowserEvent::navigate(
                                 Timestamp::from_secs(base + i),
                                 TabId(100 + p),
                                 format!("http://bad-{p}/"),
                                 None,
                                 NavigationCause::Link,
-                            )));
+                            ));
                             rejected += 1;
                         }
-                        assert!(pipeline.submit(BrowserEvent::navigate(
+                        producer.send(BrowserEvent::navigate(
                             Timestamp::from_secs(base + 1 + i),
                             TabId(p),
                             format!("http://p{p}/page{i}"),
                             None,
                             NavigationCause::Link,
-                        )));
-                        schedule.maybe_yield();
+                        ));
                     }
+                    producer.send_chunk();
                     rejected
                 }));
             }
@@ -148,6 +189,29 @@ fn capture_totals_are_exact_under_seeded_interleavings() {
                 "seed {seed}"
             );
             assert!(guard.graph().verify_acyclic());
+            // Per-producer order: each page is a later node than the one
+            // before it in its tab, and links back to it.
+            let g = guard.graph();
+            for p in 0..PRODUCERS {
+                let visit = |i: i64| {
+                    g.latest_version_of(NodeKind::PageVisit, &format!("http://p{p}/page{i}"))
+                        .expect("every valid navigation applied")
+                        .0
+                };
+                for i in 1..NAVS_PER_PRODUCER {
+                    let (prev, next) = (visit(i - 1), visit(i));
+                    assert!(
+                        prev < next,
+                        "seed {seed}: page{i} of p{p} applied out of order"
+                    );
+                    assert!(
+                        g.parents(next).any(|(e, parent)| parent == prev
+                            && g.edge(e).unwrap().kind() == EdgeKind::Link),
+                        "seed {seed}: page{i} of p{p} does not link back to page{}",
+                        i - 1
+                    );
+                }
+            }
         }
         drop(shared);
 

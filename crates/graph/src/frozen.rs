@@ -8,24 +8,30 @@
 //! PageRank, neighborhood expansion) iterate every edge tens of times, so
 //! they run here instead, over a [`FrozenGraph`] — a compressed-sparse-row
 //! snapshot with dense `u32` indexing, contiguous forward/reverse edge
-//! arrays, and per-edge-kind bitsets for the automatic-edge filter.
+//! arrays, and per-slot pull coefficients for both automatic-edge
+//! settings.
 //!
 //! Snapshots are invalidated by the graph **epoch**
 //! ([`ProvenanceGraph::epoch`]): every mutation bumps it, and a
-//! [`FrozenHandle`] rebuilds lazily on the first read at a newer epoch.
+//! [`FrozenHandle`] refreshes lazily on the first read at a newer epoch.
+//! Because the live arenas are append-only and only
+//! [`ProvenanceGraph::redact_node`] rewrites a key, the refresh usually
+//! *extends* the previous snapshot with the appended nodes and edges;
+//! it builds in full only the first time and after a redaction.
 //! Converged scores are memoized in a [`ScoreCache`] keyed by
 //! `(epoch, seed-set + config fingerprint)`, so serve's steady-state query
 //! thread stops recomputing identical walks — the cache can never serve
 //! stale results because a mutation changes the epoch half of every key.
 
-use crate::edge::EdgeKind;
+use crate::edge::{Edge, EdgeKind};
 use crate::graph::ProvenanceGraph;
-use crate::ids::NodeId;
+use crate::ids::{EdgeId, NodeId};
 use crate::neighborhood::ExpansionConfig;
 use crate::pagerank::{PageRankConfig, PageRankScores};
 use crate::traverse::Budget;
 use bp_obs::clock::ClockHandle;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
@@ -39,19 +45,18 @@ const CHUNK: usize = 1024;
 /// Hard ceiling on kernel worker threads.
 const MAX_JOBS: usize = 64;
 
-#[inline]
-fn bit_get(bits: &[u64], i: usize) -> bool {
-    (bits[i >> 6] >> (i & 63)) & 1 == 1
-}
-
-#[inline]
-fn bit_set(bits: &mut [u64], i: usize) {
-    bits[i >> 6] |= 1 << (i & 63);
-}
-
-fn bitset_of(len: usize) -> Vec<u64> {
-    vec![0u64; len.div_ceil(64)]
-}
+/// `AUTOMATIC[code]` tells whether the edge kind with that
+/// [`EdgeKind::code`] is automatic (dropped when a walk excludes
+/// automatic edges).
+const AUTOMATIC: [bool; 16] = {
+    let mut table = [false; 16];
+    let mut i = 0;
+    while i < EdgeKind::ALL.len() {
+        table[EdgeKind::ALL[i].code() as usize] = EdgeKind::ALL[i].is_automatic();
+        i += 1;
+    }
+    table
+};
 
 /// Base walk weight of an edge kind: temporal-overlap edges participate
 /// at reduced conductance (they are association, not navigation).
@@ -64,6 +69,148 @@ fn base_weight(kind_code: u8) -> f64 {
     }
 }
 
+/// The damping-free pull coefficients of a slot of kind `kind_code`
+/// whose target has conductance `(all, noauto)`: `w(kind) / conductance`
+/// with every edge participating, and the same with automatic edges
+/// excluded (an automatic slot carries nothing).
+#[inline]
+fn pull_coefficients(kind_code: u8, (all, noauto): (f64, f64)) -> (f64, f64) {
+    let coeff = |w: f64, cond: f64| if cond > 0.0 { w / cond } else { 0.0 };
+    let w = base_weight(kind_code);
+    let without_automatic = if AUTOMATIC[kind_code as usize] {
+        0.0
+    } else {
+        coeff(w, noauto)
+    };
+    (coeff(w, all), without_automatic)
+}
+
+/// One direction of the CSR adjacency: row `i` lists node `i`'s edges as
+/// `(other endpoint, kind code)` in edge-id order, the order of the live
+/// graph's adjacency lists.
+#[derive(Debug, PartialEq)]
+struct Rows {
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+    kinds: Vec<u8>,
+}
+
+impl Rows {
+    fn with_capacity(rows: usize, slots: usize) -> Rows {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        Rows {
+            offsets,
+            targets: Vec::with_capacity(slots),
+            kinds: Vec::with_capacity(slots),
+        }
+    }
+
+    /// Row `i` holds `edges(i)`, each edge contributing `endpoint(edge)`.
+    fn from_adjacency<'g>(
+        graph: &'g ProvenanceGraph,
+        edges: impl Fn(NodeId) -> &'g [EdgeId],
+        endpoint: impl Fn(&Edge) -> NodeId,
+    ) -> Rows {
+        let mut rows = Rows::with_capacity(graph.node_count(), graph.edge_count());
+        for id in graph.node_ids() {
+            for &eid in edges(id) {
+                // Adjacency lists only hold committed edge ids; a
+                // dangling id would be a graph bug, and skipping it
+                // degrades to a snapshot missing that edge.
+                let Ok(e) = graph.edge(eid) else { continue };
+                rows.targets.push(endpoint(e).index());
+                rows.kinds.push(e.kind().code());
+            }
+            rows.offsets.push(rows.targets.len() as u32);
+        }
+        rows
+    }
+
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    fn range(&self, row: usize) -> Range<usize> {
+        self.offsets[row] as usize..self.offsets[row + 1] as usize
+    }
+
+    /// These rows grown to `n` rows, each row followed by its entries in
+    /// `added`: `(row, endpoint, kind code)`, sorted by row and, within a
+    /// row, in edge-id order.
+    fn extend(&self, n: usize, added: &[(u32, u32, u8)]) -> Rows {
+        let mut out = Rows::with_capacity(n, self.targets.len() + added.len());
+        let mut touched: Vec<u32> = added.iter().map(|&(row, _, _)| row).collect();
+        touched.dedup();
+        let mut added = added;
+        for run in runs(&touched, self.len(), n) {
+            match run {
+                Run::Carried(rows) => {
+                    let slots = carry(&self.offsets, rows, &mut out.offsets, out.targets.len());
+                    out.targets.extend_from_slice(&self.targets[slots.clone()]);
+                    out.kinds.extend_from_slice(&self.kinds[slots]);
+                }
+                Run::Rewritten(row) => {
+                    if row < self.len() {
+                        let slots = self.range(row);
+                        out.targets.extend_from_slice(&self.targets[slots.clone()]);
+                        out.kinds.extend_from_slice(&self.kinds[slots]);
+                    }
+                    let k = added.partition_point(|&(r, _, _)| r as usize == row);
+                    for &(_, endpoint, kind) in &added[..k] {
+                        out.targets.push(endpoint);
+                        out.kinds.push(kind);
+                    }
+                    added = &added[k..];
+                    out.offsets.push(out.targets.len() as u32);
+                }
+            }
+        }
+        out
+    }
+}
+
+/// One step of laying out a grown CSR array from its previous layout.
+enum Run {
+    /// Rows whose slots are unchanged: one bulk copy.
+    Carried(Range<usize>),
+    /// A row with new slots, or a new row: written afresh.
+    Rewritten(usize),
+}
+
+/// Splits rows `0..n` into runs carried from an `old_rows`-row layout
+/// and rows to rewrite: those in `touched` (ascending) and every row at
+/// or past `old_rows`.
+fn runs(touched: &[u32], old_rows: usize, n: usize) -> Vec<Run> {
+    let mut out = Vec::with_capacity(2 * touched.len() + n - old_rows + 1);
+    let mut next = 0;
+    let rewritten = touched
+        .iter()
+        .map(|&row| row as usize)
+        .take_while(|&row| row < old_rows)
+        .chain(old_rows..n);
+    for row in rewritten {
+        if next < row {
+            out.push(Run::Carried(next..row));
+        }
+        out.push(Run::Rewritten(row));
+        next = row + 1;
+    }
+    if next < old_rows {
+        out.push(Run::Carried(next..old_rows));
+    }
+    out
+}
+
+/// Appends the end offsets of the old `rows`, shifted to follow the `len`
+/// slots already written, and returns those rows' slots in the old layout.
+fn carry(old: &[u32], rows: Range<usize>, offsets: &mut Vec<u32>, len: usize) -> Range<usize> {
+    let (lo, hi) = (old[rows.start] as usize, old[rows.end] as usize);
+    let shift = (len - lo) as u32;
+    offsets.extend(old[rows.start + 1..=rows.end].iter().map(|&o| o + shift));
+    lo..hi
+}
+
 /// An immutable CSR snapshot of a [`ProvenanceGraph`] at one epoch.
 ///
 /// Forward rows mirror the live graph's out-adjacency (derivations,
@@ -74,34 +221,14 @@ fn base_weight(kind_code: u8) -> f64 {
 pub struct FrozenGraph {
     epoch: u64,
     n: usize,
-    fwd_offsets: Vec<u32>,
-    fwd_targets: Vec<u32>,
-    fwd_kinds: Vec<u8>,
-    rev_offsets: Vec<u32>,
-    rev_targets: Vec<u32>,
-    rev_kinds: Vec<u8>,
-    /// One bitset per [`EdgeKind`] over forward slots.
-    kind_bits_fwd: Vec<Vec<u64>>,
-    /// One bitset per [`EdgeKind`] over reverse slots.
-    kind_bits_rev: Vec<Vec<u64>>,
-    /// OR of the automatic kinds' bitsets: the `include_automatic_edges`
-    /// filter is a single bit test per slot.
-    automatic_fwd: Vec<u64>,
-    automatic_rev: Vec<u64>,
+    fwd: Rows,
+    rev: Rows,
     /// Merged per-node incidence ("pull") rows: node `i`'s forward slots
     /// followed by its reverse slots, contiguous. The PageRank kernel's
     /// inner loop walks one row per node instead of two, which is what
     /// lets it stripe the accumulation for instruction-level parallelism.
     pull_offsets: Vec<u32>,
     pull_targets: Vec<u32>,
-    /// Edge kind per pull slot. Folded into `pull_base` at build time;
-    /// retained so tests can audit the merged layout slot by slot.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pull_kinds: Vec<u8>,
-    /// OR of the automatic kinds over pull slots (mirrors
-    /// `automatic_fwd`/`automatic_rev` on the merged layout).
-    #[cfg_attr(not(test), allow(dead_code))]
-    automatic_pull: Vec<u64>,
     /// Per pull slot, `w(kind) / conductance(target)` with every edge
     /// participating — the damping-free part of the PageRank pull
     /// coefficient. Computed once per snapshot so each kernel run skips
@@ -122,149 +249,253 @@ impl std::fmt::Debug for FrozenGraph {
         f.debug_struct("FrozenGraph")
             .field("epoch", &self.epoch)
             .field("nodes", &self.n)
-            .field("edges", &self.fwd_targets.len())
+            .field("edges", &self.edge_count())
             .finish()
+    }
+}
+
+/// What a [`FrozenHandle`] keeps beside its snapshot so the next one can
+/// be grown from it instead of built from the live graph.
+#[derive(Debug)]
+struct Growth {
+    /// [`ProvenanceGraph::redactions`] when the snapshot was taken.
+    redactions: u64,
+    /// Per node, its undirected conductance `(all edges, non-automatic
+    /// edges)`: the denominators of the pull coefficients pointing at it.
+    cond: Vec<(f64, f64)>,
+    /// Each key string's lowest node id.
+    first_of_key: HashMap<String, u32>,
+}
+
+impl Growth {
+    /// The `key_rep` entry of node `id`, registering its key if new.
+    fn key_rep(&mut self, graph: &ProvenanceGraph, id: NodeId) -> u32 {
+        let i = id.index();
+        let Ok(node) = graph.node(id) else { return i };
+        if let Some(&rep) = self.first_of_key.get(node.key()) {
+            return rep;
+        }
+        self.first_of_key.insert(node.key().to_owned(), i);
+        i
+    }
+
+    /// Whether `frozen` can grow into a snapshot of `graph`: the graph
+    /// has only gained nodes and edges, or edited intervals and
+    /// attributes, since. Its arenas are append-only and only a redaction
+    /// rewrites a key, so old rows, conductances and key groups all hold.
+    fn can_extend(&self, frozen: &FrozenGraph, graph: &ProvenanceGraph) -> bool {
+        graph.redactions() == self.redactions
+            && graph.epoch() > frozen.epoch
+            && graph.node_count() >= frozen.n
+            && graph.edge_count() >= frozen.edge_count()
     }
 }
 
 impl FrozenGraph {
     /// Snapshots `graph` into CSR form. O(V + E).
     pub fn build(graph: &ProvenanceGraph) -> FrozenGraph {
+        Self::build_with_growth(graph).0
+    }
+
+    fn build_with_growth(graph: &ProvenanceGraph) -> (FrozenGraph, Growth) {
         let n = graph.node_count();
-        let m = graph.edge_count();
-        let mut fwd_offsets = Vec::with_capacity(n + 1);
-        let mut fwd_targets = Vec::with_capacity(m);
-        let mut fwd_kinds = Vec::with_capacity(m);
-        let mut rev_offsets = Vec::with_capacity(n + 1);
-        let mut rev_targets = Vec::with_capacity(m);
-        let mut rev_kinds = Vec::with_capacity(m);
-        let mut kind_bits_fwd: Vec<Vec<u64>> =
-            (0..EdgeKind::ALL.len()).map(|_| bitset_of(m)).collect();
-        let mut kind_bits_rev: Vec<Vec<u64>> =
-            (0..EdgeKind::ALL.len()).map(|_| bitset_of(m)).collect();
-        fwd_offsets.push(0);
-        rev_offsets.push(0);
-        for id in graph.node_ids() {
-            for &eid in graph.out_edges(id) {
-                // Adjacency lists only hold committed edge ids; a
-                // dangling id would be a graph bug, and skipping it
-                // degrades to a snapshot missing that edge.
-                let Ok(e) = graph.edge(eid) else { continue };
-                let slot = fwd_targets.len();
-                bit_set(&mut kind_bits_fwd[e.kind().code() as usize], slot);
-                fwd_targets.push(e.dst().index());
-                fwd_kinds.push(e.kind().code());
-            }
-            fwd_offsets.push(fwd_targets.len() as u32);
-            for &eid in graph.in_edges(id) {
-                let Ok(e) = graph.edge(eid) else { continue };
-                let slot = rev_targets.len();
-                bit_set(&mut kind_bits_rev[e.kind().code() as usize], slot);
-                rev_targets.push(e.src().index());
-                rev_kinds.push(e.kind().code());
-            }
-            rev_offsets.push(rev_targets.len() as u32);
-        }
-        let mut automatic_fwd = bitset_of(fwd_targets.len());
-        let mut automatic_rev = bitset_of(rev_targets.len());
-        for kind in EdgeKind::ALL {
-            if !kind.is_automatic() {
-                continue;
-            }
-            let code = kind.code() as usize;
-            for (acc, bits) in automatic_fwd.iter_mut().zip(&kind_bits_fwd[code]) {
-                *acc |= bits;
-            }
-            for (acc, bits) in automatic_rev.iter_mut().zip(&kind_bits_rev[code]) {
-                *acc |= bits;
+        let fwd = Rows::from_adjacency(graph, |id| graph.out_edges(id), Edge::dst);
+        let rev = Rows::from_adjacency(graph, |id| graph.in_edges(id), Edge::src);
+        // Conductance counts each edge once (from its forward slot) into
+        // both endpoints, mirroring the undirected walk. Each node's sum
+        // runs in this loop's order — by owning source node, then slot —
+        // which `conductance` reproduces for a single node.
+        let mut cond = vec![(0.0f64, 0.0f64); n];
+        for i in 0..n {
+            for s in fwd.range(i) {
+                let kind = fwd.kinds[s];
+                let w = base_weight(kind);
+                let t = fwd.targets[s] as usize;
+                cond[i].0 += w;
+                cond[t].0 += w;
+                if !AUTOMATIC[kind as usize] {
+                    cond[i].1 += w;
+                    cond[t].1 += w;
+                }
             }
         }
         // Merged pull rows: each node's forward slots then reverse slots,
         // in the same in-row order as the split arrays.
-        let total = fwd_targets.len() + rev_targets.len();
+        let total = fwd.targets.len() + rev.targets.len();
         let mut pull_offsets = Vec::with_capacity(n + 1);
         let mut pull_targets = Vec::with_capacity(total);
-        let mut pull_kinds = Vec::with_capacity(total);
-        let mut automatic_pull = bitset_of(total);
         pull_offsets.push(0);
         for i in 0..n {
-            for s in fwd_offsets[i] as usize..fwd_offsets[i + 1] as usize {
-                if bit_get(&automatic_fwd, s) {
-                    bit_set(&mut automatic_pull, pull_targets.len());
-                }
-                pull_targets.push(fwd_targets[s]);
-                pull_kinds.push(fwd_kinds[s]);
-            }
-            for s in rev_offsets[i] as usize..rev_offsets[i + 1] as usize {
-                if bit_get(&automatic_rev, s) {
-                    bit_set(&mut automatic_pull, pull_targets.len());
-                }
-                pull_targets.push(rev_targets[s]);
-                pull_kinds.push(rev_kinds[s]);
-            }
+            pull_targets.extend_from_slice(&fwd.targets[fwd.range(i)]);
+            pull_targets.extend_from_slice(&rev.targets[rev.range(i)]);
             pull_offsets.push(pull_targets.len() as u32);
-        }
-        // Damping-free pull coefficients, one table per automatic-edge
-        // setting. Conductance counts each edge once (from its forward
-        // slot) into both endpoints, mirroring the undirected walk.
-        let mut cond_all = vec![0.0f64; n];
-        let mut cond_noauto = vec![0.0f64; n];
-        for i in 0..n {
-            for s in fwd_offsets[i] as usize..fwd_offsets[i + 1] as usize {
-                let w = base_weight(fwd_kinds[s]);
-                let t = fwd_targets[s] as usize;
-                cond_all[i] += w;
-                cond_all[t] += w;
-                if !bit_get(&automatic_fwd, s) {
-                    cond_noauto[i] += w;
-                    cond_noauto[t] += w;
-                }
-            }
-        }
-        let coeff = |w: f64, cond: f64| if cond > 0.0 { w / cond } else { 0.0 };
-        let mut pull_base = Vec::with_capacity(pull_targets.len());
-        let mut pull_base_noauto = Vec::with_capacity(pull_targets.len());
-        for (s, &k) in pull_kinds.iter().enumerate() {
-            let t = pull_targets[s] as usize;
-            let w = base_weight(k);
-            pull_base.push(coeff(w, cond_all[t]));
-            pull_base_noauto.push(if bit_get(&automatic_pull, s) {
-                0.0
-            } else {
-                coeff(w, cond_noauto[t])
-            });
         }
         // Key-dedup groups: one string hash per node at snapshot time
         // buys hash-free dedup on every blend afterwards.
-        let mut key_rep = Vec::with_capacity(n);
-        let mut first_of_key: HashMap<&str, u32> = HashMap::with_capacity(n);
-        for id in graph.node_ids() {
-            let i = id.index();
-            match graph.node(id) {
-                Ok(node) => key_rep.push(*first_of_key.entry(node.key()).or_insert(i)),
-                Err(_) => key_rep.push(i),
-            }
-        }
-        FrozenGraph {
+        let mut growth = Growth {
+            redactions: graph.redactions(),
+            cond,
+            first_of_key: HashMap::new(),
+        };
+        let key_rep = graph
+            .node_ids()
+            .map(|id| growth.key_rep(graph, id))
+            .collect();
+        let mut frozen = FrozenGraph {
             epoch: graph.epoch(),
             n,
-            fwd_offsets,
-            fwd_targets,
-            fwd_kinds,
-            rev_offsets,
-            rev_targets,
-            rev_kinds,
-            kind_bits_fwd,
-            kind_bits_rev,
-            automatic_fwd,
-            automatic_rev,
+            fwd,
+            rev,
             pull_offsets,
             pull_targets,
-            pull_kinds,
-            automatic_pull,
+            pull_base: vec![0.0; total],
+            pull_base_noauto: vec![0.0; total],
+            key_rep,
+        };
+        for i in 0..n {
+            frozen.set_pull_coefficients(i, &growth.cond);
+        }
+        (frozen, growth)
+    }
+
+    /// The snapshot of `graph` grown from this one, which must be a
+    /// snapshot of the same graph at an epoch `growth.can_extend`
+    /// accepts. Rows without new edges are copied in bulk; rows with new
+    /// edges get them appended. Conductance is recomputed only for the
+    /// endpoints of new edges, and pull coefficients only in their rows
+    /// and their neighbors' rows, so every array comes out bit-identical
+    /// to [`FrozenGraph::build`]'s.
+    fn extend(&self, graph: &ProvenanceGraph, growth: &mut Growth) -> FrozenGraph {
+        let n = graph.node_count();
+        // Appended edges are the arena's tail; each one extends its
+        // source's forward row and its destination's reverse row.
+        let mut out_added: Vec<(u32, u32, u8)> = (self.edge_count()..graph.edge_count())
+            .filter_map(|i| graph.edge(EdgeId::new(i as u32)).ok())
+            .map(|e| (e.src().index(), e.dst().index(), e.kind().code()))
+            .collect();
+        let mut in_added: Vec<(u32, u32, u8)> =
+            out_added.iter().map(|&(s, d, k)| (d, s, k)).collect();
+        // Stable sorts: a row's additions stay in edge-id order.
+        out_added.sort_by_key(|&(row, _, _)| row);
+        in_added.sort_by_key(|&(row, _, _)| row);
+        let fwd = self.fwd.extend(n, &out_added);
+        let rev = self.rev.extend(n, &in_added);
+        let mut touched: Vec<u32> = out_added
+            .iter()
+            .chain(&in_added)
+            .map(|&(row, _, _)| row)
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
+
+        let total = fwd.targets.len() + rev.targets.len();
+        let mut pull_offsets = Vec::with_capacity(n + 1);
+        let mut pull_targets = Vec::with_capacity(total);
+        let mut pull_base = Vec::with_capacity(total);
+        let mut pull_base_noauto = Vec::with_capacity(total);
+        pull_offsets.push(0);
+        for run in runs(&touched, self.n, n) {
+            match run {
+                Run::Carried(rows) => {
+                    let slots = carry(
+                        &self.pull_offsets,
+                        rows,
+                        &mut pull_offsets,
+                        pull_targets.len(),
+                    );
+                    pull_targets.extend_from_slice(&self.pull_targets[slots.clone()]);
+                    pull_base.extend_from_slice(&self.pull_base[slots.clone()]);
+                    pull_base_noauto.extend_from_slice(&self.pull_base_noauto[slots]);
+                }
+                Run::Rewritten(row) => {
+                    pull_targets.extend_from_slice(&fwd.targets[fwd.range(row)]);
+                    pull_targets.extend_from_slice(&rev.targets[rev.range(row)]);
+                    pull_offsets.push(pull_targets.len() as u32);
+                    // Placeholders: rewritten rows get their coefficients
+                    // below, once conductance is current.
+                    pull_base.resize(pull_targets.len(), 0.0);
+                    pull_base_noauto.resize(pull_targets.len(), 0.0);
+                }
+            }
+        }
+        let mut key_rep = Vec::with_capacity(n);
+        key_rep.extend_from_slice(&self.key_rep);
+        for i in self.n..n {
+            key_rep.push(growth.key_rep(graph, NodeId::new(i as u32)));
+        }
+        let mut next = FrozenGraph {
+            epoch: graph.epoch(),
+            n,
+            fwd,
+            rev,
+            pull_offsets,
+            pull_targets,
             pull_base,
             pull_base_noauto,
             key_rep,
+        };
+
+        // Only endpoints of new edges change conductance; a coefficient
+        // changes only where its slot points at one of them, that is in
+        // the rows of their neighbors. Recomputing a whole row is safe
+        // because each coefficient is a pure function of its slot.
+        growth.cond.resize(n, (0.0, 0.0));
+        let mut by_source = Vec::new();
+        let mut rows = touched.clone();
+        for &x in &touched {
+            growth.cond[x as usize] = next.conductance(x as usize, &mut by_source);
+            rows.extend_from_slice(&next.pull_targets[next.pull_range(x as usize)]);
+        }
+        rows.sort_unstable();
+        rows.dedup();
+        for &row in &rows {
+            next.set_pull_coefficients(row as usize, &growth.cond);
+        }
+        next
+    }
+
+    /// Node `x`'s undirected conductance `(all edges, non-automatic
+    /// edges)`, summed in [`FrozenGraph::build`]'s order so the result is
+    /// bit-identical: by owning (source) node, then slot. `x`'s in-edges
+    /// are ordered by source node, stably (edges from one source keep
+    /// edge-id order, as in its forward row), and its own out-edges sit
+    /// between the sources below `x` and those above.
+    fn conductance(&self, x: usize, by_source: &mut Vec<(u32, u8)>) -> (f64, f64) {
+        let rev = self.rev.range(x);
+        by_source.clear();
+        by_source.extend(
+            self.rev.targets[rev.clone()]
+                .iter()
+                .copied()
+                .zip(self.rev.kinds[rev].iter().copied()),
+        );
+        by_source.sort_by_key(|&(src, _)| src);
+        let below = by_source.partition_point(|&(src, _)| (src as usize) < x);
+        let kinds = by_source[..below]
+            .iter()
+            .map(|&(_, kind)| kind)
+            .chain(self.fwd.kinds[self.fwd.range(x)].iter().copied())
+            .chain(by_source[below..].iter().map(|&(_, kind)| kind));
+        let mut cond = (0.0f64, 0.0f64);
+        for kind in kinds {
+            let w = base_weight(kind);
+            cond.0 += w;
+            if !AUTOMATIC[kind as usize] {
+                cond.1 += w;
+            }
+        }
+        cond
+    }
+
+    /// Recomputes row `i`'s pull coefficients from the conductance table.
+    fn set_pull_coefficients(&mut self, i: usize, cond: &[(f64, f64)]) {
+        let kinds = self.fwd.kinds[self.fwd.range(i)]
+            .iter()
+            .chain(&self.rev.kinds[self.rev.range(i)]);
+        for (s, &kind) in self.pull_range(i).zip(kinds) {
+            let (all, noauto) = pull_coefficients(kind, cond[self.pull_targets[s] as usize]);
+            self.pull_base[s] = all;
+            self.pull_base_noauto[s] = noauto;
         }
     }
 
@@ -280,19 +511,10 @@ impl FrozenGraph {
 
     /// Number of edges (each edge has one forward and one reverse slot).
     pub fn edge_count(&self) -> usize {
-        self.fwd_targets.len()
+        self.fwd.targets.len()
     }
 
-    fn fwd_range(&self, node: usize) -> std::ops::Range<usize> {
-        self.fwd_offsets[node] as usize..self.fwd_offsets[node + 1] as usize
-    }
-
-    fn rev_range(&self, node: usize) -> std::ops::Range<usize> {
-        self.rev_offsets[node] as usize..self.rev_offsets[node + 1] as usize
-    }
-
-    #[cfg(test)]
-    fn pull_range(&self, node: usize) -> std::ops::Range<usize> {
+    fn pull_range(&self, node: usize) -> Range<usize> {
         self.pull_offsets[node] as usize..self.pull_offsets[node + 1] as usize
     }
 
@@ -306,54 +528,24 @@ impl FrozenGraph {
     /// Forward (out) adjacency of `node`: `(target, kind)` in insertion
     /// order — the same order the live graph's out-edge list yields.
     pub fn out_edges_of(&self, node: u32) -> impl Iterator<Item = (u32, EdgeKind)> + '_ {
-        self.fwd_range(node as usize).map(move |s| {
-            (
-                self.fwd_targets[s],
-                // Kind codes were written from EdgeKind::code, so this
-                // lookup cannot miss; Link is a harmless degrade.
-                EdgeKind::from_code(self.fwd_kinds[s]).unwrap_or(EdgeKind::Link),
-            )
-        })
+        Self::row_edges(&self.fwd, node)
     }
 
     /// Reverse (in) adjacency of `node`: `(source, kind)` in insertion
     /// order.
     pub fn in_edges_of(&self, node: u32) -> impl Iterator<Item = (u32, EdgeKind)> + '_ {
-        self.rev_range(node as usize).map(move |s| {
+        Self::row_edges(&self.rev, node)
+    }
+
+    fn row_edges(rows: &Rows, node: u32) -> impl Iterator<Item = (u32, EdgeKind)> + '_ {
+        rows.range(node as usize).map(move |s| {
             (
-                self.rev_targets[s],
-                EdgeKind::from_code(self.rev_kinds[s]).unwrap_or(EdgeKind::Link),
+                rows.targets[s],
+                // Kind codes were written from EdgeKind::code, so this
+                // lookup cannot miss; Link is a harmless degrade.
+                EdgeKind::from_code(rows.kinds[s]).unwrap_or(EdgeKind::Link),
             )
         })
-    }
-
-    /// Number of edges of `kind`, from the per-kind forward bitset.
-    pub fn kind_count(&self, kind: EdgeKind) -> usize {
-        self.kind_bits_fwd[kind.code() as usize]
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
-    }
-
-    /// Number of reverse slots of `kind` — always equals
-    /// [`FrozenGraph::kind_count`], since every edge appears once in each
-    /// direction.
-    pub fn kind_count_rev(&self, kind: EdgeKind) -> usize {
-        self.kind_bits_rev[kind.code() as usize]
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
-    }
-
-    /// `true` if the forward slot's edge kind is automatic, from the
-    /// combined automatic bitset.
-    pub fn fwd_slot_is_automatic(&self, slot: usize) -> bool {
-        bit_get(&self.automatic_fwd, slot)
-    }
-
-    /// `true` if the reverse slot's edge kind is automatic.
-    pub fn rev_slot_is_automatic(&self, slot: usize) -> bool {
-        bit_get(&self.automatic_rev, slot)
     }
 }
 
@@ -520,8 +712,8 @@ impl KernelState<'_> {
 ///
 /// The math matches [`crate::pagerank::personalized_pagerank`]: undirected
 /// walks, temporal-overlap edges at 0.4 conductance, automatic edges
-/// droppable via `config.include_automatic_edges` (applied through the
-/// snapshot's per-kind bitsets), restart mass `1 − damping` plus whatever
+/// droppable via `config.include_automatic_edges` (through the snapshot's
+/// second coefficient table, where automatic slots are zero), restart mass `1 − damping` plus whatever
 /// strands on degree-0 nodes, L1 convergence. `budget.deadline()` is
 /// honored at iteration boundaries: an expired deadline returns the
 /// partially-converged scores with `truncated` set rather than blocking
@@ -714,12 +906,12 @@ pub fn expand_frozen(
                 }
             }
             let spread_base = w * config.decay;
-            for s in frozen.fwd_range(node as usize) {
-                let nbr = frozen.fwd_targets[s];
+            for s in frozen.fwd.range(node as usize) {
+                let nbr = frozen.fwd.targets[s];
                 if reached[nbr as usize] {
                     continue; // layered: no echo back to reached nodes
                 }
-                let spread = spread_base * kind_weight[frozen.fwd_kinds[s] as usize];
+                let spread = spread_base * kind_weight[frozen.fwd.kinds[s] as usize];
                 if spread < config.min_weight {
                     continue;
                 }
@@ -728,12 +920,12 @@ pub fn expand_frozen(
                 }
                 next_weight[nbr as usize] += spread;
             }
-            for s in frozen.rev_range(node as usize) {
-                let nbr = frozen.rev_targets[s];
+            for s in frozen.rev.range(node as usize) {
+                let nbr = frozen.rev.targets[s];
                 if reached[nbr as usize] {
                     continue;
                 }
-                let spread = spread_base * kind_weight[frozen.rev_kinds[s] as usize];
+                let spread = spread_base * kind_weight[frozen.rev.kinds[s] as usize];
                 if spread < config.min_weight {
                     continue;
                 }
@@ -1075,13 +1267,28 @@ pub fn fingerprint_expansion(
 // Snapshot handle
 // ---------------------------------------------------------------------------
 
-/// Owns the current [`FrozenGraph`] snapshot and rebuilds it lazily when
+/// How [`FrozenHandle::snapshot`] brought a stale snapshot up to date.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refresh {
+    /// Grown from the previous snapshot: the graph had only gained nodes
+    /// and edges, or edited intervals and attributes, since.
+    Extended,
+    /// Built from the live graph: the first snapshot, or the first after
+    /// a redaction rewrote a key.
+    Rebuilt,
+}
+
+/// Owns the current [`FrozenGraph`] snapshot and refreshes it lazily when
 /// the live graph's epoch moves — the frozen half of the frozen/live
-/// split. Readers share snapshots via [`Arc`], so a rebuild never
+/// split. Readers share snapshots via [`Arc`], so a refresh never
 /// invalidates a walk already in flight.
+///
+/// A handle follows one graph through its mutations: equal epochs are
+/// taken to mean equal contents, and a later epoch to mean the graph the
+/// previous snapshot was taken of, grown or edited since.
 #[derive(Default)]
 pub struct FrozenHandle {
-    slot: Mutex<Option<Arc<FrozenGraph>>>,
+    slot: Mutex<Option<(Arc<FrozenGraph>, Growth)>>,
     builds: AtomicU64,
     last_build_us: AtomicU64,
 }
@@ -1102,32 +1309,50 @@ impl FrozenHandle {
     }
 
     /// The current snapshot of `graph`: cached while the epoch matches,
-    /// rebuilt (and timed) when it does not.
-    pub fn snapshot(&self, graph: &ProvenanceGraph) -> Arc<FrozenGraph> {
+    /// otherwise extended from the previous one (or rebuilt when it
+    /// cannot be) and timed. The second value says which refresh ran and
+    /// what it cost; it is `None` for a cached snapshot.
+    pub fn snapshot(
+        &self,
+        graph: &ProvenanceGraph,
+    ) -> (Arc<FrozenGraph>, Option<(Refresh, Duration)>) {
         let mut slot = self
             .slot
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(f) = slot.as_ref() {
+        if let Some((f, _)) = slot.as_ref() {
             if f.epoch() == graph.epoch() {
-                return f.clone();
+                return (f.clone(), None);
             }
         }
         let sw = ClockHandle::real().start();
-        let f = Arc::new(FrozenGraph::build(graph));
+        // The slot stays empty until the refresh succeeds, so a panic
+        // inside it (which poisons the mutex) leaves no half-grown state:
+        // the next call rebuilds.
+        let (f, growth, refresh) = match slot.take() {
+            Some((prev, mut growth)) if growth.can_extend(&prev, graph) => {
+                let f = prev.extend(graph, &mut growth);
+                (Arc::new(f), growth, Refresh::Extended)
+            }
+            _ => {
+                let (f, growth) = FrozenGraph::build_with_growth(graph);
+                (Arc::new(f), growth, Refresh::Rebuilt)
+            }
+        };
+        let took = sw.elapsed();
         self.builds.fetch_add(1, Ordering::Relaxed);
         self.last_build_us
-            .store(sw.elapsed().as_micros() as u64, Ordering::Relaxed);
-        *slot = Some(f.clone());
-        f
+            .store(took.as_micros() as u64, Ordering::Relaxed);
+        *slot = Some((f.clone(), growth));
+        (f, Some((refresh, took)))
     }
 
-    /// How many CSR rebuilds this handle has performed.
+    /// How many snapshots this handle has produced, extended or rebuilt.
     pub fn builds(&self) -> u64 {
         self.builds.load(Ordering::Relaxed)
     }
 
-    /// Wall time of the most recent rebuild, in microseconds.
+    /// Wall time of the most recent refresh, in microseconds.
     pub fn last_build_us(&self) -> u64 {
         self.last_build_us.load(Ordering::Relaxed)
     }
@@ -1141,6 +1366,7 @@ mod tests {
     use crate::pagerank::personalized_pagerank;
     use crate::time::Timestamp;
     use proptest::prelude::*;
+    use proptest::TestCaseError;
 
     fn t(s: i64) -> Timestamp {
         Timestamp::from_secs(s)
@@ -1235,7 +1461,7 @@ mod tests {
     }
 
     #[test]
-    fn automatic_edge_filter_uses_the_bitsets() {
+    fn automatic_edge_filter_zeroes_automatic_slots() {
         let mut g = ProvenanceGraph::new();
         let seed = g.add_node(Node::new(NodeKind::PageVisit, "s", t(0)));
         let by_link = g.add_node(Node::new(NodeKind::PageVisit, "l", t(1)));
@@ -1244,8 +1470,15 @@ mod tests {
         g.add_edge(by_redirect, seed, EdgeKind::Redirect, t(1))
             .unwrap();
         let f = FrozenGraph::build(&g);
-        assert_eq!(f.kind_count(EdgeKind::Link), 1);
-        assert_eq!(f.kind_count(EdgeKind::Redirect), 1);
+        // The seed's pull row is its two in-edges: the link, then the
+        // redirect. Only the link carries mass without automatic edges.
+        let row = f.pull_range(seed.as_usize());
+        assert_eq!(
+            &f.pull_targets[row.clone()],
+            &[by_link.index(), by_redirect.index()]
+        );
+        assert_eq!(&f.pull_base[row.clone()], &[1.0, 1.0]);
+        assert_eq!(&f.pull_base_noauto[row], &[1.0, 0.0]);
         let config = PageRankConfig {
             include_automatic_edges: false,
             ..PageRankConfig::default()
@@ -1383,24 +1616,117 @@ mod tests {
 
     #[test]
     fn handle_rebuilds_only_when_the_epoch_moves() {
-        let mut g = tangled(10);
+        let mut g = tangled(30);
         let handle = FrozenHandle::new();
-        let a = handle.snapshot(&g);
-        let b = handle.snapshot(&g);
-        assert!(Arc::ptr_eq(&a, &b), "same epoch: shared snapshot");
+        let (first, refresh) = handle.snapshot(&g);
+        assert_eq!(refresh.map(|(how, _)| how), Some(Refresh::Rebuilt));
+        let (again, refresh) = handle.snapshot(&g);
+        assert!(Arc::ptr_eq(&first, &again), "same epoch: shared snapshot");
+        assert_eq!(refresh, None);
         assert_eq!(handle.builds(), 1);
-        g.add_node(Node::new(NodeKind::PageVisit, "new", t(99)));
-        let c = handle.snapshot(&g);
-        assert!(!Arc::ptr_eq(&a, &c), "mutation invalidates the snapshot");
-        assert_eq!(handle.builds(), 2);
-        assert_eq!(c.node_count(), 11);
+        // Later epochs extend the snapshot, except after a key rewrite;
+        // either way the result equals a fresh build.
+        let how = |g: &ProvenanceGraph| {
+            let (f, refresh) = handle.snapshot(g);
+            assert_same_arrays(&f, &FrozenGraph::build(g)).unwrap();
+            refresh.map(|(how, _)| how)
+        };
+        let a = g.add_node(Node::new(NodeKind::PageVisit, "u3", t(40)));
+        let b = g.add_version(NodeKind::PageVisit, "u7", t(41));
+        g.add_edge(a, NodeId::new(2), EdgeKind::Link, t(40))
+            .unwrap();
+        g.add_edge(b, a, EdgeKind::TemporalOverlap, t(41)).unwrap();
+        // A legal low→high edge: `b` reaches only 7, 30 and below.
+        g.add_edge(NodeId::new(10), b, EdgeKind::Embed, t(42))
+            .unwrap();
+        assert_eq!(how(&g), Some(Refresh::Extended), "appends");
+        assert!(!Arc::ptr_eq(&first, &handle.snapshot(&g).0));
+        g.node_mut(a).unwrap().close_at(t(50));
+        assert_eq!(how(&g), Some(Refresh::Extended), "content edit");
+        g.redact_node(NodeId::new(3), "[redacted]").unwrap();
+        assert_eq!(how(&g), Some(Refresh::Rebuilt), "key rewrite");
+        g.add_node(Node::new(NodeKind::PageVisit, "[redacted]", t(60)));
+        assert_eq!(how(&g), Some(Refresh::Extended), "appends again");
+        assert_eq!(handle.builds(), 5, "every snapshot produced counts");
+    }
+
+    /// Fails unless `a` and `b` hold the same arrays, `f64`s compared by
+    /// bits.
+    fn assert_same_arrays(a: &FrozenGraph, b: &FrozenGraph) -> Result<(), TestCaseError> {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        prop_assert_eq!(a.epoch, b.epoch);
+        prop_assert_eq!(a.n, b.n);
+        prop_assert_eq!(&a.fwd, &b.fwd);
+        prop_assert_eq!(&a.rev, &b.rev);
+        prop_assert_eq!(&a.pull_offsets, &b.pull_offsets);
+        prop_assert_eq!(&a.pull_targets, &b.pull_targets);
+        prop_assert_eq!(bits(&a.pull_base), bits(&b.pull_base));
+        prop_assert_eq!(bits(&a.pull_base_noauto), bits(&b.pull_base_noauto));
+        prop_assert_eq!(&a.key_rep, &b.key_rep);
+        Ok(())
+    }
+
+    /// Fails unless `f` describes `g` as computed here straight from the
+    /// live graph: adjacency rows, merged pull rows, `w(kind) /
+    /// conductance` per pull slot, and the lowest node id per key.
+    fn assert_matches_live(f: &FrozenGraph, g: &ProvenanceGraph) -> Result<(), TestCaseError> {
+        let mut cond = vec![(0.0f64, 0.0f64); g.node_count()];
+        for id in g.node_ids() {
+            for (eid, dst) in g.parents(id) {
+                let kind = g.edge(eid).unwrap().kind();
+                let w = if kind == EdgeKind::TemporalOverlap {
+                    0.4
+                } else {
+                    1.0
+                };
+                cond[id.as_usize()].0 += w;
+                cond[dst.as_usize()].0 += w;
+                if !kind.is_automatic() {
+                    cond[id.as_usize()].1 += w;
+                    cond[dst.as_usize()].1 += w;
+                }
+            }
+        }
+        let mut first_of_key: HashMap<&str, u32> = HashMap::new();
+        prop_assert_eq!(f.node_count(), g.node_count());
+        prop_assert_eq!(f.edge_count(), g.edge_count());
+        for id in g.node_ids() {
+            let row: Vec<(u32, EdgeKind)> = g
+                .parents(id)
+                .chain(g.children(id))
+                .map(|(e, other)| (other.index(), g.edge(e).unwrap().kind()))
+                .collect();
+            let out: Vec<(u32, EdgeKind)> = f.out_edges_of(id.index()).collect();
+            let incoming: Vec<(u32, EdgeKind)> = f.in_edges_of(id.index()).collect();
+            prop_assert_eq!(&row[..g.out_degree(id)], &out[..]);
+            prop_assert_eq!(&row[g.out_degree(id)..], &incoming[..]);
+            let slots = f.pull_range(id.as_usize());
+            prop_assert_eq!(slots.len(), row.len());
+            for (s, &(other, kind)) in slots.zip(&row) {
+                prop_assert_eq!(f.pull_targets[s], other);
+                let w = if kind == EdgeKind::TemporalOverlap {
+                    0.4
+                } else {
+                    1.0
+                };
+                let (all, noauto) = cond[other as usize];
+                let expected = if kind.is_automatic() { 0.0 } else { w / noauto };
+                prop_assert_eq!(f.pull_base[s].to_bits(), (w / all).to_bits());
+                prop_assert_eq!(f.pull_base_noauto[s].to_bits(), expected.to_bits());
+            }
+            let key = g.node(id).unwrap().key();
+            let rep = *first_of_key.entry(key).or_insert(id.index());
+            prop_assert_eq!(f.key_reps()[id.as_usize()], rep);
+        }
+        Ok(())
     }
 
     proptest! {
         /// The CSR snapshot round-trips every node, edge, and kind filter
         /// of the live graph: adjacency rows match in content and order,
-        /// per-kind bitset counts match live kind counts, and the
-        /// automatic mask marks exactly the automatic-kind slots.
+        /// each merged pull row is the forward row followed by the
+        /// reverse row, and every pull coefficient is `w(kind) /
+        /// conductance`, zero on automatic slots when they are excluded.
         #[test]
         fn csr_round_trips_random_graphs(
             links in prop::collection::vec((1u8..30, 0u8..30, 0u8..15), 0..120),
@@ -1415,58 +1741,53 @@ mod tests {
                 let kind = EdgeKind::from_code(k).unwrap_or(EdgeKind::Link);
                 let _ = g.add_edge(NodeId::new(src), NodeId::new(dst), kind, t(i64::from(src)));
             }
-            let f = FrozenGraph::build(&g);
-            prop_assert_eq!(f.node_count(), g.node_count());
-            prop_assert_eq!(f.edge_count(), g.edge_count());
-            for id in g.node_ids() {
-                let live_out: Vec<(u32, EdgeKind)> = g
-                    .parents(id)
-                    .map(|(e, p)| (p.index(), g.edge(e).unwrap().kind()))
-                    .collect();
-                let frozen_out: Vec<(u32, EdgeKind)> = f.out_edges_of(id.index()).collect();
-                prop_assert_eq!(live_out, frozen_out);
-                let live_in: Vec<(u32, EdgeKind)> = g
-                    .children(id)
-                    .map(|(e, c)| (c.index(), g.edge(e).unwrap().kind()))
-                    .collect();
-                let frozen_in: Vec<(u32, EdgeKind)> = f.in_edges_of(id.index()).collect();
-                prop_assert_eq!(live_in, frozen_in);
-            }
-            for kind in EdgeKind::ALL {
-                let live = g.edges().filter(|(_, e)| e.kind() == kind).count();
-                prop_assert_eq!(f.kind_count(kind), live);
-                prop_assert_eq!(f.kind_count_rev(kind), live);
-            }
-            let mut slot = 0;
-            for id in g.node_ids() {
-                for (_, kind) in f.out_edges_of(id.index()) {
-                    prop_assert_eq!(f.fwd_slot_is_automatic(slot), kind.is_automatic());
-                    slot += 1;
+            assert_matches_live(&FrozenGraph::build(&g), &g)?;
+        }
+
+        /// A handle fed a graph growing step by step — nodes, versions,
+        /// edges in both id directions, content edits, and now and then
+        /// a redaction — hands out snapshots identical, bit for bit, to a
+        /// fresh build, and matching the live graph.
+        #[test]
+        fn extended_snapshots_equal_full_builds(
+            steps in prop::collection::vec((0u8..100, 0u16..1000, 0u16..1000, 0u8..15), 1..60),
+        ) {
+            let mut g = tangled(12);
+            let handle = FrozenHandle::new();
+            for &(op, a, b, k) in &steps {
+                let n = g.node_count() as u32;
+                let (a, b) = (NodeId::new(u32::from(a) % n), NodeId::new(u32::from(b) % n));
+                let key = format!("u{}", k % 8);
+                let kind = EdgeKind::from_code(k).unwrap_or(EdgeKind::Link);
+                match op {
+                    0..=19 => {
+                        g.add_node(Node::new(NodeKind::ALL[usize::from(k) % 7], key, t(100)));
+                    }
+                    20..=29 => {
+                        g.add_version(NodeKind::PageVisit, &key, t(100));
+                    }
+                    // Either id direction: low→high edges are legal
+                    // while they close no cycle.
+                    30..=84 => {
+                        let _ = g.add_edge(a, b, kind, t(100));
+                    }
+                    85..=94 => {
+                        g.node_mut(a).unwrap().attrs_mut().set("title", key);
+                    }
+                    _ => {
+                        g.redact_node(a, format!("[redacted {}]", b.index() % 3)).unwrap();
+                    }
+                }
+                // Skip some snapshots so extensions span several steps.
+                if k % 3 != 0 {
+                    let (f, _) = handle.snapshot(&g);
+                    assert_same_arrays(&f, &FrozenGraph::build(&g))?;
+                    assert_matches_live(&f, &g)?;
                 }
             }
-            // The merged pull row is the forward row followed by the
-            // reverse row, with the automatic mask carried across.
-            for id in g.node_ids() {
-                let i = id.index() as usize;
-                let merged: Vec<(u32, EdgeKind)> = f
-                    .out_edges_of(id.index())
-                    .chain(f.in_edges_of(id.index()))
-                    .collect();
-                let pull: Vec<(u32, EdgeKind)> = f
-                    .pull_range(i)
-                    .map(|s| {
-                        prop_assert_eq!(
-                            bit_get(&f.automatic_pull, s),
-                            EdgeKind::from_code(f.pull_kinds[s]).unwrap().is_automatic()
-                        );
-                        Ok((
-                            f.pull_targets[s],
-                            EdgeKind::from_code(f.pull_kinds[s]).unwrap(),
-                        ))
-                    })
-                    .collect::<Result<_, _>>()?;
-                prop_assert_eq!(merged, pull);
-            }
+            let (f, _) = handle.snapshot(&g);
+            assert_same_arrays(&f, &FrozenGraph::build(&g))?;
+            assert_matches_live(&f, &g)?;
         }
 
         /// Parallel and serial kernels agree bit-for-bit on random DAGs.

@@ -67,6 +67,9 @@ pub struct ProvenanceGraph {
     /// ([`crate::frozen::FrozenGraph`]) and epoch-keyed score caches can
     /// detect staleness with a single integer compare.
     epoch: u64,
+    /// Successful [`redact_node`](Self::redact_node) calls: the only
+    /// mutation that rewrites a node's key.
+    redactions: u64,
 }
 
 impl Default for ProvenanceGraph {
@@ -91,6 +94,7 @@ impl ProvenanceGraph {
             latest_version: HashMap::new(),
             monotone: true,
             epoch: 0,
+            redactions: 0,
         }
     }
 
@@ -101,6 +105,15 @@ impl ProvenanceGraph {
     /// snapshots and cached query scores be reused without re-validation.
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// How many nodes [`redact_node`](Self::redact_node) has rewritten.
+    /// Every other mutation appends nodes or edges, or edits a node's
+    /// interval and attributes, so while this count holds still, a
+    /// snapshot taken at an older epoch describes a prefix of the graph
+    /// with every key unchanged.
+    pub fn redactions(&self) -> u64 {
+        self.redactions
     }
 
     /// Number of nodes.
@@ -172,7 +185,10 @@ impl ProvenanceGraph {
             .ok_or(GraphError::UnknownNode(id))
     }
 
-    /// Mutably borrows a node.
+    /// Mutably borrows a node, to close its interval or edit its
+    /// attributes. Do not replace the node wholesale through it: keys
+    /// change only through [`redact_node`](Self::redact_node), which
+    /// [`crate::frozen::FrozenHandle`] relies on to extend snapshots.
     ///
     /// # Errors
     ///
@@ -287,6 +303,7 @@ impl ProvenanceGraph {
         let old_key = node.key().to_owned();
         let kind = node.kind();
         node.redact(replacement);
+        self.redactions += 1;
         if kind.is_versioned() {
             self.latest_version.remove(&(kind, old_key.clone()));
         }
@@ -673,8 +690,10 @@ mod tests {
         g.node_mut(a).unwrap().close_at(t(9));
         assert!(g.epoch() > e2, "mutable borrows bump conservatively");
         let e3 = g.epoch();
+        assert_eq!(g.redactions(), 0);
         g.redact_node(a, "[x]").unwrap();
         assert!(g.epoch() > e3);
+        assert_eq!(g.redactions(), 1, "only redaction counts as a key rewrite");
         // Read-only accessors leave the epoch alone.
         let e4 = g.epoch();
         let _ = g.node(a);

@@ -216,7 +216,11 @@ impl Node {
     /// and all attributes are dropped. Structure (kind, version, interval,
     /// edges) is preserved — the §4 privacy goal is hiding *what* was
     /// browsed, while lineage shape may legitimately remain for forensics.
-    pub fn redact(&mut self, replacement: impl Into<String>) {
+    ///
+    /// Crate-private: [`crate::ProvenanceGraph::redact_node`] is the only
+    /// way to rewrite a key, so the graph can count key rewrites (CSR
+    /// snapshots extend across every other mutation).
+    pub(crate) fn redact(&mut self, replacement: impl Into<String>) {
         self.key = replacement.into();
         self.attrs = AttrMap::new();
     }

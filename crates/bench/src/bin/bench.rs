@@ -7,7 +7,6 @@
 //! ```text
 //! cargo run -p bp-bench --release --bin bench                    # paper scale (79 days)
 //! cargo run -p bp-bench --release --bin bench -- --days 7        # CI quick run
-//! cargo run -p bp-bench --release --bin bench -- --jobs 4        # parallel PageRank
 //! cargo run -p bp-bench --release --bin bench -- --days 7 \
 //!     --compare BENCH_baseline.json --threshold 20               # regression gate
 //! ```
@@ -17,10 +16,6 @@
 //! sweep, the relevance paths (`context`/`ppr`/`personalize`) are held to
 //! the tighter `--gate-threshold` (default 15%) over `--gate-floor-us`
 //! (default 100) — they carry the frozen-graph perf headline.
-//!
-//! `--jobs N` sets the PageRank worker count via the traversal budget;
-//! the report's `frozen` section records it alongside snapshot-build and
-//! score-cache telemetry.
 //!
 //! Every run also replays the stream through the batched capture
 //! pipeline against a group-commit WAL and reports the sustained
@@ -63,7 +58,6 @@ const RELEVANCE_PATHS: [&str; 3] = ["context", "ppr", "personalize"];
 struct Options {
     days: u32,
     runs: u64,
-    jobs: usize,
     out_dir: String,
     compare_with: Option<String>,
     threshold_pct: f64,
@@ -79,7 +73,6 @@ fn parse_options(raw: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         days: 79,
         runs: 40,
-        jobs: 1,
         out_dir: ".".to_owned(),
         compare_with: None,
         threshold_pct: 20.0,
@@ -103,13 +96,6 @@ fn parse_options(raw: &[String]) -> Result<Options, String> {
             }
             "--runs" => {
                 opts.runs = value(i)?.parse().map_err(|_| "--runs must be a number")?;
-                i += 2;
-            }
-            "--jobs" => {
-                opts.jobs = value(i)?.parse().map_err(|_| "--jobs must be a number")?;
-                if opts.jobs == 0 {
-                    return Err("--jobs must be at least 1".to_owned());
-                }
                 i += 2;
             }
             "--out-dir" => {
@@ -327,12 +313,8 @@ fn run_benchmark(opts: &Options) -> Result<BenchReport, String> {
     profile::set_enabled(true);
     let _ = profile::take();
     let mut stage_samples: BTreeMap<String, Vec<u64>> = BTreeMap::new();
-    // `--jobs` reaches the parallel PageRank kernel through the traversal
-    // budget; scores are bit-identical at any worker count.
-    let mut contextual = ContextualConfig::default();
-    contextual.budget = contextual.budget.clone().with_jobs(opts.jobs);
-    let mut personalize = PersonalizeConfig::default();
-    personalize.contextual.budget = personalize.contextual.budget.clone().with_jobs(opts.jobs);
+    let contextual = ContextualConfig::default();
+    let personalize = PersonalizeConfig::default();
     let runs = opts.runs as usize;
     for run in 0..runs {
         let term = terms[run % terms.len()];
@@ -387,7 +369,6 @@ fn run_benchmark(opts: &Options) -> Result<BenchReport, String> {
     let (builds, build_us) = browser.frozen_stats();
     let cache = browser.score_cache().stats();
     let frozen = FrozenStats {
-        jobs: opts.jobs as u64,
         builds,
         build_us,
         cache_hits: cache.hits,
@@ -625,9 +606,8 @@ fn run(raw: &[String]) -> Result<bool, String> {
     }
     let f = &report.frozen;
     eprintln!(
-        "bench: frozen jobs={} builds={} build_us={} cache hit-rate={:.1}% \
+        "bench: frozen builds={} build_us={} cache hit-rate={:.1}% \
          ({} hit / {} miss / {} evicted, {} bytes)",
-        f.jobs,
         f.builds,
         f.build_us,
         f.hit_rate() * 100.0,

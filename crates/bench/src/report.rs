@@ -15,12 +15,14 @@ use std::fmt::Write as _;
 
 /// Version of the `BENCH_*.json` schema. Bump on any field change.
 ///
-/// v2 added the `frozen` section (CSR snapshot builds, parallel jobs,
-/// score-cache hit/miss/evict/bytes); v3 added `ingest.events_per_sec`
-/// and the `wal` section (group-commit append/sync telemetry from the
-/// sustained-ingest phase). Older documents parse with default (empty)
-/// sections so old baselines stay comparable.
-pub const BENCH_SCHEMA_VERSION: u64 = 3;
+/// v2 added the `frozen` section (CSR snapshot builds, PageRank worker
+/// count, score-cache hit/miss/evict/bytes); v3 added
+/// `ingest.events_per_sec` and the `wal` section (group-commit
+/// append/sync telemetry from the sustained-ingest phase); v4 dropped
+/// `frozen.jobs`, as the PageRank kernel is serial. Older documents parse
+/// with default (empty) sections, and a `jobs` key is ignored, so old
+/// baselines stay comparable.
+pub const BENCH_SCHEMA_VERSION: u64 = 4;
 
 /// Oldest schema version `from_json` still accepts.
 pub const BENCH_SCHEMA_MIN_VERSION: u64 = 1;
@@ -28,8 +30,6 @@ pub const BENCH_SCHEMA_MIN_VERSION: u64 = 1;
 /// Frozen-snapshot and score-cache telemetry for one run (schema v2).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FrozenStats {
-    /// Worker threads requested for the parallel PageRank kernel.
-    pub jobs: u64,
     /// CSR snapshot rebuilds over the whole run.
     pub builds: u64,
     /// Wall time of the most recent snapshot build, microseconds.
@@ -59,22 +59,21 @@ impl FrozenStats {
         format!(
             "{{\"build_us\": {}, \"builds\": {}, \"cache_bytes\": {}, \
              \"cache_evictions\": {}, \"cache_hit_rate\": {:.4}, \"cache_hits\": {}, \
-             \"cache_misses\": {}, \"jobs\": {}}}",
+             \"cache_misses\": {}}}",
             self.build_us,
             self.builds,
             self.cache_bytes,
             self.cache_evictions,
             self.hit_rate(),
             self.cache_hits,
-            self.cache_misses,
-            self.jobs
+            self.cache_misses
         )
     }
 
     fn from_json(v: &Value) -> Option<Self> {
-        // `cache_hit_rate` is derived on render and ignored on parse.
+        // `cache_hit_rate` is derived on render and ignored on parse, as
+        // is the `jobs` count documents before v4 carry.
         Some(FrozenStats {
-            jobs: v.get("jobs")?.as_u64()?,
             builds: v.get("builds")?.as_u64()?,
             build_us: v.get("build_us")?.as_u64()?,
             cache_hits: v.get("cache_hits")?.as_u64()?,
@@ -529,7 +528,6 @@ mod tests {
             },
             e1_overhead_ratio: 1.395,
             frozen: FrozenStats {
-                jobs: 4,
                 builds: 2,
                 build_us: 1_800,
                 cache_hits: 35,
@@ -560,7 +558,7 @@ mod tests {
         let parsed = BenchReport::from_json(&text).expect("parses");
         assert_eq!(parsed, report);
         // schema_version leads the document.
-        assert!(text.trim_start().starts_with("{\n  \"schema_version\": 3"));
+        assert!(text.trim_start().starts_with("{\n  \"schema_version\": 4"));
         // The frozen section renders its derived hit rate.
         assert!(text.contains("\"cache_hit_rate\": 0.8750"), "{text}");
         assert!((parsed.frozen.hit_rate() - 0.875).abs() < 1e-9);
@@ -588,7 +586,7 @@ mod tests {
     fn unknown_schema_version_is_rejected() {
         let text = sample_report()
             .to_json()
-            .replace("\"schema_version\": 3", "\"schema_version\": 999");
+            .replace("\"schema_version\": 4", "\"schema_version\": 999");
         assert!(BenchReport::from_json(&text)
             .unwrap_err()
             .contains("schema_version 999"));
@@ -611,7 +609,7 @@ mod tests {
         let mut expected = sample_report();
         let frozen_line = format!("  \"frozen\": {},\n", expected.frozen.to_json());
         let text = strip_v3(&expected, &expected.to_json())
-            .replace("\"schema_version\": 3", "\"schema_version\": 1")
+            .replace("\"schema_version\": 4", "\"schema_version\": 1")
             .replace(&frozen_line, "");
         assert!(!text.contains("frozen"), "{text}");
         let parsed = BenchReport::from_json(&text).expect("v1 parses");
@@ -620,11 +618,11 @@ mod tests {
         expected.ingest_events_per_sec = 0.0;
         assert_eq!(parsed, expected);
         assert_eq!(parsed.frozen.hit_rate(), 0.0);
-        // A v3 document without the frozen section is malformed, not
-        // legacy.
-        let v3_missing = sample_report().to_json().replace(&frozen_line, "");
+        // A current document without the frozen section is malformed,
+        // not legacy.
+        let missing = sample_report().to_json().replace(&frozen_line, "");
         assert_eq!(
-            BenchReport::from_json(&v3_missing).unwrap_err(),
+            BenchReport::from_json(&missing).unwrap_err(),
             "missing frozen"
         );
     }
@@ -635,7 +633,7 @@ mod tests {
         // headline, marked v2 — still usable as a `--compare` input.
         let mut expected = sample_report();
         let text = strip_v3(&expected, &expected.to_json())
-            .replace("\"schema_version\": 3", "\"schema_version\": 2");
+            .replace("\"schema_version\": 4", "\"schema_version\": 2");
         assert!(!text.contains("\"wal\""), "{text}");
         assert!(!text.contains("events_per_sec"), "{text}");
         let parsed = BenchReport::from_json(&text).expect("v2 parses");
@@ -643,7 +641,8 @@ mod tests {
         expected.ingest_events_per_sec = 0.0;
         assert_eq!(parsed, expected);
         assert_eq!(parsed.wal.events_per_group(), 0.0);
-        // A v3 document missing the new pieces is malformed, not legacy.
+        // A current document missing the v3 pieces is malformed, not
+        // legacy.
         let report = sample_report();
         let v3_text = report.to_json();
         let wal_line = format!("  \"wal\": {}\n", report.wal.to_json());
@@ -659,6 +658,19 @@ mod tests {
             BenchReport::from_json(&no_eps).unwrap_err(),
             "missing ingest.events_per_sec"
         );
+    }
+
+    #[test]
+    fn v3_documents_carrying_a_jobs_count_parse() {
+        // v3 documents, the committed baseline among them, still record
+        // the PageRank worker count; the key is ignored.
+        let expected = sample_report();
+        let text = expected
+            .to_json()
+            .replace("\"schema_version\": 4", "\"schema_version\": 3")
+            .replace("\"cache_misses\": 5}", "\"cache_misses\": 5, \"jobs\": 1}");
+        assert!(text.contains("\"jobs\": 1"), "{text}");
+        assert_eq!(BenchReport::from_json(&text).expect("v3 parses"), expected);
     }
 
     #[test]

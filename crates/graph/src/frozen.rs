@@ -1,6 +1,6 @@
-//! The read-optimized execution layer: CSR snapshots, the parallel
-//! PageRank kernel, frozen neighborhood expansion, and the epoch-keyed
-//! score cache.
+//! The read-optimized execution layer: CSR snapshots, the PageRank
+//! kernel over a jagged-diagonal slot layout, frozen neighborhood
+//! expansion, and the epoch-keyed score cache.
 //!
 //! The live [`ProvenanceGraph`] is built for capture: append-only arenas
 //! plus per-node `Vec<EdgeId>` adjacency, ideal for O(1) inserts but
@@ -8,8 +8,8 @@
 //! PageRank, neighborhood expansion) iterate every edge tens of times, so
 //! they run here instead, over a [`FrozenGraph`] — a compressed-sparse-row
 //! snapshot with dense `u32` indexing, contiguous forward/reverse edge
-//! arrays, and per-slot pull coefficients for both automatic-edge
-//! settings.
+//! arrays, and per-node conductance. The PageRank kernel reads the rows
+//! through a slot layout built on its first walk over the snapshot.
 //!
 //! Snapshots are invalidated by the graph **epoch**
 //! ([`ProvenanceGraph::epoch`]): every mutation bumps it, and a
@@ -32,18 +32,15 @@ use crate::traverse::Budget;
 use bp_obs::clock::ClockHandle;
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
-/// Nodes per work chunk. Fixed (never derived from the worker count) so
-/// chunk boundaries — and therefore floating-point reduction order — are
-/// identical at any `--jobs`, which is what keeps parallel scores
-/// bit-identical to serial ones.
+/// Nodes per partial sum of the PageRank kernel's reductions (pushed
+/// mass and L1 delta): each chunk sums its nodes in id order, and the
+/// chunk sums fold in chunk order. Scores depend on this grouping bit
+/// for bit, so it never changes.
 const CHUNK: usize = 1024;
-
-/// Hard ceiling on kernel worker threads.
-const MAX_JOBS: usize = 64;
 
 /// `AUTOMATIC[code]` tells whether the edge kind with that
 /// [`EdgeKind::code`] is automatic (dropped when a walk excludes
@@ -69,20 +66,29 @@ fn base_weight(kind_code: u8) -> f64 {
     }
 }
 
-/// The damping-free pull coefficients of a slot of kind `kind_code`
-/// whose target has conductance `(all, noauto)`: `w(kind) / conductance`
-/// with every edge participating, and the same with automatic edges
-/// excluded (an automatic slot carries nothing).
+/// The damping-free pull coefficient of a slot of kind `kind_code` whose
+/// target has conductance `(all, noauto)`: `w(kind) / conductance`, with
+/// every edge participating or, when automatic edges are excluded, over
+/// the non-automatic conductance (an automatic slot then carries
+/// nothing).
 #[inline]
-fn pull_coefficients(kind_code: u8, (all, noauto): (f64, f64)) -> (f64, f64) {
-    let coeff = |w: f64, cond: f64| if cond > 0.0 { w / cond } else { 0.0 };
-    let w = base_weight(kind_code);
-    let without_automatic = if AUTOMATIC[kind_code as usize] {
-        0.0
+fn pull_coefficient(
+    kind_code: u8,
+    (all, noauto): (f64, f64),
+    include_automatic_edges: bool,
+) -> f64 {
+    let cond = if include_automatic_edges {
+        all
+    } else if AUTOMATIC[kind_code as usize] {
+        return 0.0;
     } else {
-        coeff(w, noauto)
+        noauto
     };
-    (coeff(w, all), without_automatic)
+    if cond > 0.0 {
+        base_weight(kind_code) / cond
+    } else {
+        0.0
+    }
 }
 
 /// One direction of the CSR adjacency: row `i` lists node `i`'s edges as
@@ -133,6 +139,15 @@ impl Rows {
 
     fn range(&self, row: usize) -> Range<usize> {
         self.offsets[row] as usize..self.offsets[row + 1] as usize
+    }
+
+    /// Row `row`'s slots as `(endpoint, kind code)`, in row order.
+    fn slots(&self, row: usize) -> impl Iterator<Item = (u32, u8)> + '_ {
+        let slots = self.range(row);
+        self.targets[slots.clone()]
+            .iter()
+            .copied()
+            .zip(self.kinds[slots].iter().copied())
     }
 
     /// These rows grown to `n` rows, each row followed by its entries in
@@ -223,20 +238,14 @@ pub struct FrozenGraph {
     n: usize,
     fwd: Rows,
     rev: Rows,
-    /// Merged per-node incidence ("pull") rows: node `i`'s forward slots
-    /// followed by its reverse slots, contiguous. The PageRank kernel's
-    /// inner loop walks one row per node instead of two, which is what
-    /// lets it stripe the accumulation for instruction-level parallelism.
-    pull_offsets: Vec<u32>,
-    pull_targets: Vec<u32>,
-    /// Per pull slot, `w(kind) / conductance(target)` with every edge
-    /// participating — the damping-free part of the PageRank pull
-    /// coefficient. Computed once per snapshot so each kernel run skips
-    /// an O(E) pass of divisions.
-    pull_base: Vec<f64>,
-    /// Same, under `include_automatic_edges = false`: automatic slots are
-    /// zeroed and conductance excludes them.
-    pull_base_noauto: Vec<f64>,
+    /// Per node, its undirected conductance `(all edges, non-automatic
+    /// edges)`: the denominators of the PageRank coefficients of the
+    /// slots pointing at it.
+    cond: Vec<(f64, f64)>,
+    /// The PageRank kernel's slot layouts, indexed by
+    /// `include_automatic_edges`, each built on the first walk that
+    /// needs it. Snapshots no PageRank query reads never pay for one.
+    pull: [OnceLock<PullLayout>; 2],
     /// `key_rep[i]` is the lowest node id whose key string equals node
     /// `i`'s — the canonical representative of its dedup group. Blend
     /// passes collapse multiple visit versions of one URL through this
@@ -260,9 +269,6 @@ impl std::fmt::Debug for FrozenGraph {
 struct Growth {
     /// [`ProvenanceGraph::redactions`] when the snapshot was taken.
     redactions: u64,
-    /// Per node, its undirected conductance `(all edges, non-automatic
-    /// edges)`: the denominators of the pull coefficients pointing at it.
-    cond: Vec<(f64, f64)>,
     /// Each key string's lowest node id.
     first_of_key: HashMap<String, u32>,
 }
@@ -319,42 +325,25 @@ impl FrozenGraph {
                 }
             }
         }
-        // Merged pull rows: each node's forward slots then reverse slots,
-        // in the same in-row order as the split arrays.
-        let total = fwd.targets.len() + rev.targets.len();
-        let mut pull_offsets = Vec::with_capacity(n + 1);
-        let mut pull_targets = Vec::with_capacity(total);
-        pull_offsets.push(0);
-        for i in 0..n {
-            pull_targets.extend_from_slice(&fwd.targets[fwd.range(i)]);
-            pull_targets.extend_from_slice(&rev.targets[rev.range(i)]);
-            pull_offsets.push(pull_targets.len() as u32);
-        }
         // Key-dedup groups: one string hash per node at snapshot time
         // buys hash-free dedup on every blend afterwards.
         let mut growth = Growth {
             redactions: graph.redactions(),
-            cond,
             first_of_key: HashMap::new(),
         };
         let key_rep = graph
             .node_ids()
             .map(|id| growth.key_rep(graph, id))
             .collect();
-        let mut frozen = FrozenGraph {
+        let frozen = FrozenGraph {
             epoch: graph.epoch(),
             n,
             fwd,
             rev,
-            pull_offsets,
-            pull_targets,
-            pull_base: vec![0.0; total],
-            pull_base_noauto: vec![0.0; total],
+            cond,
+            pull: Default::default(),
             key_rep,
         };
-        for i in 0..n {
-            frozen.set_pull_coefficients(i, &growth.cond);
-        }
         (frozen, growth)
     }
 
@@ -362,9 +351,8 @@ impl FrozenGraph {
     /// snapshot of the same graph at an epoch `growth.can_extend`
     /// accepts. Rows without new edges are copied in bulk; rows with new
     /// edges get them appended. Conductance is recomputed only for the
-    /// endpoints of new edges, and pull coefficients only in their rows
-    /// and their neighbors' rows, so every array comes out bit-identical
-    /// to [`FrozenGraph::build`]'s.
+    /// endpoints of new edges, so every array comes out bit-identical to
+    /// [`FrozenGraph::build`]'s.
     fn extend(&self, graph: &ProvenanceGraph, growth: &mut Growth) -> FrozenGraph {
         let n = graph.node_count();
         // Appended edges are the arena's tail; each one extends its
@@ -387,37 +375,6 @@ impl FrozenGraph {
             .collect();
         touched.sort_unstable();
         touched.dedup();
-
-        let total = fwd.targets.len() + rev.targets.len();
-        let mut pull_offsets = Vec::with_capacity(n + 1);
-        let mut pull_targets = Vec::with_capacity(total);
-        let mut pull_base = Vec::with_capacity(total);
-        let mut pull_base_noauto = Vec::with_capacity(total);
-        pull_offsets.push(0);
-        for run in runs(&touched, self.n, n) {
-            match run {
-                Run::Carried(rows) => {
-                    let slots = carry(
-                        &self.pull_offsets,
-                        rows,
-                        &mut pull_offsets,
-                        pull_targets.len(),
-                    );
-                    pull_targets.extend_from_slice(&self.pull_targets[slots.clone()]);
-                    pull_base.extend_from_slice(&self.pull_base[slots.clone()]);
-                    pull_base_noauto.extend_from_slice(&self.pull_base_noauto[slots]);
-                }
-                Run::Rewritten(row) => {
-                    pull_targets.extend_from_slice(&fwd.targets[fwd.range(row)]);
-                    pull_targets.extend_from_slice(&rev.targets[rev.range(row)]);
-                    pull_offsets.push(pull_targets.len() as u32);
-                    // Placeholders: rewritten rows get their coefficients
-                    // below, once conductance is current.
-                    pull_base.resize(pull_targets.len(), 0.0);
-                    pull_base_noauto.resize(pull_targets.len(), 0.0);
-                }
-            }
-        }
         let mut key_rep = Vec::with_capacity(n);
         key_rep.extend_from_slice(&self.key_rep);
         for i in self.n..n {
@@ -428,29 +385,20 @@ impl FrozenGraph {
             n,
             fwd,
             rev,
-            pull_offsets,
-            pull_targets,
-            pull_base,
-            pull_base_noauto,
+            cond: Vec::new(),
+            pull: Default::default(),
             key_rep,
         };
 
-        // Only endpoints of new edges change conductance; a coefficient
-        // changes only where its slot points at one of them, that is in
-        // the rows of their neighbors. Recomputing a whole row is safe
-        // because each coefficient is a pure function of its slot.
-        growth.cond.resize(n, (0.0, 0.0));
+        // Only endpoints of new edges change conductance.
+        let mut cond = Vec::with_capacity(n);
+        cond.extend_from_slice(&self.cond);
+        cond.resize(n, (0.0, 0.0));
         let mut by_source = Vec::new();
-        let mut rows = touched.clone();
         for &x in &touched {
-            growth.cond[x as usize] = next.conductance(x as usize, &mut by_source);
-            rows.extend_from_slice(&next.pull_targets[next.pull_range(x as usize)]);
+            cond[x as usize] = next.conductance(x as usize, &mut by_source);
         }
-        rows.sort_unstable();
-        rows.dedup();
-        for &row in &rows {
-            next.set_pull_coefficients(row as usize, &growth.cond);
-        }
+        next.cond = cond;
         next
     }
 
@@ -487,18 +435,6 @@ impl FrozenGraph {
         cond
     }
 
-    /// Recomputes row `i`'s pull coefficients from the conductance table.
-    fn set_pull_coefficients(&mut self, i: usize, cond: &[(f64, f64)]) {
-        let kinds = self.fwd.kinds[self.fwd.range(i)]
-            .iter()
-            .chain(&self.rev.kinds[self.rev.range(i)]);
-        for (s, &kind) in self.pull_range(i).zip(kinds) {
-            let (all, noauto) = pull_coefficients(kind, cond[self.pull_targets[s] as usize]);
-            self.pull_base[s] = all;
-            self.pull_base_noauto[s] = noauto;
-        }
-    }
-
     /// The graph epoch this snapshot was taken at.
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -512,10 +448,6 @@ impl FrozenGraph {
     /// Number of edges (each edge has one forward and one reverse slot).
     pub fn edge_count(&self) -> usize {
         self.fwd.targets.len()
-    }
-
-    fn pull_range(&self, node: usize) -> Range<usize> {
-        self.pull_offsets[node] as usize..self.pull_offsets[node + 1] as usize
     }
 
     /// The key-dedup table: `key_reps()[i]` is the lowest node id sharing
@@ -538,14 +470,90 @@ impl FrozenGraph {
     }
 
     fn row_edges(rows: &Rows, node: u32) -> impl Iterator<Item = (u32, EdgeKind)> + '_ {
-        rows.range(node as usize).map(move |s| {
+        rows.slots(node as usize).map(|(other, kind)| {
             (
-                rows.targets[s],
+                other,
                 // Kind codes were written from EdgeKind::code, so this
                 // lookup cannot miss; Link is a harmless degrade.
-                EdgeKind::from_code(rows.kinds[s]).unwrap_or(EdgeKind::Link),
+                EdgeKind::from_code(kind).unwrap_or(EdgeKind::Link),
             )
         })
+    }
+
+    /// The PageRank kernel's slot layout for one automatic-edge setting,
+    /// built on first use.
+    fn pull_layout(&self, include_automatic_edges: bool) -> &PullLayout {
+        self.pull[usize::from(include_automatic_edges)]
+            .get_or_init(|| PullLayout::build(self, include_automatic_edges))
+    }
+}
+
+/// A snapshot's incidence rows laid out for the PageRank kernel, in
+/// jagged-diagonal form. Row `i` is node `i`'s forward slots followed by
+/// its reverse slots, each weighted `w(kind) / conductance(target)` for
+/// one automatic-edge setting.
+///
+/// Rows are ordered by length, longest first, ties by node id, and
+/// stored column by column: column `j` holds slot `j` of every row longer
+/// than `j`, and those rows are a prefix of the row order. The kernel
+/// sweeps each column as one multiply-add per row across independent
+/// rows, so the add chains of many rows advance together and no branch
+/// marks a row's end; each row still adds its slots in row order.
+struct PullLayout {
+    /// `position[i]` is node `i`'s place in the row order.
+    position: Vec<u32>,
+    /// Column `j`'s slots are `columns[j]..columns[j + 1]`, one per row
+    /// longer than `j`, in row order.
+    columns: Vec<u32>,
+    /// Per slot, the node it pulls from.
+    targets: Vec<u32>,
+    /// Per slot, its damping-free pull coefficient.
+    weights: Vec<f64>,
+}
+
+impl PullLayout {
+    fn build(frozen: &FrozenGraph, include_automatic_edges: bool) -> PullLayout {
+        let (fwd, rev) = (&frozen.fwd, &frozen.rev);
+        let len: Vec<usize> = (0..frozen.n)
+            .map(|i| fwd.range(i).len() + rev.range(i).len())
+            .collect();
+        // A stable sort: equal lengths keep ascending node ids.
+        let mut order: Vec<u32> = (0..frozen.n as u32).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(len[i as usize]));
+        let mut position = vec![0u32; frozen.n];
+        for (k, &i) in order.iter().enumerate() {
+            position[i as usize] = k as u32;
+        }
+        // Column `j` holds the rows longer than `j`: a prefix of the order
+        // that shrinks as `j` grows.
+        let width = order.first().map_or(0, |&i| len[i as usize]);
+        let mut columns = Vec::with_capacity(width + 1);
+        columns.push(0u32);
+        let mut rows = order.len();
+        for j in 0..width {
+            while len[order[rows - 1] as usize] <= j {
+                rows -= 1;
+            }
+            columns.push(columns[j] + rows as u32);
+        }
+        let total = columns[width] as usize;
+        let mut targets = vec![0u32; total];
+        let mut weights = vec![0.0f64; total];
+        for (k, &i) in order.iter().enumerate() {
+            let i = i as usize;
+            for (j, (t, kind)) in fwd.slots(i).chain(rev.slots(i)).enumerate() {
+                let s = columns[j] as usize + k;
+                targets[s] = t;
+                weights[s] =
+                    pull_coefficient(kind, frozen.cond[t as usize], include_automatic_edges);
+            }
+        }
+        PullLayout {
+            position,
+            columns,
+            targets,
+            weights,
+        }
     }
 }
 
@@ -583,151 +591,37 @@ impl FrozenScores {
     }
 }
 
-/// Everything the per-iteration workers share. Score buffers hold `f64`
-/// bit patterns in relaxed atomics: the crate forbids `unsafe`, and each
-/// element is written by exactly one worker per phase with barriers
-/// between phases, so relaxed ordering is sufficient.
-struct KernelState<'a> {
-    frozen: &'a FrozenGraph,
-    restart: Vec<f64>,
-    /// Damping-free pull coefficient per merged pull slot, borrowed from
-    /// the snapshot: `w(kind) / cond(target)`.
-    pull_base: &'a [f64],
-    damping: f64,
-    tolerance: f64,
-    max_iterations: usize,
-    chunks: usize,
-    bufs: [Vec<AtomicU64>; 2],
-    pushed: Vec<AtomicU64>,
-    deltas: Vec<AtomicU64>,
-    counter_a: AtomicUsize,
-    counter_b: AtomicUsize,
-    stop: AtomicBool,
-    barrier: Barrier,
-    deadline: Option<(bp_obs::clock::Stopwatch, Duration)>,
-}
-
-impl KernelState<'_> {
-    /// One worker's share of the power iteration. Every worker runs the
-    /// same loop; chunk claims are raced but each chunk's arithmetic is
-    /// internally sequential and cross-chunk reductions always fold in
-    /// chunk-index order, so every worker computes bit-identical `slack`
-    /// and `delta` and takes the same branch every iteration.
-    fn worker(&self) -> (usize, usize, bool) {
-        let n = self.frozen.n;
-        let mut parity = 0usize;
-        let mut iterations = 0usize;
-        loop {
-            let cur = &self.bufs[parity];
-            let nxt = &self.bufs[parity ^ 1];
-            // Phase A: raw pulled mass per node, per-chunk partial sums.
-            loop {
-                let c = self.counter_a.fetch_add(1, Ordering::Relaxed);
-                if c >= self.chunks {
-                    break;
-                }
-                let lo = c * CHUNK;
-                let hi = (lo + CHUNK).min(n);
-                let mut chunk_sum = 0.0f64;
-                let targets = &self.frozen.pull_targets[..];
-                let weights = self.pull_base;
-                let offsets = &self.frozen.pull_offsets[..];
-                for i in lo..hi {
-                    // Rows average only a handful of slots, so the loop is
-                    // overhead-bound: one zip over the row's slices keeps
-                    // per-slot work to a single multiply-add with no bounds
-                    // checks on the sequential arrays, and damping applies
-                    // once per node rather than per slot. Accumulation
-                    // order is the fixed slot order — bit-identical at any
-                    // worker count.
-                    let (start, end) = (offsets[i] as usize, offsets[i + 1] as usize);
-                    let mut acc = 0.0f64;
-                    for (&t, &w) in targets[start..end].iter().zip(&weights[start..end]) {
-                        acc += w * f64::from_bits(cur[t as usize].load(Ordering::Relaxed));
-                    }
-                    let acc = self.damping * acc;
-                    nxt[i].store(acc.to_bits(), Ordering::Relaxed);
-                    chunk_sum += acc;
-                }
-                self.pushed[c].store(chunk_sum.to_bits(), Ordering::Relaxed);
-            }
-            self.barrier.wait();
-            // All workers fold the per-chunk partials in chunk order —
-            // deterministic, and identical across workers.
-            let pushed: f64 = self
-                .pushed
-                .iter()
-                .map(|p| f64::from_bits(p.load(Ordering::Relaxed)))
-                .sum();
-            let slack = 1.0 - pushed;
-            // Phase B: restart mass and per-chunk L1 deltas.
-            loop {
-                let c = self.counter_b.fetch_add(1, Ordering::Relaxed);
-                if c >= self.chunks {
-                    break;
-                }
-                let lo = c * CHUNK;
-                let hi = (lo + CHUNK).min(n);
-                let mut chunk_delta = 0.0f64;
-                for i in lo..hi {
-                    let v =
-                        f64::from_bits(nxt[i].load(Ordering::Relaxed)) + slack * self.restart[i];
-                    nxt[i].store(v.to_bits(), Ordering::Relaxed);
-                    chunk_delta += (v - f64::from_bits(cur[i].load(Ordering::Relaxed))).abs();
-                }
-                self.deltas[c].store(chunk_delta.to_bits(), Ordering::Relaxed);
-            }
-            let sync = self.barrier.wait();
-            if sync.is_leader() {
-                // Sole writer window: reset the claim counters for the
-                // next iteration and check the deadline once per
-                // iteration boundary (a per-worker check would read
-                // different clock values and diverge).
-                self.counter_a.store(0, Ordering::Relaxed);
-                self.counter_b.store(0, Ordering::Relaxed);
-                if let Some((sw, limit)) = &self.deadline {
-                    if sw.elapsed() >= *limit {
-                        self.stop.store(true, Ordering::SeqCst);
-                    }
-                }
-            }
-            self.barrier.wait();
-            iterations += 1;
-            parity ^= 1;
-            let delta: f64 = self
-                .deltas
-                .iter()
-                .map(|d| f64::from_bits(d.load(Ordering::Relaxed)))
-                .sum();
-            let expired = self.stop.load(Ordering::SeqCst);
-            if delta < self.tolerance || iterations >= self.max_iterations || expired {
-                return (iterations, parity, expired && delta >= self.tolerance);
-            }
-        }
-    }
-}
-
 /// Runs personalized PageRank with restart over a [`FrozenGraph`], with
-/// flat score buffers and `budget.jobs()` worker threads.
+/// flat score buffers, serially.
 ///
 /// The math matches [`crate::pagerank::personalized_pagerank`]: undirected
 /// walks, temporal-overlap edges at 0.4 conductance, automatic edges
-/// droppable via `config.include_automatic_edges` (through the snapshot's
-/// second coefficient table, where automatic slots are zero), restart mass `1 − damping` plus whatever
-/// strands on degree-0 nodes, L1 convergence. `budget.deadline()` is
-/// honored at iteration boundaries: an expired deadline returns the
-/// partially-converged scores with `truncated` set rather than blocking
-/// the interactive bound.
+/// droppable via `config.include_automatic_edges` (their coefficients are
+/// then zero), restart mass `1 − damping` plus whatever strands on
+/// degree-0 nodes, L1 convergence.
 ///
-/// Scores are **bit-identical for any job count**: work is split into
-/// fixed-size chunks whose internal accumulation order never changes, and
-/// cross-chunk reductions fold in chunk-index order on every worker.
+/// Each iteration pulls mass over the snapshot's `PullLayout` for the
+/// automatic-edge setting, which the first walk over a snapshot builds.
+/// Every row adds its slots in row order, and pushed mass and L1 delta
+/// are summed per 1024-node chunk and folded in chunk order, so the
+/// scores are a pure function of the snapshot, seeds and config, bit
+/// for bit.
+///
+/// `budget.deadline()` is measured from entry, so a walk that pays the
+/// layout build counts it, and is honored at iteration boundaries: the
+/// first boundary past the deadline returns the partially-converged
+/// scores with `truncated` set rather than blocking the interactive
+/// bound. At least one iteration always runs.
 pub fn personalized_pagerank_frozen(
     frozen: &FrozenGraph,
     seeds: &[(NodeId, f64)],
     config: &PageRankConfig,
     budget: &Budget,
 ) -> FrozenScores {
+    let deadline = budget.deadline().map(|d| {
+        let clock = budget.clock().cloned().unwrap_or_else(ClockHandle::real);
+        (clock.start(), d)
+    });
     let n = frozen.n;
     let mut restart = vec![0.0f64; n];
     let mut total = 0.0;
@@ -746,80 +640,79 @@ pub fn personalized_pagerank_frozen(
     if config.max_iterations == 0 {
         // Zero iterations means the walk never leaves the seeds.
         return FrozenScores {
-            entries: restart
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &s)| (s > 0.0).then_some((i as u32, s)))
-                .collect(),
+            entries: positive_entries(&restart),
             iterations: 0,
             truncated: false,
         };
     }
 
-    // Per-slot pull coefficients were folded at snapshot time (see
-    // [`FrozenGraph::build`]): pick the table matching the automatic-edge
-    // setting, and apply damping once per node inside the kernel.
-    let pull_base: &[f64] = if config.include_automatic_edges {
-        &frozen.pull_base
-    } else {
-        &frozen.pull_base_noauto
-    };
-
-    let chunks = n.div_ceil(CHUNK).max(1);
-    let jobs = budget.jobs().min(chunks).clamp(1, MAX_JOBS);
-    let deadline = budget.deadline().map(|d| {
-        let clock = budget.clock().cloned().unwrap_or_else(ClockHandle::real);
-        (clock.start(), d)
-    });
-    let to_atomics =
-        |v: &[f64]| -> Vec<AtomicU64> { v.iter().map(|x| AtomicU64::new(x.to_bits())).collect() };
-    let state = KernelState {
-        frozen,
-        pull_base,
-        damping: config.damping,
-        tolerance: config.tolerance,
-        max_iterations: config.max_iterations.max(1),
-        chunks,
-        bufs: [to_atomics(&restart), to_atomics(&vec![0.0; n])],
-        pushed: (0..chunks).map(|_| AtomicU64::new(0)).collect(),
-        deltas: (0..chunks).map(|_| AtomicU64::new(0)).collect(),
-        counter_a: AtomicUsize::new(0),
-        counter_b: AtomicUsize::new(0),
-        stop: AtomicBool::new(false),
-        barrier: Barrier::new(jobs),
-        restart,
-        deadline,
-    };
-
-    let (iterations, parity, truncated) = if jobs == 1 {
-        state.worker()
-    } else {
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(jobs - 1);
-            for _ in 1..jobs {
-                handles.push(scope.spawn(|| state.worker()));
+    let layout = frozen.pull_layout(config.include_automatic_edges);
+    let mut cur = restart.clone();
+    let mut next = vec![0.0f64; n];
+    // Pulled mass per row, in the layout's row order.
+    let mut pulled = vec![0.0f64; n];
+    let mut partials = vec![0.0f64; n.div_ceil(CHUNK)];
+    let mut iterations = 0;
+    loop {
+        pulled.fill(0.0);
+        for column in layout.columns.windows(2) {
+            let slots = column[0] as usize..column[1] as usize;
+            let (targets, weights) = (&layout.targets[slots.clone()], &layout.weights[slots]);
+            for ((acc, &t), &w) in pulled.iter_mut().zip(targets).zip(weights) {
+                *acc += w * cur[t as usize];
             }
-            let result = state.worker();
-            for h in handles {
-                let _ = h.join();
+        }
+        // Back to node order, damped once per node.
+        for ((out, position), partial) in next
+            .chunks_mut(CHUNK)
+            .zip(layout.position.chunks(CHUNK))
+            .zip(&mut partials)
+        {
+            let mut pushed = 0.0f64;
+            for (x, &k) in out.iter_mut().zip(position) {
+                *x = config.damping * pulled[k as usize];
+                pushed += *x;
             }
-            result
-        })
-    };
+            *partial = pushed;
+        }
+        let slack = 1.0 - partials.iter().sum::<f64>();
+        // Restart mass and the L1 delta against the previous iterate.
+        for (((out, prev), restart), partial) in next
+            .chunks_mut(CHUNK)
+            .zip(cur.chunks(CHUNK))
+            .zip(restart.chunks(CHUNK))
+            .zip(&mut partials)
+        {
+            let mut delta = 0.0f64;
+            for ((x, &p), &r) in out.iter_mut().zip(prev).zip(restart) {
+                *x += slack * r;
+                delta += (*x - p).abs();
+            }
+            *partial = delta;
+        }
+        std::mem::swap(&mut cur, &mut next);
+        iterations += 1;
+        let delta: f64 = partials.iter().sum();
+        let expired = deadline
+            .as_ref()
+            .is_some_and(|(sw, limit)| sw.elapsed() >= *limit);
+        if delta < config.tolerance || iterations >= config.max_iterations || expired {
+            return FrozenScores {
+                entries: positive_entries(&cur),
+                iterations,
+                truncated: expired && delta >= config.tolerance,
+            };
+        }
+    }
+}
 
-    let entries: Vec<(u32, f64)> = state.bufs[parity]
+/// `(node, score)` for every node with a positive score, ascending id.
+fn positive_entries(scores: &[f64]) -> Vec<(u32, f64)> {
+    scores
         .iter()
         .enumerate()
-        .filter_map(|(i, a)| {
-            let s = f64::from_bits(a.load(Ordering::Relaxed));
-            (s > 0.0).then_some((i as u32, s))
-        })
-        .collect();
-    FrozenScores {
-        entries,
-        iterations,
-        truncated,
-    }
+        .filter_map(|(i, &s)| (s > 0.0).then_some((i as u32, s)))
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1224,7 +1117,7 @@ fn mix_seeds(mut h: u64, seeds: &[(NodeId, f64)]) -> u64 {
 fn mix_budget(mut h: u64, budget: &Budget) -> u64 {
     // Only the deterministic caps participate: the deadline shapes
     // *whether* a result is cacheable (truncated results are not), never
-    // what a complete result contains, and jobs never changes scores.
+    // what a complete result contains.
     h = mix(h, budget.max_nodes().map_or(u64::MAX, |v| v as u64));
     h = mix(h, budget.max_depth().map_or(u64::MAX, |v| v as u64));
     h
@@ -1417,38 +1310,6 @@ mod tests {
     }
 
     #[test]
-    fn determinism_across_one_two_and_eight_jobs() {
-        let g = tangled(3000);
-        let f = FrozenGraph::build(&g);
-        let seeds = vec![
-            (NodeId::new(0), 1.0),
-            (NodeId::new(1500), 0.5),
-            (NodeId::new(2999), 0.25),
-        ];
-        let config = PageRankConfig::default();
-        let runs: Vec<FrozenScores> = [1usize, 2, 8]
-            .iter()
-            .map(|&jobs| {
-                personalized_pagerank_frozen(&f, &seeds, &config, &Budget::new().with_jobs(jobs))
-            })
-            .collect();
-        assert!(!runs[0].entries.is_empty());
-        for other in &runs[1..] {
-            assert_eq!(runs[0].iterations, other.iterations);
-            assert_eq!(runs[0].entries.len(), other.entries.len());
-            for (a, b) in runs[0].entries.iter().zip(&other.entries) {
-                assert_eq!(a.0, b.0);
-                assert_eq!(
-                    a.1.to_bits(),
-                    b.1.to_bits(),
-                    "node {} diverges across job counts",
-                    a.0
-                );
-            }
-        }
-    }
-
-    #[test]
     fn kernel_agrees_with_wrapper_entry_point() {
         let g = tangled(200);
         let f = FrozenGraph::build(&g);
@@ -1470,15 +1331,16 @@ mod tests {
         g.add_edge(by_redirect, seed, EdgeKind::Redirect, t(1))
             .unwrap();
         let f = FrozenGraph::build(&g);
-        // The seed's pull row is its two in-edges: the link, then the
+        // The seed's row is its two in-edges: the link, then the
         // redirect. Only the link carries mass without automatic edges.
-        let row = f.pull_range(seed.as_usize());
         assert_eq!(
-            &f.pull_targets[row.clone()],
-            &[by_link.index(), by_redirect.index()]
+            layout_row(f.pull_layout(true), seed.index()),
+            [(by_link.index(), 1.0), (by_redirect.index(), 1.0)]
         );
-        assert_eq!(&f.pull_base[row.clone()], &[1.0, 1.0]);
-        assert_eq!(&f.pull_base_noauto[row], &[1.0, 0.0]);
+        assert_eq!(
+            layout_row(f.pull_layout(false), seed.index()),
+            [(by_link.index(), 1.0), (by_redirect.index(), 0.0)]
+        );
         let config = PageRankConfig {
             include_automatic_edges: false,
             ..PageRankConfig::default()
@@ -1602,11 +1464,6 @@ mod tests {
             fingerprint_ppr(&seeds_a, &cfg, &budget),
             fingerprint_ppr(&seeds_a, &cfg, &Budget::new().with_max_nodes(5))
         );
-        assert_eq!(
-            fingerprint_ppr(&seeds_a, &cfg, &budget),
-            fingerprint_ppr(&seeds_a, &cfg, &Budget::new().with_jobs(8)),
-            "jobs never changes scores, so it is not part of the key"
-        );
         assert_ne!(
             fingerprint_ppr(&seeds_a, &cfg, &budget),
             fingerprint_expansion(&seeds_a, &ExpansionConfig::default(), &budget),
@@ -1653,22 +1510,24 @@ mod tests {
     /// Fails unless `a` and `b` hold the same arrays, `f64`s compared by
     /// bits.
     fn assert_same_arrays(a: &FrozenGraph, b: &FrozenGraph) -> Result<(), TestCaseError> {
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
         prop_assert_eq!(a.epoch, b.epoch);
         prop_assert_eq!(a.n, b.n);
         prop_assert_eq!(&a.fwd, &b.fwd);
         prop_assert_eq!(&a.rev, &b.rev);
-        prop_assert_eq!(&a.pull_offsets, &b.pull_offsets);
-        prop_assert_eq!(&a.pull_targets, &b.pull_targets);
-        prop_assert_eq!(bits(&a.pull_base), bits(&b.pull_base));
-        prop_assert_eq!(bits(&a.pull_base_noauto), bits(&b.pull_base_noauto));
+        prop_assert_eq!(cond_bits(&a.cond), cond_bits(&b.cond));
         prop_assert_eq!(&a.key_rep, &b.key_rep);
         Ok(())
     }
 
+    fn cond_bits(cond: &[(f64, f64)]) -> Vec<(u64, u64)> {
+        cond.iter()
+            .map(|&(all, noauto)| (all.to_bits(), noauto.to_bits()))
+            .collect()
+    }
+
     /// Fails unless `f` describes `g` as computed here straight from the
-    /// live graph: adjacency rows, merged pull rows, `w(kind) /
-    /// conductance` per pull slot, and the lowest node id per key.
+    /// live graph: adjacency rows, per-node conductance by bits, and the
+    /// lowest node id per key.
     fn assert_matches_live(f: &FrozenGraph, g: &ProvenanceGraph) -> Result<(), TestCaseError> {
         let mut cond = vec![(0.0f64, 0.0f64); g.node_count()];
         for id in g.node_ids() {
@@ -1690,6 +1549,7 @@ mod tests {
         let mut first_of_key: HashMap<&str, u32> = HashMap::new();
         prop_assert_eq!(f.node_count(), g.node_count());
         prop_assert_eq!(f.edge_count(), g.edge_count());
+        prop_assert_eq!(cond_bits(&f.cond), cond_bits(&cond));
         for id in g.node_ids() {
             let row: Vec<(u32, EdgeKind)> = g
                 .parents(id)
@@ -1700,20 +1560,6 @@ mod tests {
             let incoming: Vec<(u32, EdgeKind)> = f.in_edges_of(id.index()).collect();
             prop_assert_eq!(&row[..g.out_degree(id)], &out[..]);
             prop_assert_eq!(&row[g.out_degree(id)..], &incoming[..]);
-            let slots = f.pull_range(id.as_usize());
-            prop_assert_eq!(slots.len(), row.len());
-            for (s, &(other, kind)) in slots.zip(&row) {
-                prop_assert_eq!(f.pull_targets[s], other);
-                let w = if kind == EdgeKind::TemporalOverlap {
-                    0.4
-                } else {
-                    1.0
-                };
-                let (all, noauto) = cond[other as usize];
-                let expected = if kind.is_automatic() { 0.0 } else { w / noauto };
-                prop_assert_eq!(f.pull_base[s].to_bits(), (w / all).to_bits());
-                prop_assert_eq!(f.pull_base_noauto[s].to_bits(), expected.to_bits());
-            }
             let key = g.node(id).unwrap().key();
             let rep = *first_of_key.entry(key).or_insert(id.index());
             prop_assert_eq!(f.key_reps()[id.as_usize()], rep);
@@ -1721,12 +1567,235 @@ mod tests {
         Ok(())
     }
 
+    /// Node `node`'s row in `layout`: `(target, weight)` per slot, in row
+    /// order.
+    fn layout_row(layout: &PullLayout, node: u32) -> Vec<(u32, f64)> {
+        let k = layout.position[node as usize] as usize;
+        layout
+            .columns
+            .windows(2)
+            .take_while(|column| column[0] as usize + k < column[1] as usize)
+            .map(|column| {
+                let s = column[0] as usize + k;
+                (layout.targets[s], layout.weights[s])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn layout_stores_rows_longest_first_column_by_column() {
+        let g = tangled(40);
+        let f = FrozenGraph::build(&g);
+        let layout = f.pull_layout(true);
+        let mut order = vec![0u32; f.n];
+        for (i, &k) in layout.position.iter().enumerate() {
+            order[k as usize] = i as u32;
+        }
+        let len = |i: u32| g.out_degree(NodeId::new(i)) + g.in_degree(NodeId::new(i));
+        for pair in order.windows(2) {
+            let (a, b) = (pair[0], pair[1]);
+            assert!(
+                len(a) > len(b) || (len(a) == len(b) && a < b),
+                "{a} before {b}"
+            );
+        }
+        for id in g.node_ids() {
+            let row: Vec<u32> = layout_row(layout, id.index())
+                .into_iter()
+                .map(|(t, _)| t)
+                .collect();
+            let live: Vec<u32> = g
+                .parents(id)
+                .chain(g.children(id))
+                .map(|(_, other)| other.index())
+                .collect();
+            assert_eq!(row, live, "row of {id:?}");
+        }
+        assert_eq!(layout.targets.len(), 2 * f.edge_count());
+    }
+
+    /// Personalized PageRank written plainly: node by node, each node's
+    /// forward slots then reverse slots weighted `w(kind) /
+    /// conductance(target)`, with pushed mass and L1 delta summed per
+    /// 1024-node chunk and the chunk sums folded in chunk order. No
+    /// deadline.
+    fn reference_pagerank(
+        f: &FrozenGraph,
+        seeds: &[(NodeId, f64)],
+        config: &PageRankConfig,
+    ) -> FrozenScores {
+        let n = f.n;
+        let mut restart = vec![0.0f64; n];
+        let mut total = 0.0;
+        for &(node, w) in seeds {
+            if node.as_usize() < n && w > 0.0 {
+                restart[node.as_usize()] += w;
+                total += w;
+            }
+        }
+        if total <= 0.0 {
+            return FrozenScores::default();
+        }
+        for r in &mut restart {
+            *r /= total;
+        }
+        let weight = |kind: u8, target: u32| {
+            let kind = EdgeKind::from_code(kind).unwrap();
+            let w = if kind == EdgeKind::TemporalOverlap {
+                0.4
+            } else {
+                1.0
+            };
+            let (all, noauto) = f.cond[target as usize];
+            let cond = match (config.include_automatic_edges, kind.is_automatic()) {
+                (true, _) => all,
+                (false, true) => return 0.0,
+                (false, false) => noauto,
+            };
+            if cond > 0.0 {
+                w / cond
+            } else {
+                0.0
+            }
+        };
+        let mut cur = restart.clone();
+        let mut iterations = 0;
+        loop {
+            let mut next = vec![0.0f64; n];
+            let mut pushed = Vec::new();
+            for lo in (0..n).step_by(CHUNK) {
+                let mut sum = 0.0;
+                for (i, x) in next.iter_mut().enumerate().skip(lo).take(CHUNK) {
+                    let mut acc = 0.0;
+                    for (t, kind) in f.fwd.slots(i).chain(f.rev.slots(i)) {
+                        acc += weight(kind, t) * cur[t as usize];
+                    }
+                    *x = config.damping * acc;
+                    sum += *x;
+                }
+                pushed.push(sum);
+            }
+            let slack = 1.0 - pushed.iter().sum::<f64>();
+            let mut deltas = Vec::new();
+            for lo in (0..n).step_by(CHUNK) {
+                let mut delta = 0.0;
+                for (i, x) in next.iter_mut().enumerate().skip(lo).take(CHUNK) {
+                    *x += slack * restart[i];
+                    delta += (*x - cur[i]).abs();
+                }
+                deltas.push(delta);
+            }
+            cur = next;
+            iterations += 1;
+            if deltas.iter().sum::<f64>() < config.tolerance || iterations >= config.max_iterations
+            {
+                break;
+            }
+        }
+        FrozenScores {
+            entries: cur
+                .iter()
+                .enumerate()
+                .filter_map(|(i, &s)| (s > 0.0).then_some((i as u32, s)))
+                .collect(),
+            iterations,
+            truncated: false,
+        }
+    }
+
+    /// Fails unless the kernel scores `f` exactly as
+    /// [`reference_pagerank`] does, under both automatic-edge settings:
+    /// the same entries with scores equal by bits, the same iteration
+    /// count, and the same `truncated` flag.
+    fn assert_scores_like_the_reference(
+        f: &FrozenGraph,
+        seeds: &[(NodeId, f64)],
+        config: &PageRankConfig,
+    ) -> Result<(), TestCaseError> {
+        let bits = |s: &FrozenScores| {
+            s.entries
+                .iter()
+                .map(|&(i, x)| (i, x.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        for include_automatic_edges in [true, false] {
+            let config = PageRankConfig {
+                include_automatic_edges,
+                ..config.clone()
+            };
+            let got = personalized_pagerank_frozen(f, seeds, &config, &Budget::new());
+            let want = reference_pagerank(f, seeds, &config);
+            prop_assert_eq!(got.iterations, want.iterations);
+            prop_assert_eq!(got.truncated, want.truncated);
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
+        Ok(())
+    }
+
+    /// SplitMix64: the random graphs below are drawn from one `u64`.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// `nodes` nodes and about `degree * nodes` edges of every kind, each
+    /// from a node to a uniformly drawn older one.
+    fn random_graph(nodes: usize, degree: usize, state: &mut u64) -> ProvenanceGraph {
+        let mut g = ProvenanceGraph::new();
+        for i in 0..nodes {
+            g.add_node(Node::new(NodeKind::PageVisit, format!("u{i}"), t(i as i64)));
+        }
+        for _ in 0..degree * nodes {
+            let src = splitmix(state) % nodes as u64;
+            if src == 0 {
+                continue;
+            }
+            let dst = splitmix(state) % src;
+            let kind = EdgeKind::ALL[splitmix(state) as usize % EdgeKind::ALL.len()];
+            let _ = g.add_edge(NodeId::new(src as u32), NodeId::new(dst as u32), kind, t(0));
+        }
+        g
+    }
+
+    /// One step of growing a graph: a node, a version, an edge in either
+    /// id direction, a content edit, or now and then a redaction. Returns
+    /// the two existing nodes the step drew.
+    fn grow(g: &mut ProvenanceGraph, (op, a, b, k): (u8, u16, u16, u8)) -> (NodeId, NodeId) {
+        let n = g.node_count() as u32;
+        let (a, b) = (NodeId::new(u32::from(a) % n), NodeId::new(u32::from(b) % n));
+        let key = format!("u{}", k % 8);
+        let kind = EdgeKind::from_code(k).unwrap_or(EdgeKind::Link);
+        match op {
+            0..=19 => {
+                g.add_node(Node::new(NodeKind::ALL[usize::from(k) % 7], key, t(100)));
+            }
+            20..=29 => {
+                g.add_version(NodeKind::PageVisit, &key, t(100));
+            }
+            // Either id direction: low→high edges are legal while they
+            // close no cycle.
+            30..=84 => {
+                let _ = g.add_edge(a, b, kind, t(100));
+            }
+            85..=94 => {
+                g.node_mut(a).unwrap().attrs_mut().set("title", key);
+            }
+            _ => {
+                g.redact_node(a, format!("[redacted {}]", b.index() % 3))
+                    .unwrap();
+            }
+        }
+        (a, b)
+    }
+
     proptest! {
         /// The CSR snapshot round-trips every node, edge, and kind filter
         /// of the live graph: adjacency rows match in content and order,
-        /// each merged pull row is the forward row followed by the
-        /// reverse row, and every pull coefficient is `w(kind) /
-        /// conductance`, zero on automatic slots when they are excluded.
+        /// and every node's conductance, with and without automatic
+        /// edges, equals the live graph's by bits.
         #[test]
         fn csr_round_trips_random_graphs(
             links in prop::collection::vec((1u8..30, 0u8..30, 0u8..15), 0..120),
@@ -1754,32 +1823,10 @@ mod tests {
         ) {
             let mut g = tangled(12);
             let handle = FrozenHandle::new();
-            for &(op, a, b, k) in &steps {
-                let n = g.node_count() as u32;
-                let (a, b) = (NodeId::new(u32::from(a) % n), NodeId::new(u32::from(b) % n));
-                let key = format!("u{}", k % 8);
-                let kind = EdgeKind::from_code(k).unwrap_or(EdgeKind::Link);
-                match op {
-                    0..=19 => {
-                        g.add_node(Node::new(NodeKind::ALL[usize::from(k) % 7], key, t(100)));
-                    }
-                    20..=29 => {
-                        g.add_version(NodeKind::PageVisit, &key, t(100));
-                    }
-                    // Either id direction: low→high edges are legal
-                    // while they close no cycle.
-                    30..=84 => {
-                        let _ = g.add_edge(a, b, kind, t(100));
-                    }
-                    85..=94 => {
-                        g.node_mut(a).unwrap().attrs_mut().set("title", key);
-                    }
-                    _ => {
-                        g.redact_node(a, format!("[redacted {}]", b.index() % 3)).unwrap();
-                    }
-                }
+            for &step in &steps {
+                grow(&mut g, step);
                 // Skip some snapshots so extensions span several steps.
-                if k % 3 != 0 {
+                if step.3 % 3 != 0 {
                     let (f, _) = handle.snapshot(&g);
                     assert_same_arrays(&f, &FrozenGraph::build(&g))?;
                     assert_matches_live(&f, &g)?;
@@ -1789,34 +1836,57 @@ mod tests {
             assert_same_arrays(&f, &FrozenGraph::build(&g))?;
             assert_matches_live(&f, &g)?;
         }
+    }
 
-        /// Parallel and serial kernels agree bit-for-bit on random DAGs.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Snapshots grown through a handle, their conductance extended
+        /// rather than rebuilt, score exactly as the reference does.
         #[test]
-        fn parallel_kernel_is_bit_identical_on_random_graphs(
-            links in prop::collection::vec((1u8..25, 0u8..25), 0..80),
-            seed in 0u8..25,
+        fn grown_snapshots_score_like_the_reference(
+            steps in prop::collection::vec((0u8..100, 0u16..1000, 0u16..1000, 0u8..15), 1..40),
         ) {
-            let mut g = ProvenanceGraph::new();
-            for i in 0..26 {
-                g.add_node(Node::new(NodeKind::PageVisit, format!("u{i}"), t(i)));
+            let mut g = tangled(12);
+            let handle = FrozenHandle::new();
+            for &step in &steps {
+                let (a, b) = grow(&mut g, step);
+                if step.3 % 3 != 0 {
+                    let (f, _) = handle.snapshot(&g);
+                    let seeds = [(a, 1.0), (b, 0.5)];
+                    assert_scores_like_the_reference(&f, &seeds, &PageRankConfig::default())?;
+                }
             }
-            for &(src, dst) in &links {
-                let src = u32::from(src.max(1));
-                let dst = u32::from(dst) % src;
-                let _ = g.add_edge(NodeId::new(src % 26), NodeId::new(dst), EdgeKind::Link, t(1));
-            }
+        }
+
+        /// The kernel scores random graphs exactly as the reference does.
+        /// Most draws span several 1024-node chunks, so a change to the
+        /// order of any sum, within a row or across chunks, shows.
+        #[test]
+        fn kernel_matches_the_reference_bit_for_bit(
+            nodes in 1usize..3000,
+            degree in 0usize..4,
+            seed in any::<u64>(),
+            damping in 0usize..3,
+            max_iterations in 1usize..60,
+        ) {
+            let mut state = seed;
+            let g = random_graph(nodes, degree, &mut state);
             let f = FrozenGraph::build(&g);
-            let seeds = vec![(NodeId::new(u32::from(seed) % 26), 1.0)];
-            let config = PageRankConfig::default();
-            let serial = personalized_pagerank_frozen(&f, &seeds, &config, &Budget::new());
-            let parallel =
-                personalized_pagerank_frozen(&f, &seeds, &config, &Budget::new().with_jobs(4));
-            prop_assert_eq!(serial.iterations, parallel.iterations);
-            prop_assert_eq!(serial.entries.len(), parallel.entries.len());
-            for (a, b) in serial.entries.iter().zip(&parallel.entries) {
-                prop_assert_eq!(a.0, b.0);
-                prop_assert_eq!(a.1.to_bits(), b.1.to_bits());
-            }
+            // One draw may fall past the last node; seeds there are
+            // ignored.
+            let seeds: Vec<(NodeId, f64)> = (0..3)
+                .map(|_| {
+                    let node = splitmix(&mut state) % (nodes as u64 + 1);
+                    (NodeId::new(node as u32), 0.25 * (1 + splitmix(&mut state) % 4) as f64)
+                })
+                .collect();
+            let config = PageRankConfig {
+                damping: [0.5, 0.7, 0.85][damping],
+                max_iterations,
+                ..PageRankConfig::default()
+            };
+            assert_scores_like_the_reference(&f, &seeds, &config)?;
         }
     }
 }

@@ -79,9 +79,9 @@ impl PageRankScores {
 ///
 /// This is the convenience entry point: it snapshots the graph into a
 /// [`crate::frozen::FrozenGraph`] and runs the flat-buffer kernel
-/// ([`crate::frozen::personalized_pagerank_frozen`]) serially with an
-/// unbounded [`Budget`]. Hot paths that amortize the snapshot (and want
-/// parallelism, deadlines, or the score cache) hold a
+/// ([`crate::frozen::personalized_pagerank_frozen`]) with an unbounded
+/// [`Budget`]. Hot paths that amortize the snapshot and its kernel
+/// layout (and want deadlines or the score cache) hold a
 /// [`crate::frozen::FrozenHandle`] and call the kernel directly.
 pub fn personalized_pagerank(
     graph: &ProvenanceGraph,

@@ -54,7 +54,6 @@ pub struct Budget {
     max_depth: Option<usize>,
     deadline: Option<Duration>,
     clock: Option<ClockHandle>,
-    jobs: Option<usize>,
 }
 
 impl Budget {
@@ -111,22 +110,6 @@ impl Budget {
     /// The clock the deadline is measured against, when overridden.
     pub fn clock(&self) -> Option<&ClockHandle> {
         self.clock.as_ref()
-    }
-
-    /// Requests `n` worker threads for algorithms with a parallel
-    /// implementation (currently [`crate::frozen`]'s PageRank kernel).
-    /// Results are bit-identical regardless of the value; this is purely
-    /// a wall-clock lever. `0` and `1` both mean serial.
-    #[must_use]
-    pub fn with_jobs(mut self, n: usize) -> Self {
-        self.jobs = Some(n);
-        self
-    }
-
-    /// The requested worker-thread count (1 when unset: budgets bound
-    /// resource use, so parallelism is opt-in).
-    pub fn jobs(&self) -> usize {
-        self.jobs.unwrap_or(1).max(1)
     }
 }
 

@@ -19,13 +19,12 @@ use std::fmt::Write as _;
 /// count, score-cache hit/miss/evict/bytes); v3 added
 /// `ingest.events_per_sec` and the `wal` section (group-commit
 /// append/sync telemetry from the sustained-ingest phase); v4 dropped
-/// `frozen.jobs`, as the PageRank kernel is serial. Older documents parse
-/// with default (empty) sections, and a `jobs` key is ignored, so old
-/// baselines stay comparable.
+/// `frozen.jobs`, as the PageRank kernel is serial. A v3 document's
+/// `jobs` key is ignored, so the committed v3 baseline stays comparable.
 pub const BENCH_SCHEMA_VERSION: u64 = 4;
 
 /// Oldest schema version `from_json` still accepts.
-pub const BENCH_SCHEMA_MIN_VERSION: u64 = 1;
+pub const BENCH_SCHEMA_MIN_VERSION: u64 = 3;
 
 /// Frozen-snapshot and score-cache telemetry for one run (schema v2).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -317,26 +316,16 @@ impl BenchReport {
                  {BENCH_SCHEMA_MIN_VERSION}..={BENCH_SCHEMA_VERSION})"
             ));
         }
-        // v1 predates the frozen section; default it so old baselines
-        // remain usable as `--compare` inputs.
-        let frozen = match v.get("frozen") {
-            Some(f) => FrozenStats::from_json(f).ok_or("malformed frozen")?,
-            None if version < 2 => FrozenStats::default(),
-            None => return Err("missing frozen".to_owned()),
-        };
-        // v1/v2 predate the wal section and throughput headline; same
-        // default treatment.
-        let wal = match v.get("wal") {
-            Some(w) => WalStats::from_json(w).ok_or("malformed wal")?,
-            None if version < 3 => WalStats::default(),
-            None => return Err("missing wal".to_owned()),
-        };
+        let frozen = v.get("frozen").ok_or("missing frozen")?;
+        let frozen = FrozenStats::from_json(frozen).ok_or("malformed frozen")?;
+        let wal = v.get("wal").ok_or("missing wal")?;
+        let wal = WalStats::from_json(wal).ok_or("malformed wal")?;
         let ingest_obj = v.get("ingest").ok_or("missing ingest")?;
-        let ingest_events_per_sec = match ingest_obj.get("events_per_sec") {
-            Some(eps) => eps.as_f64().ok_or("malformed ingest.events_per_sec")?,
-            None if version < 3 => 0.0,
-            None => return Err("missing ingest.events_per_sec".to_owned()),
-        };
+        let ingest_events_per_sec = ingest_obj
+            .get("events_per_sec")
+            .ok_or("missing ingest.events_per_sec")?
+            .as_f64()
+            .ok_or("malformed ingest.events_per_sec")?;
         let u = |key: &str| -> Result<u64, String> {
             v.get(key)
                 .and_then(Value::as_u64)
@@ -584,73 +573,32 @@ mod tests {
 
     #[test]
     fn unknown_schema_version_is_rejected() {
-        let text = sample_report()
-            .to_json()
-            .replace("\"schema_version\": 4", "\"schema_version\": 999");
-        assert!(BenchReport::from_json(&text)
-            .unwrap_err()
-            .contains("schema_version 999"));
-    }
-
-    /// Strips every v3-only addition from a rendered document.
-    fn strip_v3(report: &BenchReport, text: &str) -> String {
-        let wal_line = format!("  \"wal\": {}\n", report.wal.to_json());
-        text.replace(&wal_line, "")
-            .replace("  },\n}\n", "  }\n}\n")
-            .replace(
-                &format!("\"events_per_sec\": {:.1}, ", report.ingest_events_per_sec),
-                "",
-            )
+        // 1 and 2 predate the frozen and wal sections; no baseline in
+        // that shape is kept any more.
+        for version in [1, 2, 999] {
+            let text = sample_report().to_json().replace(
+                "\"schema_version\": 4",
+                &format!("\"schema_version\": {version}"),
+            );
+            assert!(BenchReport::from_json(&text)
+                .unwrap_err()
+                .contains(&format!("schema_version {version}")));
+        }
     }
 
     #[test]
-    fn v1_documents_parse_with_a_default_frozen_section() {
-        // A pre-frozen baseline: drop the v2 and v3 sections, mark it v1.
-        let mut expected = sample_report();
-        let frozen_line = format!("  \"frozen\": {},\n", expected.frozen.to_json());
-        let text = strip_v3(&expected, &expected.to_json())
-            .replace("\"schema_version\": 4", "\"schema_version\": 1")
-            .replace(&frozen_line, "");
-        assert!(!text.contains("frozen"), "{text}");
-        let parsed = BenchReport::from_json(&text).expect("v1 parses");
-        expected.frozen = FrozenStats::default();
-        expected.wal = WalStats::default();
-        expected.ingest_events_per_sec = 0.0;
-        assert_eq!(parsed, expected);
-        assert_eq!(parsed.frozen.hit_rate(), 0.0);
-        // A current document without the frozen section is malformed,
-        // not legacy.
-        let missing = sample_report().to_json().replace(&frozen_line, "");
+    fn documents_missing_a_section_are_malformed() {
+        let report = sample_report();
+        let text = report.to_json();
+        let frozen_line = format!("  \"frozen\": {},\n", report.frozen.to_json());
         assert_eq!(
-            BenchReport::from_json(&missing).unwrap_err(),
+            BenchReport::from_json(&text.replace(&frozen_line, "")).unwrap_err(),
             "missing frozen"
         );
-    }
-
-    #[test]
-    fn v2_documents_parse_with_a_default_wal_section() {
-        // A pre-write-path baseline: no wal section, no throughput
-        // headline, marked v2 — still usable as a `--compare` input.
-        let mut expected = sample_report();
-        let text = strip_v3(&expected, &expected.to_json())
-            .replace("\"schema_version\": 4", "\"schema_version\": 2");
-        assert!(!text.contains("\"wal\""), "{text}");
-        assert!(!text.contains("events_per_sec"), "{text}");
-        let parsed = BenchReport::from_json(&text).expect("v2 parses");
-        expected.wal = WalStats::default();
-        expected.ingest_events_per_sec = 0.0;
-        assert_eq!(parsed, expected);
-        assert_eq!(parsed.wal.events_per_group(), 0.0);
-        // A current document missing the v3 pieces is malformed, not
-        // legacy.
-        let report = sample_report();
-        let v3_text = report.to_json();
         let wal_line = format!("  \"wal\": {}\n", report.wal.to_json());
-        let no_wal = v3_text
-            .replace(&wal_line, "")
-            .replace("  },\n}\n", "  }\n}\n");
+        let no_wal = text.replace(&wal_line, "").replace("  },\n}\n", "  }\n}\n");
         assert_eq!(BenchReport::from_json(&no_wal).unwrap_err(), "missing wal");
-        let no_eps = v3_text.replace(
+        let no_eps = text.replace(
             &format!("\"events_per_sec\": {:.1}, ", report.ingest_events_per_sec),
             "",
         );

@@ -404,6 +404,10 @@ impl CapturePipeline {
     ///
     /// Panics if a reader still holds a [`SharedBrowser`] clone (drop all
     /// readers first) — keeping the browser locked forever would be worse.
+    #[expect(
+        clippy::panic,
+        reason = "documented # Panics contract: the browser cannot be returned while readers hold it, and blocking forever would hide the bug"
+    )]
     pub fn shutdown(mut self) -> ProvenanceBrowser {
         let _ = self.sender.send(Message::Shutdown);
         if let Some(handle) = self.handle.take() {
@@ -414,7 +418,6 @@ impl CapturePipeline {
         drop(self);
         shared
             .try_into_inner()
-            // bp-lint: allow(L002): documented # Panics contract — the browser cannot be returned while readers hold it, and blocking forever would hide the bug
             .unwrap_or_else(|_| panic!("readers still hold SharedBrowser handles"))
     }
 }

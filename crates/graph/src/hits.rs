@@ -120,7 +120,7 @@ pub fn hits(graph: &ProvenanceGraph, base_set: &[NodeId], config: &HitsConfig) -
         for (eid, parent) in graph.parents(node) {
             // Adjacency lists only hold live edges; a miss would mean the
             // graph's internal invariant broke, and skipping the arc
-            // degrades better than aborting a query (L002).
+            // degrades better than aborting a query (`clippy::unwrap_used`).
             let Ok(edge) = graph.edge(eid) else { continue };
             let kind = edge.kind();
             if edge_ok(kind) {

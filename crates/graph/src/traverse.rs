@@ -213,7 +213,8 @@ pub fn bfs(
         };
         for (eid, next) in hops {
             // Adjacency lists only hold live edges; skipping a (supposedly
-            // impossible) dead one degrades better than aborting (L002).
+            // impossible) dead one degrades better than aborting
+            // (`clippy::unwrap_used`).
             let Ok(edge) = graph.edge(eid) else { continue };
             let kind = edge.kind();
             if !edge_filter(kind) {
@@ -341,8 +342,11 @@ impl Path {
     ///
     /// Panics if the path is empty; paths produced by this module always
     /// contain at least the start node.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented # Panics contract: every constructor seeds nodes with the start node, so emptiness is a caller-visible API misuse"
+    )]
     pub fn target(&self) -> NodeId {
-        // bp-lint: allow(L002): documented # Panics contract — every constructor seeds nodes with the start node, so emptiness is a caller-visible API misuse
         *self.nodes.last().expect("paths are non-empty")
     }
 }

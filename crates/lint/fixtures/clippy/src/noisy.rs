@@ -1,4 +1,5 @@
-// Fixture: L006 raw prints in a library crate.
+//! Seeds: raw prints in library code; the same print in a test region is
+//! exempt.
 
 pub fn rebuild_index(entries: usize) {
     println!("rebuilding index with {entries} entries");

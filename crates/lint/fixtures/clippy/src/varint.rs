@@ -1,5 +1,8 @@
-//! Fixture: a lossy integer cast in a codec file (L003); the same cast in
-//! a test region is exempt.
+//! Seed: an `as` cast in a codec module; the same cast in a test region is
+//! exempt.
+
+// An on-disk codec: every conversion is checked, never an `as` cast.
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
 
 pub fn write_len(out: &mut Vec<u8>, len: usize) {
     out.push(len as u8);

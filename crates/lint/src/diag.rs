@@ -13,7 +13,7 @@ pub enum Severity {
 /// One rule violation at a concrete source location.
 #[derive(Debug, Clone)]
 pub struct Violation {
-    /// Rule id (`L001` … `L005`, or `L000` for directive misuse).
+    /// Rule id (`L004` … `L010`, or `L000` for directive misuse).
     pub rule: &'static str,
     /// Workspace-relative path, unix separators.
     pub path: String,
@@ -130,7 +130,7 @@ pub struct Directive {
 }
 
 /// Parses one comment body for an allow directive. Accepts
-/// `bp-lint: allow(L001): reason` and `bp-lint: allow(L001, L004): reason`.
+/// `bp-lint: allow(L009): reason` and `bp-lint: allow(L004, L005): reason`.
 pub fn parse_directive(comment: &str) -> Option<(Vec<String>, String)> {
     let at = comment.find("bp-lint:")?;
     let rest = comment[at + "bp-lint:".len()..].trim_start();
@@ -172,15 +172,16 @@ mod tests {
     #[test]
     fn directive_parses_with_reason() {
         let (rules, reason) =
-            parse_directive("// bp-lint: allow(L002): poisoning is unrecoverable here").unwrap();
-        assert_eq!(rules, vec!["L002"]);
-        assert_eq!(reason, "poisoning is unrecoverable here");
+            parse_directive("// bp-lint: allow(L009): the caller's budget bounds this loop")
+                .unwrap();
+        assert_eq!(rules, vec!["L009"]);
+        assert_eq!(reason, "the caller's budget bounds this loop");
     }
 
     #[test]
     fn directive_multiple_rules_and_missing_reason() {
-        let (rules, reason) = parse_directive("// bp-lint: allow(L001, L003)").unwrap();
-        assert_eq!(rules, vec!["L001", "L003"]);
+        let (rules, reason) = parse_directive("// bp-lint: allow(L004, L005)").unwrap();
+        assert_eq!(rules, vec!["L004", "L005"]);
         assert!(reason.is_empty());
     }
 

@@ -3,15 +3,12 @@
 //! function extents, brace matching), runs every rule, and applies
 //! `bp-lint: allow(...)` suppressions.
 //!
-//! `check_tree_with` is the full v2 pipeline: per-file analysis fans out
-//! across worker threads (pure per file, so order does not matter), a
-//! content-hash cache skips unchanged files on warm runs, the per-file
-//! fact summaries feed the whole-program [`Program`] that the
-//! interprocedural rules (L007–L010) run over, and the combined findings
-//! are sorted into canonical (path, line, col, rule) order so output is
-//! identical regardless of thread scheduling.
+//! `check_tree` is the full pipeline: one pass over the sorted files runs
+//! the per-file rules and distills each file's fact summary, the
+//! summaries feed the whole-program [`Program`] that the interprocedural
+//! rules (L007–L010) run over, and the combined findings are sorted into
+//! canonical (path, line, col, rule) order.
 
-use crate::cache::{self, Cache, CachedFile};
 use crate::callgraph::Program;
 use crate::diag::{
     parse_directive, Directive, LineMap, Severity, StaleAllow, Suppression, Violation,
@@ -20,10 +17,8 @@ use crate::lexer::{lex, Lexed, TokenKind};
 use crate::parser::parse_file;
 use crate::rules::{all_global_rules, all_rules, Rule, METRICS_REGISTRY_PATH};
 use crate::symbols::{summarize, FileSummary};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
 
 /// One function found in a file.
 #[derive(Debug, Clone)]
@@ -333,39 +328,21 @@ pub fn build_context<'a>(rel_path: &str, src: &'a str, lexed: &'a Lexed) -> File
     ctx
 }
 
-/// The outcome of per-file analysis: everything `check_tree_with` needs
-/// downstream, and exactly what the incremental cache stores.
-#[derive(Debug, Clone)]
-pub struct FileAnalysis {
+/// The outcome of per-file analysis: everything `check_tree` needs
+/// downstream.
+struct FileAnalysis {
     /// Raw (pre-suppression) per-file violations, including L000, in
     /// (line, col, rule) order.
-    pub raw: Vec<Violation>,
+    raw: Vec<Violation>,
     /// Allowlist directives found in the file.
-    pub directives: Vec<Directive>,
+    directives: Vec<Directive>,
     /// The interprocedural fact summary.
-    pub summary: FileSummary,
-}
-
-/// `Some(start)` when timing is enabled.
-fn stopwatch(enabled: bool) -> Option<std::time::Instant> {
-    // bp-lint: allow(L001): the --timing flag measures bp-lint's own wall time
-    enabled.then(std::time::Instant::now)
-}
-
-fn elapsed(sw: Option<std::time::Instant>) -> Duration {
-    sw.map(|s| s.elapsed()).unwrap_or_default()
+    summary: FileSummary,
 }
 
 /// Runs the per-file tier (token rules, directives, fact summary) over
-/// one file. Pure in `src`, which is what makes both the thread fan-out
-/// and the content-hash cache sound. Returns per-rule wall times when
-/// `timing` is set.
-pub fn analyze_file(
-    rules: &[Box<dyn Rule>],
-    rel_path: &str,
-    src: &str,
-    timing: bool,
-) -> (FileAnalysis, Vec<(&'static str, Duration)>) {
+/// one file.
+fn analyze_file(rules: &[Box<dyn Rule>], rel_path: &str, src: &str) -> FileAnalysis {
     let lexed = lex(src);
     let ctx = build_context(rel_path, src, &lexed);
     let directives = collect_directives(&ctx);
@@ -388,26 +365,18 @@ pub fn analyze_file(
             });
         }
     }
-    let mut rule_times = Vec::new();
     for rule in rules {
-        let sw = stopwatch(timing);
         raw.extend(rule.check(&ctx));
-        if timing {
-            rule_times.push((rule.id(), elapsed(sw)));
-        }
     }
     raw.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
 
     let ast = parse_file(src, &lexed, &ctx.match_close);
     let summary = summarize(rel_path, &ast, &ctx.lines);
-    (
-        FileAnalysis {
-            raw,
-            directives,
-            summary,
-        },
-        rule_times,
-    )
+    FileAnalysis {
+        raw,
+        directives,
+        summary,
+    }
 }
 
 /// Routes raw violations through the per-file directives into the
@@ -472,17 +441,6 @@ fn collect_stale_allows(
     stale
 }
 
-/// Tuning knobs for `check_tree_with`.
-#[derive(Debug, Clone, Default)]
-pub struct CheckOptions {
-    /// Worker thread count; `None` = available parallelism.
-    pub jobs: Option<usize>,
-    /// Skip both reading and writing the incremental cache.
-    pub no_cache: bool,
-    /// Collect per-rule and per-file wall times.
-    pub timing: bool,
-}
-
 /// The outcome of checking a tree.
 #[derive(Debug, Default)]
 pub struct CheckReport {
@@ -496,14 +454,6 @@ pub struct CheckReport {
     pub stale_allows: Vec<StaleAllow>,
     /// Number of files scanned.
     pub files: usize,
-    /// How many of those were cache hits.
-    pub cached_files: usize,
-    /// Aggregate wall time per rule (only with `CheckOptions::timing`).
-    pub rule_times: Vec<(String, Duration)>,
-    /// Wall time per analyzed file (only with `CheckOptions::timing`).
-    pub file_times: Vec<(String, Duration)>,
-    /// End-to-end wall time (only with `CheckOptions::timing`).
-    pub total_time: Duration,
 }
 
 impl CheckReport {
@@ -524,26 +474,6 @@ impl Default for Engine {
     }
 }
 
-/// Bump when analysis logic outside the rules changes shape (directive
-/// collection, summaries) — rule ids alone can't see those edits, and a
-/// stale cache would keep serving the old analysis.
-const ANALYSIS_VERSION: &str = "v2:doc-comments-never-direct";
-
-/// Fingerprint over the analysis version and the full rule set (ids +
-/// descriptions); any change invalidates the incremental cache wholesale.
-fn rules_fingerprint() -> String {
-    let mut s = String::from(ANALYSIS_VERSION);
-    for r in all_rules() {
-        s.push_str(r.id());
-        s.push_str(r.description());
-    }
-    for r in all_global_rules() {
-        s.push_str(r.id());
-        s.push_str(r.description());
-    }
-    format!("{:016x}", cache::hash_src(&s))
-}
-
 impl Engine {
     /// An engine with every built-in rule.
     pub fn new() -> Self {
@@ -553,161 +483,40 @@ impl Engine {
     /// Checks one file's source, applying directives. Per-file rules
     /// only — the interprocedural tier needs the whole tree.
     pub fn check_file(&self, rel_path: &str, src: &str, report: &mut CheckReport) {
-        let (analysis, _) = analyze_file(&self.rules, rel_path, src, false);
+        let analysis = analyze_file(&self.rules, rel_path, src);
         let mut directives = HashMap::new();
         directives.insert(rel_path.to_string(), analysis.directives);
         apply_suppressions(analysis.raw, &directives, report);
         report.files += 1;
     }
 
-    /// Walks `root` and checks every eligible `.rs` file with default
-    /// options (parallel, cached, no timing).
+    /// The full pipeline over every eligible `.rs` file under `root`:
+    /// per-file analysis, whole-program rules, suppression, canonical
+    /// ordering.
     pub fn check_tree(&self, root: &Path) -> std::io::Result<CheckReport> {
-        self.check_tree_with(root, &CheckOptions::default())
-    }
-
-    /// The full pipeline: parallel per-file analysis (cache-accelerated),
-    /// whole-program rules, suppression, canonical ordering.
-    pub fn check_tree_with(
-        &self,
-        root: &Path,
-        opts: &CheckOptions,
-    ) -> std::io::Result<CheckReport> {
-        let total_sw = stopwatch(opts.timing);
         let mut rels = Vec::new();
         collect_rs_files(root, root, &mut rels)?;
         rels.sort();
-        // Read sources up front; analysis itself is then I/O-free.
-        let mut files: Vec<(String, String, u64)> = Vec::with_capacity(rels.len());
-        for rel in &rels {
-            let src = std::fs::read_to_string(root.join(rel))?;
-            let rel_unix = rel.to_string_lossy().replace('\\', "/");
-            let hash = cache::hash_src(&src);
-            files.push((rel_unix, src, hash));
-        }
-        let fingerprint = rules_fingerprint();
-        let cache_file = cache::cache_path(root);
-        let cached = if opts.no_cache {
-            Cache::default()
-        } else {
-            cache::load(&cache_file, &fingerprint)
-        };
-
-        struct Done {
-            analysis: FileAnalysis,
-            from_cache: bool,
-            time: Duration,
-            rule_times: Vec<(&'static str, Duration)>,
-        }
-        let n_files = files.len();
-        let jobs = opts
-            .jobs
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-            })
-            .clamp(1, n_files.max(1));
-        let next = AtomicUsize::new(0);
-        let timing = opts.timing;
-        let mut slots: Vec<Option<Done>> = Vec::new();
-        slots.resize_with(n_files, || None);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..jobs)
-                .map(|_| {
-                    s.spawn(|| {
-                        // Each worker owns a rule set: rules are stateless
-                        // unit structs, so this is cheaper than making the
-                        // trait objects Sync.
-                        let rules = all_rules();
-                        let mut local: Vec<(usize, Done)> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n_files {
-                                break;
-                            }
-                            let (rel, src, hash) = &files[i];
-                            let sw = stopwatch(timing);
-                            let (analysis, from_cache, rule_times) = match cached.get(rel, *hash) {
-                                Some(hit) => (
-                                    FileAnalysis {
-                                        raw: hit.raw.clone(),
-                                        directives: hit.directives.clone(),
-                                        summary: hit.summary.clone(),
-                                    },
-                                    true,
-                                    Vec::new(),
-                                ),
-                                None => {
-                                    let (a, rt) = analyze_file(&rules, rel, src, timing);
-                                    (a, false, rt)
-                                }
-                            };
-                            local.push((
-                                i,
-                                Done {
-                                    analysis,
-                                    from_cache,
-                                    time: elapsed(sw),
-                                    rule_times,
-                                },
-                            ));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, d) in h.join().expect("bp-lint worker thread panicked") {
-                    slots[i] = Some(d);
-                }
-            }
-        });
-
         let mut report = CheckReport {
-            files: n_files,
+            files: rels.len(),
             ..CheckReport::default()
         };
-        let mut rule_times: BTreeMap<&'static str, Duration> = BTreeMap::new();
-        let mut entries: Vec<(String, CachedFile)> = Vec::with_capacity(n_files);
-        let mut directives: HashMap<String, Vec<Directive>> = HashMap::with_capacity(n_files);
-        let mut summaries: Vec<FileSummary> = Vec::with_capacity(n_files);
+        let mut directives: HashMap<String, Vec<Directive>> = HashMap::with_capacity(rels.len());
+        let mut summaries: Vec<FileSummary> = Vec::with_capacity(rels.len());
         let mut all_raw: Vec<Violation> = Vec::new();
-        for (i, slot) in slots.into_iter().enumerate() {
-            let d = slot.expect("work queue covered every file");
-            let (rel, _, hash) = &files[i];
-            if d.from_cache {
-                report.cached_files += 1;
-            }
-            if timing {
-                report.file_times.push((rel.clone(), d.time));
-                for (id, t) in d.rule_times {
-                    *rule_times.entry(id).or_default() += t;
-                }
-            }
-            entries.push((
-                rel.clone(),
-                CachedFile {
-                    hash: *hash,
-                    raw: d.analysis.raw.clone(),
-                    directives: d.analysis.directives.clone(),
-                    summary: d.analysis.summary.clone(),
-                },
-            ));
-            all_raw.extend(d.analysis.raw);
-            directives.insert(rel.clone(), d.analysis.directives);
-            summaries.push(d.analysis.summary);
+        for rel in &rels {
+            let src = std::fs::read_to_string(root.join(rel))?;
+            let rel = rel.to_string_lossy().replace('\\', "/");
+            let analysis = analyze_file(&self.rules, &rel, &src);
+            all_raw.extend(analysis.raw);
+            directives.insert(rel, analysis.directives);
+            summaries.push(analysis.summary);
         }
 
-        // Whole-program tier: always re-runs; only per-file work is cached.
         let registry = std::fs::read_to_string(root.join(METRICS_REGISTRY_PATH)).ok();
         let prog = Program::new(summaries, registry);
         for rule in all_global_rules() {
-            let sw = stopwatch(timing);
             all_raw.extend(rule.check(&prog));
-            if timing {
-                *rule_times.entry(rule.id()).or_default() += elapsed(sw);
-            }
         }
 
         apply_suppressions(all_raw, &directives, &mut report);
@@ -718,21 +527,6 @@ impl Engine {
         report
             .suppressions
             .sort_by(|a, b| (&a.path, a.line, &a.rule).cmp(&(&b.path, b.line, &b.rule)));
-
-        // Persist the cache only into an existing target/ dir: `--root`
-        // pointed at a fixture tree must never grow build artifacts.
-        if !opts.no_cache && root.join("target").is_dir() {
-            let _ = cache::save(&cache_file, &fingerprint, &entries);
-        }
-        if timing {
-            report.rule_times = rule_times
-                .into_iter()
-                .map(|(id, t)| (id.to_string(), t))
-                .collect();
-            report.rule_times.sort_by_key(|r| std::cmp::Reverse(r.1));
-            report.file_times.sort_by_key(|f| std::cmp::Reverse(f.1));
-            report.total_time = elapsed(total_sw);
-        }
         Ok(report)
     }
 }
@@ -843,16 +637,21 @@ mod tests {
 
     #[test]
     fn directive_without_reason_is_l000() {
-        let src = "// bp-lint: allow(L002)\nfn f() {}\n";
+        let src = "// bp-lint: allow(L005)\nfn f() {}\n";
         let report = check_src("crates/core/src/x.rs", src);
         assert_eq!(report.violations.len(), 1);
         assert_eq!(report.violations[0].rule, "L000");
     }
 
+    /// A public query entry point that loops without a deadline: one
+    /// L005 finding, on its first line.
+    const UNBOUNDED: &str =
+        "pub fn scan(b: &ProvenanceBrowser) -> u32 {\n    for _ in 0..9 {}\n    0\n}\n";
+
     #[test]
     fn directive_suppresses_next_line_with_reason() {
-        let src = "fn f(x: Option<u32>) -> u32 {\n    // bp-lint: allow(L002): test of suppression\n    x.unwrap()\n}\n";
-        let report = check_src("crates/core/src/x.rs", src);
+        let src = format!("// bp-lint: allow(L005): test of suppression\n{UNBOUNDED}");
+        let report = check_src("crates/query/src/x.rs", &src);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert_eq!(report.suppressions.len(), 1);
         assert_eq!(report.suppressions[0].reason, "test of suppression");
@@ -860,20 +659,23 @@ mod tests {
 
     #[test]
     fn directive_on_same_line_suppresses() {
-        let src =
-            "fn f(x: Option<u32>) -> u32 {\n    x.unwrap() // bp-lint: allow(L002): demo\n}\n";
-        let report = check_src("crates/core/src/x.rs", src);
+        let src = UNBOUNDED.replacen('\n', " // bp-lint: allow(L005): demo\n", 1);
+        let report = check_src("crates/query/src/x.rs", &src);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert_eq!(report.suppressions.len(), 1);
     }
 
     #[test]
     fn doc_comments_never_parse_as_directives() {
         // Rustdoc describing the syntax must not register a phantom allow
         // (which the allowlist audit would then flag as stale).
-        let src = "/// Accepts `bp-lint: allow(L002): reason`.\nfn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n";
-        let lexed = lex(src);
-        let ctx = build_context("crates/core/src/x.rs", src, &lexed);
+        let src = format!("/// Accepts `bp-lint: allow(L005): reason`.\n{UNBOUNDED}");
+        let lexed = lex(&src);
+        let ctx = build_context("crates/query/src/x.rs", &src, &lexed);
         assert!(collect_directives(&ctx).is_empty());
+        let report = check_src("crates/query/src/x.rs", &src);
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        assert_eq!(report.violations[0].rule, "L005");
     }
 
     #[test]
@@ -884,20 +686,20 @@ mod tests {
             path.clone(),
             vec![
                 Directive {
-                    rules: vec!["L002".to_string()],
+                    rules: vec!["L005".to_string()],
                     reason: "earned its keep".to_string(),
                     line: 4,
                     target_line: 5,
                 },
                 Directive {
-                    rules: vec!["L002".to_string(), "L004".to_string()],
+                    rules: vec!["L005".to_string(), "L004".to_string()],
                     reason: "the guarded code was deleted".to_string(),
                     line: 9,
                     target_line: 10,
                 },
                 // Reasonless: L000 territory, not the audit's.
                 Directive {
-                    rules: vec!["L002".to_string()],
+                    rules: vec!["L005".to_string()],
                     reason: String::new(),
                     line: 20,
                     target_line: 21,
@@ -905,7 +707,7 @@ mod tests {
             ],
         );
         let suppressions = vec![Suppression {
-            rule: "L002".to_string(),
+            rule: "L005".to_string(),
             path: path.clone(),
             line: 5,
             reason: "earned its keep".to_string(),
@@ -913,7 +715,7 @@ mod tests {
         let stale = collect_stale_allows(&directives, &suppressions);
         assert_eq!(stale.len(), 1, "{stale:?}");
         assert_eq!(stale[0].line, 9);
-        assert_eq!(stale[0].rules, vec!["L002".to_string(), "L004".to_string()]);
-        assert!(stale[0].to_string().contains("stale allow(L002, L004)"));
+        assert_eq!(stale[0].rules, vec!["L005".to_string(), "L004".to_string()]);
+        assert!(stale[0].to_string().contains("stale allow(L005, L004)"));
     }
 }

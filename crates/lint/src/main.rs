@@ -1,16 +1,14 @@
 //! The `bp-lint` binary.
 //!
 //! ```text
-//! bp-lint check [--root PATH] [--sarif FILE] [--timing] [--jobs N] [--no-cache]
-//!               [--audit-allowlist]
+//! bp-lint check [--root PATH] [--sarif FILE] [--audit-allowlist]
 //!                               # exit 0 clean, 1 violations/stale allows, 2 usage/io
-//! bp-lint fix   [--root PATH]   # apply mechanically safe rewrites
 //! bp-lint rules                 # list the rule set
 //! ```
 
-use bp_lint::engine::{CheckOptions, Engine};
+use bp_lint::engine::Engine;
 use bp_lint::sarif::{self, RuleMeta};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -22,10 +20,6 @@ fn main() -> ExitCode {
     match cmd.as_str() {
         "check" => match CheckArgs::parse(&args[1..]) {
             Ok(a) => run_check(&a),
-            Err(msg) => fail_usage(&msg),
-        },
-        "fix" => match parse_root(&args[1..]) {
-            Ok(root) => run_fix(&root),
             Err(msg) => fail_usage(&msg),
         },
         "rules" => {
@@ -61,16 +55,12 @@ fn usage() {
         "bp-lint: repo-specific static analysis for the provenance store\n\
          \n\
          usage:\n\
-         \x20 bp-lint check [--root PATH] [--sarif FILE] [--timing] [--jobs N] [--no-cache]\n\
+         \x20 bp-lint check [--root PATH] [--sarif FILE] [--audit-allowlist]\n\
          \x20                               check the workspace (exit 1 on violations)\n\
-         \x20 bp-lint fix   [--root PATH]   apply mechanically safe rewrites\n\
          \x20 bp-lint rules                 list the rule set\n\
          \n\
          check flags:\n\
          \x20 --sarif FILE   also write findings as SARIF 2.1.0 to FILE\n\
-         \x20 --timing       print per-rule and slowest-file wall times\n\
-         \x20 --jobs N       analysis worker threads (default: all cores)\n\
-         \x20 --no-cache     ignore and do not update the incremental cache\n\
          \x20 --audit-allowlist  fail when an allow directive suppresses nothing\n\
          \n\
          Suppress a finding with `// bp-lint: allow(L00X): <reason>` on or\n\
@@ -89,7 +79,6 @@ struct CheckArgs {
     root: PathBuf,
     sarif: Option<PathBuf>,
     audit_allowlist: bool,
-    opts: CheckOptions,
 }
 
 impl CheckArgs {
@@ -98,7 +87,6 @@ impl CheckArgs {
         let mut root: Option<PathBuf> = None;
         let mut sarif = None;
         let mut audit_allowlist = false;
-        let mut opts = CheckOptions::default();
         while let Some(a) = it.next() {
             match a.as_str() {
                 "--root" => {
@@ -109,18 +97,6 @@ impl CheckArgs {
                     let p = it.next().ok_or("--sarif needs a file path")?;
                     sarif = Some(PathBuf::from(p));
                 }
-                "--jobs" => {
-                    let n = it.next().ok_or("--jobs needs a count")?;
-                    let n: usize = n
-                        .parse()
-                        .map_err(|_| format!("--jobs: `{n}` is not a number"))?;
-                    if n == 0 {
-                        return Err("--jobs must be at least 1".to_string());
-                    }
-                    opts.jobs = Some(n);
-                }
-                "--timing" => opts.timing = true,
-                "--no-cache" => opts.no_cache = true,
                 "--audit-allowlist" => audit_allowlist = true,
                 other => return Err(format!("unknown argument `{other}`")),
             }
@@ -134,33 +110,13 @@ impl CheckArgs {
             root,
             sarif,
             audit_allowlist,
-            opts,
         })
     }
 }
 
-/// Parses `[--root PATH]`, defaulting to the workspace root (the nearest
-/// ancestor containing a top-level `Cargo.toml` with `[workspace]`, so the
-/// tool works from any crate directory).
-fn parse_root(args: &[String]) -> Result<PathBuf, String> {
-    let mut it = args.iter();
-    let mut root: Option<PathBuf> = None;
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--root" => {
-                let p = it.next().ok_or("--root needs a path")?;
-                root = Some(PathBuf::from(p));
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    match root {
-        Some(r) => Ok(r),
-        None => find_workspace_root()
-            .ok_or_else(|| "could not locate workspace root; pass --root".to_string()),
-    }
-}
-
+/// The workspace root: the nearest ancestor containing a top-level
+/// `Cargo.toml` with `[workspace]`, so the tool works from any crate
+/// directory.
 fn find_workspace_root() -> Option<PathBuf> {
     let mut dir = std::env::current_dir().ok()?;
     loop {
@@ -179,7 +135,7 @@ fn find_workspace_root() -> Option<PathBuf> {
 }
 
 fn run_check(args: &CheckArgs) -> ExitCode {
-    match Engine::new().check_tree_with(&args.root, &args.opts) {
+    match Engine::new().check_tree(&args.root) {
         Ok(report) => {
             for v in &report.violations {
                 println!("{v}");
@@ -190,9 +146,6 @@ fn run_check(args: &CheckArgs) -> ExitCode {
                     eprintln!("bp-lint: io error writing {}: {e}", path.display());
                     return ExitCode::from(2);
                 }
-            }
-            if args.opts.timing {
-                print_timing(&report);
             }
             let stale = if args.audit_allowlist {
                 for s in &report.stale_allows {
@@ -229,37 +182,6 @@ fn run_check(args: &CheckArgs) -> ExitCode {
                 );
                 ExitCode::from(1)
             }
-        }
-        Err(e) => {
-            eprintln!("bp-lint: io error: {e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn print_timing(report: &bp_lint::engine::CheckReport) {
-    eprintln!(
-        "bp-lint: timing — {:.1?} total, {} files ({} cached)",
-        report.total_time, report.files, report.cached_files
-    );
-    eprintln!("  per rule:");
-    for (id, t) in &report.rule_times {
-        eprintln!("    {id}  {t:>10.1?}");
-    }
-    eprintln!("  slowest files:");
-    for (path, t) in report.file_times.iter().take(10) {
-        eprintln!("    {path}  {t:.1?}");
-    }
-}
-
-fn run_fix(root: &Path) -> ExitCode {
-    match bp_lint::fixer::fix_tree(root) {
-        Ok(fixes) => {
-            for f in &fixes {
-                println!("{}:{}: fixed: {}", f.path, f.line, f.note);
-            }
-            println!("bp-lint: applied {} fix(es)", fixes.len());
-            ExitCode::SUCCESS
         }
         Err(e) => {
             eprintln!("bp-lint: io error: {e}");

@@ -1,12 +1,14 @@
-//! The rule set: repo-specific invariants L001–L010.
+//! The rule set: repo-specific invariants L004, L005 and L007–L010.
 //!
-//! L001–L006 are token-pattern checks over the [`FileContext`], one
+//! L004 and L005 are token-pattern checks over the [`FileContext`], one
 //! file at a time. L007–L010 are whole-program rules over the
 //! [`Program`] view (symbol summaries + call graph); they implement the
 //! provenance-completeness proof (L007), deadlock freedom (L008),
 //! deadline propagation (L009), and the metric-name registry (L010).
-//! See the crate docs for the one-line summaries and DESIGN.md for the
-//! full rationale.
+//! The ids L001–L003 and L006 are retired: clippy enforces those
+//! invariants (see the root `clippy.toml` and the library crates'
+//! `deny` attributes). See the crate docs for the one-line summaries and
+//! DESIGN.md for the full rationale.
 
 use crate::callgraph::{Program, LOCK_PRIMITIVES};
 use crate::diag::{Severity, Violation};
@@ -16,7 +18,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
 /// A single lint rule.
 pub trait Rule {
-    /// Stable rule id (`L001`…).
+    /// Stable rule id (`L004`…).
     fn id(&self) -> &'static str;
     /// One-line description for `bp-lint rules` and docs.
     fn description(&self) -> &'static str;
@@ -26,14 +28,7 @@ pub trait Rule {
 
 /// Every built-in rule, in id order.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
-    vec![
-        Box::new(NoRawClock),
-        Box::new(NoPanicInLib),
-        Box::new(NoLossyCastInCodec),
-        Box::new(DeterministicSerialization),
-        Box::new(SloGuard),
-        Box::new(NoRawLog),
-    ]
+    vec![Box::new(DeterministicSerialization), Box::new(SloGuard)]
 }
 
 /// A whole-program (interprocedural) rule.
@@ -55,53 +50,6 @@ pub fn all_global_rules() -> Vec<Box<dyn GlobalRule>> {
         Box::new(MetricNameRegistry),
     ]
 }
-
-/// Library crates whose non-test code must not abort (L002): the capture
-/// and query paths must degrade, not panic.
-const LIB_CRATES: [&str; 6] = [
-    "crates/core/src/",
-    "crates/storage/src/",
-    "crates/places/src/",
-    "crates/graph/src/",
-    "crates/text/src/",
-    "crates/query/src/",
-];
-
-/// Crates covered by L006: everything built as a library, including the
-/// observability and simulator crates. User-facing printing belongs to
-/// bp-cli and the bench/lint binaries, which are deliberately absent.
-const NO_RAW_LOG_CRATES: [&str; 8] = [
-    "crates/core/src/",
-    "crates/storage/src/",
-    "crates/places/src/",
-    "crates/graph/src/",
-    "crates/text/src/",
-    "crates/query/src/",
-    "crates/obs/src/",
-    "crates/sim/src/",
-];
-
-/// The one sanctioned raw-stderr site: `bp_obs::log`'s own sink (L006).
-const RAW_LOG_SINK_FILE: &str = "crates/obs/src/log.rs";
-
-/// Printing macros L006 flags.
-const RAW_LOG_MACROS: [&str; 5] = ["println", "eprintln", "print", "eprint", "dbg"];
-
-/// Files forming the on-disk codec (L003): every byte written here must
-/// come from a checked conversion.
-const CODEC_FILES: [&str; 5] = [
-    "crates/storage/src/varint.rs",
-    "crates/storage/src/record.rs",
-    "crates/storage/src/wal.rs",
-    "crates/storage/src/crc.rs",
-    "crates/text/src/index.rs",
-];
-
-/// Integer target types whose `as` casts can silently truncate or
-/// reinterpret (L003).
-const INT_TYPES: [&str; 12] = [
-    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
-];
 
 /// Function-call names that feed bytes to an encoder or WAL frame (L004).
 const ENCODE_SINKS: [&str; 8] = [
@@ -127,150 +75,6 @@ const ORDER_LEAKING_ITERS: [&str; 9] = [
     "into_values",
     "drain",
 ];
-
-// ---------------------------------------------------------------------------
-// L001 — no-raw-clock
-// ---------------------------------------------------------------------------
-
-/// L001: all monotonic/wall-clock reads go through `bp_obs::clock`.
-pub struct NoRawClock;
-
-impl Rule for NoRawClock {
-    fn id(&self) -> &'static str {
-        "L001"
-    }
-    fn description(&self) -> &'static str {
-        "Instant::now()/SystemTime::now() only inside crates/obs/src/clock.rs; \
-         everything else uses bp_obs::clock so tests can mock time"
-    }
-    fn check(&self, ctx: &FileContext<'_>) -> Vec<Violation> {
-        if ctx.rel_path == "crates/obs/src/clock.rs" {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        let toks = &ctx.lexed.tokens;
-        // Token scans look behind and ahead of `i`; an index loop is the
-        // clearer idiom here (same below).
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..toks.len().saturating_sub(3) {
-            let head = ctx.text(i);
-            if (head == "Instant" || head == "SystemTime")
-                && ctx.is(i + 1, ":")
-                && ctx.is(i + 2, ":")
-                && ctx.is(i + 3, "now")
-                && !ctx.in_test(toks[i].start)
-            {
-                out.push(ctx.violation(
-                    self.id(),
-                    i,
-                    format!(
-                        "raw `{head}::now()` call; route timing through \
-                         bp_obs::clock (ClockHandle / unix_time_ms) so tests can mock time"
-                    ),
-                ));
-            }
-        }
-        out
-    }
-}
-
-// ---------------------------------------------------------------------------
-// L002 — no-panic-in-lib
-// ---------------------------------------------------------------------------
-
-/// L002: library crates return errors instead of aborting.
-pub struct NoPanicInLib;
-
-impl Rule for NoPanicInLib {
-    fn id(&self) -> &'static str {
-        "L002"
-    }
-    fn description(&self) -> &'static str {
-        "no unwrap()/expect()/panic!/unreachable! in non-test code of \
-         core, storage, places, graph, text, query — degrade, don't abort"
-    }
-    fn check(&self, ctx: &FileContext<'_>) -> Vec<Violation> {
-        if !LIB_CRATES.iter().any(|p| ctx.rel_path.starts_with(p)) {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        let toks = &ctx.lexed.tokens;
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..toks.len() {
-            if ctx.in_test(toks[i].start) {
-                continue;
-            }
-            let t = ctx.text(i);
-            // `.unwrap(` / `.expect(` method calls.
-            if (t == "unwrap" || t == "expect") && i > 0 && ctx.is(i - 1, ".") && ctx.is(i + 1, "(")
-            {
-                out.push(ctx.violation(
-                    self.id(),
-                    i,
-                    format!(
-                        "`.{t}()` in a library crate: capture/query paths must \
-                         return an error (or degrade) instead of aborting"
-                    ),
-                ));
-            }
-            // panicking macros.
-            if matches!(t, "panic" | "unreachable" | "todo" | "unimplemented") && ctx.is(i + 1, "!")
-            {
-                out.push(ctx.violation(
-                    self.id(),
-                    i,
-                    format!(
-                        "`{t}!` in a library crate: capture/query paths must \
-                         return an error (or degrade) instead of aborting"
-                    ),
-                ));
-            }
-        }
-        out
-    }
-}
-
-// ---------------------------------------------------------------------------
-// L003 — no-lossy-cast-in-codec
-// ---------------------------------------------------------------------------
-
-/// L003: the codec files use checked conversions, never `as`.
-pub struct NoLossyCastInCodec;
-
-impl Rule for NoLossyCastInCodec {
-    fn id(&self) -> &'static str {
-        "L003"
-    }
-    fn description(&self) -> &'static str {
-        "no integer `as` casts in storage/{varint,record,wal,crc}.rs and \
-         text/index.rs — use try_from with an error path"
-    }
-    fn check(&self, ctx: &FileContext<'_>) -> Vec<Violation> {
-        if !CODEC_FILES.contains(&ctx.rel_path.as_str()) {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        let toks = &ctx.lexed.tokens;
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..toks.len().saturating_sub(1) {
-            if ctx.text(i) == "as"
-                && INT_TYPES.contains(&ctx.text(i + 1))
-                && !ctx.in_test(toks[i].start)
-            {
-                out.push(ctx.violation(
-                    self.id(),
-                    i,
-                    format!(
-                        "numeric `as {}` cast in a codec file can silently \
-                         truncate on-disk values; use try_from with an error path",
-                        ctx.text(i + 1)
-                    ),
-                ));
-            }
-        }
-        out
-    }
-}
 
 // ---------------------------------------------------------------------------
 // L004 — deterministic-serialization
@@ -580,56 +384,6 @@ impl Rule for SloGuard {
                          slo::Deadline; construct one from the budget and check \
                          `expired()` before unbounded iteration (E2's 200 ms bound)",
                         f.name
-                    ),
-                ));
-            }
-        }
-        out
-    }
-}
-
-// ---------------------------------------------------------------------------
-// L006 — no-raw-log
-// ---------------------------------------------------------------------------
-
-/// L006: library crates emit structured log events, not bare prints.
-///
-/// A daemonized store ships its diagnostics as JSON lines with levels and
-/// fields (`bp_obs::log`), which also land in the flight recorder; a bare
-/// `eprintln!` bypasses filtering, the recorder, and any collector parsing
-/// the stream. The log module's own stderr sink is the one exemption.
-pub struct NoRawLog;
-
-impl Rule for NoRawLog {
-    fn id(&self) -> &'static str {
-        "L006"
-    }
-    fn description(&self) -> &'static str {
-        "no println!/eprintln!/print!/eprint!/dbg! in library-crate non-test \
-         code — route diagnostics through bp_obs::log so they are leveled, \
-         filterable, and flight-recorded (log.rs's own sink is exempt)"
-    }
-    fn check(&self, ctx: &FileContext<'_>) -> Vec<Violation> {
-        if !NO_RAW_LOG_CRATES
-            .iter()
-            .any(|p| ctx.rel_path.starts_with(p))
-            || ctx.rel_path == RAW_LOG_SINK_FILE
-        {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        let toks = &ctx.lexed.tokens;
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..toks.len().saturating_sub(1) {
-            let t = ctx.text(i);
-            if RAW_LOG_MACROS.contains(&t) && ctx.is(i + 1, "!") && !ctx.in_test(toks[i].start) {
-                out.push(ctx.violation(
-                    self.id(),
-                    i,
-                    format!(
-                        "`{t}!` in a library crate writes unstructured output; use \
-                         bp_obs::log (debug/info/warn/error) so the event is leveled, \
-                         filterable via BP_LOG, and lands in the flight recorder"
                     ),
                 ));
             }
@@ -1529,39 +1283,6 @@ mod tests {
     }
 
     #[test]
-    fn l001_flags_raw_clock_outside_clock_rs() {
-        let src = "fn f() { let t = std::time::Instant::now(); }";
-        let r = check("crates/graph/src/x.rs", src);
-        assert_eq!(r.violations.len(), 1);
-        assert_eq!(r.violations[0].rule, "L001");
-        assert!(check("crates/obs/src/clock.rs", src).is_clean());
-    }
-
-    #[test]
-    fn l002_flags_only_lib_crates_and_spares_unwrap_or() {
-        let src = "fn f(x: Option<u32>) -> u32 { x.unwrap_or(0) }\nfn g(x: Option<u32>) -> u32 { x.unwrap() }";
-        let r = check("crates/storage/src/x.rs", src);
-        assert_eq!(r.violations.len(), 1);
-        assert!(r.violations[0].message.contains("unwrap"));
-        assert!(
-            check("crates/cli/src/x.rs", src).is_clean(),
-            "cli may panic"
-        );
-    }
-
-    #[test]
-    fn l003_flags_codec_casts_only() {
-        let src = "fn f(x: usize) -> u64 { x as u64 }";
-        let r = check("crates/storage/src/varint.rs", src);
-        assert_eq!(r.violations.len(), 1);
-        assert_eq!(r.violations[0].rule, "L003");
-        assert!(check("crates/storage/src/store.rs", src).is_clean());
-        // float casts are not integer truncation
-        let fsrc = "fn f(x: u64) -> f64 { x as f64 }";
-        assert!(check("crates/storage/src/varint.rs", fsrc).is_clean());
-    }
-
-    #[test]
     fn l004_flags_hash_iteration_feeding_encoder() {
         let src = "use std::collections::HashMap;\n\
                    fn encode_all(m: &HashMap<u32, u32>, out: &mut Vec<u8>) {\n\
@@ -1600,30 +1321,6 @@ mod tests {
         // Non-browser helpers and private fns are exempt.
         let helper = "pub fn rank(xs: &[u32]) -> u32 { let mut n = 0; for x in xs { n += x; } n }";
         assert!(check("crates/query/src/context.rs", helper).is_clean());
-    }
-
-    #[test]
-    fn l006_flags_raw_prints_in_library_crates_only() {
-        let src = "fn f() { eprintln!(\"recovered\"); }";
-        let r = check("crates/storage/src/store.rs", src);
-        assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
-        assert_eq!(r.violations[0].rule, "L006");
-        assert!(r.violations[0].message.contains("bp_obs::log"));
-        // User-facing binaries may print freely.
-        assert!(check("crates/cli/src/commands.rs", src).is_clean());
-        assert!(check("crates/bench/src/bin/bench.rs", src).is_clean());
-        assert!(check("crates/lint/src/main.rs", src).is_clean());
-    }
-
-    #[test]
-    fn l006_exempts_the_log_sink_and_test_code() {
-        let sink = "pub fn emit(line: &str) { eprintln!(\"{line}\"); }";
-        assert!(check("crates/obs/src/log.rs", sink).is_clean());
-        let in_test = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { println!(\"debugging a test is fine\"); }\n}\n";
-        assert!(check("crates/graph/src/x.rs", in_test).is_clean());
-        // dbg! is flagged too — it is the easiest macro to leave behind.
-        let dbg = "fn f(x: u32) -> u32 { dbg!(x) }";
-        assert_eq!(check("crates/query/src/x.rs", dbg).violations.len(), 1);
     }
 }
 

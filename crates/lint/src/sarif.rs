@@ -12,7 +12,7 @@ use crate::diag::Violation;
 
 /// One rule descriptor for the `tool.driver.rules` array.
 pub struct RuleMeta {
-    /// Rule id (`L001`…).
+    /// Rule id (`L004`…).
     pub id: &'static str,
     /// One-line description.
     pub description: String,

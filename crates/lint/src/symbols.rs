@@ -2,8 +2,8 @@
 //! summaries of every function — its signature, the calls it makes
 //! (with receiver chains, loop context, and interesting argument
 //! shapes), and whether it ever mentions the SLO deadline types. The
-//! interprocedural rules and the incremental cache both operate on
-//! these summaries, never on the AST itself.
+//! interprocedural rules operate on these summaries, never on the AST
+//! itself.
 
 use crate::ast::{AstFile, Block, Expr, FnItem, Item};
 use crate::diag::LineMap;

@@ -1,9 +1,9 @@
 //! Golden-output tests for bp-lint: fixture trees with known violations,
-//! exact spans, exit codes, and fix-mode rewrites.
+//! exact spans and exit codes.
 //!
-//! The fixtures live in `crates/lint/fixtures/` — a directory name both
-//! the checker and the fixer skip, so fixture files (which violate rules
-//! on purpose) never pollute a real workspace run.
+//! The fixtures live in `crates/lint/fixtures/` — a directory name the
+//! checker skips, so fixture files (which violate rules on purpose) never
+//! pollute a real workspace run.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -29,7 +29,7 @@ fn violations_fixture_matches_golden_spans() {
     // The justified directive suppresses exactly one finding, with its
     // reason carried through to the report.
     assert_eq!(report.suppressions.len(), 1);
-    assert_eq!(report.suppressions[0].rule, "L002");
+    assert_eq!(report.suppressions[0].rule, "L005");
     assert!(
         report.suppressions[0]
             .reason
@@ -37,7 +37,7 @@ fn violations_fixture_matches_golden_spans() {
         "{:?}",
         report.suppressions[0].reason
     );
-    assert_eq!(report.files, 7);
+    assert_eq!(report.files, 2);
 }
 
 #[test]
@@ -89,49 +89,12 @@ fn rules_subcommand_lists_every_rule() {
     let out = bin().args(["rules"]).output().expect("run bp-lint");
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8(out.stdout).unwrap();
-    for id in [
-        "L001", "L002", "L003", "L004", "L005", "L006", "L007", "L008", "L009", "L010",
-    ] {
-        assert!(stdout.contains(id), "missing {id} in: {stdout}");
-    }
-}
-
-#[test]
-fn fix_mode_rewrites_elapsed_only_sites() {
-    // Copy the fixable tree into a scratch dir the fixer may mutate.
-    let scratch = std::env::temp_dir().join(format!(
-        "bp-lint-fix-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&scratch);
-    let dst = scratch.join("crates/graph/src");
-    std::fs::create_dir_all(&dst).unwrap();
-    std::fs::copy(
-        fixtures().join("fixable/crates/graph/src/timing.rs"),
-        dst.join("timing.rs"),
-    )
-    .unwrap();
-
-    let out = bin()
-        .args(["fix", "--root"])
-        .arg(&scratch)
-        .output()
-        .expect("run bp-lint");
-    assert_eq!(out.status.code(), Some(0));
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("applied 1 fix(es)"), "{stdout}");
-    assert!(stdout.contains("timing.rs:5: fixed:"), "{stdout}");
-
-    let fixed = std::fs::read_to_string(dst.join("timing.rs")).unwrap();
-    assert!(
-        fixed.contains("let t0 = bp_obs::clock::ClockHandle::real().start();"),
-        "{fixed}"
+    let ids: Vec<&str> = stdout.lines().filter_map(|l| l.split(' ').next()).collect();
+    assert_eq!(
+        ids,
+        ["L004", "L005", "L007", "L008", "L009", "L010"],
+        "{stdout}"
     );
-    assert!(fixed.contains("t0.elapsed()"));
-    // The duration_since pair is beyond the mechanical rewrite and stays.
-    assert_eq!(fixed.matches("std::time::Instant::now()").count(), 2);
-    let _ = std::fs::remove_dir_all(&scratch);
 }
 
 // ---------------------------------------------------------------------------
@@ -200,131 +163,8 @@ fn sarif_export_contains_every_finding() {
         );
     }
     // Driver metadata advertises the whole rule set.
-    for id in ["L001", "L005", "L010"] {
+    for id in ["L004", "L005", "L010"] {
         assert!(doc.contains(&format!("\"id\": \"{id}\"")), "{doc}");
     }
     let _ = std::fs::remove_dir_all(&scratch);
-}
-
-// ---------------------------------------------------------------------------
-// Determinism, cache, fix idempotence
-// ---------------------------------------------------------------------------
-
-#[test]
-fn output_is_identical_across_thread_counts() {
-    for fixture in ["violations", "interproc"] {
-        let run = |jobs: &str| {
-            let out = bin()
-                .args(["check", "--no-cache", "--jobs", jobs, "--root"])
-                .arg(fixtures().join(fixture))
-                .output()
-                .expect("run bp-lint");
-            String::from_utf8(out.stdout).unwrap()
-        };
-        let single = run("1");
-        for jobs in ["2", "8"] {
-            assert_eq!(single, run(jobs), "{fixture} differs at --jobs {jobs}");
-        }
-    }
-}
-
-#[test]
-fn warm_cache_run_is_hit_and_identical() {
-    let scratch = std::env::temp_dir().join(format!(
-        "bp-lint-cache-int-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&scratch);
-    copy_tree(&fixtures().join("interproc"), &scratch);
-    // The cache only persists into an existing target/ dir.
-    std::fs::create_dir_all(scratch.join("target")).unwrap();
-
-    let run = || {
-        let out = bin()
-            .args(["check", "--timing", "--root"])
-            .arg(&scratch)
-            .output()
-            .expect("run bp-lint");
-        (
-            String::from_utf8(out.stdout).unwrap(),
-            String::from_utf8(out.stderr).unwrap(),
-        )
-    };
-    let (cold_out, cold_err) = run();
-    assert!(cold_err.contains("(0 cached)"), "{cold_err}");
-    assert!(scratch.join("target/bp-lint/cache").is_file());
-    let (warm_out, warm_err) = run();
-    assert!(warm_err.contains("(4 cached)"), "{warm_err}");
-    assert_eq!(cold_out, warm_out, "cache changed the findings");
-    let _ = std::fs::remove_dir_all(&scratch);
-}
-
-#[test]
-fn fix_is_idempotent_over_the_fixture_tree() {
-    let scratch = std::env::temp_dir().join(format!(
-        "bp-lint-fixpoint-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&scratch);
-    copy_tree(&fixtures().join("fixable"), &scratch);
-
-    let fix = || {
-        let out = bin()
-            .args(["fix", "--root"])
-            .arg(&scratch)
-            .output()
-            .expect("run bp-lint");
-        assert_eq!(out.status.code(), Some(0));
-        String::from_utf8(out.stdout).unwrap()
-    };
-    fix();
-    let after_first = snapshot_tree(&scratch);
-    let second = fix();
-    assert!(second.contains("applied 0 fix(es)"), "{second}");
-    assert_eq!(
-        after_first,
-        snapshot_tree(&scratch),
-        "second fix pass changed bytes"
-    );
-    let _ = std::fs::remove_dir_all(&scratch);
-}
-
-/// Recursively copies a fixture tree into `dst`.
-fn copy_tree(src: &Path, dst: &Path) {
-    std::fs::create_dir_all(dst).unwrap();
-    for entry in std::fs::read_dir(src).unwrap() {
-        let entry = entry.unwrap();
-        let to = dst.join(entry.file_name());
-        if entry.path().is_dir() {
-            copy_tree(&entry.path(), &to);
-        } else {
-            std::fs::copy(entry.path(), &to).unwrap();
-        }
-    }
-}
-
-/// Collects (relative path, bytes) for every file under `root`, sorted.
-fn snapshot_tree(root: &Path) -> Vec<(String, Vec<u8>)> {
-    fn walk(root: &Path, dir: &Path, out: &mut Vec<(String, Vec<u8>)>) {
-        for entry in std::fs::read_dir(dir).unwrap() {
-            let entry = entry.unwrap();
-            let path = entry.path();
-            if path.is_dir() {
-                walk(root, &path, out);
-            } else {
-                let rel = path
-                    .strip_prefix(root)
-                    .unwrap()
-                    .to_string_lossy()
-                    .into_owned();
-                out.push((rel, std::fs::read(&path).unwrap()));
-            }
-        }
-    }
-    let mut out = Vec::new();
-    walk(root, root, &mut out);
-    out.sort();
-    out
 }

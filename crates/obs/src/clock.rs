@@ -21,6 +21,10 @@ pub trait Clock: Send + Sync + fmt::Debug {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RealClock;
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the process-wide monotonic anchor behind RealClock"
+)]
 fn anchor() -> Instant {
     static ANCHOR: OnceLock<Instant> = OnceLock::new();
     *ANCHOR.get_or_init(Instant::now)
@@ -128,10 +132,14 @@ static MOCK_UNIX_MS: AtomicU64 = AtomicU64::new(u64::MAX);
 /// Wall-clock milliseconds since the Unix epoch.
 ///
 /// This is the workspace's one sanctioned wall-clock read (everything else
-/// is monotonic and flows through [`ClockHandle`]; bp-lint's L001 enforces
-/// both). Journal entries need calendar time, which an anchored monotonic
-/// clock cannot provide. Tests can pin the value with
-/// [`set_mock_unix_time_ms`].
+/// is monotonic and flows through [`ClockHandle`]; clippy's
+/// `disallowed_methods`, configured in `clippy.toml`, enforces both).
+/// Journal entries need calendar time, which an anchored monotonic clock
+/// cannot provide. Tests can pin the value with [`set_mock_unix_time_ms`].
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the workspace's one wall-clock read; journal entries need calendar time"
+)]
 pub fn unix_time_ms() -> u64 {
     let mock = MOCK_UNIX_MS.load(Ordering::Relaxed);
     if mock != u64::MAX {

@@ -37,6 +37,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Diagnostics go through bp_obs::log, leveled and flight-recorded.
+#![cfg_attr(
+    not(test),
+    deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)
+)]
 
 pub mod clock;
 pub mod expo;

@@ -1,7 +1,7 @@
 //! Structured, leveled, JSON-lines logging.
 //!
 //! Library crates emit [`LogEvent`]s (level + target + message + key/value
-//! fields) instead of bare `eprintln!` (bp-lint's L006 enforces that).
+//! fields) instead of bare `eprintln!` (clippy's `print_stderr` enforces that).
 //! Every accepted event is:
 //!
 //! * appended to the process-wide [flight recorder](crate::flight) so the
@@ -219,9 +219,13 @@ pub fn log(level: LogLevel, target: &str, message: &str, fields: &[(&str, String
     }
     crate::flight::global().record_log(&event);
     if logger().stderr.load(Ordering::Relaxed) {
-        // The logger's own sink: the one sanctioned raw-stderr write in a
-        // library crate (bp-lint L006 exempts this file).
-        eprintln!("{}", event.to_json_line());
+        #[expect(
+            clippy::print_stderr,
+            reason = "the logger's own sink: the one sanctioned raw-stderr write in a library crate"
+        )]
+        {
+            eprintln!("{}", event.to_json_line());
+        }
     }
 }
 

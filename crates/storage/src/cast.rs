@@ -1,8 +1,8 @@
 //! Checked integer conversions for the codec layer.
 //!
-//! The codec files (`varint`, `record`, `wal`, `crc`) are forbidden from
-//! using bare `as` casts (bp-lint L003): a silent truncation there changes
-//! on-disk bytes. The conversions they need are concentrated here, where
+//! The codec files (`varint`, `record`, `wal`, `crc`, `snapshot`) deny
+//! bare `as` casts (`clippy::as_conversions`): a silent truncation there
+//! changes on-disk bytes. The conversions they need are concentrated here, where
 //! each one can state why it is lossless or how it fails.
 
 /// A byte offset or length as a `u64` for error reporting and size

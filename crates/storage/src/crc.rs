@@ -5,6 +5,9 @@
 //! first damaged record (see [`crate::wal`]). Implemented from scratch with
 //! a lazily-built 8-bit lookup table.
 
+// An on-disk codec: every conversion is checked, never an `as` cast.
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 use std::sync::OnceLock;
 
 const POLY: u32 = 0x82f6_3b78; // CRC-32C (Castagnoli), reflected

@@ -262,8 +262,8 @@ impl ShardedInterner {
     }
 }
 
-/// `u64 → usize` without an `as` cast (L003): shard selection only needs
-/// the low bits, which always fit.
+/// `u64 → usize` without an `as` cast (`clippy::as_conversions`, as in
+/// the codecs): shard selection only needs the low bits, which always fit.
 fn usize_from_hash(h: u64) -> usize {
     usize::try_from(h & 0xffff).unwrap_or(0)
 }

@@ -7,6 +7,9 @@
 //! state), since history events are nearly sorted in time and deltas
 //! compress far better than absolute microsecond counts.
 
+// An on-disk codec: every conversion is checked, never an `as` cast.
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 use crate::cast::{offset_u64, usize_from_u64};
 use crate::error::{StorageError, StorageResult};
 use crate::varint;

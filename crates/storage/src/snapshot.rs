@@ -25,6 +25,9 @@
 //! CloseNodes — so recovery replays through exactly the same structural
 //! apply path and rebuilds bit-identical state.
 
+// An on-disk codec: every conversion is checked, never an `as` cast.
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 use crate::cast::{offset_u64, usize_from_u64};
 use crate::error::{StorageError, StorageResult};
 use crate::factorize::{defactorize, factorize, FactorizedEdges};

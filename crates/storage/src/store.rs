@@ -34,9 +34,8 @@ const LOG_FILE: &str = "log.wal";
 /// Magic + format version, written as the snapshot's first frame. Recovery
 /// rejects snapshots from an unknown format generation instead of
 /// misinterpreting their bytes. Version 2 is the columnar delta encoding
-/// ([`crate::snapshot`]); version 1 (the literal op stream) is still read.
+/// ([`crate::snapshot`]); version 1 (the literal op stream) is refused.
 const SNAPSHOT_HEADER: &[u8] = b"BPSNAP\x02";
-const SNAPSHOT_HEADER_V1: &[u8] = b"BPSNAP\x01";
 
 /// A durable, indexed browser-provenance store.
 ///
@@ -171,20 +170,9 @@ impl ProvenanceStore {
             let mut frames = contents.frames.iter();
             match frames.next() {
                 Some(header) if header == SNAPSHOT_HEADER => {
-                    // v2: columnar frames lower back into the op stream.
+                    // Columnar frames lower back into the op stream.
                     for frame in frames {
                         for op in crate::snapshot::decode(frame)? {
-                            self.replay(op)?;
-                        }
-                    }
-                }
-                Some(header) if header == SNAPSHOT_HEADER_V1 => {
-                    // v1: the frames are the literal compacted op stream.
-                    let mut codec = Codec::new();
-                    for frame in frames {
-                        let mut pos = 0;
-                        while pos < frame.len() {
-                            let op = codec.decode(frame, &mut pos)?;
                             self.replay(op)?;
                         }
                     }
@@ -1193,18 +1181,19 @@ mod tests {
         let frames = wal.read_all().unwrap().frames;
         assert_eq!(frames[0], b"BPSNAP\x02".to_vec());
         drop(wal);
-        let rebuilt = {
-            let alien = Wal::open(dir.0.join("alien.bps"), SyncPolicy::OsManaged);
-            let mut alien = alien.unwrap();
-            alien.append(b"BPSNAP\x63").unwrap();
+        // The retired literal-op-stream generation is as alien as any.
+        for header in [b"BPSNAP\x01", b"BPSNAP\x63"] {
+            let alien_path = dir.0.join("alien.bps");
+            let mut alien = Wal::open(&alien_path, SyncPolicy::OsManaged).unwrap();
+            alien.append(header).unwrap();
             for frame in &frames[1..] {
                 alien.append(frame).unwrap();
             }
-            dir.0.join("alien.bps")
-        };
-        std::fs::rename(rebuilt, &path).unwrap();
-        let err = ProvenanceStore::open(&dir.0, SyncPolicy::Always).unwrap_err();
-        assert!(err.to_string().contains("format mismatch"), "{err}");
+            drop(alien);
+            std::fs::rename(alien_path, &path).unwrap();
+            let err = ProvenanceStore::open(&dir.0, SyncPolicy::Always).unwrap_err();
+            assert!(err.to_string().contains("format mismatch"), "{err}");
+        }
     }
 
     #[test]
@@ -1264,58 +1253,6 @@ mod tests {
         drop(store);
         let store = ProvenanceStore::open(&dir.0, SyncPolicy::Always).unwrap();
         assert_eq!(store.keys().get("http://x/").len(), 1);
-    }
-
-    #[test]
-    fn v1_snapshots_still_recover() {
-        let dir = TempDir::new("snap-v1");
-        let (store, ids) = build(&dir);
-        let fingerprint: Vec<String> = store
-            .graph()
-            .nodes()
-            .map(|(_, n)| format!("{n:?}"))
-            .collect();
-        drop(store);
-        // Hand-craft a v1 snapshot (header + literal op stream) from the
-        // log the build left behind, as an old binary would have written.
-        let log_frames = {
-            let mut wal = Wal::open(dir.0.join(LOG_FILE), SyncPolicy::OsManaged).unwrap();
-            wal.read_all().unwrap().frames
-        };
-        let mut ops = Vec::new();
-        let mut codec = Codec::new();
-        for frame in &log_frames {
-            let mut pos = 0;
-            while pos < frame.len() {
-                ops.push(codec.decode(frame, &mut pos).unwrap());
-            }
-        }
-        {
-            let mut snap = Wal::open(dir.0.join(SNAPSHOT_FILE), SyncPolicy::OsManaged).unwrap();
-            snap.append(SNAPSHOT_HEADER_V1).unwrap();
-            let mut codec = Codec::new();
-            let mut batch = Vec::new();
-            for op in &ops {
-                codec.encode(op, &mut batch);
-            }
-            snap.append(&batch).unwrap();
-            snap.sync().unwrap();
-        }
-        // Empty the log: everything now lives in the v1 snapshot.
-        Wal::open(dir.0.join(LOG_FILE), SyncPolicy::OsManaged)
-            .unwrap()
-            .reset()
-            .unwrap();
-
-        let store = ProvenanceStore::open(&dir.0, SyncPolicy::Always).unwrap();
-        let recovered: Vec<String> = store
-            .graph()
-            .nodes()
-            .map(|(_, n)| format!("{n:?}"))
-            .collect();
-        assert_eq!(recovered, fingerprint);
-        assert_eq!(store.graph().edge_count(), 2);
-        assert_eq!(store.keys().get("http://films/kane"), &[ids[2]]);
     }
 
     #[test]

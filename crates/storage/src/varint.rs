@@ -6,6 +6,9 @@
 //! time), and string ids come from the interner. Varints keep E1's overhead
 //! figure honest.
 
+// An on-disk codec: every conversion is checked, never an `as` cast.
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 use crate::cast::{offset_u64, usize_from_u64};
 use crate::error::{StorageError, StorageResult};
 
@@ -122,7 +125,7 @@ pub fn read_str<'a>(buf: &'a [u8], pos: &mut usize) -> StorageResult<&'a str> {
 #[inline]
 fn zigzag_encode(v: i64) -> u64 {
     // Bit-exact reinterpretation via the byte representation keeps the
-    // codec free of `as` casts (L003) at zero cost.
+    // codec free of `as` casts (`clippy::as_conversions`) at zero cost.
     u64::from_ne_bytes(((v << 1) ^ (v >> 63)).to_ne_bytes())
 }
 

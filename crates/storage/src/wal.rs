@@ -7,6 +7,9 @@
 //! browser crashed mid-write) loses at most the final uncommitted record,
 //! never earlier history.
 
+// An on-disk codec: every conversion is checked, never an `as` cast.
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 use crate::cast::{offset_u64, usize_from_u64};
 use crate::crc::crc32c;
 use crate::error::{StorageError, StorageResult};
@@ -340,7 +343,7 @@ fn scan(file: &mut File) -> StorageResult<WalContents> {
         ) else {
             // Unreachable: the header-length check above guarantees both
             // slices are exactly four bytes. Treated as a torn tail rather
-            // than a panic path (L002).
+            // than a panic path (`clippy::unreachable`).
             torn_tail = true;
             break;
         };

@@ -6,6 +6,10 @@
 //! algorithms of `bp-query` use its hits as *seeds* and re-rank by
 //! provenance neighborhood.
 
+// Counts and offsets convert through checked conversions, never an `as`
+// cast, as in the storage codecs.
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 use crate::tokenize::significant_tokens;
 use std::collections::HashMap;
 
@@ -173,6 +177,10 @@ impl InvertedIndex {
     /// length normalization (typical 0.75).
     pub fn search_bm25(&self, query: &str, k1: f64, b: f64) -> Vec<(DocId, f64)> {
         let total_len: u64 = self.doc_lengths.values().map(|&l| u64::from(l)).sum();
+        #[expect(
+            clippy::as_conversions,
+            reason = "a ranking score, never written to disk: u64 -> f64 rounding is harmless"
+        )]
         let avg_len = if self.total_docs == 0 {
             1.0
         } else {

@@ -26,6 +26,23 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Library code returns errors or degrades instead of aborting.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+// Diagnostics go through bp_obs::log, leveled and flight-recorded.
+#![cfg_attr(
+    not(test),
+    deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)
+)]
 
 mod index;
 mod score;

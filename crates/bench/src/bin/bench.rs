@@ -2,7 +2,8 @@
 //!
 //! Runs the standard simulated history through ingest and all seven query
 //! paths, summarizes latencies from bp-obs log₂ histograms, and writes the
-//! schema-versioned `BENCH_<git-short-sha>.json` + `BENCH_latest.json`.
+//! schema-versioned `BENCH_<git-short-sha>.json` + `BENCH_latest.json`;
+//! the sha gains a `-dirty` suffix when tracked files differ from HEAD.
 //!
 //! ```text
 //! cargo run -p bp-bench --release --bin bench                    # paper scale (79 days)
@@ -152,16 +153,36 @@ fn parse_options(raw: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
+/// The commit a report describes: `git rev-parse --short HEAD`, marked
+/// by [`report_sha`] when tracked files differ from it.
 fn git_short_sha() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_owned())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "nogit".to_owned())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+    };
+    let sha = git(&["rev-parse", "--short", "HEAD"]).unwrap_or_default();
+    let status = git(&["status", "--porcelain", "--untracked-files=no"]);
+    report_sha(&sha, status.as_deref())
+}
+
+/// The name of a report of the tree at short sha `sha` whose `git status
+/// --porcelain --untracked-files=no` printed `status`: the sha itself for
+/// a clean tree, `<sha>-dirty` when a tracked file is modified or the
+/// status could not be read, and `nogit` without a sha. Untracked files
+/// (earlier reports among them) leave a tree clean.
+fn report_sha(sha: &str, status: Option<&str>) -> String {
+    let sha = sha.trim();
+    if sha.is_empty() {
+        return "nogit".to_owned();
+    }
+    match status {
+        Some(status) if status.trim().is_empty() => sha.to_owned(),
+        _ => format!("{sha}-dirty"),
+    }
 }
 
 /// Accumulates `path.stage` wall-time samples from a profile tree.
@@ -710,5 +731,26 @@ fn main() {
             eprintln!("bench: error: {message}");
             std::process::exit(2);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::report_sha;
+
+    #[test]
+    fn report_sha_marks_a_modified_tracked_tree() {
+        assert_eq!(report_sha("268191a\n", Some("")), "268191a");
+        assert_eq!(
+            report_sha("268191a\n", Some(" M crates/graph/src/frozen.rs\n")),
+            "268191a-dirty"
+        );
+        assert_eq!(
+            report_sha("268191a", Some("M  CHANGES.md\nD  old.rs\n")),
+            "268191a-dirty",
+            "staged changes count too"
+        );
+        assert_eq!(report_sha("268191a", None), "268191a-dirty");
+        assert_eq!(report_sha("", Some("")), "nogit");
     }
 }

@@ -35,7 +35,7 @@ pub struct FrozenStats {
     pub build_us: u64,
     /// Score-cache lookups served from cache.
     pub cache_hits: u64,
-    /// Score-cache lookups that had to compute fresh scores.
+    /// Score-cache lookups that had to compute a fresh answer.
     pub cache_misses: u64,
     /// Cache entries dropped (stale epoch or LRU byte pressure).
     pub cache_evictions: u64,

@@ -50,7 +50,7 @@ pub struct ProvenanceBrowser {
     /// graph epoch — relevance queries walk this instead of the live
     /// adjacency.
     frozen: FrozenHandle,
-    /// Epoch-keyed converged-walk score cache shared by the ppr,
+    /// Epoch-keyed cache of ranked answers shared by the ppr,
     /// personalize, and context query paths.
     score_cache: ScoreCache,
 }
@@ -254,8 +254,8 @@ impl ProvenanceBrowser {
         (self.frozen.builds(), self.frozen.last_build_us())
     }
 
-    /// The epoch-keyed walk-score cache shared by the relevance query
-    /// paths. Entries self-invalidate when the graph epoch moves.
+    /// The epoch-keyed cache of ranked answers shared by the relevance
+    /// query paths. Entries self-invalidate when the graph epoch moves.
     pub fn score_cache(&self) -> &ScoreCache {
         &self.score_cache
     }

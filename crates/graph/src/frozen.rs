@@ -1,6 +1,6 @@
 //! The read-optimized execution layer: CSR snapshots, the PageRank
 //! kernel over a jagged-diagonal slot layout, frozen neighborhood
-//! expansion, and the epoch-keyed score cache.
+//! expansion, and the epoch-keyed answer cache.
 //!
 //! The live [`ProvenanceGraph`] is built for capture: append-only arenas
 //! plus per-node `Vec<EdgeId>` adjacency, ideal for O(1) inserts but
@@ -18,15 +18,20 @@
 //! [`ProvenanceGraph::redact_node`] rewrites a key, the refresh usually
 //! *extends* the previous snapshot with the appended nodes and edges;
 //! it builds in full only the first time and after a redaction.
-//! Converged scores are memoized in a [`ScoreCache`] keyed by
-//! `(epoch, seed-set + config fingerprint)`, so serve's steady-state query
-//! thread stops recomputing identical walks — the cache can never serve
-//! stale results because a mutation changes the epoch half of every key.
+//!
+//! Ranked answers are memoized in a [`ScoreCache`] keyed by
+//! `(epoch, walk + blend fingerprint)`. An entry holds the blend's
+//! winners, at most `max_results` of them (about 1 KB at 25), rather than
+//! the walk's score vector (16 B per scored node, ~384 KB at the paper's
+//! 25k nodes), so the cache holds thousands of distinct queries of one
+//! epoch and a repeat skips walk and blend alike. It can never serve
+//! stale answers, because a mutation changes the epoch half of every key.
 
 use crate::edge::{Edge, EdgeKind};
 use crate::graph::ProvenanceGraph;
 use crate::ids::{EdgeId, NodeId};
 use crate::neighborhood::ExpansionConfig;
+use crate::node::NodeKind;
 use crate::pagerank::{PageRankConfig, PageRankScores};
 use crate::traverse::Budget;
 use bp_obs::clock::ClockHandle;
@@ -876,56 +881,77 @@ pub fn expand_frozen(
 }
 
 // ---------------------------------------------------------------------------
-// Epoch-keyed score cache
+// Epoch-keyed answer cache
 // ---------------------------------------------------------------------------
 
 /// Which query family a cache entry belongs to (same seeds hash the same
 /// for PageRank and expansion; the domain keeps their entries apart).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CacheDomain {
-    /// Personalized-PageRank scores.
+    /// Answers ranked over personalized-PageRank scores.
     PageRank,
-    /// Neighborhood-expansion weights.
+    /// Answers ranked over neighborhood-expansion weights.
     Expansion,
 }
 
-/// A cache key: graph epoch + query domain + seed/config fingerprint.
+/// A cache key: graph epoch + query domain + request fingerprint.
 /// Mutations bump the epoch, so stale entries can never be returned —
-/// they simply stop matching and are purged on the next insert.
+/// they simply stop matching and are dropped by the first insert at a
+/// newer epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// [`ProvenanceGraph::epoch`] at compute time.
     pub epoch: u64,
     /// Query family.
     pub domain: CacheDomain,
-    /// [`fingerprint_ppr`] / [`fingerprint_expansion`] over seeds+config.
+    /// [`fingerprint_answer`] over the walk's [`fingerprint_ppr`] /
+    /// [`fingerprint_expansion`] and the blend's settings.
     pub fingerprint: u64,
 }
 
-/// A cached sparse score vector (PageRank scores or expansion weights).
+/// One ranked winner of a blend: a node and its score components.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CachedHit {
+    /// The winning node.
+    pub node: NodeId,
+    /// Its blended score.
+    pub score: f64,
+    /// Its textual component.
+    pub text: f64,
+    /// Its provenance-context component.
+    pub context: f64,
+}
+
+/// A cached answer: the winners of one blend, best first.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct CachedScores {
-    /// `(node, score)` ascending by node id.
-    pub entries: Vec<(u32, f64)>,
-    /// Iterations the producing walk performed (0 for expansions).
-    pub iterations: usize,
+pub struct CachedAnswer {
+    /// At most `max_results` winners, in rank order.
+    pub hits: Vec<CachedHit>,
     /// Whether the producing walk truncated itself (deterministic
-    /// `max_nodes` truncation only — deadline-truncated results are
+    /// `max_nodes` truncation only — deadline-truncated answers are
     /// never cached).
     pub truncated: bool,
 }
 
-impl CachedScores {
+impl CachedAnswer {
+    /// An empty answer with room for `capacity` winners.
+    pub fn with_capacity(capacity: usize) -> Self {
+        CachedAnswer {
+            hits: Vec::with_capacity(capacity),
+            truncated: false,
+        }
+    }
+
     fn cost_bytes(&self) -> usize {
-        // Entry storage plus map/Arc bookkeeping overhead.
-        self.entries.len() * 16 + 96
+        // The winners' buffer as allocated, plus map/Arc bookkeeping.
+        self.hits.capacity() * std::mem::size_of::<CachedHit>() + 96
     }
 }
 
 /// Counters and occupancy for one [`ScoreCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups that returned a cached value.
+    /// Lookups that returned a cached answer.
     pub hits: u64,
     /// Lookups that missed.
     pub misses: u64,
@@ -938,12 +964,14 @@ pub struct CacheStats {
 }
 
 struct CacheSlot {
-    value: Arc<CachedScores>,
+    value: Arc<CachedAnswer>,
     bytes: usize,
     last_used: u64,
 }
 
 struct CacheInner {
+    /// Every entry's key is at this epoch.
+    epoch: u64,
     map: HashMap<CacheKey, CacheSlot>,
     bytes: usize,
     budget: usize,
@@ -953,11 +981,11 @@ struct CacheInner {
     evictions: u64,
 }
 
-/// A byte-budgeted, epoch-keyed LRU cache of converged walk scores,
-/// shared by the `ppr`, `context`, and `personalize` query paths.
+/// A byte-budgeted, epoch-keyed LRU cache of ranked answers, shared by
+/// the `ppr`, `context`, and `personalize` query paths.
 ///
 /// Thread-safe behind one mutex: lookups copy an [`Arc`] out, so the
-/// lock is held only for the map probe, never while scores are consumed.
+/// lock is held only for the map probe, never while an answer is read.
 pub struct ScoreCache {
     inner: Mutex<CacheInner>,
 }
@@ -977,8 +1005,10 @@ impl Default for ScoreCache {
 }
 
 impl ScoreCache {
-    /// Default byte budget: generous for thousands-of-nodes histories,
-    /// bounded for the paper's 25k-node scale.
+    /// Default byte budget. An answer costs about 1 KB at 25 hits
+    /// whatever the history's size, so 8 MiB holds thousands: far more
+    /// than the distinct queries one epoch of the paper's 25k-node
+    /// history sees between mutations.
     pub const DEFAULT_BUDGET_BYTES: usize = 8 * 1024 * 1024;
 
     /// A cache with the default byte budget.
@@ -991,6 +1021,7 @@ impl ScoreCache {
     pub fn with_budget(budget_bytes: usize) -> Self {
         ScoreCache {
             inner: Mutex::new(CacheInner {
+                epoch: 0,
                 map: HashMap::new(),
                 bytes: 0,
                 budget: budget_bytes.max(1),
@@ -1009,7 +1040,7 @@ impl ScoreCache {
     }
 
     /// Looks up `key`, counting a hit or miss and refreshing recency.
-    pub fn get(&self, key: &CacheKey) -> Option<Arc<CachedScores>> {
+    pub fn get(&self, key: &CacheKey) -> Option<Arc<CachedAnswer>> {
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
@@ -1027,11 +1058,24 @@ impl ScoreCache {
         }
     }
 
-    /// Inserts `value` under `key`, purging entries from older epochs and
-    /// then least-recently-used entries until the byte budget holds.
-    /// Returns how many entries were evicted.
-    pub fn put(&self, key: CacheKey, value: Arc<CachedScores>) -> u64 {
+    /// Inserts `value` under `key`, first dropping every entry when the
+    /// key is at a newer epoch than the cache, then least-recently-used
+    /// entries until the byte budget holds. An insert at an older epoch
+    /// is ignored: the graph has moved past it. Returns how many entries
+    /// were evicted.
+    pub fn put(&self, key: CacheKey, value: Arc<CachedAnswer>) -> u64 {
         let mut inner = self.lock();
+        let mut evicted = 0u64;
+        if key.epoch < inner.epoch {
+            return 0;
+        }
+        if key.epoch > inner.epoch {
+            // Stale epochs can never match again.
+            evicted += inner.map.len() as u64;
+            inner.map.clear();
+            inner.bytes = 0;
+            inner.epoch = key.epoch;
+        }
         inner.tick += 1;
         let tick = inner.tick;
         let bytes = value.cost_bytes();
@@ -1046,22 +1090,8 @@ impl ScoreCache {
             inner.bytes -= old.bytes;
         }
         inner.bytes += bytes;
-        let mut evicted = 0u64;
-        // Stale epochs can never match again; drop them first.
-        let stale: Vec<CacheKey> = inner
-            .map
-            .keys()
-            .filter(|k| k.epoch != key.epoch)
-            .copied()
-            .collect();
-        for k in stale {
-            if let Some(slot) = inner.map.remove(&k) {
-                inner.bytes -= slot.bytes;
-                evicted += 1;
-            }
-        }
-        // Then LRU pressure; the entry just inserted has the newest tick,
-        // so it survives unless it alone exceeds the budget.
+        // LRU pressure; the entry just inserted has the newest tick, so it
+        // survives unless it alone exceeds the budget.
         while inner.bytes > inner.budget && inner.map.len() > 1 {
             let Some(oldest) = inner
                 .map
@@ -1154,6 +1184,30 @@ pub fn fingerprint_expansion(
         h = mix(h, w.to_bits());
     }
     mix_budget(h, budget)
+}
+
+/// Fingerprints a ranked answer: `walk`, the [`fingerprint_ppr`] or
+/// [`fingerprint_expansion`] of the walk it ranks, mixed with every blend
+/// setting the ranking reads — the text, context and HITS weights, the
+/// result cap, and the eligible kinds in order.
+pub fn fingerprint_answer(
+    walk: u64,
+    text_weight: f64,
+    context_weight: f64,
+    hits_weight: f64,
+    max_results: usize,
+    result_kinds: &[NodeKind],
+) -> u64 {
+    let mut h = mix(walk, 0x626c_656e); // "blen" tag
+    h = mix(h, text_weight.to_bits());
+    h = mix(h, context_weight.to_bits());
+    h = mix(h, hits_weight.to_bits());
+    h = mix(h, max_results as u64);
+    h = mix(h, result_kinds.len() as u64);
+    for kind in result_kinds {
+        h = mix(h, u64::from(kind.code()));
+    }
+    h
 }
 
 // ---------------------------------------------------------------------------
@@ -1400,40 +1454,52 @@ mod tests {
 
     #[test]
     fn cache_is_epoch_keyed_and_byte_budgeted() {
-        // Each value(4) entry costs 4 * 16 + 96 = 160 bytes; a 320-byte
-        // budget holds exactly two.
-        let cache = ScoreCache::with_budget(2 * 160);
-        let value = |n: usize| {
-            Arc::new(CachedScores {
-                entries: (0..n as u32).map(|i| (i, 1.0)).collect(),
-                iterations: 3,
-                truncated: false,
-            })
+        // An answer with room for four hits costs 4 * 32 + 96 = 224
+        // bytes; a 448-byte budget holds exactly two.
+        assert_eq!(std::mem::size_of::<CachedHit>(), 32);
+        let cache = ScoreCache::with_budget(2 * 224);
+        let value = |first: u32| {
+            let mut answer = CachedAnswer::with_capacity(4);
+            answer.hits.extend((first..first + 4).map(|i| CachedHit {
+                node: NodeId::new(i),
+                score: 2.0,
+                text: 1.0,
+                context: 0.5,
+            }));
+            Arc::new(answer)
         };
         let key = |epoch, fp| CacheKey {
             epoch,
             domain: CacheDomain::PageRank,
             fingerprint: fp,
         };
-        assert!(cache.get(&key(1, 1)).is_none());
-        cache.put(key(1, 1), value(4));
-        assert!(cache.get(&key(1, 1)).is_some(), "same epoch hits");
-        assert!(cache.get(&key(2, 1)).is_none(), "newer epoch misses");
-        // Inserting at epoch 2 purges every epoch-1 entry.
-        cache.put(key(2, 1), value(4));
+        let first_node = |k| {
+            cache
+                .get(&k)
+                .map(|a: Arc<CachedAnswer>| a.hits[0].node.index())
+        };
+        assert_eq!(first_node(key(1, 1)), None);
+        cache.put(key(1, 1), value(0));
+        cache.put(key(1, 2), value(10));
+        assert_eq!(cache.get(&key(1, 1)), Some(value(0)), "same epoch hits");
+        assert_eq!(first_node(key(2, 1)), None, "newer epoch misses");
+        // A put at epoch 2 drops every epoch-1 entry and counts each.
+        assert_eq!(cache.put(key(2, 1), value(20)), 2);
         let stats = cache.stats();
-        assert_eq!(stats.entries, 1);
-        assert!(stats.evictions >= 1, "stale epoch evicted");
+        assert_eq!((stats.entries, stats.evictions, stats.bytes), (1, 2, 224));
+        // A put at an older epoch is ignored: the graph has moved on.
+        assert_eq!(cache.put(key(1, 3), value(30)), 0);
+        assert_eq!(first_node(key(1, 3)), None);
         // LRU byte pressure: the least recently used entry goes first.
-        cache.put(key(2, 2), value(4));
-        let _ = cache.get(&key(2, 1)); // refresh fp=1
-        cache.put(key(2, 3), value(4)); // over budget: evicts fp=2
-        assert!(cache.get(&key(2, 1)).is_some(), "refreshed entry kept");
-        assert!(cache.get(&key(2, 2)).is_none(), "LRU entry evicted");
-        assert!(cache.get(&key(2, 3)).is_some());
+        cache.put(key(2, 2), value(40));
+        assert_eq!(first_node(key(2, 1)), Some(20)); // refreshes fp=1
+        assert_eq!(cache.put(key(2, 3), value(50)), 1, "over budget");
+        assert_eq!(first_node(key(2, 1)), Some(20), "refreshed entry kept");
+        assert_eq!(first_node(key(2, 2)), None, "LRU entry evicted");
+        assert_eq!(first_node(key(2, 3)), Some(50));
         let stats = cache.stats();
-        assert_eq!(stats.hits, 4);
-        assert!(stats.bytes <= 2 * 160);
+        assert_eq!((stats.hits, stats.misses, stats.evictions), (4, 4, 3));
+        assert_eq!((stats.entries, stats.bytes), (2, 2 * 224));
     }
 
     #[test]
@@ -1469,6 +1535,27 @@ mod tests {
             fingerprint_expansion(&seeds_a, &ExpansionConfig::default(), &budget),
             "domains are tagged apart"
         );
+        // An answer's key separates every blend setting, the kinds in
+        // order, and the walk it ranks.
+        let walk = fingerprint_ppr(&seeds_a, &cfg, &budget);
+        let kinds = [NodeKind::PageVisit, NodeKind::Download];
+        let answer = |walk, text, context, hits, max, kinds: &[NodeKind]| {
+            fingerprint_answer(walk, text, context, hits, max, kinds)
+        };
+        let base = answer(walk, 1.0, 1.5, 0.0, 25, &kinds);
+        assert_eq!(base, answer(walk, 1.0, 1.5, 0.0, 25, &kinds));
+        let variants = [
+            base,
+            answer(walk, 2.0, 1.5, 0.0, 25, &kinds),
+            answer(walk, 1.0, 1.0, 0.0, 25, &kinds),
+            answer(walk, 1.0, 1.5, 3.0, 25, &kinds),
+            answer(walk, 1.0, 1.5, 0.0, 5, &kinds),
+            answer(walk, 1.0, 1.5, 0.0, 25, &kinds[..1]),
+            answer(walk, 1.0, 1.5, 0.0, 25, &[kinds[1], kinds[0]]),
+            answer(walk + 1, 1.0, 1.5, 0.0, 25, &kinds),
+        ];
+        let distinct: std::collections::HashSet<u64> = variants.iter().copied().collect();
+        assert_eq!(distinct.len(), variants.len());
     }
 
     #[test]

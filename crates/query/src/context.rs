@@ -10,17 +10,20 @@
 //! rosebud search ranks — the Citizen Kane case.
 
 use crate::result::{QueryResult, ScoredHit};
+use crate::slo::Deadline;
 use bp_core::ProvenanceBrowser;
 use bp_graph::frozen::{
-    expand_frozen, fingerprint_expansion, fingerprint_ppr, personalized_pagerank_frozen,
-    CacheDomain, CacheKey, CachedScores, FrozenGraph,
+    expand_frozen, fingerprint_answer, fingerprint_expansion, fingerprint_ppr,
+    personalized_pagerank_frozen, CacheDomain, CacheKey, CachedAnswer, CachedHit, FrozenGraph,
 };
 use bp_graph::hits::{hits, HitsConfig};
 use bp_graph::neighborhood::ExpansionConfig;
+use bp_graph::pagerank::PageRankConfig;
 use bp_graph::traverse::Budget;
-use bp_graph::{NodeId, NodeKind};
+use bp_graph::{NodeId, NodeKind, ProvenanceGraph};
 use bp_obs::profile::{self, QueryPlan};
 use bp_obs::{trace, ClockHandle};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// EXPLAIN plan for [`contextual_history_search`].
@@ -102,188 +105,33 @@ fn frozen_stage(browser: &ProvenanceBrowser) -> Arc<FrozenGraph> {
     frozen
 }
 
-/// Fetches `key` from the browser's score cache or computes and caches it,
-/// maintaining the `bp_graph_cache` metrics. Results truncated under a
-/// wall-clock deadline are returned but never cached: what they contain
-/// depends on machine load, not on the key.
-fn cached_walk(
-    browser: &ProvenanceBrowser,
-    key: CacheKey,
-    deadline: Option<std::time::Duration>,
-    compute: impl FnOnce() -> CachedScores,
-) -> Arc<CachedScores> {
-    let cache = browser.score_cache();
-    let obs = browser.obs();
-    if let Some(value) = cache.get(&key) {
-        obs.counter("bp_graph_cache.hit").inc();
-        return value;
-    }
-    obs.counter("bp_graph_cache.miss").inc();
-    let value = Arc::new(compute());
-    if !value.truncated || deadline.is_none() {
-        let evicted = cache.put(key, value.clone());
-        if evicted > 0 {
-            obs.counter("bp_graph_cache.evict").add(evicted);
-        }
-    }
-    obs.gauge("bp_graph_cache.bytes")
-        .set(cache.stats().bytes as i64);
-    value
+/// The context signal a contextual search ranks by.
+#[derive(Clone, Copy)]
+enum Walk<'a> {
+    /// One-shot neighborhood expansion from the seeds, with the optional
+    /// HITS pass.
+    Expansion,
+    /// Personalized PageRank from the seeds.
+    PageRank(&'a PageRankConfig),
 }
 
-/// A blend-pass winner candidate: everything needed to rank, nothing
-/// that allocates. `ScoredHit`s (with owned key/title strings) are built
-/// only for the rows that survive ranking.
-struct Candidate {
-    node: NodeId,
-    kind: NodeKind,
-    score: f64,
-    text: f64,
-    context: f64,
-}
-
-/// Shared two-pass blend over sparse `(node, context)` entries.
-///
-/// Pass 1 walks the entries in ascending node-id order, filters by result
-/// kind, and deduplicates by history key into per-key best candidates.
-/// Dedup goes through the snapshot's [`FrozenGraph::key_reps`]
-/// table — a `u32` representative per node — so the hot loop indexes flat
-/// arrays instead of hashing key strings. Pass 2 sorts the winners,
-/// truncates to `max_results`, and only then materializes [`ScoredHit`]s.
-/// Ties keep the lowest node id (pass 1 sees ids in ascending order and
-/// keeps the first; the final sort breaks score ties the same way).
-#[allow(clippy::too_many_arguments)]
-fn blend_entries(
-    browser: &ProvenanceBrowser,
-    frozen: &FrozenGraph,
-    entries: &[(u32, f64)],
-    normalize: f64,
-    seeds: &[(NodeId, f64)],
-    authority: &std::collections::HashMap<NodeId, f64>,
-    config: &ContextualConfig,
-    deadline: &crate::slo::Deadline,
-    pstage: &profile::StageGuard,
-) -> (Vec<ScoredHit>, bool) {
-    let graph = browser.graph();
-    let mut truncated = false;
-    let use_hits = config.hits_weight != 0.0 && !authority.is_empty();
-    let key_reps = frozen.key_reps();
-    let mut text_score = vec![0.0f64; key_reps.len()];
-    for &(n, s) in seeds {
-        if let Some(slot) = text_score.get_mut(n.as_usize()) {
-            *slot = s;
-        }
-    }
-    // winner_slot[rep] indexes into `winners` (u32::MAX = none yet): the
-    // per-key best is a pair of array reads, no string hashing.
-    const NONE: u32 = u32::MAX;
-    let mut winner_slot = vec![NONE; key_reps.len()];
-    let mut winners: Vec<Candidate> = Vec::new();
-    for (blended, &(raw_node, raw_context)) in entries.iter().enumerate() {
-        // The deadline guards the loop, but a clock read per candidate
-        // would dominate the now-allocation-free loop body.
-        if blended % 64 == 0 && deadline.expired() {
-            truncated = true;
-            let remaining = (entries.len() - blended) as u64;
-            pstage.truncated(remaining);
-            trace::note(format!(
-                "truncated: deadline hit, ~{remaining} candidates unscored"
-            ));
-            break;
-        }
-        let node = NodeId::new(raw_node);
-        let Ok(n) = graph.node(node) else { continue };
-        if !config.result_kinds.contains(&n.kind()) {
-            continue;
-        }
-        let context = raw_context / normalize;
-        let text = text_score.get(raw_node as usize).copied().unwrap_or(0.0);
-        let hits = if use_hits {
-            config.hits_weight * authority.get(&node).copied().unwrap_or(0.0)
-        } else {
-            0.0
-        };
-        let score = config.text_weight * text + config.context_weight * context + hits;
-        let candidate = Candidate {
-            node,
-            kind: n.kind(),
-            score,
-            text,
-            context,
-        };
-        let rep = match key_reps.get(raw_node as usize) {
-            Some(&r) => r as usize,
-            // Entry past the snapshot (cannot happen while callers score
-            // over the same frozen graph): keep it, undeduplicated.
-            None => {
-                winners.push(candidate);
-                continue;
-            }
-        };
-        let slot = winner_slot[rep];
-        if slot == NONE {
-            winner_slot[rep] = winners.len() as u32;
-            winners.push(candidate);
-        } else {
-            let existing = &mut winners[slot as usize];
-            if candidate.score > existing.score {
-                *existing = candidate;
-            }
-        }
-    }
-    let rank = |a: &Candidate, b: &Candidate| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.node.cmp(&b.node))
-    };
-    // Only `max_results` winners survive: an O(n) partial select moves
-    // them to the front, then the sort touches just that prefix. The
-    // comparator is a total order (score desc, node id asc), so the
-    // selected set and final order match what a full sort would produce.
-    if winners.len() > config.max_results {
-        if config.max_results == 0 {
-            winners.clear();
-        } else {
-            winners.select_nth_unstable_by(config.max_results - 1, rank);
-            winners.truncate(config.max_results);
-        }
-    }
-    winners.sort_by(rank);
-    let hits: Vec<ScoredHit> = winners
-        .into_iter()
-        .filter_map(|c| {
-            let n = graph.node(c.node).ok()?;
-            Some(ScoredHit {
-                node: c.node,
-                kind: c.kind,
-                key: n.key().to_owned(),
-                title: n.attrs().get_str("title").map(str::to_owned),
-                score: c.score,
-                text_score: c.text,
-                context_score: c.context,
-            })
-        })
-        .collect();
-    (hits, truncated)
-}
-
-/// Runs a contextual history search for `query`.
-///
-/// Scores combine normalized TF-IDF text relevance with accumulated
-/// neighborhood weight; hits are deduplicated by key (multiple visit
-/// versions of one URL collapse to the best-scoring instance), matching
-/// how a user reads history results.
-pub fn contextual_history_search(
+/// Runs a contextual search over `walk`: snapshot, textual seeds, then
+/// the ranked answer from the score cache or from walk, optional HITS
+/// and blend, then the [`ScoredHit`]s.
+fn ranked_search(
     browser: &ProvenanceBrowser,
     query: &str,
     config: &ContextualConfig,
+    walk: Walk<'_>,
 ) -> QueryResult {
+    let (plan, span_name) = match walk {
+        Walk::Expansion => (&CONTEXT_PLAN, "query.context"),
+        Walk::PageRank(_) => (&PPR_PLAN, "query.context_ppr"),
+    };
     let _ctx = trace::ensure(&config.clock);
-    let span = trace::span("query.context");
-    let prof = profile::begin(&CONTEXT_PLAN, &config.clock, config.budget.deadline());
-    let deadline = crate::slo::Deadline::start(&config.clock, config.budget.deadline());
-    let graph = browser.graph();
+    let span = trace::span(span_name);
+    let prof = profile::begin(plan, &config.clock, config.budget.deadline());
+    let deadline = Deadline::start(&config.clock, config.budget.deadline());
 
     // 1. The CSR snapshot (usually an epoch check + Arc clone).
     let frozen = frozen_stage(browser);
@@ -297,94 +145,348 @@ pub fn contextual_history_search(
         seeds
     };
 
-    // 3. Neighborhood expansion from the seeds, over the snapshot and
-    //    through the epoch-keyed cache: an identical (seed set, expansion
-    //    config, budget caps) request against an unmutated graph reuses
-    //    the previous expansion outright.
-    let expansion = {
-        let _stage = trace::span("expand");
-        let pstage = profile::stage("expand");
-        let key = CacheKey {
-            epoch: frozen.epoch(),
-            domain: CacheDomain::Expansion,
-            fingerprint: fingerprint_expansion(&seeds, &config.expansion, &config.budget),
-        };
-        let expansion = cached_walk(browser, key, config.budget.deadline(), || {
-            let e = expand_frozen(&frozen, &seeds, &config.expansion, &config.budget);
-            CachedScores {
-                entries: e.entries,
-                iterations: 0,
-                truncated: e.truncated,
-            }
-        });
-        pstage.rows(seeds.len(), expansion.entries.len());
-        pstage.touched(expansion.entries.len(), 0);
-        if expansion.truncated {
-            let remaining = graph.node_count().saturating_sub(expansion.entries.len()) as u64;
-            pstage.truncated(remaining);
-            trace::note(format!(
-                "truncated: budget hit, ~{remaining} nodes unreached"
-            ));
-        }
-        expansion
-    };
-
-    // 4. Optional HITS pass over the reached neighborhood (the "base
-    //    set" in Kleinberg's terms): authority flows to the pages the
-    //    user's journeys converged on.
-    let authority: std::collections::HashMap<NodeId, f64> = if config.hits_weight > 0.0 {
-        let _stage = trace::span("hits");
-        let pstage = profile::stage("hits");
-        // Frozen entries are already in ascending node-id order, so the
-        // member order (and the scores) stay deterministic.
-        let base: Vec<NodeId> = expansion
-            .entries
-            .iter()
-            .map(|&(i, _)| NodeId::new(i))
-            .collect();
-        let authority = hits(graph, &base, &HitsConfig::default()).authority;
-        pstage.rows(base.len(), authority.len());
-        authority
-    } else {
-        std::collections::HashMap::new()
-    };
-
-    // 5. Blend and collect, still under the deadline: the expansion
-    //    truncates itself, but the blend loop scales with the reached set,
-    //    so it too honors the bound rather than silently overrunning.
-    let stage = trace::span("blend");
-    let pstage = profile::stage("blend");
-    let (hits, blend_truncated) = blend_entries(
+    // 3. The ranked answer. An identical request (seed set, walk config,
+    //    budget caps, blend settings) against an unmutated graph is a map
+    //    probe; anything else walks and blends.
+    let search = Search {
         browser,
-        &frozen,
-        &expansion.entries,
-        1.0,
-        &seeds,
-        &authority,
+        frozen: &frozen,
+        seeds: &seeds,
         config,
-        &deadline,
-        &pstage,
-    );
-    let truncated = expansion.truncated || blend_truncated;
-    pstage.rows(expansion.entries.len(), hits.len());
-    drop(pstage);
-    drop(stage);
+    };
+    let answer = match walk {
+        Walk::Expansion => search.expansion_answer(&deadline),
+        Walk::PageRank(pagerank) => search.pagerank_answer(pagerank, &deadline),
+    };
+    let hits = materialize(browser.graph(), &answer);
     let elapsed = deadline.elapsed();
+    // Both walks serve one use case, so they sample the same latency
+    // histogram.
     crate::slo::observe(
         browser.obs(),
         "context",
         "query.context.latency_us",
         elapsed,
         deadline.budget(),
-        truncated,
+        answer.truncated,
     );
     span.finish_with(elapsed);
     prof.finish_with(elapsed);
     QueryResult {
         hits,
         elapsed,
-        truncated,
+        truncated: answer.truncated,
     }
+}
+
+/// One contextual search's inputs, shared by its walk and blend stages.
+struct Search<'a> {
+    browser: &'a ProvenanceBrowser,
+    frozen: &'a FrozenGraph,
+    seeds: &'a [(NodeId, f64)],
+    config: &'a ContextualConfig,
+}
+
+impl Search<'_> {
+    /// The answer ranked over a neighborhood expansion from the seeds.
+    fn expansion_answer(&self, deadline: &Deadline) -> Arc<CachedAnswer> {
+        let config = self.config;
+        let walk = fingerprint_expansion(self.seeds, &config.expansion, &config.budget);
+        self.cached_answer(
+            CacheDomain::Expansion,
+            walk,
+            "expand",
+            |pstage| {
+                let e = expand_frozen(self.frozen, self.seeds, &config.expansion, &config.budget);
+                pstage.rows(self.seeds.len(), e.entries.len());
+                pstage.touched(e.entries.len(), 0);
+                if e.truncated {
+                    let remaining = self.frozen.node_count().saturating_sub(e.entries.len()) as u64;
+                    pstage.truncated(remaining);
+                    trace::note(format!(
+                        "truncated: budget hit, ~{remaining} nodes unreached"
+                    ));
+                }
+                e
+            },
+            |expansion, winners| {
+                // The optional HITS pass over the reached neighborhood (the
+                // "base set" in Kleinberg's terms): authority flows to the
+                // pages the user's journeys converged on.
+                let authority = if config.hits_weight > 0.0 {
+                    let _stage = trace::span("hits");
+                    let pstage = profile::stage("hits");
+                    // Frozen entries are already in ascending node-id order,
+                    // so the member order (and the scores) stay
+                    // deterministic.
+                    let base: Vec<NodeId> = expansion
+                        .entries
+                        .iter()
+                        .map(|&(i, _)| NodeId::new(i))
+                        .collect();
+                    let authority =
+                        hits(self.browser.graph(), &base, &HitsConfig::default()).authority;
+                    pstage.rows(base.len(), authority.len());
+                    authority
+                } else {
+                    HashMap::new()
+                };
+                let blend_truncated =
+                    self.blend(&expansion.entries, 1.0, &authority, deadline, winners);
+                expansion.truncated || blend_truncated
+            },
+        )
+    }
+
+    /// The answer ranked over personalized PageRank from the seeds, its
+    /// scores rescaled so the top one is 1, as the expansion's roughly are.
+    fn pagerank_answer(&self, pagerank: &PageRankConfig, deadline: &Deadline) -> Arc<CachedAnswer> {
+        let config = self.config;
+        let walk = fingerprint_ppr(self.seeds, pagerank, &config.budget);
+        self.cached_answer(
+            CacheDomain::PageRank,
+            walk,
+            "pagerank",
+            |pstage| {
+                let s =
+                    personalized_pagerank_frozen(self.frozen, self.seeds, pagerank, &config.budget);
+                pstage.rows(self.seeds.len(), s.entries.len());
+                pstage.touched(s.entries.len(), 0);
+                s
+            },
+            |scores, winners| {
+                // One O(n) max scan — no full ranking sort. The kernel
+                // stops at an iteration boundary past the deadline, and
+                // the blend loop checks it too.
+                let max = scores.max_score().max(f64::EPSILON);
+                let blend_truncated =
+                    self.blend(&scores.entries, max, &HashMap::new(), deadline, winners);
+                scores.truncated || blend_truncated
+            },
+        )
+    }
+
+    /// Serves the answer for this search over the walk fingerprinted
+    /// `walk` from the browser's score cache, or computes and caches it,
+    /// maintaining the `bp_graph_cache` metrics.
+    ///
+    /// The probe runs in the walk's stage, whose span notes a hit. On a
+    /// miss, `walk_scores` runs in that stage, and `rank` ranks what it
+    /// returned into the answer's winners and says whether anything was
+    /// truncated. Answers truncated under a wall-clock deadline are
+    /// returned but never cached: what they contain depends on machine
+    /// load, not on the key.
+    fn cached_answer<W>(
+        &self,
+        domain: CacheDomain,
+        walk: u64,
+        stage: &'static str,
+        walk_scores: impl FnOnce(&profile::StageGuard) -> W,
+        rank: impl FnOnce(W, &mut Vec<CachedHit>) -> bool,
+    ) -> Arc<CachedAnswer> {
+        let config = self.config;
+        let key = CacheKey {
+            epoch: self.frozen.epoch(),
+            domain,
+            fingerprint: fingerprint_answer(
+                walk,
+                config.text_weight,
+                config.context_weight,
+                config.hits_weight,
+                config.max_results,
+                &config.result_kinds,
+            ),
+        };
+        let cache = self.browser.score_cache();
+        let obs = self.browser.obs();
+        let (mut answer, scores) = {
+            let _stage = trace::span(stage);
+            let pstage = profile::stage(stage);
+            if let Some(answer) = cache.get(&key) {
+                obs.counter("bp_graph_cache.hit").inc();
+                pstage.rows(0, answer.hits.len());
+                trace::note(format!(
+                    "score cache hit: {} ranked hits, walk and blend skipped",
+                    answer.hits.len()
+                ));
+                if answer.truncated {
+                    pstage.truncated(0);
+                    trace::note("truncated: budget hit when the answer was computed");
+                }
+                return answer;
+            }
+            obs.counter("bp_graph_cache.miss").inc();
+            // The answer outlives the query, so it is allocated before the
+            // walk's O(n) buffers and never sits in the heap above their
+            // freed space, where it could keep that space from being
+            // returned.
+            let capacity = config.max_results.min(self.frozen.node_count());
+            let answer = Arc::new(CachedAnswer::with_capacity(capacity));
+            (answer, walk_scores(&pstage))
+        };
+        let fresh = Arc::make_mut(&mut answer);
+        fresh.truncated = rank(scores, &mut fresh.hits);
+        if !answer.truncated || config.budget.deadline().is_none() {
+            let evicted = cache.put(key, answer.clone());
+            if evicted > 0 {
+                obs.counter("bp_graph_cache.evict").add(evicted);
+            }
+        }
+        obs.gauge("bp_graph_cache.bytes")
+            .set(cache.stats().bytes as i64);
+        answer
+    }
+
+    /// The blend stage: ranks sparse `(node, context)` entries into
+    /// `winners`, still under the deadline — the walk truncates itself,
+    /// but this loop scales with the reached set, so it too honors the
+    /// bound rather than silently overrunning. Returns whether the
+    /// deadline cut it short.
+    ///
+    /// Pass 1 walks the entries in ascending node-id order, filters by
+    /// result kind, and deduplicates by history key into per-key best
+    /// candidates. Dedup goes through the snapshot's
+    /// [`FrozenGraph::key_reps`] table — a `u32` representative per node —
+    /// so the hot loop indexes flat arrays instead of hashing key strings.
+    /// Pass 2 ranks the candidates and keeps the top `max_results`. Ties
+    /// keep the lowest node id (pass 1 sees ids in ascending order and
+    /// keeps the first; the final sort breaks score ties the same way).
+    fn blend(
+        &self,
+        entries: &[(u32, f64)],
+        normalize: f64,
+        authority: &HashMap<NodeId, f64>,
+        deadline: &Deadline,
+        winners: &mut Vec<CachedHit>,
+    ) -> bool {
+        let _stage = trace::span("blend");
+        let pstage = profile::stage("blend");
+        let (config, graph) = (self.config, self.browser.graph());
+        let mut truncated = false;
+        let use_hits = config.hits_weight != 0.0 && !authority.is_empty();
+        let key_reps = self.frozen.key_reps();
+        let mut text_score = vec![0.0f64; key_reps.len()];
+        for &(n, s) in self.seeds {
+            if let Some(slot) = text_score.get_mut(n.as_usize()) {
+                *slot = s;
+            }
+        }
+        // winner_slot[rep] indexes into `candidates` (u32::MAX = none yet):
+        // the per-key best is a pair of array reads, no string hashing.
+        const NONE: u32 = u32::MAX;
+        let mut winner_slot = vec![NONE; key_reps.len()];
+        let mut candidates: Vec<CachedHit> = Vec::new();
+        for (blended, &(raw_node, raw_context)) in entries.iter().enumerate() {
+            // The deadline guards the loop, but a clock read per candidate
+            // would dominate the now-allocation-free loop body.
+            if blended % 64 == 0 && deadline.expired() {
+                truncated = true;
+                let remaining = (entries.len() - blended) as u64;
+                pstage.truncated(remaining);
+                trace::note(format!(
+                    "truncated: deadline hit, ~{remaining} candidates unscored"
+                ));
+                break;
+            }
+            let node = NodeId::new(raw_node);
+            let Ok(n) = graph.node(node) else { continue };
+            if !config.result_kinds.contains(&n.kind()) {
+                continue;
+            }
+            let context = raw_context / normalize;
+            let text = text_score.get(raw_node as usize).copied().unwrap_or(0.0);
+            let hits = if use_hits {
+                config.hits_weight * authority.get(&node).copied().unwrap_or(0.0)
+            } else {
+                0.0
+            };
+            let score = config.text_weight * text + config.context_weight * context + hits;
+            let candidate = CachedHit {
+                node,
+                score,
+                text,
+                context,
+            };
+            let rep = match key_reps.get(raw_node as usize) {
+                Some(&r) => r as usize,
+                // Entry past the snapshot (cannot happen while callers
+                // score over the same frozen graph): keep it,
+                // undeduplicated.
+                None => {
+                    candidates.push(candidate);
+                    continue;
+                }
+            };
+            let slot = winner_slot[rep];
+            if slot == NONE {
+                winner_slot[rep] = candidates.len() as u32;
+                candidates.push(candidate);
+            } else {
+                let existing = &mut candidates[slot as usize];
+                if candidate.score > existing.score {
+                    *existing = candidate;
+                }
+            }
+        }
+        let rank = |a: &CachedHit, b: &CachedHit| {
+            b.score
+                .partial_cmp(&a.score)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.node.cmp(&b.node))
+        };
+        // Only `max_results` candidates survive: an O(n) partial select
+        // moves them to the front, then the sort touches just that prefix.
+        // The comparator is a total order (score desc, node id asc), so
+        // the selected set and final order match what a full sort would
+        // produce.
+        if candidates.len() > config.max_results {
+            if config.max_results == 0 {
+                candidates.clear();
+            } else {
+                candidates.select_nth_unstable_by(config.max_results - 1, rank);
+                candidates.truncate(config.max_results);
+            }
+        }
+        candidates.sort_by(rank);
+        winners.extend_from_slice(&candidates);
+        pstage.rows(entries.len(), winners.len());
+        truncated
+    }
+}
+
+/// The [`ScoredHit`]s of a ranked answer, in rank order: its scores, and
+/// each node's kind, key and title from the graph it was ranked over.
+fn materialize(graph: &ProvenanceGraph, answer: &CachedAnswer) -> Vec<ScoredHit> {
+    answer
+        .hits
+        .iter()
+        .filter_map(|hit| {
+            let n = graph.node(hit.node).ok()?;
+            Some(ScoredHit {
+                node: hit.node,
+                kind: n.kind(),
+                key: n.key().to_owned(),
+                title: n.attrs().get_str("title").map(str::to_owned),
+                score: hit.score,
+                text_score: hit.text,
+                context_score: hit.context,
+            })
+        })
+        .collect()
+}
+
+/// Runs a contextual history search for `query`.
+///
+/// Scores combine normalized TF-IDF text relevance with accumulated
+/// neighborhood weight; hits are deduplicated by key (multiple visit
+/// versions of one URL collapse to the best-scoring instance), matching
+/// how a user reads history results.
+pub fn contextual_history_search(
+    browser: &ProvenanceBrowser,
+    query: &str,
+    config: &ContextualConfig,
+) -> QueryResult {
+    ranked_search(browser, query, config, Walk::Expansion)
 }
 
 /// Contextual history search with **personalized PageRank** as the context
@@ -396,89 +498,9 @@ pub fn contextual_history_search_ppr(
     browser: &ProvenanceBrowser,
     query: &str,
     config: &ContextualConfig,
-    pagerank: &bp_graph::pagerank::PageRankConfig,
+    pagerank: &PageRankConfig,
 ) -> QueryResult {
-    let _ctx = trace::ensure(&config.clock);
-    let span = trace::span("query.context_ppr");
-    let prof = profile::begin(&PPR_PLAN, &config.clock, config.budget.deadline());
-    let deadline = crate::slo::Deadline::start(&config.clock, config.budget.deadline());
-    let frozen = frozen_stage(browser);
-    let seeds = {
-        let _stage = trace::span("text_seeds");
-        let pstage = profile::stage("text_seeds");
-        let seeds = text_seeds(browser, query);
-        pstage.rows(query.split_whitespace().count(), seeds.len());
-        seeds
-    };
-    // The converged walk, through the epoch-keyed cache: serve's
-    // steady-state query loop asks the same seeds against an unmutated
-    // graph over and over, and each repeat is a map probe instead of a
-    // power iteration.
-    let scores = {
-        let _stage = trace::span("pagerank");
-        let pstage = profile::stage("pagerank");
-        let key = CacheKey {
-            epoch: frozen.epoch(),
-            domain: CacheDomain::PageRank,
-            fingerprint: fingerprint_ppr(&seeds, pagerank, &config.budget),
-        };
-        let scores = cached_walk(browser, key, config.budget.deadline(), || {
-            let s = personalized_pagerank_frozen(&frozen, &seeds, pagerank, &config.budget);
-            CachedScores {
-                entries: s.entries,
-                iterations: s.iterations,
-                truncated: s.truncated,
-            }
-        });
-        pstage.rows(seeds.len(), scores.entries.len());
-        pstage.touched(scores.entries.len(), 0);
-        scores
-    };
-    // Rescale so the context component is comparable to the expansion
-    // variant (top score ≈ 1). One O(n) max scan — no full ranking sort.
-    let max = scores
-        .entries
-        .iter()
-        .fold(0.0f64, |m, &(_, s)| m.max(s))
-        .max(f64::EPSILON);
-
-    let stage = trace::span("blend");
-    let pstage = profile::stage("blend");
-    let no_authority = std::collections::HashMap::new();
-    let (hits, blend_truncated) = blend_entries(
-        browser,
-        &frozen,
-        &scores.entries,
-        max,
-        &seeds,
-        &no_authority,
-        config,
-        &deadline,
-        &pstage,
-    );
-    let truncated = scores.truncated || blend_truncated;
-    pstage.rows(scores.entries.len(), hits.len());
-    drop(pstage);
-    drop(stage);
-    let elapsed = deadline.elapsed();
-    // Same use case as the expansion variant, so it samples the same
-    // latency histogram; truncation comes from the kernel stopping at an
-    // iteration boundary or from the blend loop's deadline check.
-    crate::slo::observe(
-        browser.obs(),
-        "context",
-        "query.context.latency_us",
-        elapsed,
-        deadline.budget(),
-        truncated,
-    );
-    span.finish_with(elapsed);
-    prof.finish_with(elapsed);
-    QueryResult {
-        hits,
-        elapsed,
-        truncated,
-    }
+    ranked_search(browser, query, config, Walk::PageRank(pagerank))
 }
 
 /// The purely textual baseline (§2.1's "currently"): TF-IDF hits only, no

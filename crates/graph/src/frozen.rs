@@ -612,21 +612,19 @@ impl FrozenScores {
 /// scores are a pure function of the snapshot, seeds and config, bit
 /// for bit.
 ///
-/// `budget.deadline()` is measured from entry, so a walk that pays the
-/// layout build counts it, and is honored at iteration boundaries: the
-/// first boundary past the deadline returns the partially-converged
-/// scores with `truncated` set rather than blocking the interactive
-/// bound. At least one iteration always runs.
+/// `budget.deadline()` runs from the budget's pinned instant (this entry
+/// for an unpinned budget), so a walk that pays the layout build counts
+/// it, and is honored at iteration boundaries: the first boundary past
+/// the deadline returns the partially-converged scores with `truncated`
+/// set rather than blocking the interactive bound. At least one
+/// iteration always runs.
 pub fn personalized_pagerank_frozen(
     frozen: &FrozenGraph,
     seeds: &[(NodeId, f64)],
     config: &PageRankConfig,
     budget: &Budget,
 ) -> FrozenScores {
-    let deadline = budget.deadline().map(|d| {
-        let clock = budget.clock().cloned().unwrap_or_else(ClockHandle::real);
-        (clock.start(), d)
-    });
+    let budget = budget.pinned();
     let n = frozen.n;
     let mut restart = vec![0.0f64; n];
     let mut total = 0.0;
@@ -698,9 +696,7 @@ pub fn personalized_pagerank_frozen(
         std::mem::swap(&mut cur, &mut next);
         iterations += 1;
         let delta: f64 = partials.iter().sum();
-        let expired = deadline
-            .as_ref()
-            .is_some_and(|(sw, limit)| sw.elapsed() >= *limit);
+        let expired = budget.expired();
         if delta < config.tolerance || iterations >= config.max_iterations || expired {
             return FrozenScores {
                 entries: positive_entries(&cur),
@@ -735,21 +731,6 @@ pub struct FrozenExpansion {
     pub truncated: bool,
 }
 
-impl FrozenExpansion {
-    /// Converts into the map-based [`crate::neighborhood::Expansion`]
-    /// shape (for the optional HITS pass, which wants a membership map).
-    pub fn to_expansion(&self) -> crate::neighborhood::Expansion {
-        crate::neighborhood::Expansion {
-            weight: self
-                .entries
-                .iter()
-                .map(|&(i, w)| (NodeId::new(i), w))
-                .collect(),
-            truncated: self.truncated,
-        }
-    }
-}
-
 /// Layered weighted expansion over a [`FrozenGraph`] — the same spread
 /// semantics as [`crate::neighborhood::expand`] (per-hop decay, per-kind
 /// multipliers, no echo back to reached layers, heaviest-first `max_nodes`
@@ -762,10 +743,7 @@ pub fn expand_frozen(
     budget: &Budget,
 ) -> FrozenExpansion {
     let n = frozen.n;
-    let clock = budget.deadline().map(|d| {
-        let handle = budget.clock().cloned().unwrap_or_else(ClockHandle::real);
-        (handle.start(), d)
-    });
+    let budget = budget.pinned();
     let mut kind_weight = [1.0f64; 16];
     for kind in EdgeKind::ALL {
         kind_weight[kind.code() as usize] = config.weight_of(kind);
@@ -797,11 +775,9 @@ pub fn expand_frozen(
             break;
         }
         for &(node, w) in &frontier {
-            if let Some((ref t0, limit)) = clock {
-                if t0.elapsed() >= limit {
-                    truncated = true;
-                    break 'hops;
-                }
+            if budget.expired() {
+                truncated = true;
+                break 'hops;
             }
             let spread_base = w * config.decay;
             for s in frozen.fwd.range(node as usize) {

@@ -11,7 +11,6 @@ use crate::edge::EdgeKind;
 use crate::graph::ProvenanceGraph;
 use crate::ids::NodeId;
 use crate::traverse::Budget;
-use bp_obs::clock::ClockHandle;
 use std::collections::HashMap;
 
 /// Configuration for [`expand`].
@@ -106,10 +105,7 @@ pub fn expand(
     config: &ExpansionConfig,
     budget: &Budget,
 ) -> Expansion {
-    let clock = budget.deadline().map(|d| {
-        let handle = budget.clock().cloned().unwrap_or_else(ClockHandle::real);
-        (handle.start(), d)
-    });
+    let budget = budget.pinned();
     let mut out = Expansion::default();
     // Frontier holds (node, incoming weight) for the current hop.
     let mut frontier: Vec<(NodeId, f64)> = Vec::new();
@@ -129,13 +125,9 @@ pub fn expand(
         }
         let mut next: HashMap<NodeId, f64> = HashMap::new();
         for &(node, w) in &frontier {
-            if let Some((ref t0, limit)) = clock {
-                // `>=` so a zero deadline expires on the first check
-                // despite the stopwatch's microsecond resolution.
-                if t0.elapsed() >= limit {
-                    out.truncated = true;
-                    return out;
-                }
+            if budget.expired() {
+                out.truncated = true;
+                return out;
             }
             for (eid, nbr) in graph.neighbors(node) {
                 if out.weight.contains_key(&nbr) {

@@ -5,12 +5,15 @@
 //! mirror-image descendant query. The paper also reports that its queries
 //! "complete in less than 200 ms in the majority of cases and **can be bound
 //! to that time** in the remaining cases" — [`Budget`] implements that
-//! bounding (node-count and wall-clock deadlines) for every traversal here.
+//! bounding (node and depth caps, and a deadline that runs from the instant
+//! the query pinned at entry) for every traversal here and for the
+//! relevance kernels in [`crate::neighborhood`] and [`crate::frozen`].
 
 use crate::edge::EdgeKind;
 use crate::graph::ProvenanceGraph;
 use crate::ids::{EdgeId, NodeId};
 use bp_obs::clock::ClockHandle;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -34,11 +37,18 @@ impl Direction {
     }
 }
 
-/// Resource limits for a traversal.
+/// Resource limits for a query and every traversal it runs.
 ///
 /// A default budget is unlimited. Queries that must be interactive attach a
 /// deadline and/or node cap; when the budget trips, the traversal stops and
 /// reports itself truncated rather than running long.
+///
+/// The deadline is measured on the budget's clock from one start instant,
+/// read once by [`Budget::pinned`]. A query pins its budget at entry and
+/// hands the pinned copy to every stage and kernel, which test
+/// [`Budget::expired`]; a kernel handed an unpinned budget pins it at its
+/// own entry. A pinned budget belongs to the query that pinned it: configs
+/// hold unpinned ones.
 ///
 /// # Examples
 ///
@@ -53,7 +63,9 @@ pub struct Budget {
     max_nodes: Option<usize>,
     max_depth: Option<usize>,
     deadline: Option<Duration>,
-    clock: Option<ClockHandle>,
+    clock: ClockHandle,
+    /// The clock reading the deadline runs from, once pinned.
+    start_us: Option<u64>,
 }
 
 impl Budget {
@@ -76,19 +88,20 @@ impl Budget {
         self
     }
 
-    /// Caps wall-clock time; the traversal checks the clock periodically.
+    /// Caps the time from the pinned instant; stages and kernels check the
+    /// clock periodically.
     #[must_use]
     pub fn with_deadline(mut self, d: Duration) -> Self {
         self.deadline = Some(d);
         self
     }
 
-    /// Measures the deadline against `clock` instead of the process
-    /// monotonic clock, so tests can expire traversals deterministically
-    /// with a mock clock.
+    /// Measures the deadline, and the latency of the query that owns this
+    /// budget, against `clock` instead of the process monotonic clock, so
+    /// tests can expire queries deterministically with a mock clock.
     #[must_use]
     pub fn with_clock(mut self, clock: ClockHandle) -> Self {
-        self.clock = Some(clock);
+        self.clock = clock;
         self
     }
 
@@ -107,9 +120,45 @@ impl Budget {
         self.deadline
     }
 
-    /// The clock the deadline is measured against, when overridden.
-    pub fn clock(&self) -> Option<&ClockHandle> {
-        self.clock.as_ref()
+    /// The clock the deadline is measured against.
+    pub fn clock(&self) -> &ClockHandle {
+        &self.clock
+    }
+
+    /// This budget with its deadline running from now: the start instant
+    /// is one reading of the budget's clock. A budget already pinned is
+    /// returned as it is, so every stage and kernel handed it spends the
+    /// time of one query.
+    #[must_use]
+    pub fn pinned(&self) -> Cow<'_, Budget> {
+        if self.is_pinned() {
+            return Cow::Borrowed(self);
+        }
+        Cow::Owned(Budget {
+            start_us: Some(self.clock.now_micros()),
+            ..self.clone()
+        })
+    }
+
+    /// `true` once [`Budget::pinned`] has fixed the start instant.
+    pub fn is_pinned(&self) -> bool {
+        self.start_us.is_some()
+    }
+
+    /// Time since the pinned instant; zero for an unpinned budget.
+    pub fn elapsed(&self) -> Duration {
+        self.start_us.map_or(Duration::ZERO, |start| {
+            Duration::from_micros(self.clock.now_micros().saturating_sub(start))
+        })
+    }
+
+    /// `true` once the time since the pinned instant reaches the deadline;
+    /// never without one, and a budget without a deadline reads no clock.
+    /// `>=` so a zero deadline is expired from the first check: the
+    /// clock's whole-microsecond resolution would otherwise let a small
+    /// walk finish inside the first tick without truncating.
+    pub fn expired(&self) -> bool {
+        self.deadline.is_some_and(|d| self.elapsed() >= d)
     }
 }
 
@@ -164,10 +213,7 @@ pub fn bfs(
     mut edge_filter: impl FnMut(EdgeKind) -> bool,
     budget: &Budget,
 ) -> Traversal {
-    let clock = budget.deadline.map(|d| {
-        let handle = budget.clock.clone().unwrap_or_else(ClockHandle::real);
-        (handle.start(), d)
-    });
+    let budget = budget.pinned();
     let mut reached = Vec::new();
     let mut truncated = false;
     if start.as_usize() >= graph.node_count() {
@@ -189,17 +235,12 @@ pub fn bfs(
                 break;
             }
         }
-        if let Some((ref t0, limit)) = clock {
-            // Check the clock every node; traversal steps are cheap enough
-            // that a stopwatch read per node keeps us well within the
-            // 200 ms bound with negligible overhead. `>=` so a zero
-            // deadline is expired from the first check — the stopwatch's
-            // whole-microsecond resolution would otherwise let a small
-            // walk finish inside the first tick without truncating.
-            if t0.elapsed() >= limit {
-                truncated = true;
-                break;
-            }
+        // Check the clock every node; traversal steps are cheap enough
+        // that a clock read per node keeps us well within the 200 ms
+        // bound with negligible overhead.
+        if budget.expired() {
+            truncated = true;
+            break;
         }
         reached.push(r);
         if let Some(max_depth) = budget.max_depth {
@@ -280,7 +321,7 @@ pub fn first_ancestor_where(
 /// profiles report — how many nodes the BFS visited and whether the budget
 /// cut it short (in which case a matching ancestor may exist beyond the
 /// truncation point).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AncestorSearch {
     /// Path from the start to the nearest matching proper ancestor, if any
     /// was reached within the budget.
@@ -598,6 +639,31 @@ mod tests {
         );
         assert!(cut.truncated, "mock deadline must truncate the search");
         assert!(cut.nodes_touched < 5);
+    }
+
+    #[test]
+    fn a_pinned_budget_keeps_its_first_instant() {
+        let (clock, mock) = ClockHandle::mock();
+        let budget = Budget::new()
+            .with_deadline(Duration::from_micros(100))
+            .with_clock(clock);
+        assert!(!budget.is_pinned());
+        assert_eq!(budget.elapsed(), Duration::ZERO);
+        let pinned = budget.pinned();
+        mock.advance_micros(60);
+        // Pinning again keeps the instant: a kernel handed the query's
+        // budget spends the query's time, not a fresh allowance.
+        let again = pinned.pinned();
+        assert!(matches!(again, Cow::Borrowed(_)));
+        assert!(!again.expired());
+        mock.advance_micros(40);
+        assert_eq!(again.elapsed(), Duration::from_micros(100));
+        assert!(again.expired(), "expired once elapsed reaches the deadline");
+        assert!(!budget.expired(), "an unpinned budget has spent nothing");
+        assert!(
+            !Budget::new().pinned().expired(),
+            "no deadline never expires"
+        );
     }
 
     #[test]

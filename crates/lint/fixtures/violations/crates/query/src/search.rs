@@ -22,11 +22,11 @@ pub fn sanctioned_scan(browser: &ProvenanceBrowser, limit: u32) -> u32 {
     n
 }
 
-pub fn bounded_scan(browser: &ProvenanceBrowser, limit: u32) -> u32 {
-    let deadline = crate::slo::Deadline::unbounded(&clock());
+pub fn bounded_scan(browser: &ProvenanceBrowser, limit: u32, budget: &Budget) -> u32 {
+    let budget = budget.pinned();
     let mut n = 0;
     for _ in 0..limit {
-        if deadline.expired() {
+        if budget.expired() {
             break;
         }
         n += 1;
@@ -34,6 +34,10 @@ pub fn bounded_scan(browser: &ProvenanceBrowser, limit: u32) -> u32 {
     n
 }
 
-fn clock() -> bp_obs::ClockHandle {
-    bp_obs::ClockHandle::real()
+fn tally(browser: &ProvenanceBrowser, limit: u32) -> u32 {
+    let mut n = 0;
+    for _ in 0..limit {
+        n += 1;
+    }
+    n
 }

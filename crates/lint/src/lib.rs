@@ -11,10 +11,10 @@
 //! | Rule | Invariant |
 //! |------|-----------|
 //! | L004 | no default-hasher map iteration feeding an encoder (replay determinism) |
-//! | L005 | every public query entry point consults `slo::Deadline` before iterating |
+//! | L005 | every public query entry point opens a query `Scope` (or pins its `Budget`) before iterating |
 //! | L007 | every store mutation is WAL-dominated on all public call paths |
 //! | L008 | the cross-crate lock-order graph is acyclic (no potential deadlock) |
-//! | L009 | graph loops reachable from query entry points thread an `slo::Deadline` |
+//! | L009 | graph loops reachable from query entry points take or construct a `Scope` or `Budget` |
 //! | L010 | every emitted metric name appears in `METRICS.registry` (and vice versa) |
 //!
 //! The token-level rules that duplicated clippy lints are retired, and

@@ -335,8 +335,10 @@ impl Rule for DeterministicSerialization {
 // L005 — slo-guard
 // ---------------------------------------------------------------------------
 
-/// L005: public query entry points consult `slo::Deadline` before
-/// unbounded iteration (the paper's 200 ms bound, statically enforced).
+/// L005: public query entry points open a query `Scope` (or pin their
+/// `Budget`) before unbounded iteration, so every loop can check the one
+/// deadline that runs from entry (the paper's 200 ms bound, statically
+/// enforced).
 pub struct SloGuard;
 
 impl Rule for SloGuard {
@@ -345,7 +347,7 @@ impl Rule for SloGuard {
     }
     fn description(&self) -> &'static str {
         "every pub fn in crates/query that executes a use-case query \
-         (takes &ProvenanceBrowser and loops) must consult slo::Deadline"
+         (takes &ProvenanceBrowser and loops) must open a query Scope or pin its Budget"
     }
     fn check(&self, ctx: &FileContext<'_>) -> Vec<Violation> {
         if !ctx.rel_path.starts_with("crates/query/src/") {
@@ -371,7 +373,7 @@ impl Rule for SloGuard {
             for i in bs..be {
                 match ctx.text(i) {
                     "for" | "while" | "loop" => loops = true,
-                    "Deadline" => consults_deadline = true,
+                    "Scope" | "pinned" => consults_deadline = true,
                     _ => {}
                 }
             }
@@ -380,9 +382,9 @@ impl Rule for SloGuard {
                     self.id(),
                     f.fn_tok,
                     format!(
-                        "pub fn `{}` executes a query with loops but never consults \
-                         slo::Deadline; construct one from the budget and check \
-                         `expired()` before unbounded iteration (E2's 200 ms bound)",
+                        "pub fn `{}` executes a query with loops but never opens a query \
+                         Scope or pins its Budget; open one at entry and check the \
+                         budget's `expired()` before unbounded iteration (E2's 200 ms bound)",
                         f.name
                     ),
                 ));
@@ -811,7 +813,7 @@ const GRAPH_WALK_NAMES: &[&str] = &[
 ///
 /// L005 checks the seven public query entry points; this rule follows
 /// the call graph, so a helper three calls deep that loops over graph
-/// nodes without taking or constructing an `slo::Deadline`/`Budget`
+/// nodes without taking or constructing a query `Scope` or `Budget`
 /// still breaks the 200 ms interactive bound — invisible to any
 /// file-local check.
 pub struct DeadlinePropagation;
@@ -822,7 +824,7 @@ impl GlobalRule for DeadlinePropagation {
     }
     fn description(&self) -> &'static str {
         "any function reachable from a query entry point that loops over \
-         graph nodes/edges must take or construct an slo::Deadline/Budget"
+         graph nodes/edges must take or construct a query Scope or Budget"
     }
     fn check(&self, prog: &Program) -> Vec<Violation> {
         let files = &prog.files;
@@ -832,7 +834,7 @@ impl GlobalRule for DeadlinePropagation {
         // the call graph into the graph crate too: the relevance kernels
         // (frozen PPR, expansion, HITS) do the actual unbounded walking
         // on the query paths' behalf, and a kernel loop that cannot see a
-        // Deadline/Budget breaks the interactive bound just as surely as
+        // Scope or Budget breaks the interactive bound just as surely as
         // a query-crate loop.
         let in_scope = |i: usize| {
             let c = g.file_at(files, i).crate_name.as_str();
@@ -869,7 +871,7 @@ impl GlobalRule for DeadlinePropagation {
             let protected = f.mentions_deadline
                 || f.param_tys
                     .iter()
-                    .any(|t| t.contains("Deadline") || t.contains("Budget"));
+                    .any(|t| t.contains("Scope") || t.contains("Budget"));
             if protected {
                 continue;
             }
@@ -886,7 +888,7 @@ impl GlobalRule for DeadlinePropagation {
                     col: c.col,
                     message: format!(
                         "`{}` loops over graph structure (`{}`) but neither takes nor \
-                         constructs an slo::Deadline/Budget, and it is reachable from \
+                         constructs a query Scope or Budget, and it is reachable from \
                          query entry point `{}` — thread the deadline through so the \
                          200ms interactive bound can truncate this walk",
                         f.display(),
@@ -925,8 +927,8 @@ struct RegEntry {
 /// at an emit site silently produces a dead series and a flatlined
 /// alert. The registry is the single checked-in source of truth: emit
 /// sites must match it (literal names, `format!` patterns via `*`
-/// wildcards, and names threaded through parameters — `slo::observe`'s
-/// `latency_metric` — are all resolved through the call graph), unused
+/// wildcards, and names threaded through parameters — `Scope::open`'s
+/// `latency` — are all resolved through the call graph), unused
 /// entries are flagged as dead, and names that collide after Prometheus
 /// sanitization are rejected.
 pub struct MetricNameRegistry;
@@ -1313,11 +1315,16 @@ mod tests {
         let r = check("crates/query/src/context.rs", bad);
         assert_eq!(r.violations.len(), 1);
         assert_eq!(r.violations[0].rule, "L005");
-        let good = "pub fn search(b: &ProvenanceBrowser) -> u32 {\n\
-                        let d = crate::slo::Deadline::unbounded();\n\
-                        let mut n = 0; for _ in 0..10 { if d.expired() { break; } n += 1; } n\n\
+        let good = "pub fn search(b: &ProvenanceBrowser, c: &Config) -> u32 {\n\
+                        let scope = Scope::open(b.obs(), &SEARCH, \"m\", &c.budget);\n\
+                        let mut n = 0; for _ in 0..10 { if scope.budget().expired() { break; } n += 1; } n\n\
                     }\n";
         assert!(check("crates/query/src/context.rs", good).is_clean());
+        let pinned = "pub fn walk(b: &ProvenanceBrowser, budget: &Budget) -> u32 {\n\
+                          let budget = budget.pinned();\n\
+                          let mut n = 0; for _ in 0..10 { if budget.expired() { break; } n += 1; } n\n\
+                      }\n";
+        assert!(check("crates/query/src/lineage.rs", pinned).is_clean());
         // Non-browser helpers and private fns are exempt.
         let helper = "pub fn rank(xs: &[u32]) -> u32 { let mut n = 0; for x in xs { n += x; } n }";
         assert!(check("crates/query/src/context.rs", helper).is_clean());
@@ -1527,10 +1534,10 @@ mod global_tests {
         let files = [(
             "crates/query/src/lineage.rs",
             r#"
-                pub fn lineage(b: &ProvenanceBrowser, id: NodeId, dl: &Deadline) -> Vec<NodeId> {
+                pub fn lineage(b: &ProvenanceBrowser, id: NodeId, dl: &Budget) -> Vec<NodeId> {
                     walk_up(b, id, dl)
                 }
-                fn walk_up(b: &ProvenanceBrowser, id: NodeId, dl: &Deadline) -> Vec<NodeId> {
+                fn walk_up(b: &ProvenanceBrowser, id: NodeId, dl: &Budget) -> Vec<NodeId> {
                     for e in b.graph.edges_to(id) {
                         if dl.expired() { break; }
                         out.push(e);

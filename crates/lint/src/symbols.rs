@@ -42,7 +42,7 @@ pub struct FnSummary {
     pub param_names: Vec<String>,
     /// Parameter types, space-joined source tokens, same order.
     pub param_tys: Vec<String>,
-    /// `true` when the body names `Deadline` or `Budget` anywhere.
+    /// `true` when the body names `Budget` or `Scope` anywhere.
     pub mentions_deadline: bool,
     /// Every call and method call in the body (loops included).
     pub calls: Vec<CallFact>,
@@ -182,7 +182,7 @@ impl Walk<'_> {
     fn expr(&mut self, e: &Expr, in_loop: bool) {
         match e {
             Expr::Path { segs, .. } => {
-                if segs.iter().any(|s| s == "Deadline" || s == "Budget") {
+                if segs.iter().any(|s| s == "Budget" || s == "Scope") {
                     *self.mentions_deadline = true;
                 }
             }
@@ -359,7 +359,7 @@ mod tests {
     fn loop_context_and_deadline_mentions() {
         let src = r#"
             pub fn walk(browser: &ProvenanceBrowser) {
-                let deadline = crate::slo::Deadline::start(browser);
+                let scope = crate::scope::Scope::open(browser);
                 for n in browser.graph().nodes() {
                     score(n);
                 }
@@ -373,9 +373,9 @@ mod tests {
         assert!(nodes.in_loop);
         let score = walk.calls.iter().find(|c| c.name == "score").unwrap();
         assert!(score.in_loop);
-        let start = walk.calls.iter().find(|c| c.name == "start").unwrap();
-        assert!(!start.in_loop);
-        assert_eq!(start.qual, "Deadline");
+        let open = walk.calls.iter().find(|c| c.name == "open").unwrap();
+        assert!(!open.in_loop);
+        assert_eq!(open.qual, "Scope");
         let score_fn = &s.fns[1];
         let weight = score_fn.calls.iter().find(|c| c.name == "weight").unwrap();
         assert!(!weight.in_loop);

@@ -453,18 +453,25 @@ impl StageGuard {
             *self.remaining.borrow_mut() = Some(remaining_estimate);
         }
     }
-}
 
-impl Drop for StageGuard {
-    fn drop(&mut self) {
+    /// Closes the stage, recording `wall` as its wall time instead of the
+    /// guard's own measurement, so a caller that timed the stage once can
+    /// give its span the same number.
+    pub fn finish_with(mut self, wall: Duration) {
+        self.close(Some(wall.as_micros() as u64));
+    }
+
+    fn close(&mut self, wall_override: Option<u64>) {
         if !self.live {
             return;
         }
+        self.live = false;
         let mut record = self.record.borrow_mut().clone();
         let remaining = *self.remaining.borrow();
         STACK.with(|stack| {
             if let Some(open) = stack.borrow_mut().last_mut() {
-                record.wall_us = open.clock.now_micros().saturating_sub(self.start_us);
+                record.wall_us = wall_override
+                    .unwrap_or_else(|| open.clock.now_micros().saturating_sub(self.start_us));
                 if record.truncated {
                     open.truncated = true;
                     if open.truncation_stage.is_none() {
@@ -475,6 +482,12 @@ impl Drop for StageGuard {
                 open.stages.push(record);
             }
         });
+    }
+}
+
+impl Drop for StageGuard {
+    fn drop(&mut self) {
+        self.close(None);
     }
 }
 

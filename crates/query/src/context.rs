@@ -10,7 +10,7 @@
 //! rosebud search ranks — the Citizen Kane case.
 
 use crate::result::{QueryResult, ScoredHit};
-use crate::slo::Deadline;
+use crate::scope::{Scope, Stage};
 use bp_core::ProvenanceBrowser;
 use bp_graph::frozen::{
     expand_frozen, fingerprint_answer, fingerprint_expansion, fingerprint_ppr,
@@ -21,8 +21,8 @@ use bp_graph::neighborhood::ExpansionConfig;
 use bp_graph::pagerank::PageRankConfig;
 use bp_graph::traverse::Budget;
 use bp_graph::{NodeId, NodeKind, ProvenanceGraph};
-use bp_obs::profile::{self, QueryPlan};
-use bp_obs::{trace, ClockHandle};
+use bp_obs::profile::QueryPlan;
+use bp_obs::trace;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -53,7 +53,8 @@ pub struct ContextualConfig {
     pub context_weight: f64,
     /// Neighborhood expansion parameters.
     pub expansion: ExpansionConfig,
-    /// Traversal budget (deadline / node cap) — the paper's 200 ms bound.
+    /// Query budget (deadline / node cap) — the paper's 200 ms bound. Its
+    /// clock also times the query.
     pub budget: Budget,
     /// Maximum hits returned.
     pub max_results: usize,
@@ -65,8 +66,6 @@ pub struct ContextualConfig {
     /// in-neighborhood journeys *arrived at* gain authority. 0.0 (the
     /// default) disables the HITS pass.
     pub hits_weight: f64,
-    /// Time source for the reported latency (mockable in tests).
-    pub clock: ClockHandle,
 }
 
 impl Default for ContextualConfig {
@@ -79,7 +78,6 @@ impl Default for ContextualConfig {
             max_results: 25,
             result_kinds: vec![NodeKind::PageVisit, NodeKind::Download, NodeKind::Bookmark],
             hits_weight: 0.0,
-            clock: ClockHandle::real(),
         }
     }
 }
@@ -96,18 +94,17 @@ fn text_seeds(browser: &ProvenanceBrowser, query: &str) -> Vec<(NodeId, f64)> {
 
 /// The browser's current CSR snapshot, taken under the plan's leading
 /// `frozen.build_us` stage so EXPLAIN shows what the epoch check (and any
-/// rebuild a mutation forced) cost this query.
-fn frozen_stage(browser: &ProvenanceBrowser) -> Arc<FrozenGraph> {
-    let _stage = trace::span("frozen");
-    let pstage = profile::stage("frozen.build_us");
+/// refresh a mutation forced) cost this query.
+fn frozen_stage(browser: &ProvenanceBrowser, scope: &Scope<'_>) -> Arc<FrozenGraph> {
+    let stage = scope.stage("frozen.build_us");
     let frozen = browser.frozen();
-    pstage.rows(frozen.node_count(), frozen.edge_count());
+    stage.rows(frozen.node_count(), frozen.edge_count());
     frozen
 }
 
 /// The context signal a contextual search ranks by.
 #[derive(Clone, Copy)]
-enum Walk<'a> {
+pub(crate) enum Walk<'a> {
     /// One-shot neighborhood expansion from the seeds, with the optional
     /// HITS pass.
     Expansion,
@@ -115,33 +112,38 @@ enum Walk<'a> {
     PageRank(&'a PageRankConfig),
 }
 
-/// Runs a contextual search over `walk`: snapshot, textual seeds, then
-/// the ranked answer from the score cache or from walk, optional HITS
-/// and blend, then the [`ScoredHit`]s.
-fn ranked_search(
+/// Runs a contextual search over `walk` within `budget`: snapshot,
+/// textual seeds, then the ranked answer from the score cache or from
+/// walk, optional HITS and blend, then the [`ScoredHit`]s.
+pub(crate) fn ranked_search(
     browser: &ProvenanceBrowser,
     query: &str,
     config: &ContextualConfig,
+    budget: &Budget,
     walk: Walk<'_>,
 ) -> QueryResult {
-    let (plan, span_name) = match walk {
-        Walk::Expansion => (&CONTEXT_PLAN, "query.context"),
-        Walk::PageRank(_) => (&PPR_PLAN, "query.context_ppr"),
+    let (span, plan) = match walk {
+        Walk::Expansion => ("query.context", &CONTEXT_PLAN),
+        Walk::PageRank(_) => ("query.context_ppr", &PPR_PLAN),
     };
-    let _ctx = trace::ensure(&config.clock);
-    let span = trace::span(span_name);
-    let prof = profile::begin(plan, &config.clock, config.budget.deadline());
-    let deadline = Deadline::start(&config.clock, config.budget.deadline());
+    // Both walks serve one use case, so they sample the same latency
+    // histogram.
+    let scope = Scope::open(
+        browser.obs(),
+        span,
+        Some(plan),
+        "query.context.latency_us",
+        budget,
+    );
 
     // 1. The CSR snapshot (usually an epoch check + Arc clone).
-    let frozen = frozen_stage(browser);
+    let frozen = frozen_stage(browser, &scope);
 
     // 2. Textual seeds.
     let seeds = {
-        let _stage = trace::span("text_seeds");
-        let pstage = profile::stage("text_seeds");
+        let stage = scope.stage("text_seeds");
         let seeds = text_seeds(browser, query);
-        pstage.rows(query.split_whitespace().count(), seeds.len());
+        stage.rows(query.split_whitespace().count(), seeds.len());
         seeds
     };
 
@@ -153,28 +155,16 @@ fn ranked_search(
         frozen: &frozen,
         seeds: &seeds,
         config,
+        scope: &scope,
     };
     let answer = match walk {
-        Walk::Expansion => search.expansion_answer(&deadline),
-        Walk::PageRank(pagerank) => search.pagerank_answer(pagerank, &deadline),
+        Walk::Expansion => search.expansion_answer(),
+        Walk::PageRank(pagerank) => search.pagerank_answer(pagerank),
     };
     let hits = materialize(browser.graph(), &answer);
-    let elapsed = deadline.elapsed();
-    // Both walks serve one use case, so they sample the same latency
-    // histogram.
-    crate::slo::observe(
-        browser.obs(),
-        "context",
-        "query.context.latency_us",
-        elapsed,
-        deadline.budget(),
-        answer.truncated,
-    );
-    span.finish_with(elapsed);
-    prof.finish_with(elapsed);
     QueryResult {
         hits,
-        elapsed,
+        elapsed: scope.finish(answer.truncated),
         truncated: answer.truncated,
     }
 }
@@ -185,24 +175,26 @@ struct Search<'a> {
     frozen: &'a FrozenGraph,
     seeds: &'a [(NodeId, f64)],
     config: &'a ContextualConfig,
+    scope: &'a Scope<'a>,
 }
 
 impl Search<'_> {
     /// The answer ranked over a neighborhood expansion from the seeds.
-    fn expansion_answer(&self, deadline: &Deadline) -> Arc<CachedAnswer> {
+    fn expansion_answer(&self) -> Arc<CachedAnswer> {
         let config = self.config;
-        let walk = fingerprint_expansion(self.seeds, &config.expansion, &config.budget);
+        let budget = self.scope.budget();
+        let walk = fingerprint_expansion(self.seeds, &config.expansion, budget);
         self.cached_answer(
             CacheDomain::Expansion,
             walk,
             "expand",
-            |pstage| {
-                let e = expand_frozen(self.frozen, self.seeds, &config.expansion, &config.budget);
-                pstage.rows(self.seeds.len(), e.entries.len());
-                pstage.touched(e.entries.len(), 0);
+            |stage| {
+                let e = expand_frozen(self.frozen, self.seeds, &config.expansion, budget);
+                stage.rows(self.seeds.len(), e.entries.len());
+                stage.touched(e.entries.len(), 0);
                 if e.truncated {
                     let remaining = self.frozen.node_count().saturating_sub(e.entries.len()) as u64;
-                    pstage.truncated(remaining);
+                    stage.truncated(remaining);
                     trace::note(format!(
                         "truncated: budget hit, ~{remaining} nodes unreached"
                     ));
@@ -214,8 +206,7 @@ impl Search<'_> {
                 // "base set" in Kleinberg's terms): authority flows to the
                 // pages the user's journeys converged on.
                 let authority = if config.hits_weight > 0.0 {
-                    let _stage = trace::span("hits");
-                    let pstage = profile::stage("hits");
+                    let stage = self.scope.stage("hits");
                     // Frozen entries are already in ascending node-id order,
                     // so the member order (and the scores) stay
                     // deterministic.
@@ -226,13 +217,13 @@ impl Search<'_> {
                         .collect();
                     let authority =
                         hits(self.browser.graph(), &base, &HitsConfig::default()).authority;
-                    pstage.rows(base.len(), authority.len());
+                    stage.rows(base.len(), authority.len());
                     authority
                 } else {
                     HashMap::new()
                 };
                 let blend_truncated =
-                    self.blend(&expansion.entries, 1.0, &authority, deadline, winners);
+                    self.blend(&expansion.entries, 1.0, &authority, budget, winners);
                 expansion.truncated || blend_truncated
             },
         )
@@ -240,18 +231,24 @@ impl Search<'_> {
 
     /// The answer ranked over personalized PageRank from the seeds, its
     /// scores rescaled so the top one is 1, as the expansion's roughly are.
-    fn pagerank_answer(&self, pagerank: &PageRankConfig, deadline: &Deadline) -> Arc<CachedAnswer> {
-        let config = self.config;
-        let walk = fingerprint_ppr(self.seeds, pagerank, &config.budget);
+    fn pagerank_answer(&self, pagerank: &PageRankConfig) -> Arc<CachedAnswer> {
+        let budget = self.scope.budget();
+        let walk = fingerprint_ppr(self.seeds, pagerank, budget);
         self.cached_answer(
             CacheDomain::PageRank,
             walk,
             "pagerank",
-            |pstage| {
-                let s =
-                    personalized_pagerank_frozen(self.frozen, self.seeds, pagerank, &config.budget);
-                pstage.rows(self.seeds.len(), s.entries.len());
-                pstage.touched(s.entries.len(), 0);
+            |stage| {
+                let s = personalized_pagerank_frozen(self.frozen, self.seeds, pagerank, budget);
+                stage.rows(self.seeds.len(), s.entries.len());
+                stage.touched(s.entries.len(), 0);
+                if s.truncated {
+                    let remaining = pagerank.max_iterations.saturating_sub(s.iterations) as u64;
+                    stage.truncated(remaining);
+                    trace::note(format!(
+                        "truncated: deadline hit, ~{remaining} iterations left"
+                    ));
+                }
                 s
             },
             |scores, winners| {
@@ -260,7 +257,7 @@ impl Search<'_> {
                 // the blend loop checks it too.
                 let max = scores.max_score().max(f64::EPSILON);
                 let blend_truncated =
-                    self.blend(&scores.entries, max, &HashMap::new(), deadline, winners);
+                    self.blend(&scores.entries, max, &HashMap::new(), budget, winners);
                 scores.truncated || blend_truncated
             },
         )
@@ -281,7 +278,7 @@ impl Search<'_> {
         domain: CacheDomain,
         walk: u64,
         stage: &'static str,
-        walk_scores: impl FnOnce(&profile::StageGuard) -> W,
+        walk_scores: impl FnOnce(&Stage<'_>) -> W,
         rank: impl FnOnce(W, &mut Vec<CachedHit>) -> bool,
     ) -> Arc<CachedAnswer> {
         let config = self.config;
@@ -300,17 +297,16 @@ impl Search<'_> {
         let cache = self.browser.score_cache();
         let obs = self.browser.obs();
         let (mut answer, scores) = {
-            let _stage = trace::span(stage);
-            let pstage = profile::stage(stage);
+            let stage = self.scope.stage(stage);
             if let Some(answer) = cache.get(&key) {
                 obs.counter("bp_graph_cache.hit").inc();
-                pstage.rows(0, answer.hits.len());
+                stage.rows(0, answer.hits.len());
                 trace::note(format!(
                     "score cache hit: {} ranked hits, walk and blend skipped",
                     answer.hits.len()
                 ));
                 if answer.truncated {
-                    pstage.truncated(0);
+                    stage.truncated(0);
                     trace::note("truncated: budget hit when the answer was computed");
                 }
                 return answer;
@@ -322,11 +318,11 @@ impl Search<'_> {
             // returned.
             let capacity = config.max_results.min(self.frozen.node_count());
             let answer = Arc::new(CachedAnswer::with_capacity(capacity));
-            (answer, walk_scores(&pstage))
+            (answer, walk_scores(&stage))
         };
         let fresh = Arc::make_mut(&mut answer);
         fresh.truncated = rank(scores, &mut fresh.hits);
-        if !answer.truncated || config.budget.deadline().is_none() {
+        if !answer.truncated || self.scope.budget().deadline().is_none() {
             let evicted = cache.put(key, answer.clone());
             if evicted > 0 {
                 obs.counter("bp_graph_cache.evict").add(evicted);
@@ -338,7 +334,7 @@ impl Search<'_> {
     }
 
     /// The blend stage: ranks sparse `(node, context)` entries into
-    /// `winners`, still under the deadline — the walk truncates itself,
+    /// `winners`, still under the query's deadline — the walk truncates itself,
     /// but this loop scales with the reached set, so it too honors the
     /// bound rather than silently overrunning. Returns whether the
     /// deadline cut it short.
@@ -356,11 +352,10 @@ impl Search<'_> {
         entries: &[(u32, f64)],
         normalize: f64,
         authority: &HashMap<NodeId, f64>,
-        deadline: &Deadline,
+        budget: &Budget,
         winners: &mut Vec<CachedHit>,
     ) -> bool {
-        let _stage = trace::span("blend");
-        let pstage = profile::stage("blend");
+        let stage = self.scope.stage("blend");
         let (config, graph) = (self.config, self.browser.graph());
         let mut truncated = false;
         let use_hits = config.hits_weight != 0.0 && !authority.is_empty();
@@ -379,10 +374,10 @@ impl Search<'_> {
         for (blended, &(raw_node, raw_context)) in entries.iter().enumerate() {
             // The deadline guards the loop, but a clock read per candidate
             // would dominate the now-allocation-free loop body.
-            if blended % 64 == 0 && deadline.expired() {
+            if blended % 64 == 0 && budget.expired() {
                 truncated = true;
                 let remaining = (entries.len() - blended) as u64;
-                pstage.truncated(remaining);
+                stage.truncated(remaining);
                 trace::note(format!(
                     "truncated: deadline hit, ~{remaining} candidates unscored"
                 ));
@@ -449,7 +444,7 @@ impl Search<'_> {
         }
         candidates.sort_by(rank);
         winners.extend_from_slice(&candidates);
-        pstage.rows(entries.len(), winners.len());
+        stage.rows(entries.len(), winners.len());
         truncated
     }
 }
@@ -486,7 +481,7 @@ pub fn contextual_history_search(
     query: &str,
     config: &ContextualConfig,
 ) -> QueryResult {
-    ranked_search(browser, query, config, Walk::Expansion)
+    ranked_search(browser, query, config, &config.budget, Walk::Expansion)
 }
 
 /// Contextual history search with **personalized PageRank** as the context
@@ -500,7 +495,8 @@ pub fn contextual_history_search_ppr(
     config: &ContextualConfig,
     pagerank: &PageRankConfig,
 ) -> QueryResult {
-    ranked_search(browser, query, config, Walk::PageRank(pagerank))
+    let walk = Walk::PageRank(pagerank);
+    ranked_search(browser, query, config, &config.budget, walk)
 }
 
 /// The purely textual baseline (§2.1's "currently"): TF-IDF hits only, no
@@ -510,22 +506,27 @@ pub fn textual_history_search(
     query: &str,
     config: &ContextualConfig,
 ) -> QueryResult {
-    let _ctx = trace::ensure(&config.clock);
-    let span = trace::span("query.textual");
     // The baseline deliberately runs unbounded — it exists to show what
-    // the paper's "currently" behavior costs, budget and all.
-    let prof = profile::begin(&TEXTUAL_PLAN, &config.clock, None);
-    let deadline = crate::slo::Deadline::unbounded(&config.clock);
+    // the paper's "currently" behavior costs — so of its budget it keeps
+    // only the clock: no deadline to classify, no limit to truncate it.
+    let unbounded = Budget::new().with_clock(config.budget.clock().clone());
+    let scope = Scope::open(
+        browser.obs(),
+        "query.textual",
+        Some(&TEXTUAL_PLAN),
+        "query.textual.latency_us",
+        &unbounded,
+    );
     let graph = browser.graph();
     let mut best_by_key: std::collections::HashMap<String, ScoredHit> =
         std::collections::HashMap::new();
     let text_hits = {
-        let pstage = profile::stage("text_search");
+        let stage = scope.stage("text_search");
         let text_hits = browser.text_index().search(query);
-        pstage.rows(query.split_whitespace().count(), text_hits.len());
+        stage.rows(query.split_whitespace().count(), text_hits.len());
         text_hits
     };
-    let pstage = profile::stage("rank");
+    let stage = scope.stage("rank");
     let candidates = text_hits.len();
     for (doc, score) in text_hits {
         let node = NodeId::new(doc);
@@ -557,24 +558,11 @@ pub fn textual_history_search(
             .then(a.node.cmp(&b.node))
     });
     hits.truncate(config.max_results);
-    pstage.rows(candidates, hits.len());
-    drop(pstage);
-    let elapsed = deadline.elapsed();
-    // A baseline, not one of the four use cases: latency sample only, no
-    // deadline classification (the unbounded deadline has no budget).
-    crate::slo::observe(
-        browser.obs(),
-        "textual",
-        "query.textual.latency_us",
-        elapsed,
-        deadline.budget(),
-        false,
-    );
-    span.finish_with(elapsed);
-    prof.finish_with(elapsed);
+    stage.rows(candidates, hits.len());
+    drop(stage);
     QueryResult {
         hits,
-        elapsed,
+        elapsed: scope.finish(false),
         truncated: false,
     }
 }

@@ -7,11 +7,12 @@
 //! as the user action that caused it — the §2.4 "sequence of actions"
 //! made readable.
 
+use crate::scope::Scope;
 use bp_core::ProvenanceBrowser;
 use bp_graph::traverse::Budget;
 use bp_graph::{EdgeId, EdgeKind, NodeId, NodeKind};
-use bp_obs::profile::{self, QueryPlan};
-use bp_obs::{trace, ClockHandle};
+use bp_obs::profile::QueryPlan;
+use bp_obs::trace;
 use std::fmt::Write as _;
 
 /// EXPLAIN plan for [`describe_origin`].
@@ -25,10 +26,9 @@ static DESCRIBE_PLAN: QueryPlan = QueryPlan {
 pub struct DescribeConfig {
     /// Maximum hops narrated.
     pub max_steps: usize,
-    /// Traversal budget (its deadline bounds the narration walk).
+    /// Query budget (its deadline bounds the narration walk, and its clock
+    /// times the query).
     pub budget: Budget,
-    /// Time source for the reported latency (mockable in tests).
-    pub clock: ClockHandle,
 }
 
 impl Default for DescribeConfig {
@@ -36,7 +36,6 @@ impl Default for DescribeConfig {
         DescribeConfig {
             max_steps: 12,
             budget: Budget::new(),
-            clock: ClockHandle::real(),
         }
     }
 }
@@ -92,12 +91,12 @@ fn label(browser: &ProvenanceBrowser, node: NodeId) -> String {
 fn narrative_parent(
     browser: &ProvenanceBrowser,
     node: NodeId,
-    deadline: &crate::slo::Deadline,
+    budget: &Budget,
 ) -> Option<(EdgeId, NodeId, EdgeKind)> {
     let graph = browser.graph();
     let mut best: Option<(EdgeId, NodeId, EdgeKind)> = None;
     for (eid, parent) in graph.parents(node) {
-        if deadline.expired() {
+        if budget.expired() {
             break;
         }
         let kind = graph.edge(eid).ok()?.kind();
@@ -127,39 +126,41 @@ pub fn describe_origin(
     key: &str,
     config: &DescribeConfig,
 ) -> Option<String> {
-    let _ctx = trace::ensure(&config.clock);
-    let span = trace::span("query.describe");
-    let prof = profile::begin(&DESCRIBE_PLAN, &config.clock, config.budget.deadline());
-    let deadline = crate::slo::Deadline::start(&config.clock, config.budget.deadline());
+    let scope = Scope::open(
+        browser.obs(),
+        "query.describe",
+        Some(&DESCRIBE_PLAN),
+        "query.describe.latency_us",
+        &config.budget,
+    );
+    let budget = scope.budget();
     let resolved = {
-        let pstage = profile::stage("resolve");
+        let stage = scope.stage("resolve");
         let found = browser.store().keys().get(key).last().copied();
-        pstage.rows(1, usize::from(found.is_some()));
+        stage.rows(1, usize::from(found.is_some()));
         found
     };
     let Some(start) = resolved else {
-        let elapsed = deadline.elapsed();
-        span.finish_with(elapsed);
-        prof.finish_with(elapsed);
+        scope.finish(false);
         return None;
     };
-    let pstage = profile::stage("narrate");
+    let stage = scope.stage("narrate");
     let mut out = String::new();
     let _ = writeln!(out, "{}", label(browser, start));
     let mut current = start;
     let mut steps = 0;
     let mut bounded = false;
     while steps < config.max_steps {
-        if deadline.expired() {
+        if budget.expired() {
             bounded = true;
             let remaining = (config.max_steps - steps) as u64;
-            pstage.truncated(remaining);
+            stage.truncated(remaining);
             trace::note(format!(
                 "truncated: deadline hit, ~{remaining} hops unnarrated"
             ));
             break;
         }
-        let Some((_, parent, kind)) = narrative_parent(browser, current, &deadline) else {
+        let Some((_, parent, kind)) = narrative_parent(browser, current, budget) else {
             break;
         };
         // Skip the instance_of hop's page object in the narrative: the
@@ -172,24 +173,14 @@ pub fn describe_origin(
     // unnarrated (and the expired deadline would cut the re-scan short
     // anyway); only the step-cap case needs to probe for a further parent.
     if bounded
-        || (steps == config.max_steps && narrative_parent(browser, current, &deadline).is_some())
+        || (steps == config.max_steps && narrative_parent(browser, current, budget).is_some())
     {
         let _ = writeln!(out, "  … (chain continues)");
     }
-    pstage.rows(1, steps);
-    pstage.touched(steps + 1, steps);
-    drop(pstage);
-    let elapsed = deadline.elapsed();
-    crate::slo::observe(
-        browser.obs(),
-        "describe",
-        "query.describe.latency_us",
-        elapsed,
-        deadline.budget(),
-        bounded,
-    );
-    span.finish_with(elapsed);
-    prof.finish_with(elapsed);
+    stage.rows(1, steps);
+    stage.touched(steps + 1, steps);
+    drop(stage);
+    scope.finish(bounded);
     Some(out)
 }
 
@@ -212,10 +203,15 @@ mod tests {
                 std::thread::current().id()
             ));
             let _ = std::fs::remove_dir_all(&dir);
-            TempBrowser {
-                browser: ProvenanceBrowser::open(&dir, CaptureConfig::default()).unwrap(),
-                dir,
-            }
+            // A private registry per test, so metric counts are exact.
+            let browser = ProvenanceBrowser::open_with_obs(
+                &dir,
+                CaptureConfig::default(),
+                bp_storage::SyncPolicy::default(),
+                bp_obs::Obs::isolated(),
+            )
+            .unwrap();
+            TempBrowser { browser, dir }
         }
     }
     impl Drop for TempBrowser {
@@ -275,7 +271,15 @@ mod tests {
     #[test]
     fn unknown_keys_yield_none() {
         let tb = TempBrowser::new("none");
-        assert!(describe_origin(&tb.browser, "/nope", &DescribeConfig::default()).is_none());
+        let config = DescribeConfig {
+            budget: Budget::new().with_deadline(std::time::Duration::from_secs(60)),
+            ..DescribeConfig::default()
+        };
+        assert!(describe_origin(&tb.browser, "/nope", &config).is_none());
+        // A miss on the key is still a query: timed and counted once.
+        let obs = tb.browser.obs();
+        assert_eq!(obs.histogram("query.describe.latency_us").count(), 1);
+        assert_eq!(obs.counter("query.deadline.hit").get(), 1);
     }
 
     #[test]

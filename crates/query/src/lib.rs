@@ -72,7 +72,7 @@ mod lineage;
 mod personalize;
 pub mod ql;
 mod result;
-mod slo;
+mod scope;
 mod timectx;
 
 pub use context::{

@@ -8,12 +8,12 @@
 //! this page that are downloads.'" Both are here, as "a breadth-first
 //! search over a node's ancestors" (§4) and its reverse.
 
+use crate::scope::Scope;
 use bp_core::ProvenanceBrowser;
-use bp_graph::frozen::FrozenGraph;
 use bp_graph::traverse::{self, AncestorSearch, Budget, Direction, Path};
-use bp_graph::{NodeId, NodeKind, ProvenanceGraph};
-use bp_obs::profile::{self, QueryPlan};
-use bp_obs::{trace, ClockHandle};
+use bp_graph::{NodeId, NodeKind};
+use bp_obs::profile::QueryPlan;
+use bp_obs::trace;
 use std::time::Duration;
 
 /// EXPLAIN plan for [`first_recognizable_ancestor`].
@@ -29,10 +29,8 @@ pub struct LineageConfig {
     /// recognize" (§2.4 suggests defining recognizability "in terms of
     /// history, e.g., the number of visits").
     pub recognizable_visits: u32,
-    /// Traversal budget.
+    /// Query budget; its clock also times the query.
     pub budget: Budget,
-    /// Time source for the reported latency (mockable in tests).
-    pub clock: ClockHandle,
 }
 
 impl Default for LineageConfig {
@@ -40,7 +38,6 @@ impl Default for LineageConfig {
         LineageConfig {
             recognizable_visits: 3,
             budget: Budget::new(),
-            clock: ClockHandle::real(),
         }
     }
 }
@@ -65,31 +62,28 @@ pub fn find_download(browser: &ProvenanceBrowser, path: &str) -> Option<NodeId> 
     browser.store().keys().get(path).last().copied()
 }
 
-/// BFS over a [`FrozenGraph`]'s causal out-rows: the CSR twin of
+/// BFS over the causal out-rows of the browser's current
+/// [`bp_graph::frozen::FrozenGraph`] snapshot: the CSR twin of
 /// [`traverse::first_ancestor_where_observed`], with identical visit
 /// order, budget semantics, and work accounting. Walking contiguous CSR
 /// rows replaces the live graph's per-hop edge-arena lookups, so the
 /// steady-state lineage query stops pointer-chasing.
 ///
-/// Returns `None` — caller must fall back to the live traversal — when
-/// the snapshot is stale (`frozen.epoch() != graph.epoch()`) or `start`
-/// postdates the snapshot. The live `graph` is only consulted to resolve
-/// path [`bp_graph::EdgeId`]s after the walk, which is sound because a
-/// matching epoch means both views are the same graph.
+/// The snapshot comes from [`ProvenanceBrowser::frozen`] under the same
+/// borrow as the live graph, so both views are the same graph; the live
+/// graph is only consulted to resolve path [`bp_graph::EdgeId`]s after
+/// the walk. A `start` outside the graph finds nothing.
 pub fn frozen_ancestor_search(
-    graph: &ProvenanceGraph,
-    frozen: &FrozenGraph,
+    browser: &ProvenanceBrowser,
     start: NodeId,
     mut pred: impl FnMut(NodeId) -> bool,
     budget: &Budget,
-) -> Option<AncestorSearch> {
-    if frozen.epoch() != graph.epoch() || start.as_usize() >= frozen.node_count() {
-        return None;
+) -> AncestorSearch {
+    let budget = budget.pinned();
+    let (graph, frozen) = (browser.graph(), browser.frozen());
+    if start.as_usize() >= frozen.node_count() {
+        return AncestorSearch::default();
     }
-    let clock = budget.deadline().map(|d| {
-        let handle = budget.clock().cloned().unwrap_or_else(ClockHandle::real);
-        (handle.start(), d)
-    });
     // (node, depth, BFS-predecessor): the predecessor stands in for the
     // live traversal's `via` edge — the discovering edge is recovered
     // from the live graph only for the final path.
@@ -109,11 +103,9 @@ pub fn frozen_ancestor_search(
                 break;
             }
         }
-        if let Some((ref t0, limit)) = clock {
-            if t0.elapsed() >= limit {
-                truncated = true;
-                break;
-            }
+        if budget.expired() {
+            truncated = true;
+            break;
         }
         reached.push((node, depth, pred_node));
         if let Some(max_depth) = budget.max_depth() {
@@ -159,8 +151,8 @@ pub fn frozen_ancestor_search(
                 });
             match eid {
                 Some(eid) => edges.push(eid),
-                // Epochs matched, so every discovered hop exists live;
-                // stop rebuilding rather than abort.
+                // Both views are one graph, so every discovered hop
+                // exists live; stop rebuilding rather than abort.
                 None => break,
             }
             nodes.push(NodeId::new(p));
@@ -170,20 +162,19 @@ pub fn frozen_ancestor_search(
         edges.reverse();
         Path { nodes, edges }
     });
-    Some(AncestorSearch {
+    AncestorSearch {
         path,
         nodes_touched: reached.len(),
         edges_touched,
         truncated,
-    })
+    }
 }
 
 /// §2.4's path query: the nearest causal ancestor of `download` whose URL
 /// the user has visited at least `recognizable_visits` times.
 ///
-/// The walk runs over the browser's [`FrozenGraph`] CSR snapshot when one
-/// is current, falling back to the live-graph traversal otherwise; both
-/// produce identical answers (see [`frozen_ancestor_search`]).
+/// The walk runs over the browser's CSR snapshot (see
+/// [`frozen_ancestor_search`]).
 ///
 /// Returns `None` when nothing in the lineage clears the bar within the
 /// budget — the honest answer for a download that arrived out of nowhere.
@@ -192,41 +183,35 @@ pub fn first_recognizable_ancestor(
     download: NodeId,
     config: &LineageConfig,
 ) -> Option<LineageAnswer> {
-    let _ctx = trace::ensure(&config.clock);
-    let span = trace::span("query.lineage");
-    let prof = profile::begin(&LINEAGE_PLAN, &config.clock, config.budget.deadline());
-    let deadline = crate::slo::Deadline::start(&config.clock, config.budget.deadline());
+    let scope = Scope::open(
+        browser.obs(),
+        "query.lineage",
+        Some(&LINEAGE_PLAN),
+        "query.lineage.latency_us",
+        &config.budget,
+    );
     let graph = browser.graph();
-    let frozen = {
-        let fstage = profile::stage("frozen.snapshot");
+    {
+        // The snapshot refresh, if a mutation forced one, under its own
+        // stage; the walk below reads the refreshed snapshot.
+        let stage = scope.stage("frozen.snapshot");
         let frozen = browser.frozen();
-        fstage.touched(frozen.node_count(), frozen.edge_count());
-        frozen
-    };
+        stage.touched(frozen.node_count(), frozen.edge_count());
+    }
     let (found, truncated) = {
-        let _stage = trace::span("ancestor_bfs");
-        let pstage = profile::stage("ancestor_bfs");
+        let stage = scope.stage("ancestor_bfs");
         let recognizable = |node: NodeId| {
             graph.node(node).is_ok_and(|n| {
                 n.kind() == NodeKind::PageVisit
                     && browser.visit_count(n.key()) >= config.recognizable_visits
             })
         };
-        let search =
-            match frozen_ancestor_search(graph, &frozen, download, recognizable, &config.budget) {
-                Some(search) => search,
-                None => traverse::first_ancestor_where_observed(
-                    graph,
-                    download,
-                    recognizable,
-                    &config.budget,
-                ),
-            };
-        pstage.touched(search.nodes_touched, search.edges_touched);
-        pstage.rows(1, usize::from(search.path.is_some()));
+        let search = frozen_ancestor_search(browser, download, recognizable, scope.budget());
+        stage.touched(search.nodes_touched, search.edges_touched);
+        stage.rows(1, usize::from(search.path.is_some()));
         if search.truncated {
             let remaining = graph.node_count().saturating_sub(search.nodes_touched) as u64;
-            pstage.truncated(remaining);
+            stage.truncated(remaining);
             trace::note(format!(
                 "truncated: budget hit, ~{remaining} ancestors unexplored"
             ));
@@ -238,17 +223,7 @@ pub fn first_recognizable_ancestor(
         });
         (found, search.truncated)
     };
-    let elapsed = deadline.elapsed();
-    crate::slo::observe(
-        browser.obs(),
-        "lineage",
-        "query.lineage.latency_us",
-        elapsed,
-        deadline.budget(),
-        truncated,
-    );
-    span.finish_with(elapsed);
-    prof.finish_with(elapsed);
+    let elapsed = scope.finish(truncated);
     let (ancestor, url, path) = found?;
     Some(LineageAnswer {
         ancestor,
@@ -300,12 +275,11 @@ pub fn downloads_descending_from(
     let graph = browser.graph();
     let mut out: Vec<(NodeId, String)> = Vec::new();
     let mut seen = std::collections::HashSet::new();
-    // Each inner BFS honors the budget, but a URL with many visits runs
-    // one BFS per visit — the deadline bounds the whole query, not one
-    // walk at a time.
-    let deadline = crate::slo::Deadline::start(&ClockHandle::real(), budget.deadline());
+    // A URL with many visits runs one BFS per visit; all of them spend
+    // the one deadline pinned here, which bounds the whole query.
+    let budget = budget.pinned();
     for &start in browser.store().keys().get(url) {
-        if deadline.expired() {
+        if budget.expired() {
             break;
         }
         let traversal = traverse::bfs(
@@ -313,7 +287,7 @@ pub fn downloads_descending_from(
             start,
             Direction::Descendants,
             bp_graph::EdgeKind::is_causal,
-            budget,
+            &budget,
         );
         for r in &traversal.reached {
             if !seen.insert(r.node) {
@@ -483,7 +457,6 @@ mod tests {
         let b = &tb.browser;
         let dl = find_download(b, &path).unwrap();
         let graph = b.graph();
-        let frozen = b.frozen();
         let pred = |node: NodeId| {
             graph
                 .node(node)
@@ -494,8 +467,7 @@ mod tests {
             Budget::new().with_max_nodes(2),
             Budget::new().with_max_depth(1),
         ] {
-            let from_frozen =
-                frozen_ancestor_search(graph, &frozen, dl, pred, &budget).expect("fresh snapshot");
+            let from_frozen = frozen_ancestor_search(b, dl, pred, &budget);
             let live = traverse::first_ancestor_where_observed(graph, dl, pred, &budget);
             assert_eq!(from_frozen.path, live.path, "budget {budget:?}");
             assert_eq!(from_frozen.nodes_touched, live.nodes_touched);
@@ -519,14 +491,9 @@ mod tests {
                 NavigationCause::Typed,
             ))
             .unwrap();
-        let graph = tb.browser.graph();
-        assert_ne!(frozen.epoch(), graph.epoch());
-        assert!(
-            frozen_ancestor_search(graph, &frozen, dl, |_| true, &Budget::new()).is_none(),
-            "stale epoch must refuse, signalling live fallback"
-        );
-        // The query entry point still answers correctly through the
-        // rebuilt-or-live path.
+        assert_ne!(frozen.epoch(), tb.browser.graph().epoch());
+        // The query entry point still answers correctly over the
+        // refreshed snapshot.
         let answer =
             first_recognizable_ancestor(&tb.browser, dl, &LineageConfig::default()).unwrap();
         assert_eq!(answer.url, "http://forum/");

@@ -7,9 +7,10 @@
 //! search for 'rosebud flower'; it would not know anything about the
 //! user's history" (§2.2).
 
-use crate::context::{contextual_history_search, ContextualConfig};
+use crate::context::{ranked_search, ContextualConfig, Walk};
+use crate::scope::Scope;
 use bp_core::ProvenanceBrowser;
-use bp_obs::profile::{self, QueryPlan};
+use bp_obs::profile::QueryPlan;
 use bp_obs::trace;
 use bp_text::TermProfile;
 
@@ -25,7 +26,9 @@ static PERSONALIZE_PLAN: QueryPlan = QueryPlan {
 pub struct PersonalizeConfig {
     /// How many expansion terms to add.
     pub expansion_terms: usize,
-    /// Underlying contextual search configuration.
+    /// Underlying contextual search configuration. Its budget bounds the
+    /// whole query: the inner search and the term profile spend one
+    /// deadline.
     pub contextual: ContextualConfig,
     /// Minimum profile weight for a term to qualify (filters one-off
     /// noise).
@@ -82,21 +85,25 @@ pub fn personalize_query(
     query: &str,
     config: &PersonalizeConfig,
 ) -> ExpandedQuery {
-    let _ctx = trace::ensure(&config.contextual.clock);
-    let span = trace::span("query.personalize");
-    let prof = profile::begin(
-        &PERSONALIZE_PLAN,
-        &config.contextual.clock,
-        config.contextual.budget.deadline(),
-    );
-    let deadline = crate::slo::Deadline::start(
-        &config.contextual.clock,
-        config.contextual.budget.deadline(),
+    let scope = Scope::open(
+        browser.obs(),
+        "query.personalize",
+        Some(&PERSONALIZE_PLAN),
+        "query.personalize.latency_us",
+        &config.contextual.budget,
     );
     let contextual = {
-        let pstage = profile::stage("contextual");
-        let contextual = contextual_history_search(browser, query, &config.contextual);
-        pstage.rows(1, contextual.hits.len());
+        let stage = scope.stage("contextual");
+        // The inner search runs on this query's pinned budget, so it
+        // spends what is left of the one deadline.
+        let contextual = ranked_search(
+            browser,
+            query,
+            &config.contextual,
+            scope.budget(),
+            Walk::Expansion,
+        );
+        stage.rows(1, contextual.hits.len());
         if contextual.truncated {
             // The child profile carries the precise cut point; at this
             // level the estimate is how many hits never materialized.
@@ -104,22 +111,23 @@ pub fn personalize_query(
                 .contextual
                 .max_results
                 .saturating_sub(contextual.hits.len()) as u64;
-            pstage.truncated(remaining);
+            stage.truncated(remaining);
             trace::note(format!(
                 "truncated: inner contextual search cut short, ~{remaining} hits may be missing"
             ));
         }
         contextual
     };
-    let stage = trace::span("term_profile");
-    let pstage = profile::stage("term_profile");
+    let stage = scope.stage("term_profile");
     let mut profile = TermProfile::new();
+    let mut truncated = contextual.truncated;
     for (profiled, hit) in contextual.hits.iter().enumerate() {
         // The inner search spends most of the budget; the profile pass
         // over its hits honors whatever remains.
-        if deadline.expired() {
+        if scope.budget().expired() {
+            truncated = true;
             let remaining = (contextual.hits.len() - profiled) as u64;
-            pstage.truncated(remaining);
+            stage.truncated(remaining);
             trace::note(format!(
                 "truncated: deadline hit, ~{remaining} hits unprofiled"
             ));
@@ -139,23 +147,9 @@ pub fn personalize_query(
         .filter(|(_, w)| *w >= config.min_term_weight)
         .map(|(t, _)| t)
         .collect();
-    pstage.rows(contextual.hits.len(), added_terms.len());
-    drop(pstage);
+    stage.rows(contextual.hits.len(), added_terms.len());
     drop(stage);
-    let elapsed = deadline.elapsed();
-    // The inner contextual search already classified the deadline (it is
-    // the stage that honors the budget); recording it again here would
-    // double-count one user query in the SLO.
-    crate::slo::observe(
-        browser.obs(),
-        "personalize",
-        "query.personalize.latency_us",
-        elapsed,
-        None,
-        contextual.truncated,
-    );
-    span.finish_with(elapsed);
-    prof.finish_with(elapsed);
+    scope.finish(truncated);
     ExpandedQuery {
         original: query.to_owned(),
         added_terms,
@@ -181,10 +175,15 @@ mod tests {
                 std::thread::current().id()
             ));
             let _ = std::fs::remove_dir_all(&dir);
-            TempBrowser {
-                browser: ProvenanceBrowser::open(&dir, CaptureConfig::default()).unwrap(),
-                dir,
-            }
+            // A private registry per test, so metric counts are exact.
+            let browser = ProvenanceBrowser::open_with_obs(
+                &dir,
+                CaptureConfig::default(),
+                bp_storage::SyncPolicy::default(),
+                bp_obs::Obs::isolated(),
+            )
+            .unwrap();
+            TempBrowser { browser, dir }
         }
     }
     impl Drop for TempBrowser {
@@ -272,6 +271,27 @@ mod tests {
         let tb = TempBrowser::new("empty");
         let expanded = personalize_query(&tb.browser, "rosebud", &PersonalizeConfig::default());
         assert!(expanded.is_unchanged());
+    }
+
+    #[test]
+    fn one_user_query_is_counted_once() {
+        let tb = gardener("counted");
+        let config = PersonalizeConfig {
+            contextual: ContextualConfig {
+                budget: bp_graph::traverse::Budget::new()
+                    .with_deadline(std::time::Duration::from_secs(60)),
+                ..ContextualConfig::default()
+            },
+            ..PersonalizeConfig::default()
+        };
+        let _ = personalize_query(&tb.browser, "rosebud", &config);
+        // The inner contextual search shares the outer deadline: both
+        // paths sample their latency, but the deadline counts one query.
+        let obs = tb.browser.obs();
+        assert_eq!(obs.histogram("query.personalize.latency_us").count(), 1);
+        assert_eq!(obs.histogram("query.context.latency_us").count(), 1);
+        assert_eq!(obs.counter("query.deadline.hit").get(), 1);
+        assert_eq!(obs.counter("query.deadline.miss").get(), 0);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Executor for the provenance query language.
 
 use super::ast::{Filter, Query, Selector, Shape};
+use crate::scope::Scope;
 use bp_core::ProvenanceBrowser;
 use bp_graph::traverse::{self, Budget, Direction};
 use bp_graph::{NodeId, NodeKind};
-use bp_obs::{trace, ClockHandle};
 use core::fmt;
 use std::time::Duration;
 
@@ -99,35 +99,25 @@ pub fn execute(
     query: &Query,
     budget: &Budget,
 ) -> Result<Rows, ExecError> {
-    let clock = ClockHandle::real();
-    let _ctx = trace::ensure(&clock);
-    let span = trace::span("query.ql");
-    let sw = clock.start();
+    // The query language has no EXPLAIN plan.
+    let scope = Scope::open(
+        browser.obs(),
+        "query.ql",
+        None,
+        "query.ql.latency_us",
+        budget,
+    );
     // Selector resolution can fail mid-shape; running it behind this
-    // boundary keeps the `?` early returns from skipping the span close
-    // and the tail-sampler offer (errored requests are always retained).
-    let result = execute_shape(browser, query, budget);
-    let elapsed = sw.elapsed();
-    match result {
-        Ok((rows, truncated)) => {
-            crate::slo::observe(
-                browser.obs(),
-                "ql",
-                "query.ql.latency_us",
-                elapsed,
-                budget.deadline(),
-                truncated,
-            );
-            span.finish_with(elapsed);
-            Ok(Rows {
-                rows,
-                elapsed,
-                truncated,
-            })
-        }
+    // boundary keeps the `?` early returns from skipping the scope's end
+    // (errored requests are always retained by the tail sampler).
+    match execute_shape(browser, query, scope.budget()) {
+        Ok((rows, truncated)) => Ok(Rows {
+            rows,
+            elapsed: scope.finish(truncated),
+            truncated,
+        }),
         Err(e) => {
-            crate::slo::offer_error_to_sampler("ql", elapsed);
-            span.finish_with(elapsed);
+            scope.fail();
             Err(e)
         }
     }
@@ -251,6 +241,7 @@ mod tests {
     use super::*;
     use bp_core::{BrowserEvent, CaptureConfig, EventKind, NavigationCause, TabId};
     use bp_graph::Timestamp;
+    use bp_obs::trace;
     use std::path::PathBuf;
 
     struct TempBrowser {

@@ -10,11 +10,12 @@
 //! Firefox does not.
 
 use crate::result::{QueryResult, ScoredHit};
+use crate::scope::Scope;
 use bp_core::ProvenanceBrowser;
 use bp_graph::traverse::Budget;
 use bp_graph::{EdgeKind, NodeId, NodeKind, TimeInterval};
-use bp_obs::profile::{self, QueryPlan};
-use bp_obs::{trace, ClockHandle};
+use bp_obs::profile::QueryPlan;
+use bp_obs::trace;
 use std::collections::HashSet;
 use std::time::Duration;
 
@@ -38,10 +39,9 @@ pub struct TimeContextConfig {
     /// temporal-overlap edge rather than interval arithmetic.
     pub edge_bonus: f64,
     /// Query budget — its deadline bounds the association scan (the
-    /// paper's interactive-latency envelope).
+    /// paper's interactive-latency envelope), and its clock times the
+    /// query.
     pub budget: Budget,
-    /// Time source for the reported latency (mockable in tests).
-    pub clock: ClockHandle,
 }
 
 impl Default for TimeContextConfig {
@@ -52,7 +52,6 @@ impl Default for TimeContextConfig {
             result_kinds: vec![NodeKind::PageVisit, NodeKind::Download],
             edge_bonus: 1.5,
             budget: Budget::new(),
-            clock: ClockHandle::real(),
         }
     }
 }
@@ -65,14 +64,16 @@ pub fn time_contextual_search(
     companion: &str,
     config: &TimeContextConfig,
 ) -> QueryResult {
-    let _ctx = trace::ensure(&config.clock);
-    let span = trace::span("query.timectx");
-    let prof = profile::begin(&TIMECTX_PLAN, &config.clock, config.budget.deadline());
-    let deadline = crate::slo::Deadline::start(&config.clock, config.budget.deadline());
+    let scope = Scope::open(
+        browser.obs(),
+        "query.timectx",
+        Some(&TIMECTX_PLAN),
+        "query.timectx.latency_us",
+        &config.budget,
+    );
     let graph = browser.graph();
 
-    let stage = trace::span("text_search");
-    let pstage = profile::stage("text_search");
+    let stage = scope.stage("text_search");
     let subject_hits = browser.text_index().search(subject);
     let companion_nodes: HashSet<NodeId> = browser
         .text_index()
@@ -80,29 +81,16 @@ pub fn time_contextual_search(
         .into_iter()
         .map(|(doc, _)| NodeId::new(doc))
         .collect();
-    pstage.rows(2, subject_hits.len() + companion_nodes.len());
-    drop(pstage);
+    stage.rows(2, subject_hits.len() + companion_nodes.len());
     drop(stage);
     if companion_nodes.is_empty() || subject_hits.is_empty() {
-        let elapsed = deadline.elapsed();
-        crate::slo::observe(
-            browser.obs(),
-            "timectx",
-            "query.timectx.latency_us",
-            elapsed,
-            deadline.budget(),
-            false,
-        );
-        span.finish_with(elapsed);
-        prof.finish_with(elapsed);
         return QueryResult {
             hits: Vec::new(),
-            elapsed,
+            elapsed: scope.finish(false),
             truncated: false,
         };
     }
-    let stage = trace::span("associate");
-    let pstage = profile::stage("associate");
+    let stage = scope.stage("associate");
     let subject_total = subject_hits.len();
     let companion_intervals: Vec<TimeInterval> = companion_nodes
         .iter()
@@ -115,10 +103,10 @@ pub fn time_contextual_search(
     for (associated, (doc, text_score)) in subject_hits.into_iter().enumerate() {
         // The interval/edge check per subject hit is the expensive part;
         // degrade to a partial answer when the budget runs out.
-        if deadline.expired() {
+        if scope.budget().expired() {
             truncated = true;
             let remaining = (subject_total - associated) as u64;
-            pstage.truncated(remaining);
+            stage.truncated(remaining);
             trace::note(format!(
                 "truncated: deadline hit, ~{remaining} subject hits unchecked"
             ));
@@ -169,23 +157,11 @@ pub fn time_contextual_search(
             .then(a.node.cmp(&b.node))
     });
     hits.truncate(config.max_results);
-    pstage.rows(subject_total, hits.len());
-    drop(pstage);
+    stage.rows(subject_total, hits.len());
     drop(stage);
-    let elapsed = deadline.elapsed();
-    crate::slo::observe(
-        browser.obs(),
-        "timectx",
-        "query.timectx.latency_us",
-        elapsed,
-        deadline.budget(),
-        truncated,
-    );
-    span.finish_with(elapsed);
-    prof.finish_with(elapsed);
     QueryResult {
         hits,
-        elapsed,
+        elapsed: scope.finish(truncated),
         truncated,
     }
 }

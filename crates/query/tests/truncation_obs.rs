@@ -5,20 +5,24 @@
 //! without sleeps) and asserts both observability channels report it:
 //! the trace span tree carries a truncation note, and the EXPLAIN
 //! [`bp_obs::profile::Profile`] carries the truncation stage and a
-//! remaining-work estimate.
+//! remaining-work estimate. The entry-deadline cases at the end check that
+//! each path's deadline runs from its entry, so the stages before a bounded
+//! loop count against it.
 
 use bp_core::{BrowserEvent, CaptureConfig, EventKind, NavigationCause, ProvenanceBrowser, TabId};
 use bp_graph::traverse::Budget;
 use bp_graph::Timestamp;
+use bp_obs::clock::Clock;
 use bp_obs::profile::Profile;
 use bp_obs::trace::SpanNode;
 use bp_obs::{profile, trace, ClockHandle, MockClock};
 use bp_query::{
-    describe_origin, find_download, first_recognizable_ancestor, personalize_query,
-    textual_history_search, time_contextual_search, ContextualConfig, DescribeConfig,
-    LineageConfig, PersonalizeConfig, TimeContextConfig,
+    describe_origin, downloads_descending_from, find_download, first_recognizable_ancestor,
+    personalize_query, textual_history_search, time_contextual_search, ContextualConfig,
+    DescribeConfig, LineageConfig, PersonalizeConfig, TimeContextConfig,
 };
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -164,8 +168,7 @@ fn context_truncation_is_observable() {
     let config = ContextualConfig {
         budget: Budget::new()
             .with_deadline(Duration::ZERO)
-            .with_clock(clock.clone()),
-        clock,
+            .with_clock(clock),
         ..ContextualConfig::default()
     };
     let (result, profiles, roots) =
@@ -182,11 +185,10 @@ fn context_truncation_is_observable() {
 fn ppr_truncation_is_observable() {
     let tb = history("ppr");
     let (clock, _mock) = ticking(50);
-    // No budget clock: PPR itself runs to a fixed point; only the blend
-    // loop's deadline (measured on the query clock) trips.
     let config = ContextualConfig {
-        budget: Budget::new().with_deadline(Duration::ZERO),
-        clock,
+        budget: Budget::new()
+            .with_deadline(Duration::ZERO)
+            .with_clock(clock),
         ..ContextualConfig::default()
     };
     let (result, profiles, roots) = with_obs(|| {
@@ -198,7 +200,8 @@ fn ppr_truncation_is_observable() {
         )
     });
     assert!(result.truncated);
-    assert_truncation(&profiles, &roots, "blend");
+    // The kernel stops at its first iteration boundary, before the blend.
+    assert_truncation(&profiles, &roots, "pagerank");
 }
 
 #[test]
@@ -208,8 +211,9 @@ fn textual_baseline_never_truncates() {
     // Even with a deadline configured, the baseline runs unbounded — that
     // is its documented contract; the profile reflects it.
     let config = ContextualConfig {
-        budget: Budget::new().with_deadline(Duration::ZERO),
-        clock,
+        budget: Budget::new()
+            .with_deadline(Duration::ZERO)
+            .with_clock(clock),
         ..ContextualConfig::default()
     };
     let (result, profiles, _roots) =
@@ -232,8 +236,7 @@ fn personalize_truncation_is_observable() {
         contextual: ContextualConfig {
             budget: Budget::new()
                 .with_deadline(Duration::ZERO)
-                .with_clock(clock.clone()),
-            clock,
+                .with_clock(clock),
             ..ContextualConfig::default()
         },
         ..PersonalizeConfig::default()
@@ -256,8 +259,9 @@ fn timectx_truncation_is_observable() {
     let tb = history("timectx");
     let (clock, _mock) = ticking(50);
     let config = TimeContextConfig {
-        budget: Budget::new().with_deadline(Duration::ZERO),
-        clock,
+        budget: Budget::new()
+            .with_deadline(Duration::ZERO)
+            .with_clock(clock),
         ..TimeContextConfig::default()
     };
     let (result, profiles, roots) =
@@ -276,8 +280,7 @@ fn lineage_truncation_is_observable() {
     let config = LineageConfig {
         budget: Budget::new()
             .with_deadline(Duration::ZERO)
-            .with_clock(clock.clone()),
-        clock,
+            .with_clock(clock),
         ..LineageConfig::default()
     };
     let (answer, profiles, roots) =
@@ -292,8 +295,9 @@ fn describe_truncation_is_observable() {
     let tb = history("describe");
     let (clock, _mock) = ticking(50);
     let config = DescribeConfig {
-        budget: Budget::new().with_deadline(Duration::ZERO),
-        clock,
+        budget: Budget::new()
+            .with_deadline(Duration::ZERO)
+            .with_clock(clock),
         ..DescribeConfig::default()
     };
     let (story, profiles, roots) =
@@ -306,4 +310,223 @@ fn describe_truncation_is_observable() {
         profiles[0].remaining_estimate,
         Some(config.max_steps as u64)
     );
+}
+
+// ---------------------------------------------------------------------------
+// The deadline runs from query entry
+// ---------------------------------------------------------------------------
+
+/// The deadline of the entry-deadline cases: three stalled readings.
+const ENTRY_DEADLINE: Duration = Duration::from_micros(300);
+
+/// One stalled reading of a [`StallClock`].
+const STALL_US: u64 = 100;
+
+/// What a query may spend past its deadline: the reading that crossed it
+/// ends at most one stall late, and every reading after it costs 1 µs —
+/// the stages left before the bounded loop, the check that truncates, the
+/// stage closes and the scope's final reading. 32 readings cover the
+/// deepest path (personalization's inner search and its term profile).
+const ONE_CHECK_INTERVAL: Duration = Duration::from_micros(STALL_US + 32);
+
+/// A clock whose readings each take [`STALL_US`] until it reaches the
+/// deadline and 1 µs after: the stages before a bounded loop use the
+/// deadline up, and what runs once it has passed is timed finely.
+#[derive(Debug)]
+struct StallClock {
+    micros: AtomicU64,
+    deadline_us: u64,
+}
+
+impl Clock for StallClock {
+    fn now_micros(&self) -> u64 {
+        let step = |now: u64| Some(now + if now < self.deadline_us { STALL_US } else { 1 });
+        self.micros
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, step)
+            .unwrap_or_else(|now| now)
+    }
+}
+
+/// A budget with `deadline` on a fresh [`StallClock`].
+fn stalling(deadline: Duration) -> Budget {
+    let clock = StallClock {
+        micros: AtomicU64::new(0),
+        deadline_us: deadline.as_micros() as u64,
+    };
+    Budget::new()
+        .with_deadline(deadline)
+        .with_clock(ClockHandle::from_clock(Arc::new(clock)))
+}
+
+/// A history with work in every bounded loop: forty visits of one
+/// plane-tickets page, each followed by a linked film page that mentions
+/// rosebud and wine, then a download at the end of the chain.
+fn busy_history(tag: &str) -> TempBrowser {
+    let mut tb = TempBrowser::new(tag);
+    let b = &mut tb.browser;
+    b.ingest(&BrowserEvent::tab_opened(t(0), TabId(0), None))
+        .unwrap();
+    for i in 0..40 {
+        b.ingest(&BrowserEvent::navigate(
+            t(2 * i + 1),
+            TabId(0),
+            "http://travel/plane-tickets",
+            Some("cheap plane tickets"),
+            NavigationCause::Typed,
+        ))
+        .unwrap();
+        b.ingest(&BrowserEvent::navigate(
+            t(2 * i + 2),
+            TabId(0),
+            format!("http://films/{i}"),
+            Some("rosebud wine film"),
+            NavigationCause::Link,
+        ))
+        .unwrap();
+    }
+    b.ingest(&BrowserEvent::new(
+        t(100),
+        EventKind::Download {
+            tab: TabId(0),
+            path: "/dl/thing.bin".to_owned(),
+            bytes: 1,
+        },
+    ))
+    .unwrap();
+    tb
+}
+
+/// Runs one query path under [`ENTRY_DEADLINE`] on a [`StallClock`] and
+/// asserts the deadline ran from entry: the query truncated, and its
+/// elapsed time (on the budget's clock) exceeds the deadline by at most
+/// [`ONE_CHECK_INTERVAL`]. `run` returns the query's reported elapsed time
+/// and whether it truncated.
+fn assert_deadline_from_entry(path: &str, run: impl FnOnce(&Budget) -> (Duration, bool)) {
+    let budget = stalling(ENTRY_DEADLINE);
+    let ((elapsed, truncated), _, _) = with_obs(|| run(&budget));
+    assert!(truncated, "{path}: the deadline must truncate the query");
+    assert!(
+        elapsed <= ENTRY_DEADLINE + ONE_CHECK_INTERVAL,
+        "{path}: took {elapsed:?} against a {ENTRY_DEADLINE:?} deadline"
+    );
+}
+
+#[test]
+fn context_deadline_runs_from_entry() {
+    let tb = busy_history("entry-context");
+    assert_deadline_from_entry("context", |budget| {
+        let config = ContextualConfig {
+            budget: budget.clone(),
+            ..ContextualConfig::default()
+        };
+        let r = bp_query::contextual_history_search(&tb.browser, "rosebud", &config);
+        (r.elapsed, r.truncated)
+    });
+}
+
+#[test]
+fn ppr_deadline_runs_from_entry() {
+    let tb = busy_history("entry-ppr");
+    assert_deadline_from_entry("ppr", |budget| {
+        let config = ContextualConfig {
+            budget: budget.clone(),
+            ..ContextualConfig::default()
+        };
+        let pagerank = bp_graph::pagerank::PageRankConfig::default();
+        let r = bp_query::contextual_history_search_ppr(&tb.browser, "rosebud", &config, &pagerank);
+        (r.elapsed, r.truncated)
+    });
+}
+
+#[test]
+fn personalize_deadline_runs_from_entry() {
+    let tb = busy_history("entry-personalize");
+    assert_deadline_from_entry("personalize", |budget| {
+        let config = PersonalizeConfig {
+            contextual: ContextualConfig {
+                budget: budget.clone(),
+                ..ContextualConfig::default()
+            },
+            ..PersonalizeConfig::default()
+        };
+        let _ = personalize_query(&tb.browser, "rosebud", &config);
+        // The result carries no timing: read the root span, which the
+        // scope closes with its one elapsed time, and the profile's
+        // truncation.
+        let roots = trace::take_roots();
+        let profiles = profile::take();
+        let root = roots.iter().find(|r| r.name == "query.personalize");
+        let elapsed = root.expect("personalize closes its root span").duration;
+        (elapsed, profiles.first().is_some_and(|p| p.truncated))
+    });
+}
+
+#[test]
+fn timectx_deadline_runs_from_entry() {
+    let tb = busy_history("entry-timectx");
+    assert_deadline_from_entry("timectx", |budget| {
+        let config = TimeContextConfig {
+            budget: budget.clone(),
+            ..TimeContextConfig::default()
+        };
+        let r = time_contextual_search(&tb.browser, "wine", "plane tickets", &config);
+        (r.elapsed, r.truncated)
+    });
+}
+
+#[test]
+fn lineage_deadline_runs_from_entry() {
+    let tb = busy_history("entry-lineage");
+    let dl = find_download(&tb.browser, "/dl/thing.bin").unwrap();
+    assert_deadline_from_entry("lineage", |budget| {
+        // Nothing is recognizable, so an unbounded walk would visit the
+        // whole lineage.
+        let config = LineageConfig {
+            recognizable_visits: u32::MAX,
+            budget: budget.clone(),
+        };
+        assert!(first_recognizable_ancestor(&tb.browser, dl, &config).is_none());
+        let p = &profile::take()[0];
+        (Duration::from_micros(p.total_us), p.truncated)
+    });
+}
+
+#[test]
+fn describe_deadline_runs_from_entry() {
+    let tb = busy_history("entry-describe");
+    assert_deadline_from_entry("describe", |budget| {
+        let config = DescribeConfig {
+            budget: budget.clone(),
+            ..DescribeConfig::default()
+        };
+        let story = describe_origin(&tb.browser, "/dl/thing.bin", &config);
+        assert!(story.is_some());
+        let p = &profile::take()[0];
+        (Duration::from_micros(p.total_us), p.truncated)
+    });
+}
+
+#[test]
+fn downloads_descending_from_spends_one_deadline() {
+    let tb = busy_history("entry-downloads");
+    // Forty visits of the page: every BFS from one of them spends the
+    // one deadline.
+    assert_deadline_from_entry("downloads_descending_from", |budget| {
+        let found = downloads_descending_from(&tb.browser, "http://travel/plane-tickets", budget);
+        // The query pinned the fresh clock at 0, so its reading now is the
+        // time the query took.
+        let elapsed = Duration::from_micros(budget.clock().now_micros());
+        // Every BFS reaches the download: an empty answer is a truncated one.
+        (elapsed, found.is_empty())
+    });
+}
+
+#[test]
+fn ql_deadline_runs_from_entry() {
+    let tb = busy_history("entry-ql");
+    assert_deadline_from_entry("ql", |budget| {
+        let rows = bp_query::ql::run(&tb.browser, "descendants(url = \"http://films/0\")", budget)
+            .unwrap();
+        (rows.elapsed, rows.truncated)
+    });
 }

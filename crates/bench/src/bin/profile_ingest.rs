@@ -158,7 +158,8 @@ fn store_op_costs() {
         t0.elapsed() / N as u32
     );
 
-    // Decompose add_node: interner, graph insert, key/time indexes.
+    // Decompose add_node: interner, graph insert (with its key table),
+    // time index.
     let urls: Vec<String> = (0..N)
         .map(|i| format!("http://host{}/fresh/{i}", i % 97))
         .collect();
@@ -188,22 +189,12 @@ fn store_op_costs() {
     for (i, u) in urls.iter().enumerate() {
         ids.push(g.add_node(bp_graph::Node::new(
             NodeKind::PageVisit,
-            u,
+            u.as_str(),
             Timestamp::from_secs(i as i64),
         )));
     }
     println!(
         "graph add_node x{N}: {:?} ({:?}/op)",
-        t0.elapsed(),
-        t0.elapsed() / N as u32
-    );
-    let mut keys = bp_storage::KeyIndex::new();
-    let t0 = bp_obs::clock::ClockHandle::real().start();
-    for (u, &id) in urls.iter().zip(&ids) {
-        keys.insert(u, id);
-    }
-    println!(
-        "key index insert x{N}: {:?} ({:?}/op)",
         t0.elapsed(),
         t0.elapsed() / N as u32
     );
@@ -242,14 +233,6 @@ fn component_timing(days: u32) {
         g2.add_edge(e.src(), e.dst(), e.kind(), e.at()).unwrap();
     }
     println!("graph rebuild: {:?}", t0.elapsed());
-
-    // KeyIndex rebuild.
-    let t0 = bp_obs::clock::ClockHandle::real().start();
-    let mut keys = bp_storage::KeyIndex::new();
-    for (id, n) in g.nodes() {
-        keys.insert(n.key(), id);
-    }
-    println!("key index rebuild: {:?}", t0.elapsed());
 
     // TimeIndex rebuild.
     let t0 = bp_obs::clock::ClockHandle::real().start();

@@ -464,14 +464,13 @@ pub fn a1_versioning(days: u32) -> String {
     }
     let flat_time = t0.elapsed() / 100;
 
-    // Versioned-graph cost: look up the URL's visit versions via the key
-    // index, walk only their out-edges.
-    let keys = browser.store().keys();
+    // Versioned-graph cost: look up the URL's visit versions via the
+    // graph's key table, walk only their out-edges.
     let t0 = ClockHandle::real().start();
     let mut graph_hits = 0usize;
     for _ in 0..100 {
-        graph_hits = keys
-            .get(&qa)
+        graph_hits = graph
+            .nodes_with_key(&qa)
             .iter()
             .flat_map(|&v| graph.parents(v))
             .filter(|(eid, dst)| {

@@ -662,7 +662,7 @@ fn dot(args: &Args) -> Result<String, String> {
             // Export only the neighborhood of a key: BFS both directions
             // within --radius hops from every node carrying it.
             let radius = args.opt_u64("radius", 2) as usize;
-            let starts = browser.store().keys().get(key);
+            let starts = browser.graph().nodes_with_key(key);
             if starts.is_empty() {
                 return Err(format!("no history object with key {key:?}"));
             }

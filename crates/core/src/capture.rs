@@ -19,7 +19,7 @@ use crate::event::{BrowserEvent, EventKind, NavigationCause, TabId};
 use bp_graph::{AttrValue, EdgeKind, NodeId, NodeKind, Timestamp};
 use bp_obs::{Counter, Histogram};
 use bp_storage::ProvenanceStore;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Which relationships and objects the capture layer records.
@@ -132,9 +132,6 @@ pub struct CaptureEngine {
     /// Open tabs, ordered by id so the temporal-overlap partner a
     /// navigation picks (the lowest other open tab) is deterministic.
     tabs: BTreeMap<TabId, TabState>,
-    bookmarks: HashMap<String, NodeId>,
-    search_terms: HashMap<String, NodeId>,
-    pages: HashMap<String, NodeId>,
     tab_counter: u64,
     /// Hot-path metric handles (resolved once; `handle` runs per event).
     events_total: Arc<Counter>,
@@ -144,41 +141,24 @@ pub struct CaptureEngine {
 }
 
 impl CaptureEngine {
-    /// Wraps a store with the given configuration, rebuilding object maps
-    /// (bookmarks, search terms, pages) from the recovered graph. Tab state
-    /// is not persisted: like a real browser restart, previously open tabs
-    /// are gone.
+    /// Wraps a store with the given configuration. Bookmarks, search
+    /// terms and pages are found through the graph's key table (the
+    /// newest node of the kind under a key), so the recovered graph needs
+    /// no rebuild beyond counting tabs. Tab state is not persisted: like a
+    /// real browser restart, previously open tabs are gone.
     pub fn new(store: ProvenanceStore, config: CaptureConfig) -> Self {
         let obs = store.obs().clone();
-        let mut engine = CaptureEngine {
+        let tab_counter = store.graph().nodes_of_kind(NodeKind::Tab).count() as u64;
+        CaptureEngine {
             store,
             config,
             tabs: BTreeMap::new(),
-            bookmarks: HashMap::new(),
-            search_terms: HashMap::new(),
-            pages: HashMap::new(),
-            tab_counter: 0,
+            tab_counter,
             events_total: obs.counter("capture.events_total"),
             events_rejected: obs.counter("capture.events_rejected"),
             edges_added: obs.counter("capture.edges_added"),
             batch_ops: obs.histogram("capture.batch_ops"),
-        };
-        for (id, node) in engine.store.graph().nodes() {
-            match node.kind() {
-                NodeKind::Bookmark => {
-                    engine.bookmarks.insert(node.key().to_owned(), id);
-                }
-                NodeKind::SearchTerm => {
-                    engine.search_terms.insert(node.key().to_owned(), id);
-                }
-                NodeKind::Page => {
-                    engine.pages.insert(node.key().to_owned(), id);
-                }
-                NodeKind::Tab => engine.tab_counter += 1,
-                _ => {}
-            }
         }
-        engine
     }
 
     /// The active configuration.
@@ -218,19 +198,15 @@ impl CaptureEngine {
     /// Redacts every history object whose key (URL, query, file path)
     /// equals `key` — the §4 privacy operation. Content disappears from
     /// the store (and, after the next snapshot, from disk); graph
-    /// structure and timestamps are preserved. Object caches are purged
-    /// so the redacted bookmark/search-term/page cannot be silently
-    /// reused. Returns the redacted node ids.
+    /// structure and timestamps are preserved. Redaction clears the key's
+    /// newest bookmark, search term and page, so none of them can be
+    /// silently reused. Returns the redacted node ids.
     ///
     /// # Errors
     ///
     /// Propagates storage failures; an unknown key is a no-op.
     pub fn redact(&mut self, key: &str) -> CoreResult<Vec<NodeId>> {
-        let nodes = self.store.redact_key(key)?;
-        self.bookmarks.remove(key);
-        self.pages.remove(key);
-        self.search_terms.remove(key);
-        Ok(nodes)
+        Ok(self.store.redact_key(key)?)
     }
 
     /// Applies one event to the store.
@@ -340,11 +316,14 @@ impl CaptureEngine {
         // Resolve and validate everything that can fail *before* mutating.
         let prev = self.tab_state(tab)?.current;
         let bookmark_node = match cause {
-            NavigationCause::Bookmark { bookmark_url } => {
-                Some(self.bookmarks.get(bookmark_url).copied().ok_or_else(|| {
-                    CoreError::BadEvent(format!("unknown bookmark {bookmark_url}"))
-                })?)
-            }
+            NavigationCause::Bookmark { bookmark_url } => Some(
+                self.store
+                    .graph()
+                    .newest_of_kind(NodeKind::Bookmark, bookmark_url)
+                    .ok_or_else(|| {
+                        CoreError::BadEvent(format!("unknown bookmark {bookmark_url}"))
+                    })?,
+            ),
             _ => None,
         };
         if matches!(cause, NavigationCause::Redirect { .. }) && prev.is_none() {
@@ -367,19 +346,18 @@ impl CaptureEngine {
         // keeps the graph's monotone invariant intact, which in turn keeps
         // cycle checking O(1) per edge (see `ProvenanceGraph::add_edge`).
         let page = if self.config.record_page_objects {
-            Some(match self.pages.get(url) {
-                Some(&p) => p,
-                None => {
-                    // Known title at creation goes straight into the
-                    // AddNode record, saving a SetNodeAttr frame.
-                    let attrs = title.map(|t| ("title", AttrValue::from(t)));
-                    let p = self
-                        .store
-                        .add_node(NodeKind::Page, url, at, attrs.as_slice())?;
-                    self.pages.insert(url.to_owned(), p);
-                    p
-                }
-            })
+            Some(
+                match self.store.graph().newest_of_kind(NodeKind::Page, url) {
+                    Some(p) => p,
+                    None => {
+                        // Known title at creation goes straight into the
+                        // AddNode record, saving a SetNodeAttr frame.
+                        let attrs = title.map(|t| ("title", AttrValue::from(t)));
+                        self.store
+                            .add_node(NodeKind::Page, url, at, attrs.as_slice())?
+                    }
+                },
+            )
         } else {
             None
         };
@@ -395,16 +373,16 @@ impl CaptureEngine {
             _ => None,
         };
         let term = match cause {
-            NavigationCause::SearchQuery { query } if self.config.record_search_terms => {
-                Some(match self.search_terms.get(query) {
-                    Some(&t) => t,
-                    None => {
-                        let t = self.store.add_node(NodeKind::SearchTerm, query, at, &[])?;
-                        self.search_terms.insert(query.clone(), t);
-                        t
-                    }
-                })
-            }
+            NavigationCause::SearchQuery { query } if self.config.record_search_terms => Some(
+                match self
+                    .store
+                    .graph()
+                    .newest_of_kind(NodeKind::SearchTerm, query)
+                {
+                    Some(t) => t,
+                    None => self.store.add_node(NodeKind::SearchTerm, query, at, &[])?,
+                },
+            ),
             _ => None,
         };
 
@@ -576,15 +554,15 @@ impl CaptureEngine {
         let current = state
             .current
             .ok_or_else(|| CoreError::BadEvent(format!("{tab} has no page to bookmark")))?;
-        let url = self
-            .store
-            .graph()
-            .node(current)
-            .map_err(to_bad_event)?
-            .key()
-            .to_owned();
-        let bookmark = match self.bookmarks.get(&url) {
-            Some(&b) => b,
+        let url = Arc::clone(
+            self.store
+                .graph()
+                .node(current)
+                .map_err(to_bad_event)?
+                .shared_key(),
+        );
+        let bookmark = match self.store.graph().newest_of_kind(NodeKind::Bookmark, &url) {
+            Some(b) => b,
             None => {
                 let b = self.store.add_node(
                     NodeKind::Bookmark,
@@ -592,7 +570,6 @@ impl CaptureEngine {
                     at,
                     &[("name", AttrValue::Str(name.to_owned()))],
                 )?;
-                self.bookmarks.insert(url, b);
                 self.store
                     .add_edge(b, current, EdgeKind::BookmarkCreated, at)?;
                 return Ok(CaptureOutcome {

@@ -6,7 +6,7 @@
 //! (`bp-storage`) interns the keys, the graph layer keeps them readable.
 
 use core::fmt;
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A single typed attribute value.
 ///
@@ -145,10 +145,13 @@ impl From<Vec<u8>> for AttrValue {
 
 /// An ordered map of attribute name → value.
 ///
-/// Backed by a `BTreeMap` so iteration (and therefore on-disk encoding and
-/// `Debug` output) is deterministic — determinism matters both for the
-/// byte-for-byte WAL recovery property tests and for reproducible experiment
-/// output.
+/// A `Vec` of `(name, value)` pairs kept sorted by name: iteration (and
+/// therefore on-disk encoding and `Debug` output) is deterministic, which
+/// matters both for the byte-for-byte WAL recovery property tests and for
+/// reproducible experiment output. Nodes carry one or two attributes, so
+/// a binary search over one small allocation beats a tree. Names are
+/// shared `Arc<str>`s: the store hands every node the interner's copy of
+/// a name instead of allocating its own.
 ///
 /// # Examples
 ///
@@ -162,7 +165,7 @@ impl From<Vec<u8>> for AttrValue {
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct AttrMap {
-    entries: BTreeMap<String, AttrValue>,
+    entries: Vec<(Arc<str>, AttrValue)>,
 }
 
 impl AttrMap {
@@ -171,18 +174,32 @@ impl AttrMap {
         Self::default()
     }
 
-    /// Sets `key` to `value`, returning the previous value if any.
-    pub fn set(
-        &mut self,
-        key: impl Into<String>,
-        value: impl Into<AttrValue>,
-    ) -> Option<AttrValue> {
-        self.entries.insert(key.into(), value.into())
+    fn find(&self, key: &str) -> Result<usize, usize> {
+        self.entries.binary_search_by(|(k, _)| (**k).cmp(key))
+    }
+
+    /// Sets `key` to `value`, returning the previous value if any. The
+    /// name is converted to an `Arc<str>` only when it is new to the map.
+    pub fn set<K>(&mut self, key: K, value: impl Into<AttrValue>) -> Option<AttrValue>
+    where
+        K: AsRef<str> + Into<Arc<str>>,
+    {
+        let value = value.into();
+        match self.find(key.as_ref()) {
+            Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
+            Err(i) => {
+                // Grow by one: a default `Vec` growth would reserve room
+                // for four attributes where most nodes carry one.
+                self.entries.reserve_exact(1);
+                self.entries.insert(i, (key.into(), value));
+                None
+            }
+        }
     }
 
     /// Looks up an attribute by name.
     pub fn get(&self, key: &str) -> Option<&AttrValue> {
-        self.entries.get(key)
+        self.find(key).ok().map(|i| &self.entries[i].1)
     }
 
     /// Convenience accessor for string attributes.
@@ -197,7 +214,7 @@ impl AttrMap {
 
     /// Removes an attribute, returning its value if present.
     pub fn remove(&mut self, key: &str) -> Option<AttrValue> {
-        self.entries.remove(key)
+        self.find(key).ok().map(|i| self.entries.remove(i).1)
     }
 
     /// Number of attributes.
@@ -212,7 +229,7 @@ impl AttrMap {
 
     /// Iterates attributes in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &AttrValue)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), v))
+        self.entries.iter().map(|(k, v)| (&**k, v))
     }
 
     /// Approximate encoded size in bytes (keys + values), for experiment E1.
@@ -226,15 +243,17 @@ impl AttrMap {
 
 impl FromIterator<(String, AttrValue)> for AttrMap {
     fn from_iter<I: IntoIterator<Item = (String, AttrValue)>>(iter: I) -> Self {
-        AttrMap {
-            entries: iter.into_iter().collect(),
-        }
+        let mut map = AttrMap::new();
+        map.extend(iter);
+        map
     }
 }
 
 impl Extend<(String, AttrValue)> for AttrMap {
     fn extend<I: IntoIterator<Item = (String, AttrValue)>>(&mut self, iter: I) {
-        self.entries.extend(iter);
+        for (k, v) in iter {
+            self.set(k, v);
+        }
     }
 }
 

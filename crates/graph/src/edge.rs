@@ -12,6 +12,7 @@ use crate::attr::AttrMap;
 use crate::ids::NodeId;
 use crate::time::Timestamp;
 use core::fmt;
+use std::sync::Arc;
 
 /// The browser action that generated a relationship.
 ///
@@ -241,7 +242,11 @@ impl Edge {
 
     /// Builder-style attribute attachment.
     #[must_use]
-    pub fn with_attr(mut self, key: impl Into<String>, value: impl Into<crate::AttrValue>) -> Self {
+    pub fn with_attr(
+        mut self,
+        key: impl AsRef<str> + Into<Arc<str>>,
+        value: impl Into<crate::AttrValue>,
+    ) -> Self {
         self.attrs.set(key, value);
         self
     }

@@ -240,6 +240,8 @@ fn carry(old: &[u32], rows: Range<usize>, offsets: &mut Vec<u32>, len: usize) ->
 /// is its forward row followed by its reverse row.
 pub struct FrozenGraph {
     epoch: u64,
+    /// [`ProvenanceGraph::redactions`] when the snapshot was taken.
+    redactions: u64,
     n: usize,
     fwd: Rows,
     rev: Rows,
@@ -268,47 +270,19 @@ impl std::fmt::Debug for FrozenGraph {
     }
 }
 
-/// What a [`FrozenHandle`] keeps beside its snapshot so the next one can
-/// be grown from it instead of built from the live graph.
-#[derive(Debug)]
-struct Growth {
-    /// [`ProvenanceGraph::redactions`] when the snapshot was taken.
-    redactions: u64,
-    /// Each key string's lowest node id.
-    first_of_key: HashMap<String, u32>,
-}
-
-impl Growth {
-    /// The `key_rep` entry of node `id`, registering its key if new.
-    fn key_rep(&mut self, graph: &ProvenanceGraph, id: NodeId) -> u32 {
-        let i = id.index();
-        let Ok(node) = graph.node(id) else { return i };
-        if let Some(&rep) = self.first_of_key.get(node.key()) {
-            return rep;
-        }
-        self.first_of_key.insert(node.key().to_owned(), i);
-        i
-    }
-
-    /// Whether `frozen` can grow into a snapshot of `graph`: the graph
-    /// has only gained nodes and edges, or edited intervals and
-    /// attributes, since. Its arenas are append-only and only a redaction
-    /// rewrites a key, so old rows, conductances and key groups all hold.
-    fn can_extend(&self, frozen: &FrozenGraph, graph: &ProvenanceGraph) -> bool {
-        graph.redactions() == self.redactions
-            && graph.epoch() > frozen.epoch
-            && graph.node_count() >= frozen.n
-            && graph.edge_count() >= frozen.edge_count()
-    }
+/// The `key_rep` entry of node `id`: the first node of its key's entry
+/// in the graph's key table, which lists ids in ascending order.
+fn key_rep_of(graph: &ProvenanceGraph, id: NodeId) -> u32 {
+    graph
+        .node(id)
+        .ok()
+        .and_then(|node| graph.nodes_with_key(node.key()).first())
+        .map_or(id.index(), |first| first.index())
 }
 
 impl FrozenGraph {
     /// Snapshots `graph` into CSR form. O(V + E).
     pub fn build(graph: &ProvenanceGraph) -> FrozenGraph {
-        Self::build_with_growth(graph).0
-    }
-
-    fn build_with_growth(graph: &ProvenanceGraph) -> (FrozenGraph, Growth) {
         let n = graph.node_count();
         let fwd = Rows::from_adjacency(graph, |id| graph.out_edges(id), Edge::dst);
         let rev = Rows::from_adjacency(graph, |id| graph.in_edges(id), Edge::src);
@@ -332,33 +306,37 @@ impl FrozenGraph {
         }
         // Key-dedup groups: one string hash per node at snapshot time
         // buys hash-free dedup on every blend afterwards.
-        let mut growth = Growth {
-            redactions: graph.redactions(),
-            first_of_key: HashMap::new(),
-        };
-        let key_rep = graph
-            .node_ids()
-            .map(|id| growth.key_rep(graph, id))
-            .collect();
-        let frozen = FrozenGraph {
+        let key_rep = graph.node_ids().map(|id| key_rep_of(graph, id)).collect();
+        FrozenGraph {
             epoch: graph.epoch(),
+            redactions: graph.redactions(),
             n,
             fwd,
             rev,
             cond,
             pull: Default::default(),
             key_rep,
-        };
-        (frozen, growth)
+        }
+    }
+
+    /// Whether this snapshot can grow into one of `graph`: the graph has
+    /// only gained nodes and edges, or edited intervals and attributes,
+    /// since. Its arenas are append-only and only a redaction rewrites a
+    /// key, so old rows, conductances and key groups all hold.
+    fn can_extend(&self, graph: &ProvenanceGraph) -> bool {
+        graph.redactions() == self.redactions
+            && graph.epoch() > self.epoch
+            && graph.node_count() >= self.n
+            && graph.edge_count() >= self.edge_count()
     }
 
     /// The snapshot of `graph` grown from this one, which must be a
-    /// snapshot of the same graph at an epoch `growth.can_extend`
-    /// accepts. Rows without new edges are copied in bulk; rows with new
-    /// edges get them appended. Conductance is recomputed only for the
-    /// endpoints of new edges, so every array comes out bit-identical to
+    /// snapshot of the same graph that `can_extend` accepts. Rows without
+    /// new edges are copied in bulk; rows with new edges get them
+    /// appended. Conductance is recomputed only for the endpoints of new
+    /// edges, so every array comes out bit-identical to
     /// [`FrozenGraph::build`]'s.
-    fn extend(&self, graph: &ProvenanceGraph, growth: &mut Growth) -> FrozenGraph {
+    fn extend(&self, graph: &ProvenanceGraph) -> FrozenGraph {
         let n = graph.node_count();
         // Appended edges are the arena's tail; each one extends its
         // source's forward row and its destination's reverse row.
@@ -383,10 +361,11 @@ impl FrozenGraph {
         let mut key_rep = Vec::with_capacity(n);
         key_rep.extend_from_slice(&self.key_rep);
         for i in self.n..n {
-            key_rep.push(growth.key_rep(graph, NodeId::new(i as u32)));
+            key_rep.push(key_rep_of(graph, NodeId::new(i as u32)));
         }
         let mut next = FrozenGraph {
             epoch: graph.epoch(),
+            redactions: self.redactions,
             n,
             fwd,
             rev,
@@ -1211,7 +1190,7 @@ pub enum Refresh {
 /// previous snapshot was taken of, grown or edited since.
 #[derive(Default)]
 pub struct FrozenHandle {
-    slot: Mutex<Option<(Arc<FrozenGraph>, Growth)>>,
+    slot: Mutex<Option<Arc<FrozenGraph>>>,
     builds: AtomicU64,
     last_build_us: AtomicU64,
 }
@@ -1243,7 +1222,7 @@ impl FrozenHandle {
             .slot
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some((f, _)) = slot.as_ref() {
+        if let Some(f) = slot.as_ref() {
             if f.epoch() == graph.epoch() {
                 return (f.clone(), None);
             }
@@ -1252,21 +1231,16 @@ impl FrozenHandle {
         // The slot stays empty until the refresh succeeds, so a panic
         // inside it (which poisons the mutex) leaves no half-grown state:
         // the next call rebuilds.
-        let (f, growth, refresh) = match slot.take() {
-            Some((prev, mut growth)) if growth.can_extend(&prev, graph) => {
-                let f = prev.extend(graph, &mut growth);
-                (Arc::new(f), growth, Refresh::Extended)
-            }
-            _ => {
-                let (f, growth) = FrozenGraph::build_with_growth(graph);
-                (Arc::new(f), growth, Refresh::Rebuilt)
-            }
+        let (f, refresh) = match slot.take() {
+            Some(prev) if prev.can_extend(graph) => (prev.extend(graph), Refresh::Extended),
+            _ => (FrozenGraph::build(graph), Refresh::Rebuilt),
         };
+        let f = Arc::new(f);
         let took = sw.elapsed();
         self.builds.fetch_add(1, Ordering::Relaxed);
         self.last_build_us
             .store(took.as_micros() as u64, Ordering::Relaxed);
-        *slot = Some((f.clone(), growth));
+        *slot = Some(f.clone());
         (f, Some((refresh, took)))
     }
 

@@ -13,6 +13,18 @@ use crate::ids::{EdgeId, NodeId, Version};
 use crate::node::{Node, NodeKind};
 use crate::time::Timestamp;
 use std::collections::HashMap;
+use std::sync::Arc;
+
+/// One row of the graph's key table.
+#[derive(Debug, Clone, Default)]
+struct KeyEntry {
+    /// Every node carrying the key, in ascending id order.
+    nodes: Vec<NodeId>,
+    /// The newest node of each kind added under the key, indexed by
+    /// [`NodeKind::code`]. Redacting a node clears its kind's slot under
+    /// its old key, and a node redacted into the key does not fill one.
+    newest: [Option<NodeId>; NodeKind::ALL.len()],
+}
 
 /// A directed acyclic multigraph of browser history objects.
 ///
@@ -54,8 +66,10 @@ pub struct ProvenanceGraph {
     out_edges: Vec<Vec<EdgeId>>,
     /// In-adjacency: edges whose `dst` is this node (toward descendants).
     in_edges: Vec<Vec<EdgeId>>,
-    /// Latest version per (kind, key) for versioned kinds.
-    latest_version: HashMap<(NodeKind, String), (NodeId, Version)>,
+    /// Key table: each distinct key once, as the `Arc<str>` every node
+    /// carrying it shares, with those nodes and the newest of each kind.
+    /// An entry goes when its last node is redacted away.
+    keys: HashMap<Arc<str>, KeyEntry>,
     /// `true` while every edge points from a newer node to an older node
     /// (`src > dst`). Browser capture always appends in that order, so the
     /// expensive reachability check can be skipped: a high→low edge cannot
@@ -91,7 +105,7 @@ impl ProvenanceGraph {
             edges: Vec::with_capacity(edges),
             out_edges: Vec::with_capacity(nodes),
             in_edges: Vec::with_capacity(nodes),
-            latest_version: HashMap::new(),
+            keys: HashMap::new(),
             monotone: true,
             epoch: 0,
             redactions: 0,
@@ -133,15 +147,18 @@ impl ProvenanceGraph {
 
     /// Adds a node and returns its identifier.
     ///
-    /// If the node's kind is versioned (see [`NodeKind::is_versioned`]) the
-    /// graph tracks it as the latest version of its `(kind, key)` pair.
-    pub fn add_node(&mut self, node: Node) -> NodeId {
+    /// The node becomes the newest of its kind under its key (for a
+    /// versioned kind, see [`NodeKind::is_versioned`], the latest version
+    /// of its `(kind, key)` pair), and its key is swapped for the key
+    /// table's copy, so all nodes with one key share one string.
+    pub fn add_node(&mut self, mut node: Node) -> NodeId {
         self.epoch += 1;
         let id = NodeId::new(self.nodes.len() as u32);
-        if node.kind().is_versioned() {
-            self.latest_version
-                .insert((node.kind(), node.key().to_owned()), (id, node.version()));
-        }
+        let entry = self.keys.entry(Arc::clone(node.shared_key()));
+        node.share_key(Arc::clone(entry.key()));
+        let entry = entry.or_default();
+        entry.nodes.push(id);
+        entry.newest[usize::from(node.kind().code())] = Some(id);
         self.nodes.push(node);
         self.out_edges.push(Vec::new());
         self.in_edges.push(Vec::new());
@@ -158,7 +175,7 @@ impl ProvenanceGraph {
     /// fresh version and point edges at that.
     pub fn add_version(&mut self, kind: NodeKind, key: &str, at: Timestamp) -> NodeId {
         debug_assert!(kind.is_versioned(), "add_version on unversioned kind");
-        let prior = self.latest_version.get(&(kind, key.to_owned())).copied();
+        let prior = self.latest_version_of(kind, key);
         let version = prior.map_or(Version::FIRST, |(_, v)| v.next());
         let id = self.add_node(Node::with_version(kind, key, version, at));
         if let Some((prev_id, _)) = prior {
@@ -169,9 +186,23 @@ impl ProvenanceGraph {
         id
     }
 
-    /// Returns the latest version instance of a versioned `(kind, key)`.
+    /// Returns the latest version instance of `(kind, key)`: the newest
+    /// node of `kind` under `key` and its version.
     pub fn latest_version_of(&self, kind: NodeKind, key: &str) -> Option<(NodeId, Version)> {
-        self.latest_version.get(&(kind, key.to_owned())).copied()
+        let id = self.newest_of_kind(kind, key)?;
+        Some((id, self.nodes[id.as_usize()].version()))
+    }
+
+    /// The newest node of `kind` added under `key`, unless a redaction of
+    /// a `kind` node with that key has cleared it since.
+    pub fn newest_of_kind(&self, kind: NodeKind, key: &str) -> Option<NodeId> {
+        self.keys.get(key)?.newest[usize::from(kind.code())]
+    }
+
+    /// Every node whose key is `key`, in ascending id (and therefore
+    /// time) order.
+    pub fn nodes_with_key(&self, key: &str) -> &[NodeId] {
+        self.keys.get(key).map_or(&[], |entry| &entry.nodes)
     }
 
     /// Borrows a node.
@@ -281,9 +312,11 @@ impl ProvenanceGraph {
         }
     }
 
-    /// Redacts a node in place (see [`Node::redact`]), fixing up the
-    /// versioned-object tracking so the old key can no longer be resolved
-    /// (a later visit to the same URL starts a fresh version chain).
+    /// Redacts a node in place (see [`Node::redact`]) and moves it in the
+    /// key table from its old key to `replacement`. The newest node of
+    /// its kind under the old key is cleared, so the old key can no longer
+    /// be resolved (a later visit to the same URL starts a fresh version
+    /// chain); a key left with no node leaves the table.
     ///
     /// Returns the node's previous key.
     ///
@@ -293,20 +326,29 @@ impl ProvenanceGraph {
     pub fn redact_node(
         &mut self,
         id: NodeId,
-        replacement: impl Into<String>,
-    ) -> Result<String, GraphError> {
+        replacement: impl Into<Arc<str>>,
+    ) -> Result<Arc<str>, GraphError> {
         self.epoch += 1;
         let node = self
             .nodes
             .get_mut(id.as_usize())
             .ok_or(GraphError::UnknownNode(id))?;
-        let old_key = node.key().to_owned();
-        let kind = node.kind();
-        node.redact(replacement);
-        self.redactions += 1;
-        if kind.is_versioned() {
-            self.latest_version.remove(&(kind, old_key.clone()));
+        let slot = usize::from(node.kind().code());
+        if let Some(old) = self.keys.get_mut(node.key()) {
+            if let Ok(at) = old.nodes.binary_search(&id) {
+                old.nodes.remove(at);
+            }
+            old.newest[slot] = None;
+            if old.nodes.is_empty() {
+                self.keys.remove(node.key());
+            }
         }
+        let entry = self.keys.entry(replacement.into());
+        let old_key = node.redact(Arc::clone(entry.key()));
+        let nodes = &mut entry.or_default().nodes;
+        let at = nodes.partition_point(|&n| n < id);
+        nodes.insert(at, id);
+        self.redactions += 1;
         Ok(old_key)
     }
 
@@ -444,6 +486,7 @@ impl ProvenanceGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(s: i64) -> Timestamp {
         Timestamp::from_secs(s)
@@ -660,7 +703,7 @@ mod tests {
         let v1 = g.add_version(NodeKind::PageVisit, "http://secret/", t(2));
         g.node_mut(v1).unwrap().attrs_mut().set("title", "Secret");
         let old = g.redact_node(v1, "[redacted]").unwrap();
-        assert_eq!(old, "http://secret/");
+        assert_eq!(&*old, "http://secret/");
         assert_eq!(g.node(v1).unwrap().key(), "[redacted]");
         assert!(g.node(v1).unwrap().attrs().is_empty());
         // Version tracking for the old key is gone: a new visit restarts.
@@ -707,5 +750,105 @@ mod tests {
         let v0 = g.add_version(NodeKind::PageVisit, "u", t(1));
         assert_eq!(g.out_degree(v0), 0);
         assert_eq!(g.node(v0).unwrap().version(), Version::FIRST);
+    }
+
+    /// Keys the key-table proptest draws from: six node keys, plus three
+    /// redaction placeholders that several redactions share.
+    fn drawn_key(i: u8) -> String {
+        match i % 9 {
+            k @ 0..=5 => format!("k{k}"),
+            r => format!("[r{r}]"),
+        }
+    }
+
+    /// Applies one random step to `g` and to `newest`, the model of the
+    /// newest node of each kind under each key: an add sets it, and a
+    /// redaction clears the redacted node's kind under its old key.
+    fn key_table_step(
+        g: &mut ProvenanceGraph,
+        newest: &mut HashMap<(NodeKind, String), NodeId>,
+        (op, key, kind, pick): (u8, u8, u8, u16),
+    ) {
+        let n = g.node_count() as u16;
+        let key = drawn_key(key);
+        let kind = NodeKind::ALL[usize::from(kind) % NodeKind::ALL.len()];
+        let at = t(i64::from(n));
+        match op % 8 {
+            0..=2 => {
+                let id = g.add_node(Node::new(kind, key.as_str(), at));
+                newest.insert((kind, key), id);
+            }
+            3 | 4 => {
+                let id = g.add_version(NodeKind::PageVisit, &key, at);
+                newest.insert((NodeKind::PageVisit, key), id);
+            }
+            5 if n > 1 => {
+                let src = NodeId::new(u32::from(pick % n));
+                let dst = NodeId::new(u32::from(pick / 7 % n));
+                let _ = g.add_edge(src, dst, EdgeKind::Link, at);
+            }
+            6 | 7 if n > 0 => {
+                let id = NodeId::new(u32::from(pick % n));
+                let node = g.node(id).unwrap();
+                newest.remove(&(node.kind(), node.key().to_owned()));
+                g.redact_node(id, key.as_str()).unwrap();
+            }
+            _ => {}
+        }
+    }
+
+    /// Checks the key table against a scan of every node and against the
+    /// `newest` model.
+    fn check_key_table(
+        g: &ProvenanceGraph,
+        newest: &HashMap<(NodeKind, String), NodeId>,
+    ) -> Result<(), TestCaseError> {
+        let mut scan: HashMap<&str, Vec<NodeId>> = HashMap::new();
+        for (id, node) in g.nodes() {
+            scan.entry(node.key()).or_default().push(id);
+            let (shared, _) = g.keys.get_key_value(node.key()).unwrap();
+            prop_assert!(Arc::ptr_eq(shared, node.shared_key()));
+        }
+        // The table holds exactly the keys some node carries.
+        prop_assert_eq!(g.keys.len(), scan.len());
+        for i in 0..9 {
+            let key = drawn_key(i);
+            let expected = scan.get(key.as_str()).map_or(&[][..], Vec::as_slice);
+            prop_assert_eq!(g.nodes_with_key(&key), expected);
+            for kind in NodeKind::ALL {
+                let model = newest.get(&(kind, key.clone())).copied();
+                prop_assert_eq!(g.newest_of_kind(kind, &key), model);
+                let latest = model.map(|id| (id, g.node(id).unwrap().version()));
+                prop_assert_eq!(g.latest_version_of(kind, &key), latest);
+                if let Some(id) = model {
+                    // The newest node still carries the key and the kind.
+                    let node = g.node(id).unwrap();
+                    prop_assert_eq!(node.key(), key.as_str());
+                    prop_assert_eq!(node.kind(), kind);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// After every step of a random mix of adds, versions, edges and
+        /// redactions (into shared placeholders and into live keys), the
+        /// key table lists exactly each key's nodes in ascending order,
+        /// tracks the newest node of each kind with the redaction rule,
+        /// and hands every node its entry's one copy of the key.
+        #[test]
+        fn key_table_matches_a_scan(
+            steps in prop::collection::vec((any::<u8>(), 0u8..9, 0u8..7, any::<u16>()), 1..80),
+        ) {
+            let mut g = ProvenanceGraph::new();
+            let mut newest = HashMap::new();
+            for &step in &steps {
+                key_table_step(&mut g, &mut newest, step);
+                check_key_table(&g, &newest)?;
+            }
+        }
     }
 }

@@ -10,6 +10,7 @@ use crate::attr::AttrMap;
 use crate::ids::Version;
 use crate::time::{TimeInterval, Timestamp};
 use core::fmt;
+use std::sync::Arc;
 
 /// The kind of history object a node represents.
 ///
@@ -124,6 +125,9 @@ impl fmt::Display for NodeKind {
 /// A node carries its kind, a primary `key` (URL for pages and visits, the
 /// query string for search terms, the file path for downloads, …), a
 /// version (§3.1), its open/close interval (§3.2), and free-form attributes.
+/// The key is a shared `Arc<str>`: [`crate::ProvenanceGraph::add_node`]
+/// swaps it for the graph's one copy, so every version of a page holds
+/// the same string.
 ///
 /// # Examples
 ///
@@ -136,7 +140,7 @@ impl fmt::Display for NodeKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     kind: NodeKind,
-    key: String,
+    key: Arc<str>,
     version: Version,
     interval: TimeInterval,
     attrs: AttrMap,
@@ -144,7 +148,7 @@ pub struct Node {
 
 impl Node {
     /// Creates a first-version node opened at `at`.
-    pub fn new(kind: NodeKind, key: impl Into<String>, at: Timestamp) -> Self {
+    pub fn new(kind: NodeKind, key: impl Into<Arc<str>>, at: Timestamp) -> Self {
         Node {
             kind,
             key: key.into(),
@@ -158,7 +162,7 @@ impl Node {
     /// would-be cycle).
     pub fn with_version(
         kind: NodeKind,
-        key: impl Into<String>,
+        key: impl Into<Arc<str>>,
         version: Version,
         at: Timestamp,
     ) -> Self {
@@ -173,7 +177,11 @@ impl Node {
 
     /// Builder-style attribute attachment.
     #[must_use]
-    pub fn with_attr(mut self, key: impl Into<String>, value: impl Into<crate::AttrValue>) -> Self {
+    pub fn with_attr(
+        mut self,
+        key: impl AsRef<str> + Into<Arc<str>>,
+        value: impl Into<crate::AttrValue>,
+    ) -> Self {
         self.attrs.set(key, value);
         self
     }
@@ -186,6 +194,18 @@ impl Node {
     /// The primary key (URL, query string, file path, …).
     pub fn key(&self) -> &str {
         &self.key
+    }
+
+    /// The primary key as the shared string it is stored in.
+    pub fn shared_key(&self) -> &Arc<str> {
+        &self.key
+    }
+
+    /// Points the node at `key`, an equal string held elsewhere, so both
+    /// share one allocation.
+    pub(crate) fn share_key(&mut self, key: Arc<str>) {
+        debug_assert_eq!(key, self.key);
+        self.key = key;
     }
 
     /// The version of this instance.
@@ -213,16 +233,16 @@ impl Node {
     }
 
     /// Redacts the node's content: the key is replaced by `replacement`
-    /// and all attributes are dropped. Structure (kind, version, interval,
+    /// (and returned) and all attributes are dropped. Structure (kind, version, interval,
     /// edges) is preserved — the §4 privacy goal is hiding *what* was
     /// browsed, while lineage shape may legitimately remain for forensics.
     ///
     /// Crate-private: [`crate::ProvenanceGraph::redact_node`] is the only
     /// way to rewrite a key, so the graph can count key rewrites (CSR
     /// snapshots extend across every other mutation).
-    pub(crate) fn redact(&mut self, replacement: impl Into<String>) {
-        self.key = replacement.into();
+    pub(crate) fn redact(&mut self, replacement: Arc<str>) -> Arc<str> {
         self.attrs = AttrMap::new();
+        std::mem::replace(&mut self.key, replacement)
     }
 
     /// Immutable view of the attributes.

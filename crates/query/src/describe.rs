@@ -136,7 +136,7 @@ pub fn describe_origin(
     let budget = scope.budget();
     let resolved = {
         let stage = scope.stage("resolve");
-        let found = browser.store().keys().get(key).last().copied();
+        let found = browser.graph().nodes_with_key(key).last().copied();
         stage.rows(1, usize::from(found.is_some()));
         found
     };

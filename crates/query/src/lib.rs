@@ -233,7 +233,7 @@ mod proptests {
         fn ql_matches_library(steps in prop::collection::vec((0u8..6, any::<u8>(), any::<bool>()), 3..40)) {
             let (_dir, browser) = build_browser("ql", &steps);
             let url = "http://site0.example/page";
-            if browser.store().keys().get(url).is_empty() {
+            if browser.graph().nodes_with_key(url).is_empty() {
                 return Ok(());
             }
             let expected = downloads_descending_from(

@@ -59,7 +59,7 @@ pub struct LineageAnswer {
 
 /// Finds the download node for a file path, newest first.
 pub fn find_download(browser: &ProvenanceBrowser, path: &str) -> Option<NodeId> {
-    browser.store().keys().get(path).last().copied()
+    browser.graph().nodes_with_key(path).last().copied()
 }
 
 /// BFS over the causal out-rows of the browser's current
@@ -278,7 +278,7 @@ pub fn downloads_descending_from(
     // A URL with many visits runs one BFS per visit; all of them spend
     // the one deadline pinned here, which bounds the whole query.
     let budget = budget.pinned();
-    for &start in browser.store().keys().get(url) {
+    for &start in browser.graph().nodes_with_key(url) {
         if budget.expired() {
             break;
         }

@@ -66,9 +66,8 @@ fn resolve(browser: &ProvenanceBrowser, selector: &Selector) -> Result<NodeId, E
             Ok(node)
         }
         Selector::Key(key) => browser
-            .store()
-            .keys()
-            .get(key)
+            .graph()
+            .nodes_with_key(key)
             .last()
             .copied()
             .ok_or_else(|| ExecError::new(format!("no node with key {key:?}"))),
@@ -323,7 +322,7 @@ mod tests {
     #[test]
     fn ancestors_with_visit_filter_finds_recognizable_page() {
         let tb = history("anc");
-        let dl = tb.browser.store().keys().get("/dl/file.zip")[0];
+        let dl = tb.browser.graph().nodes_with_key("/dl/file.zip")[0];
         let rows = run(
             &tb.browser,
             &format!(
@@ -353,7 +352,7 @@ mod tests {
     #[test]
     fn path_between_download_and_hub() {
         let tb = history("path");
-        let dl = tb.browser.store().keys().get("/dl/file.zip")[0];
+        let dl = tb.browser.graph().nodes_with_key("/dl/file.zip")[0];
         let rows = run(
             &tb.browser,
             &format!("path(#{}, latest('http://hub/'))", dl.index()),
@@ -395,7 +394,7 @@ mod tests {
     #[test]
     fn depth_filter_and_limit() {
         let tb = history("depth");
-        let dl = tb.browser.store().keys().get("/dl/file.zip")[0];
+        let dl = tb.browser.graph().nodes_with_key("/dl/file.zip")[0];
         let all = run(
             &tb.browser,
             &format!("ancestors(#{})", dl.index()),

@@ -1,67 +1,18 @@
-//! Secondary indexes: key → nodes and time-interval overlap.
+//! Secondary index: time-interval overlap.
 //!
 //! §3.4's vision demands that "relationships, paths, and neighborhoods …
 //! be queried with the same power as node objects"; practically, the query
-//! layer needs two entry points the raw graph lacks: find nodes by URL /
-//! key ([`KeyIndex`]), and find nodes whose open interval overlaps a time
-//! range ([`TimeIndex`], the substrate of time-contextual search, §2.3).
+//! layer needs two entry points beyond adjacency: find nodes by URL / key
+//! (the graph's own key table, `ProvenanceGraph::nodes_with_key`), and
+//! find nodes whose open interval overlaps a time range ([`TimeIndex`],
+//! the substrate of time-contextual search, §2.3).
 
 use bp_graph::{NodeId, TimeInterval, Timestamp};
-use std::collections::HashMap;
-
-/// Maps a node's primary key (URL, query string, path) to every node
-/// carrying it — all visit versions of a page share a key.
-///
-/// # Examples
-///
-/// ```
-/// use bp_storage::KeyIndex;
-/// use bp_graph::NodeId;
-/// let mut idx = KeyIndex::new();
-/// idx.insert("http://a/", NodeId::new(0));
-/// idx.insert("http://a/", NodeId::new(3));
-/// assert_eq!(idx.get("http://a/"), &[NodeId::new(0), NodeId::new(3)]);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct KeyIndex {
-    map: HashMap<String, Vec<NodeId>>,
-}
-
-impl KeyIndex {
-    /// Creates an empty index.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records that `node` carries `key`. Nodes arrive in id order, so
-    /// each key's list stays sorted without explicit sorting.
-    pub fn insert(&mut self, key: &str, node: NodeId) {
-        self.map.entry(key.to_owned()).or_default().push(node);
-    }
-
-    /// All nodes carrying `key`, in insertion (time) order.
-    pub fn get(&self, key: &str) -> &[NodeId] {
-        self.map.get(key).map_or(&[], Vec::as_slice)
-    }
-
-    /// Removes the whole entry for `key`, returning the nodes that
-    /// carried it (used by redaction).
-    pub fn remove_key(&mut self, key: &str) -> Vec<NodeId> {
-        self.map.remove(key).unwrap_or_default()
-    }
-
-    /// Number of distinct keys.
-    pub fn key_count(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Iterates `(key, nodes)` pairs in arbitrary order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &[NodeId])> {
-        self.map.iter().map(|(k, v)| (k.as_str(), v.as_slice()))
-    }
-}
 
 const BLOCK: usize = 256;
+
+/// [`TimeIndex`]'s position of a node id that was never inserted.
+const UNINDEXED: u32 = u32::MAX;
 
 /// An interval-overlap index over node open/close intervals.
 ///
@@ -88,8 +39,9 @@ pub struct TimeIndex {
     /// Per-block max close; `None` means the block contains a still-open
     /// interval (max = +infinity).
     block_max_close: Vec<Option<Timestamp>>,
-    /// Position of each node's entry, for close-time updates.
-    position: HashMap<NodeId, usize>,
+    /// Position of each node's entry, indexed by node id, for close-time
+    /// updates; [`UNINDEXED`] for ids never inserted.
+    position: Vec<u32>,
 }
 
 impl TimeIndex {
@@ -121,14 +73,19 @@ impl TimeIndex {
                 .partition_point(|e| (e.0, e.2) <= (entry.0, entry.2));
             self.entries.insert(at, entry);
             // Positions after the insertion point shift right.
-            for (_, pos) in self.position.iter_mut() {
-                if *pos >= at {
+            for pos in &mut self.position {
+                if *pos != UNINDEXED && *pos as usize >= at {
                     *pos += 1;
                 }
             }
             at
         };
-        self.position.insert(node, at);
+        let slot = node.as_usize();
+        if self.position.len() <= slot {
+            self.position.resize(slot + 1, UNINDEXED);
+        }
+        // Entries are one per node id, so a position fits in a `u32`.
+        self.position[slot] = at as u32;
         self.refresh_blocks_from(at);
     }
 
@@ -136,9 +93,13 @@ impl TimeIndex {
     ///
     /// Unknown nodes are ignored (the caller may index only some kinds).
     pub fn close(&mut self, node: NodeId, at: Timestamp) {
-        if let Some(&pos) = self.position.get(&node) {
-            self.entries[pos].1 = Some(at);
-            self.refresh_block(pos / BLOCK);
+        match self.position.get(node.as_usize()) {
+            Some(&pos) if pos != UNINDEXED => {
+                let pos = pos as usize;
+                self.entries[pos].1 = Some(at);
+                self.refresh_block(pos / BLOCK);
+            }
+            _ => {}
         }
     }
 
@@ -228,19 +189,6 @@ mod tests {
 
     fn closed(a: i64, b: i64) -> TimeInterval {
         TimeInterval::closed(secs(a), secs(b))
-    }
-
-    #[test]
-    fn key_index_basics() {
-        let mut idx = KeyIndex::new();
-        idx.insert("a", NodeId::new(0));
-        idx.insert("b", NodeId::new(1));
-        idx.insert("a", NodeId::new(2));
-        assert_eq!(idx.get("a"), &[NodeId::new(0), NodeId::new(2)]);
-        assert_eq!(idx.get("b"), &[NodeId::new(1)]);
-        assert!(idx.get("missing").is_empty());
-        assert_eq!(idx.key_count(), 2);
-        assert_eq!(idx.iter().count(), 2);
     }
 
     #[test]

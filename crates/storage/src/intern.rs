@@ -16,6 +16,7 @@
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// A dense string ↔ id table.
 ///
@@ -145,6 +146,11 @@ fn fnv1a(s: &str) -> u64 {
 /// Lock order is always shard → `by_id`, on every path, so the pair cannot
 /// deadlock.
 ///
+/// Each string is stored once, as an `Arc<str>` that the shard map and the
+/// id table share. [`resolve`](Self::resolve) hands out clones of that one
+/// `Arc`, so the graph's nodes hold the interner's copy of their key and
+/// attribute names instead of their own.
+///
 /// # Examples
 ///
 /// ```
@@ -154,13 +160,17 @@ fn fnv1a(s: &str) -> u64 {
 /// let b = interner.intern("title");
 /// assert_eq!(a, b);
 /// assert_eq!(interner.resolve(a).as_deref(), Some("title"));
+/// // Both resolve to the interner's one copy.
+/// let (x, y) = (interner.resolve(a).unwrap(), interner.resolve(b).unwrap());
+/// assert!(std::sync::Arc::ptr_eq(&x, &y));
 /// ```
 #[derive(Debug, Default)]
 pub struct ShardedInterner {
     /// string → id, partitioned by `fnv1a(s) % SHARD_COUNT`.
-    shards: [RwLock<HashMap<String, u32>>; SHARD_COUNT],
-    /// id → string, append-only in id order.
-    by_id: RwLock<Vec<String>>,
+    shards: [RwLock<HashMap<Arc<str>, u32>>; SHARD_COUNT],
+    /// id → string, append-only in id order; each entry is the `Arc` its
+    /// shard map holds.
+    by_id: RwLock<Vec<Arc<str>>>,
     /// Running total of interned payload bytes — kept incrementally so
     /// [`payload_bytes`](Self::payload_bytes) is O(1) (it used to be an
     /// O(strings) walk on every per-event gauge publish).
@@ -173,7 +183,7 @@ impl ShardedInterner {
         Self::default()
     }
 
-    fn shard_of(&self, s: &str) -> &RwLock<HashMap<String, u32>> {
+    fn shard_of(&self, s: &str) -> &RwLock<HashMap<Arc<str>, u32>> {
         // SHARD_COUNT is a power of two; mask instead of modulo.
         let index = usize_from_hash(fnv1a(s)) & (SHARD_COUNT - 1);
         &self.shards[index]
@@ -183,6 +193,21 @@ impl ShardedInterner {
     /// boolean is `true` when the string was newly defined (callers append
     /// a `define` record to the log in that case).
     pub fn intern_full(&self, s: &str) -> (u32, bool) {
+        self.intern_with(s, || Arc::from(s))
+    }
+
+    /// Returns the id for `s`, allocating if unseen.
+    pub fn intern(&self, s: &str) -> u32 {
+        self.intern_full(s).0
+    }
+
+    /// Returns the id for `s`; if unseen, the interner keeps a clone of
+    /// `s` itself rather than a copy of its bytes.
+    pub fn intern_shared(&self, s: &Arc<str>) -> u32 {
+        self.intern_with(s, || Arc::clone(s)).0
+    }
+
+    fn intern_with(&self, s: &str, to_arc: impl FnOnce() -> Arc<str>) -> (u32, bool) {
         let shard = self.shard_of(s);
         if let Some(&id) = shard.read().get(s) {
             return (id, false);
@@ -193,18 +218,14 @@ impl ShardedInterner {
         if let Some(&id) = map.get(s) {
             return (id, false);
         }
+        let shared = to_arc();
         let mut by_id = self.by_id.write();
         let id = u32::try_from(by_id.len()).unwrap_or(u32::MAX);
-        by_id.push(s.to_owned());
+        by_id.push(Arc::clone(&shared));
         drop(by_id);
         self.payload.fetch_add(s.len(), Ordering::Relaxed);
-        map.insert(s.to_owned(), id);
+        map.insert(shared, id);
         (id, true)
-    }
-
-    /// Returns the id for `s`, allocating if unseen.
-    pub fn intern(&self, s: &str) -> u32 {
-        self.intern_full(s).0
     }
 
     /// Looks up a string without allocating.
@@ -212,8 +233,9 @@ impl ShardedInterner {
         self.shard_of(s).read().get(s).copied()
     }
 
-    /// Resolves an id back to its (cloned) string.
-    pub fn resolve(&self, id: u32) -> Option<String> {
+    /// Resolves an id back to its string: a clone of the interner's
+    /// `Arc`, so nothing is allocated.
+    pub fn resolve(&self, id: u32) -> Option<Arc<str>> {
         self.by_id.read().get(id as usize).cloned()
     }
 
@@ -233,10 +255,11 @@ impl ShardedInterner {
         if id != expected {
             return Err(expected);
         }
-        by_id.push(s.to_owned());
+        let shared: Arc<str> = Arc::from(s);
+        by_id.push(Arc::clone(&shared));
         drop(by_id);
         self.payload.fetch_add(s.len(), Ordering::Relaxed);
-        map.insert(s.to_owned(), id);
+        map.insert(shared, id);
         Ok(())
     }
 
@@ -257,7 +280,7 @@ impl ShardedInterner {
     }
 
     /// Snapshot of the strings in id order.
-    pub fn strings(&self) -> Vec<String> {
+    pub fn strings(&self) -> Vec<Arc<str>> {
         self.by_id.read().clone()
     }
 }
@@ -364,7 +387,7 @@ mod tests {
         i.define(1, "b").unwrap();
         assert_eq!(i.define(3, "d"), Err(2));
         assert_eq!(i.resolve(1).as_deref(), Some("b"));
-        assert_eq!(i.strings(), vec!["a".to_owned(), "b".to_owned()]);
+        assert_eq!(i.strings(), vec![Arc::<str>::from("a"), Arc::from("b")]);
     }
 
     #[test]
@@ -392,7 +415,7 @@ mod tests {
                 replayed.define(u32::try_from(id).unwrap(), s).unwrap();
             }
             for (id, s) in plain.iter() {
-                prop_assert_eq!(replayed.resolve(id), Some(s.to_owned()));
+                prop_assert_eq!(replayed.resolve(id), Some(Arc::from(s)));
             }
         }
     }

@@ -16,8 +16,9 @@
 //!   longer serializes against queries);
 //! - [`factorize`] — Chapman-style structural factorization of repeated
 //!   edge patterns (ablation A2);
-//! - [`KeyIndex`]/[`TimeIndex`] — URL lookup and interval-overlap indexes
-//!   (the substrate of time-contextual search, §2.3);
+//! - [`TimeIndex`] — the interval-overlap index (the substrate of
+//!   time-contextual search, §2.3); URL lookup is the graph's own key
+//!   table (`ProvenanceGraph::nodes_with_key`);
 //! - [`ProvenanceStore`] — the façade tying graph, log, and indexes
 //!   together with exact crash recovery.
 //!
@@ -75,7 +76,7 @@ mod wal;
 pub use crc::crc32c;
 pub use error::{StorageError, StorageResult};
 pub use factorize::{defactorize, factorize, raw_structure_size, FactorizedEdges};
-pub use index::{KeyIndex, TimeIndex};
+pub use index::TimeIndex;
 pub use intern::{ShardedInterner, StringInterner};
 pub use record::{Codec, Op};
 pub use store::{ProvenanceStore, SizeReport};

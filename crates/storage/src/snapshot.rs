@@ -53,8 +53,10 @@ pub(crate) fn encode(graph: &ProvenanceGraph, compact: &ShardedInterner) -> Stor
     // First pass: assign compact string ids in reference order (node keys
     // and attr keys in node-id order, then edge attr keys in edge-id
     // order) — the same order the string table is emitted and replayed.
+    // Keys enter the table as the nodes' own shared strings, so the store
+    // that adopts `compact` still holds each key once.
     for (_, node) in graph.nodes() {
-        compact.intern(node.key());
+        compact.intern_shared(node.shared_key());
         for (k, _) in node.attrs().iter() {
             compact.intern(k);
         }
@@ -425,7 +427,7 @@ mod tests {
                     attrs,
                 } => {
                     let key = interner.resolve(key).unwrap();
-                    let mut node = Node::with_version(kind, &key, version, open_at);
+                    let mut node = Node::with_version(kind, key, version, open_at);
                     for (kid, v) in attrs {
                         node.attrs_mut().set(interner.resolve(kid).unwrap(), v);
                     }
@@ -522,7 +524,7 @@ mod tests {
             codec.encode(
                 &Op::DefineString {
                     id: u32::try_from(id).unwrap(),
-                    value: s.clone(),
+                    value: s.to_string(),
                 },
                 &mut v1,
             );

@@ -2,8 +2,9 @@
 //!
 //! [`ProvenanceStore`] is the paper's "single, homogeneous provenance graph
 //! store" (§3.4) made durable: an in-memory [`ProvenanceGraph`] kept
-//! consistent with an on-disk write-ahead log plus snapshot, and two
-//! secondary indexes (key → nodes, interval overlap) maintained inline.
+//! consistent with an on-disk write-ahead log plus snapshot, and an
+//! interval-overlap index maintained inline (the graph itself answers
+//! key → nodes).
 //!
 //! Layout on disk (one directory per profile):
 //!
@@ -17,7 +18,7 @@
 //! rebuilt graph is byte-for-byte the pre-crash committed state.
 
 use crate::error::{StorageError, StorageResult};
-use crate::index::{KeyIndex, TimeIndex};
+use crate::index::TimeIndex;
 use crate::intern::ShardedInterner;
 use crate::record::{Codec, Op};
 use crate::wal::{SyncPolicy, Wal};
@@ -62,7 +63,6 @@ const SNAPSHOT_HEADER: &[u8] = b"BPSNAP\x02";
 pub struct ProvenanceStore {
     graph: ProvenanceGraph,
     interner: ShardedInterner,
-    keys: KeyIndex,
     times: TimeIndex,
     wal: Wal,
     codec: Codec,
@@ -121,7 +121,6 @@ impl ProvenanceStore {
         let mut store = ProvenanceStore {
             graph: ProvenanceGraph::new(),
             interner: ShardedInterner::new(),
-            keys: KeyIndex::new(),
             times: TimeIndex::new(),
             wal: Wal::open(dir.join(LOG_FILE), policy)?,
             codec: Codec::new(),
@@ -254,7 +253,8 @@ impl ProvenanceStore {
     }
 
     /// Applies a non-DefineString op to graph + indexes (shared between
-    /// live mutation and replay).
+    /// live mutation and replay). Keys and attribute names are the
+    /// interner's shared strings, so applying an op allocates none.
     fn apply_structural(&mut self, op: &Op) -> StorageResult<Option<NodeId>> {
         match op {
             Op::DefineString { .. } => Err(StorageError::Replay(
@@ -267,11 +267,11 @@ impl ProvenanceStore {
                 open_at,
                 attrs,
             } => {
-                let key_str = self
+                let key = self
                     .interner
                     .resolve(*key)
                     .ok_or(StorageError::UnknownStringId(*key))?;
-                let mut node = Node::with_version(*kind, &key_str, *version, *open_at);
+                let mut node = Node::with_version(*kind, key, *version, *open_at);
                 for (kid, value) in attrs {
                     let kname = self
                         .interner
@@ -280,7 +280,6 @@ impl ProvenanceStore {
                     node.attrs_mut().set(kname, value.clone());
                 }
                 let id = self.graph.add_node(node);
-                self.keys.insert(&key_str, id);
                 self.times.insert(id, TimeInterval::open_at(*open_at));
                 Ok(Some(id))
             }
@@ -329,22 +328,9 @@ impl ProvenanceStore {
                     .interner
                     .resolve(*replacement)
                     .ok_or(StorageError::UnknownStringId(*replacement))?;
-                let old_key = self
-                    .graph
-                    .redact_node(*node, replacement.clone())
+                self.graph
+                    .redact_node(*node, replacement)
                     .map_err(|e| StorageError::Replay(e.to_string()))?;
-                // The key index must stop resolving the old key for this
-                // node; the redacted placeholder becomes its key instead.
-                let survivors: Vec<NodeId> = self
-                    .keys
-                    .remove_key(&old_key)
-                    .into_iter()
-                    .filter(|&n| n != *node)
-                    .collect();
-                for survivor in survivors {
-                    self.keys.insert(&old_key, survivor);
-                }
-                self.keys.insert(&replacement, *node);
                 Ok(None)
             }
         }
@@ -687,7 +673,7 @@ impl ProvenanceStore {
 
     /// Redacts every node whose primary key equals `key` (§4 privacy):
     /// their keys become `[redacted:<node id>]`, attributes are dropped,
-    /// and the old key stops resolving in the key index. Graph structure
+    /// and the old key stops resolving in the graph's key table. Graph structure
     /// and timestamps are preserved. Returns the redacted node ids.
     ///
     /// The URL string itself disappears from disk at the next
@@ -699,7 +685,7 @@ impl ProvenanceStore {
     /// Returns [`StorageError::Io`] if logging fails; an unknown key is
     /// not an error (returns an empty list).
     pub fn redact_key(&mut self, key: &str) -> StorageResult<Vec<NodeId>> {
-        let nodes = self.keys.get(key).to_vec();
+        let nodes = self.graph.nodes_with_key(key).to_vec();
         for &node in &nodes {
             let mut batch = Vec::new();
             let replacement = self.intern(&format!("[redacted:{}]", node.index()), &mut batch);
@@ -728,11 +714,6 @@ impl ProvenanceStore {
     /// The in-memory graph view.
     pub fn graph(&self) -> &ProvenanceGraph {
         &self.graph
-    }
-
-    /// The key (URL/query/path) index.
-    pub fn keys(&self) -> &KeyIndex {
-        &self.keys
     }
 
     /// The interval-overlap index.
@@ -920,7 +901,7 @@ mod tests {
         let (store, ids) = build(&dir);
         assert_eq!(store.graph().node_count(), 3);
         assert_eq!(store.graph().edge_count(), 2);
-        assert_eq!(store.keys().get("http://films/kane"), &[ids[2]]);
+        assert_eq!(store.graph().nodes_with_key("http://films/kane"), &[ids[2]]);
         assert_eq!(
             store.graph().node(ids[2]).unwrap().attrs().get_str("title"),
             Some("Citizen Kane")
@@ -964,7 +945,7 @@ mod tests {
             .collect();
         assert_eq!(nodes_before, nodes_after);
         assert_eq!(edges_before, edges_after);
-        assert_eq!(store.keys().get("http://films/kane"), &[ids[2]]);
+        assert_eq!(store.graph().nodes_with_key("http://films/kane"), &[ids[2]]);
     }
 
     #[test]
@@ -998,8 +979,8 @@ mod tests {
             .parents(v1)
             .any(|(e, p)| store.graph().edge(e).unwrap().kind() == EdgeKind::VersionOf && p == v0);
         assert!(has_version_edge);
-        // Both visits share the key index entry.
-        assert_eq!(store.keys().get("http://same/"), &[v0, v1]);
+        // Both visits share the key table entry.
+        assert_eq!(store.graph().nodes_with_key("http://same/"), &[v0, v1]);
     }
 
     #[test]
@@ -1116,12 +1097,12 @@ mod tests {
             format!("[redacted:{}]", ids[2].index())
         );
         assert!(store.graph().node(ids[2]).unwrap().attrs().is_empty());
-        assert!(store.keys().get("http://films/kane").is_empty());
+        assert!(store.graph().nodes_with_key("http://films/kane").is_empty());
         // Unknown keys are a no-op.
         assert!(store.redact_key("http://never/").unwrap().is_empty());
         drop(store);
         let store = ProvenanceStore::open(&dir.0, SyncPolicy::Always).unwrap();
-        assert!(store.keys().get("http://films/kane").is_empty());
+        assert!(store.graph().nodes_with_key("http://films/kane").is_empty());
         assert!(store
             .graph()
             .node(ids[2])
@@ -1234,7 +1215,7 @@ mod tests {
             store.graph().node(a).unwrap().attrs().get_str("title"),
             Some("A")
         );
-        assert!(store.keys().get("http://c/").is_empty());
+        assert!(store.graph().nodes_with_key("http://c/").is_empty());
     }
 
     #[test]
@@ -1252,7 +1233,7 @@ mod tests {
         store.snapshot().unwrap();
         drop(store);
         let store = ProvenanceStore::open(&dir.0, SyncPolicy::Always).unwrap();
-        assert_eq!(store.keys().get("http://x/").len(), 1);
+        assert_eq!(store.graph().nodes_with_key("http://x/").len(), 1);
     }
 
     #[test]

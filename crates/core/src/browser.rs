@@ -194,31 +194,18 @@ impl ProvenanceBrowser {
         let graph = self.engine.store().graph();
         let Ok(node) = graph.node(id) else { return };
         let doc = id.index();
-        match node.kind() {
-            NodeKind::PageVisit => {
-                let mut text = node.key().to_owned();
-                if let Some(title) = node.attrs().get_str("title") {
-                    text.push(' ');
-                    text.push_str(title);
-                }
-                self.index.add_document(doc, &text);
-            }
-            NodeKind::SearchTerm | NodeKind::FormEntry => {
-                self.index.add_document(doc, node.key());
-            }
-            NodeKind::Download => {
-                self.index.add_document(doc, node.key());
-            }
-            NodeKind::Bookmark => {
-                let mut text = node.key().to_owned();
-                if let Some(name) = node.attrs().get_str("name") {
-                    text.push(' ');
-                    text.push_str(name);
-                }
-                self.index.add_document(doc, &text);
-            }
+        // A node's key and its title (or bookmark name) index as two
+        // additions to one document, which equals indexing them joined.
+        let extra = match node.kind() {
+            NodeKind::PageVisit => node.attrs().get_str("title"),
+            NodeKind::Bookmark => node.attrs().get_str("name"),
+            NodeKind::SearchTerm | NodeKind::FormEntry | NodeKind::Download => None,
             // Page objects duplicate their visits' text; tabs carry none.
-            NodeKind::Page | NodeKind::Tab => {}
+            NodeKind::Page | NodeKind::Tab => return,
+        };
+        self.index.add_document(doc, node.key());
+        if let Some(extra) = extra {
+            self.index.add_document(doc, extra);
         }
     }
 

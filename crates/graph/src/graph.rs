@@ -20,9 +20,10 @@ use std::sync::Arc;
 struct KeyEntry {
     /// Every node carrying the key, in ascending id order.
     nodes: Vec<NodeId>,
-    /// The newest node of each kind added under the key, indexed by
+    /// The newest node of each kind under the key, indexed by
     /// [`NodeKind::code`]. Redacting a node clears its kind's slot under
-    /// its old key, and a node redacted into the key does not fill one.
+    /// its old key, and fills the slot under its new key unless a newer
+    /// node holds it, as adding the node under that key would have.
     newest: [Option<NodeId>; NodeKind::ALL.len()],
 }
 
@@ -316,7 +317,10 @@ impl ProvenanceGraph {
     /// key table from its old key to `replacement`. The newest node of
     /// its kind under the old key is cleared, so the old key can no longer
     /// be resolved (a later visit to the same URL starts a fresh version
-    /// chain); a key left with no node leaves the table.
+    /// chain); a key left with no node leaves the table. Under
+    /// `replacement` the node becomes the newest of its kind unless a
+    /// newer one is there, as if it had been added under that key, so a
+    /// graph rebuilt from a snapshot resolves the replacement the same way.
     ///
     /// Returns the node's previous key.
     ///
@@ -345,9 +349,13 @@ impl ProvenanceGraph {
         }
         let entry = self.keys.entry(replacement.into());
         let old_key = node.redact(Arc::clone(entry.key()));
-        let nodes = &mut entry.or_default().nodes;
-        let at = nodes.partition_point(|&n| n < id);
-        nodes.insert(at, id);
+        let entry = entry.or_default();
+        let at = entry.nodes.partition_point(|&n| n < id);
+        entry.nodes.insert(at, id);
+        let newest = &mut entry.newest[slot];
+        if newest.is_none_or(|n| n < id) {
+            *newest = Some(id);
+        }
         self.redactions += 1;
         Ok(old_key)
     }
@@ -763,7 +771,8 @@ mod tests {
 
     /// Applies one random step to `g` and to `newest`, the model of the
     /// newest node of each kind under each key: an add sets it, and a
-    /// redaction clears the redacted node's kind under its old key.
+    /// redaction clears the redacted node's kind under its old key and
+    /// sets it under the new key unless a newer node is there.
     fn key_table_step(
         g: &mut ProvenanceGraph,
         newest: &mut HashMap<(NodeKind, String), NodeId>,
@@ -790,8 +799,11 @@ mod tests {
             6 | 7 if n > 0 => {
                 let id = NodeId::new(u32::from(pick % n));
                 let node = g.node(id).unwrap();
-                newest.remove(&(node.kind(), node.key().to_owned()));
+                let kind = node.kind();
+                newest.remove(&(kind, node.key().to_owned()));
                 g.redact_node(id, key.as_str()).unwrap();
+                let slot = newest.entry((kind, key)).or_insert(id);
+                *slot = (*slot).max(id);
             }
             _ => {}
         }

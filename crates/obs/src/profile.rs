@@ -392,17 +392,25 @@ pub fn stage(name: &'static str) -> StageGuard {
         return StageGuard::inert();
     }
     let start = STACK.with(|stack| stack.borrow().last().map(|open| open.clock.now_micros()));
-    match start {
-        Some(start_us) => StageGuard {
-            live: true,
-            start_us,
-            record: RefCell::new(StageProfile {
-                name,
-                ..StageProfile::default()
-            }),
-            remaining: RefCell::new(None),
-        },
-        None => StageGuard::inert(),
+    start.map_or_else(StageGuard::inert, |start_us| stage_at(name, start_us))
+}
+
+/// [`stage`] for a caller that has just read the profile's clock itself:
+/// the stage opens at that reading, `start_us`, without reading the
+/// clock again.
+#[must_use = "the stage closes when this guard drops"]
+pub fn stage_at(name: &'static str, start_us: u64) -> StageGuard {
+    if !enabled() || STACK.with(|stack| stack.borrow().is_empty()) {
+        return StageGuard::inert();
+    }
+    StageGuard {
+        live: true,
+        start_us,
+        record: RefCell::new(StageProfile {
+            name,
+            ..StageProfile::default()
+        }),
+        remaining: RefCell::new(None),
     }
 }
 

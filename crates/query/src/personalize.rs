@@ -133,12 +133,11 @@ pub fn personalize_query(
             ));
             break;
         }
-        let mut text = hit.key.clone();
+        // Two additions sum in the same order as one of the joined text.
+        profile.add_text(&hit.key, hit.score);
         if let Some(title) = &hit.title {
-            text.push(' ');
-            text.push_str(title);
+            profile.add_text(title, hit.score);
         }
-        profile.add_text(&text, hit.score);
     }
     let exclude: Vec<String> = query.split_whitespace().map(str::to_owned).collect();
     let added_terms: Vec<String> = profile

@@ -77,13 +77,19 @@ impl<'a> Scope<'a> {
     }
 
     /// Opens stage `name`: its span and its EXPLAIN stage, timed once on
-    /// the query's clock while either is collected.
+    /// the query's clock while either is collected: one reading when it
+    /// opens and one when it closes.
     pub(crate) fn stage(&self, name: &'static str) -> Stage<'_> {
         let clock = self.budget.clock();
         let collected = trace::enabled() || profile::enabled();
         Stage(collected.then(|| {
             let start = clock.now_micros();
-            (clock, start, trace::span(name), profile::stage(name))
+            (
+                clock,
+                start,
+                trace::span(name),
+                profile::stage_at(name, start),
+            )
         }))
     }
 
@@ -203,5 +209,46 @@ impl Drop for Stage<'_> {
             span.finish_with(wall);
             stage.finish_with(wall);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bp_obs::clock::ClockHandle;
+
+    static PLAN: QueryPlan = QueryPlan {
+        query: "scoped",
+        stages: &["only"],
+    };
+
+    /// A profiled stage reads the query's clock once when it opens and
+    /// once when it closes: its EXPLAIN stage opens at the scope's reading
+    /// instead of taking one of its own.
+    #[test]
+    fn a_profiled_stage_reads_the_clock_twice() {
+        let (clock, mock) = ClockHandle::mock();
+        mock.set_auto_tick_micros(1);
+        let budget = Budget::new().with_clock(clock.clone());
+        let obs = Obs::default();
+        profile::set_enabled(true);
+        let scope = Scope::open(
+            &obs,
+            "scoped",
+            Some(&PLAN),
+            "query.scoped.latency_us",
+            &budget,
+        );
+        // Each reading advances the clock by 1 µs, the bracketing ones too.
+        let before = clock.now_micros();
+        drop(scope.stage("only"));
+        let readings = clock.now_micros() - before - 1;
+        scope.finish(false);
+        profile::set_enabled(false);
+        let profiles = profile::take();
+        assert_eq!(readings, 2);
+        assert_eq!(profiles.len(), 1);
+        assert_eq!(profiles[0].stages.len(), 1);
+        assert_eq!(profiles[0].stages[0].wall_us, 1);
     }
 }

@@ -1114,6 +1114,65 @@ mod tests {
     }
 
     #[test]
+    fn redacted_keys_resolve_alike_live_and_after_either_recovery() {
+        const URL: &str = "http://a.example/";
+        let placeholders = ["[redacted:0]", "[redacted:1]"];
+        let mut stores = Vec::new();
+        for path in ["live", "log", "snapshot"] {
+            let dir = TempDir::new(&format!("redact-keys-{path}"));
+            let mut store = ProvenanceStore::open(&dir.0, SyncPolicy::Always).unwrap();
+            store.add_visit(URL, t(1)).unwrap();
+            store.add_visit(URL, t(2)).unwrap();
+            assert_eq!(store.redact_key(URL).unwrap().len(), 2);
+            if path == "snapshot" {
+                store.snapshot().unwrap();
+            }
+            if path != "live" {
+                drop(store);
+                store = ProvenanceStore::open(&dir.0, SyncPolicy::Always).unwrap();
+            }
+            stores.push((path, store, dir));
+        }
+        for (path, store, _) in &stores {
+            let g = store.graph();
+            assert!(g.nodes_with_key(URL).is_empty(), "{path}");
+            for kind in NodeKind::ALL {
+                assert_eq!(g.newest_of_kind(kind, URL), None, "{path}");
+            }
+            assert_eq!(
+                g.latest_version_of(NodeKind::PageVisit, URL),
+                None,
+                "{path}"
+            );
+            // Each redacted visit is the newest (and latest version) under
+            // its own placeholder, whichever way the graph was built.
+            for (i, key) in placeholders.into_iter().enumerate() {
+                let id = NodeId::new(i as u32);
+                assert_eq!(g.nodes_with_key(key), &[id], "{path} {key}");
+                for kind in NodeKind::ALL {
+                    let expected = (kind == NodeKind::PageVisit).then_some(id);
+                    assert_eq!(g.newest_of_kind(kind, key), expected, "{path} {key}");
+                }
+                assert_eq!(
+                    g.latest_version_of(NodeKind::PageVisit, key),
+                    Some((id, g.node(id).unwrap().version())),
+                    "{path} {key}"
+                );
+            }
+        }
+        // A later visit to the redacted URL starts a fresh version chain.
+        for (path, store, _) in &mut stores {
+            let v = store.add_visit(URL, t(3)).unwrap();
+            assert_eq!(
+                store.graph().node(v).unwrap().version(),
+                Version::FIRST,
+                "{path}"
+            );
+            assert_eq!(store.graph().out_degree(v), 0, "{path}: no VersionOf edge");
+        }
+    }
+
+    #[test]
     fn snapshot_after_redaction_leaves_no_url_bytes_on_disk() {
         let dir = TempDir::new("redact-snap");
         let (mut store, _) = build(&dir);

@@ -10,8 +10,9 @@
 // cast, as in the storage codecs.
 #![cfg_attr(not(test), deny(clippy::as_conversions))]
 
-use crate::tokenize::significant_tokens;
-use std::collections::HashMap;
+use crate::stem::stem;
+use crate::tokenize::for_each_significant_token;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// A document identifier — opaque to the index; `bp-query` uses graph node
 /// indexes.
@@ -73,60 +74,74 @@ impl InvertedIndex {
     }
 
     /// Indexes `text` under `doc`. Calling again for the same `doc` *adds*
-    /// text to it (e.g. URL first, then title when it loads).
+    /// text to it (e.g. URL first, then title when it loads), exactly as
+    /// if the texts had been indexed as one, joined by a space.
+    ///
+    /// The document's stems are counted in one buffer and each is looked
+    /// up by `&str`, so besides that buffer only a term new to the index,
+    /// or a stem whose rule appends a replacement, allocates.
     pub fn add_document(&mut self, doc: DocId, text: &str) {
-        let tokens = significant_tokens(text);
-        if tokens.is_empty() {
+        // The document's stems, back to back in `stems`, as byte ranges.
+        let mut stems = String::new();
+        let mut spans: Vec<(usize, usize)> = Vec::new();
+        for_each_significant_token(text, |token| {
+            let start = stems.len();
+            stems.push_str(&stem(token));
+            spans.push((start, stems.len()));
+        });
+        if spans.is_empty() {
             return;
         }
-        if !self.doc_lengths.contains_key(&doc) {
-            self.total_docs += 1;
+        // Sorting brings each term's occurrences together; a run's length
+        // is the term's frequency in the document.
+        spans.sort_unstable_by(|a, b| stems[a.0..a.1].cmp(&stems[b.0..b.1]));
+        for run in spans.chunk_by(|a, b| stems[a.0..a.1] == stems[b.0..b.1]) {
+            let (start, end) = run[0];
+            let term = &stems[start..end];
+            let count = u32::try_from(run.len()).unwrap_or(u32::MAX);
+            self.add_posting(term, doc, count);
         }
-        let mut counts: HashMap<String, u32> = HashMap::new();
-        for token in tokens {
-            *counts.entry(crate::stem::stem(&token)).or_insert(0) += 1;
-        }
-        let mut added = 0;
-        for (term, count) in counts {
-            added += count;
-            let list = self.postings.entry(term).or_default();
-            // Documents are added in nondecreasing id order in the common
-            // case (history node ids grow monotonically), so the matching
-            // or insertion point is almost always the tail; fall back to a
-            // binary search for out-of-order additions. Keeping lists
-            // sorted makes this O(1) amortized instead of O(list).
-            match list.last_mut() {
-                Some(last) if last.doc == doc => last.term_frequency += count,
-                Some(last) if last.doc < doc => {
-                    list.push(Posting {
-                        doc,
-                        term_frequency: count,
-                    });
-                    self.total_postings += 1;
-                }
-                None => {
-                    list.push(Posting {
-                        doc,
-                        term_frequency: count,
-                    });
-                    self.total_postings += 1;
-                }
-                Some(_) => match list.binary_search_by_key(&doc, |p| p.doc) {
-                    Ok(i) => list[i].term_frequency += count,
-                    Err(i) => {
-                        list.insert(
-                            i,
-                            Posting {
-                                doc,
-                                term_frequency: count,
-                            },
-                        );
-                        self.total_postings += 1;
-                    }
-                },
+        let added = u32::try_from(spans.len()).unwrap_or(u32::MAX);
+        match self.doc_lengths.entry(doc) {
+            Entry::Occupied(length) => *length.into_mut() += added,
+            Entry::Vacant(length) => {
+                length.insert(added);
+                self.total_docs += 1;
             }
         }
-        *self.doc_lengths.entry(doc).or_insert(0) += added;
+    }
+
+    /// Adds `count` occurrences of `term` in `doc` to the term's posting
+    /// list, keeping the list sorted by document.
+    fn add_posting(&mut self, term: &str, doc: DocId, count: u32) {
+        let posting = Posting {
+            doc,
+            term_frequency: count,
+        };
+        let Some(list) = self.postings.get_mut(term) else {
+            self.postings.insert(term.to_owned(), vec![posting]);
+            self.total_postings += 1;
+            return;
+        };
+        // Documents are added in nondecreasing id order in the common
+        // case (history node ids grow monotonically), so the matching
+        // or insertion point is almost always the tail; fall back to a
+        // binary search for out-of-order additions. Keeping lists
+        // sorted makes this O(1) amortized instead of O(list).
+        match list.last_mut() {
+            Some(last) if last.doc == doc => last.term_frequency += count,
+            Some(last) if last.doc > doc => match list.binary_search_by_key(&doc, |p| p.doc) {
+                Ok(i) => list[i].term_frequency += count,
+                Err(i) => {
+                    list.insert(i, posting);
+                    self.total_postings += 1;
+                }
+            },
+            _ => {
+                list.push(posting);
+                self.total_postings += 1;
+            }
+        }
     }
 
     /// Length (significant token count) of a document, 0 if unknown.
@@ -147,61 +162,37 @@ impl InvertedIndex {
     /// Searches for `query`, scoring by TF-IDF summed across query terms.
     /// Returns `(doc, score)` pairs sorted by descending score (ties by
     /// ascending doc id, for determinism).
+    ///
+    /// A document's score adds its terms' contributions in query order,
+    /// from 0.0, counting a repeated query term again. The posting lists
+    /// are sorted by document, so they are merged, not hashed.
     pub fn search(&self, query: &str) -> Vec<(DocId, f64)> {
-        let mut scores: HashMap<DocId, f64> = HashMap::new();
-        for token in significant_tokens(query) {
-            let term = crate::stem::stem(&token);
-            let df = self.document_frequency(&term);
-            if df == 0 {
-                continue;
+        // Each matching query term's postings and idf, in query order.
+        let mut lists: Vec<(&[Posting], f64)> = Vec::new();
+        for_each_significant_token(query, |token| {
+            let list = self.postings(&stem(token));
+            if !list.is_empty() {
+                lists.push((list, crate::score::idf(self.total_docs, list.len())));
             }
-            let idf = crate::score::idf(self.total_docs, df);
-            for p in self.postings(&term) {
-                let tf = crate::score::tf_weight(p.term_frequency);
-                *scores.entry(p.doc).or_insert(0.0) += tf * idf;
-            }
-        }
-        let mut out: Vec<(DocId, f64)> = scores.into_iter().collect();
-        out.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
         });
-        out
-    }
-
-    /// BM25 search: like [`search`](Self::search) but with saturating term
-    /// frequency and document-length normalization, so long pages (big
-    /// titles + long URLs) cannot win purely by repeating a term.
-    /// `k1` controls TF saturation (typical 1.2), `b` the strength of
-    /// length normalization (typical 0.75).
-    pub fn search_bm25(&self, query: &str, k1: f64, b: f64) -> Vec<(DocId, f64)> {
-        let total_len: u64 = self.doc_lengths.values().map(|&l| u64::from(l)).sum();
-        #[expect(
-            clippy::as_conversions,
-            reason = "a ranking score, never written to disk: u64 -> f64 rounding is harmless"
-        )]
-        let avg_len = if self.total_docs == 0 {
-            1.0
-        } else {
-            (total_len as f64 / self.total_docs as f64).max(1.0)
-        };
-        let mut scores: HashMap<DocId, f64> = HashMap::new();
-        for token in significant_tokens(query) {
-            let term = crate::stem::stem(&token);
-            let df = self.document_frequency(&term);
-            if df == 0 {
-                continue;
+        let mut out: Vec<(DocId, f64)> = Vec::new();
+        // Each list's slice is its unmerged tail; the smallest head is the
+        // next document to score.
+        while let Some(doc) = lists
+            .iter()
+            .filter_map(|(tail, _)| tail.first())
+            .map(|p| p.doc)
+            .min()
+        {
+            let mut score = 0.0;
+            for (tail, idf) in &mut lists {
+                if let Some((p, rest)) = tail.split_first().filter(|(p, _)| p.doc == doc) {
+                    score += crate::score::tf_weight(p.term_frequency) * *idf;
+                    *tail = rest;
+                }
             }
-            let idf = crate::score::idf(self.total_docs, df);
-            for p in self.postings(&term) {
-                let tf = f64::from(p.term_frequency);
-                let len = f64::from(self.doc_length(p.doc)).max(1.0);
-                let norm = k1 * (1.0 - b + b * len / avg_len);
-                *scores.entry(p.doc).or_insert(0.0) += idf * tf * (k1 + 1.0) / (tf + norm);
-            }
+            out.push((doc, score));
         }
-        let mut out: Vec<(DocId, f64)> = scores.into_iter().collect();
         out.sort_by(|a, b| {
             b.1.partial_cmp(&a.1)
                 .unwrap_or(std::cmp::Ordering::Equal)
@@ -316,39 +307,6 @@ mod tests {
     fn results_are_deterministic() {
         let idx = sample();
         assert_eq!(idx.search("rosebud"), idx.search("rosebud"));
-    }
-
-    #[test]
-    fn bm25_normalizes_document_length() {
-        let mut idx = InvertedIndex::new();
-        // Short doc mentions wine once; long doc repeats it among filler.
-        idx.add_document(0, "wine cellar");
-        idx.add_document(
-            1,
-            "wine wine wine wine plus lots and lots and lots of filler words \
-             about completely unrelated matters stretching the document out \
-             considerably beyond reasonable length for ranking purposes",
-        );
-        // Plain TF-IDF rewards raw repetition...
-        let tfidf = idx.search("wine");
-        assert_eq!(tfidf[0].0, 1);
-        // ...BM25 saturates TF and penalizes length: the compact doc wins.
-        let bm25 = idx.search_bm25("wine", 1.2, 0.75);
-        assert_eq!(bm25[0].0, 0, "{bm25:?}");
-        // Both find both documents.
-        assert_eq!(bm25.len(), 2);
-        // With b = 0 (no length normalization) repetition wins again.
-        let no_norm = idx.search_bm25("wine", 1.2, 0.0);
-        assert_eq!(no_norm[0].0, 1, "{no_norm:?}");
-    }
-
-    #[test]
-    fn bm25_handles_empty_index_and_query() {
-        let idx = InvertedIndex::new();
-        assert!(idx.search_bm25("wine", 1.2, 0.75).is_empty());
-        let idx2 = sample();
-        assert!(idx2.search_bm25("", 1.2, 0.75).is_empty());
-        assert!(idx2.search_bm25("absentterm", 1.2, 0.75).is_empty());
     }
 
     #[test]

@@ -45,6 +45,8 @@
 )]
 
 mod index;
+#[cfg(test)]
+mod oracle;
 mod score;
 mod stem;
 mod stopwords;

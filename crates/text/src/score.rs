@@ -90,11 +90,19 @@ impl TermProfile {
         Self::default()
     }
 
-    /// Adds every significant term of `text`, each weighted by `weight`.
+    /// Adds every significant term of `text`, each weighted by `weight`,
+    /// in token order. Only a term new to the profile, or a stem whose
+    /// rule appends a replacement, allocates.
     pub fn add_text(&mut self, text: &str, weight: f64) {
-        for token in crate::tokenize::significant_tokens(text) {
-            *self.weights.entry(crate::stem::stem(&token)).or_insert(0.0) += weight;
-        }
+        crate::tokenize::for_each_significant_token(text, |token| {
+            let term = crate::stem::stem(token);
+            match self.weights.get_mut(&*term) {
+                Some(total) => *total += weight,
+                None => {
+                    self.weights.insert(term.into_owned(), 0.0 + weight);
+                }
+            }
+        });
     }
 
     /// Adds one already-stemmed term with an explicit weight.
@@ -119,22 +127,24 @@ impl TermProfile {
 
     /// The `k` heaviest terms, excluding any whose stem appears in
     /// `exclude` (callers pass the original query terms). Deterministic:
-    /// ties break lexicographically.
+    /// ties break lexicographically. Only the `k` returned terms are
+    /// cloned.
     pub fn top_terms(&self, k: usize, exclude: &[String]) -> Vec<(String, f64)> {
-        let excluded: Vec<String> = exclude.iter().map(|t| crate::stem::stem(t)).collect();
-        let mut v: Vec<(String, f64)> = self
+        let excluded: Vec<_> = exclude.iter().map(|t| crate::stem::stem(t)).collect();
+        let mut ranked: Vec<(&str, f64)> = self
             .weights
             .iter()
-            .filter(|(t, _)| !excluded.contains(t))
-            .map(|(t, &w)| (t.clone(), w))
+            .filter(|(t, _)| !excluded.iter().any(|e| e == *t))
+            .map(|(t, &w)| (t.as_str(), w))
             .collect();
-        v.sort_by(|a, b| {
+        let heavier_first = |a: &(&str, f64), b: &(&str, f64)| {
             b.1.partial_cmp(&a.1)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        v.truncate(k);
-        v
+                .then(a.0.cmp(b.0))
+        };
+        ranked.sort_by(heavier_first);
+        ranked.truncate(k);
+        ranked.into_iter().map(|(t, w)| (t.to_owned(), w)).collect()
     }
 
     /// Immutable view of the sparse vector (for cosine comparisons).

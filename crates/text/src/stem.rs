@@ -6,12 +6,18 @@
 //! strips common English inflectional suffixes conservatively (never below
 //! three characters) so distinct stems rarely collide.
 
+use std::borrow::Cow;
+
 /// Stems a lowercase token by stripping common inflectional suffixes.
 ///
 /// The algorithm applies at most one suffix rule, longest first:
 /// `-ational → -ate`, `-iness → -y`, `-fulness`, `-ings`, `-ing`, `-edly`,
 /// `-eds`, `-ed`, `-ies → -y`, `-es`, `-s`, `-ly`. A rule only fires if the
 /// remaining stem keeps at least three characters.
+///
+/// The stem borrows a prefix of `token` unless its rule appends a
+/// replacement (`-ational → -ate`, `-ies → -y`, ...), so most tokens stem
+/// without allocating.
 ///
 /// # Examples
 ///
@@ -22,8 +28,7 @@
 /// assert_eq!(stem("tickets"), "ticket");
 /// assert_eq!(stem("wine"), "wine");
 /// ```
-pub fn stem(token: &str) -> String {
-    let t = token;
+pub fn stem(token: &str) -> Cow<'_, str> {
     // (suffix, replacement)
     const RULES: &[(&str, &str)] = &[
         ("ational", "ate"),
@@ -41,27 +46,27 @@ pub fn stem(token: &str) -> String {
         ("s", ""),
     ];
     for (suffix, replacement) in RULES {
-        if let Some(base) = t.strip_suffix(suffix) {
-            if base.chars().count() >= 3 {
-                let mut out = base.to_owned();
-                out.push_str(replacement);
-                // Undouble a trailing doubled consonant left by -ing/-ed
-                // stripping ("stopping" -> "stopp" -> "stop").
-                if replacement.is_empty() {
-                    let chars: Vec<char> = out.chars().collect();
-                    if chars.len() >= 4 {
-                        let last = chars[chars.len() - 1];
-                        let prev = chars[chars.len() - 2];
-                        if last == prev && !"aeiou".contains(last) && last != 's' {
-                            out.pop();
-                        }
-                    }
-                }
-                return out;
+        let Some(base) = token.strip_suffix(suffix) else {
+            continue;
+        };
+        let chars = base.chars().count();
+        if chars < 3 {
+            continue;
+        }
+        if !replacement.is_empty() {
+            return Cow::Owned(format!("{base}{replacement}"));
+        }
+        // Undouble a trailing doubled consonant left by -ing/-ed
+        // stripping ("stopping" -> "stopp" -> "stop").
+        let mut tail = base.chars().rev();
+        if let (Some(last), Some(prev)) = (tail.next(), tail.next()) {
+            if chars >= 4 && last == prev && !"aeiou".contains(last) && last != 's' {
+                return Cow::Borrowed(&base[..base.len() - last.len_utf8()]);
             }
         }
+        return Cow::Borrowed(base);
     }
-    t.to_owned()
+    Cow::Borrowed(token)
 }
 
 #[cfg(test)]

@@ -5,6 +5,40 @@
 //! punctuation (slashes, dots, query separators) as word breaks in addition
 //! to ordinary whitespace.
 
+/// Calls `f` with each lowercase alphanumeric token of `text`, in order.
+///
+/// Every token is lowercased into one buffer that the next token reuses,
+/// so a call allocates one buffer, not one string per token. This is the
+/// only tokenizing loop: indexing, search and term profiles all run on it.
+pub(crate) fn for_each_token(text: &str, mut f: impl FnMut(&str)) {
+    let mut current = String::with_capacity(text.len());
+    for c in text.chars() {
+        if c.is_ascii_alphanumeric() {
+            current.push(c.to_ascii_lowercase());
+        } else if !c.is_ascii() && c.is_alphanumeric() {
+            // Lowercasing can emit combining marks that are not themselves
+            // alphanumeric (e.g. 'İ' → "i\u{307}"); keep tokens pure.
+            current.extend(c.to_lowercase().filter(|lc| lc.is_alphanumeric()));
+        } else if !current.is_empty() {
+            f(&current);
+            current.clear();
+        }
+    }
+    if !current.is_empty() {
+        f(&current);
+    }
+}
+
+/// Calls `f` with each significant token of `text`: tokens of at least
+/// three bytes that are not stopwords.
+pub(crate) fn for_each_significant_token(text: &str, mut f: impl FnMut(&str)) {
+    for_each_token(text, |token| {
+        if token.len() >= 3 && !crate::stopwords::is_stopword(token) {
+            f(token);
+        }
+    });
+}
+
 /// Splits text into lowercase alphanumeric tokens.
 ///
 /// Any non-alphanumeric character is a separator, so URLs tokenize
@@ -19,19 +53,7 @@
 /// ```
 pub fn tokenize(text: &str) -> Vec<String> {
     let mut tokens = Vec::new();
-    let mut current = String::new();
-    for c in text.chars() {
-        if c.is_alphanumeric() {
-            // Lowercasing can emit combining marks that are not themselves
-            // alphanumeric (e.g. 'İ' → "i\u{307}"); keep tokens pure.
-            current.extend(c.to_lowercase().filter(|lc| lc.is_alphanumeric()));
-        } else if !current.is_empty() {
-            tokens.push(std::mem::take(&mut current));
-        }
-    }
-    if !current.is_empty() {
-        tokens.push(current);
-    }
+    for_each_token(text, |token| tokens.push(token.to_owned()));
     tokens
 }
 
@@ -46,10 +68,9 @@ pub fn tokenize(text: &str) -> Vec<String> {
 /// assert_eq!(toks, vec!["rosebud", "sled"]);
 /// ```
 pub fn significant_tokens(text: &str) -> Vec<String> {
-    tokenize(text)
-        .into_iter()
-        .filter(|t| t.len() >= 3 && !crate::stopwords::is_stopword(t))
-        .collect()
+    let mut tokens = Vec::new();
+    for_each_significant_token(text, |token| tokens.push(token.to_owned()));
+    tokens
 }
 
 #[cfg(test)]

@@ -666,6 +666,7 @@ fn dot(args: &Args) -> Result<String, String> {
             if starts.is_empty() {
                 return Err(format!("no history object with key {key:?}"));
             }
+            let frozen = browser.frozen();
             let mut keep = std::collections::HashSet::new();
             for &start in starts {
                 for direction in [
@@ -673,7 +674,7 @@ fn dot(args: &Args) -> Result<String, String> {
                     bp_graph::traverse::Direction::Descendants,
                 ] {
                     let t = bp_graph::traverse::bfs(
-                        graph,
+                        &frozen,
                         start,
                         direction,
                         |_| true,

@@ -168,7 +168,7 @@ impl ProvenanceBrowser {
     ) -> CoreResult<usize> {
         // One trace context per batch (reused when the caller already has
         // one): every log line the batch emits shares one trace ID.
-        let _ctx = bp_obs::trace::ensure(&bp_obs::ClockHandle::real());
+        let _ctx = bp_obs::trace::ensure(bp_obs::ClockHandle::real().now_micros());
         self.begin_write_group();
         let mut n = 0;
         for event in events {

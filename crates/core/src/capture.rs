@@ -652,6 +652,22 @@ mod tests {
         Timestamp::from_secs(s)
     }
 
+    /// The causal lineage of `start` in BFS order, walked over a snapshot
+    /// of `g`.
+    fn causal_ancestors(g: &bp_graph::ProvenanceGraph, start: NodeId) -> Vec<NodeId> {
+        use bp_graph::traverse::{bfs, Budget, Direction};
+        let frozen = bp_graph::frozen::FrozenGraph::build(g);
+        bfs(
+            &frozen,
+            start,
+            Direction::Ancestors,
+            EdgeKind::is_causal,
+            &Budget::new(),
+        )
+        .node_ids()
+        .collect()
+    }
+
     fn nav(e: &mut CaptureEngine, s: i64, tab: u32, url: &str, cause: NavigationCause) -> NodeId {
         e.handle(&BrowserEvent::navigate(t(s), TabId(tab), url, None, cause))
             .unwrap()
@@ -732,8 +748,7 @@ mod tests {
             .expect("term node exists");
         assert_eq!(g.node(term).unwrap().key(), "rosebud");
         // Lineage: kane -> results -> term.
-        let anc = bp_graph::traverse::ancestors(g, kane);
-        let ids: Vec<NodeId> = anc.node_ids().collect();
+        let ids: Vec<NodeId> = causal_ancestors(g, kane);
         assert!(ids.contains(&term));
         assert!(ids.contains(&results));
         // Same query later reuses the node.
@@ -870,7 +885,7 @@ mod tests {
             g.node(dl).unwrap().attrs().get_int("bytes"),
             Some(1_234_567)
         );
-        let anc: Vec<NodeId> = bp_graph::traverse::ancestors(g, dl).node_ids().collect();
+        let anc = causal_ancestors(g, dl);
         // The search term is reachable through the whole journey.
         let term = g.nodes_of_kind(NodeKind::SearchTerm).next().unwrap();
         assert!(anc.contains(&term));
@@ -1033,9 +1048,7 @@ mod tests {
         let form = g.nodes_of_kind(NodeKind::FormEntry).next().unwrap();
         assert_eq!(g.node(form).unwrap().key(), "from=SFO&to=JFK");
         // results -> form -> page containing the form.
-        let anc: Vec<NodeId> = bp_graph::traverse::ancestors(g, results)
-            .node_ids()
-            .collect();
+        let anc = causal_ancestors(g, results);
         assert!(anc.contains(&form));
         assert!(anc.contains(&search_form_page));
     }

@@ -209,8 +209,8 @@ impl CapturePipeline {
                 }
                 if !events.is_empty() {
                     let batch = events.len();
-                    let sw = clock.start();
-                    let guard = profile::begin(&CAPTURE_PLAN, &clock, None);
+                    let start = clock.now_micros();
+                    let guard = profile::begin(&CAPTURE_PLAN, &clock, start, None);
                     let ok = thread_shared.with_mut(|b| {
                         let stage = profile::stage("capture.flush");
                         let mut applied = 0usize;
@@ -260,7 +260,7 @@ impl CapturePipeline {
                         }
                         true
                     });
-                    let wall = sw.elapsed();
+                    let wall = Duration::from_micros(clock.now_micros().saturating_sub(start));
                     guard.finish_with(wall);
                     thread_depth.sub(batch as i64);
                     batch_len.record(batch as u64);

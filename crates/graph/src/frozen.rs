@@ -4,12 +4,13 @@
 //!
 //! The live [`ProvenanceGraph`] is built for capture: append-only arenas
 //! plus per-node `Vec<EdgeId>` adjacency, ideal for O(1) inserts but
-//! pointer-chasing for whole-graph walks. Relevance queries (personalized
-//! PageRank, neighborhood expansion) iterate every edge tens of times, so
-//! they run here instead, over a [`FrozenGraph`] — a compressed-sparse-row
-//! snapshot with dense `u32` indexing, contiguous forward/reverse edge
-//! arrays, and per-node conductance. The PageRank kernel reads the rows
-//! through a slot layout built on its first walk over the snapshot.
+//! pointer-chasing for whole-graph walks. Every query walk runs instead
+//! over a [`FrozenGraph`] — a compressed-sparse-row snapshot with dense
+//! `u32` indexing, contiguous forward/reverse edge arrays, and per-node
+//! conductance: the relevance kernels here (personalized PageRank,
+//! neighborhood expansion), [`crate::hits`] and the BFS of
+//! [`crate::traverse`]. The PageRank kernel reads the rows through a slot
+//! layout built on its first walk over the snapshot.
 //!
 //! Snapshots are invalidated by the graph **epoch**
 //! ([`ProvenanceGraph::epoch`]): every mutation bumps it, and a
@@ -32,8 +33,8 @@ use crate::graph::ProvenanceGraph;
 use crate::ids::{EdgeId, NodeId};
 use crate::neighborhood::ExpansionConfig;
 use crate::node::NodeKind;
-use crate::pagerank::{PageRankConfig, PageRankScores};
-use crate::traverse::Budget;
+use crate::pagerank::PageRankConfig;
+use crate::traverse::{Budget, Direction};
 use bp_obs::clock::ClockHandle;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -453,6 +454,20 @@ impl FrozenGraph {
         Self::row_edges(&self.rev, node)
     }
 
+    /// `node`'s row toward `direction`: its out-edges toward ancestors or
+    /// its in-edges toward descendants, in the live adjacency list's order.
+    pub(crate) fn edges_toward(
+        &self,
+        node: u32,
+        direction: Direction,
+    ) -> impl Iterator<Item = (u32, EdgeKind)> + '_ {
+        let rows = match direction {
+            Direction::Ancestors => &self.fwd,
+            Direction::Descendants => &self.rev,
+        };
+        Self::row_edges(rows, node)
+    }
+
     fn row_edges(rows: &Rows, node: u32) -> impl Iterator<Item = (u32, EdgeKind)> + '_ {
         rows.slots(node as usize).map(|(other, kind)| {
             (
@@ -557,9 +572,11 @@ pub struct FrozenScores {
 }
 
 impl FrozenScores {
-    /// Converts into the map-based [`PageRankScores`] shape.
-    pub fn into_scores(self) -> PageRankScores {
-        PageRankScores {
+    /// Converts into the map-based [`crate::pagerank::PageRankScores`]
+    /// shape that the kernel's tests compare.
+    #[cfg(test)]
+    pub(crate) fn into_scores(self) -> crate::pagerank::PageRankScores {
+        crate::pagerank::PageRankScores {
             score: self
                 .entries
                 .into_iter()
@@ -578,11 +595,11 @@ impl FrozenScores {
 /// Runs personalized PageRank with restart over a [`FrozenGraph`], with
 /// flat score buffers, serially.
 ///
-/// The math matches [`crate::pagerank::personalized_pagerank`]: undirected
-/// walks, temporal-overlap edges at 0.4 conductance, automatic edges
-/// droppable via `config.include_automatic_edges` (their coefficients are
-/// then zero), restart mass `1 − damping` plus whatever strands on
-/// degree-0 nodes, L1 convergence.
+/// Walks are undirected, temporal-overlap edges conduct at 0.4, automatic
+/// edges are droppable via `config.include_automatic_edges` (their
+/// coefficients are then zero), and the restart mass is `1 − damping`
+/// plus whatever strands on degree-0 nodes; iteration stops at L1
+/// convergence.
 ///
 /// Each iteration pulls mass over the snapshot's `PullLayout` for the
 /// automatic-edge setting, which the first walk over a snapshot builds.
@@ -700,8 +717,7 @@ fn positive_entries(scores: &[f64]) -> Vec<(u32, f64)> {
 // ---------------------------------------------------------------------------
 
 /// Result of [`expand_frozen`]: sparse accumulated relevance, sorted by
-/// node id — the cacheable twin of
-/// [`crate::neighborhood::Expansion`].
+/// node id.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FrozenExpansion {
     /// `(node, weight)` for every reached node, ascending id.
@@ -710,11 +726,19 @@ pub struct FrozenExpansion {
     pub truncated: bool,
 }
 
-/// Layered weighted expansion over a [`FrozenGraph`] — the same spread
-/// semantics as [`crate::neighborhood::expand`] (per-hop decay, per-kind
-/// multipliers, no echo back to reached layers, heaviest-first `max_nodes`
-/// truncation, wall-clock deadline), but over CSR rows and flat buffers
-/// instead of hash maps, and with a deterministic accumulation order.
+/// Spreads relevance from weighted `seeds` outward through the snapshot
+/// (both directions — context flows along an edge either way), with
+/// per-hop decay and per-kind multipliers, within `budget`.
+///
+/// Expansion is layered: a node accumulates weight from every path that
+/// first reaches it (all arrivals within its BFS layer sum), so a node
+/// connected to several seeds outranks a node connected to one — the
+/// "relevance of their provenance neighbors" reordering of Shah et al.
+/// Weight never echoes back to already-reached nodes, so a seed–neighbor
+/// pair cannot inflate each other by bouncing. When `max_nodes` would be
+/// exceeded, the heaviest next-layer entries fill the cap; the deadline
+/// is checked per frontier node. Sums run over CSR rows in slot order
+/// into flat buffers, so the weights are deterministic.
 pub fn expand_frozen(
     frozen: &FrozenGraph,
     seeds: &[(NodeId, f64)],
@@ -1258,7 +1282,7 @@ impl FrozenHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::neighborhood::expand;
+    use crate::neighborhood::live::expand;
     use crate::node::{Node, NodeKind};
     use crate::pagerank::personalized_pagerank;
     use crate::time::Timestamp;

@@ -6,51 +6,28 @@
 //! browser". Contextual history search (§4) is implemented "as a graph
 //! neighborhood expansion algorithm, similar to web search algorithms such
 //! as Kleinberg's HITS". This module supplies HITS itself, run over an
-//! arbitrary node subset of the provenance graph (typically the textual-hit
+//! arbitrary node subset of the CSR snapshot (typically the textual-hit
 //! neighborhood — the classic HITS "base set").
 
 use crate::edge::EdgeKind;
-use crate::graph::ProvenanceGraph;
+use crate::frozen::FrozenGraph;
 use crate::ids::NodeId;
-use std::collections::HashMap;
+use crate::traverse::Budget;
 
-/// Per-node hub and authority scores produced by [`hits`].
-#[derive(Debug, Clone, PartialEq)]
+/// Hub and authority scores produced by [`hits`], one per member of the
+/// base set: its ids inside the snapshot, in base-set order.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HitsScores {
-    /// Authority score per node: how much the node is *derived from* by
-    /// good hubs (a page many journeys led to).
-    pub authority: HashMap<NodeId, f64>,
-    /// Hub score per node: how much the node *derives from* good
+    /// Authority per member: how much the node is *derived from* by good
+    /// hubs (a page many journeys led to).
+    pub authority: Vec<f64>,
+    /// Hub score per member: how much the node *derives from* good
     /// authorities (a page that led to many good destinations).
-    pub hub: HashMap<NodeId, f64>,
+    pub hub: Vec<f64>,
     /// Number of power iterations actually performed.
     pub iterations: usize,
-}
-
-impl HitsScores {
-    /// Nodes sorted by descending authority.
-    pub fn top_authorities(&self, k: usize) -> Vec<(NodeId, f64)> {
-        let mut v: Vec<(NodeId, f64)> = self.authority.iter().map(|(&n, &s)| (n, s)).collect();
-        v.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        v.truncate(k);
-        v
-    }
-
-    /// Nodes sorted by descending hub score.
-    pub fn top_hubs(&self, k: usize) -> Vec<(NodeId, f64)> {
-        let mut v: Vec<(NodeId, f64)> = self.hub.iter().map(|(&n, &s)| (n, s)).collect();
-        v.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        v.truncate(k);
-        v
-    }
+    /// `true` if the deadline stopped iteration before convergence.
+    pub truncated: bool,
 }
 
 /// Configuration for [`hits`].
@@ -76,70 +53,69 @@ impl Default for HitsConfig {
     }
 }
 
-/// Runs HITS restricted to `base_set`, following edges of the provenance
-/// graph in both roles: an edge `src → dst` (src derives from dst) makes
-/// `src` a *hub pointing at* `dst`, and `dst` an *authority*.
+/// Runs HITS restricted to `base_set`, following edges of the snapshot in
+/// both roles: an edge `src → dst` (src derives from dst) makes `src` a
+/// *hub pointing at* `dst`, and `dst` an *authority*.
 ///
 /// In browser terms: pages that many navigation journeys passed *through*
 /// become hubs; pages journeys *arrived at* become authorities. Temporal
-/// overlap edges never contribute (they are not navigational).
+/// overlap edges never contribute (they are not navigational). Ids outside
+/// the snapshot are dropped from the base set; a node listed twice is an
+/// authority only at its last place.
 ///
-/// Returns uniform zero scores for an empty base set.
-pub fn hits(graph: &ProvenanceGraph, base_set: &[NodeId], config: &HitsConfig) -> HitsScores {
-    let mut in_set = vec![false; graph.node_count()];
-    for &n in base_set {
-        if n.as_usize() < in_set.len() {
-            in_set[n.as_usize()] = true;
-        }
-    }
+/// The arcs are read member by member, each member's forward row in slot
+/// order, so every sum runs in a fixed order and the scores are a pure
+/// function of the snapshot, base set and config. `budget`'s deadline is
+/// honored at iteration boundaries: the first boundary past it returns the
+/// scores so far with `truncated` set, after at least one iteration. An
+/// empty base set scores nothing in zero iterations.
+pub fn hits(
+    frozen: &FrozenGraph,
+    base_set: &[NodeId],
+    config: &HitsConfig,
+    budget: &Budget,
+) -> HitsScores {
+    let budget = budget.pinned();
     let members: Vec<NodeId> = base_set
         .iter()
         .copied()
-        .filter(|n| n.as_usize() < graph.node_count())
+        .filter(|n| n.as_usize() < frozen.node_count())
         .collect();
     if members.is_empty() {
-        return HitsScores {
-            authority: HashMap::new(),
-            hub: HashMap::new(),
-            iterations: 0,
-        };
+        return HitsScores::default();
     }
-
     let edge_ok = |kind: EdgeKind| {
         kind.is_causal() && (config.include_automatic_edges || !kind.is_automatic())
     };
 
-    // Precompute the induced adjacency: (hub_index, authority_index)
-    // pairs, iterating members in order so floating-point accumulation
-    // (and therefore the scores) is deterministic run to run.
-    let index_of: HashMap<NodeId, usize> =
-        members.iter().enumerate().map(|(i, &n)| (n, i)).collect();
+    // The induced adjacency as (hub, authority) member-index pairs.
+    // `place[v]` is node v's last place in the members.
+    const ABSENT: u32 = u32::MAX;
+    let mut place = vec![ABSENT; frozen.node_count()];
+    for (i, &node) in members.iter().enumerate() {
+        place[node.as_usize()] = i as u32;
+    }
     let mut arcs: Vec<(usize, usize)> = Vec::new();
     for (i, &node) in members.iter().enumerate() {
-        // bp-lint: allow(L009): the base set is the caller's already-budgeted expansion result, so this loop touches at most Budget::max_nodes members — the deadline was honored upstream
-        for (eid, parent) in graph.parents(node) {
-            // Adjacency lists only hold live edges; a miss would mean the
-            // graph's internal invariant broke, and skipping the arc
-            // degrades better than aborting a query (`clippy::unwrap_used`).
-            let Ok(edge) = graph.edge(eid) else { continue };
-            let kind = edge.kind();
-            if edge_ok(kind) {
-                if let Some(&j) = index_of.get(&parent) {
-                    arcs.push((i, j)); // node is hub, parent is authority
-                }
+        for (parent, kind) in frozen.out_edges_of(node.index()) {
+            let j = place[parent as usize];
+            if j != ABSENT && edge_ok(kind) {
+                arcs.push((i, j as usize)); // node is hub, parent is authority
             }
         }
     }
 
     let n = members.len();
-    let mut auth = vec![1.0f64; n];
-    let mut hub = vec![1.0f64; n];
-    let mut iterations = 0;
-    for _ in 0..config.max_iterations {
-        iterations += 1;
+    let mut scores = HitsScores {
+        authority: vec![1.0f64; n],
+        hub: vec![1.0f64; n],
+        ..HitsScores::default()
+    };
+    while scores.iterations < config.max_iterations {
+        scores.iterations += 1;
         let mut new_auth = vec![0.0f64; n];
         for &(h, a) in &arcs {
-            new_auth[a] += hub[h];
+            new_auth[a] += scores.hub[h];
         }
         let mut new_hub = vec![0.0f64; n];
         for &(h, a) in &arcs {
@@ -149,29 +125,20 @@ pub fn hits(graph: &ProvenanceGraph, base_set: &[NodeId], config: &HitsConfig) -
         normalize(&mut new_hub);
         let delta: f64 = new_auth
             .iter()
-            .zip(&auth)
+            .zip(&scores.authority)
             .map(|(a, b)| (a - b) * (a - b))
             .sum();
-        auth = new_auth;
-        hub = new_hub;
+        scores.authority = new_auth;
+        scores.hub = new_hub;
         if delta.sqrt() < config.tolerance {
             break;
         }
+        if scores.iterations < config.max_iterations && budget.expired() {
+            scores.truncated = true;
+            break;
+        }
     }
-
-    HitsScores {
-        authority: members
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, auth[i]))
-            .collect(),
-        hub: members
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, hub[i]))
-            .collect(),
-        iterations,
-    }
+    scores
 }
 
 fn normalize(v: &mut [f64]) {
@@ -183,11 +150,134 @@ fn normalize(v: &mut [f64]) {
     }
 }
 
+/// HITS over the live graph's adjacency lists and hash maps, as [`hits`]
+/// ran before it read the CSR rows: kept as its test oracle.
+#[cfg(test)]
+pub(crate) mod live {
+    use super::{normalize, HitsConfig};
+    use crate::edge::EdgeKind;
+    use crate::graph::ProvenanceGraph;
+    use crate::ids::NodeId;
+    use std::collections::HashMap;
+
+    /// Per-node hub and authority scores produced by [`hits`].
+    #[derive(Debug, Clone, PartialEq)]
+    pub(crate) struct HitsScores {
+        pub(crate) authority: HashMap<NodeId, f64>,
+        pub(crate) hub: HashMap<NodeId, f64>,
+        pub(crate) iterations: usize,
+    }
+
+    impl HitsScores {
+        /// Nodes sorted by descending authority.
+        pub(crate) fn top_authorities(&self, k: usize) -> Vec<(NodeId, f64)> {
+            top(&self.authority, k)
+        }
+
+        /// Nodes sorted by descending hub score.
+        pub(crate) fn top_hubs(&self, k: usize) -> Vec<(NodeId, f64)> {
+            top(&self.hub, k)
+        }
+    }
+
+    fn top(scores: &HashMap<NodeId, f64>, k: usize) -> Vec<(NodeId, f64)> {
+        let mut v: Vec<(NodeId, f64)> = scores.iter().map(|(&n, &s)| (n, s)).collect();
+        v.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.0.cmp(&b.0))
+        });
+        v.truncate(k);
+        v
+    }
+
+    /// HITS restricted to `base_set` over the live graph.
+    pub(crate) fn hits(
+        graph: &ProvenanceGraph,
+        base_set: &[NodeId],
+        config: &HitsConfig,
+    ) -> HitsScores {
+        let members: Vec<NodeId> = base_set
+            .iter()
+            .copied()
+            .filter(|n| n.as_usize() < graph.node_count())
+            .collect();
+        if members.is_empty() {
+            return HitsScores {
+                authority: HashMap::new(),
+                hub: HashMap::new(),
+                iterations: 0,
+            };
+        }
+        let edge_ok = |kind: EdgeKind| {
+            kind.is_causal() && (config.include_automatic_edges || !kind.is_automatic())
+        };
+        let index_of: HashMap<NodeId, usize> =
+            members.iter().enumerate().map(|(i, &n)| (n, i)).collect();
+        let mut arcs: Vec<(usize, usize)> = Vec::new();
+        for (i, &node) in members.iter().enumerate() {
+            for (eid, parent) in graph.parents(node) {
+                if edge_ok(graph.edge(eid).unwrap().kind()) {
+                    if let Some(&j) = index_of.get(&parent) {
+                        arcs.push((i, j));
+                    }
+                }
+            }
+        }
+
+        let n = members.len();
+        let mut auth = vec![1.0f64; n];
+        let mut hub = vec![1.0f64; n];
+        let mut iterations = 0;
+        for _ in 0..config.max_iterations {
+            iterations += 1;
+            let mut new_auth = vec![0.0f64; n];
+            for &(h, a) in &arcs {
+                new_auth[a] += hub[h];
+            }
+            let mut new_hub = vec![0.0f64; n];
+            for &(h, a) in &arcs {
+                new_hub[h] += new_auth[a];
+            }
+            normalize(&mut new_auth);
+            normalize(&mut new_hub);
+            let delta: f64 = new_auth
+                .iter()
+                .zip(&auth)
+                .map(|(a, b)| (a - b) * (a - b))
+                .sum();
+            auth = new_auth;
+            hub = new_hub;
+            if delta.sqrt() < config.tolerance {
+                break;
+            }
+        }
+
+        HitsScores {
+            authority: members
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| (n, auth[i]))
+                .collect(),
+            hub: members
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| (n, hub[i]))
+                .collect(),
+            iterations,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::live::hits;
     use super::*;
+    use crate::graph::ProvenanceGraph;
     use crate::node::{Node, NodeKind};
     use crate::time::Timestamp;
+    use proptest::prelude::*;
+    use std::time::Duration;
 
     fn t(s: i64) -> Timestamp {
         Timestamp::from_secs(s)
@@ -283,7 +373,9 @@ mod tests {
     }
 
     mod proptests {
+        use super::super::live::hits;
         use super::super::*;
+        use crate::graph::ProvenanceGraph;
         use crate::node::{Node, NodeKind};
         use crate::time::Timestamp;
         use proptest::prelude::*;
@@ -356,5 +448,78 @@ mod tests {
         let top2 = scores.top_authorities(2);
         let tops: Vec<NodeId> = top2.iter().map(|(n, _)| *n).collect();
         assert!(tops.contains(&c1) && tops.contains(&c2));
+    }
+
+    /// Fails unless the CSR pass over `g`'s snapshot scores `base` as the
+    /// live oracle does, bit for bit. The oracle keeps one score per node,
+    /// that of its last place among the members; an earlier place of a
+    /// repeated node has the same hub score and no authority.
+    fn assert_matches_live(
+        g: &ProvenanceGraph,
+        base: &[NodeId],
+        config: &HitsConfig,
+    ) -> Result<(), TestCaseError> {
+        let csr = super::hits(&FrozenGraph::build(g), base, config, &Budget::new());
+        let live = hits(g, base, config);
+        prop_assert!(!csr.truncated);
+        prop_assert_eq!(csr.iterations, live.iterations);
+        let members: Vec<NodeId> = base
+            .iter()
+            .copied()
+            .filter(|n| n.as_usize() < g.node_count())
+            .collect();
+        prop_assert_eq!(csr.authority.len(), members.len());
+        prop_assert_eq!(csr.hub.len(), members.len());
+        for (i, node) in members.iter().enumerate() {
+            let last = members.iter().rposition(|m| m == node) == Some(i);
+            let authority = if last { live.authority[node] } else { 0.0 };
+            prop_assert_eq!(csr.authority[i].to_bits(), authority.to_bits());
+            prop_assert_eq!(csr.hub[i].to_bits(), live.hub[node].to_bits());
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn an_expired_deadline_stops_hits_after_one_iteration() {
+        let (g, center, leaves) = star();
+        let mut base = vec![center];
+        base.extend(&leaves);
+        let frozen = FrozenGraph::build(&g);
+        let config = HitsConfig::default();
+        let expired = Budget::new().with_deadline(Duration::ZERO);
+        let cut = super::hits(&frozen, &base, &config, &expired);
+        assert_eq!((cut.iterations, cut.truncated), (1, true));
+        // Without a deadline the pass converges, as the live oracle does.
+        let full = super::hits(&frozen, &base, &config, &Budget::new());
+        assert!(!full.truncated && full.iterations > 1);
+        assert_matches_live(&g, &base, &config).unwrap();
+    }
+
+    proptest! {
+        /// The CSR pass scores random graphs bit for bit as the live oracle
+        /// does, with and without automatic edges, over base sets with
+        /// repeated ids and ids past the graph.
+        #[test]
+        fn csr_hits_matches_the_live_oracle_bit_for_bit(
+            links in prop::collection::vec((1u8..30, 0u8..30, 0u8..15), 0..100),
+            base in prop::collection::vec(0u32..36, 0..40),
+            include_automatic_edges: bool,
+        ) {
+            let mut g = ProvenanceGraph::new();
+            for i in 0..30 {
+                g.add_node(Node::new(NodeKind::PageVisit, format!("u{i}"), t(i)));
+            }
+            for &(src, dst, k) in &links {
+                let (src, dst) = (u32::from(src), u32::from(dst) % u32::from(src));
+                let kind = EdgeKind::from_code(k).unwrap_or(EdgeKind::Link);
+                let _ = g.add_edge(NodeId::new(src), NodeId::new(dst), kind, t(i64::from(src)));
+            }
+            let base: Vec<NodeId> = base.into_iter().map(NodeId::new).collect();
+            let config = HitsConfig {
+                include_automatic_edges,
+                ..HitsConfig::default()
+            };
+            assert_matches_live(&g, &base, &config)?;
+        }
     }
 }

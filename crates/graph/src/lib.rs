@@ -18,16 +18,19 @@
 //! - **Intervals** (§3.2): every node carries an open/close
 //!   [`TimeInterval`], making "were these two pages open simultaneously?"
 //!   answerable — the paper observes Firefox cannot answer it.
-//! - **Algorithms**: bounded BFS lineage ([`traverse`]), Kleinberg-style
-//!   [`hits`], weighted [`neighborhood`] expansion (the contextual-search
-//!   primitive), [`toposort`] for invariant checking, [`stats`] and
-//!   [`dot`] export.
+//! - **Algorithms**, all over the CSR snapshot [`frozen::FrozenGraph`]:
+//!   bounded BFS lineage ([`traverse`]), Kleinberg-style [`hits`],
+//!   weighted neighborhood expansion (the contextual-search primitive,
+//!   configured by [`neighborhood`]) and personalized PageRank
+//!   ([`frozen`]); plus [`toposort`] for invariant checking, [`stats`]
+//!   and [`dot`] export.
 //!
 //! # Example: the "rosebud" scenario (§2.1)
 //!
 //! ```
 //! use bp_graph::{ProvenanceGraph, Node, NodeKind, EdgeKind, Timestamp};
-//! use bp_graph::neighborhood::{expand, ExpansionConfig};
+//! use bp_graph::frozen::{expand_frozen, FrozenGraph};
+//! use bp_graph::neighborhood::ExpansionConfig;
 //! use bp_graph::traverse::Budget;
 //!
 //! # fn main() -> Result<(), bp_graph::GraphError> {
@@ -41,8 +44,10 @@
 //!
 //! // Citizen Kane is in the provenance neighborhood of "rosebud", so a
 //! // contextual search can return it even though its text never says so.
-//! let relevance = expand(&g, &[(term, 1.0)], &ExpansionConfig::default(), &Budget::new());
-//! assert!(relevance.weight_of(kane) > 0.0);
+//! let frozen = FrozenGraph::build(&g);
+//! let seeds = [(term, 1.0)];
+//! let relevance = expand_frozen(&frozen, &seeds, &ExpansionConfig::default(), &Budget::new());
+//! assert!(relevance.entries.iter().any(|&(node, w)| node == kane.index() && w > 0.0));
 //! # Ok(())
 //! # }
 //! ```
@@ -200,10 +205,9 @@ mod proptests {
                 return Ok(());
             }
             let start = NodeId::new(0);
-            // ancestors() follows causal edges only, so compare against
-            // reachability over the same filter by using all-kind BFS.
+            // Reachability follows every kind, so the BFS does too.
             let reached: std::collections::HashSet<NodeId> = traverse::bfs(
-                &g,
+                &frozen::FrozenGraph::build(&g),
                 start,
                 traverse::Direction::Ancestors,
                 |_| true,

@@ -1,19 +1,16 @@
-//! Weighted graph-neighborhood expansion.
+//! Weighted graph-neighborhood expansion: its configuration.
 //!
 //! "We implement Contextual History Search as a graph neighborhood
 //! expansion algorithm" (§4), following Shah et al.'s provenance-based
 //! desktop search: start from a seed set of textual hits and spread
 //! relevance to provenance neighbors with per-hop decay, so that "as a
 //! first-generation descendant of the rosebud web search page, Citizen Kane
-//! would receive substantial weight" (§2.1).
+//! would receive substantial weight" (§2.1). The expansion itself runs over
+//! the CSR snapshot: [`crate::frozen::expand_frozen`].
 
 use crate::edge::EdgeKind;
-use crate::graph::ProvenanceGraph;
-use crate::ids::NodeId;
-use crate::traverse::Budget;
-use std::collections::HashMap;
 
-/// Configuration for [`expand`].
+/// Configuration for [`crate::frozen::expand_frozen`].
 #[derive(Debug, Clone)]
 pub struct ExpansionConfig {
     /// Multiplicative decay applied per hop (0 < decay < 1). A decay of
@@ -61,116 +58,123 @@ impl ExpansionConfig {
     }
 }
 
-/// Result of a neighborhood expansion: accumulated relevance per node.
-#[derive(Debug, Clone, Default)]
-pub struct Expansion {
-    /// Relevance mass accumulated at each reached node (seeds included).
-    pub weight: HashMap<NodeId, f64>,
-    /// `true` if a budget limit stopped the expansion early.
-    pub truncated: bool,
-}
+/// The expansion of [`crate::frozen::expand_frozen`] over the live
+/// graph's adjacency lists and hash maps, kept as its test oracle.
+#[cfg(test)]
+pub(crate) mod live {
+    use super::ExpansionConfig;
+    use crate::graph::ProvenanceGraph;
+    use crate::ids::NodeId;
+    use crate::traverse::Budget;
+    use std::collections::HashMap;
 
-impl Expansion {
-    /// Nodes sorted by descending accumulated weight, ties broken by id
-    /// for determinism.
-    pub fn ranked(&self) -> Vec<(NodeId, f64)> {
-        let mut v: Vec<(NodeId, f64)> = self.weight.iter().map(|(&n, &w)| (n, w)).collect();
-        v.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        v
+    /// Result of [`expand`]: accumulated relevance per node.
+    #[derive(Debug, Clone, Default)]
+    pub(crate) struct Expansion {
+        /// Relevance mass accumulated at each reached node (seeds included).
+        pub(crate) weight: HashMap<NodeId, f64>,
+        /// `true` if a budget limit stopped the expansion early.
+        pub(crate) truncated: bool,
     }
 
-    /// Weight of one node (0.0 if unreached).
-    pub fn weight_of(&self, node: NodeId) -> f64 {
-        self.weight.get(&node).copied().unwrap_or(0.0)
-    }
-}
+    impl Expansion {
+        /// Nodes sorted by descending accumulated weight, ties broken by id
+        /// for determinism.
+        pub(crate) fn ranked(&self) -> Vec<(NodeId, f64)> {
+            let mut v: Vec<(NodeId, f64)> = self.weight.iter().map(|(&n, &w)| (n, w)).collect();
+            v.sort_by(|a, b| {
+                b.1.partial_cmp(&a.1)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.0.cmp(&b.0))
+            });
+            v
+        }
 
-/// Spreads relevance from weighted `seeds` outward through the provenance
-/// graph (both directions — context flows along an edge either way), with
-/// per-hop decay and per-kind multipliers, within `budget`.
-///
-/// Expansion is layered: a node accumulates weight from every path that
-/// first reaches it (all arrivals within its BFS layer sum), so a node
-/// connected to several seeds outranks a node connected to one — exactly
-/// the "relevance of their provenance neighbors" reordering of Shah et al.
-/// Weight never echoes back to already-reached nodes, so a single
-/// seed–neighbor pair cannot inflate each other by bouncing.
-pub fn expand(
-    graph: &ProvenanceGraph,
-    seeds: &[(NodeId, f64)],
-    config: &ExpansionConfig,
-    budget: &Budget,
-) -> Expansion {
-    let budget = budget.pinned();
-    let mut out = Expansion::default();
-    // Frontier holds (node, incoming weight) for the current hop.
-    let mut frontier: Vec<(NodeId, f64)> = Vec::new();
-    for &(n, w) in seeds {
-        if n.as_usize() < graph.node_count() && w > 0.0 {
-            *out.weight.entry(n).or_insert(0.0) += w;
-            frontier.push((n, w));
+        /// Weight of one node (0.0 if unreached).
+        pub(crate) fn weight_of(&self, node: NodeId) -> f64 {
+            self.weight.get(&node).copied().unwrap_or(0.0)
         }
     }
-    let max_hops = budget
-        .max_depth()
-        .map_or(config.max_hops, |d| d.min(config.max_hops));
 
-    for _hop in 0..max_hops {
-        if frontier.is_empty() {
-            break;
-        }
-        let mut next: HashMap<NodeId, f64> = HashMap::new();
-        for &(node, w) in &frontier {
-            if budget.expired() {
-                out.truncated = true;
-                return out;
-            }
-            for (eid, nbr) in graph.neighbors(node) {
-                if out.weight.contains_key(&nbr) {
-                    continue; // layered: no echo back to reached nodes
-                }
-                let Ok(edge) = graph.edge(eid) else { continue };
-                let spread = w * config.decay * config.weight_of(edge.kind());
-                if spread < config.min_weight {
-                    continue;
-                }
-                *next.entry(nbr).or_insert(0.0) += spread;
+    /// Spreads relevance from weighted `seeds` through the live graph, as
+    /// [`crate::frozen::expand_frozen`] does through the snapshot.
+    pub(crate) fn expand(
+        graph: &ProvenanceGraph,
+        seeds: &[(NodeId, f64)],
+        config: &ExpansionConfig,
+        budget: &Budget,
+    ) -> Expansion {
+        let budget = budget.pinned();
+        let mut out = Expansion::default();
+        // Frontier holds (node, incoming weight) for the current hop.
+        let mut frontier: Vec<(NodeId, f64)> = Vec::new();
+        for &(n, w) in seeds {
+            if n.as_usize() < graph.node_count() && w > 0.0 {
+                *out.weight.entry(n).or_insert(0.0) += w;
+                frontier.push((n, w));
             }
         }
-        if let Some(max) = budget.max_nodes() {
-            if out.weight.len() + next.len() > max {
-                out.truncated = true;
-                // Keep the heaviest entries up to the cap.
-                let mut entries: Vec<(NodeId, f64)> = next.into_iter().collect();
-                entries.sort_by(|a, b| {
-                    b.1.partial_cmp(&a.1)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.0.cmp(&b.0))
-                });
-                entries.truncate(max.saturating_sub(out.weight.len()));
-                for (n, w) in &entries {
-                    *out.weight.entry(*n).or_insert(0.0) += *w;
+        let max_hops = budget
+            .max_depth()
+            .map_or(config.max_hops, |d| d.min(config.max_hops));
+
+        for _hop in 0..max_hops {
+            if frontier.is_empty() {
+                break;
+            }
+            let mut next: HashMap<NodeId, f64> = HashMap::new();
+            for &(node, w) in &frontier {
+                if budget.expired() {
+                    out.truncated = true;
+                    return out;
                 }
-                return out;
+                for (eid, nbr) in graph.neighbors(node) {
+                    if out.weight.contains_key(&nbr) {
+                        continue; // layered: no echo back to reached nodes
+                    }
+                    let Ok(edge) = graph.edge(eid) else { continue };
+                    let spread = w * config.decay * config.weight_of(edge.kind());
+                    if spread < config.min_weight {
+                        continue;
+                    }
+                    *next.entry(nbr).or_insert(0.0) += spread;
+                }
+            }
+            if let Some(max) = budget.max_nodes() {
+                if out.weight.len() + next.len() > max {
+                    out.truncated = true;
+                    // Keep the heaviest entries up to the cap.
+                    let mut entries: Vec<(NodeId, f64)> = next.into_iter().collect();
+                    entries.sort_by(|a, b| {
+                        b.1.partial_cmp(&a.1)
+                            .unwrap_or(std::cmp::Ordering::Equal)
+                            .then(a.0.cmp(&b.0))
+                    });
+                    entries.truncate(max.saturating_sub(out.weight.len()));
+                    for (n, w) in &entries {
+                        *out.weight.entry(*n).or_insert(0.0) += *w;
+                    }
+                    return out;
+                }
+            }
+            frontier = next.iter().map(|(&n, &w)| (n, w)).collect();
+            for (n, w) in next {
+                *out.weight.entry(n).or_insert(0.0) += w;
             }
         }
-        frontier = next.iter().map(|(&n, &w)| (n, w)).collect();
-        for (n, w) in next {
-            *out.weight.entry(n).or_insert(0.0) += w;
-        }
+        out
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
+    use super::live::expand;
     use super::*;
+    use crate::graph::ProvenanceGraph;
+    use crate::ids::NodeId;
     use crate::node::{Node, NodeKind};
     use crate::time::Timestamp;
+    use crate::traverse::Budget;
 
     fn t(s: i64) -> Timestamp {
         Timestamp::from_secs(s)

@@ -9,14 +9,13 @@
 //! and distant-but-well-connected nodes surface.
 //!
 //! Walks treat provenance edges as undirected (context flows both ways
-//! along a derivation), like [`crate::neighborhood`].
+//! along a derivation), like [`crate::neighborhood`]. The kernel runs over
+//! the CSR snapshot: [`crate::frozen::personalized_pagerank_frozen`].
 
-use crate::graph::ProvenanceGraph;
-use crate::ids::NodeId;
-use crate::traverse::Budget;
-use std::collections::HashMap;
+#[cfg(test)]
+use crate::{traverse::Budget, NodeId, ProvenanceGraph};
 
-/// Configuration for [`personalized_pagerank`].
+/// Configuration for [`crate::frozen::personalized_pagerank_frozen`].
 #[derive(Debug, Clone)]
 pub struct PageRankConfig {
     /// Probability of continuing the walk (1 − restart probability).
@@ -42,24 +41,26 @@ impl Default for PageRankConfig {
     }
 }
 
-/// The converged scores.
+/// The converged scores, keyed by node.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct PageRankScores {
+pub(crate) struct PageRankScores {
     /// Stationary probability mass per node (sums to ~1 over the reachable
     /// component).
-    pub score: HashMap<NodeId, f64>,
+    pub(crate) score: std::collections::HashMap<NodeId, f64>,
     /// Iterations performed.
-    pub iterations: usize,
+    pub(crate) iterations: usize,
 }
 
+#[cfg(test)]
 impl PageRankScores {
     /// Score of one node (0.0 if never reached).
-    pub fn score_of(&self, node: NodeId) -> f64 {
+    pub(crate) fn score_of(&self, node: NodeId) -> f64 {
         self.score.get(&node).copied().unwrap_or(0.0)
     }
 
     /// Nodes by descending score, ties broken by id.
-    pub fn ranked(&self) -> Vec<(NodeId, f64)> {
+    pub(crate) fn ranked(&self) -> Vec<(NodeId, f64)> {
         let mut v: Vec<(NodeId, f64)> = self.score.iter().map(|(&n, &s)| (n, s)).collect();
         v.sort_by(|a, b| {
             b.1.partial_cmp(&a.1)
@@ -70,20 +71,12 @@ impl PageRankScores {
     }
 }
 
-/// Runs personalized PageRank from weighted `seeds` over the undirected
-/// view of the provenance graph. Temporal-overlap edges participate at
-/// reduced conductance (they are association, not navigation).
-///
+/// Personalized PageRank from weighted `seeds` over a fresh snapshot of
+/// `graph`, unbounded: the kernel's tests read its scores by node.
 /// Seeds with nonpositive weight or out-of-range ids are ignored; an
 /// effectively empty seed set yields empty scores.
-///
-/// This is the convenience entry point: it snapshots the graph into a
-/// [`crate::frozen::FrozenGraph`] and runs the flat-buffer kernel
-/// ([`crate::frozen::personalized_pagerank_frozen`]) with an unbounded
-/// [`Budget`]. Hot paths that amortize the snapshot and its kernel
-/// layout (and want deadlines or the score cache) hold a
-/// [`crate::frozen::FrozenHandle`] and call the kernel directly.
-pub fn personalized_pagerank(
+#[cfg(test)]
+pub(crate) fn personalized_pagerank(
     graph: &ProvenanceGraph,
     seeds: &[(NodeId, f64)],
     config: &PageRankConfig,

@@ -1,15 +1,17 @@
-//! Graph traversals: ancestors, descendants, paths, bounded execution.
+//! Graph traversals: the bounded breadth-first search over CSR rows.
 //!
 //! Download lineage (§2.4) "is a breadth-first search over a node's
 //! ancestors"; finding everything that came *from* an untrusted page is the
-//! mirror-image descendant query. The paper also reports that its queries
-//! "complete in less than 200 ms in the majority of cases and **can be bound
-//! to that time** in the remaining cases" — [`Budget`] implements that
-//! bounding (node and depth caps, and a deadline that runs from the instant
-//! the query pinned at entry) for every traversal here and for the
-//! relevance kernels in [`crate::neighborhood`] and [`crate::frozen`].
+//! mirror-image descendant query. Both are [`bfs`] over the rows of a
+//! [`FrozenGraph`], the snapshot every query walks. The paper also reports
+//! that its queries "complete in less than 200 ms in the majority of cases
+//! and **can be bound to that time** in the remaining cases" — [`Budget`]
+//! implements that bounding (node and depth caps, and a deadline that runs
+//! from the instant the query pinned at entry) for [`bfs`] and for the
+//! relevance kernels in [`crate::frozen`] and [`crate::hits`].
 
 use crate::edge::EdgeKind;
+use crate::frozen::FrozenGraph;
 use crate::graph::ProvenanceGraph;
 use crate::ids::{EdgeId, NodeId};
 use bp_obs::clock::ClockHandle;
@@ -145,6 +147,12 @@ impl Budget {
         self.start_us.is_some()
     }
 
+    /// The clock reading [`Budget::pinned`] fixed as the start instant;
+    /// `None` for an unpinned budget.
+    pub fn start_micros(&self) -> Option<u64> {
+        self.start_us
+    }
+
     /// Time since the pinned instant; zero for an unpinned budget.
     pub fn elapsed(&self) -> Duration {
         self.start_us.map_or(Duration::ZERO, |start| {
@@ -170,7 +178,21 @@ pub struct Reached {
     /// Hop distance from the start node (start = 0).
     pub depth: usize,
     /// The edge by which it was first reached (`None` for the start node).
-    pub via: Option<EdgeId>,
+    pub via: Option<Hop>,
+}
+
+/// The edge by which a traversal first reached a node: slot `slot` of the
+/// row, in the walk's direction, of the node at `reached[from]`. A CSR row
+/// mirrors the live adjacency list slot for slot, so `slot` is also the
+/// edge's place in that node's live out-edge list (toward ancestors) or
+/// in-edge list (toward descendants).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Hop {
+    /// Index in [`Traversal::reached`] of the node the edge was followed
+    /// from.
+    pub from: u32,
+    /// The edge's slot in that node's row.
+    pub slot: u32,
 }
 
 /// The outcome of a bounded traversal.
@@ -180,6 +202,8 @@ pub struct Traversal {
     pub reached: Vec<Reached>,
     /// `true` if a budget limit stopped the traversal before exhaustion.
     pub truncated: bool,
+    /// The direction walked: whose adjacency list a [`Hop`]'s slot indexes.
+    direction: Direction,
 }
 
 impl Traversal {
@@ -197,29 +221,70 @@ impl Traversal {
     pub fn is_empty(&self) -> bool {
         self.reached.len() <= 1
     }
+
+    /// The id of the edge `hop` followed, read by index from `graph`'s
+    /// adjacency list. `graph` is the live graph the walked snapshot was
+    /// taken of, or a later state of it: adjacency lists only grow at
+    /// their ends, so a slot keeps naming the same edge.
+    pub fn edge_id(&self, graph: &ProvenanceGraph, hop: Hop) -> Option<EdgeId> {
+        let from = self.reached.get(hop.from as usize)?.node;
+        let edges = match self.direction {
+            Direction::Ancestors => graph.out_edges(from),
+            Direction::Descendants => graph.in_edges(from),
+        };
+        edges.get(hop.slot as usize).copied()
+    }
+
+    /// The BFS-tree path from the start to `target`, its edge ids read
+    /// from `graph` as [`Traversal::edge_id`] reads them; `None` if the
+    /// traversal did not reach `target`.
+    pub fn path_to(&self, graph: &ProvenanceGraph, target: NodeId) -> Option<Path> {
+        // Indices into `reached`, from the target back to the start.
+        let mut at = self.reached.iter().position(|r| r.node == target)?;
+        let mut trail = vec![at];
+        while let Some(hop) = self.reached[at].via {
+            at = hop.from as usize;
+            trail.push(at);
+        }
+        trail.reverse();
+        let edges = trail
+            .iter()
+            .filter_map(|&i| self.reached[i].via)
+            .map(|hop| self.edge_id(graph, hop))
+            .collect::<Option<_>>()?;
+        Some(Path {
+            nodes: trail.iter().map(|&i| self.reached[i].node).collect(),
+            edges,
+        })
+    }
 }
 
-/// Breadth-first traversal from `start` in `direction`, following only
-/// edges for which `edge_filter` returns `true`, within `budget`.
+/// Breadth-first traversal of `frozen` from `start` in `direction`,
+/// following only edges for which `edge_filter` returns `true`, within
+/// `budget`.
 ///
-/// The start node is always the first element of the result. Lineage
-/// queries pass `|k| k.is_causal()` to exclude temporal-overlap context
-/// edges; personalization passes `|k| !k.is_automatic()` to unify away
-/// redirect/embed hops (§3.2).
+/// The start node is always the first element of the result; a start
+/// outside the snapshot reaches nothing. Each popped node first checks the
+/// node cap, then the deadline, so a traversal truncates at the same node
+/// for the same budget and clock readings. Lineage passes
+/// [`EdgeKind::is_causal`] to exclude temporal-overlap context edges.
 pub fn bfs(
-    graph: &ProvenanceGraph,
+    frozen: &FrozenGraph,
     start: NodeId,
     direction: Direction,
     mut edge_filter: impl FnMut(EdgeKind) -> bool,
     budget: &Budget,
 ) -> Traversal {
     let budget = budget.pinned();
-    let mut reached = Vec::new();
-    let mut truncated = false;
-    if start.as_usize() >= graph.node_count() {
-        return Traversal { reached, truncated };
+    let mut walk = Traversal {
+        reached: Vec::new(),
+        truncated: false,
+        direction,
+    };
+    if start.as_usize() >= frozen.node_count() {
+        return walk;
     }
-    let mut seen = vec![false; graph.node_count()];
+    let mut seen = vec![false; frozen.node_count()];
     let mut queue = VecDeque::new();
     seen[start.as_usize()] = true;
     queue.push_back(Reached {
@@ -227,138 +292,37 @@ pub fn bfs(
         depth: 0,
         via: None,
     });
-
     while let Some(r) = queue.pop_front() {
-        if let Some(max) = budget.max_nodes {
-            if reached.len() >= max {
-                truncated = true;
-                break;
-            }
-        }
-        // Check the clock every node; traversal steps are cheap enough
-        // that a clock read per node keeps us well within the 200 ms
-        // bound with negligible overhead.
-        if budget.expired() {
-            truncated = true;
+        // A clock read per node keeps the walk well within the 200 ms
+        // bound at negligible cost.
+        if budget
+            .max_nodes
+            .is_some_and(|max| walk.reached.len() >= max)
+            || budget.expired()
+        {
+            walk.truncated = true;
             break;
         }
-        reached.push(r);
-        if let Some(max_depth) = budget.max_depth {
-            if r.depth >= max_depth {
-                continue;
-            }
+        let from = walk.reached.len() as u32;
+        walk.reached.push(r);
+        if budget.max_depth.is_some_and(|max| r.depth >= max) {
+            continue;
         }
-        let hops: Vec<(EdgeId, NodeId)> = match direction {
-            Direction::Ancestors => graph.parents(r.node).collect(),
-            Direction::Descendants => graph.children(r.node).collect(),
-        };
-        for (eid, next) in hops {
-            // Adjacency lists only hold live edges; skipping a (supposedly
-            // impossible) dead one degrades better than aborting
-            // (`clippy::unwrap_used`).
-            let Ok(edge) = graph.edge(eid) else { continue };
-            let kind = edge.kind();
-            if !edge_filter(kind) {
-                continue;
-            }
-            if !seen[next.as_usize()] {
-                seen[next.as_usize()] = true;
+        for (slot, (next, kind)) in frozen.edges_toward(r.node.index(), direction).enumerate() {
+            if edge_filter(kind) && !seen[next as usize] {
+                seen[next as usize] = true;
                 queue.push_back(Reached {
-                    node: next,
+                    node: NodeId::new(next),
                     depth: r.depth + 1,
-                    via: Some(eid),
+                    via: Some(Hop {
+                        from,
+                        slot: slot as u32,
+                    }),
                 });
             }
         }
     }
-    Traversal { reached, truncated }
-}
-
-/// All causal ancestors of `start` (unbounded). Equivalent to the §2.4
-/// lineage set.
-pub fn ancestors(graph: &ProvenanceGraph, start: NodeId) -> Traversal {
-    bfs(
-        graph,
-        start,
-        Direction::Ancestors,
-        EdgeKind::is_causal,
-        &Budget::new(),
-    )
-}
-
-/// All causal descendants of `start` (unbounded). Answers "find all
-/// descendants of this page that are downloads" when the caller filters the
-/// result by node kind.
-pub fn descendants(graph: &ProvenanceGraph, start: NodeId) -> Traversal {
-    bfs(
-        graph,
-        start,
-        Direction::Descendants,
-        EdgeKind::is_causal,
-        &Budget::new(),
-    )
-}
-
-/// Finds the nearest ancestor (BFS order, so minimal hop count) for which
-/// `pred` holds, and returns the full path from `start` to it.
-///
-/// This is §2.4's path query — "find the first ancestor of this file that
-/// the user is likely to recognize" — with the "likely to recognize"
-/// predicate supplied by the caller (e.g. visit count above a threshold).
-///
-/// Returns `None` if no ancestor satisfies the predicate within the budget.
-pub fn first_ancestor_where(
-    graph: &ProvenanceGraph,
-    start: NodeId,
-    pred: impl FnMut(NodeId) -> bool,
-    budget: &Budget,
-) -> Option<Path> {
-    first_ancestor_where_observed(graph, start, pred, budget).path
-}
-
-/// The observed outcome of a [`first_ancestor_where_observed`] search: the
-/// path (when an ancestor matched) plus the work accounting that EXPLAIN
-/// profiles report — how many nodes the BFS visited and whether the budget
-/// cut it short (in which case a matching ancestor may exist beyond the
-/// truncation point).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AncestorSearch {
-    /// Path from the start to the nearest matching proper ancestor, if any
-    /// was reached within the budget.
-    pub path: Option<Path>,
-    /// Nodes the BFS visited (including the start node).
-    pub nodes_touched: usize,
-    /// Tree edges the BFS followed while visiting those nodes.
-    pub edges_touched: usize,
-    /// `true` if a budget limit stopped the search before exhaustion.
-    pub truncated: bool,
-}
-
-/// [`first_ancestor_where`] with work accounting: same search, but the
-/// caller also learns how many nodes were visited and whether the budget
-/// truncated the traversal — the inputs an EXPLAIN profile needs.
-pub fn first_ancestor_where_observed(
-    graph: &ProvenanceGraph,
-    start: NodeId,
-    mut pred: impl FnMut(NodeId) -> bool,
-    budget: &Budget,
-) -> AncestorSearch {
-    let traversal = bfs(
-        graph,
-        start,
-        Direction::Ancestors,
-        EdgeKind::is_causal,
-        budget,
-    );
-    // Skip the start node itself: "first ancestor" is a proper ancestor.
-    let hit = traversal.reached.iter().skip(1).find(|r| pred(r.node));
-    let path = hit.map(|h| reconstruct_path(graph, &traversal, h.node));
-    AncestorSearch {
-        path,
-        nodes_touched: traversal.len(),
-        edges_touched: traversal.reached.iter().filter(|r| r.via.is_some()).count(),
-        truncated: traversal.truncated,
-    }
+    walk
 }
 
 /// A concrete path through the graph: alternating nodes and the edges that
@@ -392,59 +356,228 @@ impl Path {
     }
 }
 
-/// Rebuilds the BFS tree path from the traversal start to `target`.
-fn reconstruct_path(graph: &ProvenanceGraph, traversal: &Traversal, target: NodeId) -> Path {
-    use std::collections::HashMap;
-    let by_node: HashMap<NodeId, &Reached> =
-        traversal.reached.iter().map(|r| (r.node, r)).collect();
-    let mut nodes = vec![target];
-    let mut edges = Vec::new();
-    let mut cur = target;
-    while let Some(r) = by_node.get(&cur) {
-        match r.via {
-            Some(eid) => {
-                // bp-lint: allow(L009): path length is capped by the producing BFS's Budget (max_depth hops), so reconstruction is bounded without re-checking the deadline
-                let Ok(e) = graph.edge(eid) else {
-                    // Path edges come from the traversal and are live by
-                    // construction; stop rebuilding rather than abort.
-                    break;
-                };
-                // The BFS stepped from one endpoint to the other; recover
-                // the predecessor endpoint regardless of direction.
-                let prev = if e.src() == cur { e.dst() } else { e.src() };
-                edges.push(eid);
-                nodes.push(prev);
-                cur = prev;
-            }
-            None => break,
+/// The BFS family over the live graph's adjacency lists that the CSR
+/// [`bfs`](super::bfs) replaced, kept as the oracle its tests compare
+/// against.
+#[cfg(test)]
+pub(crate) mod live {
+    use super::{Budget, Direction, Path};
+    use crate::edge::EdgeKind;
+    use crate::graph::ProvenanceGraph;
+    use crate::ids::{EdgeId, NodeId};
+    use std::collections::VecDeque;
+
+    /// One node reached by a live traversal.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) struct Reached {
+        pub(crate) node: NodeId,
+        pub(crate) depth: usize,
+        /// The edge by which it was first reached (`None` for the start).
+        pub(crate) via: Option<EdgeId>,
+    }
+
+    /// The outcome of a bounded live traversal.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub(crate) struct Traversal {
+        pub(crate) reached: Vec<Reached>,
+        pub(crate) truncated: bool,
+    }
+
+    impl Traversal {
+        pub(crate) fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+            self.reached.iter().map(|r| r.node)
+        }
+
+        pub(crate) fn len(&self) -> usize {
+            self.reached.len()
         }
     }
-    nodes.reverse();
-    edges.reverse();
-    Path { nodes, edges }
-}
 
-/// Shortest path (fewest hops) between two nodes following causal edges in
-/// the given direction; `None` if unreachable.
-pub fn shortest_path(
-    graph: &ProvenanceGraph,
-    from: NodeId,
-    to: NodeId,
-    direction: Direction,
-) -> Option<Path> {
-    let traversal = bfs(graph, from, direction, EdgeKind::is_causal, &Budget::new());
-    traversal
-        .reached
-        .iter()
-        .any(|r| r.node == to)
-        .then(|| reconstruct_path(graph, &traversal, to))
+    /// Breadth-first traversal over the live adjacency lists.
+    pub(crate) fn bfs(
+        graph: &ProvenanceGraph,
+        start: NodeId,
+        direction: Direction,
+        mut edge_filter: impl FnMut(EdgeKind) -> bool,
+        budget: &Budget,
+    ) -> Traversal {
+        let budget = budget.pinned();
+        let mut reached = Vec::new();
+        let mut truncated = false;
+        if start.as_usize() >= graph.node_count() {
+            return Traversal { reached, truncated };
+        }
+        let mut seen = vec![false; graph.node_count()];
+        let mut queue = VecDeque::new();
+        seen[start.as_usize()] = true;
+        queue.push_back(Reached {
+            node: start,
+            depth: 0,
+            via: None,
+        });
+
+        while let Some(r) = queue.pop_front() {
+            if let Some(max) = budget.max_nodes {
+                if reached.len() >= max {
+                    truncated = true;
+                    break;
+                }
+            }
+            if budget.expired() {
+                truncated = true;
+                break;
+            }
+            reached.push(r);
+            if let Some(max_depth) = budget.max_depth {
+                if r.depth >= max_depth {
+                    continue;
+                }
+            }
+            let hops: Vec<(EdgeId, NodeId)> = match direction {
+                Direction::Ancestors => graph.parents(r.node).collect(),
+                Direction::Descendants => graph.children(r.node).collect(),
+            };
+            for (eid, next) in hops {
+                let kind = graph.edge(eid).unwrap().kind();
+                if !edge_filter(kind) {
+                    continue;
+                }
+                if !seen[next.as_usize()] {
+                    seen[next.as_usize()] = true;
+                    queue.push_back(Reached {
+                        node: next,
+                        depth: r.depth + 1,
+                        via: Some(eid),
+                    });
+                }
+            }
+        }
+        Traversal { reached, truncated }
+    }
+
+    /// All causal ancestors of `start` (unbounded).
+    pub(crate) fn ancestors(graph: &ProvenanceGraph, start: NodeId) -> Traversal {
+        bfs(
+            graph,
+            start,
+            Direction::Ancestors,
+            EdgeKind::is_causal,
+            &Budget::new(),
+        )
+    }
+
+    /// All causal descendants of `start` (unbounded).
+    pub(crate) fn descendants(graph: &ProvenanceGraph, start: NodeId) -> Traversal {
+        bfs(
+            graph,
+            start,
+            Direction::Descendants,
+            EdgeKind::is_causal,
+            &Budget::new(),
+        )
+    }
+
+    /// The path from `start` to its nearest proper causal ancestor for
+    /// which `pred` holds, if one is reached within the budget.
+    pub(crate) fn first_ancestor_where(
+        graph: &ProvenanceGraph,
+        start: NodeId,
+        pred: impl FnMut(NodeId) -> bool,
+        budget: &Budget,
+    ) -> Option<Path> {
+        first_ancestor_where_observed(graph, start, pred, budget).path
+    }
+
+    /// A [`first_ancestor_where_observed`] search: the path and the work
+    /// accounting EXPLAIN reports.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub(crate) struct AncestorSearch {
+        pub(crate) path: Option<Path>,
+        /// Nodes the BFS visited (including the start node).
+        pub(crate) nodes_touched: usize,
+        /// Tree edges the BFS followed while visiting those nodes.
+        pub(crate) edges_touched: usize,
+        pub(crate) truncated: bool,
+    }
+
+    /// [`first_ancestor_where`] with work accounting.
+    pub(crate) fn first_ancestor_where_observed(
+        graph: &ProvenanceGraph,
+        start: NodeId,
+        mut pred: impl FnMut(NodeId) -> bool,
+        budget: &Budget,
+    ) -> AncestorSearch {
+        let traversal = bfs(
+            graph,
+            start,
+            Direction::Ancestors,
+            EdgeKind::is_causal,
+            budget,
+        );
+        // Skip the start node itself: "first ancestor" is a proper ancestor.
+        let hit = traversal.reached.iter().skip(1).find(|r| pred(r.node));
+        let path = hit.map(|h| reconstruct_path(graph, &traversal, h.node));
+        AncestorSearch {
+            path,
+            nodes_touched: traversal.len(),
+            edges_touched: traversal.reached.iter().filter(|r| r.via.is_some()).count(),
+            truncated: traversal.truncated,
+        }
+    }
+
+    /// Rebuilds the BFS tree path from the traversal start to `target`.
+    pub(crate) fn reconstruct_path(
+        graph: &ProvenanceGraph,
+        traversal: &Traversal,
+        target: NodeId,
+    ) -> Path {
+        use std::collections::HashMap;
+        let by_node: HashMap<NodeId, &Reached> =
+            traversal.reached.iter().map(|r| (r.node, r)).collect();
+        let mut nodes = vec![target];
+        let mut edges = Vec::new();
+        let mut cur = target;
+        while let Some(Reached { via: Some(eid), .. }) = by_node.get(&cur) {
+            let e = graph.edge(*eid).unwrap();
+            // The BFS stepped from one endpoint to the other; recover
+            // the predecessor endpoint regardless of direction.
+            let prev = if e.src() == cur { e.dst() } else { e.src() };
+            edges.push(*eid);
+            nodes.push(prev);
+            cur = prev;
+        }
+        nodes.reverse();
+        edges.reverse();
+        Path { nodes, edges }
+    }
+
+    /// Shortest path (fewest hops) between two nodes following causal
+    /// edges in the given direction; `None` if unreachable.
+    pub(crate) fn shortest_path(
+        graph: &ProvenanceGraph,
+        from: NodeId,
+        to: NodeId,
+        direction: Direction,
+    ) -> Option<Path> {
+        let traversal = bfs(graph, from, direction, EdgeKind::is_causal, &Budget::new());
+        traversal
+            .reached
+            .iter()
+            .any(|r| r.node == to)
+            .then(|| reconstruct_path(graph, &traversal, to))
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::live::{
+        ancestors, bfs, descendants, first_ancestor_where, first_ancestor_where_observed,
+        shortest_path,
+    };
     use super::*;
     use crate::node::{Node, NodeKind};
     use crate::time::Timestamp;
+    use proptest::prelude::*;
 
     fn t(s: i64) -> Timestamp {
         Timestamp::from_secs(s)
@@ -698,5 +831,132 @@ mod tests {
         let reached: Vec<NodeId> = tr.node_ids().collect();
         assert!(!reached.contains(&ids[5]));
         assert!(reached.contains(&ids[4]));
+    }
+
+    /// `nodes` nodes joined by `links`: each adds an edge of any kind
+    /// between two nodes, in either id direction, unless it would close a
+    /// cycle. Repeated pairs give parallel edges.
+    fn random_graph(nodes: u16, links: &[(u16, u16, u8)]) -> ProvenanceGraph {
+        let mut g = ProvenanceGraph::new();
+        for i in 0..nodes {
+            g.add_node(Node::new(
+                NodeKind::PageVisit,
+                format!("u{i}"),
+                t(i64::from(i)),
+            ));
+        }
+        for &(a, b, k) in links {
+            let (a, b) = (u32::from(a % nodes), u32::from(b % nodes));
+            let kind = EdgeKind::from_code(k).unwrap_or(EdgeKind::Link);
+            let _ = g.add_edge(NodeId::new(a), NodeId::new(b), kind, t(0));
+        }
+        g
+    }
+
+    /// One walk's budget: optional node and depth caps, and an optional
+    /// deadline on a fresh clock that ticks 1 µs per reading, so two walks
+    /// that read their clocks alike truncate alike.
+    fn case_budget(
+        max_nodes: Option<usize>,
+        max_depth: Option<usize>,
+        deadline_us: Option<u64>,
+    ) -> Budget {
+        let mut budget = Budget::new();
+        if let Some(n) = max_nodes {
+            budget = budget.with_max_nodes(n);
+        }
+        if let Some(d) = max_depth {
+            budget = budget.with_max_depth(d);
+        }
+        if let Some(us) = deadline_us {
+            let (clock, mock) = ClockHandle::mock();
+            mock.set_auto_tick_micros(1);
+            budget = budget
+                .with_deadline(Duration::from_micros(us))
+                .with_clock(clock);
+        }
+        budget
+    }
+
+    proptest! {
+        /// The CSR BFS walks random graphs exactly as the live oracle does,
+        /// in both directions, under the causal and the all-kind filter and
+        /// random node, depth and deadline limits: the same nodes in the
+        /// same order at the same depths, each discovered by the same edge,
+        /// the same truncation, and the same path to every reached node.
+        #[test]
+        fn csr_bfs_matches_the_live_oracle(
+            nodes in 1u16..40,
+            links in prop::collection::vec((any::<u16>(), any::<u16>(), 0u8..15), 0..120),
+            start in 0u16..42,
+            max_nodes in prop::option::of(0usize..30),
+            max_depth in prop::option::of(0usize..6),
+            deadline_us in prop::option::of(0u64..40),
+        ) {
+            let g = random_graph(nodes, &links);
+            let frozen = FrozenGraph::build(&g);
+            // A start at or past `nodes` is outside the graph: it reaches
+            // nothing.
+            let start = NodeId::new(u32::from(start));
+            for direction in [Direction::Ancestors, Direction::Descendants] {
+                for causal in [true, false] {
+                    let filter = |k: EdgeKind| !causal || k.is_causal();
+                    let budget = || case_budget(max_nodes, max_depth, deadline_us);
+                    let csr = super::bfs(&frozen, start, direction, filter, &budget());
+                    let live = live::bfs(&g, start, direction, filter, &budget());
+                    prop_assert_eq!(csr.truncated, live.truncated);
+                    prop_assert_eq!(csr.len(), live.len());
+                    for (c, l) in csr.reached.iter().zip(&live.reached) {
+                        prop_assert_eq!((c.node, c.depth), (l.node, l.depth));
+                        prop_assert_eq!(c.via.map(|hop| csr.edge_id(&g, hop)), l.via.map(Some));
+                    }
+                    for r in &live.reached {
+                        let path = live::reconstruct_path(&g, &live, r.node);
+                        prop_assert_eq!(csr.path_to(&g, r.node), Some(path));
+                    }
+                }
+            }
+        }
+
+        /// Searches built on the CSR BFS answer as the live oracle's do:
+        /// the first matching proper ancestor, its path, the nodes and
+        /// edges touched and the truncation under random caps; and,
+        /// unbounded, the whole causal lineage or descendant set and the
+        /// shortest causal path to every node, in both directions.
+        #[test]
+        fn csr_searches_match_the_live_oracle(
+            nodes in 1u16..40,
+            links in prop::collection::vec((any::<u16>(), any::<u16>(), 0u8..15), 0..120),
+            start in any::<u16>(),
+            modulus in 1u32..5,
+            max_nodes in prop::option::of(0usize..30),
+            max_depth in prop::option::of(0usize..6),
+        ) {
+            let g = random_graph(nodes, &links);
+            let frozen = FrozenGraph::build(&g);
+            let start = NodeId::new(u32::from(start % nodes));
+            let pred = |n: NodeId| n.index().is_multiple_of(modulus);
+            let budget = case_budget(max_nodes, max_depth, None);
+            let walk = super::bfs(&frozen, start, Direction::Ancestors, EdgeKind::is_causal, &budget);
+            let found = walk.reached.iter().skip(1).find(|r| pred(r.node));
+            let observed = first_ancestor_where_observed(&g, start, pred, &budget);
+            prop_assert_eq!(found.and_then(|r| walk.path_to(&g, r.node)), observed.path);
+            prop_assert_eq!(walk.len(), observed.nodes_touched);
+            let edges = walk.reached.iter().filter(|r| r.via.is_some()).count();
+            prop_assert_eq!(edges, observed.edges_touched);
+            prop_assert_eq!(walk.truncated, observed.truncated);
+            for direction in [Direction::Ancestors, Direction::Descendants] {
+                let walk = super::bfs(&frozen, start, direction, EdgeKind::is_causal, &Budget::new());
+                let reach = match direction {
+                    Direction::Ancestors => ancestors(&g, start),
+                    Direction::Descendants => descendants(&g, start),
+                };
+                prop_assert!(walk.node_ids().eq(reach.node_ids()));
+                for target in g.node_ids() {
+                    let path = shortest_path(&g, start, target, direction);
+                    prop_assert_eq!(walk.path_to(&g, target), path);
+                }
+            }
+        }
     }
 }

@@ -300,12 +300,14 @@ thread_local! {
 }
 
 /// Opens a profile for one execution of `plan`, timed on `clock` (the
-/// query's own time source, so mock-clock tests drive profile timings) and
-/// accounted against `budget`. A no-op when profiling is disabled.
+/// query's own time source, so mock-clock tests drive profile timings)
+/// from its reading `start_us`, and accounted against `budget`. A no-op
+/// when profiling is disabled.
 #[must_use = "the profile closes when this guard drops"]
 pub fn begin(
     plan: &'static QueryPlan,
     clock: &ClockHandle,
+    start_us: u64,
     budget: Option<Duration>,
 ) -> QueryGuard {
     if !enabled() {
@@ -315,7 +317,7 @@ pub fn begin(
         stack.borrow_mut().push(OpenProfile {
             plan,
             clock: clock.clone(),
-            start_us: clock.now_micros(),
+            start_us,
             budget_us: budget.map(|d| d.as_micros() as u64),
             truncated: false,
             truncation_stage: None,
@@ -525,7 +527,7 @@ mod tests {
     fn disabled_profiles_collect_nothing() {
         set_enabled(false);
         {
-            let _q = begin(&PLAN, &ClockHandle::real(), None);
+            let _q = begin(&PLAN, &ClockHandle::real(), 0, None);
             let _s = stage("scan");
         }
         assert!(take().is_empty());
@@ -535,7 +537,12 @@ mod tests {
     fn stage_times_come_from_the_query_clock() {
         let profiles = with_profiling(|| {
             let (clock, mock) = ClockHandle::mock();
-            let q = begin(&PLAN, &clock, Some(Duration::from_millis(200)));
+            let q = begin(
+                &PLAN,
+                &clock,
+                clock.now_micros(),
+                Some(Duration::from_millis(200)),
+            );
             {
                 let s = stage("scan");
                 s.rows(10, 4);
@@ -573,7 +580,12 @@ mod tests {
     fn truncation_point_and_estimate_are_kept() {
         let profiles = with_profiling(|| {
             let (clock, mock) = ClockHandle::mock();
-            let q = begin(&PLAN, &clock, Some(Duration::from_micros(100)));
+            let q = begin(
+                &PLAN,
+                &clock,
+                clock.now_micros(),
+                Some(Duration::from_micros(100)),
+            );
             {
                 let s = stage("traverse");
                 mock.advance_micros(150);
@@ -598,9 +610,9 @@ mod tests {
         };
         let profiles = with_profiling(|| {
             let clock = ClockHandle::real();
-            let q = begin(&PLAN, &clock, None);
+            let q = begin(&PLAN, &clock, clock.now_micros(), None);
             {
-                let inner = begin(&INNER, &clock, None);
+                let inner = begin(&INNER, &clock, clock.now_micros(), None);
                 {
                     let _s = stage("work");
                 }
@@ -621,7 +633,12 @@ mod tests {
     fn table_renders_all_stages_and_other_row() {
         let profiles = with_profiling(|| {
             let (clock, mock) = ClockHandle::mock();
-            let q = begin(&PLAN, &clock, Some(Duration::from_millis(200)));
+            let q = begin(
+                &PLAN,
+                &clock,
+                clock.now_micros(),
+                Some(Duration::from_millis(200)),
+            );
             {
                 let s = stage("scan");
                 mock.advance_micros(400);
@@ -645,7 +662,12 @@ mod tests {
     fn json_serialization_parses_back() {
         let profiles = with_profiling(|| {
             let (clock, mock) = ClockHandle::mock();
-            let q = begin(&PLAN, &clock, Some(Duration::from_micros(50)));
+            let q = begin(
+                &PLAN,
+                &clock,
+                clock.now_micros(),
+                Some(Duration::from_micros(50)),
+            );
             {
                 let s = stage("rank");
                 s.rows(7, 3);

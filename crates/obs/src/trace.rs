@@ -67,21 +67,21 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 impl Context {
-    /// Generates a fresh context from a clock reading mixed with a
-    /// process-wide counter (two concurrent entry points that read the
-    /// same microsecond still get distinct IDs) and a per-process seed.
+    /// Generates a fresh context from a clock reading, `now_us`, mixed
+    /// with a process-wide counter (two concurrent entry points that read
+    /// the same microsecond still get distinct IDs) and a per-process seed.
     /// The seed matters: the monotonic clock counts from *process
     /// start*, so without wall-clock + pid entropy two one-shot CLI
     /// invocations that mint their first ID at the same startup offset
     /// would collide exactly. IDs are never zero.
-    pub fn generate(clock: &ClockHandle) -> Context {
+    pub fn generate(now_us: u64) -> Context {
         static COUNTER: AtomicU64 = AtomicU64::new(0);
         static SEED: OnceLock<u64> = OnceLock::new();
         let seed = *SEED.get_or_init(|| {
             splitmix64(crate::clock::unix_time_ms() ^ u64::from(std::process::id()).rotate_left(40))
         });
         let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        let mut id = splitmix64(clock.now_micros().rotate_left(20) ^ n ^ seed);
+        let mut id = splitmix64(now_us.rotate_left(20) ^ n ^ seed);
         if id == 0 {
             id = 1;
         }
@@ -120,22 +120,22 @@ pub fn enter(context: Context) -> ContextGuard {
 /// Generates a fresh context from `clock` and installs it.
 #[must_use = "the context deactivates when this guard drops"]
 pub fn enter_new(clock: &ClockHandle) -> ContextGuard {
-    enter(Context::generate(clock))
+    enter(Context::generate(clock.now_micros()))
 }
 
-/// Enters a fresh context only when none is active: entry points call
-/// this unconditionally, so a path invoked inside another request (e.g.
-/// personalize running the contextual search) reuses the caller's ID
-/// instead of minting a second one.
+/// Enters a fresh context, minted from the clock reading `now_us`, only
+/// when none is active: entry points call this unconditionally, so a path
+/// invoked inside another request (e.g. personalize running the contextual
+/// search) reuses the caller's ID instead of minting a second one.
 #[must_use = "the context deactivates when this guard drops"]
-pub fn ensure(clock: &ClockHandle) -> ContextGuard {
+pub fn ensure(now_us: u64) -> ContextGuard {
     if current().is_some() {
         ContextGuard {
             installed: None,
             restore: None,
         }
     } else {
-        enter_new(clock)
+        enter(Context::generate(now_us))
     }
 }
 
@@ -464,10 +464,9 @@ mod tests {
 
     #[test]
     fn generated_ids_are_distinct_and_nonzero() {
-        let (clock, _mock) = ClockHandle::mock();
-        // Even with a frozen clock the process counter keeps IDs apart.
-        let a = Context::generate(&clock);
-        let b = Context::generate(&clock);
+        // Even from one clock reading the process counter keeps IDs apart.
+        let a = Context::generate(0);
+        let b = Context::generate(0);
         assert_ne!(a.trace_id, 0);
         assert_ne!(a.trace_id, b.trace_id);
     }
@@ -508,11 +507,10 @@ mod tests {
 
     #[test]
     fn ensure_reuses_an_active_context() {
-        let clock = ClockHandle::real();
-        let g1 = ensure(&clock);
+        let g1 = ensure(1);
         let id = current_id().expect("ensure installed a context");
         {
-            let g2 = ensure(&clock);
+            let g2 = ensure(2);
             assert_eq!(g2.context(), None, "nested ensure is a no-op guard");
             assert_eq!(current_id(), Some(id));
         }

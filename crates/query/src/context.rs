@@ -23,7 +23,6 @@ use bp_graph::traverse::Budget;
 use bp_graph::{NodeId, NodeKind, ProvenanceGraph};
 use bp_obs::profile::QueryPlan;
 use bp_obs::trace;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// EXPLAIN plan for [`contextual_history_search`].
@@ -202,31 +201,39 @@ impl Search<'_> {
                 e
             },
             |expansion, winners| {
-                // The optional HITS pass over the reached neighborhood (the
-                // "base set" in Kleinberg's terms): authority flows to the
-                // pages the user's journeys converged on.
-                let authority = if config.hits_weight > 0.0 {
-                    let stage = self.scope.stage("hits");
-                    // Frozen entries are already in ascending node-id order,
-                    // so the member order (and the scores) stay
-                    // deterministic.
-                    let base: Vec<NodeId> = expansion
-                        .entries
-                        .iter()
-                        .map(|&(i, _)| NodeId::new(i))
-                        .collect();
-                    let authority =
-                        hits(self.browser.graph(), &base, &HitsConfig::default()).authority;
-                    stage.rows(base.len(), authority.len());
-                    authority
+                let (authority, hits_truncated) = if config.hits_weight > 0.0 {
+                    self.hits_pass(&expansion.entries)
                 } else {
-                    HashMap::new()
+                    (Vec::new(), false)
                 };
                 let blend_truncated =
                     self.blend(&expansion.entries, 1.0, &authority, budget, winners);
-                expansion.truncated || blend_truncated
+                expansion.truncated || hits_truncated || blend_truncated
             },
         )
+    }
+
+    /// The optional HITS pass over the reached neighborhood (the "base
+    /// set" in Kleinberg's terms), under the query's deadline: authority
+    /// flows to the pages the user's journeys converged on. Returns the
+    /// authority of each of `entries`, in their order, and whether the
+    /// deadline cut the pass short.
+    fn hits_pass(&self, entries: &[(u32, f64)]) -> (Vec<f64>, bool) {
+        let stage = self.scope.stage("hits");
+        // Expansion entries are in ascending node-id order, so the member
+        // order, and with it the scores, are deterministic.
+        let base: Vec<NodeId> = entries.iter().map(|&(i, _)| NodeId::new(i)).collect();
+        let config = HitsConfig::default();
+        let scores = hits(self.frozen, &base, &config, self.scope.budget());
+        stage.rows(base.len(), scores.authority.len());
+        if scores.truncated {
+            let remaining = config.max_iterations.saturating_sub(scores.iterations) as u64;
+            stage.truncated(remaining);
+            trace::note(format!(
+                "truncated: deadline hit, ~{remaining} iterations left"
+            ));
+        }
+        (scores.authority, scores.truncated)
     }
 
     /// The answer ranked over personalized PageRank from the seeds, its
@@ -256,8 +263,7 @@ impl Search<'_> {
                 // stops at an iteration boundary past the deadline, and
                 // the blend loop checks it too.
                 let max = scores.max_score().max(f64::EPSILON);
-                let blend_truncated =
-                    self.blend(&scores.entries, max, &HashMap::new(), budget, winners);
+                let blend_truncated = self.blend(&scores.entries, max, &[], budget, winners);
                 scores.truncated || blend_truncated
             },
         )
@@ -333,8 +339,9 @@ impl Search<'_> {
         answer
     }
 
-    /// The blend stage: ranks sparse `(node, context)` entries into
-    /// `winners`, still under the query's deadline — the walk truncates itself,
+    /// The blend stage: ranks sparse `(node, context)` entries, with the
+    /// HITS `authority` of each when that pass ran, into `winners`, still
+    /// under the query's deadline — the walk truncates itself,
     /// but this loop scales with the reached set, so it too honors the
     /// bound rather than silently overrunning. Returns whether the
     /// deadline cut it short.
@@ -351,7 +358,7 @@ impl Search<'_> {
         &self,
         entries: &[(u32, f64)],
         normalize: f64,
-        authority: &HashMap<NodeId, f64>,
+        authority: &[f64],
         budget: &Budget,
         winners: &mut Vec<CachedHit>,
     ) -> bool {
@@ -391,7 +398,7 @@ impl Search<'_> {
             let context = raw_context / normalize;
             let text = text_score.get(raw_node as usize).copied().unwrap_or(0.0);
             let hits = if use_hits {
-                config.hits_weight * authority.get(&node).copied().unwrap_or(0.0)
+                config.hits_weight * authority.get(blended).copied().unwrap_or(0.0)
             } else {
                 0.0
             };

@@ -9,8 +9,9 @@
 
 use crate::scope::Scope;
 use bp_core::ProvenanceBrowser;
+use bp_graph::frozen::FrozenGraph;
 use bp_graph::traverse::Budget;
-use bp_graph::{EdgeId, EdgeKind, NodeId, NodeKind};
+use bp_graph::{EdgeKind, NodeId, NodeKind};
 use bp_obs::profile::QueryPlan;
 use bp_obs::trace;
 use std::fmt::Write as _;
@@ -81,40 +82,44 @@ fn label(browser: &ProvenanceBrowser, node: NodeId) -> String {
     }
 }
 
-/// Picks the most narratively useful derivation edge of a node: user
-/// actions outrank automatic bookkeeping, and temporal overlap is never a
+/// How narratively useful a derivation of this kind is, best first: user
+/// actions outrank automatic bookkeeping.
+fn rank(kind: EdgeKind) -> u8 {
+    match kind {
+        k if k.is_user_action() => 0,
+        EdgeKind::Redirect | EdgeKind::Embed => 1,
+        EdgeKind::VersionOf => 3,
+        _ => 2,
+    }
+}
+
+/// Picks the most narratively useful derivation of a node by [`rank`],
+/// the first of equal rank in the order of the live graph's parent list,
+/// which the snapshot's forward row keeps; temporal overlap is never a
 /// derivation.
 ///
 /// A hub node's in-degree is unbounded (a page revisited thousands of
-/// times has that many parent edges), so the scan is deadline-checked and
-/// returns the best edge found so far when time runs out.
+/// times has that many parent edges), so the scan is deadline-checked:
+/// when time runs out it returns the best edge found so far and `true`.
 fn narrative_parent(
-    browser: &ProvenanceBrowser,
+    frozen: &FrozenGraph,
     node: NodeId,
     budget: &Budget,
-) -> Option<(EdgeId, NodeId, EdgeKind)> {
-    let graph = browser.graph();
-    let mut best: Option<(EdgeId, NodeId, EdgeKind)> = None;
-    for (eid, parent) in graph.parents(node) {
+) -> (Option<(NodeId, EdgeKind)>, bool) {
+    let mut best: Option<(NodeId, EdgeKind)> = None;
+    for (parent, kind) in frozen.out_edges_of(node.index()) {
         if budget.expired() {
-            break;
+            return (best, true);
         }
-        let kind = graph.edge(eid).ok()?.kind();
         if !kind.is_causal() {
             continue;
         }
-        let rank = |k: EdgeKind| match k {
-            k if k.is_user_action() => 0,
-            EdgeKind::Redirect | EdgeKind::Embed => 1,
-            EdgeKind::VersionOf => 3,
-            _ => 2,
-        };
-        match &best {
-            Some((_, _, current)) if rank(*current) <= rank(kind) => {}
-            _ => best = Some((eid, parent, kind)),
+        match best {
+            Some((_, current)) if rank(current) <= rank(kind) => {}
+            _ => best = Some((NodeId::new(parent), kind)),
         }
     }
-    best
+    (best, false)
 }
 
 /// Narrates how the newest object with `key` came to be, one line per
@@ -145,6 +150,7 @@ pub fn describe_origin(
         return None;
     };
     let stage = scope.stage("narrate");
+    let frozen = browser.frozen();
     let mut out = String::new();
     let _ = writeln!(out, "{}", label(browser, start));
     let mut current = start;
@@ -153,14 +159,12 @@ pub fn describe_origin(
     while steps < config.max_steps {
         if budget.expired() {
             bounded = true;
-            let remaining = (config.max_steps - steps) as u64;
-            stage.truncated(remaining);
-            trace::note(format!(
-                "truncated: deadline hit, ~{remaining} hops unnarrated"
-            ));
             break;
         }
-        let Some((_, parent, kind)) = narrative_parent(browser, current, budget) else {
+        let (pick, cut) = narrative_parent(&frozen, current, budget);
+        let Some((parent, kind)) = pick else {
+            // A scan the deadline cut short may have missed a parent.
+            bounded = cut;
             break;
         };
         // Skip the instance_of hop's page object in the narrative: the
@@ -169,11 +173,18 @@ pub fn describe_origin(
         current = parent;
         steps += 1;
     }
+    if bounded {
+        let remaining = (config.max_steps - steps) as u64;
+        stage.truncated(remaining);
+        trace::note(format!(
+            "truncated: deadline hit, ~{remaining} hops unnarrated"
+        ));
+    }
     // When the deadline bounded the walk we already know hops went
     // unnarrated (and the expired deadline would cut the re-scan short
     // anyway); only the step-cap case needs to probe for a further parent.
     if bounded
-        || (steps == config.max_steps && narrative_parent(browser, current, budget).is_some())
+        || (steps == config.max_steps && narrative_parent(&frozen, current, budget).0.is_some())
     {
         let _ = writeln!(out, "  … (chain continues)");
     }
@@ -188,7 +199,8 @@ pub fn describe_origin(
 mod tests {
     use super::*;
     use bp_core::{BrowserEvent, CaptureConfig, EventKind, NavigationCause, TabId};
-    use bp_graph::Timestamp;
+    use bp_graph::{Node, ProvenanceGraph, Timestamp};
+    use proptest::prelude::*;
     use std::path::PathBuf;
 
     struct TempBrowser {
@@ -334,5 +346,38 @@ mod tests {
         let story = describe_origin(&tb.browser, "http://b/", &DescribeConfig::default()).unwrap();
         let first_hop = story.lines().nth(1).unwrap();
         assert!(first_hop.contains("clicking a link on"), "{story}");
+    }
+
+    proptest! {
+        /// Over random graphs with every edge kind and parallel edges, the
+        /// pick from each node's snapshot row equals the pick from its
+        /// live parent list: the best rank, the first of equal rank.
+        #[test]
+        fn parent_pick_matches_a_live_parents_scan(
+            links in prop::collection::vec((any::<u16>(), any::<u16>(), 0u8..15), 0..150),
+        ) {
+            let mut g = ProvenanceGraph::new();
+            for i in 0..30 {
+                g.add_node(Node::new(NodeKind::PageVisit, format!("u{i}"), t(i)));
+            }
+            for &(a, b, k) in &links {
+                let (a, b) = (NodeId::new(u32::from(a % 30)), NodeId::new(u32::from(b % 30)));
+                let kind = EdgeKind::from_code(k).unwrap_or(EdgeKind::Link);
+                let _ = g.add_edge(a, b, kind, t(0));
+            }
+            let frozen = FrozenGraph::build(&g);
+            for node in g.node_ids() {
+                let live = g.parents(node).fold(None, |best, (eid, parent)| {
+                    let kind = g.edge(eid).unwrap().kind();
+                    match best {
+                        _ if !kind.is_causal() => best,
+                        Some((_, current)) if rank(current) <= rank(kind) => best,
+                        _ => Some((parent, kind)),
+                    }
+                });
+                let picked = narrative_parent(&frozen, node, &Budget::new());
+                prop_assert_eq!(picked, (live, false));
+            }
+        }
     }
 }

@@ -10,8 +10,8 @@
 
 use crate::scope::Scope;
 use bp_core::ProvenanceBrowser;
-use bp_graph::traverse::{self, AncestorSearch, Budget, Direction, Path};
-use bp_graph::{NodeId, NodeKind};
+use bp_graph::traverse::{self, Budget, Direction, Path};
+use bp_graph::{EdgeKind, NodeId, NodeKind};
 use bp_obs::profile::QueryPlan;
 use bp_obs::trace;
 use std::time::Duration;
@@ -62,119 +62,9 @@ pub fn find_download(browser: &ProvenanceBrowser, path: &str) -> Option<NodeId> 
     browser.graph().nodes_with_key(path).last().copied()
 }
 
-/// BFS over the causal out-rows of the browser's current
-/// [`bp_graph::frozen::FrozenGraph`] snapshot: the CSR twin of
-/// [`traverse::first_ancestor_where_observed`], with identical visit
-/// order, budget semantics, and work accounting. Walking contiguous CSR
-/// rows replaces the live graph's per-hop edge-arena lookups, so the
-/// steady-state lineage query stops pointer-chasing.
-///
-/// The snapshot comes from [`ProvenanceBrowser::frozen`] under the same
-/// borrow as the live graph, so both views are the same graph; the live
-/// graph is only consulted to resolve path [`bp_graph::EdgeId`]s after
-/// the walk. A `start` outside the graph finds nothing.
-pub fn frozen_ancestor_search(
-    browser: &ProvenanceBrowser,
-    start: NodeId,
-    mut pred: impl FnMut(NodeId) -> bool,
-    budget: &Budget,
-) -> AncestorSearch {
-    let budget = budget.pinned();
-    let (graph, frozen) = (browser.graph(), browser.frozen());
-    if start.as_usize() >= frozen.node_count() {
-        return AncestorSearch::default();
-    }
-    // (node, depth, BFS-predecessor): the predecessor stands in for the
-    // live traversal's `via` edge — the discovering edge is recovered
-    // from the live graph only for the final path.
-    let mut reached: Vec<(u32, usize, Option<u32>)> = Vec::new();
-    let mut seen = vec![false; frozen.node_count()];
-    let mut queue = std::collections::VecDeque::new();
-    seen[start.as_usize()] = true;
-    queue.push_back((start.index(), 0usize, None));
-    let mut truncated = false;
-    // Mirror the live BFS's check order exactly (max_nodes, then
-    // deadline, then record, then depth) so both paths truncate at the
-    // same node for the same budget.
-    while let Some((node, depth, pred_node)) = queue.pop_front() {
-        if let Some(max) = budget.max_nodes() {
-            if reached.len() >= max {
-                truncated = true;
-                break;
-            }
-        }
-        if budget.expired() {
-            truncated = true;
-            break;
-        }
-        reached.push((node, depth, pred_node));
-        if let Some(max_depth) = budget.max_depth() {
-            if depth >= max_depth {
-                continue;
-            }
-        }
-        for (target, kind) in frozen.out_edges_of(node) {
-            if !kind.is_causal() {
-                continue;
-            }
-            if !seen[target as usize] {
-                seen[target as usize] = true;
-                queue.push_back((target, depth + 1, Some(node)));
-            }
-        }
-    }
-    let edges_touched = reached.iter().filter(|r| r.2.is_some()).count();
-    // "First ancestor" is a proper ancestor: skip the start node.
-    let hit = reached
-        .iter()
-        .skip(1)
-        .find(|&&(node, _, _)| pred(NodeId::new(node)))
-        .map(|&(node, _, _)| node);
-    let path = hit.map(|target| {
-        let pred_of: std::collections::HashMap<u32, Option<u32>> =
-            reached.iter().map(|&(n, _, p)| (n, p)).collect();
-        let mut nodes = vec![NodeId::new(target)];
-        let mut edges = Vec::new();
-        let mut cur = target;
-        while let Some(Some(p)) = pred_of.get(&cur).copied() {
-            // The BFS discovered `cur` from `p` through p's first causal
-            // out-edge targeting it — recover that edge id from the live
-            // graph's identically-ordered adjacency.
-            let eid = graph
-                .out_edges(NodeId::new(p))
-                .iter()
-                .copied()
-                .find(|&eid| {
-                    graph
-                        .edge(eid)
-                        .is_ok_and(|e| e.kind().is_causal() && e.dst() == NodeId::new(cur))
-                });
-            match eid {
-                Some(eid) => edges.push(eid),
-                // Both views are one graph, so every discovered hop
-                // exists live; stop rebuilding rather than abort.
-                None => break,
-            }
-            nodes.push(NodeId::new(p));
-            cur = p;
-        }
-        nodes.reverse();
-        edges.reverse();
-        Path { nodes, edges }
-    });
-    AncestorSearch {
-        path,
-        nodes_touched: reached.len(),
-        edges_touched,
-        truncated,
-    }
-}
-
 /// §2.4's path query: the nearest causal ancestor of `download` whose URL
-/// the user has visited at least `recognizable_visits` times.
-///
-/// The walk runs over the browser's CSR snapshot (see
-/// [`frozen_ancestor_search`]).
+/// the user has visited at least `recognizable_visits` times, found by
+/// [`traverse::bfs`] over the browser's CSR snapshot.
 ///
 /// Returns `None` when nothing in the lineage clears the bar within the
 /// budget — the honest answer for a download that arrived out of nowhere.
@@ -191,37 +81,48 @@ pub fn first_recognizable_ancestor(
         &config.budget,
     );
     let graph = browser.graph();
-    {
+    let frozen = {
         // The snapshot refresh, if a mutation forced one, under its own
-        // stage; the walk below reads the refreshed snapshot.
+        // stage.
         let stage = scope.stage("frozen.snapshot");
         let frozen = browser.frozen();
         stage.touched(frozen.node_count(), frozen.edge_count());
-    }
+        frozen
+    };
     let (found, truncated) = {
         let stage = scope.stage("ancestor_bfs");
+        let walk = traverse::bfs(
+            &frozen,
+            download,
+            Direction::Ancestors,
+            EdgeKind::is_causal,
+            scope.budget(),
+        );
+        let edges = walk.reached.iter().filter(|r| r.via.is_some()).count();
+        stage.touched(walk.len(), edges);
         let recognizable = |node: NodeId| {
             graph.node(node).is_ok_and(|n| {
                 n.kind() == NodeKind::PageVisit
                     && browser.visit_count(n.key()) >= config.recognizable_visits
             })
         };
-        let search = frozen_ancestor_search(browser, download, recognizable, scope.budget());
-        stage.touched(search.nodes_touched, search.edges_touched);
-        stage.rows(1, usize::from(search.path.is_some()));
-        if search.truncated {
-            let remaining = graph.node_count().saturating_sub(search.nodes_touched) as u64;
+        // "First ancestor" is a proper ancestor: skip the start node.
+        let hit = walk.reached.iter().skip(1).find(|r| recognizable(r.node));
+        let path = hit.and_then(|r| walk.path_to(graph, r.node));
+        stage.rows(1, usize::from(path.is_some()));
+        if walk.truncated {
+            let remaining = graph.node_count().saturating_sub(walk.len()) as u64;
             stage.truncated(remaining);
             trace::note(format!(
                 "truncated: budget hit, ~{remaining} ancestors unexplored"
             ));
         }
-        let found = search.path.and_then(|path| {
+        let found = path.and_then(|path| {
             let ancestor = path.target();
             let url = graph.node(ancestor).ok()?.key().to_owned();
             Some((ancestor, url, path))
         });
-        (found, search.truncated)
+        (found, walk.truncated)
     };
     let elapsed = scope.finish(truncated);
     let (ancestor, url, path) = found?;
@@ -243,24 +144,18 @@ pub fn full_lineage(
     budget: &Budget,
 ) -> (Vec<(NodeId, String)>, bool) {
     let graph = browser.graph();
-    let traversal = traverse::bfs(
-        graph,
+    let walk = traverse::bfs(
+        &browser.frozen(),
         node,
         Direction::Ancestors,
-        bp_graph::EdgeKind::is_causal,
+        EdgeKind::is_causal,
         budget,
     );
-    let out = traversal
-        .reached
-        .iter()
-        .filter_map(|r| {
-            graph
-                .node(r.node)
-                .ok()
-                .map(|n| (r.node, n.key().to_owned()))
-        })
+    let out = walk
+        .node_ids()
+        .filter_map(|id| graph.node(id).ok().map(|n| (id, n.key().to_owned())))
         .collect();
-    (out, traversal.truncated)
+    (out, walk.truncated)
 }
 
 /// §2.4's descendant query: every download that descends from any visit
@@ -272,30 +167,30 @@ pub fn downloads_descending_from(
     url: &str,
     budget: &Budget,
 ) -> Vec<(NodeId, String)> {
-    let graph = browser.graph();
+    let (graph, frozen) = (browser.graph(), browser.frozen());
     let mut out: Vec<(NodeId, String)> = Vec::new();
     let mut seen = std::collections::HashSet::new();
     // A URL with many visits runs one BFS per visit; all of them spend
     // the one deadline pinned here, which bounds the whole query.
     let budget = budget.pinned();
-    for &start in browser.graph().nodes_with_key(url) {
+    for &start in graph.nodes_with_key(url) {
         if budget.expired() {
             break;
         }
-        let traversal = traverse::bfs(
-            graph,
+        let walk = traverse::bfs(
+            &frozen,
             start,
             Direction::Descendants,
-            bp_graph::EdgeKind::is_causal,
+            EdgeKind::is_causal,
             &budget,
         );
-        for r in &traversal.reached {
-            if !seen.insert(r.node) {
+        for id in walk.node_ids() {
+            if !seen.insert(id) {
                 continue;
             }
-            if let Ok(n) = graph.node(r.node) {
+            if let Ok(n) = graph.node(id) {
                 if n.kind() == NodeKind::Download {
-                    out.push((r.node, n.key().to_owned()));
+                    out.push((id, n.key().to_owned()));
                 }
             }
         }
@@ -453,26 +348,19 @@ mod tests {
 
     #[test]
     fn frozen_search_matches_live_exactly() {
+        // The walk reads the snapshot, but the answer's path names live
+        // edges: each hop is the live causal edge from one path node to
+        // the next.
         let (tb, path) = driveby("frozenlive");
         let b = &tb.browser;
         let dl = find_download(b, &path).unwrap();
-        let graph = b.graph();
-        let pred = |node: NodeId| {
-            graph
-                .node(node)
-                .is_ok_and(|n| n.kind() == NodeKind::PageVisit && b.visit_count(n.key()) >= 3)
-        };
-        for budget in [
-            Budget::new(),
-            Budget::new().with_max_nodes(2),
-            Budget::new().with_max_depth(1),
-        ] {
-            let from_frozen = frozen_ancestor_search(b, dl, pred, &budget);
-            let live = traverse::first_ancestor_where_observed(graph, dl, pred, &budget);
-            assert_eq!(from_frozen.path, live.path, "budget {budget:?}");
-            assert_eq!(from_frozen.nodes_touched, live.nodes_touched);
-            assert_eq!(from_frozen.edges_touched, live.edges_touched);
-            assert_eq!(from_frozen.truncated, live.truncated);
+        let answer = first_recognizable_ancestor(b, dl, &LineageConfig::default()).unwrap();
+        let hops = &answer.path;
+        assert_eq!(hops.nodes.len(), hops.edges.len() + 1);
+        for (pair, &eid) in hops.nodes.windows(2).zip(&hops.edges) {
+            let edge = b.graph().edge(eid).unwrap();
+            assert_eq!((edge.src(), edge.dst()), (pair[0], pair[1]));
+            assert!(edge.kind().is_causal());
         }
     }
 

@@ -4,7 +4,7 @@ use super::ast::{Filter, Query, Selector, Shape};
 use crate::scope::Scope;
 use bp_core::ProvenanceBrowser;
 use bp_graph::traverse::{self, Budget, Direction};
-use bp_graph::{NodeId, NodeKind};
+use bp_graph::{EdgeKind, NodeId, NodeKind};
 use core::fmt;
 use std::time::Duration;
 
@@ -139,16 +139,15 @@ fn execute_shape(
             } else {
                 Direction::Descendants
             };
-            let traversal = traverse::bfs(
-                graph,
+            let walk = traverse::bfs(
+                &browser.frozen(),
                 node,
                 direction,
-                bp_graph::EdgeKind::is_causal,
+                EdgeKind::is_causal,
                 budget,
             );
-            truncated = traversal.truncated;
-            traversal
-                .reached
+            truncated = walk.truncated;
+            walk.reached
                 .iter()
                 .skip(1) // the start node is not its own ancestor
                 .filter_map(|r| {
@@ -164,8 +163,18 @@ fn execute_shape(
         Shape::Path(a, b) => {
             let from = resolve(browser, a)?;
             let to = resolve(browser, b)?;
-            let path = traverse::shortest_path(graph, from, to, Direction::Ancestors)
-                .or_else(|| traverse::shortest_path(graph, from, to, Direction::Descendants));
+            // The shortest causal path up the lineage, else down it; both
+            // walks spend the query's one deadline.
+            let frozen = browser.frozen();
+            let mut path = None;
+            for direction in [Direction::Ancestors, Direction::Descendants] {
+                let walk = traverse::bfs(&frozen, from, direction, EdgeKind::is_causal, budget);
+                truncated |= walk.truncated;
+                path = walk.path_to(graph, to);
+                if path.is_some() {
+                    break;
+                }
+            }
             match path {
                 Some(p) => p
                     .nodes

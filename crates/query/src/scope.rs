@@ -4,7 +4,8 @@
 //! query's [`Budget`], so the deadline runs from one instant read once
 //! from the budget's clock, and every stage and kernel handed
 //! [`Scope::budget`] spends that one deadline. It also enters the trace
-//! context and opens the root span and the EXPLAIN profile on that clock.
+//! context and opens the root span and the EXPLAIN profile on that clock,
+//! from that same reading.
 //! Every return path ends it with [`Scope::finish`] (or [`Scope::fail`]),
 //! which reads the clock once and reports that elapsed time to the
 //! latency histogram, the deadline SLO counters, the tail sampler, the
@@ -51,9 +52,12 @@ impl<'a> Scope<'a> {
         let nested = budget.is_pinned();
         let budget = budget.pinned();
         let clock = budget.clock();
-        let context = trace::ensure(clock);
+        // The pinned instant also seeds the trace id and opens the
+        // profile: opening a scope reads the clock once.
+        let start_us = budget.start_micros().unwrap_or_default();
+        let context = trace::ensure(start_us);
         let span = trace::span(span);
-        let profile = plan.map(|plan| profile::begin(plan, clock, budget.deadline()));
+        let profile = plan.map(|plan| profile::begin(plan, clock, start_us, budget.deadline()));
         let path = latency
             .strip_prefix("query.")
             .and_then(|rest| rest.strip_suffix(".latency_us"))
@@ -217,16 +221,52 @@ mod tests {
     use super::*;
     use bp_obs::clock::ClockHandle;
 
+    use std::sync::Mutex;
+
     static PLAN: QueryPlan = QueryPlan {
         query: "scoped",
         stages: &["only"],
     };
+
+    /// Serializes the tests that switch profiling, a process-wide flag.
+    static PROFILING: Mutex<()> = Mutex::new(());
+
+    /// Opening a scope reads the query's clock once, for the pin, with
+    /// profiling on or off: the trace id and the profile start from that
+    /// reading.
+    #[test]
+    fn opening_a_scope_reads_the_clock_once() {
+        let _gate = PROFILING.lock().unwrap_or_else(|e| e.into_inner());
+        for profiling in [false, true] {
+            let (clock, mock) = ClockHandle::mock();
+            mock.set_auto_tick_micros(1);
+            let budget = Budget::new().with_clock(clock.clone());
+            let obs = Obs::default();
+            profile::set_enabled(profiling);
+            // Each reading advances the clock by 1 µs, the bracketing ones too.
+            let before = clock.now_micros();
+            let scope = Scope::open(
+                &obs,
+                "scoped",
+                Some(&PLAN),
+                "query.scoped.latency_us",
+                &budget,
+            );
+            let readings = clock.now_micros() - before - 1;
+            scope.finish(false);
+            profile::set_enabled(false);
+            let profiles = profile::take();
+            assert_eq!(readings, 1, "profiling {profiling}");
+            assert_eq!(profiles.len(), usize::from(profiling));
+        }
+    }
 
     /// A profiled stage reads the query's clock once when it opens and
     /// once when it closes: its EXPLAIN stage opens at the scope's reading
     /// instead of taking one of its own.
     #[test]
     fn a_profiled_stage_reads_the_clock_twice() {
+        let _gate = PROFILING.lock().unwrap_or_else(|e| e.into_inner());
         let (clock, mock) = ClockHandle::mock();
         mock.set_auto_tick_micros(1);
         let budget = Budget::new().with_clock(clock.clone());

@@ -7,9 +7,11 @@
 //! [`bp_obs::profile::Profile`] carries the truncation stage and a
 //! remaining-work estimate. The entry-deadline cases at the end check that
 //! each path's deadline runs from its entry, so the stages before a bounded
-//! loop count against it.
+//! loop count against it; for the paths that walk the CSR snapshot, over
+//! random deadlines and clock stall steps.
 
 use bp_core::{BrowserEvent, CaptureConfig, EventKind, NavigationCause, ProvenanceBrowser, TabId};
+use bp_graph::neighborhood::ExpansionConfig;
 use bp_graph::traverse::Budget;
 use bp_graph::Timestamp;
 use bp_obs::clock::Clock;
@@ -21,6 +23,7 @@ use bp_query::{
     personalize_query, textual_history_search, time_contextual_search, ContextualConfig,
     DescribeConfig, LineageConfig, PersonalizeConfig, TimeContextConfig,
 };
+use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -182,6 +185,45 @@ fn context_truncation_is_observable() {
 }
 
 #[test]
+fn hits_truncation_is_observable() {
+    let tb = history("hits");
+    let (clock, _mock) = ticking(50);
+    // No expansion hops, so nothing reads the clock against the deadline
+    // before the HITS pass, which stops at its first iteration boundary.
+    let config = ContextualConfig {
+        budget: Budget::new()
+            .with_deadline(Duration::ZERO)
+            .with_clock(clock),
+        hits_weight: 1.0,
+        expansion: ExpansionConfig {
+            max_hops: 0,
+            ..ExpansionConfig::default()
+        },
+        ..ContextualConfig::default()
+    };
+    let (result, profiles, roots) =
+        with_obs(|| bp_query::contextual_history_search(&tb.browser, "rosebud", &config));
+    assert!(result.truncated);
+    assert_truncation(&profiles, &roots, "hits");
+    assert_eq!(
+        profiles[0].remaining_estimate,
+        Some(49),
+        "one iteration of 50 ran"
+    );
+    // The truncated answer was not cached: the same search without a
+    // deadline, under the same cache key, computes afresh.
+    let before = tb.browser.score_cache().stats();
+    let unbounded = ContextualConfig {
+        budget: Budget::new(),
+        ..config
+    };
+    let full = bp_query::contextual_history_search(&tb.browser, "rosebud", &unbounded);
+    let after = tb.browser.score_cache().stats();
+    assert!(!full.truncated);
+    assert_eq!((after.hits, after.misses), (before.hits, before.misses + 1));
+}
+
+#[test]
 fn ppr_truncation_is_observable() {
     let tb = history("ppr");
     let (clock, _mock) = ticking(50);
@@ -316,42 +358,56 @@ fn describe_truncation_is_observable() {
 // The deadline runs from query entry
 // ---------------------------------------------------------------------------
 
-/// The deadline of the entry-deadline cases: three stalled readings.
+/// The deadline of the fixed entry-deadline cases: three stalled readings.
 const ENTRY_DEADLINE: Duration = Duration::from_micros(300);
 
-/// One stalled reading of a [`StallClock`].
+/// One stalled reading of the fixed cases' [`StallClock`].
 const STALL_US: u64 = 100;
 
-/// What a query may spend past its deadline: the reading that crossed it
-/// ends at most one stall late, and every reading after it costs 1 µs —
-/// the stages left before the bounded loop, the check that truncates, the
-/// stage closes and the scope's final reading. 32 readings cover the
-/// deepest path (personalization's inner search and its term profile).
-const ONE_CHECK_INTERVAL: Duration = Duration::from_micros(STALL_US + 32);
+/// What a query may spend past its deadline on a clock that stalls
+/// `stall_us` per reading: the reading that crossed the deadline ends at
+/// most one stall late, and every reading after it costs 1 µs — the stages
+/// left before the bounded loop, the check that truncates, the stage
+/// closes and the scope's final reading. 32 readings cover the deepest
+/// path (personalization's inner search and its term profile).
+fn one_check_interval(stall_us: u64) -> Duration {
+    Duration::from_micros(stall_us + 32)
+}
 
-/// A clock whose readings each take [`STALL_US`] until it reaches the
+/// A clock whose readings each take `stall_us` until it reaches the
 /// deadline and 1 µs after: the stages before a bounded loop use the
 /// deadline up, and what runs once it has passed is timed finely.
 #[derive(Debug)]
 struct StallClock {
     micros: AtomicU64,
     deadline_us: u64,
+    stall_us: u64,
 }
 
 impl Clock for StallClock {
     fn now_micros(&self) -> u64 {
-        let step = |now: u64| Some(now + if now < self.deadline_us { STALL_US } else { 1 });
+        let step = |now: u64| {
+            Some(
+                now + if now < self.deadline_us {
+                    self.stall_us
+                } else {
+                    1
+                },
+            )
+        };
         self.micros
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, step)
             .unwrap_or_else(|now| now)
     }
 }
 
-/// A budget with `deadline` on a fresh [`StallClock`].
-fn stalling(deadline: Duration) -> Budget {
+/// A budget with `deadline` on a fresh [`StallClock`] stalling `stall_us`
+/// per reading.
+fn stalling(deadline: Duration, stall_us: u64) -> Budget {
     let clock = StallClock {
         micros: AtomicU64::new(0),
         deadline_us: deadline.as_micros() as u64,
+        stall_us,
     };
     Budget::new()
         .with_deadline(deadline)
@@ -396,19 +452,40 @@ fn busy_history(tag: &str) -> TempBrowser {
     tb
 }
 
-/// Runs one query path under [`ENTRY_DEADLINE`] on a [`StallClock`] and
-/// asserts the deadline ran from entry: the query truncated, and its
-/// elapsed time (on the budget's clock) exceeds the deadline by at most
-/// [`ONE_CHECK_INTERVAL`]. `run` returns the query's reported elapsed time
-/// and whether it truncated.
-fn assert_deadline_from_entry(path: &str, run: impl FnOnce(&Budget) -> (Duration, bool)) {
-    let budget = stalling(ENTRY_DEADLINE);
+/// Runs one query path under `deadline` on a [`StallClock`] stalling
+/// `stall_us` per reading and checks that the deadline ran from entry: the
+/// query truncated, and its elapsed time (on the budget's clock) exceeds
+/// the deadline by at most [`one_check_interval`]. `run` returns the
+/// query's reported elapsed time and whether it truncated.
+fn check_deadline_from_entry(
+    path: &str,
+    deadline: Duration,
+    stall_us: u64,
+    run: impl FnOnce(&Budget) -> (Duration, bool),
+) -> Result<(), TestCaseError> {
+    let budget = stalling(deadline, stall_us);
     let ((elapsed, truncated), _, _) = with_obs(|| run(&budget));
-    assert!(truncated, "{path}: the deadline must truncate the query");
-    assert!(
-        elapsed <= ENTRY_DEADLINE + ONE_CHECK_INTERVAL,
-        "{path}: took {elapsed:?} against a {ENTRY_DEADLINE:?} deadline"
+    prop_assert!(truncated, "{path}: the deadline must truncate the query");
+    prop_assert!(
+        elapsed <= deadline + one_check_interval(stall_us),
+        "{path}: took {elapsed:?} against a {deadline:?} deadline"
     );
+    Ok(())
+}
+
+/// [`check_deadline_from_entry`] under [`ENTRY_DEADLINE`] and [`STALL_US`].
+fn assert_deadline_from_entry(path: &str, run: impl FnOnce(&Budget) -> (Duration, bool)) {
+    check_deadline_from_entry(path, ENTRY_DEADLINE, STALL_US, run).unwrap();
+}
+
+/// The entry-deadline property's clock: a stall step of 1–500 µs per
+/// reading, and a deadline that at most six stalled readings reach, so
+/// every path meets it inside its bounded loop.
+fn deadline_and_stall() -> impl Strategy<Value = (Duration, u64)> {
+    (1u64..=500, 0u64..6, any::<u64>()).prop_map(|(stall_us, stalls, extra)| {
+        let deadline_us = stalls * stall_us + extra % stall_us;
+        (Duration::from_micros(deadline_us), stall_us)
+    })
 }
 
 #[test]
@@ -474,59 +551,97 @@ fn timectx_deadline_runs_from_entry() {
     });
 }
 
-#[test]
-fn lineage_deadline_runs_from_entry() {
-    let tb = busy_history("entry-lineage");
-    let dl = find_download(&tb.browser, "/dl/thing.bin").unwrap();
-    assert_deadline_from_entry("lineage", |budget| {
-        // Nothing is recognizable, so an unbounded walk would visit the
-        // whole lineage.
-        let config = LineageConfig {
-            recognizable_visits: u32::MAX,
-            budget: budget.clone(),
-        };
-        assert!(first_recognizable_ancestor(&tb.browser, dl, &config).is_none());
-        let p = &profile::take()[0];
-        (Duration::from_micros(p.total_us), p.truncated)
-    });
-}
+// The paths that walk the CSR snapshot: each holds the property over
+// random deadlines and stall steps, on one history per test.
 
-#[test]
-fn describe_deadline_runs_from_entry() {
-    let tb = busy_history("entry-describe");
-    assert_deadline_from_entry("describe", |budget| {
-        let config = DescribeConfig {
-            budget: budget.clone(),
-            ..DescribeConfig::default()
-        };
-        let story = describe_origin(&tb.browser, "/dl/thing.bin", &config);
-        assert!(story.is_some());
-        let p = &profile::take()[0];
-        (Duration::from_micros(p.total_us), p.truncated)
-    });
-}
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
-#[test]
-fn downloads_descending_from_spends_one_deadline() {
-    let tb = busy_history("entry-downloads");
-    // Forty visits of the page: every BFS from one of them spends the
-    // one deadline.
-    assert_deadline_from_entry("downloads_descending_from", |budget| {
-        let found = downloads_descending_from(&tb.browser, "http://travel/plane-tickets", budget);
-        // The query pinned the fresh clock at 0, so its reading now is the
-        // time the query took.
-        let elapsed = Duration::from_micros(budget.clock().now_micros());
-        // Every BFS reaches the download: an empty answer is a truncated one.
-        (elapsed, found.is_empty())
-    });
-}
+    #[test]
+    fn context_hits_deadline_runs_from_entry((deadline, stall_us) in deadline_and_stall()) {
+        let tb = busy_history("entry-context-hits");
+        check_deadline_from_entry("context +HITS", deadline, stall_us, |budget| {
+            let config = ContextualConfig {
+                budget: budget.clone(),
+                hits_weight: 1.0,
+                ..ContextualConfig::default()
+            };
+            let r = bp_query::contextual_history_search(&tb.browser, "rosebud", &config);
+            (r.elapsed, r.truncated)
+        })?;
+    }
 
-#[test]
-fn ql_deadline_runs_from_entry() {
-    let tb = busy_history("entry-ql");
-    assert_deadline_from_entry("ql", |budget| {
-        let rows = bp_query::ql::run(&tb.browser, "descendants(url = \"http://films/0\")", budget)
-            .unwrap();
-        (rows.elapsed, rows.truncated)
-    });
+    #[test]
+    fn lineage_deadline_runs_from_entry((deadline, stall_us) in deadline_and_stall()) {
+        let tb = busy_history("entry-lineage");
+        let dl = find_download(&tb.browser, "/dl/thing.bin").unwrap();
+        check_deadline_from_entry("lineage", deadline, stall_us, |budget| {
+            // Nothing is recognizable, so an unbounded walk would visit the
+            // whole lineage.
+            let config = LineageConfig {
+                recognizable_visits: u32::MAX,
+                budget: budget.clone(),
+            };
+            assert!(first_recognizable_ancestor(&tb.browser, dl, &config).is_none());
+            let p = &profile::take()[0];
+            (Duration::from_micros(p.total_us), p.truncated)
+        })?;
+    }
+
+    #[test]
+    fn describe_deadline_runs_from_entry((deadline, stall_us) in deadline_and_stall()) {
+        let tb = busy_history("entry-describe");
+        check_deadline_from_entry("describe", deadline, stall_us, |budget| {
+            let config = DescribeConfig {
+                budget: budget.clone(),
+                ..DescribeConfig::default()
+            };
+            let story = describe_origin(&tb.browser, "/dl/thing.bin", &config);
+            assert!(story.is_some());
+            let p = &profile::take()[0];
+            (Duration::from_micros(p.total_us), p.truncated)
+        })?;
+    }
+
+    #[test]
+    fn downloads_descending_from_spends_one_deadline((deadline, stall_us) in deadline_and_stall()) {
+        let tb = busy_history("entry-downloads");
+        // Forty visits of the page: every BFS from one of them spends the
+        // one deadline.
+        check_deadline_from_entry("downloads_descending_from", deadline, stall_us, |budget| {
+            let found = downloads_descending_from(&tb.browser, "http://travel/plane-tickets", budget);
+            // The query pinned the fresh clock at 0, so its reading now is
+            // the time the query took.
+            let elapsed = Duration::from_micros(budget.clock().now_micros());
+            // Every BFS reaches the download: an empty answer is a
+            // truncated one.
+            (elapsed, found.is_empty())
+        })?;
+    }
+
+    #[test]
+    fn ql_deadline_runs_from_entry((deadline, stall_us) in deadline_and_stall()) {
+        let tb = busy_history("entry-ql");
+        let dl = find_download(&tb.browser, "/dl/thing.bin").unwrap();
+        for query in [
+            "descendants(url = \"http://films/0\")".to_owned(),
+            format!("ancestors(#{})", dl.index()),
+        ] {
+            check_deadline_from_entry(&query, deadline, stall_us, |budget| {
+                let rows = bp_query::ql::run(&tb.browser, &query, budget).unwrap();
+                (rows.elapsed, rows.truncated)
+            })?;
+        }
+    }
+
+    #[test]
+    fn ql_path_deadline_runs_from_entry((deadline, stall_us) in deadline_and_stall()) {
+        let tb = busy_history("entry-ql-path");
+        // Download to the first film: a walk up the whole lineage.
+        let query = "path(url = '/dl/thing.bin', url = 'http://films/0')";
+        check_deadline_from_entry("ql path", deadline, stall_us, |budget| {
+            let rows = bp_query::ql::run(&tb.browser, query, budget).unwrap();
+            (rows.elapsed, rows.truncated)
+        })?;
+    }
 }

@@ -73,7 +73,13 @@ fn ancestor_queries_agree_with_traversals() {
         &Budget::new(),
     )
     .unwrap();
-    let traversal = bp_graph::traverse::ancestors(b.graph(), download);
+    let traversal = bp_graph::traverse::bfs(
+        &b.frozen(),
+        download,
+        bp_graph::traverse::Direction::Ancestors,
+        bp_graph::EdgeKind::is_causal,
+        &Budget::new(),
+    );
     assert_eq!(
         rows.rows.len(),
         traversal.len() - 1,

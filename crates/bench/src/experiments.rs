@@ -35,6 +35,60 @@ pub fn paper_fixture(days: u32) -> (History, TempProfile, ProvenanceBrowser) {
     (h, profile, browser)
 }
 
+/// What E1 measures on one history.
+#[derive(Debug)]
+pub struct E1Sizes {
+    /// Events in the history.
+    pub events: usize,
+    /// Places' encoded bytes for the same events.
+    pub places_bytes: usize,
+    /// One entry per capture configuration, in report order.
+    pub captures: Vec<E1Capture>,
+}
+
+/// E1's sizes under one capture configuration.
+#[derive(Debug)]
+pub struct E1Capture {
+    /// The configuration's name in the report.
+    pub name: &'static str,
+    /// The provenance graph as relational rows, the paper's schema.
+    pub relational: RelationalProvenance,
+    /// This repo's store after compaction: snapshot plus log bytes.
+    pub store_bytes: usize,
+}
+
+/// Measures E1 on the `days`-day history: Places, then the provenance
+/// store under each capture configuration.
+pub fn e1_sizes(days: u32) -> E1Sizes {
+    let h = history(days);
+    let mut places = PlacesDb::new();
+    let mut ingester = PlacesIngester::new();
+    ingester
+        .ingest_all(&mut places, &h.events)
+        .expect("stream valid for Places");
+    let captures = [
+        ("paper-prototype capture", CaptureConfig::paper_prototype()),
+        ("full capture (+overlap edges)", CaptureConfig::default()),
+    ]
+    .into_iter()
+    .map(|(name, config)| {
+        let (_profile, mut browser) = ingest(&h, config, &format!("e1-{days}"));
+        let relational = RelationalProvenance::from_graph(browser.graph());
+        browser.snapshot().expect("snapshot succeeds");
+        E1Capture {
+            name,
+            relational,
+            store_bytes: browser.size_report().total_bytes() as usize,
+        }
+    })
+    .collect();
+    E1Sizes {
+        events: h.events.len(),
+        places_bytes: places.encoded_size(),
+        captures,
+    }
+}
+
 /// E1 — storage overhead of the provenance schema over Places.
 pub fn e1_storage_overhead(days: u32) -> String {
     let mut out = header(
@@ -42,37 +96,26 @@ pub fn e1_storage_overhead(days: u32) -> String {
         "storage overhead over Places",
         "39.5% overhead; < 5 MB absolute on the real history",
     );
-    let h = history(days);
-
-    let mut places = PlacesDb::new();
-    let mut ingester = PlacesIngester::new();
-    ingester
-        .ingest_all(&mut places, &h.events)
-        .expect("stream valid for Places");
-    let places_bytes = places.encoded_size();
+    let sizes = e1_sizes(days);
+    let places_bytes = sizes.places_bytes;
 
     let overhead = |x: usize| 100.0 * (x as f64 - places_bytes as f64) / places_bytes as f64;
     let mb = |x: usize| x as f64 / 1_048_576.0;
     let _ = writeln!(out, "   days simulated               : {days}");
-    let _ = writeln!(out, "   events                       : {}", h.events.len());
+    let _ = writeln!(out, "   events                       : {}", sizes.events);
     let _ = writeln!(
         out,
         "   Places baseline              : {places_bytes:>9} bytes ({:.2} MB)",
         mb(places_bytes)
     );
 
-    for (name, config) in [
-        ("paper-prototype capture", CaptureConfig::paper_prototype()),
-        ("full capture (+overlap edges)", CaptureConfig::default()),
-    ] {
-        let (_profile, mut browser) = ingest(&h, config, &format!("e1-{days}"));
+    for capture in &sizes.captures {
+        let name = capture.name;
         // The paper-faithful representation: provenance as relational rows.
-        let rel = RelationalProvenance::from_graph(browser.graph());
-        let rel_bytes = rel.encoded_size();
-        let (r_strings, r_nodes, r_edges, r_attrs) = rel.row_counts();
+        let rel_bytes = capture.relational.encoded_size();
+        let (r_strings, r_nodes, r_edges, r_attrs) = capture.relational.row_counts();
         // This repo's optimized graph store (compacted snapshot).
-        browser.snapshot().expect("snapshot succeeds");
-        let opt_bytes = browser.size_report().total_bytes() as usize;
+        let opt_bytes = capture.store_bytes;
         let _ = writeln!(out, "   [{name}]");
         let _ = writeln!(
             out,
@@ -395,7 +438,7 @@ pub fn e7_download_lineage(trials: u64) -> String {
                 correct_ancestor += 1;
             }
         }
-        let descendants =
+        let (descendants, _) =
             downloads_descending_from(&browser, &s.markers.untrusted_url, &Budget::new());
         if descendants.len() >= 3
             && descendants
@@ -840,6 +883,25 @@ mod tests {
         let report = e1_storage_overhead(2);
         assert!(report.contains("Places baseline"));
         assert!(report.contains("overhead"));
+    }
+
+    /// E1's ceiling: on the 7-day history the compacted store, under
+    /// every capture configuration, takes at most 1.8× the bytes Places
+    /// takes for the same events. A capture or encoding change that
+    /// bloats the store fails here.
+    #[test]
+    fn e1_compacted_store_stays_within_1_8x_places_at_7_days() {
+        let sizes = e1_sizes(7);
+        for capture in &sizes.captures {
+            let ratio = capture.store_bytes as f64 / sizes.places_bytes as f64;
+            assert!(
+                ratio <= 1.8,
+                "{}: store {} B over Places {} B is {ratio:.3}",
+                capture.name,
+                capture.store_bytes,
+                sizes.places_bytes
+            );
+        }
     }
 
     #[test]

@@ -52,12 +52,20 @@ impl Args {
             .unwrap_or_else(|| default.to_owned())
     }
 
-    /// Integer option with default.
-    pub fn opt_u64(&self, key: &str, default: u64) -> u64 {
-        self.options
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+    /// Integer option of type `T`, `default` when absent.
+    ///
+    /// # Errors
+    ///
+    /// Names the option and its value when that value is not a whole
+    /// number that fits `T` (an option given without a value included).
+    pub fn opt_int<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        match self.options.get(key) {
+            None => Ok(default),
+            Some(v) => v.parse().map_err(|_| {
+                let int = std::any::type_name::<T>();
+                format!("--{key} takes a whole number ({int}), not {v:?}")
+            }),
+        }
     }
 
     /// Boolean flag presence.
@@ -85,8 +93,8 @@ mod tests {
     #[test]
     fn options_with_values() {
         let a = parse("generate --days 79 --seed 42 --out events.log");
-        assert_eq!(a.opt_u64("days", 0), 79);
-        assert_eq!(a.opt_u64("seed", 0), 42);
+        assert_eq!(a.opt_int("days", 0u32), Ok(79));
+        assert_eq!(a.opt_int("seed", 0u64), Ok(42));
         assert_eq!(a.opt("out", ""), "events.log");
     }
 
@@ -102,7 +110,20 @@ mod tests {
     fn defaults_apply() {
         let a = parse("stats");
         assert_eq!(a.opt("profile", "./profile"), "./profile");
-        assert_eq!(a.opt_u64("days", 7), 7);
+        assert_eq!(a.opt_int("days", 7u32), Ok(7));
+    }
+
+    #[test]
+    fn malformed_integers_are_errors() {
+        let a = parse("serve --port 8O8O --days -3 --seed --radius 2 --depth 4294967297");
+        assert_eq!(
+            a.opt_int("port", 0u16),
+            Err("--port takes a whole number (u16), not \"8O8O\"".to_owned())
+        );
+        assert!(a.opt_int("days", 7u32).unwrap_err().contains("\"-3\""));
+        assert!(a.opt_int("seed", 42u64).unwrap_err().contains("--seed"));
+        assert!(a.opt_int("depth", 6u32).unwrap_err().contains("(u32)"));
+        assert_eq!(a.opt_int("radius", 0usize), Ok(2));
     }
 
     #[test]

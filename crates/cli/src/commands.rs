@@ -104,16 +104,15 @@ fn open(args: &Args) -> Result<ProvenanceBrowser, String> {
     ProvenanceBrowser::open(&profile, CaptureConfig::default()).map_err(|e| e.to_string())
 }
 
-fn budget(args: &Args) -> Budget {
-    let mut budget = Budget::new();
-    if let Some(ms) = args
-        .options
-        .get("budget")
-        .and_then(|v| v.parse::<u64>().ok())
-    {
-        budget = budget.with_deadline(Duration::from_millis(ms));
+/// The query budget: unbounded without `--budget`, else a deadline of
+/// that many milliseconds.
+fn budget(args: &Args) -> Result<Budget, String> {
+    let budget = Budget::new();
+    if !args.has("budget") {
+        return Ok(budget);
     }
-    budget
+    let ms = args.opt_int("budget", 0u64)?;
+    Ok(budget.with_deadline(Duration::from_millis(ms)))
 }
 
 /// Where the profile persists its metrics between CLI invocations.
@@ -191,8 +190,8 @@ fn with_explain<R>(args: &Args, f: impl FnOnce() -> R) -> (R, String) {
 }
 
 fn generate(args: &Args) -> Result<String, String> {
-    let days = args.opt_u64("days", 7) as u32;
-    let seed = args.opt_u64("seed", 42);
+    let days = args.opt_int("days", 7u32)?;
+    let seed = args.opt_int("seed", 42u64)?;
     let out = args.opt("out", "events.log");
     let web = calibrate::paper_web(seed);
     let events = calibrate::days_history(&web, seed, days);
@@ -267,10 +266,11 @@ fn stats_cmd(args: &Args) -> Result<String, String> {
 /// once so its latency histogram and the deadline SLO counters hold fresh
 /// samples, then renders every metric plus the event journal.
 fn metrics_report(args: &Args) -> Result<String, String> {
+    let budget = budget(args)?;
     import_metrics(args);
     let browser = open(args)?;
     let contextual = ContextualConfig {
-        budget: budget(args),
+        budget: budget.clone(),
         ..ContextualConfig::default()
     };
     // Vocabulary guaranteed by the simulator's topic lists; on an empty
@@ -284,7 +284,7 @@ fn metrics_report(args: &Args) -> Result<String, String> {
         .next()
     {
         let config = LineageConfig {
-            budget: budget(args),
+            budget,
             ..LineageConfig::default()
         };
         let _ = first_recognizable_ancestor(&browser, download, &config);
@@ -313,10 +313,11 @@ fn search(args: &Args) -> Result<String, String> {
     if query.is_empty() {
         return Err("search requires a query".to_owned());
     }
+    let budget = budget(args)?;
     import_metrics(args);
     let browser = open(args)?;
     let mut config = ContextualConfig {
-        budget: budget(args),
+        budget,
         ..ContextualConfig::default()
     };
     if args.has("hits") {
@@ -364,11 +365,16 @@ fn personalize(args: &Args) -> Result<String, String> {
     if query.is_empty() {
         return Err("personalize requires a query".to_owned());
     }
+    let config = PersonalizeConfig {
+        contextual: ContextualConfig {
+            budget: budget(args)?,
+            ..ContextualConfig::default()
+        },
+        ..PersonalizeConfig::default()
+    };
     import_metrics(args);
     let browser = open(args)?;
-    let (expanded, traced) = with_trace(args, || {
-        personalize_query(&browser, &query, &PersonalizeConfig::default())
-    });
+    let (expanded, traced) = with_trace(args, || personalize_query(&browser, &query, &config));
     let mut out = if expanded.is_unchanged() {
         format!("no history context for {query:?}; query unchanged")
     } else {
@@ -389,15 +395,14 @@ fn when(args: &Args) -> Result<String, String> {
     if subject.is_empty() || companion.is_empty() {
         return Err("when requires SUBJECT and --with COMPANION".to_owned());
     }
+    let config = TimeContextConfig {
+        budget: budget(args)?,
+        ..TimeContextConfig::default()
+    };
     import_metrics(args);
     let browser = open(args)?;
     let (result, traced) = with_trace(args, || {
-        time_contextual_search(
-            &browser,
-            &subject,
-            &companion,
-            &TimeContextConfig::default(),
-        )
+        time_contextual_search(&browser, &subject, &companion, &config)
     });
     let mut out = String::new();
     let _ = writeln!(
@@ -425,12 +430,13 @@ fn lineage(args: &Args) -> Result<String, String> {
         .positional
         .first()
         .ok_or("lineage requires a download file path")?;
+    let budget = budget(args)?;
     import_metrics(args);
     let browser = open(args)?;
     let download =
         find_download(&browser, path).ok_or_else(|| format!("no download recorded for {path}"))?;
     let config = LineageConfig {
-        budget: budget(args),
+        budget,
         ..LineageConfig::default()
     };
     let (answer, traced) = with_trace(args, || {
@@ -469,9 +475,10 @@ fn whence(args: &Args) -> Result<String, String> {
         .positional
         .first()
         .ok_or("whence requires a URL/query/path")?;
+    let budget = budget(args)?;
     let browser = open(args)?;
     let config = bp_query::DescribeConfig {
-        budget: budget(args),
+        budget,
         ..bp_query::DescribeConfig::default()
     };
     bp_query::describe_origin(&browser, key, &config)
@@ -483,12 +490,16 @@ fn downloads_from(args: &Args) -> Result<String, String> {
         .positional
         .first()
         .ok_or("downloads-from requires a URL")?;
+    let budget = budget(args)?;
     let browser = open(args)?;
-    let downloads = downloads_descending_from(&browser, url, &budget(args));
+    let (downloads, truncated) = downloads_descending_from(&browser, url, &budget);
     let mut out = String::new();
     let _ = writeln!(out, "{} downloads descend from {url}", downloads.len());
     for (_, path) in &downloads {
         let _ = writeln!(out, "  {path}");
+    }
+    if truncated {
+        out.push_str("truncated: the budget ran out, so more may descend from it\n");
     }
     Ok(out)
 }
@@ -533,10 +544,11 @@ fn query_usecase(args: &Args) -> Result<String, String> {
     if rest.is_empty() {
         return Err(format!("query {sub} requires an argument"));
     }
+    let budget = budget(args)?;
     import_metrics(args);
     let browser = open(args)?;
     let contextual = ContextualConfig {
-        budget: budget(args),
+        budget: budget.clone(),
         ..ContextualConfig::default()
     };
     let (body, explained) = with_explain(args, || {
@@ -576,7 +588,7 @@ fn query_usecase(args: &Args) -> Result<String, String> {
                         return Err("query timectx requires SUBJECT --with COMPANION".to_owned());
                     }
                     let config = TimeContextConfig {
-                        budget: budget(args),
+                        budget: budget.clone(),
                         ..TimeContextConfig::default()
                     };
                     Ok(render_hits(&time_contextual_search(
@@ -587,7 +599,7 @@ fn query_usecase(args: &Args) -> Result<String, String> {
                     let download = find_download(&browser, &rest)
                         .ok_or_else(|| format!("no download recorded for {rest}"))?;
                     let config = LineageConfig {
-                        budget: budget(args),
+                        budget: budget.clone(),
                         ..LineageConfig::default()
                     };
                     Ok(
@@ -608,7 +620,7 @@ fn query_usecase(args: &Args) -> Result<String, String> {
                 }
                 "describe" => {
                     let config = bp_query::DescribeConfig {
-                        budget: budget(args),
+                        budget: budget.clone(),
                         ..bp_query::DescribeConfig::default()
                     };
                     bp_query::describe_origin(&browser, &rest, &config)
@@ -630,9 +642,10 @@ fn query_ql(args: &Args) -> Result<String, String> {
     if text.is_empty() {
         return Err("query requires a query string".to_owned());
     }
+    let budget = budget(args)?;
     import_metrics(args);
     let browser = open(args)?;
-    let (rows, traced) = with_trace(args, || bp_query::ql::run(&browser, &text, &budget(args)));
+    let (rows, traced) = with_trace(args, || bp_query::ql::run(&browser, &text, &budget));
     let rows = rows.map_err(|e| e.to_string())?;
     let mut out = String::new();
     let _ = writeln!(
@@ -661,7 +674,7 @@ fn dot(args: &Args) -> Result<String, String> {
         Some(key) if !key.is_empty() => {
             // Export only the neighborhood of a key: BFS both directions
             // within --radius hops from every node carrying it.
-            let radius = args.opt_u64("radius", 2) as usize;
+            let radius = args.opt_int("radius", 2usize)?;
             let starts = browser.graph().nodes_with_key(key);
             if starts.is_empty() {
                 return Err(format!("no history object with key {key:?}"));
@@ -706,9 +719,9 @@ fn snapshot(args: &Args) -> Result<String, String> {
 }
 
 fn tree(args: &Args) -> Result<String, String> {
+    let depth = args.opt_int("depth", 6usize)?;
+    let max_nodes = args.opt_int("max-nodes", 200usize)?;
     let browser = open(args)?;
-    let depth = args.opt_u64("depth", 6) as usize;
-    let max_nodes = args.opt_u64("max-nodes", 200) as usize;
     let forest = bp_graph::tree::HistoryTree::extract(browser.graph());
     let mut out = format!(
         "navigation forest: {} trees, {} tree edges (encoded: {} bytes)\n",
@@ -767,9 +780,42 @@ mod tests {
         }
     }
 
-    fn run_line(line: &str) -> Result<String, String> {
+    fn parse(line: &str) -> Args {
         let raw: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
-        run(&Args::parse(&raw))
+        Args::parse(&raw)
+    }
+
+    fn run_line(line: &str) -> Result<String, String> {
+        run(&parse(line))
+    }
+
+    #[test]
+    fn budget_is_a_deadline_in_milliseconds_or_an_error() {
+        assert_eq!(budget(&parse("search news")).unwrap().deadline(), None);
+        assert_eq!(
+            budget(&parse("search news --budget 250"))
+                .unwrap()
+                .deadline(),
+            Some(Duration::from_millis(250))
+        );
+        for malformed in ["--budget abc", "--budget 1.5", "--budget --trace"] {
+            let err = budget(&parse(&format!("search news {malformed}"))).unwrap_err();
+            assert!(err.starts_with("--budget takes a whole number"), "{err}");
+        }
+    }
+
+    #[test]
+    fn malformed_numeric_options_fail_the_command() {
+        let dir = TempDir::new("malformed");
+        let profile = dir.path("profile");
+        let err = run_line(&format!("search --profile {profile} news --budget abc")).unwrap_err();
+        assert!(err.contains("--budget") && err.contains("\"abc\""), "{err}");
+        assert!(
+            !std::path::Path::new(&profile).exists(),
+            "the option is checked before the profile opens"
+        );
+        let err = run_line(&format!("serve --profile {profile} --port 8O8O")).unwrap_err();
+        assert!(err.contains("--port") && err.contains("\"8O8O\""), "{err}");
     }
 
     #[test]
@@ -853,6 +899,16 @@ mod tests {
             "dot --profile {profile} --around http://nope/ --radius 1"
         ))
         .is_err());
+
+        // downloads-from says when the budget cut the search short.
+        let out = run_line(&format!("downloads-from --profile {profile} {url}")).unwrap();
+        assert!(out.contains("downloads descend from"), "{out}");
+        assert!(!out.contains("truncated"), "{out}");
+        let out = run_line(&format!(
+            "downloads-from --profile {profile} {url} --budget 0"
+        ))
+        .unwrap();
+        assert!(out.contains("truncated"), "{out}");
     }
 
     #[test]

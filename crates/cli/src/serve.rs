@@ -68,7 +68,7 @@ const FEEDER_CHUNK: usize = 64;
 /// Parsed `serve` options.
 struct ServeOptions {
     profile: PathBuf,
-    port: u64,
+    port: u16,
     days: u32,
     seed: u64,
     duration: Option<Duration>,
@@ -79,19 +79,21 @@ struct ServeOptions {
 }
 
 impl ServeOptions {
-    fn parse(args: &Args) -> ServeOptions {
-        let duration_s = args.opt_u64("duration-s", 0);
-        ServeOptions {
+    fn parse(args: &Args) -> Result<ServeOptions, String> {
+        let duration_s = args.opt_int("duration-s", 0u64)?;
+        Ok(ServeOptions {
             profile: PathBuf::from(args.opt("profile", "./profile")),
-            port: args.opt_u64("port", 0),
-            days: args.opt_u64("days", 79) as u32,
-            seed: args.opt_u64("seed", 42),
+            port: args.opt_int("port", 0u16)?,
+            days: args.opt_int("days", 79u32)?,
+            seed: args.opt_int("seed", 42u64)?,
             duration: (duration_s > 0).then(|| Duration::from_secs(duration_s)),
-            snapshot_interval: Duration::from_secs(args.opt_u64("snapshot-interval-s", 30).max(1)),
-            inject_latency: Duration::from_micros(args.opt_u64("inject-latency-us", 0)),
-            query_interval: Duration::from_millis(args.opt_u64("query-interval-ms", 50).max(1)),
+            snapshot_interval: Duration::from_secs(
+                args.opt_int("snapshot-interval-s", 30u64)?.max(1),
+            ),
+            inject_latency: Duration::from_micros(args.opt_int("inject-latency-us", 0u64)?),
+            query_interval: Duration::from_millis(args.opt_int("query-interval-ms", 50u64)?.max(1)),
             allow_debug_panic: args.has("allow-debug-panic"),
-        }
+        })
     }
 }
 
@@ -546,10 +548,10 @@ fn maintenance_loop(
 ///
 /// # Errors
 ///
-/// Returns a displayable error string when the profile cannot be opened
-/// or the port cannot be bound.
+/// Returns a displayable error string when an integer option is not a
+/// number, the profile cannot be opened or the port cannot be bound.
 pub fn run(args: &Args) -> Result<String, String> {
-    let options = ServeOptions::parse(args);
+    let options = ServeOptions::parse(args)?;
     signals::install();
     log::set_stderr(true);
     std::fs::create_dir_all(&options.profile).map_err(|e| e.to_string())?;

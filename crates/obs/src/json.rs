@@ -1,8 +1,7 @@
 //! A minimal JSON reader (no external deps), used to verify that the
 //! crate's hand-rolled JSON emitters ([`crate::expo::render_json`],
 //! [`crate::profile::Profile::to_json`]) produce well-formed output, and
-//! by `bp-bench`'s `--compare` mode to read committed `BENCH_*.json`
-//! baselines.
+//! by `bench --serve-smoke` to read a live daemon's `/metrics.json`.
 //!
 //! The parser accepts the full JSON grammar (objects, arrays, strings
 //! with escapes, numbers, booleans, null); numbers are held as `f64`,

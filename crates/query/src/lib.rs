@@ -236,11 +236,12 @@ mod proptests {
             if browser.graph().nodes_with_key(url).is_empty() {
                 return Ok(());
             }
-            let expected = downloads_descending_from(
+            let (expected, truncated) = downloads_descending_from(
                 &browser,
                 url,
                 &bp_graph::traverse::Budget::new(),
             );
+            prop_assert!(!truncated);
             let rows = ql::run(
                 &browser,
                 &format!("descendants(url = \"{url}\") where type = download"),

@@ -161,20 +161,23 @@ pub fn full_lineage(
 /// §2.4's descendant query: every download that descends from any visit
 /// of `url` — "if the user decides a page is untrusted, she may then want
 /// to find all downloads descending from that page and check them for
-/// viruses."
+/// viruses." The flag is `true` when the budget cut the search short, so
+/// the list may miss downloads.
 pub fn downloads_descending_from(
     browser: &ProvenanceBrowser,
     url: &str,
     budget: &Budget,
-) -> Vec<(NodeId, String)> {
+) -> (Vec<(NodeId, String)>, bool) {
     let (graph, frozen) = (browser.graph(), browser.frozen());
     let mut out: Vec<(NodeId, String)> = Vec::new();
     let mut seen = std::collections::HashSet::new();
+    let mut truncated = false;
     // A URL with many visits runs one BFS per visit; all of them spend
     // the one deadline pinned here, which bounds the whole query.
     let budget = budget.pinned();
     for &start in graph.nodes_with_key(url) {
         if budget.expired() {
+            truncated = true;
             break;
         }
         let walk = traverse::bfs(
@@ -184,6 +187,7 @@ pub fn downloads_descending_from(
             EdgeKind::is_causal,
             &budget,
         );
+        truncated |= walk.truncated;
         for id in walk.node_ids() {
             if !seen.insert(id) {
                 continue;
@@ -196,7 +200,7 @@ pub fn downloads_descending_from(
         }
     }
     out.sort_by_key(|a| a.0);
-    out
+    (out, truncated)
 }
 
 #[cfg(test)]
@@ -335,15 +339,19 @@ mod tests {
     #[test]
     fn descendants_of_untrusted_page_lists_all_its_downloads() {
         let (tb, _) = driveby("descendants");
-        let downloads =
+        let (downloads, truncated) =
             downloads_descending_from(&tb.browser, "http://sketchy-host/get", &Budget::new());
+        assert!(!truncated);
         let paths: Vec<&str> = downloads.iter().map(|(_, p)| p.as_str()).collect();
         assert_eq!(paths, vec!["/dl/malware.exe", "/dl/toolbar.exe"]);
         // The forum itself also transitively led to them.
-        let from_forum = downloads_descending_from(&tb.browser, "http://forum/", &Budget::new());
+        let (from_forum, _) =
+            downloads_descending_from(&tb.browser, "http://forum/", &Budget::new());
         assert_eq!(from_forum.len(), 2);
         // An unknown URL yields nothing.
-        assert!(downloads_descending_from(&tb.browser, "http://x/", &Budget::new()).is_empty());
+        let (unknown, truncated) =
+            downloads_descending_from(&tb.browser, "http://x/", &Budget::new());
+        assert!(unknown.is_empty() && !truncated);
     }
 
     #[test]

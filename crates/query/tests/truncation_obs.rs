@@ -358,12 +358,6 @@ fn describe_truncation_is_observable() {
 // The deadline runs from query entry
 // ---------------------------------------------------------------------------
 
-/// The deadline of the fixed entry-deadline cases: three stalled readings.
-const ENTRY_DEADLINE: Duration = Duration::from_micros(300);
-
-/// One stalled reading of the fixed cases' [`StallClock`].
-const STALL_US: u64 = 100;
-
 /// What a query may spend past its deadline on a clock that stalls
 /// `stall_us` per reading: the reading that crossed the deadline ends at
 /// most one stall late, and every reading after it costs 1 µs — the stages
@@ -473,11 +467,6 @@ fn check_deadline_from_entry(
     Ok(())
 }
 
-/// [`check_deadline_from_entry`] under [`ENTRY_DEADLINE`] and [`STALL_US`].
-fn assert_deadline_from_entry(path: &str, run: impl FnOnce(&Budget) -> (Duration, bool)) {
-    check_deadline_from_entry(path, ENTRY_DEADLINE, STALL_US, run).unwrap();
-}
-
 /// The entry-deadline property's clock: a stall step of 1–500 µs per
 /// reading, and a deadline that at most six stalled readings reach, so
 /// every path meets it inside its bounded loop.
@@ -488,74 +477,71 @@ fn deadline_and_stall() -> impl Strategy<Value = (Duration, u64)> {
     })
 }
 
-#[test]
-fn context_deadline_runs_from_entry() {
-    let tb = busy_history("entry-context");
-    assert_deadline_from_entry("context", |budget| {
-        let config = ContextualConfig {
-            budget: budget.clone(),
-            ..ContextualConfig::default()
-        };
-        let r = bp_query::contextual_history_search(&tb.browser, "rosebud", &config);
-        (r.elapsed, r.truncated)
-    });
-}
-
-#[test]
-fn ppr_deadline_runs_from_entry() {
-    let tb = busy_history("entry-ppr");
-    assert_deadline_from_entry("ppr", |budget| {
-        let config = ContextualConfig {
-            budget: budget.clone(),
-            ..ContextualConfig::default()
-        };
-        let pagerank = bp_graph::pagerank::PageRankConfig::default();
-        let r = bp_query::contextual_history_search_ppr(&tb.browser, "rosebud", &config, &pagerank);
-        (r.elapsed, r.truncated)
-    });
-}
-
-#[test]
-fn personalize_deadline_runs_from_entry() {
-    let tb = busy_history("entry-personalize");
-    assert_deadline_from_entry("personalize", |budget| {
-        let config = PersonalizeConfig {
-            contextual: ContextualConfig {
-                budget: budget.clone(),
-                ..ContextualConfig::default()
-            },
-            ..PersonalizeConfig::default()
-        };
-        let _ = personalize_query(&tb.browser, "rosebud", &config);
-        // The result carries no timing: read the root span, which the
-        // scope closes with its one elapsed time, and the profile's
-        // truncation.
-        let roots = trace::take_roots();
-        let profiles = profile::take();
-        let root = roots.iter().find(|r| r.name == "query.personalize");
-        let elapsed = root.expect("personalize closes its root span").duration;
-        (elapsed, profiles.first().is_some_and(|p| p.truncated))
-    });
-}
-
-#[test]
-fn timectx_deadline_runs_from_entry() {
-    let tb = busy_history("entry-timectx");
-    assert_deadline_from_entry("timectx", |budget| {
-        let config = TimeContextConfig {
-            budget: budget.clone(),
-            ..TimeContextConfig::default()
-        };
-        let r = time_contextual_search(&tb.browser, "wine", "plane tickets", &config);
-        (r.elapsed, r.truncated)
-    });
-}
-
-// The paths that walk the CSR snapshot: each holds the property over
-// random deadlines and stall steps, on one history per test.
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn context_deadline_runs_from_entry((deadline, stall_us) in deadline_and_stall()) {
+        let tb = busy_history("entry-context");
+        check_deadline_from_entry("context", deadline, stall_us, |budget| {
+            let config = ContextualConfig {
+                budget: budget.clone(),
+                ..ContextualConfig::default()
+            };
+            let r = bp_query::contextual_history_search(&tb.browser, "rosebud", &config);
+            (r.elapsed, r.truncated)
+        })?;
+    }
+
+    #[test]
+    fn ppr_deadline_runs_from_entry((deadline, stall_us) in deadline_and_stall()) {
+        let tb = busy_history("entry-ppr");
+        check_deadline_from_entry("ppr", deadline, stall_us, |budget| {
+            let config = ContextualConfig {
+                budget: budget.clone(),
+                ..ContextualConfig::default()
+            };
+            let pagerank = bp_graph::pagerank::PageRankConfig::default();
+            let r = bp_query::contextual_history_search_ppr(&tb.browser, "rosebud", &config, &pagerank);
+            (r.elapsed, r.truncated)
+        })?;
+    }
+
+    #[test]
+    fn personalize_deadline_runs_from_entry((deadline, stall_us) in deadline_and_stall()) {
+        let tb = busy_history("entry-personalize");
+        check_deadline_from_entry("personalize", deadline, stall_us, |budget| {
+            let config = PersonalizeConfig {
+                contextual: ContextualConfig {
+                    budget: budget.clone(),
+                    ..ContextualConfig::default()
+                },
+                ..PersonalizeConfig::default()
+            };
+            let _ = personalize_query(&tb.browser, "rosebud", &config);
+            // The result carries no timing: read the root span, which the
+            // scope closes with its one elapsed time, and the profile's
+            // truncation.
+            let roots = trace::take_roots();
+            let profiles = profile::take();
+            let root = roots.iter().find(|r| r.name == "query.personalize");
+            let elapsed = root.expect("personalize closes its root span").duration;
+            (elapsed, profiles.first().is_some_and(|p| p.truncated))
+        })?;
+    }
+
+    #[test]
+    fn timectx_deadline_runs_from_entry((deadline, stall_us) in deadline_and_stall()) {
+        let tb = busy_history("entry-timectx");
+        check_deadline_from_entry("timectx", deadline, stall_us, |budget| {
+            let config = TimeContextConfig {
+                budget: budget.clone(),
+                ..TimeContextConfig::default()
+            };
+            let r = time_contextual_search(&tb.browser, "wine", "plane tickets", &config);
+            (r.elapsed, r.truncated)
+        })?;
+    }
 
     #[test]
     fn context_hits_deadline_runs_from_entry((deadline, stall_us) in deadline_and_stall()) {
@@ -609,13 +595,12 @@ proptest! {
         // Forty visits of the page: every BFS from one of them spends the
         // one deadline.
         check_deadline_from_entry("downloads_descending_from", deadline, stall_us, |budget| {
-            let found = downloads_descending_from(&tb.browser, "http://travel/plane-tickets", budget);
+            let (_, truncated) =
+                downloads_descending_from(&tb.browser, "http://travel/plane-tickets", budget);
             // The query pinned the fresh clock at 0, so its reading now is
             // the time the query took.
             let elapsed = Duration::from_micros(budget.clock().now_micros());
-            // Every BFS reaches the download: an empty answer is a
-            // truncated one.
-            (elapsed, found.is_empty())
+            (elapsed, truncated)
         })?;
     }
 

@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Question 2: the host is untrusted — what else came from it?
     let host = &scenario.markers.untrusted_url;
-    let suspicious = downloads_descending_from(&browser, host, &Budget::new());
+    let (suspicious, _) = downloads_descending_from(&browser, host, &Budget::new());
     println!("\nQ2: all downloads descending from untrusted {host}:");
     for (_, path) in &suspicious {
         println!("      {path}");

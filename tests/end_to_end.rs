@@ -130,7 +130,7 @@ fn lineage_and_descendants_are_mutually_consistent() {
             .find(|(n, _)| browser.graph().node(*n).unwrap().kind() == NodeKind::PageVisit)
             .map(|(_, url)| url.clone());
         if let Some(url) = source_url {
-            let descendants = downloads_descending_from(&browser, &url, &Budget::new());
+            let (descendants, _) = downloads_descending_from(&browser, &url, &Budget::new());
             assert!(
                 descendants.iter().any(|(n, _)| n == dl),
                 "download must descend from its own source page"

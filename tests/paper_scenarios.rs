@@ -123,7 +123,9 @@ fn s24_download_lineage_and_untrusted_descendants() {
     );
     assert!(answer.elapsed.as_millis() < 200);
 
-    let suspicious = downloads_descending_from(&browser, &s.markers.untrusted_url, &Budget::new());
+    let (suspicious, truncated) =
+        downloads_descending_from(&browser, &s.markers.untrusted_url, &Budget::new());
+    assert!(!truncated, "an unbounded search runs to the end");
     assert!(
         suspicious.len() >= 3,
         "payload plus the later installers: {suspicious:?}"

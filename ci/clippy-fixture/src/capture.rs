@@ -1,5 +1,5 @@
 //! Seeds: a raw clock read and an `.unwrap()`, next to a justified
-//! suppression and a stale one.
+//! suppression, a stale one and one without a reason.
 
 use std::time::Instant;
 
@@ -27,4 +27,10 @@ pub fn sanctioned(v: Option<u32>) -> u32 {
 )]
 pub fn defaulted(v: Option<u32>) -> u32 {
     v.unwrap_or(0)
+}
+
+// A suppression must say why: an `allow` without a reason is rejected.
+#[allow(clippy::unwrap_used)]
+pub fn excused(v: Option<u32>) -> u32 {
+    v.unwrap()
 }

@@ -22,5 +22,6 @@
 
 pub mod capture;
 pub mod clock;
+pub mod factorize;
 pub mod noisy;
 pub mod varint;

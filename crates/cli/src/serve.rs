@@ -33,8 +33,8 @@ use crate::commands::{export_metrics, import_metrics};
 use crate::signals;
 use bp_core::{CaptureConfig, CapturePipeline, ProvenanceBrowser, SharedBrowser};
 use bp_graph::traverse::Budget;
-use bp_obs::slo::{SloConfig, SloEngine};
-use bp_obs::{expo, flight, httpx, log, profile, sampler, trace, ClockHandle, Obs};
+use bp_obs::slo::SloEngine;
+use bp_obs::{expo, flight, httpx, log, names, profile, sampler, trace, ClockHandle, Obs};
 use bp_query::{
     contextual_history_search, first_recognizable_ancestor, personalize_query,
     textual_history_search, time_contextual_search, ContextualConfig, LineageConfig,
@@ -141,7 +141,7 @@ impl ServeState {
         if !self.ready.load(Ordering::SeqCst) {
             return Err("still replaying initial history".to_owned());
         }
-        let depth = self.obs.gauge("capture.queue_depth").get();
+        let depth = self.obs.gauge(names::CAPTURE_QUEUE_DEPTH).get();
         if depth > READY_MAX_QUEUE_DEPTH {
             return Err(format!("capture queue backed up ({depth} events)"));
         }
@@ -173,7 +173,7 @@ impl ServeState {
 
 /// Routes one HTTP request.
 fn handle(state: &ServeState, request: &httpx::Request) -> httpx::Response {
-    state.obs.counter("bp_serve_http_requests_total").inc();
+    state.obs.counter(names::BP_SERVE_HTTP_REQUESTS_TOTAL).inc();
     match request.path.as_str() {
         "/metrics" => {
             let snap = state.obs.registry().snapshot();
@@ -331,7 +331,7 @@ fn feeder_loop(state: &ServeState, days: u32, seed: u64) {
         }
         state.pipeline.flush();
         state.ready.store(true, Ordering::SeqCst);
-        state.obs.counter("bp_serve_replay_cycles_total").inc();
+        state.obs.counter(names::BP_SERVE_REPLAY_CYCLES_TOTAL).inc();
         cycle += 1;
     }
 }
@@ -520,7 +520,7 @@ fn maintenance_loop(
             let _ = state.slo.evaluate();
             state
                 .obs
-                .gauge("bp_serve_uptime_seconds")
+                .gauge(names::BP_SERVE_UPTIME_SECONDS)
                 .set(started.elapsed().as_secs() as i64);
         }
         if state.ready.load(Ordering::SeqCst) && last_snapshot.elapsed() >= state.snapshot_interval
@@ -574,7 +574,7 @@ pub fn run(args: &Args) -> Result<String, String> {
         obs: obs.clone(),
         shared: shared.clone(),
         pipeline: Arc::clone(&pipeline),
-        slo: SloEngine::new(obs.clone(), ClockHandle::real(), SloConfig::default()),
+        slo: SloEngine::new(obs.clone(), ClockHandle::real()),
         profile_dir: options.profile.clone(),
         profile_label: options.profile.display().to_string(),
         allow_debug_panic: options.allow_debug_panic,
@@ -625,8 +625,8 @@ pub fn run(args: &Args) -> Result<String, String> {
     // Teardown order matters: drain the capture queue, persist, then drop
     // the last pipeline handle (its Drop joins the capture thread).
     pipeline.flush();
-    let uptime = state.obs.gauge("bp_serve_uptime_seconds").get();
-    let requests = state.obs.counter("bp_serve_http_requests_total").get();
+    let uptime = state.obs.gauge(names::BP_SERVE_UPTIME_SECONDS).get();
+    let requests = state.obs.counter(names::BP_SERVE_HTTP_REQUESTS_TOTAL).get();
     if let Err(e) = shared.with_mut(|b| b.sync()) {
         log::error(
             "bp_cli::serve",

@@ -10,7 +10,7 @@ use crate::error::CoreResult;
 use crate::event::BrowserEvent;
 use bp_graph::frozen::{FrozenGraph, FrozenHandle, Refresh, ScoreCache};
 use bp_graph::{NodeId, NodeKind, ProvenanceGraph};
-use bp_obs::Obs;
+use bp_obs::{names, Obs};
 use bp_storage::{ProvenanceStore, SizeReport, SyncPolicy};
 use bp_text::InvertedIndex;
 use std::path::Path;
@@ -151,9 +151,11 @@ impl ProvenanceBrowser {
     /// Publishes the text-index size gauges (three atomic stores).
     fn publish_index_gauges(&self) {
         let obs = self.engine.store().obs();
-        obs.gauge("text.docs").set(self.index.doc_count() as i64);
-        obs.gauge("text.terms").set(self.index.term_count() as i64);
-        obs.gauge("text.postings")
+        obs.gauge(names::TEXT_DOCS)
+            .set(self.index.doc_count() as i64);
+        obs.gauge(names::TEXT_TERMS)
+            .set(self.index.term_count() as i64);
+        obs.gauge(names::TEXT_POSTINGS)
             .set(self.index.posting_count() as i64);
     }
 
@@ -226,10 +228,10 @@ impl ProvenanceBrowser {
         if let Some((how, took)) = refresh {
             let obs = self.obs();
             match how {
-                Refresh::Extended => obs.counter("bp_graph_frozen.extend").inc(),
-                Refresh::Rebuilt => obs.counter("bp_graph_frozen.rebuild").inc(),
+                Refresh::Extended => obs.counter(names::BP_GRAPH_FROZEN_EXTEND).inc(),
+                Refresh::Rebuilt => obs.counter(names::BP_GRAPH_FROZEN_REBUILD).inc(),
             }
-            obs.histogram("bp_graph_frozen.build_us")
+            obs.histogram(names::BP_GRAPH_FROZEN_BUILD_US)
                 .record_duration(took);
         }
         frozen
@@ -491,9 +493,9 @@ mod tests {
         browse(&mut b);
         let refreshes = || {
             (
-                obs.counter("bp_graph_frozen.extend").get(),
-                obs.counter("bp_graph_frozen.rebuild").get(),
-                obs.histogram("bp_graph_frozen.build_us").count(),
+                obs.counter(names::BP_GRAPH_FROZEN_EXTEND).get(),
+                obs.counter(names::BP_GRAPH_FROZEN_REBUILD).get(),
+                obs.histogram(names::BP_GRAPH_FROZEN_BUILD_US).count(),
             )
         };
         let a = b.frozen();

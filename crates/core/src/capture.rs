@@ -17,7 +17,7 @@
 use crate::error::{CoreError, CoreResult};
 use crate::event::{BrowserEvent, EventKind, NavigationCause, TabId};
 use bp_graph::{AttrValue, EdgeKind, NodeId, NodeKind, Timestamp};
-use bp_obs::{Counter, Histogram};
+use bp_obs::{names, Counter, Histogram};
 use bp_storage::ProvenanceStore;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -154,10 +154,10 @@ impl CaptureEngine {
             config,
             tabs: BTreeMap::new(),
             tab_counter,
-            events_total: obs.counter("capture.events_total"),
-            events_rejected: obs.counter("capture.events_rejected"),
-            edges_added: obs.counter("capture.edges_added"),
-            batch_ops: obs.histogram("capture.batch_ops"),
+            events_total: obs.counter(names::CAPTURE_EVENTS_TOTAL),
+            events_rejected: obs.counter(names::CAPTURE_EVENTS_REJECTED),
+            edges_added: obs.counter(names::CAPTURE_EDGES_ADDED),
+            batch_ops: obs.histogram(names::CAPTURE_BATCH_OPS),
         }
     }
 

@@ -14,7 +14,7 @@ use crate::browser::ProvenanceBrowser;
 use crate::error::CoreError;
 use crate::event::BrowserEvent;
 use bp_obs::profile::{self, Profile, QueryPlan};
-use bp_obs::{Counter, Gauge};
+use bp_obs::{names, Counter, Gauge};
 use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use std::sync::Arc;
@@ -178,10 +178,10 @@ impl CapturePipeline {
     /// batches.
     pub fn start(browser: ProvenanceBrowser) -> Self {
         let obs = browser.obs().clone();
-        let queue_depth = obs.gauge("capture.queue_depth");
-        let stalls = obs.counter("capture.backpressure_stalls");
-        let flushes = obs.counter("capture.flushes");
-        let batch_len = obs.histogram("capture.batch_len");
+        let queue_depth = obs.gauge(names::CAPTURE_QUEUE_DEPTH);
+        let stalls = obs.counter(names::CAPTURE_BACKPRESSURE_STALLS);
+        let flushes = obs.counter(names::CAPTURE_FLUSHES);
+        let batch_len = obs.histogram(names::CAPTURE_BATCH_LEN);
         let shared = SharedBrowser::new(browser);
         let (sender, receiver): (Sender<Message>, Receiver<Message>) = channel::unbounded();
         let rejected = Arc::new(Mutex::new(0u64));
@@ -673,7 +673,7 @@ mod tests {
             }
         });
         pipeline.flush();
-        let batches = obs.histogram("capture.batch_len");
+        let batches = obs.histogram(names::CAPTURE_BATCH_LEN);
         assert!(batches.count() >= 1, "batch_len histogram populated");
         assert!(
             batches.count() < 40,
@@ -692,7 +692,7 @@ mod tests {
         assert!(profiles.iter().all(|p| p.query == "capture"));
         // Drained means drained: a second take is empty.
         assert!(pipeline.take_profiles().is_empty());
-        assert_eq!(obs.gauge("capture.queue_depth").get(), 0);
+        assert_eq!(obs.gauge(names::CAPTURE_QUEUE_DEPTH).get(), 0);
         drop(shared);
         let b = pipeline.shutdown();
         assert_eq!(
@@ -732,14 +732,14 @@ mod tests {
                 .collect();
         assert_eq!(pipeline.submit_all(chunk), 16);
         pipeline.flush();
-        let batches = obs.histogram("capture.batch_len");
+        let batches = obs.histogram(names::CAPTURE_BATCH_LEN);
         assert_eq!(batches.count(), 1, "a 16-event chunk is one batch");
         // A chunk longer than DRAIN_BATCH_MAX travels as bounded pieces.
         let long = DRAIN_BATCH_MAX + 44;
         assert_eq!(pipeline.submit_all(navigations(15, long)), long);
         pipeline.flush();
         assert_eq!(batches.count(), 3);
-        assert_eq!(obs.gauge("capture.queue_depth").get(), 0);
+        assert_eq!(obs.gauge(names::CAPTURE_QUEUE_DEPTH).get(), 0);
         let b = pipeline.shutdown();
         assert_eq!(
             b.graph()

@@ -179,7 +179,10 @@ fn capture_totals_are_exact_under_seeded_interleavings() {
             let guard = shared.read();
             // Every enqueue was matched by a drain: the depth gauge must
             // land on exactly zero, not "roughly zero".
-            assert_eq!(guard.obs().gauge("capture.queue_depth").get(), 0);
+            assert_eq!(
+                guard.obs().gauge(bp_obs::names::CAPTURE_QUEUE_DEPTH).get(),
+                0
+            );
             assert_eq!(
                 guard
                     .graph()

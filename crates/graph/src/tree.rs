@@ -199,7 +199,7 @@ impl HistoryTree {
         out
     }
 
-    #[allow(clippy::too_many_arguments)] // internal recursion carrier
+    #[allow(clippy::too_many_arguments, reason = "internal recursion carrier")]
     fn render_node(
         &self,
         graph: &ProvenanceGraph,

@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 /// Maps a metric name onto the Prometheus charset (`[a-zA-Z0-9_:]`).
 /// Metric names must not *start* with a digit, so a leading digit gets an
 /// underscore prefix.
-fn sanitize(name: &str) -> String {
+pub(crate) fn sanitize(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 1);
     if name.starts_with(|c: char| c.is_ascii_digit()) {
         out.push('_');

@@ -8,7 +8,7 @@
 //!
 //! * [`MetricsRegistry`] — named [`Counter`]s (sharded atomics),
 //!   [`Gauge`]s, and log₂-bucketed [`Histogram`]s with p50/p95/p99/max
-//!   readout.
+//!   readout, under the names [`names`] declares.
 //! * [`trace`] — span-based tracing with thread-local span stacks,
 //!   rendering per-stage timing trees for `--trace` query runs.
 //! * [`profile`] — query EXPLAIN profiles: per-stage wall time, rows
@@ -51,6 +51,7 @@ mod journal;
 pub mod json;
 pub mod log;
 mod metrics;
+pub mod names;
 pub mod profile;
 pub mod sampler;
 pub mod slo;
@@ -63,6 +64,7 @@ pub use metrics::{
     bucket_bounds, bucket_index, BucketExemplar, Counter, Gauge, Histogram, HistogramSnapshot,
     MetricsRegistry, RegistrySnapshot, HISTOGRAM_BUCKETS,
 };
+pub use names::{CounterName, GaugeName, HistogramName};
 
 use std::sync::{Arc, OnceLock};
 
@@ -106,19 +108,19 @@ impl Obs {
         &self.journal
     }
 
-    /// Counter lookup shorthand.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        self.registry.counter(name)
+    /// The counter declared as `name`.
+    pub fn counter(&self, name: CounterName) -> Arc<Counter> {
+        self.registry.counter(name.as_str())
     }
 
-    /// Gauge lookup shorthand.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        self.registry.gauge(name)
+    /// The gauge declared as `name`.
+    pub fn gauge(&self, name: GaugeName) -> Arc<Gauge> {
+        self.registry.gauge(name.as_str())
     }
 
-    /// Histogram lookup shorthand.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        self.registry.histogram(name)
+    /// The histogram declared as `name`.
+    pub fn histogram(&self, name: HistogramName) -> Arc<Histogram> {
+        self.registry.histogram(name.as_str())
     }
 }
 
@@ -128,13 +130,13 @@ mod tests {
 
     #[test]
     fn global_is_shared_isolated_is_not() {
-        Obs::global().counter("lib.test.shared").inc();
-        assert_eq!(Obs::global().counter("lib.test.shared").get(), 1);
+        Obs::global().registry().counter("lib.test.shared").inc();
+        assert_eq!(Obs::global().registry().counter("lib.test.shared").get(), 1);
 
         let a = Obs::isolated();
         let b = Obs::isolated();
-        a.counter("x").inc();
-        assert_eq!(b.counter("x").get(), 0);
+        a.counter(names::CAPTURE_FLUSHES).inc();
+        assert_eq!(b.counter(names::CAPTURE_FLUSHES).get(), 0);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! of the ring.
 
 use crate::trace;
-use crate::{Counter, Obs};
+use crate::{names, Counter, Obs};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -126,9 +126,9 @@ impl TailSampler {
         TailSampler {
             keep_one_in: keep_one_in.max(1),
             capacity: capacity.max(1),
-            kept: obs.counter("bp_trace_sampler.kept"),
-            dropped: obs.counter("bp_trace_sampler.dropped"),
-            evicted: obs.counter("bp_trace_sampler.evicted"),
+            kept: obs.counter(names::BP_TRACE_SAMPLER_KEPT),
+            dropped: obs.counter(names::BP_TRACE_SAMPLER_DROPPED),
+            evicted: obs.counter(names::BP_TRACE_SAMPLER_EVICTED),
             ring: Mutex::new(VecDeque::new()),
         }
     }
@@ -240,9 +240,9 @@ mod tests {
         assert!(sampler.offer(record(1001, 300_000, TraceOutcome::DeadlineMiss)));
         assert!(sampler.offer(record(1002, 900, TraceOutcome::Truncated)));
         assert!(sampler.offer(record(1003, 50, TraceOutcome::Error)));
-        assert_eq!(obs.counter("bp_trace_sampler.kept").get(), 3 + 3);
-        assert_eq!(obs.counter("bp_trace_sampler.dropped").get(), 45);
-        assert_eq!(obs.counter("bp_trace_sampler.evicted").get(), 0);
+        assert_eq!(obs.counter(names::BP_TRACE_SAMPLER_KEPT).get(), 3 + 3);
+        assert_eq!(obs.counter(names::BP_TRACE_SAMPLER_DROPPED).get(), 45);
+        assert_eq!(obs.counter(names::BP_TRACE_SAMPLER_EVICTED).get(), 0);
         let kept: Vec<u64> = sampler.retained().iter().map(|r| r.trace_id).collect();
         assert_eq!(kept, vec![16, 32, 48, 1001, 1002, 1003]);
     }
@@ -269,8 +269,8 @@ mod tests {
         }
         let kept: Vec<u64> = sampler.retained().iter().map(|r| r.trace_id).collect();
         assert_eq!(kept, vec![7, 8, 9, 10]);
-        assert_eq!(obs.counter("bp_trace_sampler.kept").get(), 10);
-        assert_eq!(obs.counter("bp_trace_sampler.evicted").get(), 6);
+        assert_eq!(obs.counter(names::BP_TRACE_SAMPLER_KEPT).get(), 10);
+        assert_eq!(obs.counter(names::BP_TRACE_SAMPLER_EVICTED).get(), 6);
     }
 
     #[test]

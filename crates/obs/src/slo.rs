@@ -23,37 +23,21 @@
 
 use crate::clock::ClockHandle;
 use crate::log;
-use crate::{Level, Obs};
+use crate::{names, Level, Obs};
 use parking_lot::Mutex;
 use std::time::Duration;
 
-/// Configuration for one [`SloEngine`].
-#[derive(Clone, Debug)]
-pub struct SloConfig {
-    /// Fraction of samples that must be good (default `0.99`).
-    pub objective: f64,
-    /// Short evaluation window (default 5 minutes).
-    pub short_window: Duration,
-    /// Long evaluation window (default 1 hour).
-    pub long_window: Duration,
-    /// Burn-rate threshold of the fast rule (default `14.4`).
-    pub fast_burn_threshold: f64,
-    /// Minimum samples in the short window before the rule may fire
-    /// (default 10) — a single early miss is noise, not an incident.
-    pub min_samples: u64,
-}
-
-impl Default for SloConfig {
-    fn default() -> Self {
-        SloConfig {
-            objective: 0.99,
-            short_window: Duration::from_secs(5 * 60),
-            long_window: Duration::from_secs(60 * 60),
-            fast_burn_threshold: 14.4,
-            min_samples: 10,
-        }
-    }
-}
+/// Fraction of samples that must be good.
+pub const OBJECTIVE: f64 = 0.99;
+/// The short evaluation window, published as `bp_slo_burn_rate.5m`.
+pub const SHORT_WINDOW: Duration = Duration::from_secs(5 * 60);
+/// The long evaluation window, published as `bp_slo_burn_rate.1h`.
+pub const LONG_WINDOW: Duration = Duration::from_secs(60 * 60);
+/// Burn-rate threshold of the fast rule.
+pub const FAST_BURN_THRESHOLD: f64 = 14.4;
+/// Minimum samples in the short window before the rule may fire — a
+/// single early miss is noise, not an incident.
+pub const MIN_SAMPLES: u64 = 10;
 
 /// One evaluation's readout.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -89,59 +73,21 @@ struct Inner {
 pub struct SloEngine {
     obs: Obs,
     clock: ClockHandle,
-    config: SloConfig,
-    short_gauge: &'static str,
-    long_gauge: &'static str,
     inner: Mutex<Inner>,
-}
-
-impl std::fmt::Debug for SloEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SloEngine")
-            .field("config", &self.config)
-            .finish()
-    }
-}
-
-/// Renders a window length for gauge names (`300s` → `5m`, `3600s` → `1h`).
-fn window_label(window: Duration) -> String {
-    let secs = window.as_secs().max(1);
-    if secs.is_multiple_of(3600) {
-        format!("{}h", secs / 3600)
-    } else if secs.is_multiple_of(60) {
-        format!("{}m", secs / 60)
-    } else {
-        format!("{secs}s")
-    }
 }
 
 impl SloEngine {
     /// Builds an engine reporting into `obs`, timed by `clock`.
-    pub fn new(obs: Obs, clock: ClockHandle, config: SloConfig) -> SloEngine {
-        // Gauge names are interned once so evaluate() stays allocation-free
-        // on the registry side; the leak is two short strings per engine.
-        let short_gauge: &'static str =
-            Box::leak(format!("bp_slo_burn_rate.{}", window_label(config.short_window)).into());
-        let long_gauge: &'static str =
-            Box::leak(format!("bp_slo_burn_rate.{}", window_label(config.long_window)).into());
-        let capacity = config.long_window.as_secs().max(60) as usize;
+    pub fn new(obs: Obs, clock: ClockHandle) -> SloEngine {
         SloEngine {
             obs,
             clock,
-            config,
-            short_gauge,
-            long_gauge,
             inner: Mutex::new(Inner {
-                buckets: vec![Bucket::default(); capacity],
+                buckets: vec![Bucket::default(); LONG_WINDOW.as_secs() as usize],
                 firing: false,
                 alerts: 0,
             }),
         }
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &SloConfig {
-        &self.config
     }
 
     /// Records one sample: `good` means the query met its deadline.
@@ -162,9 +108,9 @@ impl SloEngine {
         } else {
             bucket.bad += 1;
         }
-        self.obs.counter("bp_slo_samples_total").inc();
+        self.obs.counter(names::BP_SLO_SAMPLES_TOTAL).inc();
         if !good {
-            self.obs.counter("bp_slo_misses_total").inc();
+            self.obs.counter(names::BP_SLO_MISSES_TOTAL).inc();
         }
     }
 
@@ -184,13 +130,12 @@ impl SloEngine {
         (good, bad)
     }
 
-    fn burn(&self, good: u64, bad: u64) -> f64 {
+    fn burn(good: u64, bad: u64) -> f64 {
         let total = good + bad;
         if total == 0 {
             return 0.0;
         }
-        let budget = (1.0 - self.config.objective).max(1e-9);
-        (bad as f64 / total as f64) / budget
+        (bad as f64 / total as f64) / (1.0 - OBJECTIVE)
     }
 
     /// Evaluates both windows, publishes the burn gauges, and fires the
@@ -199,34 +144,30 @@ impl SloEngine {
     pub fn evaluate(&self) -> SloStatus {
         let now_sec = self.clock.now_micros() / 1_000_000;
         let mut inner = self.inner.lock();
-        let (short_good, short_bad) =
-            Self::window_totals(&inner, now_sec, self.config.short_window);
-        let (long_good, long_bad) = Self::window_totals(&inner, now_sec, self.config.long_window);
-        let short_burn = self.burn(short_good, short_bad);
-        let long_burn = self.burn(long_good, long_bad);
+        let (short_good, short_bad) = Self::window_totals(&inner, now_sec, SHORT_WINDOW);
+        let (long_good, long_bad) = Self::window_totals(&inner, now_sec, LONG_WINDOW);
+        let short_burn = Self::burn(short_good, short_bad);
+        let long_burn = Self::burn(long_good, long_bad);
         let short_samples = short_good + short_bad;
 
         self.obs
-            .gauge(self.short_gauge)
+            .gauge(names::BP_SLO_BURN_RATE_5M)
             .set((short_burn * 1000.0) as i64);
         self.obs
-            .gauge(self.long_gauge)
+            .gauge(names::BP_SLO_BURN_RATE_1H)
             .set((long_burn * 1000.0) as i64);
 
-        let condition = short_samples >= self.config.min_samples
-            && short_burn >= self.config.fast_burn_threshold
-            && long_burn >= self.config.fast_burn_threshold;
+        let condition = short_samples >= MIN_SAMPLES
+            && short_burn >= FAST_BURN_THRESHOLD
+            && long_burn >= FAST_BURN_THRESHOLD;
         if condition && !inner.firing {
             inner.firing = true;
             inner.alerts += 1;
-            self.obs.counter("bp_slo_alerts_total").inc();
+            self.obs.counter(names::BP_SLO_ALERTS_TOTAL).inc();
             let message = format!(
-                "SLO fast burn: burn rate {short_burn:.1}x over {} / {long_burn:.1}x over {} \
-                 (threshold {}x) — the {}% objective is burning its error budget",
-                window_label(self.config.short_window),
-                window_label(self.config.long_window),
-                self.config.fast_burn_threshold,
-                self.config.objective * 100.0,
+                "SLO fast burn: burn rate {short_burn:.1}x over 5m / {long_burn:.1}x over 1h \
+                 (threshold {FAST_BURN_THRESHOLD}x) — the {}% objective is burning its error budget",
+                OBJECTIVE * 100.0,
             );
             self.obs.journal().record(Level::Error, message.clone());
             // Name names: the tail sampler always retains deadline-missed
@@ -271,18 +212,7 @@ mod tests {
     fn engine() -> (SloEngine, std::sync::Arc<crate::MockClock>, Obs) {
         let (clock, mock) = ClockHandle::mock();
         let obs = Obs::isolated();
-        (
-            SloEngine::new(obs.clone(), clock, SloConfig::default()),
-            mock,
-            obs,
-        )
-    }
-
-    #[test]
-    fn window_labels() {
-        assert_eq!(window_label(Duration::from_secs(300)), "5m");
-        assert_eq!(window_label(Duration::from_secs(3600)), "1h");
-        assert_eq!(window_label(Duration::from_secs(90)), "90s");
+        (SloEngine::new(obs.clone(), clock), mock, obs)
     }
 
     #[test]
@@ -296,8 +226,8 @@ mod tests {
             let status = engine.evaluate();
             assert!(!status.firing);
         }
-        assert_eq!(obs.counter("bp_slo_alerts_total").get(), 0);
-        assert_eq!(obs.gauge("bp_slo_burn_rate.5m").get(), 0);
+        assert_eq!(obs.counter(names::BP_SLO_ALERTS_TOTAL).get(), 0);
+        assert_eq!(obs.gauge(names::BP_SLO_BURN_RATE_5M).get(), 0);
     }
 
     #[test]
@@ -315,9 +245,9 @@ mod tests {
             }
         }
         assert_eq!(alerts_seen, 1, "latch must fire exactly once");
-        assert_eq!(obs.counter("bp_slo_alerts_total").get(), 1);
-        assert!(obs.gauge("bp_slo_burn_rate.5m").get() >= 14_400);
-        assert!(obs.gauge("bp_slo_burn_rate.1h").get() >= 14_400);
+        assert_eq!(obs.counter(names::BP_SLO_ALERTS_TOTAL).get(), 1);
+        assert!(obs.gauge(names::BP_SLO_BURN_RATE_5M).get() >= 14_400);
+        assert!(obs.gauge(names::BP_SLO_BURN_RATE_1H).get() >= 14_400);
         // The alert reached the journal and the flight recorder.
         let journal = obs.journal().events();
         assert!(
@@ -334,7 +264,7 @@ mod tests {
             engine.record(false);
             engine.evaluate();
         }
-        assert_eq!(obs.counter("bp_slo_alerts_total").get(), 1);
+        assert_eq!(obs.counter(names::BP_SLO_ALERTS_TOTAL).get(), 1);
         // Long quiet recovery: both windows age the misses out.
         mock.advance(Duration::from_secs(2 * 3600));
         for _ in 0..60 {
@@ -349,7 +279,7 @@ mod tests {
             engine.record(false);
             engine.evaluate();
         }
-        assert_eq!(obs.counter("bp_slo_alerts_total").get(), 2);
+        assert_eq!(obs.counter(names::BP_SLO_ALERTS_TOTAL).get(), 2);
     }
 
     #[test]

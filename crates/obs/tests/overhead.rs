@@ -23,7 +23,7 @@ fn per_op_ns(iters: u64, f: impl FnOnce()) -> f64 {
 fn tracing_per_op_costs() {
     const N: u64 = 10_000_000;
     let obs = Obs::isolated();
-    let hist = obs.histogram("bench.overhead.latency_us");
+    let hist = obs.registry().histogram("bench.overhead.latency_us");
     let clock = ClockHandle::real();
 
     // Span creation with the tracer disabled: the claimed cost is one

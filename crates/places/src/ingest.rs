@@ -145,7 +145,7 @@ impl PlacesIngester {
             n += 1;
         }
         bp_obs::Obs::global()
-            .gauge("places.rows")
+            .gauge(bp_obs::names::PLACES_ROWS)
             .set(db.row_count() as i64);
         Ok(n)
     }

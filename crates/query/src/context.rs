@@ -22,7 +22,7 @@ use bp_graph::pagerank::PageRankConfig;
 use bp_graph::traverse::Budget;
 use bp_graph::{NodeId, NodeKind, ProvenanceGraph};
 use bp_obs::profile::QueryPlan;
-use bp_obs::trace;
+use bp_obs::{names, trace};
 use std::sync::Arc;
 
 /// EXPLAIN plan for [`contextual_history_search`].
@@ -131,7 +131,7 @@ pub(crate) fn ranked_search(
         browser.obs(),
         span,
         Some(plan),
-        "query.context.latency_us",
+        names::QUERY_CONTEXT_LATENCY_US,
         budget,
     );
 
@@ -305,7 +305,7 @@ impl Search<'_> {
         let (mut answer, scores) = {
             let stage = self.scope.stage(stage);
             if let Some(answer) = cache.get(&key) {
-                obs.counter("bp_graph_cache.hit").inc();
+                obs.counter(names::BP_GRAPH_CACHE_HIT).inc();
                 stage.rows(0, answer.hits.len());
                 trace::note(format!(
                     "score cache hit: {} ranked hits, walk and blend skipped",
@@ -317,7 +317,7 @@ impl Search<'_> {
                 }
                 return answer;
             }
-            obs.counter("bp_graph_cache.miss").inc();
+            obs.counter(names::BP_GRAPH_CACHE_MISS).inc();
             // The answer outlives the query, so it is allocated before the
             // walk's O(n) buffers and never sits in the heap above their
             // freed space, where it could keep that space from being
@@ -331,10 +331,10 @@ impl Search<'_> {
         if !answer.truncated || self.scope.budget().deadline().is_none() {
             let evicted = cache.put(key, answer.clone());
             if evicted > 0 {
-                obs.counter("bp_graph_cache.evict").add(evicted);
+                obs.counter(names::BP_GRAPH_CACHE_EVICT).add(evicted);
             }
         }
-        obs.gauge("bp_graph_cache.bytes")
+        obs.gauge(names::BP_GRAPH_CACHE_BYTES)
             .set(cache.stats().bytes as i64);
         answer
     }
@@ -521,7 +521,7 @@ pub fn textual_history_search(
         browser.obs(),
         "query.textual",
         Some(&TEXTUAL_PLAN),
-        "query.textual.latency_us",
+        names::QUERY_TEXTUAL_LATENCY_US,
         &unbounded,
     );
     let graph = browser.graph();

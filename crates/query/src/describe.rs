@@ -13,7 +13,7 @@ use bp_graph::frozen::FrozenGraph;
 use bp_graph::traverse::Budget;
 use bp_graph::{EdgeKind, NodeId, NodeKind};
 use bp_obs::profile::QueryPlan;
-use bp_obs::trace;
+use bp_obs::{names, trace};
 use std::fmt::Write as _;
 
 /// EXPLAIN plan for [`describe_origin`].
@@ -135,7 +135,7 @@ pub fn describe_origin(
         browser.obs(),
         "query.describe",
         Some(&DESCRIBE_PLAN),
-        "query.describe.latency_us",
+        names::QUERY_DESCRIBE_LATENCY_US,
         &config.budget,
     );
     let budget = scope.budget();
@@ -290,8 +290,8 @@ mod tests {
         assert!(describe_origin(&tb.browser, "/nope", &config).is_none());
         // A miss on the key is still a query: timed and counted once.
         let obs = tb.browser.obs();
-        assert_eq!(obs.histogram("query.describe.latency_us").count(), 1);
-        assert_eq!(obs.counter("query.deadline.hit").get(), 1);
+        assert_eq!(obs.histogram(names::QUERY_DESCRIBE_LATENCY_US).count(), 1);
+        assert_eq!(obs.counter(names::QUERY_DEADLINE_HIT).get(), 1);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use bp_core::ProvenanceBrowser;
 use bp_graph::traverse::{self, Budget, Direction, Path};
 use bp_graph::{EdgeKind, NodeId, NodeKind};
 use bp_obs::profile::QueryPlan;
-use bp_obs::trace;
+use bp_obs::{names, trace};
 use std::time::Duration;
 
 /// EXPLAIN plan for [`first_recognizable_ancestor`].
@@ -77,7 +77,7 @@ pub fn first_recognizable_ancestor(
         browser.obs(),
         "query.lineage",
         Some(&LINEAGE_PLAN),
-        "query.lineage.latency_us",
+        names::QUERY_LINEAGE_LATENCY_US,
         &config.budget,
     );
     let graph = browser.graph();
@@ -137,24 +137,32 @@ pub fn first_recognizable_ancestor(
 
 /// The full causal lineage of a node (every ancestor, BFS order), with
 /// URLs for display. The §2.4 "sequence of actions that resulted in the
-/// download".
+/// download". The flag is `true` when the budget cut the walk short.
 pub fn full_lineage(
     browser: &ProvenanceBrowser,
     node: NodeId,
     budget: &Budget,
 ) -> (Vec<(NodeId, String)>, bool) {
+    let scope = Scope::open(
+        browser.obs(),
+        "query.full_lineage",
+        None,
+        names::QUERY_FULL_LINEAGE_LATENCY_US,
+        budget,
+    );
     let graph = browser.graph();
     let walk = traverse::bfs(
         &browser.frozen(),
         node,
         Direction::Ancestors,
         EdgeKind::is_causal,
-        budget,
+        scope.budget(),
     );
     let out = walk
         .node_ids()
         .filter_map(|id| graph.node(id).ok().map(|n| (id, n.key().to_owned())))
         .collect();
+    scope.finish(walk.truncated);
     (out, walk.truncated)
 }
 
@@ -168,15 +176,21 @@ pub fn downloads_descending_from(
     url: &str,
     budget: &Budget,
 ) -> (Vec<(NodeId, String)>, bool) {
+    // A URL with many visits runs one BFS per visit; all of them spend
+    // the scope's one deadline, which bounds the whole query.
+    let scope = Scope::open(
+        browser.obs(),
+        "query.downloads_from",
+        None,
+        names::QUERY_DOWNLOADS_FROM_LATENCY_US,
+        budget,
+    );
     let (graph, frozen) = (browser.graph(), browser.frozen());
     let mut out: Vec<(NodeId, String)> = Vec::new();
     let mut seen = std::collections::HashSet::new();
     let mut truncated = false;
-    // A URL with many visits runs one BFS per visit; all of them spend
-    // the one deadline pinned here, which bounds the whole query.
-    let budget = budget.pinned();
     for &start in graph.nodes_with_key(url) {
-        if budget.expired() {
+        if scope.budget().expired() {
             truncated = true;
             break;
         }
@@ -185,7 +199,7 @@ pub fn downloads_descending_from(
             start,
             Direction::Descendants,
             EdgeKind::is_causal,
-            &budget,
+            scope.budget(),
         );
         truncated |= walk.truncated;
         for id in walk.node_ids() {
@@ -200,6 +214,7 @@ pub fn downloads_descending_from(
         }
     }
     out.sort_by_key(|a| a.0);
+    scope.finish(truncated);
     (out, truncated)
 }
 

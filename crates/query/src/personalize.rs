@@ -11,7 +11,7 @@ use crate::context::{ranked_search, ContextualConfig, Walk};
 use crate::scope::Scope;
 use bp_core::ProvenanceBrowser;
 use bp_obs::profile::QueryPlan;
-use bp_obs::trace;
+use bp_obs::{names, trace};
 use bp_text::TermProfile;
 
 /// EXPLAIN plan for [`personalize_query`]. The inner contextual search
@@ -89,7 +89,7 @@ pub fn personalize_query(
         browser.obs(),
         "query.personalize",
         Some(&PERSONALIZE_PLAN),
-        "query.personalize.latency_us",
+        names::QUERY_PERSONALIZE_LATENCY_US,
         &config.contextual.budget,
     );
     let contextual = {
@@ -287,10 +287,13 @@ mod tests {
         // The inner contextual search shares the outer deadline: both
         // paths sample their latency, but the deadline counts one query.
         let obs = tb.browser.obs();
-        assert_eq!(obs.histogram("query.personalize.latency_us").count(), 1);
-        assert_eq!(obs.histogram("query.context.latency_us").count(), 1);
-        assert_eq!(obs.counter("query.deadline.hit").get(), 1);
-        assert_eq!(obs.counter("query.deadline.miss").get(), 0);
+        assert_eq!(
+            obs.histogram(names::QUERY_PERSONALIZE_LATENCY_US).count(),
+            1
+        );
+        assert_eq!(obs.histogram(names::QUERY_CONTEXT_LATENCY_US).count(), 1);
+        assert_eq!(obs.counter(names::QUERY_DEADLINE_HIT).get(), 1);
+        assert_eq!(obs.counter(names::QUERY_DEADLINE_MISS).get(), 0);
     }
 
     #[test]

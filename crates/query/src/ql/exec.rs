@@ -5,6 +5,7 @@ use crate::scope::Scope;
 use bp_core::ProvenanceBrowser;
 use bp_graph::traverse::{self, Budget, Direction};
 use bp_graph::{EdgeKind, NodeId, NodeKind};
+use bp_obs::names;
 use core::fmt;
 use std::time::Duration;
 
@@ -103,7 +104,7 @@ pub fn execute(
         browser.obs(),
         "query.ql",
         None,
-        "query.ql.latency_us",
+        names::QUERY_QL_LATENCY_US,
         budget,
     );
     // Selector resolution can fail mid-shape; running it behind this

@@ -15,7 +15,7 @@ use bp_graph::traverse::Budget;
 use bp_obs::clock::ClockHandle;
 use bp_obs::profile::{self, QueryPlan};
 use bp_obs::sampler::{self, TraceOutcome, TraceRecord};
-use bp_obs::{trace, Histogram, Level, Obs};
+use bp_obs::{names, trace, Histogram, HistogramName, Level, Obs};
 use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Duration;
@@ -46,7 +46,7 @@ impl<'a> Scope<'a> {
         obs: &'a Obs,
         span: &'static str,
         plan: Option<&'static QueryPlan>,
-        latency: &'static str,
+        latency: HistogramName,
         budget: &'a Budget,
     ) -> Self {
         let nested = budget.is_pinned();
@@ -58,10 +58,11 @@ impl<'a> Scope<'a> {
         let context = trace::ensure(start_us);
         let span = trace::span(span);
         let profile = plan.map(|plan| profile::begin(plan, clock, start_us, budget.deadline()));
-        let path = latency
+        let name = latency.as_str();
+        let path = name
             .strip_prefix("query.")
             .and_then(|rest| rest.strip_suffix(".latency_us"))
-            .unwrap_or(latency);
+            .unwrap_or(name);
         Scope {
             obs,
             path,
@@ -129,13 +130,13 @@ impl<'a> Scope<'a> {
     fn classify(&self, elapsed: Duration, deadline: Duration, truncated: bool) {
         let obs = self.obs;
         if truncated {
-            obs.counter("query.deadline.bounded").inc();
+            obs.counter(names::QUERY_DEADLINE_BOUNDED).inc();
         }
         if elapsed <= deadline {
-            obs.counter("query.deadline.hit").inc();
+            obs.counter(names::QUERY_DEADLINE_HIT).inc();
             return;
         }
-        obs.counter("query.deadline.miss").inc();
+        obs.counter(names::QUERY_DEADLINE_MISS).inc();
         let path = self.path;
         obs.journal().record(
             Level::Warn,
@@ -241,7 +242,7 @@ mod tests {
             let (clock, mock) = ClockHandle::mock();
             mock.set_auto_tick_micros(1);
             let budget = Budget::new().with_clock(clock.clone());
-            let obs = Obs::default();
+            let obs = Obs::isolated();
             profile::set_enabled(profiling);
             // Each reading advances the clock by 1 µs, the bracketing ones too.
             let before = clock.now_micros();
@@ -249,7 +250,7 @@ mod tests {
                 &obs,
                 "scoped",
                 Some(&PLAN),
-                "query.scoped.latency_us",
+                names::QUERY_QL_LATENCY_US,
                 &budget,
             );
             let readings = clock.now_micros() - before - 1;
@@ -270,13 +271,13 @@ mod tests {
         let (clock, mock) = ClockHandle::mock();
         mock.set_auto_tick_micros(1);
         let budget = Budget::new().with_clock(clock.clone());
-        let obs = Obs::default();
+        let obs = Obs::isolated();
         profile::set_enabled(true);
         let scope = Scope::open(
             &obs,
             "scoped",
             Some(&PLAN),
-            "query.scoped.latency_us",
+            names::QUERY_QL_LATENCY_US,
             &budget,
         );
         // Each reading advances the clock by 1 µs, the bracketing ones too.

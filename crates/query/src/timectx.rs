@@ -15,7 +15,7 @@ use bp_core::ProvenanceBrowser;
 use bp_graph::traverse::Budget;
 use bp_graph::{EdgeKind, NodeId, NodeKind, TimeInterval};
 use bp_obs::profile::QueryPlan;
-use bp_obs::trace;
+use bp_obs::{names, trace};
 use std::collections::HashSet;
 use std::time::Duration;
 
@@ -68,7 +68,7 @@ pub fn time_contextual_search(
         browser.obs(),
         "query.timectx",
         Some(&TIMECTX_PLAN),
-        "query.timectx.latency_us",
+        names::QUERY_TIMECTX_LATENCY_US,
         &config.budget,
     );
     let graph = browser.graph();

@@ -8,7 +8,9 @@
 //! remaining-work estimate. The entry-deadline cases at the end check that
 //! each path's deadline runs from its entry, so the stages before a bounded
 //! loop count against it; for the paths that walk the CSR snapshot, over
-//! random deadlines and clock stall steps.
+//! random deadlines and clock stall steps. A table test between the two
+//! checks that every walking entry point is one timed query, counted once
+//! against its deadline.
 
 use bp_core::{BrowserEvent, CaptureConfig, EventKind, NavigationCause, ProvenanceBrowser, TabId};
 use bp_graph::neighborhood::ExpansionConfig;
@@ -17,12 +19,13 @@ use bp_graph::Timestamp;
 use bp_obs::clock::Clock;
 use bp_obs::profile::Profile;
 use bp_obs::trace::SpanNode;
-use bp_obs::{profile, trace, ClockHandle, MockClock};
+use bp_obs::{names, profile, trace, ClockHandle, HistogramName, MockClock, Obs};
 use bp_query::{
     describe_origin, downloads_descending_from, find_download, first_recognizable_ancestor,
-    personalize_query, textual_history_search, time_contextual_search, ContextualConfig,
-    DescribeConfig, LineageConfig, PersonalizeConfig, TimeContextConfig,
+    full_lineage, personalize_query, textual_history_search, time_contextual_search,
+    ContextualConfig, DescribeConfig, LineageConfig, PersonalizeConfig, TimeContextConfig,
 };
+use bp_storage::SyncPolicy;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,14 +38,21 @@ struct TempBrowser {
 }
 impl TempBrowser {
     fn new(tag: &str) -> Self {
+        Self::with_obs(tag, Obs::global())
+    }
+
+    /// A browser reporting into `obs`.
+    fn with_obs(tag: &str, obs: Obs) -> Self {
         let dir = std::env::temp_dir().join(format!(
             "bp-trunc-obs-{tag}-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
+        let config = CaptureConfig::default();
         TempBrowser {
-            browser: ProvenanceBrowser::open(&dir, CaptureConfig::default()).unwrap(),
+            browser: ProvenanceBrowser::open_with_obs(&dir, config, SyncPolicy::OsManaged, obs)
+                .unwrap(),
             dir,
         }
     }
@@ -60,7 +70,10 @@ fn t(s: i64) -> Timestamp {
 /// A small history every path can query: a rosebud search chain, a wine +
 /// plane-tickets overlap, and a download chain.
 fn history(tag: &str) -> TempBrowser {
-    let mut tb = TempBrowser::new(tag);
+    history_in(TempBrowser::new(tag))
+}
+
+fn history_in(mut tb: TempBrowser) -> TempBrowser {
     let b = &mut tb.browser;
     b.ingest(&BrowserEvent::tab_opened(t(0), TabId(0), None))
         .unwrap();
@@ -355,6 +368,135 @@ fn describe_truncation_is_observable() {
 }
 
 // ---------------------------------------------------------------------------
+// Every walking entry point is one query, timed and counted once
+// ---------------------------------------------------------------------------
+
+/// Each walking entry point, run once under a deadline on a browser with
+/// its own registry, records exactly one sample in its own latency
+/// histogram and exactly one deadline outcome, hit or miss.
+#[test]
+fn every_entry_point_is_timed_and_classified_once() {
+    let obs = Obs::isolated();
+    let tb = history_in(TempBrowser::with_obs("table", obs.clone()));
+    let b = &tb.browser;
+    let budget = Budget::new().with_deadline(Duration::from_secs(60));
+    let contextual = ContextualConfig {
+        budget: budget.clone(),
+        ..ContextualConfig::default()
+    };
+    let dl = find_download(b, "/dl/thing.bin").unwrap();
+    let pagerank = bp_graph::pagerank::PageRankConfig::default();
+    type Run<'a> = Box<dyn Fn() + 'a>;
+    let table: Vec<(&str, HistogramName, Run)> = vec![
+        (
+            "context",
+            names::QUERY_CONTEXT_LATENCY_US,
+            Box::new(|| {
+                bp_query::contextual_history_search(b, "rosebud", &contextual);
+            }),
+        ),
+        (
+            "context +HITS",
+            names::QUERY_CONTEXT_LATENCY_US,
+            Box::new(|| {
+                let config = ContextualConfig {
+                    hits_weight: 1.0,
+                    ..contextual.clone()
+                };
+                bp_query::contextual_history_search(b, "rosebud", &config);
+            }),
+        ),
+        (
+            "ppr",
+            names::QUERY_CONTEXT_LATENCY_US,
+            Box::new(|| {
+                bp_query::contextual_history_search_ppr(b, "rosebud", &contextual, &pagerank);
+            }),
+        ),
+        (
+            "personalize",
+            names::QUERY_PERSONALIZE_LATENCY_US,
+            Box::new(|| {
+                let config = PersonalizeConfig {
+                    contextual: contextual.clone(),
+                    ..PersonalizeConfig::default()
+                };
+                personalize_query(b, "rosebud", &config);
+            }),
+        ),
+        (
+            "timectx",
+            names::QUERY_TIMECTX_LATENCY_US,
+            Box::new(|| {
+                let config = TimeContextConfig {
+                    budget: budget.clone(),
+                    ..TimeContextConfig::default()
+                };
+                time_contextual_search(b, "wine", "plane tickets", &config);
+            }),
+        ),
+        (
+            "lineage",
+            names::QUERY_LINEAGE_LATENCY_US,
+            Box::new(|| {
+                let config = LineageConfig {
+                    budget: budget.clone(),
+                    ..LineageConfig::default()
+                };
+                first_recognizable_ancestor(b, dl, &config);
+            }),
+        ),
+        (
+            "full_lineage",
+            names::QUERY_FULL_LINEAGE_LATENCY_US,
+            Box::new(|| {
+                full_lineage(b, dl, &budget);
+            }),
+        ),
+        (
+            "downloads_from",
+            names::QUERY_DOWNLOADS_FROM_LATENCY_US,
+            Box::new(|| {
+                downloads_descending_from(b, "http://films/kane", &budget);
+            }),
+        ),
+        (
+            "describe",
+            names::QUERY_DESCRIBE_LATENCY_US,
+            Box::new(|| {
+                let config = DescribeConfig {
+                    budget: budget.clone(),
+                    ..DescribeConfig::default()
+                };
+                describe_origin(b, "/dl/thing.bin", &config);
+            }),
+        ),
+        (
+            "ql",
+            names::QUERY_QL_LATENCY_US,
+            Box::new(|| {
+                let query = bp_query::ql::parse("ancestors(url = '/dl/thing.bin')").unwrap();
+                bp_query::ql::execute(b, &query, &budget).unwrap();
+            }),
+        ),
+    ];
+    let outcomes = || {
+        let count = |name| obs.counter(name).get();
+        count(names::QUERY_DEADLINE_HIT) + count(names::QUERY_DEADLINE_MISS)
+    };
+    for (path, latency, run) in table {
+        let (samples, classified) = (obs.histogram(latency).count(), outcomes());
+        run();
+        assert_eq!(
+            obs.histogram(latency).count() - samples,
+            1,
+            "{path}: latency samples"
+        );
+        assert_eq!(outcomes() - classified, 1, "{path}: deadline outcomes");
+    }
+}
+
+// ---------------------------------------------------------------------------
 // The deadline runs from query entry
 // ---------------------------------------------------------------------------
 
@@ -597,10 +739,11 @@ proptest! {
         check_deadline_from_entry("downloads_descending_from", deadline, stall_us, |budget| {
             let (_, truncated) =
                 downloads_descending_from(&tb.browser, "http://travel/plane-tickets", budget);
-            // The query pinned the fresh clock at 0, so its reading now is
-            // the time the query took.
-            let elapsed = Duration::from_micros(budget.clock().now_micros());
-            (elapsed, truncated)
+            // The result carries no timing: read the root span, which the
+            // scope closes with its one elapsed time.
+            let roots = trace::take_roots();
+            let root = roots.iter().find(|r| r.name == "query.downloads_from");
+            (root.expect("the query closes its root span").duration, truncated)
         })?;
     }
 

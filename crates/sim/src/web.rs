@@ -331,7 +331,10 @@ impl SyntheticWeb {
         let zipf = Zipf::new(config.pages_per_topic, config.zipf_exponent);
         // Wire links with topical locality and Zipfian target popularity.
         let n_topics = TOPICS.len();
-        #[allow(clippy::needless_range_loop)] // `pages` is mutated at [id] below
+        #[allow(
+            clippy::needless_range_loop,
+            reason = "`pages` is mutated at [id] below"
+        )]
         for id in 0..pages.len() {
             let topic = pages[id].topic;
             let mut links = Vec::with_capacity(config.links_per_page);

@@ -26,7 +26,7 @@ use bp_graph::{
     AttrValue, Edge, EdgeKind, GraphError, Node, NodeId, NodeKind, ProvenanceGraph, TimeInterval,
     Timestamp, Version,
 };
-use bp_obs::{Counter, Histogram, Level, Obs};
+use bp_obs::{names, Counter, Histogram, Level, Obs};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -113,11 +113,11 @@ impl ProvenanceStore {
     ) -> StorageResult<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        let wal_appends = obs.counter("wal.appends_total");
-        let wal_bytes = obs.counter("wal.bytes_written");
-        let wal_group_groups = obs.counter("wal.group_commit.groups");
-        let wal_group_events = obs.counter("wal.group_commit.events");
-        let wal_group_sync_us = obs.histogram("wal.group_commit.sync_us");
+        let wal_appends = obs.counter(names::WAL_APPENDS_TOTAL);
+        let wal_bytes = obs.counter(names::WAL_BYTES_WRITTEN);
+        let wal_group_groups = obs.counter(names::WAL_GROUP_COMMIT_GROUPS);
+        let wal_group_events = obs.counter(names::WAL_GROUP_COMMIT_EVENTS);
+        let wal_group_sync_us = obs.histogram(names::WAL_GROUP_COMMIT_SYNC_US);
         let mut store = ProvenanceStore {
             graph: ProvenanceGraph::new(),
             interner: ShardedInterner::new(),
@@ -148,16 +148,16 @@ impl ProvenanceStore {
     /// Publishes the store's size gauges (graph, interner) to the registry.
     fn publish_gauges(&self) {
         self.obs
-            .gauge("storage.graph_nodes")
+            .gauge(names::STORAGE_GRAPH_NODES)
             .set(self.graph.node_count() as i64);
         self.obs
-            .gauge("storage.graph_edges")
+            .gauge(names::STORAGE_GRAPH_EDGES)
             .set(self.graph.edge_count() as i64);
         self.obs
-            .gauge("storage.interner_strings")
+            .gauge(names::STORAGE_INTERNER_STRINGS)
             .set(self.interner.len() as i64);
         self.obs
-            .gauge("storage.interner_bytes")
+            .gauge(names::STORAGE_INTERNER_BYTES)
             .set(self.interner.payload_bytes() as i64);
     }
 
@@ -202,7 +202,7 @@ impl ProvenanceStore {
         // Future appends continue the replayed delta state.
         self.codec = codec;
         if self.wal.truncated_on_open() {
-            self.obs.counter("wal.torn_tail_truncations").inc();
+            self.obs.counter(names::WAL_TORN_TAIL_TRUNCATIONS).inc();
             self.obs.journal().record(
                 Level::Warn,
                 "torn tail truncated on log open (crash mid-append); committed history intact",
@@ -215,7 +215,7 @@ impl ProvenanceStore {
         }
         if !contents.frames.is_empty() {
             self.obs
-                .counter("wal.recovered_frames")
+                .counter(names::WAL_RECOVERED_FRAMES)
                 .add(contents.frames.len() as u64);
             self.obs.journal().record(
                 Level::Info,
@@ -693,7 +693,7 @@ impl ProvenanceStore {
         }
         if !nodes.is_empty() {
             self.obs
-                .counter("storage.redactions_total")
+                .counter(names::STORAGE_REDACTIONS_TOTAL)
                 .add(nodes.len() as u64);
             // Deliberately does NOT name the key: the journal must not
             // become a side channel for content the user asked to scrub.
@@ -781,9 +781,9 @@ impl ProvenanceStore {
         // what recovery will replay.
         self.interner = compact;
         let elapsed = sw.elapsed();
-        self.obs.counter("storage.compactions_total").inc();
+        self.obs.counter(names::STORAGE_COMPACTIONS_TOTAL).inc();
         self.obs
-            .histogram("storage.snapshot_duration_us")
+            .histogram(names::STORAGE_SNAPSHOT_DURATION_US)
             .record_duration(elapsed);
         self.publish_gauges();
         let report = self.size_report();
@@ -1316,9 +1316,9 @@ mod tests {
         store.commit_write_group().unwrap();
         store.begin_write_group();
         store.commit_write_group().unwrap();
-        assert_eq!(obs.counter("wal.group_commit.groups").get(), 1);
-        assert_eq!(obs.counter("wal.group_commit.events").get(), 3);
-        assert_eq!(obs.counter("wal.appends_total").get(), 3);
+        assert_eq!(obs.counter(names::WAL_GROUP_COMMIT_GROUPS).get(), 1);
+        assert_eq!(obs.counter(names::WAL_GROUP_COMMIT_EVENTS).get(), 3);
+        assert_eq!(obs.counter(names::WAL_APPENDS_TOTAL).get(), 3);
         drop(store);
 
         // Each batch kept its own frame inside the group.

@@ -5,9 +5,18 @@
 //! directly, no `Result`). Poisoning is deliberately transparent: a
 //! panicked writer does not wedge every later lock acquisition, matching
 //! parking_lot's behaviour.
+//!
+//! Debug builds also check lock order: an acquisition that would close a
+//! cycle in the order the process has taken its locks in panics and names
+//! both locks, so a test that takes two locks in both orders fails even
+//! when its threads never interleave into the deadlock. Release builds
+//! compile the check out.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+#[cfg(debug_assertions)]
+mod order;
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -16,18 +25,24 @@ use std::sync::{self, PoisonError, TryLockError};
 /// A mutual-exclusion lock with parking_lot's panic-free API.
 #[derive(Default)]
 pub struct Mutex<T: ?Sized> {
+    #[cfg(debug_assertions)]
+    id: order::LockId,
     inner: sync::Mutex<T>,
 }
 
 /// RAII guard returned by [`Mutex::lock`].
 pub struct MutexGuard<'a, T: ?Sized> {
     inner: sync::MutexGuard<'a, T>,
+    #[cfg(debug_assertions)]
+    _held: order::Held,
 }
 
 impl<T> Mutex<T> {
     /// Creates a new mutex protecting `value`.
     pub const fn new(value: T) -> Self {
         Mutex {
+            #[cfg(debug_assertions)]
+            id: order::LockId::new(),
             inner: sync::Mutex::new(value),
         }
     }
@@ -42,21 +57,26 @@ impl<T> Mutex<T> {
 
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking until available.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn lock(&self) -> MutexGuard<'_, T> {
+        #[cfg(debug_assertions)]
+        let site = self.id.ordered::<Self>();
         MutexGuard {
             inner: self.inner.lock().unwrap_or_else(PoisonError::into_inner),
+            #[cfg(debug_assertions)]
+            _held: site.hold(),
         }
     }
 
     /// Attempts to acquire the lock without blocking.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: g }),
-            Err(TryLockError::Poisoned(p)) => Some(MutexGuard {
-                inner: p.into_inner(),
-            }),
-            Err(TryLockError::WouldBlock) => None,
-        }
+        let inner = untried(self.inner.try_lock())?;
+        Some(MutexGuard {
+            inner,
+            #[cfg(debug_assertions)]
+            _held: self.id.unordered::<Self>().hold(),
+        })
     }
 
     /// Mutable access without locking (requires exclusive borrow).
@@ -87,23 +107,31 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
 /// A reader-writer lock with parking_lot's panic-free API.
 #[derive(Default)]
 pub struct RwLock<T: ?Sized> {
+    #[cfg(debug_assertions)]
+    id: order::LockId,
     inner: sync::RwLock<T>,
 }
 
 /// Shared-access guard returned by [`RwLock::read`].
 pub struct RwLockReadGuard<'a, T: ?Sized> {
     inner: sync::RwLockReadGuard<'a, T>,
+    #[cfg(debug_assertions)]
+    _held: order::Held,
 }
 
 /// Exclusive-access guard returned by [`RwLock::write`].
 pub struct RwLockWriteGuard<'a, T: ?Sized> {
     inner: sync::RwLockWriteGuard<'a, T>,
+    #[cfg(debug_assertions)]
+    _held: order::Held,
 }
 
 impl<T> RwLock<T> {
     /// Creates a new lock protecting `value`.
     pub const fn new(value: T) -> Self {
         RwLock {
+            #[cfg(debug_assertions)]
+            id: order::LockId::new(),
             inner: sync::RwLock::new(value),
         }
     }
@@ -118,44 +146,63 @@ impl<T> RwLock<T> {
 
 impl<T: ?Sized> RwLock<T> {
     /// Acquires shared access; many readers may hold it concurrently.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
+        #[cfg(debug_assertions)]
+        let site = self.id.ordered::<Self>();
         RwLockReadGuard {
             inner: self.inner.read().unwrap_or_else(PoisonError::into_inner),
+            #[cfg(debug_assertions)]
+            _held: site.hold(),
         }
     }
 
     /// Acquires exclusive access.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        #[cfg(debug_assertions)]
+        let site = self.id.ordered::<Self>();
         RwLockWriteGuard {
             inner: self.inner.write().unwrap_or_else(PoisonError::into_inner),
+            #[cfg(debug_assertions)]
+            _held: site.hold(),
         }
     }
 
     /// Attempts shared access without blocking.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        match self.inner.try_read() {
-            Ok(g) => Some(RwLockReadGuard { inner: g }),
-            Err(TryLockError::Poisoned(p)) => Some(RwLockReadGuard {
-                inner: p.into_inner(),
-            }),
-            Err(TryLockError::WouldBlock) => None,
-        }
+        let inner = untried(self.inner.try_read())?;
+        Some(RwLockReadGuard {
+            inner,
+            #[cfg(debug_assertions)]
+            _held: self.id.unordered::<Self>().hold(),
+        })
     }
 
     /// Attempts exclusive access without blocking.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
-        match self.inner.try_write() {
-            Ok(g) => Some(RwLockWriteGuard { inner: g }),
-            Err(TryLockError::Poisoned(p)) => Some(RwLockWriteGuard {
-                inner: p.into_inner(),
-            }),
-            Err(TryLockError::WouldBlock) => None,
-        }
+        let inner = untried(self.inner.try_write())?;
+        Some(RwLockWriteGuard {
+            inner,
+            #[cfg(debug_assertions)]
+            _held: self.id.unordered::<Self>().hold(),
+        })
     }
 
     /// Mutable access without locking (requires exclusive borrow).
     pub fn get_mut(&mut self) -> &mut T {
         self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The guard of a `try_*` acquisition that succeeded, poisoned or not.
+fn untried<G>(attempt: sync::TryLockResult<G>) -> Option<G> {
+    match attempt {
+        Ok(g) => Some(g),
+        Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
     }
 }
 
@@ -236,5 +283,82 @@ mod tests {
         assert!(l.try_read().is_some());
         drop(r);
         assert!(l.try_write().is_some());
+    }
+
+    /// Runs `f`, which must panic, and returns its panic message.
+    #[cfg(debug_assertions)]
+    fn inversion(f: impl FnOnce()) -> String {
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the inversion must panic");
+        panic.downcast::<String>().map(|s| *s).unwrap_or_default()
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn two_locks_taken_in_both_orders_panic() {
+        let a = Mutex::new(1u8);
+        let b = RwLock::new(2u16);
+        {
+            let _a = a.lock();
+            let _b = b.write();
+        }
+        let message = inversion(|| {
+            let _b = b.read();
+            let _a = a.lock();
+        });
+        assert!(message.starts_with("lock-order inversion"), "{message}");
+        assert!(message.contains("Mutex<u8>"), "{message}");
+        assert!(message.contains("RwLock<u16>"), "{message}");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn a_three_lock_cycle_panics() {
+        let (a, b, c) = (Mutex::new(()), Mutex::new(()), Mutex::new(()));
+        {
+            let _a = a.lock();
+            let _b = b.lock();
+        }
+        {
+            let _b = b.lock();
+            let _c = c.lock();
+        }
+        let message = inversion(|| {
+            let _c = c.lock();
+            let _a = a.lock();
+        });
+        // The earlier order runs a → b → c: two recorded edges.
+        assert_eq!(message.matches("was held while").count(), 2, "{message}");
+    }
+
+    #[test]
+    fn a_consistent_order_does_not_panic() {
+        let (a, b, c) = (Mutex::new(()), RwLock::new(()), Mutex::new(()));
+        for _ in 0..2 {
+            let _a = a.lock();
+            let _b = b.read();
+            let _c = c.lock();
+        }
+        {
+            let _a = a.lock();
+            let _c = c.lock();
+        }
+        // A try_lock cannot block, so it records no order against b.
+        {
+            let _b = b.write();
+            let _a = a.try_lock();
+        }
+        let _a = a.lock();
+        let _b = b.write();
+    }
+
+    #[test]
+    fn a_repeated_read_does_not_panic() {
+        let outer = Mutex::new(());
+        let l = RwLock::new(1);
+        let _outer = outer.lock();
+        let first = l.read();
+        let second = l.read();
+        assert_eq!(*first + *second, 2);
     }
 }

@@ -228,7 +228,7 @@ macro_rules! impl_tuple_strategy {
         impl<$($s: Strategy),+> Strategy for ($($s,)+) {
             type Value = ($($s::Value,)+);
             fn generate(&self, rng: &mut TestRng) -> Self::Value {
-                #[allow(non_snake_case)]
+                #[allow(non_snake_case, reason = "the bindings reuse the strategy type names")]
                 let ($($s,)+) = self;
                 ($($s.generate(rng),)+)
             }
@@ -740,7 +740,7 @@ macro_rules! __proptest_fn {
                         ::std::panic::AssertUnwindSafe(move || -> ::std::result::Result<(), $crate::TestCaseError> {
                             let ($($pat,)+) = __vals;
                             $body
-                            #[allow(unreachable_code)]
+                            #[allow(unreachable_code, reason = "a body that returns or diverges leaves this unreachable")]
                             Ok(())
                         }),
                     );
@@ -934,7 +934,6 @@ mod tests {
     #[should_panic(expected = "FAILED")]
     fn failing_property_reports_inputs() {
         proptest! {
-            #[allow(dead_code)]
             fn always_fails(x in 0u8..4) {
                 prop_assert!(x > 100, "x was {x}");
             }

@@ -5,7 +5,7 @@ use bp_core::{
     BrowserEvent, CaptureConfig, CapturePipeline, NavigationCause, ProvenanceBrowser, TabId,
 };
 use bp_graph::{NodeKind, Timestamp};
-use bp_obs::Obs;
+use bp_obs::{names, Obs};
 use bp_query::{contextual_history_search, ContextualConfig};
 use bp_sim::calibrate;
 use bp_storage::SyncPolicy;
@@ -134,22 +134,25 @@ fn pipeline_metrics_are_exact_under_concurrent_ingest() {
     pipeline.flush();
 
     assert_eq!(
-        obs.counter("capture.events_total").get(),
+        obs.counter(names::CAPTURE_EVENTS_TOTAL).get(),
         404,
         "4 tab opens + 400 navigations, exactly"
     );
-    assert_eq!(obs.counter("capture.events_rejected").get(), 1);
+    assert_eq!(obs.counter(names::CAPTURE_EVENTS_REJECTED).get(), 1);
     assert_eq!(
-        obs.gauge("capture.queue_depth").get(),
+        obs.gauge(names::CAPTURE_QUEUE_DEPTH).get(),
         0,
         "flush drains the queue"
     );
-    assert_eq!(obs.histogram("capture.batch_ops").snapshot().count, 404);
+    assert_eq!(
+        obs.histogram(names::CAPTURE_BATCH_OPS).snapshot().count,
+        404
+    );
     assert!(
-        obs.counter("wal.appends_total").get() >= 404,
+        obs.counter(names::WAL_APPENDS_TOTAL).get() >= 404,
         "every applied event commits at least one log frame"
     );
-    assert!(obs.counter("capture.flushes").get() >= 1);
+    assert!(obs.counter(names::CAPTURE_FLUSHES).get() >= 1);
 
     assert_eq!(pipeline.rejected_events(), 1);
     let browser = pipeline.shutdown();

@@ -727,23 +727,23 @@ pub fn a4_second_class(days: u32) -> String {
     let h = history(days);
     let (_p1, full) = ingest(&h, CaptureConfig::default(), "a4-full");
     let (_p2, firefox) = ingest(&h, CaptureConfig::firefox_like(), "a4-ff");
-    let g_full = full.graph();
-    let g_ff = firefox.graph();
+    let (g_full, g_ff) = (full.graph(), firefox.graph());
+    let (f_full, f_ff) = (full.frozen(), firefox.frozen());
     let nav_only =
         |k: EdgeKind| k.is_causal() && k != EdgeKind::InstanceOf && k != EdgeKind::VersionOf;
     let _ = writeln!(
         out,
         "   provenance-aware: {} edges, {} components (nav edges only: {})",
         g_full.edge_count(),
-        connected_components(g_full, |_| true),
-        connected_components(g_full, nav_only),
+        connected_components(&f_full, |_| true),
+        connected_components(&f_full, nav_only),
     );
     let _ = writeln!(
         out,
         "   firefox-like    : {} edges, {} components (nav edges only: {})",
         g_ff.edge_count(),
-        connected_components(g_ff, |_| true),
-        connected_components(g_ff, nav_only),
+        connected_components(&f_ff, |_| true),
+        connected_components(&f_ff, nav_only),
     );
     let _ = writeln!(
         out,
@@ -751,15 +751,18 @@ pub fn a4_second_class(days: u32) -> String {
         100.0 * second_class_fraction(g_full)
     );
     // Unconnected navigations: visits with no incoming/outgoing
-    // navigational edge at all.
+    // navigational edge at all. One pass over the edges marks both ends
+    // of every such edge.
     let orphan_visits = |g: &bp_graph::ProvenanceGraph| {
+        let mut related = vec![false; g.node_count()];
+        for (_, e) in g.edges() {
+            if e.kind() != EdgeKind::InstanceOf && e.kind() != EdgeKind::VersionOf {
+                related[e.src().as_usize()] = true;
+                related[e.dst().as_usize()] = true;
+            }
+        }
         g.nodes_of_kind(NodeKind::PageVisit)
-            .filter(|&v| {
-                !g.neighbors(v).any(|(eid, _)| {
-                    let k = g.edge(eid).unwrap().kind();
-                    k != EdgeKind::InstanceOf && k != EdgeKind::VersionOf
-                })
-            })
+            .filter(|v| !related[v.as_usize()])
             .count()
     };
     let _ = writeln!(

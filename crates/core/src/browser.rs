@@ -237,6 +237,15 @@ impl ProvenanceBrowser {
         frozen
     }
 
+    /// The last CSR snapshot as it is, without a refresh: it may lag the
+    /// graph by what capture appended since. The edge arena only grows, so
+    /// its rows plus the arena's edges past [`FrozenGraph::edge_count`]
+    /// give the exact adjacency. Builds the first snapshot, as
+    /// [`frozen`](Self::frozen) does, only when none exists.
+    pub fn last_frozen(&self) -> std::sync::Arc<FrozenGraph> {
+        self.frozen.current().unwrap_or_else(|| self.frozen())
+    }
+
     /// `(snapshots produced, last refresh µs)` of the frozen snapshot
     /// handle; extensions and rebuilds both count.
     pub fn frozen_stats(&self) -> (u64, u64) {

@@ -291,16 +291,31 @@ impl CaptureEngine {
         })
     }
 
+    /// Rejects closing `node` at `at` when `at` precedes its open: a host
+    /// clock that stepped back (NTP, suspend and resume, an imported
+    /// history) is bad input, so the event is rejected before anything is
+    /// applied.
+    fn check_close(&self, node: NodeId, at: Timestamp) -> CoreResult<()> {
+        self.store
+            .graph()
+            .node(node)
+            .and_then(|n| n.interval().check_close(at))
+            .map_err(to_bad_event)
+    }
+
     fn on_tab_closed(&mut self, tab: TabId, at: Timestamp) -> CoreResult<CaptureOutcome> {
-        let state = self
-            .tabs
-            .remove(&tab)
-            .ok_or_else(|| CoreError::BadEvent(format!("{tab} is not open")))?;
-        if self.config.record_close {
-            if let Some(current) = state.current {
-                self.store.close_node(current, at)?;
-            }
-            self.store.close_node(state.node, at)?;
+        let state = self.tab_state(tab)?;
+        let closes = if self.config.record_close {
+            [state.current, Some(state.node)]
+        } else {
+            [None, None]
+        };
+        for &node in closes.iter().flatten() {
+            self.check_close(node, at)?;
+        }
+        self.tabs.remove(&tab);
+        for &node in closes.iter().flatten() {
+            self.store.close_node(node, at)?;
         }
         Ok(CaptureOutcome::default())
     }
@@ -331,20 +346,22 @@ impl CaptureEngine {
                 "redirect with no originating page".to_owned(),
             ));
         }
+        let close_prev = prev.filter(|_| self.config.record_close);
+        if let Some(p) = close_prev {
+            self.check_close(p, at)?;
+        }
 
         let mut edges = 0;
 
         // Close the page being navigated away from (§3.2).
-        if self.config.record_close {
-            if let Some(p) = prev {
-                self.store.close_node(p, at)?;
-            }
+        if let Some(p) = close_prev {
+            self.store.close_node(p, at)?;
         }
 
         // Nodes the visit will derive from are created BEFORE the visit,
-        // so every edge points from a newer node to an older one. This
-        // keeps the graph's monotone invariant intact, which in turn keeps
-        // cycle checking O(1) per edge (see `ProvenanceGraph::add_edge`).
+        // and each node's edges right after it, so every edge runs from a
+        // newer node to an older one in source order: the graph's edge
+        // order (see `ProvenanceGraph::check_edge`).
         let page = if self.config.record_page_objects {
             Some(
                 match self.store.graph().newest_of_kind(NodeKind::Page, url) {
@@ -723,6 +740,33 @@ mod tests {
             .handle(&BrowserEvent::tab_opened(t(1), TabId(0), None))
             .is_err());
         assert!(e.handle(&BrowserEvent::tab_closed(t(1), TabId(5))).is_err());
+    }
+
+    #[test]
+    fn a_tab_close_before_an_open_is_rejected_with_nothing_changed() {
+        let dir = TempDir::new("early-close");
+        let mut e = engine(&dir, CaptureConfig::default());
+        e.handle(&BrowserEvent::tab_opened(t(100), TabId(0), None))
+            .unwrap();
+        // The visit opens at 50 s, before its tab: a clock that stepped
+        // back. Closing both at 70 s is fine for the visit but not for the
+        // tab, so neither closes.
+        let visit = nav(&mut e, 50, 0, "http://a/", NavigationCause::Typed);
+        let log = || std::fs::read(dir.0.join("log.wal")).unwrap();
+        let (before, epoch) = (log(), e.store().graph().epoch());
+        let err = e
+            .handle(&BrowserEvent::tab_closed(t(70), TabId(0)))
+            .unwrap_err();
+        assert!(matches!(err, CoreError::BadEvent(_)), "{err}");
+        assert_eq!(e.open_tabs(), vec![TabId(0)], "the tab stays open");
+        assert_eq!((log(), e.store().graph().epoch()), (before, epoch));
+        assert!(e.store().graph().node(visit).unwrap().interval().is_open());
+        // A close at or after both opens goes through.
+        e.handle(&BrowserEvent::tab_closed(t(100), TabId(0)))
+            .unwrap();
+        assert!(e.open_tabs().is_empty());
+        let closed = e.store().graph().node(visit).unwrap().interval().close();
+        assert_eq!(closed, Some(t(100)));
     }
 
     #[test]

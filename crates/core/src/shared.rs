@@ -171,7 +171,7 @@ impl CapturePipeline {
     /// Wraps `browser` and starts the capture thread.
     ///
     /// The thread drains the queue in batches: queued messages are
-    /// gathered until the batch reaches [`DRAIN_BATCH_MAX`] events (a
+    /// gathered until the batch reaches `DRAIN_BATCH_MAX` events (a
     /// message is never split) and applied under **one** write lock and
     /// one store write group, so per-event mutex/WAL/metric costs
     /// amortize across the batch while readers still interleave between
@@ -339,7 +339,7 @@ impl CapturePipeline {
     /// Enqueues a batch of events under the submitter's current trace
     /// context, with one queue-depth update for the whole batch (the
     /// per-event gauge write is measurable at feeder rates). The batch
-    /// travels as messages of up to [`DRAIN_BATCH_MAX`] events, each
+    /// travels as messages of up to `DRAIN_BATCH_MAX` events, each
     /// applied in one write group. Returns how many events were accepted
     /// — fewer than the batch only when the pipeline has stopped.
     pub fn submit_all(&self, events: impl IntoIterator<Item = BrowserEvent>) -> usize {
@@ -524,6 +524,34 @@ mod tests {
         assert!(pipeline.failure().is_none());
         let b = pipeline.shutdown();
         assert_eq!(b.visit_count("http://ok/"), 1);
+    }
+
+    #[test]
+    fn a_timestamp_that_steps_back_is_rejected_not_fatal() {
+        let dir = TempDir::new("backwards");
+        let pipeline = CapturePipeline::start(browser(&dir));
+        let go = |at: i64, url: &str| {
+            BrowserEvent::navigate(t(at), TabId(1), url, None, NavigationCause::Typed)
+        };
+        pipeline.submit(BrowserEvent::tab_opened(t(100), TabId(1), None));
+        pipeline.submit(go(100, "http://a/"));
+        // Closing `a` at 50 s would precede its open at 100 s.
+        pipeline.submit(go(50, "http://b/"));
+        pipeline.submit(go(120, "http://c/"));
+        pipeline.flush();
+        assert_eq!(pipeline.rejected_events(), 1);
+        assert!(pipeline.failure().is_none());
+        let b = pipeline.shutdown();
+        assert_eq!(
+            b.visit_count("http://b/"),
+            0,
+            "the rejected event applied nothing"
+        );
+        assert_eq!(b.visit_count("http://c/"), 1, "a later valid event applies");
+        let visit = bp_graph::NodeKind::PageVisit;
+        let a = b.graph().newest_of_kind(visit, "http://a/").unwrap();
+        let closed = b.graph().node(a).unwrap().interval().close();
+        assert_eq!(closed, Some(t(120)));
     }
 
     #[test]

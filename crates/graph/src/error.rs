@@ -1,6 +1,7 @@
 //! Error type for graph operations.
 
 use crate::ids::{EdgeId, NodeId};
+use crate::time::Timestamp;
 use core::fmt;
 
 /// Errors returned by [`ProvenanceGraph`](crate::ProvenanceGraph) operations.
@@ -10,17 +11,23 @@ pub enum GraphError {
     UnknownNode(NodeId),
     /// An edge identifier did not name an edge in this graph.
     UnknownEdge(EdgeId),
-    /// Adding the edge would have created a cycle, and the caller asked for
-    /// strict (non-versioning) insertion. Provenance is by definition
-    /// acyclic (§3.1).
-    WouldCycle {
+    /// The edge breaks the graph's edge order: it must run from a newer
+    /// node to an older one, and its source must be no older than the
+    /// previous edge's. The order keeps provenance acyclic (§3.1); a
+    /// self-loop breaks it too.
+    EdgeOrder {
         /// The derived endpoint of the rejected edge.
         src: NodeId,
         /// The derivation-source endpoint of the rejected edge.
         dst: NodeId,
     },
-    /// A self-loop was requested; an object cannot derive from itself.
-    SelfLoop(NodeId),
+    /// An interval would close before it opened.
+    ClosesBeforeOpen {
+        /// When the interval opened.
+        open: Timestamp,
+        /// The rejected close.
+        close: Timestamp,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -28,10 +35,13 @@ impl fmt::Display for GraphError {
         match self {
             GraphError::UnknownNode(id) => write!(f, "unknown node {id}"),
             GraphError::UnknownEdge(id) => write!(f, "unknown edge {id}"),
-            GraphError::WouldCycle { src, dst } => {
-                write!(f, "edge {src} -> {dst} would create a provenance cycle")
+            GraphError::EdgeOrder { src, dst } => write!(
+                f,
+                "edge {src} -> {dst} rejected: edges run from a newer node to an older one, in source order"
+            ),
+            GraphError::ClosesBeforeOpen { open, close } => {
+                write!(f, "close at {close} precedes the open at {open}")
             }
-            GraphError::SelfLoop(id) => write!(f, "self-loop on {id} rejected"),
         }
     }
 }
@@ -47,12 +57,16 @@ mod tests {
         let msgs = [
             GraphError::UnknownNode(NodeId::new(1)).to_string(),
             GraphError::UnknownEdge(EdgeId::new(2)).to_string(),
-            GraphError::WouldCycle {
+            GraphError::EdgeOrder {
                 src: NodeId::new(3),
                 dst: NodeId::new(4),
             }
             .to_string(),
-            GraphError::SelfLoop(NodeId::new(5)).to_string(),
+            GraphError::ClosesBeforeOpen {
+                open: Timestamp::from_micros(5),
+                close: Timestamp::from_micros(4),
+            }
+            .to_string(),
         ];
         for m in &msgs {
             assert!(!m.is_empty());
@@ -60,11 +74,12 @@ mod tests {
         }
         assert!(msgs[2].contains("n3"));
         assert!(msgs[2].contains("n4"));
+        assert!(msgs[3].contains("4us") && msgs[3].contains("5us"));
     }
 
     #[test]
     fn error_is_std_error() {
         fn takes_err<E: std::error::Error + Send + Sync + 'static>(_e: E) {}
-        takes_err(GraphError::SelfLoop(NodeId::new(0)));
+        takes_err(GraphError::UnknownNode(NodeId::new(0)));
     }
 }

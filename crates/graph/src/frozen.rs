@@ -3,11 +3,11 @@
 //! expansion, and the epoch-keyed answer cache.
 //!
 //! The live [`ProvenanceGraph`] is built for capture: append-only arenas
-//! plus per-node `Vec<EdgeId>` adjacency, ideal for O(1) inserts but
-//! pointer-chasing for whole-graph walks. Every query walk runs instead
-//! over a [`FrozenGraph`] — a compressed-sparse-row snapshot with dense
-//! `u32` indexing, contiguous forward/reverse edge arrays, and per-node
-//! conductance: the relevance kernels here (personalized PageRank,
+//! whose edge arena, in source order, is the out-adjacency. Every query
+//! walk runs over a [`FrozenGraph`] — a compressed-sparse-row snapshot
+//! with dense `u32` indexing, contiguous forward/reverse edge arrays, and
+//! per-node conductance; its reverse rows are the graph's only
+//! in-adjacency. The relevance kernels here (personalized PageRank,
 //! neighborhood expansion), [`crate::hits`] and the BFS of
 //! [`crate::traverse`]. The PageRank kernel reads the rows through a slot
 //! layout built on its first walk over the snapshot.
@@ -28,7 +28,7 @@
 //! epoch and a repeat skips walk and blend alike. It can never serve
 //! stale answers, because a mutation changes the epoch half of every key.
 
-use crate::edge::{Edge, EdgeKind};
+use crate::edge::EdgeKind;
 use crate::graph::ProvenanceGraph;
 use crate::ids::{EdgeId, NodeId};
 use crate::neighborhood::ExpansionConfig;
@@ -98,8 +98,7 @@ fn pull_coefficient(
 }
 
 /// One direction of the CSR adjacency: row `i` lists node `i`'s edges as
-/// `(other endpoint, kind code)` in edge-id order, the order of the live
-/// graph's adjacency lists.
+/// `(other endpoint, kind code)` in edge-id order.
 #[derive(Debug, PartialEq)]
 struct Rows {
     offsets: Vec<u32>,
@@ -118,25 +117,31 @@ impl Rows {
         }
     }
 
-    /// Row `i` holds `edges(i)`, each edge contributing `endpoint(edge)`.
-    fn from_adjacency<'g>(
-        graph: &'g ProvenanceGraph,
-        edges: impl Fn(NodeId) -> &'g [EdgeId],
-        endpoint: impl Fn(&Edge) -> NodeId,
-    ) -> Rows {
-        let mut rows = Rows::with_capacity(graph.node_count(), graph.edge_count());
-        for id in graph.node_ids() {
-            for &eid in edges(id) {
-                // Adjacency lists only hold committed edge ids; a
-                // dangling id would be a graph bug, and skipping it
-                // degrades to a snapshot missing that edge.
-                let Ok(e) = graph.edge(eid) else { continue };
-                rows.targets.push(endpoint(e).index());
-                rows.kinds.push(e.kind().code());
-            }
-            rows.offsets.push(rows.targets.len() as u32);
+    /// Rows `0..n` holding `slots`, each `(row, endpoint, kind code)`,
+    /// placed by a stable counting sort on the row, so a row keeps its
+    /// slots in the order given.
+    fn sorted(n: usize, slots: impl Iterator<Item = (u32, u32, u8)> + Clone) -> Rows {
+        let mut offsets = vec![0u32; n + 1];
+        for (row, _, _) in slots.clone() {
+            offsets[row as usize + 1] += 1;
         }
-        rows
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut next = offsets[..n].to_vec();
+        let mut targets = vec![0u32; offsets[n] as usize];
+        let mut kinds = vec![0u8; targets.len()];
+        for (row, endpoint, kind) in slots {
+            let slot = &mut next[row as usize];
+            targets[*slot as usize] = endpoint;
+            kinds[*slot as usize] = kind;
+            *slot += 1;
+        }
+        Rows {
+            offsets,
+            targets,
+            kinds,
+        }
     }
 
     fn len(&self) -> usize {
@@ -234,11 +239,13 @@ fn carry(old: &[u32], rows: Range<usize>, offsets: &mut Vec<u32>, len: usize) ->
 
 /// An immutable CSR snapshot of a [`ProvenanceGraph`] at one epoch.
 ///
-/// Forward rows mirror the live graph's out-adjacency (derivations,
-/// toward ancestors), reverse rows its in-adjacency (toward descendants);
-/// slot order within a row matches the live graph's insertion order.
-/// Relevance walks treat edges as undirected, so a node's incidence list
-/// is its forward row followed by its reverse row.
+/// Forward rows are the graph's edge arena in order (derivations, toward
+/// ancestors), which the graph keeps in source order, so a forward slot's
+/// index is its [`EdgeId`]. Reverse rows (toward descendants) are the
+/// arena stably sorted by destination: each lists a node's in-edges in
+/// edge-id order, and they are the graph's only in-adjacency. Relevance
+/// walks treat edges as undirected, so a node's incidence list is its
+/// forward row followed by its reverse row.
 pub struct FrozenGraph {
     epoch: u64,
     /// [`ProvenanceGraph::redactions`] when the snapshot was taken.
@@ -285,8 +292,11 @@ impl FrozenGraph {
     /// Snapshots `graph` into CSR form. O(V + E).
     pub fn build(graph: &ProvenanceGraph) -> FrozenGraph {
         let n = graph.node_count();
-        let fwd = Rows::from_adjacency(graph, |id| graph.out_edges(id), Edge::dst);
-        let rev = Rows::from_adjacency(graph, |id| graph.in_edges(id), Edge::src);
+        let edges = graph
+            .edges()
+            .map(|(_, e)| (e.src().index(), e.dst().index(), e.kind().code()));
+        let fwd = Rows::sorted(n, edges.clone());
+        let rev = Rows::sorted(n, edges.map(|(src, dst, kind)| (dst, src, kind)));
         // Conductance counts each edge once (from its forward slot) into
         // both endpoints, mirroring the undirected walk. Each node's sum
         // runs in this loop's order — by owning source node, then slot —
@@ -339,16 +349,16 @@ impl FrozenGraph {
     /// [`FrozenGraph::build`]'s.
     fn extend(&self, graph: &ProvenanceGraph) -> FrozenGraph {
         let n = graph.node_count();
-        // Appended edges are the arena's tail; each one extends its
-        // source's forward row and its destination's reverse row.
-        let mut out_added: Vec<(u32, u32, u8)> = (self.edge_count()..graph.edge_count())
-            .filter_map(|i| graph.edge(EdgeId::new(i as u32)).ok())
-            .map(|e| (e.src().index(), e.dst().index(), e.kind().code()))
+        // Appended edges are the arena's tail, already in source order;
+        // each one extends its source's forward row and its destination's
+        // reverse row.
+        let out_added: Vec<(u32, u32, u8)> = graph
+            .edges_from(self.edge_count())
+            .map(|(_, e)| (e.src().index(), e.dst().index(), e.kind().code()))
             .collect();
         let mut in_added: Vec<(u32, u32, u8)> =
             out_added.iter().map(|&(s, d, k)| (d, s, k)).collect();
-        // Stable sorts: a row's additions stay in edge-id order.
-        out_added.sort_by_key(|&(row, _, _)| row);
+        // A stable sort: a row's additions stay in edge-id order.
         in_added.sort_by_key(|&(row, _, _)| row);
         let fwd = self.fwd.extend(n, &out_added);
         let rev = self.rev.extend(n, &in_added);
@@ -379,9 +389,8 @@ impl FrozenGraph {
         let mut cond = Vec::with_capacity(n);
         cond.extend_from_slice(&self.cond);
         cond.resize(n, (0.0, 0.0));
-        let mut by_source = Vec::new();
         for &x in &touched {
-            cond[x as usize] = next.conductance(x as usize, &mut by_source);
+            cond[x as usize] = next.conductance(x as usize);
         }
         next.cond = cond;
         next
@@ -389,28 +398,16 @@ impl FrozenGraph {
 
     /// Node `x`'s undirected conductance `(all edges, non-automatic
     /// edges)`, summed in [`FrozenGraph::build`]'s order so the result is
-    /// bit-identical: by owning (source) node, then slot. `x`'s in-edges
-    /// are ordered by source node, stably (edges from one source keep
-    /// edge-id order, as in its forward row), and its own out-edges sit
-    /// between the sources below `x` and those above.
-    fn conductance(&self, x: usize, by_source: &mut Vec<(u32, u8)>) -> (f64, f64) {
-        let rev = self.rev.range(x);
-        by_source.clear();
-        by_source.extend(
-            self.rev.targets[rev.clone()]
-                .iter()
-                .copied()
-                .zip(self.rev.kinds[rev].iter().copied()),
-        );
-        by_source.sort_by_key(|&(src, _)| src);
-        let below = by_source.partition_point(|&(src, _)| (src as usize) < x);
-        let kinds = by_source[..below]
+    /// bit-identical: by owning (source) node, then slot. Every in-edge of
+    /// `x` comes from a newer node, and its reverse row lists them in
+    /// edge-id and therefore source order, so that order is `x`'s forward
+    /// slots, then its reverse slots.
+    fn conductance(&self, x: usize) -> (f64, f64) {
+        let kinds = self.fwd.kinds[self.fwd.range(x)]
             .iter()
-            .map(|&(_, kind)| kind)
-            .chain(self.fwd.kinds[self.fwd.range(x)].iter().copied())
-            .chain(by_source[below..].iter().map(|&(_, kind)| kind));
+            .chain(&self.rev.kinds[self.rev.range(x)]);
         let mut cond = (0.0f64, 0.0f64);
-        for kind in kinds {
+        for &kind in kinds {
             let w = base_weight(kind);
             cond.0 += w;
             if !AUTOMATIC[kind as usize] {
@@ -442,20 +439,20 @@ impl FrozenGraph {
         &self.key_rep
     }
 
-    /// Forward (out) adjacency of `node`: `(target, kind)` in insertion
-    /// order — the same order the live graph's out-edge list yields.
+    /// Forward (out) adjacency of `node`: `(target, kind)` in edge-id
+    /// order — the same order [`ProvenanceGraph::parents`] yields.
     pub fn out_edges_of(&self, node: u32) -> impl Iterator<Item = (u32, EdgeKind)> + '_ {
         Self::row_edges(&self.fwd, node)
     }
 
-    /// Reverse (in) adjacency of `node`: `(source, kind)` in insertion
+    /// Reverse (in) adjacency of `node`: `(source, kind)` in edge-id
     /// order.
     pub fn in_edges_of(&self, node: u32) -> impl Iterator<Item = (u32, EdgeKind)> + '_ {
         Self::row_edges(&self.rev, node)
     }
 
     /// `node`'s row toward `direction`: its out-edges toward ancestors or
-    /// its in-edges toward descendants, in the live adjacency list's order.
+    /// its in-edges toward descendants, in edge-id order.
     pub(crate) fn edges_toward(
         &self,
         node: u32,
@@ -466,6 +463,42 @@ impl FrozenGraph {
             Direction::Descendants => &self.rev,
         };
         Self::row_edges(rows, node)
+    }
+
+    /// The id of the edge in slot `slot` of `node`'s row toward
+    /// `direction`, or `None` past the row's end. A forward slot's index
+    /// is its id. Slot `k` of a reverse row names a source `s`: if `j`
+    /// earlier slots of the row come from `s`, the edge is the `(j+1)`-th
+    /// slot of `s`'s forward row that targets `node`, since both rows list
+    /// the parallel edges from `s` to `node` in edge-id order.
+    pub(crate) fn edge_id(&self, node: u32, direction: Direction, slot: u32) -> Option<EdgeId> {
+        let node = node as usize;
+        if node >= self.n {
+            return None;
+        }
+        let slot = slot as usize;
+        if direction == Direction::Ancestors {
+            let fwd = self.fwd.range(node);
+            return (slot < fwd.len()).then(|| EdgeId::new((fwd.start + slot) as u32));
+        }
+        let rev = self.rev.range(node);
+        if slot >= rev.len() {
+            return None;
+        }
+        let at = rev.start + slot;
+        let src = self.rev.targets[at];
+        let earlier = self.rev.targets[rev.start..at]
+            .iter()
+            .filter(|&&s| s == src)
+            .count();
+        let row = self.fwd.range(src as usize);
+        let offset = self.fwd.targets[row.clone()]
+            .iter()
+            .enumerate()
+            .filter(|&(_, &t)| t as usize == node)
+            .nth(earlier)?
+            .0;
+        Some(EdgeId::new((row.start + offset) as u32))
     }
 
     fn row_edges(rows: &Rows, node: u32) -> impl Iterator<Item = (u32, EdgeKind)> + '_ {
@@ -1268,6 +1301,16 @@ impl FrozenHandle {
         (f, Some((refresh, took)))
     }
 
+    /// The snapshot the last refresh produced, as it is: possibly behind
+    /// the graph, and never refreshed by this call. `None` before the
+    /// first snapshot.
+    pub fn current(&self) -> Option<Arc<FrozenGraph>> {
+        self.slot
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .clone()
+    }
+
     /// How many snapshots this handle has produced, extended or rebuilt.
     pub fn builds(&self) -> u64 {
         self.builds.load(Ordering::Relaxed)
@@ -1294,22 +1337,23 @@ mod tests {
     }
 
     /// A deterministic tangled history: a long chain with periodic
-    /// cross-links, overlap edges, and automatic edges.
+    /// cross-links, overlap edges, and automatic edges, added by source.
     fn tangled(n: usize) -> ProvenanceGraph {
         let mut g = ProvenanceGraph::new();
         let ids: Vec<NodeId> = (0..n)
             .map(|i| g.add_node(Node::new(NodeKind::PageVisit, format!("u{i}"), t(i as i64))))
             .collect();
-        for w in ids.windows(2) {
-            g.add_edge(w[1], w[0], EdgeKind::Link, t(1)).unwrap();
-        }
-        for i in (2..n).step_by(3) {
-            g.add_edge(ids[i], ids[i / 2], EdgeKind::TemporalOverlap, t(2))
+        for i in 1..n {
+            g.add_edge(ids[i], ids[i - 1], EdgeKind::Link, t(1))
                 .unwrap();
-        }
-        for i in (4..n).step_by(5) {
-            g.add_edge(ids[i], ids[i - 3], EdgeKind::Redirect, t(3))
-                .unwrap();
+            if i % 3 == 2 {
+                g.add_edge(ids[i], ids[i / 2], EdgeKind::TemporalOverlap, t(2))
+                    .unwrap();
+            }
+            if i % 5 == 4 {
+                g.add_edge(ids[i], ids[i - 3], EdgeKind::Redirect, t(3))
+                    .unwrap();
+            }
         }
         g
     }
@@ -1321,6 +1365,7 @@ mod tests {
         assert_eq!(f.node_count(), g.node_count());
         assert_eq!(f.edge_count(), g.edge_count());
         assert_eq!(f.epoch(), g.epoch());
+        let in_adjacency = g.in_adjacency();
         for id in g.node_ids() {
             let live_out: Vec<(u32, EdgeKind)> = g
                 .parents(id)
@@ -1328,9 +1373,9 @@ mod tests {
                 .collect();
             let frozen_out: Vec<(u32, EdgeKind)> = f.out_edges_of(id.index()).collect();
             assert_eq!(live_out, frozen_out, "out row of {id:?}");
-            let live_in: Vec<(u32, EdgeKind)> = g
-                .children(id)
-                .map(|(e, c)| (c.index(), g.edge(e).unwrap().kind()))
+            let live_in: Vec<(u32, EdgeKind)> = in_adjacency[id.as_usize()]
+                .iter()
+                .map(|&(e, c)| (c.index(), g.edge(e).unwrap().kind()))
                 .collect();
             let frozen_in: Vec<(u32, EdgeKind)> = f.in_edges_of(id.index()).collect();
             assert_eq!(live_in, frozen_in, "in row of {id:?}");
@@ -1550,16 +1595,16 @@ mod tests {
             refresh.map(|(how, _)| how)
         };
         let a = g.add_node(Node::new(NodeKind::PageVisit, "u3", t(40)));
-        let b = g.add_version(NodeKind::PageVisit, "u7", t(41));
         g.add_edge(a, NodeId::new(2), EdgeKind::Link, t(40))
             .unwrap();
+        let b = g.add_version(NodeKind::PageVisit, "u7", t(41));
         g.add_edge(b, a, EdgeKind::TemporalOverlap, t(41)).unwrap();
-        // A legal low→high edge: `b` reaches only 7, 30 and below.
-        g.add_edge(NodeId::new(10), b, EdgeKind::Embed, t(42))
+        let c = g.add_node(Node::new(NodeKind::PageVisit, "u9", t(42)));
+        g.add_edge(c, NodeId::new(10), EdgeKind::Embed, t(42))
             .unwrap();
         assert_eq!(how(&g), Some(Refresh::Extended), "appends");
         assert!(!Arc::ptr_eq(&first, &handle.snapshot(&g).0));
-        g.node_mut(a).unwrap().close_at(t(50));
+        g.node_mut(a).unwrap().close_at(t(50)).unwrap();
         assert_eq!(how(&g), Some(Refresh::Extended), "content edit");
         g.redact_node(NodeId::new(3), "[redacted]").unwrap();
         assert_eq!(how(&g), Some(Refresh::Rebuilt), "key rewrite");
@@ -1611,10 +1656,11 @@ mod tests {
         prop_assert_eq!(f.node_count(), g.node_count());
         prop_assert_eq!(f.edge_count(), g.edge_count());
         prop_assert_eq!(cond_bits(&f.cond), cond_bits(&cond));
+        let in_adjacency = g.in_adjacency();
         for id in g.node_ids() {
             let row: Vec<(u32, EdgeKind)> = g
                 .parents(id)
-                .chain(g.children(id))
+                .chain(in_adjacency[id.as_usize()].iter().copied())
                 .map(|(e, other)| (other.index(), g.edge(e).unwrap().kind()))
                 .collect();
             let out: Vec<(u32, EdgeKind)> = f.out_edges_of(id.index()).collect();
@@ -1652,7 +1698,8 @@ mod tests {
         for (i, &k) in layout.position.iter().enumerate() {
             order[k as usize] = i as u32;
         }
-        let len = |i: u32| g.out_degree(NodeId::new(i)) + g.in_degree(NodeId::new(i));
+        let in_adjacency = g.in_adjacency();
+        let len = |i: u32| g.out_degree(NodeId::new(i)) + in_adjacency[i as usize].len();
         for pair in order.windows(2) {
             let (a, b) = (pair[0], pair[1]);
             assert!(
@@ -1667,7 +1714,7 @@ mod tests {
                 .collect();
             let live: Vec<u32> = g
                 .parents(id)
-                .chain(g.children(id))
+                .chain(in_adjacency[id.as_usize()].iter().copied())
                 .map(|(_, other)| other.index())
                 .collect();
             assert_eq!(row, live, "row of {id:?}");
@@ -1803,12 +1850,13 @@ mod tests {
     }
 
     /// `nodes` nodes and about `degree * nodes` edges of every kind, each
-    /// from a node to a uniformly drawn older one.
+    /// from a node to a uniformly drawn older one, added by source.
     fn random_graph(nodes: usize, degree: usize, state: &mut u64) -> ProvenanceGraph {
         let mut g = ProvenanceGraph::new();
         for i in 0..nodes {
             g.add_node(Node::new(NodeKind::PageVisit, format!("u{i}"), t(i as i64)));
         }
+        let mut links = Vec::new();
         for _ in 0..degree * nodes {
             let src = splitmix(state) % nodes as u64;
             if src == 0 {
@@ -1816,17 +1864,23 @@ mod tests {
             }
             let dst = splitmix(state) % src;
             let kind = EdgeKind::ALL[splitmix(state) as usize % EdgeKind::ALL.len()];
-            let _ = g.add_edge(NodeId::new(src as u32), NodeId::new(dst as u32), kind, t(0));
+            links.push((NodeId::new(src as u32), NodeId::new(dst as u32), kind));
+        }
+        links.sort_by_key(|&(src, _, _)| src);
+        for (src, dst, kind) in links {
+            g.add_edge(src, dst, kind, t(0)).unwrap();
         }
         g
     }
 
-    /// One step of growing a graph: a node, a version, an edge in either
-    /// id direction, a content edit, or now and then a redaction. Returns
-    /// the two existing nodes the step drew.
+    /// One step of growing a graph: a node, a version, an edge, a content
+    /// edit, or now and then a redaction. An edge leaves the last edge's
+    /// source or a newer node for an older one. Returns the two existing
+    /// nodes the step drew.
     fn grow(g: &mut ProvenanceGraph, (op, a, b, k): (u8, u16, u16, u8)) -> (NodeId, NodeId) {
         let n = g.node_count() as u32;
         let (a, b) = (NodeId::new(u32::from(a) % n), NodeId::new(u32::from(b) % n));
+        let last = g.edges().last().map_or(1, |(_, e)| e.src().index().max(1));
         let key = format!("u{}", k % 8);
         let kind = EdgeKind::from_code(k).unwrap_or(EdgeKind::Link);
         match op {
@@ -1836,10 +1890,11 @@ mod tests {
             20..=29 => {
                 g.add_version(NodeKind::PageVisit, &key, t(100));
             }
-            // Either id direction: low→high edges are legal while they
-            // close no cycle.
             30..=84 => {
-                let _ = g.add_edge(a, b, kind, t(100));
+                let src = last + a.index() % (n - last);
+                let dst = b.index() % src;
+                g.add_edge(NodeId::new(src), NodeId::new(dst), kind, t(100))
+                    .unwrap();
             }
             85..=94 => {
                 g.node_mut(a).unwrap().attrs_mut().set("title", key);
@@ -1865,17 +1920,22 @@ mod tests {
             for i in 0..30 {
                 g.add_node(Node::new(NodeKind::PageVisit, format!("u{i}"), t(i)));
             }
-            for &(src, dst, k) in &links {
-                let src = u32::from(src.max(1)) % 30;
-                let dst = u32::from(dst) % src.max(1);
+            // Each link from a node to an older one, added by source.
+            let mut links: Vec<(u32, u32, u8)> = links
+                .iter()
+                .map(|&(src, dst, k)| (u32::from(src), u32::from(dst) % u32::from(src), k))
+                .collect();
+            links.sort_by_key(|&(src, _, _)| src);
+            for (src, dst, k) in links {
                 let kind = EdgeKind::from_code(k).unwrap_or(EdgeKind::Link);
-                let _ = g.add_edge(NodeId::new(src), NodeId::new(dst), kind, t(i64::from(src)));
+                g.add_edge(NodeId::new(src), NodeId::new(dst), kind, t(i64::from(src)))
+                    .unwrap();
             }
             assert_matches_live(&FrozenGraph::build(&g), &g)?;
         }
 
         /// A handle fed a graph growing step by step — nodes, versions,
-        /// edges in both id directions, content edits, and now and then
+        /// edges, content edits, and now and then
         /// a redaction — hands out snapshots identical, bit for bit, to a
         /// fresh build, and matching the live graph.
         #[test]

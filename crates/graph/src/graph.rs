@@ -3,9 +3,9 @@
 //! [`ProvenanceGraph`] is the homogeneous graph store of §3.4: every history
 //! object (page, visit, bookmark, search term, download, form entry, tab) is
 //! a node; every browser action is a typed, time-stamped derives-from edge.
-//! The structure maintains the provenance invariant — **acyclicity** — at
-//! every insertion, using the §3.1 versioning scheme to break would-be
-//! cycles instead of rejecting them.
+//! The provenance invariant — **acyclicity** — holds by construction: every
+//! edge runs from a newer node to an older one, and the §3.1 versioning
+//! scheme mints a new node wherever an edge would otherwise point forward.
 
 use crate::edge::{Edge, EdgeKind};
 use crate::error::GraphError;
@@ -13,6 +13,7 @@ use crate::ids::{EdgeId, NodeId, Version};
 use crate::node::{Node, NodeKind};
 use crate::time::Timestamp;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One row of the graph's key table.
@@ -30,20 +31,23 @@ struct KeyEntry {
 /// A directed acyclic multigraph of browser history objects.
 ///
 /// Nodes and edges live in append-only arenas; identifiers are dense indexes
-/// and are never reused. Adjacency is indexed in both directions:
-/// *out*-edges follow derivation (`src → dst`, toward ancestors) and
-/// *in*-edges reverse it (toward descendants).
+/// and are never reused. Out-edges follow derivation (`src → dst`, toward
+/// ancestors); the in-edges of a node (toward descendants) are the reverse
+/// rows of a [`crate::frozen::FrozenGraph`] snapshot.
 ///
-/// # Acyclicity
+/// # The edge order
 ///
-/// [`add_edge`](Self::add_edge) rejects edges that would close a cycle with
-/// [`GraphError::WouldCycle`]. The higher-level capture layer in `bp-core`
-/// avoids ever triggering this by creating a **new version** of the
-/// destination visit when the user returns to an already-visited page —
-/// exactly the scheme §3.1 describes ("a cycle implies that a new version of
-/// some object in the cycle must be created"). The invariant is
-/// property-tested in this crate and re-checked end-to-end in the
-/// integration suite.
+/// Every edge runs from a newer node to an older one (`dst < src`), and
+/// edges are appended in nondecreasing source order;
+/// [`check_edge`](Self::check_edge) rejects anything else with
+/// [`GraphError::EdgeOrder`]. Node-id order is therefore a topological
+/// order, so the graph is acyclic by construction, and the edge arena
+/// grouped by source is the arena itself: a node's out-edges are one
+/// contiguous run of it. Capture in `bp-core` creates every node an event
+/// derives from before the event's own node, and mints a **new version**
+/// of a visit when the user returns to a page — exactly the scheme §3.1
+/// describes ("a cycle implies that a new version of some object in the
+/// cycle must be created").
 ///
 /// # Examples
 ///
@@ -57,26 +61,25 @@ struct KeyEntry {
 /// g.add_edge(kane, search, EdgeKind::SearchResult, t)?;
 /// assert_eq!(g.node_count(), 2);
 /// assert_eq!(g.out_degree(kane), 1);
+/// // An edge from the older node to the newer one breaks the order.
+/// assert!(g.add_edge(search, kane, EdgeKind::Link, t).is_err());
 /// # Ok::<(), bp_graph::GraphError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct ProvenanceGraph {
     nodes: Vec<Node>,
+    /// The edge arena, in nondecreasing source order: the out-adjacency.
     edges: Vec<Edge>,
-    /// Out-adjacency: edges whose `src` is this node (toward ancestors).
-    out_edges: Vec<Vec<EdgeId>>,
-    /// In-adjacency: edges whose `dst` is this node (toward descendants).
-    in_edges: Vec<Vec<EdgeId>>,
+    /// `out_start[i]` is the arena index of node `i`'s first out-edge.
+    /// It reaches only up to the newest edge's source, since the run of a
+    /// node past it is empty; it is filled as edges arrive rather than at
+    /// [`add_node`](Self::add_node), because a snapshot's replay adds every
+    /// node before the first edge.
+    out_start: Vec<u32>,
     /// Key table: each distinct key once, as the `Arc<str>` every node
     /// carrying it shares, with those nodes and the newest of each kind.
     /// An entry goes when its last node is redacted away.
     keys: HashMap<Arc<str>, KeyEntry>,
-    /// `true` while every edge points from a newer node to an older node
-    /// (`src > dst`). Browser capture always appends in that order, so the
-    /// expensive reachability check can be skipped: a high→low edge cannot
-    /// close a cycle in a high→low graph. The first low→high edge clears
-    /// the flag and reinstates full checking.
-    monotone: bool,
     /// Monotonically increasing mutation counter. Every structural or
     /// content mutation bumps it, so read-optimized snapshots
     /// ([`crate::frozen::FrozenGraph`]) and epoch-keyed score caches can
@@ -104,10 +107,8 @@ impl ProvenanceGraph {
         ProvenanceGraph {
             nodes: Vec::with_capacity(nodes),
             edges: Vec::with_capacity(edges),
-            out_edges: Vec::with_capacity(nodes),
-            in_edges: Vec::with_capacity(nodes),
+            out_start: Vec::with_capacity(nodes),
             keys: HashMap::new(),
-            monotone: true,
             epoch: 0,
             redactions: 0,
         }
@@ -161,8 +162,6 @@ impl ProvenanceGraph {
         entry.nodes.push(id);
         entry.newest[usize::from(node.kind().code())] = Some(id);
         self.nodes.push(node);
-        self.out_edges.push(Vec::new());
-        self.in_edges.push(Vec::new());
         id
     }
 
@@ -180,8 +179,7 @@ impl ProvenanceGraph {
         let version = prior.map_or(Version::FIRST, |(_, v)| v.next());
         let id = self.add_node(Node::with_version(kind, key, version, at));
         if let Some((prev_id, _)) = prior {
-            // New version derives from the previous one; prev_id < id so
-            // this can never cycle.
+            // The new node is the newest, so the edge keeps the order.
             self.push_edge(Edge::new(id, prev_id, EdgeKind::VersionOf, at));
         }
         id
@@ -249,12 +247,9 @@ impl ProvenanceGraph {
     ///
     /// # Errors
     ///
-    /// - [`GraphError::UnknownNode`] if either endpoint does not exist.
-    /// - [`GraphError::SelfLoop`] if `src == dst`.
-    /// - [`GraphError::WouldCycle`] if `dst` can already reach `src` through
-    ///   causal edges — committing the edge would create a cycle. Callers
-    ///   that hit this should mint a new version of the destination with
-    ///   [`add_version`](Self::add_version) instead.
+    /// See [`check_edge`](Self::check_edge); a rejected edge changes
+    /// nothing. Callers that would point an edge at a newer node mint a
+    /// new version of it with [`add_version`](Self::add_version) instead.
     pub fn add_edge(
         &mut self,
         src: NodeId,
@@ -270,50 +265,58 @@ impl ProvenanceGraph {
     ///
     /// # Errors
     ///
-    /// See [`add_edge`](Self::add_edge).
+    /// See [`check_edge`](Self::check_edge).
     pub fn add_edge_full(&mut self, edge: Edge) -> Result<EdgeId, GraphError> {
-        let (src, dst) = (edge.src(), edge.dst());
-        self.check_node(src)?;
-        self.check_node(dst)?;
-        if src == dst {
-            return Err(GraphError::SelfLoop(src));
-        }
-        // An edge src → dst creates a cycle iff src is already reachable
-        // from dst by following derives-from edges. Nodes are created in
-        // time order and capture always derives newer from older, so while
-        // every edge so far points high→low, another high→low edge cannot
-        // close a cycle and the reachability walk is skipped entirely —
-        // this keeps both live capture and log replay O(1) per edge.
-        if src > dst && self.monotone {
-            return Ok(self.push_edge(edge));
-        }
-        if self.reachable(dst, src) {
-            return Err(GraphError::WouldCycle { src, dst });
-        }
-        if src < dst {
-            self.monotone = false;
-        }
+        self.check_edge(edge.src(), edge.dst())?;
         Ok(self.push_edge(edge))
+    }
+
+    /// Checks that an edge `src → dst` may be appended now: both nodes
+    /// exist, the edge runs from a newer node to an older one (`dst <
+    /// src`), and `src` is no older than the previous edge's source. This
+    /// is the graph's one edge contract; it makes the graph acyclic and
+    /// the arena its out-adjacency.
+    ///
+    /// # Errors
+    ///
+    /// - [`GraphError::UnknownNode`] if either endpoint does not exist.
+    /// - [`GraphError::EdgeOrder`] if `dst >= src` (a self-loop included)
+    ///   or `src` is older than the previous edge's source.
+    pub fn check_edge(&self, src: NodeId, dst: NodeId) -> Result<(), GraphError> {
+        self.node(src)?;
+        self.node(dst)?;
+        // The newest source so far is the last node `out_start` reaches.
+        if dst >= src || src.as_usize() + 1 < self.out_start.len() {
+            return Err(GraphError::EdgeOrder { src, dst });
+        }
+        Ok(())
     }
 
     fn push_edge(&mut self, edge: Edge) -> EdgeId {
         self.epoch += 1;
         let id = EdgeId::new(self.edges.len() as u32);
-        self.out_edges[edge.src().as_usize()].push(id);
-        self.in_edges[edge.dst().as_usize()].push(id);
+        // Every node up to the source without an out-edge so far starts
+        // its (empty, or for the source, growing) run here.
+        while self.out_start.len() <= edge.src().as_usize() {
+            self.out_start.push(id.index());
+        }
         self.edges.push(edge);
         id
     }
 
-    fn check_node(&self, id: NodeId) -> Result<(), GraphError> {
-        if id.as_usize() < self.nodes.len() {
-            Ok(())
-        } else {
-            Err(GraphError::UnknownNode(id))
+    /// Node `id`'s run of the edge arena: its out-edges.
+    fn out_range(&self, id: NodeId) -> Range<usize> {
+        let i = id.as_usize();
+        let end = self.edges.len();
+        match self.out_start.get(i) {
+            Some(&start) => {
+                start as usize..self.out_start.get(i + 1).map_or(end, |&next| next as usize)
+            }
+            None => end..end,
         }
     }
 
-    /// Redacts a node in place (see [`Node::redact`]) and moves it in the
+    /// Redacts a node in place (see `Node::redact`) and moves it in the
     /// key table from its old key to `replacement`. The newest node of
     /// its kind under the old key is cleared, so the old key can no longer
     /// be resolved (a later visit to the same URL starts a fresh version
@@ -360,81 +363,27 @@ impl ProvenanceGraph {
         Ok(old_key)
     }
 
-    /// Returns `true` if adding an edge `src → dst` would create a cycle
-    /// (without adding it). Uses the same monotone fast path as
-    /// [`add_edge`](Self::add_edge).
-    pub fn would_cycle(&self, src: NodeId, dst: NodeId) -> bool {
-        if src == dst {
-            return true;
-        }
-        if src > dst && self.monotone {
-            return false;
-        }
-        self.reachable(dst, src)
-    }
-
-    /// Returns `true` if `to` is reachable from `from` along derives-from
-    /// edges (including the trivial `from == to` case).
-    pub fn reachable(&self, from: NodeId, to: NodeId) -> bool {
-        if from == to {
-            return true;
-        }
-        let mut stack = vec![from];
-        let mut seen = vec![false; self.nodes.len()];
-        seen[from.as_usize()] = true;
-        while let Some(n) = stack.pop() {
-            for &eid in &self.out_edges[n.as_usize()] {
-                let next = self.edges[eid.as_usize()].dst();
-                if next == to {
-                    return true;
-                }
-                if !seen[next.as_usize()] {
-                    seen[next.as_usize()] = true;
-                    stack.push(next);
-                }
-            }
-        }
-        false
-    }
-
-    /// Edges leaving `id` (derivations of `id`; point toward ancestors).
-    pub fn out_edges(&self, id: NodeId) -> &[EdgeId] {
-        &self.out_edges[id.as_usize()]
-    }
-
-    /// Edges entering `id` (objects derived from `id`; point toward
-    /// descendants).
-    pub fn in_edges(&self, id: NodeId) -> &[EdgeId] {
-        &self.in_edges[id.as_usize()]
-    }
-
     /// Out-degree of `id`.
     pub fn out_degree(&self, id: NodeId) -> usize {
-        self.out_edges[id.as_usize()].len()
+        self.out_range(id).len()
     }
 
-    /// In-degree of `id`.
-    pub fn in_degree(&self, id: NodeId) -> usize {
-        self.in_edges[id.as_usize()].len()
-    }
-
-    /// Iterates the ancestors one hop away: `(edge id, ancestor node id)`.
+    /// Iterates the ancestors one hop away: `(edge id, ancestor node id)`,
+    /// in edge-id order.
     pub fn parents(&self, id: NodeId) -> impl Iterator<Item = (EdgeId, NodeId)> + '_ {
-        self.out_edges[id.as_usize()]
+        let run = self.out_range(id);
+        self.edges[run.clone()]
             .iter()
-            .map(move |&eid| (eid, self.edges[eid.as_usize()].dst()))
+            .zip(run)
+            .map(|(e, i)| (EdgeId::new(i as u32), e.dst()))
     }
 
-    /// Iterates the descendants one hop away: `(edge id, descendant node id)`.
-    pub fn children(&self, id: NodeId) -> impl Iterator<Item = (EdgeId, NodeId)> + '_ {
-        self.in_edges[id.as_usize()]
-            .iter()
-            .map(move |&eid| (eid, self.edges[eid.as_usize()].src()))
-    }
-
-    /// Iterates all undirected neighbors: `(edge id, neighbor node id)`.
-    pub fn neighbors(&self, id: NodeId) -> impl Iterator<Item = (EdgeId, NodeId)> + '_ {
-        self.parents(id).chain(self.children(id))
+    /// Each node with out-edges and its run of the edge arena, in source
+    /// order. The runs joined are the arena itself.
+    pub fn out_runs(&self) -> impl Iterator<Item = (NodeId, &[Edge])> {
+        self.edges
+            .chunk_by(|a, b| a.src() == b.src())
+            .map(|run| (run[0].src(), run))
     }
 
     /// Iterates all node ids in insertion (and therefore time) order.
@@ -455,12 +404,21 @@ impl ProvenanceGraph {
             .map(|(i, n)| (NodeId::new(i as u32), n))
     }
 
-    /// Iterates `(id, edge)` pairs.
-    pub fn edges(&self) -> impl Iterator<Item = (EdgeId, &Edge)> {
+    /// Iterates `(id, edge)` pairs, in insertion and therefore source
+    /// order.
+    pub fn edges(&self) -> impl Iterator<Item = (EdgeId, &Edge)> + Clone {
+        self.edges_from(0)
+    }
+
+    /// Iterates the `(id, edge)` pairs from id `first` on, in insertion
+    /// order: the edges appended since the graph held `first` edges.
+    pub fn edges_from(&self, first: usize) -> impl Iterator<Item = (EdgeId, &Edge)> + Clone {
         self.edges
+            .get(first..)
+            .unwrap_or_default()
             .iter()
-            .enumerate()
-            .map(|(i, e)| (EdgeId::new(i as u32), e))
+            .zip(first..)
+            .map(|(e, i)| (EdgeId::new(i as u32), e))
     }
 
     /// Iterates node ids of a given kind.
@@ -476,18 +434,31 @@ impl ProvenanceGraph {
             + self.edges.iter().map(Edge::size_bytes).sum::<usize>()
     }
 
-    /// Verifies the acyclicity invariant by running a full topological
-    /// sort. Intended for tests and debug assertions; O(V + E).
+    /// Verifies the edge order [`check_edge`](Self::check_edge) enforces,
+    /// and with it acyclicity, in one pass over the edges. Intended for
+    /// tests and debug assertions; O(E).
     pub fn verify_acyclic(&self) -> bool {
-        crate::toposort::topological_order(self).is_some()
+        let mut last_src = NodeId::new(0);
+        self.edges.iter().all(|e| {
+            let ordered =
+                e.dst() < e.src() && e.src() >= last_src && e.src().as_usize() < self.nodes.len();
+            last_src = e.src();
+            ordered
+        })
     }
+}
 
-    /// Returns `true` while every edge points newer→older (`src > dst`),
-    /// i.e. the O(1) cycle-check fast path is still active. Capture
-    /// streams are expected to preserve this; the performance tests assert
-    /// it to catch regressions that would make edge inserts O(V + E).
-    pub fn is_monotone(&self) -> bool {
-        self.monotone
+#[cfg(test)]
+impl ProvenanceGraph {
+    /// Each node's in-edges as `(edge id, source)`, in edge-id order,
+    /// built from the arena: the in-adjacency of the live test oracles,
+    /// kept apart from the CSR rows they check.
+    pub(crate) fn in_adjacency(&self) -> Vec<Vec<(EdgeId, NodeId)>> {
+        let mut adjacency = vec![Vec::new(); self.nodes.len()];
+        for (id, e) in self.edges() {
+            adjacency[e.dst().as_usize()].push((id, e.src()));
+        }
+        adjacency
     }
 }
 
@@ -523,9 +494,8 @@ mod tests {
         assert_eq!(g.edge_count(), 1);
         assert_eq!(g.edge(e).unwrap().kind(), EdgeKind::Link);
         assert_eq!(g.out_degree(b), 1);
-        assert_eq!(g.in_degree(a), 1);
-        assert_eq!(g.parents(b).next().unwrap().1, a);
-        assert_eq!(g.children(a).next().unwrap().1, b);
+        assert_eq!(g.out_degree(a), 0);
+        assert_eq!(g.parents(b).next().unwrap(), (e, a));
     }
 
     #[test]
@@ -548,14 +518,25 @@ mod tests {
         );
     }
 
+    /// Adds `n` visits and returns their ids.
+    fn visits(g: &mut ProvenanceGraph, n: usize) -> Vec<NodeId> {
+        (0..n)
+            .map(|i| visit(g, &format!("http://{i}/"), i as i64))
+            .collect()
+    }
+
     #[test]
-    fn self_loop_rejected() {
+    fn an_edge_from_an_older_node_to_a_newer_one_is_rejected() {
         let mut g = ProvenanceGraph::new();
-        let a = visit(&mut g, "http://a/", 1);
+        let ids = visits(&mut g, 2);
+        let (a, b) = (ids[0], ids[1]);
         assert_eq!(
-            g.add_edge(a, a, EdgeKind::Link, t(1)).unwrap_err(),
-            GraphError::SelfLoop(a)
+            g.add_edge(a, b, EdgeKind::Link, t(2)).unwrap_err(),
+            GraphError::EdgeOrder { src: a, dst: b }
         );
+        assert_eq!((g.edge_count(), g.out_degree(a)), (0, 0));
+        g.add_edge(b, a, EdgeKind::Link, t(2)).unwrap();
+        assert!(g.verify_acyclic());
     }
 
     #[test]
@@ -564,9 +545,10 @@ mod tests {
         let a = visit(&mut g, "http://a/", 1);
         let b = visit(&mut g, "http://b/", 2);
         g.add_edge(b, a, EdgeKind::Link, t(2)).unwrap();
+        // The edge closing the cycle runs from the older node.
         assert_eq!(
             g.add_edge(a, b, EdgeKind::Link, t(3)).unwrap_err(),
-            GraphError::WouldCycle { src: a, dst: b }
+            GraphError::EdgeOrder { src: a, dst: b }
         );
         assert!(g.verify_acyclic());
     }
@@ -580,7 +562,70 @@ mod tests {
         g.add_edge(b, a, EdgeKind::Link, t(2)).unwrap();
         g.add_edge(c, b, EdgeKind::Link, t(3)).unwrap();
         assert!(g.add_edge(a, c, EdgeKind::Link, t(4)).is_err());
+        assert_eq!(g.edge_count(), 2);
         assert!(g.verify_acyclic());
+    }
+
+    #[test]
+    fn self_loop_rejected() {
+        let mut g = ProvenanceGraph::new();
+        let a = visit(&mut g, "http://a/", 1);
+        assert_eq!(
+            g.add_edge(a, a, EdgeKind::Link, t(1)).unwrap_err(),
+            GraphError::EdgeOrder { src: a, dst: a }
+        );
+        assert_eq!(g.edge_count(), 0);
+    }
+
+    #[test]
+    fn an_edge_from_a_source_older_than_the_last_edges_is_rejected() {
+        let mut g = ProvenanceGraph::new();
+        let ids = visits(&mut g, 4);
+        g.add_edge(ids[2], ids[0], EdgeKind::Link, t(3)).unwrap();
+        let epoch = g.epoch();
+        assert_eq!(
+            g.add_edge(ids[1], ids[0], EdgeKind::Link, t(3))
+                .unwrap_err(),
+            GraphError::EdgeOrder {
+                src: ids[1],
+                dst: ids[0]
+            }
+        );
+        assert_eq!((g.edge_count(), g.epoch()), (1, epoch), "nothing changed");
+        // The same source again, and a newer one, keep the order.
+        g.add_edge(ids[2], ids[1], EdgeKind::Link, t(3)).unwrap();
+        g.add_edge(ids[3], ids[0], EdgeKind::Link, t(4)).unwrap();
+        assert_eq!(g.out_degree(ids[1]), 0);
+        assert_eq!(g.out_degree(ids[2]), 2);
+        assert_eq!(g.out_degree(ids[3]), 1);
+        assert!(g.verify_acyclic());
+    }
+
+    #[test]
+    fn out_edges_are_runs_of_the_arena() {
+        let mut g = ProvenanceGraph::new();
+        let ids = visits(&mut g, 6);
+        for (src, dst) in [(1, 0), (3, 0), (3, 2), (3, 2), (5, 4)] {
+            g.add_edge(ids[src], ids[dst], EdgeKind::Link, t(5))
+                .unwrap();
+        }
+        let parents = |i: usize| -> Vec<(u32, u32)> {
+            g.parents(ids[i])
+                .map(|(e, p)| (e.index(), p.index()))
+                .collect()
+        };
+        assert_eq!(parents(0), []);
+        assert_eq!(parents(1), [(0, 0)]);
+        assert_eq!(parents(2), []);
+        assert_eq!(parents(3), [(1, 0), (2, 2), (3, 2)]);
+        assert_eq!(parents(4), []);
+        assert_eq!(parents(5), [(4, 4)]);
+        let runs: Vec<(NodeId, usize)> = g.out_runs().map(|(n, run)| (n, run.len())).collect();
+        assert_eq!(runs, [(ids[1], 1), (ids[3], 3), (ids[5], 1)]);
+        // A node added after the last edge's source has no run yet.
+        let late = visit(&mut g, "http://late/", 9);
+        assert_eq!(g.out_degree(late), 0);
+        assert_eq!(g.parents(late).count(), 0);
     }
 
     #[test]
@@ -611,21 +656,6 @@ mod tests {
     }
 
     #[test]
-    fn reachability() {
-        let mut g = ProvenanceGraph::new();
-        let a = visit(&mut g, "a", 1);
-        let b = visit(&mut g, "b", 2);
-        let c = visit(&mut g, "c", 3);
-        let d = visit(&mut g, "d", 4);
-        g.add_edge(b, a, EdgeKind::Link, t(2)).unwrap();
-        g.add_edge(c, b, EdgeKind::Link, t(3)).unwrap();
-        assert!(g.reachable(c, a));
-        assert!(g.reachable(a, a), "trivially reachable from itself");
-        assert!(!g.reachable(a, c), "derivation is one-way");
-        assert!(!g.reachable(c, d));
-    }
-
-    #[test]
     fn multigraph_allows_parallel_edges_of_different_kinds() {
         let mut g = ProvenanceGraph::new();
         let a = visit(&mut g, "a", 1);
@@ -634,20 +664,6 @@ mod tests {
         g.add_edge(b, a, EdgeKind::TemporalOverlap, t(2)).unwrap();
         assert_eq!(g.edge_count(), 2);
         assert_eq!(g.out_degree(b), 2);
-    }
-
-    #[test]
-    fn neighbors_unions_both_directions() {
-        let mut g = ProvenanceGraph::new();
-        let a = visit(&mut g, "a", 1);
-        let b = visit(&mut g, "b", 2);
-        let c = visit(&mut g, "c", 3);
-        g.add_edge(b, a, EdgeKind::Link, t(2)).unwrap();
-        g.add_edge(c, b, EdgeKind::Link, t(3)).unwrap();
-        let ns: Vec<NodeId> = g.neighbors(b).map(|(_, n)| n).collect();
-        assert_eq!(ns.len(), 2);
-        assert!(ns.contains(&a));
-        assert!(ns.contains(&c));
     }
 
     #[test]
@@ -663,7 +679,7 @@ mod tests {
     fn node_mut_allows_closing() {
         let mut g = ProvenanceGraph::new();
         let a = visit(&mut g, "a", 1);
-        g.node_mut(a).unwrap().close_at(t(9));
+        g.node_mut(a).unwrap().close_at(t(9)).unwrap();
         assert_eq!(g.node(a).unwrap().interval().close(), Some(t(9)));
     }
 
@@ -683,25 +699,6 @@ mod tests {
     fn with_capacity_behaves_like_new() {
         let g = ProvenanceGraph::with_capacity(100, 200);
         assert!(g.is_empty());
-    }
-
-    #[test]
-    fn legal_low_to_high_edge_disables_fast_path_but_stays_correct() {
-        let mut g = ProvenanceGraph::new();
-        let a = visit(&mut g, "a", 1);
-        let b = visit(&mut g, "b", 2);
-        let c = visit(&mut g, "c", 3);
-        // Legal low→high edge (a derives from c): clears monotone flag.
-        g.add_edge(a, c, EdgeKind::Link, t(4)).unwrap();
-        // Now a high→low edge that WOULD cycle (c derives from a) must
-        // still be rejected even though src > dst.
-        assert_eq!(
-            g.add_edge(c, a, EdgeKind::Link, t(5)).unwrap_err(),
-            GraphError::WouldCycle { src: c, dst: a }
-        );
-        // And unrelated edges still work.
-        g.add_edge(b, a, EdgeKind::Link, t(6)).unwrap();
-        assert!(g.verify_acyclic());
     }
 
     #[test]
@@ -738,7 +735,7 @@ mod tests {
         g.add_edge(b, a, EdgeKind::Link, t(2)).unwrap();
         let e2 = g.epoch();
         assert!(e2 > e1, "node and edge inserts both bump");
-        g.node_mut(a).unwrap().close_at(t(9));
+        g.node_mut(a).unwrap().close_at(t(9)).unwrap();
         assert!(g.epoch() > e2, "mutable borrows bump conservatively");
         let e3 = g.epoch();
         assert_eq!(g.redactions(), 0);
@@ -791,10 +788,14 @@ mod tests {
                 let id = g.add_version(NodeKind::PageVisit, &key, at);
                 newest.insert((NodeKind::PageVisit, key), id);
             }
+            // An edge in the order: from the last edge's source or a
+            // newer node to an older one.
             5 if n > 1 => {
-                let src = NodeId::new(u32::from(pick % n));
-                let dst = NodeId::new(u32::from(pick / 7 % n));
-                let _ = g.add_edge(src, dst, EdgeKind::Link, at);
+                let last = g.out_start.len().saturating_sub(1).max(1) as u16;
+                let src = last + pick % (n - last);
+                let dst = NodeId::new(u32::from(pick / 7 % src));
+                g.add_edge(NodeId::new(u32::from(src)), dst, EdgeKind::Link, at)
+                    .unwrap();
             }
             6 | 7 if n > 0 => {
                 let id = NodeId::new(u32::from(pick % n));

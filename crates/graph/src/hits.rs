@@ -150,7 +150,7 @@ fn normalize(v: &mut [f64]) {
     }
 }
 
-/// HITS over the live graph's adjacency lists and hash maps, as [`hits`]
+/// HITS over the live graph's out-edge runs and hash maps, as [`hits`]
 /// ran before it read the CSR rows: kept as its test oracle.
 #[cfg(test)]
 pub(crate) mod live {
@@ -395,15 +395,20 @@ mod tests {
                         Timestamp::from_secs(i),
                     ));
                 }
-                for &(src, dst) in &links {
-                    let src = u32::from(src.max(1));
-                    let dst = u32::from(dst) % src;
-                    let _ = g.add_edge(
-                        NodeId::new(src % 31),
+                // Each link from a node to an older one, added by source.
+                let mut links: Vec<(u32, u32)> = links
+                    .iter()
+                    .map(|&(src, dst)| (u32::from(src), u32::from(dst) % u32::from(src)))
+                    .collect();
+                links.sort_by_key(|&(src, _)| src);
+                for (src, dst) in links {
+                    g.add_edge(
+                        NodeId::new(src),
                         NodeId::new(dst),
                         EdgeKind::Link,
                         Timestamp::from_secs(i64::from(src)),
-                    );
+                    )
+                    .unwrap();
                 }
                 let base: Vec<NodeId> = g.node_ids().collect();
                 let a = hits(&g, &base, &HitsConfig::default());
@@ -509,10 +514,16 @@ mod tests {
             for i in 0..30 {
                 g.add_node(Node::new(NodeKind::PageVisit, format!("u{i}"), t(i)));
             }
-            for &(src, dst, k) in &links {
-                let (src, dst) = (u32::from(src), u32::from(dst) % u32::from(src));
+            // Each link from a node to an older one, added by source.
+            let mut links: Vec<(u32, u32, u8)> = links
+                .iter()
+                .map(|&(src, dst, k)| (u32::from(src), u32::from(dst) % u32::from(src), k))
+                .collect();
+            links.sort_by_key(|&(src, _, _)| src);
+            for (src, dst, k) in links {
                 let kind = EdgeKind::from_code(k).unwrap_or(EdgeKind::Link);
-                let _ = g.add_edge(NodeId::new(src), NodeId::new(dst), kind, t(i64::from(src)));
+                g.add_edge(NodeId::new(src), NodeId::new(dst), kind, t(i64::from(src)))
+                    .unwrap();
             }
             let base: Vec<NodeId> = base.into_iter().map(NodeId::new).collect();
             let config = HitsConfig {

@@ -14,7 +14,8 @@
 //!   time-stamped derives-from relationships ([`EdgeKind`]).
 //! - **Versioning** (§3.1): revisiting a page mints a new
 //!   [`Version`]ed visit instance ([`ProvenanceGraph::add_version`]) instead
-//!   of closing a cycle; strict insertion rejects cycles outright.
+//!   of closing a cycle; every edge runs from a newer node to an older one,
+//!   so the graph is acyclic by construction.
 //! - **Intervals** (§3.2): every node carries an open/close
 //!   [`TimeInterval`], making "were these two pages open simultaneously?"
 //!   answerable — the paper observes Firefox cannot answer it.
@@ -22,8 +23,7 @@
 //!   bounded BFS lineage ([`traverse`]), Kleinberg-style [`hits`],
 //!   weighted neighborhood expansion (the contextual-search primitive,
 //!   configured by [`neighborhood`]) and personalized PageRank
-//!   ([`frozen`]); plus [`toposort`] for invariant checking, [`stats`]
-//!   and [`dot`] export.
+//!   ([`frozen`]); plus [`stats`] and [`dot`] export.
 //!
 //! # Example: the "rosebud" scenario (§2.1)
 //!
@@ -85,7 +85,6 @@ mod node;
 pub mod pagerank;
 pub mod stats;
 mod time;
-pub mod toposort;
 pub mod traverse;
 pub mod tree;
 
@@ -103,59 +102,75 @@ mod proptests {
     use proptest::prelude::*;
 
     /// A random history-building script: each step either visits a URL from
-    /// a small pool (possibly revisiting), or tries to add an edge between
-    /// two random existing nodes.
+    /// a small pool (possibly revisiting), adds an edge drawn into the edge
+    /// order, or tries an edge between any two nodes.
     #[derive(Debug, Clone)]
     enum Step {
         Visit(u8),
         Edge(u8, u8, u8),
+        Any(u8, u8),
     }
 
     fn step_strategy() -> impl Strategy<Value = Step> {
         prop_oneof![
             (0u8..20).prop_map(Step::Visit),
             (any::<u8>(), any::<u8>(), 0u8..15).prop_map(|(a, b, k)| Step::Edge(a, b, k)),
+            (any::<u8>(), any::<u8>()).prop_map(|(a, b)| Step::Any(a, b)),
         ]
     }
 
-    fn run_script(steps: &[Step]) -> ProvenanceGraph {
+    /// The source of the graph's newest edge.
+    fn last_source(g: &ProvenanceGraph) -> u32 {
+        g.edges().last().map_or(0, |(_, e)| e.src().index())
+    }
+
+    fn run_script(steps: &[Step]) -> Result<ProvenanceGraph, TestCaseError> {
         let mut g = ProvenanceGraph::new();
         let mut clock = 0i64;
         for step in steps {
             clock += 1;
-            match step {
+            let at = Timestamp::from_secs(clock);
+            let n = g.node_count() as u32;
+            match *step {
                 Step::Visit(url) => {
-                    g.add_version(
-                        NodeKind::PageVisit,
-                        &format!("http://p{url}/"),
-                        Timestamp::from_secs(clock),
-                    );
+                    g.add_version(NodeKind::PageVisit, &format!("http://p{url}/"), at);
                 }
-                Step::Edge(a, b, k) => {
-                    let n = g.node_count() as u32;
-                    if n == 0 {
-                        continue;
+                // From the last edge's source or a newer node to an older
+                // one: always accepted.
+                Step::Edge(a, b, k) if n > 1 => {
+                    let last = last_source(&g).max(1);
+                    let src = last + u32::from(a) % (n - last);
+                    let dst = u32::from(b) % src;
+                    let kind = EdgeKind::from_code(k).unwrap_or(EdgeKind::Link);
+                    prop_assert!(g
+                        .add_edge(NodeId::new(src), NodeId::new(dst), kind, at)
+                        .is_ok());
+                }
+                // Any pair: accepted exactly when it keeps the order, and
+                // a rejection changes nothing.
+                Step::Any(a, b) if n > 0 => {
+                    let (src, dst) = (u32::from(a) % n, u32::from(b) % n);
+                    let ordered = dst < src && src >= last_source(&g);
+                    let (edges, epoch) = (g.edge_count(), g.epoch());
+                    let added = g.add_edge(NodeId::new(src), NodeId::new(dst), EdgeKind::Link, at);
+                    prop_assert_eq!(added.is_ok(), ordered);
+                    if !ordered {
+                        prop_assert_eq!((g.edge_count(), g.epoch()), (edges, epoch));
                     }
-                    // Errors (cycles, self-loops) are fine; commits must
-                    // preserve the invariant.
-                    let _ = g.add_edge(
-                        NodeId::new(*a as u32 % n),
-                        NodeId::new(*b as u32 % n),
-                        EdgeKind::from_code(*k).unwrap_or(EdgeKind::Link),
-                        Timestamp::from_secs(clock),
-                    );
                 }
+                _ => {}
             }
         }
-        g
+        Ok(g)
     }
 
     proptest! {
-        /// Whatever script runs, the graph must remain acyclic — edges that
-        /// would cycle are rejected, revisits version instead of cycling.
+        /// Whatever script runs, the graph keeps the edge order and so
+        /// stays acyclic: edges out of order are rejected, revisits
+        /// version instead of cycling.
         #[test]
         fn graph_is_always_acyclic(steps in prop::collection::vec(step_strategy(), 1..120)) {
-            let g = run_script(&steps);
+            let g = run_script(&steps)?;
             prop_assert!(g.verify_acyclic());
         }
 
@@ -181,30 +196,44 @@ mod proptests {
             }
         }
 
-        /// Adjacency is consistent: every edge appears exactly once in its
-        /// src's out-list and once in its dst's in-list, and degree sums
-        /// equal the edge count.
+        /// Adjacency is consistent: the nodes' out-edge runs, joined in id
+        /// order, are the arena; each edge's source is in its
+        /// destination's reverse CSR row; and degree sums equal the edge
+        /// count.
         #[test]
         fn adjacency_consistent(steps in prop::collection::vec(step_strategy(), 1..100)) {
-            let g = run_script(&steps);
-            for (eid, e) in g.edges() {
-                prop_assert_eq!(g.out_edges(e.src()).iter().filter(|&&x| x == eid).count(), 1);
-                prop_assert_eq!(g.in_edges(e.dst()).iter().filter(|&&x| x == eid).count(), 1);
+            let g = run_script(&steps)?;
+            let runs: Vec<(EdgeId, NodeId)> = g.node_ids().flat_map(|n| g.parents(n)).collect();
+            let arena: Vec<(EdgeId, NodeId)> = g.edges().map(|(id, e)| (id, e.dst())).collect();
+            prop_assert_eq!(runs, arena);
+            let f = frozen::FrozenGraph::build(&g);
+            let mut in_total = 0;
+            for n in g.node_ids() {
+                let sources: Vec<u32> = f.in_edges_of(n.index()).map(|(src, _)| src).collect();
+                let expected: Vec<u32> = g
+                    .edges()
+                    .filter(|(_, e)| e.dst() == n)
+                    .map(|(_, e)| e.src().index())
+                    .collect();
+                prop_assert_eq!(&sources, &expected);
+                in_total += sources.len();
             }
             let out_total: usize = g.node_ids().map(|n| g.out_degree(n)).sum();
-            let in_total: usize = g.node_ids().map(|n| g.in_degree(n)).sum();
             prop_assert_eq!(out_total, g.edge_count());
             prop_assert_eq!(in_total, g.edge_count());
         }
 
-        /// BFS ancestors and pairwise reachability agree.
+        /// BFS ancestors over the CSR and pairwise reachability over the
+        /// arena's out-edge runs agree.
         #[test]
         fn bfs_matches_reachability(steps in prop::collection::vec(step_strategy(), 5..80)) {
-            let g = run_script(&steps);
+            let g = run_script(&steps)?;
             if g.node_count() == 0 {
                 return Ok(());
             }
-            let start = NodeId::new(0);
+            // The newest node: every other node is older, so any may be
+            // its ancestor.
+            let start = NodeId::new(g.node_count() as u32 - 1);
             // Reachability follows every kind, so the BFS does too.
             let reached: std::collections::HashSet<NodeId> = traverse::bfs(
                 &frozen::FrozenGraph::build(&g),
@@ -215,8 +244,19 @@ mod proptests {
             )
             .node_ids()
             .collect();
+            // Depth-first over `parents`, which reads the arena's runs.
+            let mut reachable = vec![false; g.node_count()];
+            let mut stack = vec![start];
+            reachable[start.as_usize()] = true;
+            while let Some(n) = stack.pop() {
+                for (_, p) in g.parents(n) {
+                    if !std::mem::replace(&mut reachable[p.as_usize()], true) {
+                        stack.push(p);
+                    }
+                }
+            }
             for node in g.node_ids() {
-                prop_assert_eq!(reached.contains(&node), g.reachable(start, node));
+                prop_assert_eq!(reached.contains(&node), reachable[node.as_usize()]);
             }
         }
 
@@ -229,18 +269,6 @@ mod proptests {
             prop_assert_eq!(a.overlaps(&b), b.overlaps(&a));
             if a.overlaps(&b) {
                 prop_assert!(a.within(&b, std::time::Duration::ZERO));
-            }
-        }
-
-        /// Topological order, when it exists, respects every edge.
-        #[test]
-        fn toposort_respects_edges(steps in prop::collection::vec(step_strategy(), 1..100)) {
-            let g = run_script(&steps);
-            let order = toposort::topological_order(&g).expect("insertion keeps the graph acyclic");
-            let pos: std::collections::HashMap<NodeId, usize> =
-                order.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-            for (_, e) in g.edges() {
-                prop_assert!(pos[&e.dst()] < pos[&e.src()], "ancestor before descendant");
             }
         }
     }

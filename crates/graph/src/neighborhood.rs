@@ -58,8 +58,9 @@ impl ExpansionConfig {
     }
 }
 
-/// The expansion of [`crate::frozen::expand_frozen`] over the live
-/// graph's adjacency lists and hash maps, kept as its test oracle.
+/// The expansion of [`crate::frozen::expand_frozen`] over the live graph
+/// and hash maps, kept as its test oracle: it reads the edge arena's runs
+/// and an in-adjacency built from the arena, never the CSR it checks.
 #[cfg(test)]
 pub(crate) mod live {
     use super::ExpansionConfig;
@@ -117,6 +118,7 @@ pub(crate) mod live {
         let max_hops = budget
             .max_depth()
             .map_or(config.max_hops, |d| d.min(config.max_hops));
+        let in_adjacency = graph.in_adjacency();
 
         for _hop in 0..max_hops {
             if frontier.is_empty() {
@@ -128,7 +130,8 @@ pub(crate) mod live {
                     out.truncated = true;
                     return out;
                 }
-                for (eid, nbr) in graph.neighbors(node) {
+                let incoming = in_adjacency[node.as_usize()].iter().copied();
+                for (eid, nbr) in graph.parents(node).chain(incoming) {
                     if out.weight.contains_key(&nbr) {
                         continue; // layered: no echo back to reached nodes
                     }

@@ -7,6 +7,7 @@
 //! §3.4 vision: every kind of history object is a first-class graph node.
 
 use crate::attr::AttrMap;
+use crate::error::GraphError;
 use crate::ids::Version;
 use crate::time::{TimeInterval, Timestamp};
 use core::fmt;
@@ -225,11 +226,12 @@ impl Node {
 
     /// Closes the node's interval (page close, tab close, download complete).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `at` precedes the opening timestamp.
-    pub fn close_at(&mut self, at: Timestamp) {
-        self.interval.close_at(at);
+    /// [`GraphError::ClosesBeforeOpen`] if `at` precedes the opening
+    /// timestamp; the node is left as it was.
+    pub fn close_at(&mut self, at: Timestamp) -> Result<(), GraphError> {
+        self.interval.close_at(at)
     }
 
     /// Redacts the node's content: the key is replaced by `replacement`
@@ -312,7 +314,7 @@ mod tests {
         assert_eq!(n.kind(), NodeKind::PageVisit);
         assert_eq!(n.version(), Version::FIRST);
         assert!(n.interval().is_open());
-        n.close_at(Timestamp::from_secs(20));
+        n.close_at(Timestamp::from_secs(20)).unwrap();
         assert_eq!(n.interval().close(), Some(Timestamp::from_secs(20)));
     }
 

@@ -206,15 +206,15 @@ mod tests {
             for i in 0..26 {
                 g.add_node(Node::new(NodeKind::PageVisit, format!("u{i}"), t(i)));
             }
-            for &(src, dst) in &links {
-                let src = u32::from(src.max(1));
-                let dst = u32::from(dst) % src;
-                let _ = g.add_edge(
-                    NodeId::new(src % 26),
-                    NodeId::new(dst),
-                    EdgeKind::Link,
-                    t(i64::from(src)),
-                );
+            // Each link from a node to an older one, added by source.
+            let mut links: Vec<(u32, u32)> = links
+                .iter()
+                .map(|&(src, dst)| (u32::from(src), u32::from(dst) % u32::from(src)))
+                .collect();
+            links.sort_by_key(|&(src, _)| src);
+            for (src, dst) in links {
+                g.add_edge(NodeId::new(src), NodeId::new(dst), EdgeKind::Link, t(i64::from(src)))
+                    .unwrap();
             }
             let scores = personalized_pagerank(
                 &g,

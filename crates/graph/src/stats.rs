@@ -6,6 +6,7 @@
 //! starts from the per-kind counts computed here.
 
 use crate::edge::EdgeKind;
+use crate::frozen::FrozenGraph;
 use crate::graph::ProvenanceGraph;
 use crate::node::NodeKind;
 use std::collections::BTreeMap;
@@ -47,24 +48,24 @@ pub fn stats(graph: &ProvenanceGraph) -> GraphStats {
             s.nodes_by_kind.insert(kind.label(), count);
         }
     }
+    let mut degrees = vec![(0usize, 0usize); s.nodes];
     for (_, e) in graph.edges() {
         *s.edges_by_kind.entry(e.kind().label()).or_insert(0) += 1;
+        degrees[e.src().as_usize()].0 += 1;
+        degrees[e.dst().as_usize()].1 += 1;
     }
-    let mut degree_sum = 0usize;
-    for id in graph.node_ids() {
-        let out = graph.out_degree(id);
-        let inn = graph.in_degree(id);
+    for &(out, inn) in &degrees {
         s.max_out_degree = s.max_out_degree.max(out);
         s.max_in_degree = s.max_in_degree.max(inn);
-        degree_sum += out + inn;
         if out + inn == 0 {
             s.isolated_nodes += 1;
         }
     }
+    // Every edge adds one to two degrees.
     s.mean_degree = if s.nodes == 0 {
         0.0
     } else {
-        degree_sum as f64 / s.nodes as f64
+        (2 * s.edges) as f64 / s.nodes as f64
     };
     s
 }
@@ -83,14 +84,14 @@ pub fn second_class_fraction(graph: &ProvenanceGraph) -> f64 {
     second as f64 / graph.edge_count() as f64
 }
 
-/// Counts connected components treating edges as undirected, optionally
-/// filtering by edge kind. Used to quantify how dropping second-class
-/// relationships fragments the history graph.
+/// Counts connected components of a snapshot treating edges as
+/// undirected, optionally filtering by edge kind. Used to quantify how
+/// dropping second-class relationships fragments the history graph.
 pub fn connected_components(
-    graph: &ProvenanceGraph,
+    frozen: &FrozenGraph,
     mut edge_filter: impl FnMut(EdgeKind) -> bool,
 ) -> usize {
-    let n = graph.node_count();
+    let n = frozen.node_count();
     let mut seen = vec![false; n];
     let mut components = 0;
     for start in 0..n {
@@ -98,14 +99,13 @@ pub fn connected_components(
             continue;
         }
         components += 1;
-        let mut stack = vec![crate::ids::NodeId::new(start as u32)];
+        let mut stack = vec![start as u32];
         seen[start] = true;
         while let Some(node) = stack.pop() {
-            for (eid, nbr) in graph.neighbors(node) {
-                let Ok(edge) = graph.edge(eid) else { continue };
-                let kind = edge.kind();
-                if edge_filter(kind) && !seen[nbr.as_usize()] {
-                    seen[nbr.as_usize()] = true;
+            let incident = frozen.out_edges_of(node).chain(frozen.in_edges_of(node));
+            for (nbr, kind) in incident {
+                if edge_filter(kind) && !seen[nbr as usize] {
+                    seen[nbr as usize] = true;
                     stack.push(nbr);
                 }
             }
@@ -173,9 +173,10 @@ mod tests {
     #[test]
     fn components_with_and_without_second_class() {
         let g = sample();
+        let f = FrozenGraph::build(&g);
         // All edges: {term,a,b} + {lone} = 2 components.
-        assert_eq!(connected_components(&g, |_| true), 2);
+        assert_eq!(connected_components(&f, |_| true), 2);
         // Dropping second-class edges isolates everything: 4 components.
-        assert_eq!(connected_components(&g, |k| !k.is_second_class()), 4);
+        assert_eq!(connected_components(&f, |k| !k.is_second_class()), 4);
     }
 }

@@ -7,6 +7,7 @@
 //! [`TimeInterval`] pairing an open timestamp with an optional close
 //! timestamp, plus the overlap predicate that powers time-contextual search.
 
+use crate::error::GraphError;
 use core::fmt;
 use std::time::Duration;
 
@@ -152,15 +153,34 @@ impl TimeInterval {
         self.close.is_none()
     }
 
+    /// Checks that the interval may close at `close`.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::ClosesBeforeOpen`] if `close` precedes the opening
+    /// timestamp.
+    #[inline]
+    pub fn check_close(&self, close: Timestamp) -> Result<(), GraphError> {
+        if close < self.open {
+            return Err(GraphError::ClosesBeforeOpen {
+                open: self.open,
+                close,
+            });
+        }
+        Ok(())
+    }
+
     /// Closes the interval at `close`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `close` precedes the opening timestamp.
+    /// [`GraphError::ClosesBeforeOpen`] if `close` precedes the opening
+    /// timestamp; the interval is left as it was.
     #[inline]
-    pub fn close_at(&mut self, close: Timestamp) {
-        assert!(close >= self.open, "interval closes before it opens");
+    pub fn close_at(&mut self, close: Timestamp) -> Result<(), GraphError> {
+        self.check_close(close)?;
         self.close = Some(close);
+        Ok(())
     }
 
     /// Duration of the interval, or `None` if it is still open.
@@ -273,9 +293,24 @@ mod tests {
     #[test]
     fn close_at_transitions() {
         let mut iv = TimeInterval::open_at(secs(1));
-        iv.close_at(secs(4));
+        iv.close_at(secs(4)).unwrap();
         assert_eq!(iv.close(), Some(secs(4)));
         assert!(!iv.overlaps(&TimeInterval::open_at(secs(5))));
+    }
+
+    #[test]
+    fn a_close_before_the_open_is_rejected() {
+        let mut iv = TimeInterval::open_at(secs(5));
+        assert_eq!(
+            iv.close_at(secs(4)),
+            Err(GraphError::ClosesBeforeOpen {
+                open: secs(5),
+                close: secs(4)
+            })
+        );
+        assert!(iv.is_open(), "a rejected close leaves the interval open");
+        iv.close_at(secs(5)).unwrap();
+        assert_eq!(iv.close(), Some(secs(5)));
     }
 
     #[test]

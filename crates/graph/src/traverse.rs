@@ -12,7 +12,6 @@
 
 use crate::edge::EdgeKind;
 use crate::frozen::FrozenGraph;
-use crate::graph::ProvenanceGraph;
 use crate::ids::{EdgeId, NodeId};
 use bp_obs::clock::ClockHandle;
 use std::borrow::Cow;
@@ -182,10 +181,8 @@ pub struct Reached {
 }
 
 /// The edge by which a traversal first reached a node: slot `slot` of the
-/// row, in the walk's direction, of the node at `reached[from]`. A CSR row
-/// mirrors the live adjacency list slot for slot, so `slot` is also the
-/// edge's place in that node's live out-edge list (toward ancestors) or
-/// in-edge list (toward descendants).
+/// CSR row, in the walk's direction, of the node at `reached[from]`.
+/// [`Traversal::edge_id`] turns it into the edge's id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hop {
     /// Index in [`Traversal::reached`] of the node the edge was followed
@@ -202,7 +199,7 @@ pub struct Traversal {
     pub reached: Vec<Reached>,
     /// `true` if a budget limit stopped the traversal before exhaustion.
     pub truncated: bool,
-    /// The direction walked: whose adjacency list a [`Hop`]'s slot indexes.
+    /// The direction walked: which row a [`Hop`]'s slot indexes.
     direction: Direction,
 }
 
@@ -222,23 +219,19 @@ impl Traversal {
         self.reached.len() <= 1
     }
 
-    /// The id of the edge `hop` followed, read by index from `graph`'s
-    /// adjacency list. `graph` is the live graph the walked snapshot was
-    /// taken of, or a later state of it: adjacency lists only grow at
-    /// their ends, so a slot keeps naming the same edge.
-    pub fn edge_id(&self, graph: &ProvenanceGraph, hop: Hop) -> Option<EdgeId> {
+    /// The id of the edge `hop` followed, read from `frozen`, the
+    /// snapshot this traversal walked: a forward slot's index is the
+    /// edge's id, and a reverse slot is matched to its source's forward
+    /// row.
+    pub fn edge_id(&self, frozen: &FrozenGraph, hop: Hop) -> Option<EdgeId> {
         let from = self.reached.get(hop.from as usize)?.node;
-        let edges = match self.direction {
-            Direction::Ancestors => graph.out_edges(from),
-            Direction::Descendants => graph.in_edges(from),
-        };
-        edges.get(hop.slot as usize).copied()
+        frozen.edge_id(from.index(), self.direction, hop.slot)
     }
 
     /// The BFS-tree path from the start to `target`, its edge ids read
-    /// from `graph` as [`Traversal::edge_id`] reads them; `None` if the
+    /// from `frozen` as [`Traversal::edge_id`] reads them; `None` if the
     /// traversal did not reach `target`.
-    pub fn path_to(&self, graph: &ProvenanceGraph, target: NodeId) -> Option<Path> {
+    pub fn path_to(&self, frozen: &FrozenGraph, target: NodeId) -> Option<Path> {
         // Indices into `reached`, from the target back to the start.
         let mut at = self.reached.iter().position(|r| r.node == target)?;
         let mut trail = vec![at];
@@ -250,7 +243,7 @@ impl Traversal {
         let edges = trail
             .iter()
             .filter_map(|&i| self.reached[i].via)
-            .map(|hop| self.edge_id(graph, hop))
+            .map(|hop| self.edge_id(frozen, hop))
             .collect::<Option<_>>()?;
         Some(Path {
             nodes: trail.iter().map(|&i| self.reached[i].node).collect(),
@@ -356,9 +349,10 @@ impl Path {
     }
 }
 
-/// The BFS family over the live graph's adjacency lists that the CSR
-/// [`bfs`](super::bfs) replaced, kept as the oracle its tests compare
-/// against.
+/// The BFS family over the live graph that the CSR [`bfs`](super::bfs)
+/// replaced, kept as the oracle its tests compare against. It walks the
+/// edge arena's runs toward ancestors and an in-adjacency built from the
+/// arena toward descendants, never the CSR it checks.
 #[cfg(test)]
 pub(crate) mod live {
     use super::{Budget, Direction, Path};
@@ -393,7 +387,7 @@ pub(crate) mod live {
         }
     }
 
-    /// Breadth-first traversal over the live adjacency lists.
+    /// Breadth-first traversal over the live graph.
     pub(crate) fn bfs(
         graph: &ProvenanceGraph,
         start: NodeId,
@@ -415,6 +409,7 @@ pub(crate) mod live {
             depth: 0,
             via: None,
         });
+        let in_adjacency = graph.in_adjacency();
 
         while let Some(r) = queue.pop_front() {
             if let Some(max) = budget.max_nodes {
@@ -435,7 +430,7 @@ pub(crate) mod live {
             }
             let hops: Vec<(EdgeId, NodeId)> = match direction {
                 Direction::Ancestors => graph.parents(r.node).collect(),
-                Direction::Descendants => graph.children(r.node).collect(),
+                Direction::Descendants => in_adjacency[r.node.as_usize()].clone(),
             };
             for (eid, next) in hops {
                 let kind = graph.edge(eid).unwrap().kind();
@@ -575,6 +570,7 @@ mod tests {
         shortest_path,
     };
     use super::*;
+    use crate::graph::ProvenanceGraph;
     use crate::node::{Node, NodeKind};
     use crate::time::Timestamp;
     use proptest::prelude::*;
@@ -591,18 +587,18 @@ mod tests {
         let term = g.add_node(Node::new(NodeKind::SearchTerm, "codec", t(1)));
         let search = g.add_node(Node::new(NodeKind::PageVisit, "http://se/?q=codec", t(2)));
         let blog = g.add_node(Node::new(NodeKind::PageVisit, "http://blog/post", t(3)));
+        let ad = g.add_node(Node::new(NodeKind::PageVisit, "http://ads/banner", t(3)));
         let host = g.add_node(Node::new(NodeKind::PageVisit, "http://host/file", t(4)));
         let dl = g.add_node(Node::new(NodeKind::Download, "/home/u/codec.exe", t(5)));
-        let ad = g.add_node(Node::new(NodeKind::PageVisit, "http://ads/banner", t(3)));
         g.add_edge(search, term, EdgeKind::SearchResult, t(2))
             .unwrap();
         g.add_edge(blog, search, EdgeKind::Link, t(3)).unwrap();
-        g.add_edge(host, blog, EdgeKind::Link, t(4)).unwrap();
-        g.add_edge(dl, host, EdgeKind::DownloadFrom, t(5)).unwrap();
         g.add_edge(ad, blog, EdgeKind::Embed, t(3)).unwrap();
+        g.add_edge(host, blog, EdgeKind::Link, t(4)).unwrap();
         // Context edge that must not leak into lineage:
         g.add_edge(host, ad, EdgeKind::TemporalOverlap, t(4))
             .unwrap();
+        g.add_edge(dl, host, EdgeKind::DownloadFrom, t(5)).unwrap();
         (g, vec![term, search, blog, host, dl, ad])
     }
 
@@ -834,8 +830,8 @@ mod tests {
     }
 
     /// `nodes` nodes joined by `links`: each adds an edge of any kind
-    /// between two nodes, in either id direction, unless it would close a
-    /// cycle. Repeated pairs give parallel edges.
+    /// between two distinct nodes, from the newer to the older, added by
+    /// source. Repeated pairs give parallel edges.
     fn random_graph(nodes: u16, links: &[(u16, u16, u8)]) -> ProvenanceGraph {
         let mut g = ProvenanceGraph::new();
         for i in 0..nodes {
@@ -845,10 +841,17 @@ mod tests {
                 t(i64::from(i)),
             ));
         }
-        for &(a, b, k) in links {
-            let (a, b) = (u32::from(a % nodes), u32::from(b % nodes));
+        let mut links: Vec<(u16, u16, u8)> = links
+            .iter()
+            .map(|&(a, b, k)| (a % nodes, b % nodes, k))
+            .filter(|&(a, b, _)| a != b)
+            .map(|(a, b, k)| (a.max(b), a.min(b), k))
+            .collect();
+        links.sort_by_key(|&(src, _, _)| src);
+        for (src, dst, k) in links {
             let kind = EdgeKind::from_code(k).unwrap_or(EdgeKind::Link);
-            let _ = g.add_edge(NodeId::new(a), NodeId::new(b), kind, t(0));
+            g.add_edge(NodeId::new(src.into()), NodeId::new(dst.into()), kind, t(0))
+                .unwrap();
         }
         g
     }
@@ -884,6 +887,8 @@ mod tests {
         /// random node, depth and deadline limits: the same nodes in the
         /// same order at the same depths, each discovered by the same edge,
         /// the same truncation, and the same path to every reached node.
+        /// Repeated pairs give parallel edges, so a reverse slot's edge id
+        /// is matched among several slots of its source's forward row.
         #[test]
         fn csr_bfs_matches_the_live_oracle(
             nodes in 1u16..40,
@@ -908,11 +913,11 @@ mod tests {
                     prop_assert_eq!(csr.len(), live.len());
                     for (c, l) in csr.reached.iter().zip(&live.reached) {
                         prop_assert_eq!((c.node, c.depth), (l.node, l.depth));
-                        prop_assert_eq!(c.via.map(|hop| csr.edge_id(&g, hop)), l.via.map(Some));
+                        prop_assert_eq!(c.via.map(|hop| csr.edge_id(&frozen, hop)), l.via.map(Some));
                     }
                     for r in &live.reached {
                         let path = live::reconstruct_path(&g, &live, r.node);
-                        prop_assert_eq!(csr.path_to(&g, r.node), Some(path));
+                        prop_assert_eq!(csr.path_to(&frozen, r.node), Some(path));
                     }
                 }
             }
@@ -940,7 +945,7 @@ mod tests {
             let walk = super::bfs(&frozen, start, Direction::Ancestors, EdgeKind::is_causal, &budget);
             let found = walk.reached.iter().skip(1).find(|r| pred(r.node));
             let observed = first_ancestor_where_observed(&g, start, pred, &budget);
-            prop_assert_eq!(found.and_then(|r| walk.path_to(&g, r.node)), observed.path);
+            prop_assert_eq!(found.and_then(|r| walk.path_to(&frozen, r.node)), observed.path);
             prop_assert_eq!(walk.len(), observed.nodes_touched);
             let edges = walk.reached.iter().filter(|r| r.via.is_some()).count();
             prop_assert_eq!(edges, observed.edges_touched);
@@ -954,7 +959,7 @@ mod tests {
                 prop_assert!(walk.node_ids().eq(reach.node_ids()));
                 for target in g.node_ids() {
                     let path = shortest_path(&g, start, target, direction);
-                    prop_assert_eq!(walk.path_to(&g, target), path);
+                    prop_assert_eq!(walk.path_to(&frozen, target), path);
                 }
             }
         }

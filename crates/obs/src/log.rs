@@ -12,7 +12,7 @@
 //! Events are filtered by a `BP_LOG`-style spec (`info`,
 //! `warn,bp_storage=debug`, …): a default level plus per-target-prefix
 //! overrides, longest prefix wins. Timestamps come from
-//! [`unix_time_ms`](crate::clock::unix_time_ms), the workspace's one
+//! [`unix_time_ms`], the workspace's one
 //! mockable wall-clock read, so tests pin time and assert exact lines.
 
 use crate::clock::unix_time_ms;

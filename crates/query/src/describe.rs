@@ -360,10 +360,19 @@ mod tests {
             for i in 0..30 {
                 g.add_node(Node::new(NodeKind::PageVisit, format!("u{i}"), t(i)));
             }
-            for &(a, b, k) in &links {
-                let (a, b) = (NodeId::new(u32::from(a % 30)), NodeId::new(u32::from(b % 30)));
+            // Each link between two distinct nodes, from the newer to the
+            // older, added by source.
+            let mut links: Vec<(u32, u32, u8)> = links
+                .iter()
+                .map(|&(a, b, k)| (u32::from(a % 30), u32::from(b % 30), k))
+                .filter(|&(a, b, _)| a != b)
+                .map(|(a, b, k)| (a.max(b), a.min(b), k))
+                .collect();
+            links.sort_by_key(|&(src, _, _)| src);
+            for (src, dst, k) in links {
                 let kind = EdgeKind::from_code(k).unwrap_or(EdgeKind::Link);
-                let _ = g.add_edge(a, b, kind, t(0));
+                g.add_edge(NodeId::new(src), NodeId::new(dst), kind, t(0))
+                    .unwrap();
             }
             let frozen = FrozenGraph::build(&g);
             for node in g.node_ids() {

@@ -108,7 +108,7 @@ pub fn first_recognizable_ancestor(
         };
         // "First ancestor" is a proper ancestor: skip the start node.
         let hit = walk.reached.iter().skip(1).find(|r| recognizable(r.node));
-        let path = hit.and_then(|r| walk.path_to(graph, r.node));
+        let path = hit.and_then(|r| walk.path_to(&frozen, r.node));
         stage.rows(1, usize::from(path.is_some()));
         if walk.truncated {
             let remaining = graph.node_count().saturating_sub(walk.len()) as u64;

@@ -171,7 +171,7 @@ fn execute_shape(
             for direction in [Direction::Ancestors, Direction::Descendants] {
                 let walk = traverse::bfs(&frozen, from, direction, EdgeKind::is_causal, budget);
                 truncated |= walk.truncated;
-                path = walk.path_to(graph, to);
+                path = walk.path_to(&frozen, to);
                 if path.is_some() {
                     break;
                 }

@@ -12,11 +12,13 @@
 use crate::result::{QueryResult, ScoredHit};
 use crate::scope::Scope;
 use bp_core::ProvenanceBrowser;
+use bp_graph::frozen::FrozenGraph;
 use bp_graph::traverse::Budget;
 use bp_graph::{EdgeKind, NodeId, NodeKind, TimeInterval};
 use bp_obs::profile::QueryPlan;
 use bp_obs::{names, trace};
 use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// EXPLAIN plan for [`time_contextual_search`].
@@ -96,6 +98,7 @@ pub fn time_contextual_search(
         .iter()
         .filter_map(|&n| graph.node(n).ok().map(|node| *node.interval()))
         .collect();
+    let overlap = OverlapProbe::new(browser, &companion_nodes);
 
     let mut best_by_key: std::collections::HashMap<String, ScoredHit> =
         std::collections::HashMap::new();
@@ -123,12 +126,7 @@ pub fn time_contextual_search(
             .any(|c| n.interval().within(c, config.gap));
         // Association channel 2: an explicit temporal-overlap edge into
         // the companion set (either direction).
-        let edge_match = graph.neighbors(node).any(|(eid, other)| {
-            graph
-                .edge(eid)
-                .is_ok_and(|e| e.kind() == EdgeKind::TemporalOverlap)
-                && companion_nodes.contains(&other)
-        });
+        let edge_match = overlap.touches(node);
         if !interval_match && !edge_match {
             continue;
         }
@@ -163,6 +161,57 @@ pub fn time_contextual_search(
         hits,
         elapsed: scope.finish(truncated),
         truncated,
+    }
+}
+
+/// Finds the nodes joined to a companion by a temporal-overlap edge, in
+/// either direction. It reads the browser's last CSR snapshot without
+/// refreshing it, so a query after a capture chunk pays no snapshot
+/// extension, and takes the edges appended since that snapshot from one
+/// pass over the arena's tail. Edges never change once appended, so the
+/// two together are the graph's exact adjacency.
+struct OverlapProbe<'a> {
+    frozen: Arc<FrozenGraph>,
+    companions: &'a HashSet<NodeId>,
+    /// Nodes joined to a companion by an edge appended since `frozen`.
+    tail: HashSet<NodeId>,
+}
+
+impl<'a> OverlapProbe<'a> {
+    fn new(browser: &ProvenanceBrowser, companions: &'a HashSet<NodeId>) -> Self {
+        let frozen = browser.last_frozen();
+        let mut tail = HashSet::new();
+        let appended = browser.graph().edges_from(frozen.edge_count());
+        for (_, e) in appended.filter(|(_, e)| e.kind() == EdgeKind::TemporalOverlap) {
+            if companions.contains(&e.src()) {
+                tail.insert(e.dst());
+            }
+            if companions.contains(&e.dst()) {
+                tail.insert(e.src());
+            }
+        }
+        OverlapProbe {
+            frozen,
+            companions,
+            tail,
+        }
+    }
+
+    /// Whether a temporal-overlap edge joins `node` to a companion.
+    fn touches(&self, node: NodeId) -> bool {
+        if self.tail.contains(&node) {
+            return true;
+        }
+        if node.as_usize() >= self.frozen.node_count() {
+            return false;
+        }
+        let i = node.index();
+        self.frozen
+            .out_edges_of(i)
+            .chain(self.frozen.in_edges_of(i))
+            .any(|(other, kind)| {
+                kind == EdgeKind::TemporalOverlap && self.companions.contains(&NodeId::new(other))
+            })
     }
 }
 
@@ -277,6 +326,50 @@ mod tests {
         );
         // Background wine pages from other days are excluded.
         assert!(!r.contains_key("http://wine3.example/list"));
+    }
+
+    #[test]
+    fn an_overlap_edge_counts_from_the_snapshot_and_from_edges_appended_since() {
+        let wine = "http://rare-wine.example/bottle";
+        for snapshot_first in [true, false] {
+            let mut tb =
+                TempBrowser::new(&format!("tail-{snapshot_first}"), CaptureConfig::default());
+            let b = &mut tb.browser;
+            b.ingest(&BrowserEvent::tab_opened(t(0), TabId(0), None))
+                .unwrap();
+            b.ingest(&BrowserEvent::navigate(
+                t(10),
+                TabId(0),
+                wine,
+                Some("rare wine"),
+                NavigationCause::Typed,
+            ))
+            .unwrap();
+            b.ingest(&BrowserEvent::tab_opened(t(20), TabId(1), Some(TabId(0))))
+                .unwrap();
+            if snapshot_first {
+                b.frozen();
+            }
+            // Capture joins the tickets visit to the wine visit, open in
+            // the other tab, with a temporal-overlap edge.
+            b.ingest(&BrowserEvent::navigate(
+                t(30),
+                TabId(1),
+                "http://travel.example/plane-tickets",
+                Some("plane tickets"),
+                NavigationCause::Typed,
+            ))
+            .unwrap();
+            if !snapshot_first {
+                b.frozen();
+            }
+            let stale = b.last_frozen().edge_count() < b.graph().edge_count();
+            assert_eq!(stale, snapshot_first);
+            let r =
+                time_contextual_search(b, "wine", "plane tickets", &TimeContextConfig::default());
+            let hit = r.hits.iter().find(|h| h.key == wine).unwrap();
+            assert!(hit.context_score > 0.0, "the overlap edge earns its bonus");
+        }
     }
 
     #[test]

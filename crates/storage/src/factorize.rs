@@ -89,19 +89,14 @@ pub fn factorize(graph: &ProvenanceGraph) -> FactorizedEdges {
     let mut groups: Vec<(u32, u32, Vec<i64>)> = Vec::new(); // (src, sig, dst deltas)
     let mut edge_count = 0usize;
 
-    for src in graph.node_ids() {
-        let out = graph.out_edges(src);
-        if out.is_empty() {
-            continue;
-        }
-        let mut kinds = Vec::with_capacity(out.len());
-        let mut deltas = Vec::with_capacity(out.len());
-        for &eid in out {
-            let Ok(e) = graph.edge(eid) else { continue };
+    for (src, run) in graph.out_runs() {
+        let mut kinds = Vec::with_capacity(run.len());
+        let mut deltas = Vec::with_capacity(run.len());
+        for e in run {
             kinds.push(e.kind().code());
             deltas.push(i64::from(src.index()) - i64::from(e.dst().index()));
-            edge_count += 1;
         }
+        edge_count += run.len();
         let sig_id = *dict.entry(kinds.clone()).or_insert_with(|| {
             dict_order.push(kinds);
             (dict_order.len() - 1) as u32
@@ -134,8 +129,7 @@ pub fn factorize(graph: &ProvenanceGraph) -> FactorizedEdges {
 }
 
 /// Decodes a factorized structure back into `(src, dst, kind)` triples, in
-/// per-source, per-edge order (matching [`ProvenanceGraph::out_edges`]
-/// order).
+/// per-source, per-edge order: the order of the graph's edge arena.
 ///
 /// # Errors
 ///
@@ -232,14 +226,9 @@ mod tests {
     }
 
     fn structure_of(g: &ProvenanceGraph) -> Vec<(NodeId, NodeId, EdgeKind)> {
-        let mut out = Vec::new();
-        for src in g.node_ids() {
-            for &eid in g.out_edges(src) {
-                let e = g.edge(eid).unwrap();
-                out.push((src, e.dst(), e.kind()));
-            }
-        }
-        out
+        g.edges()
+            .map(|(_, e)| (e.src(), e.dst(), e.kind()))
+            .collect()
     }
 
     #[test]

@@ -136,7 +136,7 @@ fn fnv1a(s: &str) -> u64 {
 ///
 /// Semantics are identical to [`StringInterner`] — dense sequential ids in
 /// first-defined order, replayable via [`define`](Self::define) — but every
-/// method takes `&self`: the string → id map lives in [`SHARD_COUNT`]
+/// method takes `&self`: the string → id map lives in `SHARD_COUNT`
 /// independently locked shards, and the id → string table is a separate
 /// lock acquired only on the (rare, per-*novel*-string) allocation path
 /// and on resolve. Interning a hot URL takes one shard read lock; two

@@ -88,7 +88,7 @@ pub use wal::{GroupAppend, SyncPolicy, Wal, WalContents};
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use bp_graph::{EdgeKind, NodeKind, Timestamp};
+    use bp_graph::{EdgeKind, NodeId, NodeKind, Timestamp};
     use proptest::prelude::*;
     use std::path::PathBuf;
 
@@ -115,7 +115,7 @@ mod proptests {
     enum Cmd {
         Visit(u8),
         Edge(u8, u8, u8),
-        Close(u8),
+        Close(u8, u8),
         Attr(u8, u8),
         Snapshot,
     }
@@ -124,10 +124,24 @@ mod proptests {
         prop_oneof![
             4 => (0u8..12).prop_map(Cmd::Visit),
             4 => (any::<u8>(), any::<u8>(), 0u8..15).prop_map(|(a, b, k)| Cmd::Edge(a, b, k)),
-            2 => any::<u8>().prop_map(Cmd::Close),
+            2 => (any::<u8>(), 0u8..8).prop_map(|(n, back)| Cmd::Close(n, back)),
             2 => (any::<u8>(), any::<u8>()).prop_map(|(n, v)| Cmd::Attr(n, v)),
             1 => Just(Cmd::Snapshot),
         ]
+    }
+
+    /// An edge drawn into the graph's order: from the last edge's source
+    /// or a newer node to an older node, or `None` while the graph has
+    /// fewer than two nodes.
+    fn ordered_edge(store: &ProvenanceStore, a: u8, b: u8) -> Option<(NodeId, NodeId)> {
+        let g = store.graph();
+        let n = g.node_count() as u32;
+        if n < 2 {
+            return None;
+        }
+        let last = g.edges().last().map_or(1, |(_, e)| e.src().index().max(1));
+        let src = last + u32::from(a) % (n - last);
+        Some((NodeId::new(src), NodeId::new(u32::from(b) % src)))
     }
 
     fn run_script(store: &mut ProvenanceStore, cmds: &[Cmd]) {
@@ -140,27 +154,23 @@ mod proptests {
                     store.add_visit(&format!("http://p{u}/"), ts).unwrap();
                 }
                 Cmd::Edge(a, b, k) => {
-                    let n = store.graph().node_count() as u32;
-                    if n == 0 {
-                        continue;
+                    if let Some((src, dst)) = ordered_edge(store, *a, *b) {
+                        let kind = EdgeKind::from_code(*k).unwrap_or(EdgeKind::Link);
+                        store.add_edge(src, dst, kind, ts).unwrap();
                     }
-                    let src = bp_graph::NodeId::new(*a as u32 % n);
-                    let dst = bp_graph::NodeId::new(*b as u32 % n);
-                    let kind = EdgeKind::from_code(*k).unwrap_or(EdgeKind::Link);
-                    let _ = store.add_edge(src, dst, kind, ts);
                 }
-                Cmd::Close(u) => {
+                Cmd::Close(u, back) => {
                     let n = store.graph().node_count() as u32;
                     if n == 0 {
                         continue;
                     }
-                    let node = bp_graph::NodeId::new(*u as u32 % n);
-                    // close_at panics if before open; guard like the
-                    // capture layer does.
+                    let node = NodeId::new(u32::from(*u) % n);
+                    // Up to 7 s back: some closes precede their node's
+                    // open, and those are rejected with nothing applied.
+                    let at = Timestamp::from_secs(clock - i64::from(*back));
                     let open = store.graph().node(node).unwrap().opened_at();
-                    if ts >= open {
-                        store.close_node(node, ts).unwrap();
-                    }
+                    let closed = store.close_node(node, at);
+                    assert_eq!(closed.is_ok(), at >= open, "close at {at:?}, open {open:?}");
                 }
                 Cmd::Attr(u, v) => {
                     let n = store.graph().node_count() as u32;
@@ -241,14 +251,12 @@ mod proptests {
     }
 
     /// Feeds `steps` to `store` through its public mutators, then commits
-    /// whatever batch or write group is still open. A `capture_shaped`
-    /// history adds each edge from the newest node, as capture does, so
-    /// the snapshot stores its edges factorized; otherwise an edge leaves
-    /// any node and the snapshot lists edges one by one.
-    fn feed(store: &mut ProvenanceStore, capture_shaped: bool, steps: &[Step]) {
+    /// whatever batch or write group is still open. Each edge is drawn
+    /// into the graph's order.
+    fn feed(store: &mut ProvenanceStore, steps: &[Step]) {
         let node = |store: &ProvenanceStore, i: u8| {
             let n = store.graph().node_count() as u32;
-            (n > 0).then(|| bp_graph::NodeId::new(u32::from(i) % n))
+            (n > 0).then(|| NodeId::new(u32::from(i) % n))
         };
         for (clock, step) in (1i64..).zip(steps) {
             let ts = Timestamp::from_secs(clock);
@@ -266,16 +274,11 @@ mod proptests {
                         .unwrap();
                 }
                 Step::Edge(a, b, k, v) => {
-                    let src = if capture_shaped {
-                        let n = store.graph().node_count() as u32;
-                        n.checked_sub(1).map(bp_graph::NodeId::new)
-                    } else {
-                        node(store, a)
-                    };
-                    if let (Some(src), Some(dst)) = (src, node(store, b)) {
+                    if let Some((src, dst)) = ordered_edge(store, a, b) {
                         let kind = EdgeKind::from_code(k).unwrap_or(EdgeKind::Link);
-                        // A rejected edge (cycle, self-loop) logs nothing.
-                        let _ = store.add_edge_with_attrs(src, dst, kind, ts, &[attr(v, v)]);
+                        store
+                            .add_edge_with_attrs(src, dst, kind, ts, &[attr(v, v)])
+                            .unwrap();
                     }
                 }
                 Step::Close(i) => {
@@ -346,15 +349,12 @@ mod proptests {
         /// with its own seed; and each store, dropped without a sync and
         /// reopened, recovers exactly its live state.
         #[test]
-        fn same_history_same_bytes(
-            capture_shaped in any::<bool>(),
-            steps in prop::collection::vec(step_strategy(), 1..80),
-        ) {
+        fn same_history_same_bytes(steps in prop::collection::vec(step_strategy(), 1..80)) {
             let dirs = [TempDir::new("same-a"), TempDir::new("same-b")];
             let mut live = Vec::new();
             for dir in &dirs {
                 let mut store = ProvenanceStore::open(&dir.0, SyncPolicy::OsManaged).unwrap();
-                feed(&mut store, capture_shaped, &steps);
+                feed(&mut store, &steps);
                 live.push(recoverable_state(&store));
             }
             prop_assert_eq!(files(&dirs[0].0), files(&dirs[1].0));
@@ -393,13 +393,7 @@ mod proptests {
             let g = store.graph();
             let fact = factorize(g);
             let decoded = defactorize(&fact).unwrap();
-            let mut expected = Vec::new();
-            for src in g.node_ids() {
-                for &eid in g.out_edges(src) {
-                    let e = g.edge(eid).unwrap();
-                    expected.push((src, e.dst(), e.kind()));
-                }
-            }
+            let expected: Vec<_> = g.edges().map(|(_, e)| (e.src(), e.dst(), e.kind())).collect();
             prop_assert_eq!(decoded, expected);
         }
     }

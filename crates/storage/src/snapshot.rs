@@ -14,10 +14,9 @@
 //!   versions, zigzag-delta open timestamps, then attribute lists. Sorted
 //!   and near-sorted columns make the varints one byte each.
 //! - **edge structure** reuses [`crate::factorize`]'s signature-dictionary
-//!   encoding when the graph's per-source edge grouping matches edge-id
-//!   order (the common case: capture creates a node's out-edges right
-//!   after the node), and falls back to explicit delta triples otherwise.
-//!   Timestamps and attributes live in separate columns either way.
+//!   encoding, which stores edges grouped by source: the graph keeps its
+//!   edges in source order, so that grouping is edge-id order. Timestamps
+//!   and attributes live in separate columns.
 //! - **closes** are (node-id delta, close-time delta) pairs.
 //!
 //! Decoding lowers the columns back into the [`Op`] stream the v1 format
@@ -36,9 +35,9 @@ use crate::record::{read_attrs, write_attrs, Op};
 use crate::varint;
 use bp_graph::{NodeId, NodeKind, ProvenanceGraph, Timestamp, Version};
 
-/// Edge-structure encoding selector: explicit delta triples.
-const EDGES_EXPLICIT: u8 = 0;
 /// Edge-structure encoding selector: factorized signature dictionary.
+/// Selector 0 (explicit triples, for edges out of source order) is
+/// retired and refused as corrupt: the graph rejects such edges.
 const EDGES_FACTORIZED: u8 = 1;
 
 /// Encodes `graph` into one columnar frame, interning every string the
@@ -113,21 +112,8 @@ pub(crate) fn encode(graph: &ProvenanceGraph, compact: &ShardedInterner) -> Stor
 
     // --- Edge structure. ---
     varint::write_u64(&mut out, offset_u64(graph.edge_count()));
-    if grouped_order_is_id_order(graph) {
-        let fact = factorize(graph);
-        out.push(EDGES_FACTORIZED);
-        varint::write_bytes(&mut out, fact.as_bytes());
-    } else {
-        out.push(EDGES_EXPLICIT);
-        let mut last_src = 0i64;
-        for (_, edge) in graph.edges() {
-            let src = i64::from(edge.src().index());
-            varint::write_i64(&mut out, src - last_src);
-            last_src = src;
-            varint::write_i64(&mut out, src - i64::from(edge.dst().index()));
-            out.push(edge.kind().code());
-        }
-    }
+    out.push(EDGES_FACTORIZED);
+    varint::write_bytes(&mut out, factorize(graph).as_bytes());
     // Edge timestamp + attr columns, always in edge-id order.
     let mut last_at = 0i64;
     for (_, edge) in graph.edges() {
@@ -237,41 +223,20 @@ pub(crate) fn decode(frame: &[u8]) -> StorageResult<Vec<Op>> {
     // --- Edge structure. ---
     let n_edges = read_count(buf, &mut pos)?;
     let tag = read_byte(buf, &mut pos)?;
-    let structure: Vec<(NodeId, NodeId, bp_graph::EdgeKind)> = match tag {
-        EDGES_FACTORIZED => {
-            let bytes = varint::read_bytes(buf, &mut pos)?.to_vec();
-            let fact = FactorizedEdges::from_bytes(bytes, n_edges)?;
-            let triples = defactorize(&fact)?;
-            if triples.len() != n_edges {
-                return Err(StorageError::corrupt(
-                    offset_u64(pos),
-                    "factorized edge count mismatch",
-                ));
-            }
-            triples
-        }
-        EDGES_EXPLICIT => {
-            let mut triples = Vec::with_capacity(n_edges);
-            let mut last_src = 0i64;
-            for _ in 0..n_edges {
-                last_src += varint::read_i64(buf, &mut pos)?;
-                let src = u32_from_signed(last_src, pos)?;
-                let dst_delta = varint::read_i64(buf, &mut pos)?;
-                let dst = u32_from_signed(last_src - dst_delta, pos)?;
-                let code = read_byte(buf, &mut pos)?;
-                let kind = bp_graph::EdgeKind::from_code(code)
-                    .ok_or_else(|| StorageError::corrupt(offset_u64(pos), "bad edge kind"))?;
-                triples.push((NodeId::new(src), NodeId::new(dst), kind));
-            }
-            triples
-        }
-        other => {
-            return Err(StorageError::corrupt(
-                offset_u64(pos),
-                format!("unknown edge encoding tag {other}"),
-            ))
-        }
-    };
+    if tag != EDGES_FACTORIZED {
+        return Err(StorageError::corrupt(
+            offset_u64(pos),
+            format!("unknown edge encoding tag {tag}"),
+        ));
+    }
+    let bytes = varint::read_bytes(buf, &mut pos)?.to_vec();
+    let structure = defactorize(&FactorizedEdges::from_bytes(bytes, n_edges)?)?;
+    if structure.len() != n_edges {
+        return Err(StorageError::corrupt(
+            offset_u64(pos),
+            "factorized edge count mismatch",
+        ));
+    }
     let mut ats = Vec::with_capacity(n_edges);
     let mut last_at = 0i64;
     for _ in 0..n_edges {
@@ -312,22 +277,6 @@ pub(crate) fn decode(frame: &[u8]) -> StorageResult<Vec<Op>> {
         ));
     }
     Ok(ops)
-}
-
-/// Whether walking nodes in id order and each node's out-edges in list
-/// order visits edge ids 0, 1, 2, … — the precondition for reusing the
-/// factorized structure encoding (which stores edges grouped by source).
-fn grouped_order_is_id_order(graph: &ProvenanceGraph) -> bool {
-    let mut next = 0u32;
-    for src in graph.node_ids() {
-        for &eid in graph.out_edges(src) {
-            if eid.index() != next {
-                return false;
-            }
-            next += 1;
-        }
-    }
-    true
 }
 
 fn common_prefix_len(a: &str, b: &str) -> usize {
@@ -377,7 +326,7 @@ mod tests {
     }
 
     /// A graph shaped like real capture output: out-edges created right
-    /// after their source node (grouped order == id order).
+    /// after their source node.
     fn capture_shaped(n: usize) -> ProvenanceGraph {
         let mut g = ProvenanceGraph::new();
         let hub = g.add_node(Node::new(NodeKind::Page, "http://hub.example/", t(0)));
@@ -397,19 +346,6 @@ mod tests {
             }
             prev = Some(v);
         }
-        g
-    }
-
-    /// Interleaves edge creation across sources so grouped order differs
-    /// from id order, forcing the explicit fallback.
-    fn interleaved() -> ProvenanceGraph {
-        let mut g = ProvenanceGraph::new();
-        let a = g.add_node(Node::new(NodeKind::Page, "a", t(0)));
-        let b = g.add_node(Node::new(NodeKind::Page, "b", t(0)));
-        let c = g.add_node(Node::new(NodeKind::Page, "c", t(0)));
-        g.add_edge(c, a, EdgeKind::Link, t(1)).unwrap(); // edge 0: src 2
-        g.add_edge(b, a, EdgeKind::Link, t(2)).unwrap(); // edge 1: src 1
-        g.add_edge(c, b, EdgeKind::Link, t(3)).unwrap(); // edge 2: src 2
         g
     }
 
@@ -447,7 +383,7 @@ mod tests {
                     g.borrow_mut().add_edge_full(edge).unwrap();
                 }
                 Op::CloseNode { node, at } => {
-                    g.borrow_mut().node_mut(node).unwrap().close_at(at);
+                    g.borrow_mut().node_mut(node).unwrap().close_at(at).unwrap();
                 }
                 other => panic!("unexpected op in snapshot stream: {other:?}"),
             }
@@ -470,24 +406,20 @@ mod tests {
     #[test]
     fn roundtrip_capture_shaped_uses_factorized_edges() {
         let mut g = capture_shaped(40);
-        g.node_mut(NodeId::new(3)).unwrap().close_at(t(100));
-        g.node_mut(NodeId::new(7)).unwrap().close_at(t(101));
-        assert!(grouped_order_is_id_order(&g));
+        g.node_mut(NodeId::new(3))
+            .unwrap()
+            .close_at(t(100))
+            .unwrap();
+        g.node_mut(NodeId::new(7))
+            .unwrap()
+            .close_at(t(101))
+            .unwrap();
         let compact = ShardedInterner::new();
         let frame = encode(&g, &compact).unwrap();
         let (decoded, interner) = replay(decode(&frame).unwrap());
         assert_eq!(fingerprint(&decoded), fingerprint(&g));
         assert_eq!(interner.len(), compact.len());
         assert_eq!(interner.strings(), compact.strings());
-    }
-
-    #[test]
-    fn roundtrip_interleaved_uses_explicit_edges() {
-        let g = interleaved();
-        assert!(!grouped_order_is_id_order(&g));
-        let frame = encode(&g, &ShardedInterner::new()).unwrap();
-        let (decoded, _) = replay(decode(&frame).unwrap());
-        assert_eq!(fingerprint(&decoded), fingerprint(&g));
     }
 
     #[test]

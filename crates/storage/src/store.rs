@@ -23,8 +23,8 @@ use crate::intern::ShardedInterner;
 use crate::record::{Codec, Op};
 use crate::wal::{SyncPolicy, Wal};
 use bp_graph::{
-    AttrValue, Edge, EdgeKind, GraphError, Node, NodeId, NodeKind, ProvenanceGraph, TimeInterval,
-    Timestamp, Version,
+    AttrValue, Edge, EdgeKind, Node, NodeId, NodeKind, ProvenanceGraph, TimeInterval, Timestamp,
+    Version,
 };
 use bp_obs::{names, Counter, Histogram, Level, Obs};
 use std::path::{Path, PathBuf};
@@ -306,8 +306,8 @@ impl ProvenanceStore {
             Op::CloseNode { node, at } => {
                 self.graph
                     .node_mut(*node)
-                    .map_err(|e| StorageError::Replay(e.to_string()))?
-                    .close_at(*at);
+                    .and_then(|n| n.close_at(*at))
+                    .map_err(|e| StorageError::Replay(e.to_string()))?;
                 self.times.close(*node, *at);
                 Ok(None)
             }
@@ -565,9 +565,10 @@ impl ProvenanceStore {
     ///
     /// # Errors
     ///
-    /// [`StorageError::Replay`] wraps graph rejections (cycle, unknown
-    /// node, self-loop); [`StorageError::Io`] covers log failures. On
-    /// rejection nothing is logged.
+    /// [`StorageError::Replay`] wraps graph rejections (an unknown node,
+    /// or an edge out of the graph's order, see
+    /// [`ProvenanceGraph::check_edge`]); [`StorageError::Io`] covers log
+    /// failures. On rejection nothing is logged.
     pub fn add_edge(
         &mut self,
         src: NodeId,
@@ -612,32 +613,22 @@ impl ProvenanceStore {
     /// logged: a rejected edge must leave the store (including the codec's
     /// delta-timestamp state and the interner) exactly as it found it.
     fn check_edge(&self, src: NodeId, dst: NodeId) -> StorageResult<()> {
-        let validate = |r: Result<&Node, GraphError>| {
-            r.map(|_| ())
-                .map_err(|e| StorageError::Replay(e.to_string()))
-        };
-        validate(self.graph.node(src))?;
-        validate(self.graph.node(dst))?;
-        if src == dst {
-            return Err(StorageError::Replay(GraphError::SelfLoop(src).to_string()));
-        }
-        if self.graph.would_cycle(src, dst) {
-            return Err(StorageError::Replay(
-                GraphError::WouldCycle { src, dst }.to_string(),
-            ));
-        }
-        Ok(())
+        self.graph
+            .check_edge(src, dst)
+            .map_err(|e| StorageError::Replay(e.to_string()))
     }
 
     /// Closes a node's open interval (§3.2's page-close record).
     ///
     /// # Errors
     ///
-    /// [`StorageError::Replay`] if the node is unknown, [`StorageError::Io`]
-    /// on log failure.
+    /// [`StorageError::Replay`] if the node is unknown or `at` precedes its
+    /// open; [`StorageError::Io`] on log failure. A rejected close is
+    /// checked before the commit advances the codec, so it logs nothing.
     pub fn close_node(&mut self, node: NodeId, at: Timestamp) -> StorageResult<()> {
         self.graph
             .node(node)
+            .and_then(|n| n.interval().check_close(at))
             .map_err(|e| StorageError::Replay(e.to_string()))?;
         self.commit(Op::CloseNode { node, at }, Vec::new())?;
         Ok(())
@@ -742,9 +733,12 @@ impl ProvenanceStore {
 
     /// Writes a compacted snapshot of the current state and resets the log.
     ///
-    /// The snapshot is written to a temporary file and atomically renamed,
-    /// so a crash during compaction leaves either the old snapshot+log or
-    /// the new snapshot intact.
+    /// The snapshot is written to a temporary file and renamed into place,
+    /// and only then is the log reset. A crash before the rename leaves the
+    /// old snapshot and log intact. A crash between the rename and the log
+    /// reset leaves the new snapshot beside the old log, and that profile
+    /// fails to open: recovery replays the old log on top of the new
+    /// snapshot. DESIGN § Durability states the same guarantee.
     ///
     /// Compaction rebuilds the string table from scratch: only strings the
     /// live graph still references are written. Together with
@@ -983,19 +977,72 @@ mod tests {
         assert_eq!(store.graph().nodes_with_key("http://same/"), &[v0, v1]);
     }
 
+    /// Runs `script` on a fresh store with rejected mutations attempted
+    /// at its marked points or skipped, and returns the log's bytes.
+    fn log_after(tag: &str, attempt: bool, script: fn(&mut ProvenanceStore, bool)) -> Vec<u8> {
+        let dir = TempDir::new(tag);
+        let mut store = ProvenanceStore::open(&dir.0, SyncPolicy::Always).unwrap();
+        script(&mut store, attempt);
+        drop(store);
+        // Recovery must succeed: the rejected mutations never hit the log.
+        let store = ProvenanceStore::open(&dir.0, SyncPolicy::Always).unwrap();
+        drop(store);
+        std::fs::read(dir.0.join("log.wal")).unwrap()
+    }
+
     #[test]
     fn rejected_edges_do_not_pollute_the_log() {
-        let dir = TempDir::new("reject");
-        let mut store = ProvenanceStore::open(&dir.0, SyncPolicy::Always).unwrap();
-        let a = store.add_visit("a", t(1)).unwrap();
-        assert!(store.add_edge(a, a, EdgeKind::Link, t(1)).is_err());
-        assert!(store
-            .add_edge(a, NodeId::new(99), EdgeKind::Link, t(1))
-            .is_err());
-        drop(store);
-        // Recovery must succeed — the bad edges never hit the log.
-        let store = ProvenanceStore::open(&dir.0, SyncPolicy::Always).unwrap();
-        assert_eq!(store.graph().edge_count(), 0);
+        fn script(store: &mut ProvenanceStore, attempt: bool) {
+            let a = store.add_visit("a", t(1)).unwrap();
+            let b = store.add_visit("b", t(2)).unwrap();
+            let c = store.add_visit("c", t(3)).unwrap();
+            store.add_edge(c, a, EdgeKind::Link, t(3)).unwrap();
+            if attempt {
+                let attrs = [("fresh-attr", AttrValue::from(1i64))];
+                let rejected = [
+                    (a, b, "an older node to a newer one"),
+                    (b, b, "a self-loop"),
+                    (b, a, "a source older than the last edge's"),
+                    (a, NodeId::new(99), "an unknown node"),
+                ];
+                for (src, dst, what) in rejected {
+                    let added = store.add_edge_with_attrs(src, dst, EdgeKind::Link, t(9), &attrs);
+                    assert!(added.is_err(), "{what} is rejected");
+                }
+                assert_eq!(store.graph().edge_count(), 1);
+            }
+            // The next record's timestamp delta and string ids are what
+            // they would be without the rejections.
+            store
+                .add_edge_with_attrs(c, b, EdgeKind::Link, t(4), &[("note", "x".into())])
+                .unwrap();
+        }
+        assert_eq!(
+            log_after("reject-edges", true, script),
+            log_after("reject-edges-none", false, script)
+        );
+    }
+
+    #[test]
+    fn a_close_before_the_open_is_rejected_and_logs_nothing() {
+        fn script(store: &mut ProvenanceStore, attempt: bool) {
+            let a = store.add_visit("a", t(10)).unwrap();
+            if attempt {
+                let before = std::fs::read(store.dir().join("log.wal")).unwrap();
+                assert!(matches!(
+                    store.close_node(a, t(9)),
+                    Err(StorageError::Replay(_))
+                ));
+                let after = std::fs::read(store.dir().join("log.wal")).unwrap();
+                assert_eq!(before, after, "the log is byte-identical");
+                assert!(store.graph().node(a).unwrap().interval().is_open());
+            }
+            store.close_node(a, t(12)).unwrap();
+        }
+        assert_eq!(
+            log_after("reject-close", true, script),
+            log_after("reject-close-none", false, script)
+        );
     }
 
     #[test]

@@ -176,7 +176,7 @@ impl Wal {
     /// # Errors
     ///
     /// Returns [`StorageError::FrameTooLarge`] for payloads over
-    /// [`MAX_FRAME`] bytes — the length field would wrap (or the frame
+    /// `MAX_FRAME` bytes — the length field would wrap (or the frame
     /// would read back as a torn tail, discarding every frame after it),
     /// so the append is refused before any byte reaches the file. Returns
     /// [`StorageError::Io`] on write failure; the in-memory clean length

@@ -7,6 +7,7 @@
 //! ```
 
 use bp_bench::experiments as exp;
+use std::io::{ErrorKind, Write as _};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -35,5 +36,15 @@ fn main() {
             std::process::exit(1);
         }
     };
-    println!("{report}");
+    let mut stdout = std::io::stdout().lock();
+    match writeln!(stdout, "{report}").and_then(|()| stdout.flush()) {
+        Ok(()) => {}
+        // The reader stopped early (`report a5 1 | head -n 5`): it has
+        // read what it wanted, so the report ends quietly.
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => {}
+        Err(e) => {
+            eprintln!("report: writing the report failed: {e}");
+            std::process::exit(1);
+        }
+    }
 }

@@ -8,7 +8,7 @@ use bp_core::{eventlog, CaptureConfig, ProvenanceBrowser};
 use bp_graph::dot::{to_dot, DotOptions};
 use bp_graph::stats::stats;
 use bp_graph::traverse::Budget;
-use bp_obs::{expo, profile, trace, ClockHandle, Obs};
+use bp_obs::{expo, flight, profile, trace, ClockHandle, Obs};
 use bp_query::{
     contextual_history_search, downloads_descending_from, find_download,
     first_recognizable_ancestor, personalize_query, textual_history_search, time_contextual_search,
@@ -26,7 +26,7 @@ USAGE:
   browserprov generate  --days N --seed S --out FILE   generate a simulated event log
   browserprov ingest    --profile DIR FILE             ingest an event log into a profile
   browserprov stats     --profile DIR                  graph and storage statistics
-  browserprov stats     --profile DIR --metrics        live metrics (Prometheus text + journal);
+  browserprov stats     --profile DIR --metrics        live metrics (Prometheus text + recent events);
                                                        --metrics-json for JSON exposition
   browserprov search    --profile DIR QUERY [--textual|--ppr|--hits]
                                                        history search: contextual (default),
@@ -136,12 +136,14 @@ pub(crate) fn export_metrics(args: &Args) {
     let _ = std::fs::write(metrics_path(args), expo::export_snapshot(&snap));
 }
 
-/// Runs `f` with span collection enabled when `--trace` was passed and
-/// returns its result plus the rendered span tree (empty without the
-/// flag). `--trace-id` additionally mints a request trace context up
+/// Runs `f`, collecting its span trees when `--trace` asks to see them
+/// or, where `explain` allows it, `--explain` or `--explain-json` does,
+/// and returns its result plus what was asked for, in that order: the
+/// trees, the `--trace-id` line, and the EXPLAIN tables or JSON lines
+/// read off the same trees. `--trace-id` mints a request trace context up
 /// front — the run's log lines, exemplars, and tail-sampler record all
 /// share the printed ID, usable against `/tracez?id=` and flight dumps.
-fn with_trace<R>(args: &Args, f: impl FnOnce() -> R) -> (R, String) {
+fn observe<R>(args: &Args, explain: bool, f: impl FnOnce() -> R) -> (R, String) {
     let ctx = args
         .has("trace-id")
         .then(|| trace::enter_new(&ClockHandle::real()));
@@ -150,40 +152,33 @@ fn with_trace<R>(args: &Args, f: impl FnOnce() -> R) -> (R, String) {
         .and_then(|guard| guard.context())
         .map(|c| format!("\ntrace id: {}\n", trace::format_trace_id(c.trace_id)))
         .unwrap_or_default();
-    if !args.has("trace") {
+    let json = explain && args.has("explain-json");
+    let explain = json || (explain && args.has("explain"));
+    let tree = args.has("trace");
+    if !tree && !explain {
         return (f(), id_note);
     }
     trace::set_enabled(true);
     let _ = trace::take_roots();
     let result = f();
     trace::set_enabled(false);
-    let mut rendered = String::from("\ntrace:\n");
-    for root in trace::take_roots() {
-        rendered.push_str(&root.render());
+    let roots = trace::take_roots();
+    let mut rendered = String::new();
+    if tree {
+        rendered.push_str("\ntrace:\n");
+        for root in &roots {
+            rendered.push_str(&root.render());
+        }
     }
     rendered.push_str(&id_note);
-    (result, rendered)
-}
-
-/// Runs `f` with EXPLAIN profiling enabled when `--explain` or
-/// `--explain-json` was passed and returns its result plus the rendered
-/// profile (empty without either flag).
-fn with_explain<R>(args: &Args, f: impl FnOnce() -> R) -> (R, String) {
-    let json = args.has("explain-json");
-    if !args.has("explain") && !json {
-        return (f(), String::new());
-    }
-    profile::set_enabled(true);
-    let _ = profile::take();
-    let result = f();
-    profile::set_enabled(false);
-    let mut rendered = String::new();
-    for p in profile::take() {
-        if json {
-            rendered.push_str(&p.to_json());
-        } else {
-            rendered.push('\n');
-            rendered.push_str(&p.render_table());
+    if explain {
+        for p in profile::from_spans(&roots) {
+            if json {
+                rendered.push_str(&p.to_json());
+            } else {
+                rendered.push('\n');
+                rendered.push_str(&p.render_table());
+            }
         }
     }
     (result, rendered)
@@ -264,7 +259,8 @@ fn stats_cmd(args: &Args) -> Result<String, String> {
 /// `stats --metrics[-json]`: the full observability report. Restores the
 /// profile's accumulated metrics, exercises each §2 use-case query path
 /// once so its latency histogram and the deadline SLO counters hold fresh
-/// samples, then renders every metric plus the event journal.
+/// samples, then renders every metric plus the flight recorder's
+/// retained events.
 fn metrics_report(args: &Args) -> Result<String, String> {
     let budget = budget(args)?;
     import_metrics(args);
@@ -296,11 +292,11 @@ fn metrics_report(args: &Args) -> Result<String, String> {
         expo::render_prometheus(&snap)
     };
     if !args.has("metrics-json") {
-        let events = Obs::global().journal().events();
-        if !events.is_empty() {
-            out.push_str("\n# journal\n");
-            for e in events {
-                let _ = writeln!(out, "# [{:?}] {}", e.level, e.message);
+        let entries = flight::global().snapshot();
+        if !entries.is_empty() {
+            out.push_str("\n# flight recorder\n");
+            for entry in entries {
+                let _ = writeln!(out, "# {}", entry.event.to_json_line());
             }
         }
     }
@@ -323,7 +319,7 @@ fn search(args: &Args) -> Result<String, String> {
     if args.has("hits") {
         config.hits_weight = 1.0;
     }
-    let (result, traced) = with_trace(args, || {
+    let (result, traced) = observe(args, false, || {
         if args.has("textual") {
             textual_history_search(&browser, &query, &config)
         } else if args.has("ppr") {
@@ -374,7 +370,7 @@ fn personalize(args: &Args) -> Result<String, String> {
     };
     import_metrics(args);
     let browser = open(args)?;
-    let (expanded, traced) = with_trace(args, || personalize_query(&browser, &query, &config));
+    let (expanded, traced) = observe(args, false, || personalize_query(&browser, &query, &config));
     let mut out = if expanded.is_unchanged() {
         format!("no history context for {query:?}; query unchanged")
     } else {
@@ -401,7 +397,7 @@ fn when(args: &Args) -> Result<String, String> {
     };
     import_metrics(args);
     let browser = open(args)?;
-    let (result, traced) = with_trace(args, || {
+    let (result, traced) = observe(args, false, || {
         time_contextual_search(&browser, &subject, &companion, &config)
     });
     let mut out = String::new();
@@ -439,7 +435,7 @@ fn lineage(args: &Args) -> Result<String, String> {
         budget,
         ..LineageConfig::default()
     };
-    let (answer, traced) = with_trace(args, || {
+    let (answer, traced) = observe(args, false, || {
         first_recognizable_ancestor(&browser, download, &config)
     });
     let result = match answer {
@@ -551,88 +547,82 @@ fn query_usecase(args: &Args) -> Result<String, String> {
         budget: budget.clone(),
         ..ContextualConfig::default()
     };
-    let (body, explained) = with_explain(args, || {
-        let (body, traced) = with_trace(args, || -> Result<String, String> {
-            match sub.as_str() {
-                "context" => Ok(render_hits(&contextual_history_search(
-                    &browser,
-                    &rest,
-                    &contextual,
-                ))),
-                "ppr" => Ok(render_hits(&bp_query::contextual_history_search_ppr(
-                    &browser,
-                    &rest,
-                    &contextual,
-                    &bp_graph::pagerank::PageRankConfig::default(),
-                ))),
-                "textual" => Ok(render_hits(&textual_history_search(
-                    &browser,
-                    &rest,
-                    &contextual,
-                ))),
-                "personalize" => {
-                    let config = PersonalizeConfig {
-                        contextual: contextual.clone(),
-                        ..PersonalizeConfig::default()
-                    };
-                    let expanded = personalize_query(&browser, &rest, &config);
-                    Ok(if expanded.is_unchanged() {
-                        format!("no history context for {rest:?}; query unchanged\n")
-                    } else {
-                        format!("expanded query: {:?}\n", expanded.to_query_string())
-                    })
-                }
-                "timectx" => {
-                    let companion = args.opt("with", "");
-                    if companion.is_empty() {
-                        return Err("query timectx requires SUBJECT --with COMPANION".to_owned());
-                    }
-                    let config = TimeContextConfig {
-                        budget: budget.clone(),
-                        ..TimeContextConfig::default()
-                    };
-                    Ok(render_hits(&time_contextual_search(
-                        &browser, &rest, &companion, &config,
-                    )))
-                }
-                "lineage" => {
-                    let download = find_download(&browser, &rest)
-                        .ok_or_else(|| format!("no download recorded for {rest}"))?;
-                    let config = LineageConfig {
-                        budget: budget.clone(),
-                        ..LineageConfig::default()
-                    };
-                    Ok(
-                        match first_recognizable_ancestor(&browser, download, &config) {
-                            Some(a) => format!(
-                                "first recognizable ancestor: {} ({} visits, {} hops)\n",
-                                a.url,
-                                a.visit_count,
-                                a.path.hops()
-                            ),
-                            None => {
-                                format!(
-                                    "no recognizable ancestor found for {rest} (within budget)\n"
-                                )
-                            }
-                        },
-                    )
-                }
-                "describe" => {
-                    let config = bp_query::DescribeConfig {
-                        budget: budget.clone(),
-                        ..bp_query::DescribeConfig::default()
-                    };
-                    bp_query::describe_origin(&browser, &rest, &config)
-                        .ok_or_else(|| format!("nothing in history matches {rest:?}"))
-                }
-                other => Err(format!("unknown query path {other:?}")),
+    let (body, observed) = observe(args, true, || -> Result<String, String> {
+        match sub.as_str() {
+            "context" => Ok(render_hits(&contextual_history_search(
+                &browser,
+                &rest,
+                &contextual,
+            ))),
+            "ppr" => Ok(render_hits(&bp_query::contextual_history_search_ppr(
+                &browser,
+                &rest,
+                &contextual,
+                &bp_graph::pagerank::PageRankConfig::default(),
+            ))),
+            "textual" => Ok(render_hits(&textual_history_search(
+                &browser,
+                &rest,
+                &contextual,
+            ))),
+            "personalize" => {
+                let config = PersonalizeConfig {
+                    contextual: contextual.clone(),
+                    ..PersonalizeConfig::default()
+                };
+                let expanded = personalize_query(&browser, &rest, &config);
+                Ok(if expanded.is_unchanged() {
+                    format!("no history context for {rest:?}; query unchanged\n")
+                } else {
+                    format!("expanded query: {:?}\n", expanded.to_query_string())
+                })
             }
-        });
-        body.map(|b| b + &traced)
+            "timectx" => {
+                let companion = args.opt("with", "");
+                if companion.is_empty() {
+                    return Err("query timectx requires SUBJECT --with COMPANION".to_owned());
+                }
+                let config = TimeContextConfig {
+                    budget: budget.clone(),
+                    ..TimeContextConfig::default()
+                };
+                Ok(render_hits(&time_contextual_search(
+                    &browser, &rest, &companion, &config,
+                )))
+            }
+            "lineage" => {
+                let download = find_download(&browser, &rest)
+                    .ok_or_else(|| format!("no download recorded for {rest}"))?;
+                let config = LineageConfig {
+                    budget: budget.clone(),
+                    ..LineageConfig::default()
+                };
+                Ok(
+                    match first_recognizable_ancestor(&browser, download, &config) {
+                        Some(a) => format!(
+                            "first recognizable ancestor: {} ({} visits, {} hops)\n",
+                            a.url,
+                            a.visit_count,
+                            a.path.hops()
+                        ),
+                        None => {
+                            format!("no recognizable ancestor found for {rest} (within budget)\n")
+                        }
+                    },
+                )
+            }
+            "describe" => {
+                let config = bp_query::DescribeConfig {
+                    budget: budget.clone(),
+                    ..bp_query::DescribeConfig::default()
+                };
+                bp_query::describe_origin(&browser, &rest, &config)
+                    .ok_or_else(|| format!("nothing in history matches {rest:?}"))
+            }
+            other => Err(format!("unknown query path {other:?}")),
+        }
     });
-    let mut out = body?;
-    out.push_str(&explained);
+    let out = body? + &observed;
     export_metrics(args);
     Ok(out)
 }
@@ -645,7 +635,7 @@ fn query_ql(args: &Args) -> Result<String, String> {
     let budget = budget(args)?;
     import_metrics(args);
     let browser = open(args)?;
-    let (rows, traced) = with_trace(args, || bp_query::ql::run(&browser, &text, &budget));
+    let (rows, traced) = observe(args, false, || bp_query::ql::run(&browser, &text, &budget));
     let rows = rows.map_err(|e| e.to_string())?;
     let mut out = String::new();
     let _ = writeln!(
@@ -980,6 +970,44 @@ mod tests {
         .unwrap();
         assert!(out.contains("query.personalize"), "{out}");
         assert!(out.contains("query.context"), "{out}");
+
+        // --trace with --explain renders one run's span trees both ways:
+        // the tree first, then the EXPLAIN tables read off it.
+        let out = run_line(&format!(
+            "query --profile {profile} personalize news --trace --explain"
+        ))
+        .unwrap();
+        let tree = out.find("\ntrace:\nquery.personalize  ");
+        let table = out.find("\nquery.personalize  total ");
+        assert!(
+            tree.is_some_and(|tree| table.is_some_and(|table| tree < table)),
+            "{out}"
+        );
+        assert!(out.contains("│  └─ query.context  "), "{out}");
+        assert!(out.contains("\n  query.context  total "), "{out}");
+        assert_eq!(out.matches("query.personalize  total").count(), 1, "{out}");
+    }
+
+    #[test]
+    fn metrics_report_lists_the_flight_recorders_events() {
+        let dir = TempDir::new("events");
+        let log = dir.path("events.log");
+        let profile = dir.path("profile");
+        run_line(&format!("generate --days 1 --seed 5 --out {log}")).unwrap();
+        run_line(&format!("ingest --profile {profile} {log}")).unwrap();
+        // Opening the profile again replays its log, and the recovery
+        // line lands in the flight recorder the report prints.
+        let out = run_line(&format!("stats --profile {profile} --metrics")).unwrap();
+        let events = out
+            .split_once("\n# flight recorder\n")
+            .map(|(_, events)| events)
+            .unwrap_or_else(|| panic!("no flight recorder section: {out}"));
+        assert!(
+            events.lines().any(
+                |l| l.starts_with("# {") && l.contains("\"msg\":\"write-ahead log recovered\"")
+            ),
+            "{events}"
+        );
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! | `/metrics.json`   | the same registry as JSON                         |
 //! | `/healthz`        | liveness: WAL dir writable, capture thread alive  |
 //! | `/readyz`         | readiness: warmed up, queue drained, snapshots on |
-//! | `/tracez`         | recent query span trees; `?min_ms=&path=&id=`     |
-//! |                   | (plus `format=json`) searches tail-sampled traces |
-//! | `/profilez`       | recent query EXPLAIN profiles                     |
+//! | `/tracez`         | recent sampled query span trees; `?min_ms=&path=` |
+//! |                   | `&id=` (plus `format=json`) searches tail-sampled |
+//! |                   | traces                                            |
+//! | `/profilez`       | the same sampled runs as EXPLAIN tables           |
 //! | `/debug/flightz`  | the in-memory flight-recorder dump                |
 //! | `/debug/panicz`   | (only with `--allow-debug-panic`) crash a worker  |
 //!
@@ -34,6 +35,7 @@ use crate::signals;
 use bp_core::{CaptureConfig, CapturePipeline, ProvenanceBrowser, SharedBrowser};
 use bp_graph::traverse::Budget;
 use bp_obs::slo::SloEngine;
+use bp_obs::trace::SpanNode;
 use bp_obs::{expo, flight, httpx, log, names, profile, sampler, trace, ClockHandle, Obs};
 use bp_query::{
     contextual_history_search, first_recognizable_ancestor, personalize_query,
@@ -51,11 +53,11 @@ use std::time::Duration;
 /// The paper's interactive bound: queries must answer within 200 ms.
 const QUERY_DEADLINE: Duration = Duration::from_millis(200);
 
-/// How many span trees / EXPLAIN profiles `/tracez` and `/profilez` keep.
+/// How many sampled query passes `/tracez` and `/profilez` keep.
 const DEBUG_RING_CAPACITY: usize = 32;
 
-/// Collect a trace + profile on every Nth query-worker iteration. Sampling
-/// keeps the rings fresh without paying collection cost on the hot path.
+/// Collect the span trees of every Nth query-worker pass. Sampling keeps
+/// the ring fresh without paying collection cost on the hot path.
 const DEBUG_SAMPLE_EVERY: u64 = 16;
 
 /// `/readyz` fails once the capture queue backs up this far.
@@ -113,8 +115,10 @@ struct ServeState {
     /// Unix ms of the last successful snapshot (start time until then).
     last_snapshot_ms: AtomicU64,
     snapshot_interval: Duration,
-    traces: Mutex<VecDeque<String>>,
-    profiles: Mutex<VecDeque<String>>,
+    /// The span trees of the most recent sampled query passes, one entry
+    /// per pass: `/tracez` renders them as trees, `/profilez` as EXPLAIN
+    /// tables.
+    passes: Mutex<VecDeque<Vec<SpanNode>>>,
 }
 
 impl ServeState {
@@ -154,20 +158,27 @@ impl ServeState {
         Ok(())
     }
 
-    fn push_ring(ring: &Mutex<VecDeque<String>>, entry: String) {
-        let mut ring = ring.lock();
-        if ring.len() == DEBUG_RING_CAPACITY {
-            ring.pop_front();
+    fn push_pass(&self, roots: Vec<SpanNode>) {
+        let mut passes = self.passes.lock();
+        if passes.len() == DEBUG_RING_CAPACITY {
+            passes.pop_front();
         }
-        ring.push_back(entry);
+        passes.push_back(roots);
     }
 
-    fn render_ring(ring: &Mutex<VecDeque<String>>, empty_hint: &str) -> String {
-        let ring = ring.lock();
-        if ring.is_empty() {
+    /// Renders the retained passes, oldest first: `render` turns each
+    /// pass's trees into entries, and entries are joined by blank lines;
+    /// `empty_hint` when there are none.
+    fn render_passes(
+        &self,
+        render: impl Fn(&[SpanNode]) -> Vec<String>,
+        empty_hint: &str,
+    ) -> String {
+        let entries: Vec<String> = self.passes.lock().iter().flat_map(|p| render(p)).collect();
+        if entries.is_empty() {
             return format!("{empty_hint}\n");
         }
-        ring.iter().cloned().collect::<Vec<_>>().join("\n")
+        entries.join("\n")
     }
 }
 
@@ -202,11 +213,9 @@ fn handle(state: &ServeState, request: &httpx::Request) -> httpx::Response {
         },
         "/tracez" => {
             if request.query.is_empty() {
-                // Legacy view: the periodic span-tree ring.
-                httpx::Response::text(
-                    200,
-                    ServeState::render_ring(&state.traces, "# no traces collected yet"),
-                )
+                // The sampled passes, one entry of span trees per pass.
+                let trees = |roots: &[SpanNode]| vec![roots.iter().map(SpanNode::render).collect()];
+                httpx::Response::text(200, state.render_passes(trees, "# no traces collected yet"))
             } else {
                 // `?min_ms=&path=&id=&format=json` searches the tail
                 // sampler's retained traces.
@@ -253,15 +262,16 @@ fn handle(state: &ServeState, request: &httpx::Request) -> httpx::Response {
             }
         }
         "/profilez" => {
-            // Merge capture-batch profiles (collected on the capture
-            // thread during sampled windows) into the ring, so ingest
-            // flushes render next to query EXPLAIN tables.
-            for p in state.pipeline.take_profiles() {
-                ServeState::push_ring(&state.profiles, p.render_table());
-            }
+            // The same sampled passes, one EXPLAIN table per query.
+            let tables = |roots: &[SpanNode]| {
+                profile::from_spans(roots)
+                    .iter()
+                    .map(profile::Profile::render_table)
+                    .collect()
+            };
             httpx::Response::text(
                 200,
-                ServeState::render_ring(&state.profiles, "# no profiles collected yet"),
+                state.render_passes(tables, "# no profiles collected yet"),
             )
         }
         "/debug/flightz" => httpx::Response::text(200, flight::global().render()),
@@ -349,8 +359,6 @@ fn run_query_pass(state: &ServeState, inject: Duration, pass: u64) {
     if sample_debug {
         trace::set_enabled(true);
         let _ = trace::take_roots();
-        profile::set_enabled(true);
-        let _ = profile::take();
     }
     // Seven paths: context, ppr, textual, personalize, timectx, lineage,
     // describe. The simulator's topic vocabulary guarantees "news" and
@@ -452,7 +460,6 @@ fn run_query_pass(state: &ServeState, inject: Duration, pass: u64) {
     drop(browser);
     if sample_debug {
         trace::set_enabled(false);
-        profile::set_enabled(false);
         let roots = trace::take_roots();
         if !roots.is_empty() {
             for root in &roots {
@@ -462,11 +469,7 @@ fn run_query_pass(state: &ServeState, inject: Duration, pass: u64) {
                     sampler::global().attach_tree(id, root.render());
                 }
             }
-            let rendered: String = roots.iter().map(|r| r.render()).collect();
-            ServeState::push_ring(&state.traces, rendered);
-        }
-        for p in profile::take() {
-            ServeState::push_ring(&state.profiles, p.render_table());
+            state.push_pass(roots);
         }
     }
 }
@@ -582,8 +585,7 @@ pub fn run(args: &Args) -> Result<String, String> {
         stop: AtomicBool::new(false),
         last_snapshot_ms: AtomicU64::new(bp_obs::unix_time_ms()),
         snapshot_interval: options.snapshot_interval,
-        traces: Mutex::new(VecDeque::new()),
-        profiles: Mutex::new(VecDeque::new()),
+        passes: Mutex::new(VecDeque::new()),
     });
     log::info(
         "bp_cli::serve",

@@ -13,7 +13,6 @@
 use crate::browser::ProvenanceBrowser;
 use crate::error::CoreError;
 use crate::event::BrowserEvent;
-use bp_obs::profile::{self, Profile, QueryPlan};
 use bp_obs::{names, Counter, Gauge};
 use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
@@ -25,21 +24,9 @@ use std::time::Duration;
 /// acquisition, one grouped WAL append).
 const DRAIN_BATCH_MAX: usize = 256;
 
-/// Capture-batch profiles retained for `/profilez` before the oldest are
-/// dropped.
-const PROFILE_RING: usize = 32;
-
-/// Batches slower than this leave a flight-recorder note: they are the
-/// ingest tail spikes `--explain` and /profilez should attribute.
+/// Batches slower than this leave a flight-recorder line, so ingest tail
+/// spikes can be attributed next to the query traffic that felt them.
 const SLOW_BATCH: Duration = Duration::from_millis(2);
-
-/// The capture drain's profile shape: one stage covering the whole batch
-/// application (queue → store), named so `--explain` output and /profilez
-/// attribute ingest tail latency to `capture.flush`.
-static CAPTURE_PLAN: QueryPlan = QueryPlan {
-    query: "capture",
-    stages: &["capture.flush"],
-};
 
 /// A clonable, thread-safe handle to a provenance browser.
 ///
@@ -162,9 +149,6 @@ pub struct CapturePipeline {
     queue_depth: Arc<Gauge>,
     stalls: Arc<Counter>,
     flushes: Arc<Counter>,
-    /// Capture-batch profiles drained from the capture thread (profiles
-    /// are thread-local; the batch loop moves its own into this ring).
-    profiles: Arc<Mutex<Vec<Profile>>>,
 }
 
 impl CapturePipeline {
@@ -186,12 +170,10 @@ impl CapturePipeline {
         let (sender, receiver): (Sender<Message>, Receiver<Message>) = channel::unbounded();
         let rejected = Arc::new(Mutex::new(0u64));
         let failed = Arc::new(Mutex::new(None));
-        let profiles = Arc::new(Mutex::new(Vec::new()));
         let thread_shared = shared.clone();
         let thread_rejected = Arc::clone(&rejected);
         let thread_failed = Arc::clone(&failed);
         let thread_depth = Arc::clone(&queue_depth);
-        let thread_profiles = Arc::clone(&profiles);
         let handle = std::thread::spawn(move || {
             let clock = bp_obs::ClockHandle::real();
             loop {
@@ -210,9 +192,7 @@ impl CapturePipeline {
                 if !events.is_empty() {
                     let batch = events.len();
                     let start = clock.now_micros();
-                    let guard = profile::begin(&CAPTURE_PLAN, &clock, start, None);
-                    let ok = thread_shared.with_mut(|b| {
-                        let stage = profile::stage("capture.flush");
+                    let (applied, ok) = thread_shared.with_mut(|b| {
                         let mut applied = 0usize;
                         b.begin_write_group();
                         for (event, context) in &events {
@@ -244,11 +224,10 @@ impl CapturePipeline {
                                         &[("error", other.to_string())],
                                     );
                                     *thread_failed.lock() = Some(other.to_string());
-                                    return false;
+                                    return (applied, false);
                                 }
                             }
                         }
-                        stage.rows(batch, applied);
                         if let Err(err) = b.end_write_group() {
                             bp_obs::log::error(
                                 "bp_core::shared",
@@ -256,26 +235,13 @@ impl CapturePipeline {
                                 &[("error", err.to_string())],
                             );
                             *thread_failed.lock() = Some(err.to_string());
-                            return false;
+                            return (applied, false);
                         }
-                        true
+                        (applied, true)
                     });
                     let wall = Duration::from_micros(clock.now_micros().saturating_sub(start));
-                    guard.finish_with(wall);
                     thread_depth.sub(batch as i64);
                     batch_len.record(batch as u64);
-                    // Profiles are thread-local: move this thread's into
-                    // the shared ring for /profilez and --explain.
-                    let finished = profile::take();
-                    if !finished.is_empty() {
-                        let mut ring = thread_profiles.lock();
-                        for p in finished {
-                            if ring.len() >= PROFILE_RING {
-                                ring.remove(0);
-                            }
-                            ring.push(p);
-                        }
-                    }
                     if wall >= SLOW_BATCH {
                         // The flight recorder is global: ingest tail
                         // spikes stay visible next to the query traffic
@@ -285,6 +251,7 @@ impl CapturePipeline {
                             "slow capture batch",
                             &[
                                 ("events", batch.to_string()),
+                                ("applied", applied.to_string()),
                                 ("wall_us", wall.as_micros().to_string()),
                             ],
                         );
@@ -314,7 +281,6 @@ impl CapturePipeline {
             queue_depth,
             stalls,
             flushes,
-            profiles,
         }
     }
 
@@ -386,16 +352,6 @@ impl CapturePipeline {
     /// The storage failure that stopped the pipeline, if any.
     pub fn failure(&self) -> Option<String> {
         self.failed.lock().clone()
-    }
-
-    /// Drains the retained capture-batch profiles (oldest first).
-    ///
-    /// Each batch the capture thread applies produces one profile whose
-    /// `capture.flush` stage records queue→store rows; `/profilez` and
-    /// `--explain` surface these next to query profiles so ingest tail
-    /// spikes are attributable.
-    pub fn take_profiles(&self) -> Vec<Profile> {
-        std::mem::take(&mut *self.profiles.lock())
     }
 
     /// Stops the capture thread and returns the browser.
@@ -673,7 +629,6 @@ mod tests {
 
     #[test]
     fn batched_drain_amortizes_and_profiles_the_flush() {
-        bp_obs::profile::set_enabled(true);
         let dir = TempDir::new("batch");
         let obs = bp_obs::Obs::isolated();
         let b = ProvenanceBrowser::open_with_obs(
@@ -708,18 +663,11 @@ mod tests {
             "40 queued events must coalesce into fewer lock acquisitions, saw {}",
             batches.count()
         );
-        let profiles = pipeline.take_profiles();
-        assert!(!profiles.is_empty(), "capture batches leave profiles");
-        let total_in: u64 = profiles
-            .iter()
-            .flat_map(|p| p.stages.iter())
-            .filter(|s| s.name == "capture.flush")
-            .map(|s| s.rows_in)
-            .sum();
-        assert_eq!(total_in, 40, "every queued event flows through the stage");
-        assert!(profiles.iter().all(|p| p.query == "capture"));
-        // Drained means drained: a second take is empty.
-        assert!(pipeline.take_profiles().is_empty());
+        assert_eq!(
+            batches.snapshot().sum,
+            40,
+            "every queued event flows through the drain"
+        );
         assert_eq!(obs.gauge(names::CAPTURE_QUEUE_DEPTH).get(), 0);
         drop(shared);
         let b = pipeline.shutdown();
@@ -775,30 +723,6 @@ mod tests {
                 .count(),
             15 + long
         );
-    }
-
-    #[test]
-    fn profile_ring_is_bounded() {
-        bp_obs::profile::set_enabled(true);
-        let dir = TempDir::new("ring");
-        let pipeline = CapturePipeline::start(browser(&dir));
-        pipeline.submit(BrowserEvent::tab_opened(t(0), TabId(0), None));
-        // Submit-then-flush one event at a time forces one batch (and one
-        // profile) per event; the ring must cap at PROFILE_RING.
-        for i in 0..(PROFILE_RING + 10) {
-            pipeline.submit(BrowserEvent::navigate(
-                t(i as i64 + 1),
-                TabId(0),
-                format!("http://r{i}/"),
-                None,
-                NavigationCause::Link,
-            ));
-            pipeline.flush();
-        }
-        let profiles = pipeline.take_profiles();
-        assert!(profiles.len() <= PROFILE_RING);
-        assert!(profiles.len() >= PROFILE_RING / 2, "ring retains recents");
-        drop(pipeline.shutdown());
     }
 
     #[test]

@@ -134,11 +134,12 @@ static MOCK_UNIX_MS: AtomicU64 = AtomicU64::new(u64::MAX);
 /// This is the workspace's one sanctioned wall-clock read (everything else
 /// is monotonic and flows through [`ClockHandle`]; clippy's
 /// `disallowed_methods`, configured in `clippy.toml`, enforces both).
-/// Journal entries need calendar time, which an anchored monotonic clock
-/// cannot provide. Tests can pin the value with [`set_mock_unix_time_ms`].
+/// Log lines and flight-recorder entries need calendar time, which an
+/// anchored monotonic clock cannot provide. Tests can pin the value with
+/// [`set_mock_unix_time_ms`].
 #[expect(
     clippy::disallowed_methods,
-    reason = "the workspace's one wall-clock read; journal entries need calendar time"
+    reason = "the workspace's one wall-clock read; log lines and flight-recorder entries need calendar time"
 )]
 pub fn unix_time_ms() -> u64 {
     let mock = MOCK_UNIX_MS.load(Ordering::Relaxed);

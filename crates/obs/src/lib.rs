@@ -1,6 +1,6 @@
 //! # bp-obs — observability for the browser-provenance stack
 //!
-//! A dependency-light metrics, tracing, and event-journal layer (only
+//! A dependency-light metrics, tracing, and event-recording layer (only
 //! `parking_lot` beyond std). The paper argues a provenance-aware browser
 //! must hold a latency/durability envelope (capture keeps up with
 //! browsing; queries answer interactively); this crate makes that envelope
@@ -9,19 +9,21 @@
 //! * [`MetricsRegistry`] — named [`Counter`]s (sharded atomics),
 //!   [`Gauge`]s, and log₂-bucketed [`Histogram`]s with p50/p95/p99/max
 //!   readout, under the names [`names`] declares.
-//! * [`trace`] — span-based tracing with thread-local span stacks,
-//!   rendering per-stage timing trees for `--trace` query runs.
-//! * [`profile`] — query EXPLAIN profiles: per-stage wall time, rows
-//!   in/out, node/edge touches, and truncation points for `--explain`.
-//! * [`Journal`] — a fixed-capacity ring buffer of notable events
-//!   (recoveries, compactions, deadline misses, redactions).
+//! * [`trace`] — span-based tracing with thread-local span stacks: the one
+//!   tree a query run is recorded in, rendered as per-stage timing trees
+//!   for `--trace`.
+//! * [`profile`] — query EXPLAIN profiles read off that tree: per-stage
+//!   wall time, rows in/out, node/edge touches, and truncation points for
+//!   `--explain`.
 //! * [`expo`] — Prometheus-style text and JSON exposition, plus a
 //!   round-trippable snapshot format so one CLI invocation's metrics can
 //!   be merged into a later one's report.
 //! * [`log`] — structured leveled JSON-lines logging with env-style
 //!   filtering; accepted events also land in the [`flight`] recorder.
-//! * [`flight`] — a ring buffer of the last ~4k log/span events, dumped on
-//!   panic, `SIGUSR1`, or `/debug/flightz`.
+//! * [`flight`] — the one event ring: the last ~4k log events (WAL
+//!   recoveries, compactions, deadline misses, redactions, SLO alerts, …),
+//!   shown by `stats --metrics` and dumped on panic, `SIGUSR1`, or
+//!   `/debug/flightz`.
 //! * [`sampler`] — tail-based trace retention: deadline-missed,
 //!   truncated, and errored requests are always kept, a deterministic
 //!   1-in-N of the rest, in a bounded searchable ring behind `/tracez`.
@@ -47,7 +49,6 @@ pub mod clock;
 pub mod expo;
 pub mod flight;
 pub mod httpx;
-mod journal;
 pub mod json;
 pub mod log;
 mod metrics;
@@ -58,7 +59,6 @@ pub mod slo;
 pub mod trace;
 
 pub use clock::{unix_time_ms, Clock, ClockHandle, MockClock, RealClock, Stopwatch};
-pub use journal::{Journal, JournalEvent, Level};
 pub use log::{LogEvent, LogLevel};
 pub use metrics::{
     bucket_bounds, bucket_index, BucketExemplar, Counter, Gauge, Histogram, HistogramSnapshot,
@@ -68,12 +68,10 @@ pub use names::{CounterName, GaugeName, HistogramName};
 
 use std::sync::{Arc, OnceLock};
 
-/// A handle bundling the metric registry and event journal a component
-/// reports into.
+/// A handle to the metric registry a component reports into.
 #[derive(Clone, Debug)]
 pub struct Obs {
     registry: Arc<MetricsRegistry>,
-    journal: Arc<Journal>,
 }
 
 impl Default for Obs {
@@ -83,29 +81,23 @@ impl Default for Obs {
 }
 
 impl Obs {
-    /// The process-wide registry and journal (what the CLI reports).
+    /// The process-wide registry (what the CLI reports).
     pub fn global() -> Obs {
         static GLOBAL: OnceLock<Obs> = OnceLock::new();
         GLOBAL.get_or_init(Obs::isolated).clone()
     }
 
-    /// A private registry and journal, unshared with the rest of the
-    /// process. Used by tests asserting exact metric values.
+    /// A private registry, unshared with the rest of the process. Used by
+    /// tests asserting exact metric values.
     pub fn isolated() -> Obs {
         Obs {
             registry: Arc::new(MetricsRegistry::new()),
-            journal: Arc::new(Journal::default()),
         }
     }
 
     /// The metric registry behind this handle.
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
-    }
-
-    /// The event journal behind this handle.
-    pub fn journal(&self) -> &Journal {
-        &self.journal
     }
 
     /// The counter declared as `name`.
@@ -137,12 +129,5 @@ mod tests {
         let b = Obs::isolated();
         a.counter(names::CAPTURE_FLUSHES).inc();
         assert_eq!(b.counter(names::CAPTURE_FLUSHES).get(), 0);
-    }
-
-    #[test]
-    fn journal_reachable_through_obs() {
-        let obs = Obs::isolated();
-        obs.journal().record(Level::Info, "hello");
-        assert_eq!(obs.journal().events().len(), 1);
     }
 }

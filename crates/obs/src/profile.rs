@@ -1,39 +1,20 @@
 //! Query EXPLAIN profiles: per-stage accounting for one query execution.
 //!
-//! Where [`crate::trace`] answers "what happened on this thread" with a
-//! free-form span tree, this module answers the narrower EXPLAIN question:
-//! *for one query, where did the time and the work go?* Each query path
-//! declares a static [`QueryPlan`] naming its stages (candidate scan,
-//! graph traversal, text-index lookup, rank/merge, …). When profiling is
-//! enabled, [`begin`] opens a profile against the query's own
-//! [`ClockHandle`] — so deadline tests drive profile timings with a mock
-//! clock — and each [`stage`] guard records wall time, rows in/out,
-//! node/edge touches, and the truncation point into a [`Profile`] tree
-//! that renders as an aligned text table ([`Profile::render_table`]) or
-//! JSON ([`Profile::to_json`]) for `browserprov query <sub> --explain`.
-//!
-//! Profiling is off by default and costs one relaxed atomic load per
-//! [`begin`]/[`stage`] call when disabled. Collection is thread-local;
-//! nested queries (personalize wraps contextual search) attach as child
-//! profiles.
+//! Where a [`SpanNode`] tree answers "what happened on this thread", a
+//! [`Profile`] answers the narrower EXPLAIN question: *for one query,
+//! where did the time and the work go?* Each query path declares a static
+//! [`QueryPlan`] naming its stages (candidate scan, graph traversal,
+//! text-index lookup, rank/merge, …). Its root span carries the plan and
+//! the deadline budget, and each stage span carries rows in/out,
+//! node/edge touches and the truncation point, timed on the query's own
+//! clock (so deadline tests drive them with a mock clock).
+//! [`from_spans`] reads profiles off the finished trees; they render as an
+//! aligned text table ([`Profile::render_table`]) or JSON
+//! ([`Profile::to_json`]) for `browserprov query <sub> --explain`. Nested
+//! queries (personalize wraps contextual search) become child profiles.
 
-use crate::clock::ClockHandle;
-use std::cell::RefCell;
+use crate::trace::{Explain, SpanNode};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Turns profile collection on or off process-wide.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether profiles are currently being collected.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
 
 /// The static shape of one query path: its name and the ordered stages it
 /// may execute. Declared once per query function; stages the execution
@@ -199,7 +180,7 @@ impl Profile {
             "-"
         );
         for child in &self.children {
-            self_render_child(child, out, indent + 1);
+            child.render_into(out, indent + 1);
         }
     }
 
@@ -267,10 +248,6 @@ impl Profile {
     }
 }
 
-fn self_render_child(child: &Profile, out: &mut String, indent: usize) {
-    child.render_into(out, indent);
-}
-
 /// Formats a microsecond reading for the table (`832us`, `12.41ms`, `1.20s`).
 fn us(v: u64) -> String {
     if v >= 1_000_000 {
@@ -282,222 +259,72 @@ fn us(v: u64) -> String {
     }
 }
 
-struct OpenProfile {
-    plan: &'static QueryPlan,
-    clock: ClockHandle,
-    start_us: u64,
-    budget_us: Option<u64>,
-    truncated: bool,
-    truncation_stage: Option<&'static str>,
-    remaining_estimate: Option<u64>,
-    stages: Vec<StageProfile>,
-    children: Vec<Profile>,
-}
-
-thread_local! {
-    static STACK: RefCell<Vec<OpenProfile>> = const { RefCell::new(Vec::new()) };
-    static FINISHED: RefCell<Vec<Profile>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Opens a profile for one execution of `plan`, timed on `clock` (the
-/// query's own time source, so mock-clock tests drive profile timings)
-/// from its reading `start_us`, and accounted against `budget`. A no-op
-/// when profiling is disabled.
-#[must_use = "the profile closes when this guard drops"]
-pub fn begin(
-    plan: &'static QueryPlan,
-    clock: &ClockHandle,
-    start_us: u64,
-    budget: Option<Duration>,
-) -> QueryGuard {
-    if !enabled() {
-        return QueryGuard { open: false };
+/// The EXPLAIN profiles in finished span trees: one per outermost span
+/// that carries a query plan, with the queries run inside it as its
+/// children. Stage spans outside any plan's span belong to no profile.
+pub fn from_spans(roots: &[SpanNode]) -> Vec<Profile> {
+    let mut profiles = Vec::new();
+    for root in roots {
+        collect(root, &mut profiles);
     }
-    STACK.with(|stack| {
-        stack.borrow_mut().push(OpenProfile {
-            plan,
-            clock: clock.clone(),
-            start_us,
-            budget_us: budget.map(|d| d.as_micros() as u64),
-            truncated: false,
-            truncation_stage: None,
-            remaining_estimate: None,
-            stages: Vec::new(),
-            children: Vec::new(),
-        })
-    });
-    QueryGuard { open: true }
+    profiles
 }
 
-/// Drains the finished root profiles collected on this thread.
-pub fn take() -> Vec<Profile> {
-    FINISHED.with(|f| std::mem::take(&mut *f.borrow_mut()))
-}
-
-/// Closes its profile on drop, attaching it to the enclosing profile or
-/// the thread's finished list.
-#[derive(Debug)]
-pub struct QueryGuard {
-    open: bool,
-}
-
-impl QueryGuard {
-    /// Closes the profile, pinning `total` as the reported total (the
-    /// query's own measured latency, so table and result agree exactly).
-    pub fn finish_with(mut self, total: Duration) {
-        self.close(Some(total.as_micros() as u64));
-    }
-
-    fn close(&mut self, total_override: Option<u64>) {
-        if !self.open {
-            return;
+/// Pushes the profile of `span`'s query, or of each outermost query under
+/// it, onto `out`.
+fn collect(span: &SpanNode, out: &mut Vec<Profile>) {
+    let Explain::Query { plan, budget_us } = span.explain else {
+        for child in &span.children {
+            collect(child, out);
         }
-        self.open = false;
-        let profile = STACK.with(|stack| {
-            let open = stack.borrow_mut().pop()?;
-            let total_us = total_override
-                .unwrap_or_else(|| open.clock.now_micros().saturating_sub(open.start_us));
-            Some(Profile {
-                query: open.plan.query,
-                planned: open.plan.stages.to_vec(),
-                total_us,
-                budget_us: open.budget_us,
-                truncated: open.truncated,
-                truncation_stage: open.truncation_stage,
-                remaining_estimate: open.remaining_estimate,
-                stages: open.stages,
-                children: open.children,
-            })
-        });
-        let Some(profile) = profile else { return };
-        STACK.with(|stack| {
-            if let Some(parent) = stack.borrow_mut().last_mut() {
-                parent.children.push(profile);
-            } else {
-                FINISHED.with(|f| f.borrow_mut().push(profile));
-            }
-        });
-    }
+        return;
+    };
+    let mut profile = Profile {
+        query: plan.query,
+        planned: plan.stages.to_vec(),
+        total_us: span.duration.as_micros() as u64,
+        budget_us,
+        truncated: false,
+        truncation_stage: None,
+        remaining_estimate: None,
+        stages: Vec::new(),
+        children: Vec::new(),
+    };
+    profile.account(&span.children);
+    out.push(profile);
 }
 
-impl Drop for QueryGuard {
-    fn drop(&mut self) {
-        self.close(None);
-    }
-}
-
-/// Opens a stage of the innermost open profile. Inert when profiling is
-/// disabled or no profile is open.
-#[must_use = "the stage closes when this guard drops"]
-pub fn stage(name: &'static str) -> StageGuard {
-    if !enabled() {
-        return StageGuard::inert();
-    }
-    let start = STACK.with(|stack| stack.borrow().last().map(|open| open.clock.now_micros()));
-    start.map_or_else(StageGuard::inert, |start_us| stage_at(name, start_us))
-}
-
-/// [`stage`] for a caller that has just read the profile's clock itself:
-/// the stage opens at that reading, `start_us`, without reading the
-/// clock again.
-#[must_use = "the stage closes when this guard drops"]
-pub fn stage_at(name: &'static str, start_us: u64) -> StageGuard {
-    if !enabled() || STACK.with(|stack| stack.borrow().is_empty()) {
-        return StageGuard::inert();
-    }
-    StageGuard {
-        live: true,
-        start_us,
-        record: RefCell::new(StageProfile {
-            name,
-            ..StageProfile::default()
-        }),
-        remaining: RefCell::new(None),
-    }
-}
-
-/// Accumulates one stage's accounting; pushed into the open profile when
-/// dropped.
-#[derive(Debug)]
-pub struct StageGuard {
-    live: bool,
-    start_us: u64,
-    record: RefCell<StageProfile>,
-    remaining: RefCell<Option<u64>>,
-}
-
-impl StageGuard {
-    fn inert() -> Self {
-        StageGuard {
-            live: false,
-            start_us: 0,
-            record: RefCell::new(StageProfile::default()),
-            remaining: RefCell::new(None),
-        }
-    }
-
-    /// Records items consumed and produced.
-    pub fn rows(&self, rows_in: usize, rows_out: usize) {
-        if self.live {
-            let mut r = self.record.borrow_mut();
-            r.rows_in = rows_in as u64;
-            r.rows_out = rows_out as u64;
-        }
-    }
-
-    /// Records graph nodes and edges touched.
-    pub fn touched(&self, nodes: usize, edges: usize) {
-        if self.live {
-            let mut r = self.record.borrow_mut();
-            r.nodes_touched = nodes as u64;
-            r.edges_touched = edges as u64;
-        }
-    }
-
-    /// Marks this stage as the truncation point, with the caller's
-    /// estimate of items left unprocessed. The profile keeps the *first*
-    /// truncation it sees.
-    pub fn truncated(&self, remaining_estimate: u64) {
-        if self.live {
-            self.record.borrow_mut().truncated = true;
-            *self.remaining.borrow_mut() = Some(remaining_estimate);
-        }
-    }
-
-    /// Closes the stage, recording `wall` as its wall time instead of the
-    /// guard's own measurement, so a caller that timed the stage once can
-    /// give its span the same number.
-    pub fn finish_with(mut self, wall: Duration) {
-        self.close(Some(wall.as_micros() as u64));
-    }
-
-    fn close(&mut self, wall_override: Option<u64>) {
-        if !self.live {
-            return;
-        }
-        self.live = false;
-        let mut record = self.record.borrow_mut().clone();
-        let remaining = *self.remaining.borrow();
-        STACK.with(|stack| {
-            if let Some(open) = stack.borrow_mut().last_mut() {
-                record.wall_us = wall_override
-                    .unwrap_or_else(|| open.clock.now_micros().saturating_sub(self.start_us));
-                if record.truncated {
-                    open.truncated = true;
-                    if open.truncation_stage.is_none() {
-                        open.truncation_stage = Some(record.name);
-                        open.remaining_estimate = remaining;
+impl Profile {
+    /// Accounts the spans under this query's root, in the order they
+    /// closed: stages into its stages, nested queries into its children.
+    /// The profile keeps the first truncation it sees.
+    fn account(&mut self, spans: &[SpanNode]) {
+        for span in spans {
+            match span.explain {
+                Explain::Query { .. } => collect(span, &mut self.children),
+                Explain::None => self.account(&span.children),
+                Explain::Stage(work) => {
+                    // A span closes after everything opened inside it.
+                    self.account(&span.children);
+                    if let Some(truncation) = work.truncation {
+                        self.truncated = true;
+                        if self.truncation_stage.is_none() {
+                            self.truncation_stage = Some(span.name);
+                            self.remaining_estimate = Some(truncation.remaining);
+                        }
                     }
+                    self.stages.push(StageProfile {
+                        name: span.name,
+                        wall_us: span.duration.as_micros() as u64,
+                        rows_in: work.rows_in,
+                        rows_out: work.rows_out,
+                        nodes_touched: work.nodes_touched,
+                        edges_touched: work.edges_touched,
+                        truncated: work.truncation.is_some(),
+                    });
                 }
-                open.stages.push(record);
             }
-        });
-    }
-}
-
-impl Drop for StageGuard {
-    fn drop(&mut self) {
-        self.close(None);
+        }
     }
 }
 
@@ -505,59 +332,94 @@ impl Drop for StageGuard {
 mod tests {
     use super::*;
     use crate::clock::ClockHandle;
-
-    /// Serializes tests that flip the process-wide enable flag.
-    fn with_profiling<R>(f: impl FnOnce() -> R) -> R {
-        use std::sync::Mutex;
-        static GATE: Mutex<()> = Mutex::new(());
-        let _lock = GATE.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = take();
-        set_enabled(true);
-        let out = f();
-        set_enabled(false);
-        out
-    }
+    use crate::trace::{Truncation, Work};
+    use std::time::Duration;
 
     static PLAN: QueryPlan = QueryPlan {
         query: "testpath",
         stages: &["scan", "traverse", "rank"],
     };
 
+    fn span(name: &'static str, us: u64, explain: Explain, children: Vec<SpanNode>) -> SpanNode {
+        SpanNode {
+            name,
+            duration: Duration::from_micros(us),
+            note: None,
+            trace_id: None,
+            explain,
+            children,
+        }
+    }
+
+    /// A run of `plan` that took `total_us` against `budget_us`.
+    fn query(
+        plan: &'static QueryPlan,
+        total_us: u64,
+        budget_us: Option<u64>,
+        children: Vec<SpanNode>,
+    ) -> SpanNode {
+        span(
+            "query",
+            total_us,
+            Explain::Query { plan, budget_us },
+            children,
+        )
+    }
+
+    fn stage(name: &'static str, wall_us: u64, work: Work) -> SpanNode {
+        span(name, wall_us, Explain::Stage(work), Vec::new())
+    }
+
+    fn cut(remaining: u64) -> Option<Truncation> {
+        Some(Truncation {
+            remaining,
+            cause: "deadline hit",
+            items: "items left",
+        })
+    }
+
     #[test]
     fn disabled_profiles_collect_nothing() {
-        set_enabled(false);
-        {
-            let _q = begin(&PLAN, &ClockHandle::real(), 0, None);
-            let _s = stage("scan");
-        }
-        assert!(take().is_empty());
+        // Collection off leaves no spans; spans without a plan leave no
+        // profile.
+        assert!(from_spans(&[]).is_empty());
+        let plain = span("plain", 5, Explain::None, vec![]);
+        assert!(from_spans(&[plain]).is_empty());
     }
 
     #[test]
     fn stage_times_come_from_the_query_clock() {
-        let profiles = with_profiling(|| {
-            let (clock, mock) = ClockHandle::mock();
-            let q = begin(
-                &PLAN,
-                &clock,
-                clock.now_micros(),
-                Some(Duration::from_millis(200)),
-            );
-            {
-                let s = stage("scan");
-                s.rows(10, 4);
-                mock.advance_micros(300);
-                drop(s);
-            }
-            {
-                let s = stage("traverse");
-                s.touched(40, 55);
-                mock.advance_micros(700);
-                drop(s);
-            }
-            drop(q);
-            take()
-        });
+        // The query times each stage on its own clock and closes the
+        // stage's span on that duration; the profile reads it back.
+        let (clock, mock) = ClockHandle::mock();
+        let start = clock.now_micros();
+        let lap = |us| {
+            let at = clock.now_micros();
+            mock.advance_micros(us);
+            clock.now_micros() - at
+        };
+        let (scan, traverse) = (lap(300), lap(700));
+        let total = clock.now_micros() - start;
+        let scanned = Work {
+            rows_in: 10,
+            rows_out: 4,
+            ..Work::default()
+        };
+        let traversed = Work {
+            nodes_touched: 40,
+            edges_touched: 55,
+            ..Work::default()
+        };
+        let root = query(
+            &PLAN,
+            total,
+            Some(200_000),
+            vec![
+                stage("scan", scan, scanned),
+                stage("traverse", traverse, traversed),
+            ],
+        );
+        let profiles = from_spans(&[root]);
         assert_eq!(profiles.len(), 1);
         let p = &profiles[0];
         assert_eq!(p.query, "testpath");
@@ -578,26 +440,24 @@ mod tests {
 
     #[test]
     fn truncation_point_and_estimate_are_kept() {
-        let profiles = with_profiling(|| {
-            let (clock, mock) = ClockHandle::mock();
-            let q = begin(
-                &PLAN,
-                &clock,
-                clock.now_micros(),
-                Some(Duration::from_micros(100)),
-            );
-            {
-                let s = stage("traverse");
-                mock.advance_micros(150);
-                s.truncated(42);
-            }
-            q.finish_with(Duration::from_micros(150));
-            take()
-        });
-        let p = &profiles[0];
+        let truncated = |remaining| Work {
+            truncation: cut(remaining),
+            ..Work::default()
+        };
+        let root = query(
+            &PLAN,
+            150,
+            Some(100),
+            vec![
+                stage("traverse", 100, truncated(42)),
+                stage("rank", 50, truncated(7)),
+            ],
+        );
+        let p = &from_spans(&[root])[0];
         assert!(p.truncated);
-        assert_eq!(p.truncation_stage, Some("traverse"));
+        assert_eq!(p.truncation_stage, Some("traverse"), "the first cut");
         assert_eq!(p.remaining_estimate, Some(42));
+        assert!(p.stages.iter().all(|s| s.truncated));
         assert_eq!(p.total_us, 150);
         assert!(p.budget_used_pct().is_some_and(|pct| pct > 100.0));
     }
@@ -608,47 +468,31 @@ mod tests {
             query: "inner",
             stages: &["work"],
         };
-        let profiles = with_profiling(|| {
-            let clock = ClockHandle::real();
-            let q = begin(&PLAN, &clock, clock.now_micros(), None);
-            {
-                let inner = begin(&INNER, &clock, clock.now_micros(), None);
-                {
-                    let _s = stage("work");
-                }
-                drop(inner);
-            }
-            drop(q);
-            take()
-        });
+        // The outer query's stage runs the inner query, as personalize's
+        // `contextual` stage runs a contextual search.
+        let inner = query(&INNER, 20, None, vec![stage("work", 10, Work::default())]);
+        let outer_stage = span("scan", 25, Explain::Stage(Work::default()), vec![inner]);
+        let root = query(&PLAN, 30, None, vec![outer_stage]);
+        let profiles = from_spans(&[root]);
         assert_eq!(profiles.len(), 1);
         assert_eq!(profiles[0].children.len(), 1);
         assert_eq!(profiles[0].children[0].query, "inner");
         // The inner stage belongs to the inner profile, not the outer.
-        assert!(profiles[0].stages.is_empty());
-        assert_eq!(profiles[0].children[0].stages.len(), 1);
+        let names = |p: &Profile| p.stages.iter().map(|s| s.name).collect::<Vec<_>>();
+        assert_eq!(names(&profiles[0]), vec!["scan"]);
+        assert_eq!(names(&profiles[0].children[0]), vec!["work"]);
     }
 
     #[test]
     fn table_renders_all_stages_and_other_row() {
-        let profiles = with_profiling(|| {
-            let (clock, mock) = ClockHandle::mock();
-            let q = begin(
-                &PLAN,
-                &clock,
-                clock.now_micros(),
-                Some(Duration::from_millis(200)),
-            );
-            {
-                let s = stage("scan");
-                mock.advance_micros(400);
-                drop(s);
-            }
-            mock.advance_micros(100); // unaccounted plumbing
-            drop(q);
-            take()
-        });
-        let table = profiles[0].render_table();
+        // 100 µs of plumbing outside the one executed stage.
+        let root = query(
+            &PLAN,
+            500,
+            Some(200_000),
+            vec![stage("scan", 400, Work::default())],
+        );
+        let table = from_spans(&[root])[0].render_table();
         assert!(table.contains("query.testpath"), "{table}");
         assert!(table.contains("scan"), "{table}");
         assert!(table.contains("(other)"), "{table}");
@@ -660,24 +504,14 @@ mod tests {
 
     #[test]
     fn json_serialization_parses_back() {
-        let profiles = with_profiling(|| {
-            let (clock, mock) = ClockHandle::mock();
-            let q = begin(
-                &PLAN,
-                &clock,
-                clock.now_micros(),
-                Some(Duration::from_micros(50)),
-            );
-            {
-                let s = stage("rank");
-                s.rows(7, 3);
-                mock.advance_micros(80);
-                s.truncated(9);
-            }
-            drop(q);
-            take()
-        });
-        let text = profiles[0].to_json();
+        let ranked = Work {
+            rows_in: 7,
+            rows_out: 3,
+            truncation: cut(9),
+            ..Work::default()
+        };
+        let root = query(&PLAN, 80, Some(50), vec![stage("rank", 80, ranked)]);
+        let text = from_spans(&[root])[0].to_json();
         let v = crate::json::parse(&text).expect("profile JSON parses");
         assert_eq!(v.get("query").and_then(|q| q.as_str()), Some("testpath"));
         assert_eq!(v.get("budget_us").and_then(|b| b.as_u64()), Some(50));
@@ -697,11 +531,13 @@ mod tests {
 
     #[test]
     fn stage_outside_profile_is_inert() {
-        with_profiling(|| {
-            let s = stage("orphan");
-            s.rows(1, 1);
-            drop(s);
-            assert!(take().is_empty());
-        });
+        // A stage span outside any plan's span belongs to no profile; a
+        // planned query under plain spans is still found.
+        let orphan = stage("orphan", 1, Work::default());
+        let planned = query(&PLAN, 5, None, vec![]);
+        let root = span("plain", 9, Explain::None, vec![orphan, planned]);
+        let profiles = from_spans(&[root]);
+        assert_eq!(profiles.len(), 1);
+        assert!(profiles[0].stages.is_empty());
     }
 }

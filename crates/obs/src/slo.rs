@@ -23,7 +23,7 @@
 
 use crate::clock::ClockHandle;
 use crate::log;
-use crate::{names, Level, Obs};
+use crate::{names, Obs};
 use parking_lot::Mutex;
 use std::time::Duration;
 
@@ -139,8 +139,8 @@ impl SloEngine {
     }
 
     /// Evaluates both windows, publishes the burn gauges, and fires the
-    /// fast-burn alert on its rising edge (journal + log event +
-    /// `bp_slo_alerts_total`). Returns the readout.
+    /// fast-burn alert on its rising edge (a log event, kept by the flight
+    /// recorder, and `bp_slo_alerts_total`). Returns the readout.
     pub fn evaluate(&self) -> SloStatus {
         let now_sec = self.clock.now_micros() / 1_000_000;
         let mut inner = self.inner.lock();
@@ -169,7 +169,6 @@ impl SloEngine {
                  (threshold {FAST_BURN_THRESHOLD}x) — the {}% objective is burning its error budget",
                 OBJECTIVE * 100.0,
             );
-            self.obs.journal().record(Level::Error, message.clone());
             // Name names: the tail sampler always retains deadline-missed
             // traces, so the alert line links straight to the worst
             // offenders an operator should pull up via `/tracez?id=`.
@@ -248,11 +247,15 @@ mod tests {
         assert_eq!(obs.counter(names::BP_SLO_ALERTS_TOTAL).get(), 1);
         assert!(obs.gauge(names::BP_SLO_BURN_RATE_5M).get() >= 14_400);
         assert!(obs.gauge(names::BP_SLO_BURN_RATE_1H).get() >= 14_400);
-        // The alert reached the journal and the flight recorder.
-        let journal = obs.journal().events();
+        // The alert reached the flight recorder.
+        let flight = crate::flight::global().snapshot();
         assert!(
-            journal.iter().any(|e| e.message.contains("SLO fast burn")),
-            "{journal:?}"
+            flight
+                .iter()
+                .any(|e| e.event.target == "bp_obs::slo"
+                    && e.event.message.contains("SLO fast burn")),
+            "no fast-burn alert among {} flight entries",
+            flight.len()
         );
     }
 

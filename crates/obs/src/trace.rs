@@ -1,13 +1,19 @@
-//! Span-based tracing with thread-local span stacks.
+//! Span-based tracing with thread-local span stacks: the one tree a
+//! query's run is recorded in.
 //!
-//! Tracing is off by default and costs one relaxed atomic load per
-//! [`span`] call when disabled. When enabled, each guard pushes onto the
-//! current thread's open-span stack; closing a guard pops it and attaches
-//! the finished [`SpanNode`] to its parent, or to the thread's finished
-//! roots when it was outermost. [`take_roots`] drains those roots for
-//! rendering as an indented tree with per-stage timings.
+//! Collection is off by default and costs one relaxed atomic load per
+//! [`span`] call when off. When on, each guard pushes onto the current
+//! thread's open-span stack; closing a guard pops it and attaches the
+//! finished [`SpanNode`] to its parent, or to the thread's finished roots
+//! when it was outermost. [`take_roots`] drains those roots. A span reads
+//! no clock: it closes on the duration its caller measured on the query's
+//! own clock. Query spans also carry what EXPLAIN reports ([`Explain`]),
+//! so one collection renders two ways: as an indented tree with per-stage
+//! timings ([`SpanNode::render`]) and as EXPLAIN tables and JSON
+//! ([`crate::profile::from_spans`]).
 
-use crate::clock::{ClockHandle, Stopwatch};
+use crate::clock::ClockHandle;
+use crate::profile::QueryPlan;
 use std::cell::{Cell, RefCell};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -16,7 +22,8 @@ use std::time::Duration;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Turns span collection on or off process-wide.
+/// Turns span collection on or off process-wide: `--trace`, `--explain`
+/// and the `serve` daemon's sampled passes all collect through it.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
@@ -164,19 +171,80 @@ impl Drop for ContextGuard {
     }
 }
 
+/// What a span tells EXPLAIN.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Explain {
+    /// Nothing: the span is outside any query plan.
+    #[default]
+    None,
+    /// The root span of one run of a query path.
+    Query {
+        /// The path's plan.
+        plan: &'static QueryPlan,
+        /// The query's deadline in microseconds, when it had one.
+        budget_us: Option<u64>,
+    },
+    /// A stage of the query whose span encloses it.
+    Stage(Work),
+}
+
+/// The EXPLAIN accounting a stage's span carries.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Work {
+    /// Items the stage consumed (seeds, candidates, …).
+    pub rows_in: u64,
+    /// Items the stage produced.
+    pub rows_out: u64,
+    /// Graph nodes the stage touched.
+    pub nodes_touched: u64,
+    /// Graph edges the stage touched.
+    pub edges_touched: u64,
+    /// Where a limit cut the stage short, if one did.
+    pub truncation: Option<Truncation>,
+}
+
+/// Where a limit cut a stage short. The span tree shows it as the note
+/// `truncated: <cause>, ~<remaining> <items>`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Truncation {
+    /// The caller's estimate of the items left unprocessed.
+    pub remaining: u64,
+    /// What cut the stage short (`deadline hit`).
+    pub cause: &'static str,
+    /// What the remaining items are (`iterations left`); empty when the
+    /// note leaves the estimate out.
+    pub items: &'static str,
+}
+
+impl Truncation {
+    fn note(&self) -> String {
+        if self.items.is_empty() {
+            format!("truncated: {}", self.cause)
+        } else {
+            format!(
+                "truncated: {}, ~{} {}",
+                self.cause, self.remaining, self.items
+            )
+        }
+    }
+}
+
 /// One finished span: a named duration with nested child spans.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SpanNode {
     /// Stage name (e.g. `query.context/traverse`).
     pub name: &'static str,
-    /// Wall time between open and close.
+    /// The duration the span's caller measured.
     pub duration: Duration,
-    /// Free-form annotation attached via [`note`] while the span was open
-    /// (e.g. `truncated: deadline hit, ~12 items remaining`).
+    /// Free-form annotation attached via [`note`] while the span was open,
+    /// followed by the stage's truncation (e.g. `truncated: deadline hit,
+    /// ~12 iterations left`).
     pub note: Option<String>,
     /// The request [`Context`] ID active when this span closed as a root
     /// (`None` for child spans and for roots closed outside any context).
     pub trace_id: Option<u64>,
+    /// What EXPLAIN reads off this span.
+    pub explain: Explain,
     /// Spans opened (and closed) while this one was open.
     pub children: Vec<SpanNode>,
 }
@@ -232,7 +300,6 @@ fn render_children(children: &[SpanNode], parent: Duration, prefix: &str, out: &
 
 struct OpenSpan {
     name: &'static str,
-    start: Stopwatch,
     note: Option<String>,
     children: Vec<SpanNode>,
 }
@@ -242,9 +309,10 @@ thread_local! {
     static ROOTS: RefCell<Vec<SpanNode>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Opens a span named `name`. The span closes when the guard drops (or via
-/// [`SpanGuard::finish_with`]). A no-op when tracing is disabled.
-#[must_use = "the span closes when this guard drops"]
+/// Opens a span named `name`, reading no clock. The span closes on the
+/// duration its caller measured ([`SpanGuard::finish_with`]). A no-op
+/// while collection is off.
+#[must_use = "finish the span with the duration its caller measured"]
 pub fn span(name: &'static str) -> SpanGuard {
     if !enabled() {
         return SpanGuard { open: false };
@@ -252,7 +320,6 @@ pub fn span(name: &'static str) -> SpanGuard {
     STACK.with(|stack| {
         stack.borrow_mut().push(OpenSpan {
             name,
-            start: ClockHandle::real().start(),
             note: None,
             children: Vec::new(),
         })
@@ -260,24 +327,27 @@ pub fn span(name: &'static str) -> SpanGuard {
     SpanGuard { open: true }
 }
 
-/// Annotates the innermost open span on this thread (no-op when tracing is
-/// disabled or no span is open). Repeated notes on the same span join with
-/// `"; "`. Query paths use this to mark deadline truncation — the stage
-/// span carries the truncation point and remaining-work estimate.
+/// Joins `text` onto a span's note with `"; "`.
+fn append_note(note: &mut Option<String>, text: String) {
+    match note {
+        Some(existing) => {
+            existing.push_str("; ");
+            existing.push_str(&text);
+        }
+        None => *note = Some(text),
+    }
+}
+
+/// Annotates the innermost open span on this thread (no-op while
+/// collection is off or no span is open). Repeated notes on the same span
+/// join with `"; "`; a stage's truncation follows them.
 pub fn note(text: impl Into<String>) {
     if !enabled() {
         return;
     }
     STACK.with(|stack| {
         if let Some(open) = stack.borrow_mut().last_mut() {
-            let text = text.into();
-            match &mut open.note {
-                Some(existing) => {
-                    existing.push_str("; ");
-                    existing.push_str(&text);
-                }
-                None => open.note = Some(text),
-            }
+            append_note(&mut open.note, text.into());
         }
     });
 }
@@ -287,34 +357,42 @@ pub fn take_roots() -> Vec<SpanNode> {
     ROOTS.with(|roots| std::mem::take(&mut *roots.borrow_mut()))
 }
 
-/// Closes its span on drop, attaching it to the parent span or the
-/// thread's finished roots.
+/// Closes its span, attaching it to the parent span or the thread's
+/// finished roots. A guard dropped without [`SpanGuard::finish_with`] (a
+/// query unwinding) closes its span with a zero duration.
 #[derive(Debug)]
 pub struct SpanGuard {
     open: bool,
 }
 
 impl SpanGuard {
-    /// Closes the span, recording `duration` instead of the guard's own
-    /// wall-clock measurement. Used when a caller has already measured the
-    /// stage (e.g. a query's reported latency) and the span tree must agree
-    /// with that number exactly.
-    pub fn finish_with(mut self, duration: Duration) {
-        self.close(Some(duration));
+    /// Closes the span on `duration`, the time its caller measured, and
+    /// gives it what it tells EXPLAIN.
+    pub fn finish_with(mut self, duration: Duration, explain: Explain) {
+        self.close(duration, explain);
     }
 
-    fn close(&mut self, duration_override: Option<Duration>) {
+    fn close(&mut self, duration: Duration, explain: Explain) {
         if !self.open {
             return;
         }
         self.open = false;
         let node = STACK.with(|stack| {
             let open = stack.borrow_mut().pop()?;
+            let mut note = open.note;
+            if let Explain::Stage(Work {
+                truncation: Some(truncation),
+                ..
+            }) = explain
+            {
+                append_note(&mut note, truncation.note());
+            }
             Some(SpanNode {
                 name: open.name,
-                duration: duration_override.unwrap_or_else(|| open.start.elapsed()),
-                note: open.note,
+                duration,
+                note,
                 trace_id: None,
+                explain,
                 children: open.children,
             })
         });
@@ -332,7 +410,7 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        self.close(None);
+        self.close(Duration::ZERO, Explain::None);
     }
 }
 
@@ -388,7 +466,7 @@ mod tests {
     fn finish_with_pins_the_root_duration() {
         let roots = with_tracing(|| {
             let root = span("q");
-            root.finish_with(Duration::from_micros(1234));
+            root.finish_with(Duration::from_micros(1234), Explain::None);
             take_roots()
         });
         assert_eq!(roots[0].duration, Duration::from_micros(1234));
@@ -402,7 +480,7 @@ mod tests {
                 {
                     let _c = span("inner");
                 }
-                root.finish_with(Duration::from_millis(10));
+                root.finish_with(Duration::from_millis(10), Explain::None);
             }
             take_roots()
         });
@@ -438,6 +516,46 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("[outer-level note]"), "{text}");
+    }
+
+    #[test]
+    fn a_stage_truncation_follows_its_notes() {
+        let work = |remaining, items| Work {
+            truncation: Some(Truncation {
+                remaining,
+                cause: "deadline hit",
+                items,
+            }),
+            ..Work::default()
+        };
+        let roots = with_tracing(|| {
+            let root = span("query");
+            let walk = span("walk");
+            note("score cache hit");
+            walk.finish_with(Duration::from_micros(3), Explain::Stage(work(7, "")));
+            let blend = span("blend");
+            blend.finish_with(
+                Duration::from_micros(3),
+                Explain::Stage(work(12, "candidates unscored")),
+            );
+            root.finish_with(Duration::from_micros(9), Explain::None);
+            take_roots()
+        });
+        let [walk, blend] = &roots[0].children[..] else {
+            panic!("two stages: {roots:?}");
+        };
+        assert_eq!(
+            walk.note.as_deref(),
+            Some("score cache hit; truncated: deadline hit")
+        );
+        assert_eq!(
+            blend.note.as_deref(),
+            Some("truncated: deadline hit, ~12 candidates unscored")
+        );
+        assert_eq!(
+            blend.explain,
+            Explain::Stage(work(12, "candidates unscored"))
+        );
     }
 
     #[test]

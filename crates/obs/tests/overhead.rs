@@ -8,7 +8,9 @@
 
 use std::hint::black_box;
 
+use bp_obs::trace::{Explain, Work};
 use bp_obs::{sampler, trace, ClockHandle, Obs};
+use std::time::Duration;
 
 /// Wall-clock a closure and return its mean per-iteration cost in ns.
 fn per_op_ns(iters: u64, f: impl FnOnce()) -> f64 {
@@ -26,8 +28,8 @@ fn tracing_per_op_costs() {
     let hist = obs.registry().histogram("bench.overhead.latency_us");
     let clock = ClockHandle::real();
 
-    // Span creation with the tracer disabled: the claimed cost is one
-    // relaxed atomic load (the ENABLED check) plus guard construction.
+    // Span creation with collection off: the claimed cost is one relaxed
+    // atomic load (the ENABLED check) plus guard construction.
     trace::set_enabled(false);
     let span_disabled = per_op_ns(N, || {
         for i in 0..N {
@@ -35,6 +37,30 @@ fn tracing_per_op_costs() {
             black_box(i);
         }
     });
+
+    // A collected stage: its span opens under a query's root span and
+    // closes with its EXPLAIN accounting. Roots of 64 stages each are
+    // drained as they finish, so the cost includes draining. The query's
+    // two clock readings per stage are not part of it.
+    const STAGES: u64 = 64;
+    trace::set_enabled(true);
+    let stage_collected = per_op_ns(N, || {
+        for i in 0..N / STAGES {
+            let root = trace::span("bench.query");
+            for j in 0..STAGES {
+                let stage = trace::span("bench.stage");
+                let work = Work {
+                    rows_in: black_box(i),
+                    rows_out: black_box(j),
+                    ..Work::default()
+                };
+                stage.finish_with(Duration::from_micros(j), Explain::Stage(work));
+            }
+            root.finish_with(Duration::from_micros(i), Explain::None);
+            black_box(trace::take_roots());
+        }
+    });
+    trace::set_enabled(false);
 
     // Histogram record with no trace context: the pre-existing cost.
     let record_plain = per_op_ns(N, || {
@@ -87,7 +113,8 @@ fn tracing_per_op_costs() {
         }
     });
 
-    println!("span() with tracer disabled : {span_disabled:7.2} ns/op");
+    println!("span() with collection off  : {span_disabled:7.2} ns/op");
+    println!("collected stage             : {stage_collected:7.2} ns/op");
     println!("histogram record, no context: {record_plain:7.2} ns/op");
     println!("histogram record + exemplar : {record_exemplar:7.2} ns/op");
     println!("context mint (enter_new)    : {mint:7.2} ns/op");
@@ -97,6 +124,7 @@ fn tracing_per_op_costs() {
     // Generous sanity bounds — catches an accidental syscall or lock on
     // the hot paths, not hardware variance.
     assert!(span_disabled < 1_000.0);
+    assert!(stage_collected < 10_000.0);
     assert!(record_exemplar < record_plain + 1_000.0);
     assert!(mint < 10_000.0);
     assert!(offer_dropped < 1_000.0);

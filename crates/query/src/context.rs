@@ -21,8 +21,8 @@ use bp_graph::neighborhood::ExpansionConfig;
 use bp_graph::pagerank::PageRankConfig;
 use bp_graph::traverse::Budget;
 use bp_graph::{NodeId, NodeKind, ProvenanceGraph};
+use bp_obs::names;
 use bp_obs::profile::QueryPlan;
-use bp_obs::{names, trace};
 use std::sync::Arc;
 
 /// EXPLAIN plan for [`contextual_history_search`].
@@ -193,10 +193,7 @@ impl Search<'_> {
                 stage.touched(e.entries.len(), 0);
                 if e.truncated {
                     let remaining = self.frozen.node_count().saturating_sub(e.entries.len()) as u64;
-                    stage.truncated(remaining);
-                    trace::note(format!(
-                        "truncated: budget hit, ~{remaining} nodes unreached"
-                    ));
+                    stage.truncated(remaining, "budget hit", "nodes unreached");
                 }
                 e
             },
@@ -228,10 +225,7 @@ impl Search<'_> {
         stage.rows(base.len(), scores.authority.len());
         if scores.truncated {
             let remaining = config.max_iterations.saturating_sub(scores.iterations) as u64;
-            stage.truncated(remaining);
-            trace::note(format!(
-                "truncated: deadline hit, ~{remaining} iterations left"
-            ));
+            stage.truncated(remaining, "deadline hit", "iterations left");
         }
         (scores.authority, scores.truncated)
     }
@@ -251,10 +245,7 @@ impl Search<'_> {
                 stage.touched(s.entries.len(), 0);
                 if s.truncated {
                     let remaining = pagerank.max_iterations.saturating_sub(s.iterations) as u64;
-                    stage.truncated(remaining);
-                    trace::note(format!(
-                        "truncated: deadline hit, ~{remaining} iterations left"
-                    ));
+                    stage.truncated(remaining, "deadline hit", "iterations left");
                 }
                 s
             },
@@ -307,13 +298,14 @@ impl Search<'_> {
             if let Some(answer) = cache.get(&key) {
                 obs.counter(names::BP_GRAPH_CACHE_HIT).inc();
                 stage.rows(0, answer.hits.len());
-                trace::note(format!(
-                    "score cache hit: {} ranked hits, walk and blend skipped",
-                    answer.hits.len()
-                ));
+                stage.note(|| {
+                    format!(
+                        "score cache hit: {} ranked hits, walk and blend skipped",
+                        answer.hits.len()
+                    )
+                });
                 if answer.truncated {
-                    stage.truncated(0);
-                    trace::note("truncated: budget hit when the answer was computed");
+                    stage.truncated(0, "budget hit when the answer was computed", "");
                 }
                 return answer;
             }
@@ -384,10 +376,7 @@ impl Search<'_> {
             if blended % 64 == 0 && budget.expired() {
                 truncated = true;
                 let remaining = (entries.len() - blended) as u64;
-                stage.truncated(remaining);
-                trace::note(format!(
-                    "truncated: deadline hit, ~{remaining} candidates unscored"
-                ));
+                stage.truncated(remaining, "deadline hit", "candidates unscored");
                 break;
             }
             let node = NodeId::new(raw_node);

@@ -12,8 +12,8 @@ use bp_core::ProvenanceBrowser;
 use bp_graph::frozen::FrozenGraph;
 use bp_graph::traverse::Budget;
 use bp_graph::{EdgeKind, NodeId, NodeKind};
+use bp_obs::names;
 use bp_obs::profile::QueryPlan;
-use bp_obs::{names, trace};
 use std::fmt::Write as _;
 
 /// EXPLAIN plan for [`describe_origin`].
@@ -175,10 +175,7 @@ pub fn describe_origin(
     }
     if bounded {
         let remaining = (config.max_steps - steps) as u64;
-        stage.truncated(remaining);
-        trace::note(format!(
-            "truncated: deadline hit, ~{remaining} hops unnarrated"
-        ));
+        stage.truncated(remaining, "deadline hit", "hops unnarrated");
     }
     // When the deadline bounded the walk we already know hops went
     // unnarrated (and the expired deadline would cut the re-scan short

@@ -12,8 +12,8 @@ use crate::scope::Scope;
 use bp_core::ProvenanceBrowser;
 use bp_graph::traverse::{self, Budget, Direction, Path};
 use bp_graph::{EdgeKind, NodeId, NodeKind};
+use bp_obs::names;
 use bp_obs::profile::QueryPlan;
-use bp_obs::{names, trace};
 use std::time::Duration;
 
 /// EXPLAIN plan for [`first_recognizable_ancestor`].
@@ -112,10 +112,7 @@ pub fn first_recognizable_ancestor(
         stage.rows(1, usize::from(path.is_some()));
         if walk.truncated {
             let remaining = graph.node_count().saturating_sub(walk.len()) as u64;
-            stage.truncated(remaining);
-            trace::note(format!(
-                "truncated: budget hit, ~{remaining} ancestors unexplored"
-            ));
+            stage.truncated(remaining, "budget hit", "ancestors unexplored");
         }
         let found = path.and_then(|path| {
             let ancestor = path.target();

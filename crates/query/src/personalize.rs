@@ -10,12 +10,12 @@
 use crate::context::{ranked_search, ContextualConfig, Walk};
 use crate::scope::Scope;
 use bp_core::ProvenanceBrowser;
+use bp_obs::names;
 use bp_obs::profile::QueryPlan;
-use bp_obs::{names, trace};
 use bp_text::TermProfile;
 
-/// EXPLAIN plan for [`personalize_query`]. The inner contextual search
-/// attaches its own profile as a child of this one.
+/// EXPLAIN plan for [`personalize_query`]. The inner contextual search's
+/// profile is a child of this one.
 static PERSONALIZE_PLAN: QueryPlan = QueryPlan {
     query: "personalize",
     stages: &["contextual", "term_profile"],
@@ -105,16 +105,17 @@ pub fn personalize_query(
         );
         stage.rows(1, contextual.hits.len());
         if contextual.truncated {
-            // The child profile carries the precise cut point; at this
-            // level the estimate is how many hits never materialized.
+            // The inner query's span carries the precise cut point; at
+            // this level the estimate is how many hits never materialized.
             let remaining = config
                 .contextual
                 .max_results
                 .saturating_sub(contextual.hits.len()) as u64;
-            stage.truncated(remaining);
-            trace::note(format!(
-                "truncated: inner contextual search cut short, ~{remaining} hits may be missing"
-            ));
+            stage.truncated(
+                remaining,
+                "inner contextual search cut short",
+                "hits may be missing",
+            );
         }
         contextual
     };
@@ -127,10 +128,7 @@ pub fn personalize_query(
         if scope.budget().expired() {
             truncated = true;
             let remaining = (contextual.hits.len() - profiled) as u64;
-            stage.truncated(remaining);
-            trace::note(format!(
-                "truncated: deadline hit, ~{remaining} hits unprofiled"
-            ));
+            stage.truncated(remaining, "deadline hit", "hits unprofiled");
             break;
         }
         // Two additions sum in the same order as one of the joined text.

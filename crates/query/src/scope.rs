@@ -4,19 +4,23 @@
 //! query's [`Budget`], so the deadline runs from one instant read once
 //! from the budget's clock, and every stage and kernel handed
 //! [`Scope::budget`] spends that one deadline. It also enters the trace
-//! context and opens the root span and the EXPLAIN profile on that clock,
-//! from that same reading.
+//! context from that same reading and opens the root span, which carries
+//! the query's EXPLAIN plan and budget; each [`Stage`] span carries its
+//! EXPLAIN accounting, so one span tree is both the `--trace` tree and
+//! the `--explain` profile.
 //! Every return path ends it with [`Scope::finish`] (or [`Scope::fail`]),
 //! which reads the clock once and reports that elapsed time to the
 //! latency histogram, the deadline SLO counters, the tail sampler, the
-//! root span, the profile and the caller's result.
+//! root span and the caller's result.
 
 use bp_graph::traverse::Budget;
 use bp_obs::clock::ClockHandle;
-use bp_obs::profile::{self, QueryPlan};
+use bp_obs::profile::QueryPlan;
 use bp_obs::sampler::{self, TraceOutcome, TraceRecord};
-use bp_obs::{names, trace, Histogram, HistogramName, Level, Obs};
+use bp_obs::trace::{self, Explain, Truncation, Work};
+use bp_obs::{names, Histogram, HistogramName, Obs};
 use std::borrow::Cow;
+use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -33,8 +37,9 @@ pub(crate) struct Scope<'a> {
     latency: Arc<Histogram>,
     budget: Cow<'a, Budget>,
     nested: bool,
+    /// What the root span tells EXPLAIN: the plan and the deadline.
+    explain: Explain,
     span: trace::SpanGuard,
-    profile: Option<profile::QueryGuard>,
     _context: trace::ContextGuard,
 }
 
@@ -51,13 +56,13 @@ impl<'a> Scope<'a> {
     ) -> Self {
         let nested = budget.is_pinned();
         let budget = budget.pinned();
-        let clock = budget.clock();
-        // The pinned instant also seeds the trace id and opens the
-        // profile: opening a scope reads the clock once.
-        let start_us = budget.start_micros().unwrap_or_default();
-        let context = trace::ensure(start_us);
-        let span = trace::span(span);
-        let profile = plan.map(|plan| profile::begin(plan, clock, start_us, budget.deadline()));
+        // The pinned instant also seeds the trace id: opening a scope
+        // reads the clock once.
+        let context = trace::ensure(budget.start_micros().unwrap_or_default());
+        let explain = plan.map_or(Explain::None, |plan| Explain::Query {
+            plan,
+            budget_us: budget.deadline().map(|d| d.as_micros() as u64),
+        });
         let name = latency.as_str();
         let path = name
             .strip_prefix("query.")
@@ -69,8 +74,8 @@ impl<'a> Scope<'a> {
             latency: obs.histogram(latency),
             budget,
             nested,
-            span,
-            profile,
+            explain,
+            span: trace::span(span),
             _context: context,
         }
     }
@@ -81,20 +86,15 @@ impl<'a> Scope<'a> {
         &self.budget
     }
 
-    /// Opens stage `name`: its span and its EXPLAIN stage, timed once on
-    /// the query's clock while either is collected: one reading when it
-    /// opens and one when it closes.
+    /// Opens stage `name`: a span timed on the query's clock while spans
+    /// are collected, one reading when it opens and one when it closes.
     pub(crate) fn stage(&self, name: &'static str) -> Stage<'_> {
         let clock = self.budget.clock();
-        let collected = trace::enabled() || profile::enabled();
-        Stage(collected.then(|| {
-            let start = clock.now_micros();
-            (
-                clock,
-                start,
-                trace::span(name),
-                profile::stage_at(name, start),
-            )
+        Stage(trace::enabled().then(|| OpenStage {
+            clock,
+            start: clock.now_micros(),
+            span: trace::span(name),
+            work: Cell::default(),
         }))
     }
 
@@ -126,7 +126,8 @@ impl<'a> Scope<'a> {
     /// Counts the query against its deadline: `bounded` when it truncated
     /// itself to honor the budget (the paper's "can be bound to that
     /// time"), then `hit` or `miss`. A miss means the interactive-latency
-    /// envelope broke, so it is also journaled and logged.
+    /// envelope broke, so it is also logged, and the flight recorder
+    /// keeps the line.
     fn classify(&self, elapsed: Duration, deadline: Duration, truncated: bool) {
         let obs = self.obs;
         if truncated {
@@ -137,16 +138,11 @@ impl<'a> Scope<'a> {
             return;
         }
         obs.counter(names::QUERY_DEADLINE_MISS).inc();
-        let path = self.path;
-        obs.journal().record(
-            Level::Warn,
-            format!("query.{path} exceeded its {deadline:?} deadline (took {elapsed:?})"),
-        );
         bp_obs::log::warn(
             "bp_query::scope",
             "query exceeded its deadline",
             &[
-                ("use_case", path.to_owned()),
+                ("use_case", self.path.to_owned()),
                 ("deadline", format!("{deadline:?}")),
                 ("elapsed", format!("{elapsed:?}")),
             ],
@@ -154,8 +150,8 @@ impl<'a> Scope<'a> {
     }
 
     /// Offers the finished request to the process-wide tail sampler (the
-    /// retention decision behind `/tracez`), then closes the root span
-    /// and the profile on `elapsed`.
+    /// retention decision behind `/tracez`), then closes the root span on
+    /// `elapsed`.
     fn close(self, elapsed: Duration, outcome: TraceOutcome) -> Duration {
         if let Some(trace_id) = trace::current_id() {
             sampler::global().offer(TraceRecord {
@@ -167,52 +163,77 @@ impl<'a> Scope<'a> {
                 tree: None,
             });
         }
-        self.span.finish_with(elapsed);
-        if let Some(profile) = self.profile {
-            profile.finish_with(elapsed);
-        }
+        self.span.finish_with(elapsed, self.explain);
         elapsed
     }
 }
 
-/// One stage of a query: the query's clock, the reading the stage opened
-/// at, its span and its EXPLAIN stage; `None` while neither is collected.
-pub(crate) struct Stage<'a>(Option<(&'a ClockHandle, u64, trace::SpanGuard, profile::StageGuard)>);
+/// One stage of a query; `None` while spans are not collected.
+pub(crate) struct Stage<'a>(Option<OpenStage<'a>>);
+
+/// A collected stage: the query's clock, the reading the stage opened
+/// at, its span, and the EXPLAIN accounting the span closes with.
+struct OpenStage<'a> {
+    clock: &'a ClockHandle,
+    start: u64,
+    span: trace::SpanGuard,
+    work: Cell<Work>,
+}
 
 impl Stage<'_> {
-    fn profile(&self) -> Option<&profile::StageGuard> {
-        self.0.as_ref().map(|(_, _, _, stage)| stage)
+    fn record(&self, f: impl FnOnce(&mut Work)) {
+        if let Some(open) = &self.0 {
+            let mut work = open.work.get();
+            f(&mut work);
+            open.work.set(work);
+        }
     }
 
     /// Records items consumed and produced.
     pub(crate) fn rows(&self, rows_in: usize, rows_out: usize) {
-        if let Some(p) = self.profile() {
-            p.rows(rows_in, rows_out);
-        }
+        self.record(|work| {
+            work.rows_in = rows_in as u64;
+            work.rows_out = rows_out as u64;
+        });
     }
 
     /// Records graph nodes and edges touched.
     pub(crate) fn touched(&self, nodes: usize, edges: usize) {
-        if let Some(p) = self.profile() {
-            p.touched(nodes, edges);
+        self.record(|work| {
+            work.nodes_touched = nodes as u64;
+            work.edges_touched = edges as u64;
+        });
+    }
+
+    /// Notes `text` on this stage's span; `text` is built only while spans
+    /// are collected.
+    pub(crate) fn note(&self, text: impl FnOnce() -> String) {
+        if self.0.is_some() {
+            trace::note(text());
         }
     }
 
-    /// Marks this stage as where a limit cut the query short, with an
-    /// estimate of the items left unprocessed.
-    pub(crate) fn truncated(&self, remaining_estimate: u64) {
-        if let Some(p) = self.profile() {
-            p.truncated(remaining_estimate);
-        }
+    /// Marks this stage as where a limit cut the query short: `cause` cut
+    /// it, leaving an estimated `remaining` of `items` unprocessed. The
+    /// span tree notes `truncated: <cause>, ~<remaining> <items>` (just
+    /// `truncated: <cause>` when `items` is empty).
+    pub(crate) fn truncated(&self, remaining: u64, cause: &'static str, items: &'static str) {
+        self.record(|work| {
+            work.truncation.get_or_insert(Truncation {
+                remaining,
+                cause,
+                items,
+            });
+        });
     }
 }
 
 impl Drop for Stage<'_> {
     fn drop(&mut self) {
-        if let Some((clock, start, span, stage)) = self.0.take() {
-            let wall = Duration::from_micros(clock.now_micros().saturating_sub(start));
-            span.finish_with(wall);
-            stage.finish_with(wall);
+        if let Some(open) = self.0.take() {
+            let wall = Duration::from_micros(open.clock.now_micros().saturating_sub(open.start));
+            open.span
+                .finish_with(wall, Explain::Stage(open.work.into_inner()));
         }
     }
 }
@@ -221,6 +242,7 @@ impl Drop for Stage<'_> {
 mod tests {
     use super::*;
     use bp_obs::clock::ClockHandle;
+    use bp_obs::profile;
 
     use std::sync::Mutex;
 
@@ -229,21 +251,22 @@ mod tests {
         stages: &["only"],
     };
 
-    /// Serializes the tests that switch profiling, a process-wide flag.
-    static PROFILING: Mutex<()> = Mutex::new(());
+    /// Serializes the tests that switch span collection, a process-wide
+    /// flag.
+    static COLLECTION: Mutex<()> = Mutex::new(());
 
     /// Opening a scope reads the query's clock once, for the pin, with
-    /// profiling on or off: the trace id and the profile start from that
-    /// reading.
+    /// collection on or off: the trace id and the root span start from
+    /// that reading.
     #[test]
     fn opening_a_scope_reads_the_clock_once() {
-        let _gate = PROFILING.lock().unwrap_or_else(|e| e.into_inner());
-        for profiling in [false, true] {
+        let _gate = COLLECTION.lock().unwrap_or_else(|e| e.into_inner());
+        for collection in [false, true] {
             let (clock, mock) = ClockHandle::mock();
             mock.set_auto_tick_micros(1);
             let budget = Budget::new().with_clock(clock.clone());
             let obs = Obs::isolated();
-            profile::set_enabled(profiling);
+            trace::set_enabled(collection);
             // Each reading advances the clock by 1 µs, the bracketing ones too.
             let before = clock.now_micros();
             let scope = Scope::open(
@@ -255,41 +278,48 @@ mod tests {
             );
             let readings = clock.now_micros() - before - 1;
             scope.finish(false);
-            profile::set_enabled(false);
-            let profiles = profile::take();
-            assert_eq!(readings, 1, "profiling {profiling}");
-            assert_eq!(profiles.len(), usize::from(profiling));
+            trace::set_enabled(false);
+            let profiles = profile::from_spans(&trace::take_roots());
+            assert_eq!(readings, 1, "collection {collection}");
+            assert_eq!(profiles.len(), usize::from(collection));
         }
     }
 
-    /// A profiled stage reads the query's clock once when it opens and
-    /// once when it closes: its EXPLAIN stage opens at the scope's reading
-    /// instead of taking one of its own.
+    /// A collected stage reads the query's clock once when it opens and
+    /// once when it closes; with collection off it reads none.
     #[test]
     fn a_profiled_stage_reads_the_clock_twice() {
-        let _gate = PROFILING.lock().unwrap_or_else(|e| e.into_inner());
-        let (clock, mock) = ClockHandle::mock();
-        mock.set_auto_tick_micros(1);
-        let budget = Budget::new().with_clock(clock.clone());
-        let obs = Obs::isolated();
-        profile::set_enabled(true);
-        let scope = Scope::open(
-            &obs,
-            "scoped",
-            Some(&PLAN),
-            names::QUERY_QL_LATENCY_US,
-            &budget,
-        );
-        // Each reading advances the clock by 1 µs, the bracketing ones too.
-        let before = clock.now_micros();
-        drop(scope.stage("only"));
-        let readings = clock.now_micros() - before - 1;
-        scope.finish(false);
-        profile::set_enabled(false);
-        let profiles = profile::take();
-        assert_eq!(readings, 2);
-        assert_eq!(profiles.len(), 1);
-        assert_eq!(profiles[0].stages.len(), 1);
-        assert_eq!(profiles[0].stages[0].wall_us, 1);
+        let _gate = COLLECTION.lock().unwrap_or_else(|e| e.into_inner());
+        for collection in [false, true] {
+            let (clock, mock) = ClockHandle::mock();
+            mock.set_auto_tick_micros(1);
+            let budget = Budget::new().with_clock(clock.clone());
+            let obs = Obs::isolated();
+            trace::set_enabled(collection);
+            let scope = Scope::open(
+                &obs,
+                "scoped",
+                Some(&PLAN),
+                names::QUERY_QL_LATENCY_US,
+                &budget,
+            );
+            // Each reading advances the clock by 1 µs, the bracketing ones too.
+            let before = clock.now_micros();
+            drop(scope.stage("only"));
+            let readings = clock.now_micros() - before - 1;
+            scope.finish(false);
+            trace::set_enabled(false);
+            let profiles = profile::from_spans(&trace::take_roots());
+            assert_eq!(
+                readings,
+                2 * u64::from(collection),
+                "collection {collection}"
+            );
+            if collection {
+                assert_eq!(profiles.len(), 1);
+                assert_eq!(profiles[0].stages.len(), 1);
+                assert_eq!(profiles[0].stages[0].wall_us, 1);
+            }
+        }
     }
 }

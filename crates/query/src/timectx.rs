@@ -15,8 +15,8 @@ use bp_core::ProvenanceBrowser;
 use bp_graph::frozen::FrozenGraph;
 use bp_graph::traverse::Budget;
 use bp_graph::{EdgeKind, NodeId, NodeKind, TimeInterval};
+use bp_obs::names;
 use bp_obs::profile::QueryPlan;
-use bp_obs::{names, trace};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
@@ -109,10 +109,7 @@ pub fn time_contextual_search(
         if scope.budget().expired() {
             truncated = true;
             let remaining = (subject_total - associated) as u64;
-            stage.truncated(remaining);
-            trace::note(format!(
-                "truncated: deadline hit, ~{remaining} subject hits unchecked"
-            ));
+            stage.truncated(remaining, "deadline hit", "subject hits unchecked");
             break;
         }
         let node = NodeId::new(doc);

@@ -275,17 +275,16 @@ fn truncated_answers_are_never_cached_and_cached_answers_are_complete() {
     }
 }
 
-/// Runs `f` with EXPLAIN and trace collection on, and returns what this
-/// thread collected. Only one test here switches them on.
+/// Runs `f` with span collection on, and returns the span trees this
+/// thread collected and the EXPLAIN profiles read off them. Only one
+/// test here switches collection on.
 fn with_obs<R>(f: impl FnOnce() -> R) -> (R, Vec<profile::Profile>, Vec<SpanNode>) {
-    let _ = profile::take();
     let _ = trace::take_roots();
-    profile::set_enabled(true);
     trace::set_enabled(true);
     let out = f();
     trace::set_enabled(false);
-    profile::set_enabled(false);
-    (out, profile::take(), trace::take_roots())
+    let roots = trace::take_roots();
+    (out, profile::from_spans(&roots), roots)
 }
 
 /// `(stage, rows in, rows out)` per executed stage.

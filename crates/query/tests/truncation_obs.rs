@@ -4,8 +4,8 @@
 //! every clock reading advances time, so deadlines expire deterministically
 //! without sleeps) and asserts both observability channels report it:
 //! the trace span tree carries a truncation note, and the EXPLAIN
-//! [`bp_obs::profile::Profile`] carries the truncation stage and a
-//! remaining-work estimate. The entry-deadline cases at the end check that
+//! [`bp_obs::profile::Profile`] read off the same tree carries the
+//! truncation stage and a remaining-work estimate. The entry-deadline cases at the end check that
 //! each path's deadline runs from its entry, so the stages before a bounded
 //! loop count against it; for the paths that walk the CSR snapshot, over
 //! random deadlines and clock stall steps. A table test between the two
@@ -115,19 +115,18 @@ fn history_in(mut tb: TempBrowser) -> TempBrowser {
     tb
 }
 
-/// Serializes tests (the profile/trace enable flags are process-global)
-/// and collects both channels.
+/// Serializes tests (span collection is switched process-wide) and
+/// collects the span trees, read both ways: as EXPLAIN profiles and as
+/// the trees themselves.
 fn with_obs<R>(f: impl FnOnce() -> R) -> (R, Vec<Profile>, Vec<SpanNode>) {
     static GATE: Mutex<()> = Mutex::new(());
     let _lock = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    let _ = profile::take();
     let _ = trace::take_roots();
-    profile::set_enabled(true);
     trace::set_enabled(true);
     let out = f();
     trace::set_enabled(false);
-    profile::set_enabled(false);
-    (out, profile::take(), trace::take_roots())
+    let roots = trace::take_roots();
+    (out, profile::from_spans(&roots), roots)
 }
 
 /// A ticking mock clock: deadlines measured against it expire after a few
@@ -665,7 +664,7 @@ proptest! {
             // scope closes with its one elapsed time, and the profile's
             // truncation.
             let roots = trace::take_roots();
-            let profiles = profile::take();
+            let profiles = profile::from_spans(&roots);
             let root = roots.iter().find(|r| r.name == "query.personalize");
             let elapsed = root.expect("personalize closes its root span").duration;
             (elapsed, profiles.first().is_some_and(|p| p.truncated))
@@ -711,7 +710,7 @@ proptest! {
                 budget: budget.clone(),
             };
             assert!(first_recognizable_ancestor(&tb.browser, dl, &config).is_none());
-            let p = &profile::take()[0];
+            let p = &profile::from_spans(&trace::take_roots())[0];
             (Duration::from_micros(p.total_us), p.truncated)
         })?;
     }
@@ -726,7 +725,7 @@ proptest! {
             };
             let story = describe_origin(&tb.browser, "/dl/thing.bin", &config);
             assert!(story.is_some());
-            let p = &profile::take()[0];
+            let p = &profile::from_spans(&trace::take_roots())[0];
             (Duration::from_micros(p.total_us), p.truncated)
         })?;
     }

@@ -26,7 +26,7 @@ use bp_graph::{
     AttrValue, Edge, EdgeKind, Node, NodeId, NodeKind, ProvenanceGraph, TimeInterval, Timestamp,
     Version,
 };
-use bp_obs::{names, Counter, Histogram, Level, Obs};
+use bp_obs::{names, Counter, Histogram, Obs};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -99,8 +99,8 @@ impl ProvenanceStore {
         Self::open_with_obs(dir, policy, Obs::global())
     }
 
-    /// [`open`](Self::open) reporting metrics and journal events into an
-    /// explicit [`Obs`] handle instead of the process-global one. Tests
+    /// [`open`](Self::open) reporting metrics into an explicit [`Obs`]
+    /// handle instead of the process-global one. Tests
     /// that assert exact metric values use this with [`Obs::isolated`].
     ///
     /// # Errors
@@ -203,10 +203,6 @@ impl ProvenanceStore {
         self.codec = codec;
         if self.wal.truncated_on_open() {
             self.obs.counter(names::WAL_TORN_TAIL_TRUNCATIONS).inc();
-            self.obs.journal().record(
-                Level::Warn,
-                "torn tail truncated on log open (crash mid-append); committed history intact",
-            );
             bp_obs::log::warn(
                 "bp_storage::store",
                 "torn tail truncated on log open; committed history intact",
@@ -217,15 +213,6 @@ impl ProvenanceStore {
             self.obs
                 .counter(names::WAL_RECOVERED_FRAMES)
                 .add(contents.frames.len() as u64);
-            self.obs.journal().record(
-                Level::Info,
-                format!(
-                    "recovered {} log frames: {} nodes, {} edges",
-                    contents.frames.len(),
-                    self.graph.node_count(),
-                    self.graph.edge_count()
-                ),
-            );
             bp_obs::log::info(
                 "bp_storage::store",
                 "write-ahead log recovered",
@@ -686,13 +673,9 @@ impl ProvenanceStore {
             self.obs
                 .counter(names::STORAGE_REDACTIONS_TOTAL)
                 .add(nodes.len() as u64);
-            // Deliberately does NOT name the key: the journal must not
-            // become a side channel for content the user asked to scrub.
-            self.obs.journal().record(
-                Level::Warn,
-                format!("redaction scrubbed {} history objects", nodes.len()),
-            );
-            // Same privacy rule as the journal entry: count only, no key.
+            // Deliberately does NOT name the key: the flight recorder
+            // must not become a side channel for content the user asked
+            // to scrub. Count only, no key.
             bp_obs::log::warn(
                 "bp_storage::store",
                 "redaction scrubbed history objects",
@@ -781,13 +764,6 @@ impl ProvenanceStore {
             .record_duration(elapsed);
         self.publish_gauges();
         let report = self.size_report();
-        self.obs.journal().record(
-            Level::Info,
-            format!(
-                "compaction wrote {} snapshot bytes ({} nodes, {} edges) in {elapsed:?}; log reset",
-                report.snapshot_bytes, report.node_count, report.edge_count
-            ),
-        );
         bp_obs::log::info(
             "bp_storage::store",
             "compaction complete; log reset",

@@ -294,6 +294,33 @@ fn forced_worker_panic_writes_complete_flight_dump() {
     serve.terminate_cleanly();
 }
 
+/// `/tracez` without a query string and `/profilez` render one ring of
+/// sampled span trees two ways: once a sampled pass has left a
+/// personalize tree, its EXPLAIN table nests the inner contextual
+/// search's table.
+#[test]
+fn tracez_and_profilez_render_the_same_sampled_passes() {
+    let serve = ServeChild::spawn("rings", &["--days", "2", "--query-interval-ms", "20"]);
+    serve.wait_for("/tracez", Duration::from_secs(60), |s, body| {
+        s == 200 && body.lines().any(|l| l.starts_with("query.personalize  "))
+    });
+    let (status, body) = serve.get("/profilez").expect("scrape /profilez");
+    assert_eq!(status, 200);
+    let lines: Vec<&str> = body.lines().collect();
+    let start = lines
+        .iter()
+        .position(|l| l.starts_with("query.personalize  total "))
+        .unwrap_or_else(|| panic!("no personalize table in /profilez:\n{body}"));
+    let mut table = lines[start + 1..]
+        .iter()
+        .take_while(|l| !l.starts_with("query."));
+    assert!(
+        table.any(|l| l.starts_with("  query.context  total ")),
+        "the personalize table must nest its contextual search's:\n{body}"
+    );
+    serve.terminate_cleanly();
+}
+
 /// The request-tracing acceptance path, end to end: a forced deadline
 /// miss must leave a retained trace in `/tracez` findable by `?min_ms=`
 /// and `?id=`, the same trace ID stamped on the structured log line in

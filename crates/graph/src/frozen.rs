@@ -10,7 +10,8 @@
 //! in-adjacency. The relevance kernels here (personalized PageRank,
 //! neighborhood expansion), [`crate::hits`] and the BFS of
 //! [`crate::traverse`]. The PageRank kernel reads the rows through a slot
-//! layout built on its first walk over the snapshot.
+//! layout that outlives its snapshot: each extension hands it on, and the
+//! next walk grows it in place.
 //!
 //! Snapshots are invalidated by the graph **epoch**
 //! ([`ProvenanceGraph::epoch`]): every mutation bumps it, and a
@@ -39,7 +40,7 @@ use bp_obs::clock::ClockHandle;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Nodes per partial sum of the PageRank kernel's reductions (pushed
@@ -258,9 +259,11 @@ pub struct FrozenGraph {
     /// slots pointing at it.
     cond: Vec<(f64, f64)>,
     /// The PageRank kernel's slot layouts, indexed by
-    /// `include_automatic_edges`, each built on the first walk that
-    /// needs it. Snapshots no PageRank query reads never pay for one.
-    pull: [OnceLock<PullLayout>; 2],
+    /// `include_automatic_edges`. An extension carries each one over from
+    /// the previous snapshot, whatever snapshot it describes, and the
+    /// first walk that needs it grows it to this one. Snapshots no
+    /// PageRank query reads pay one `Arc` clone per setting.
+    pull: [Mutex<Option<Arc<PullLayout>>>; 2],
     /// `key_rep[i]` is the lowest node id whose key string equals node
     /// `i`'s — the canonical representative of its dedup group. Blend
     /// passes collapse multiple visit versions of one URL through this
@@ -381,7 +384,10 @@ impl FrozenGraph {
             fwd,
             rev,
             cond: Vec::new(),
-            pull: Default::default(),
+            pull: self
+                .pull
+                .each_ref()
+                .map(|slot| Mutex::new(lock(slot).clone())),
             key_rep,
         };
 
@@ -400,14 +406,11 @@ impl FrozenGraph {
     /// edges)`, summed in [`FrozenGraph::build`]'s order so the result is
     /// bit-identical: by owning (source) node, then slot. Every in-edge of
     /// `x` comes from a newer node, and its reverse row lists them in
-    /// edge-id and therefore source order, so that order is `x`'s forward
-    /// slots, then its reverse slots.
+    /// edge-id and therefore source order, so that order is `x`'s
+    /// incidence row.
     fn conductance(&self, x: usize) -> (f64, f64) {
-        let kinds = self.fwd.kinds[self.fwd.range(x)]
-            .iter()
-            .chain(&self.rev.kinds[self.rev.range(x)]);
         let mut cond = (0.0f64, 0.0f64);
-        for &kind in kinds {
+        for (_, kind) in self.incidence(x) {
             let w = base_weight(kind);
             cond.0 += w;
             if !AUTOMATIC[kind as usize] {
@@ -415,6 +418,14 @@ impl FrozenGraph {
             }
         }
         cond
+    }
+
+    /// Node `x`'s incidence row, as `(other endpoint, kind code)`: its
+    /// forward slots, then its reverse slots. A node with an in-edge
+    /// never gains an out-edge (edges run newer→older, in source order),
+    /// so a grown row is the old row followed by its new slots.
+    fn incidence(&self, x: usize) -> impl Iterator<Item = (u32, u8)> + '_ {
+        self.fwd.slots(x).chain(self.rev.slots(x))
     }
 
     /// The graph epoch this snapshot was taken at.
@@ -513,34 +524,120 @@ impl FrozenGraph {
     }
 
     /// The PageRank kernel's slot layout for one automatic-edge setting,
-    /// built on first use.
-    fn pull_layout(&self, include_automatic_edges: bool) -> &PullLayout {
-        self.pull[usize::from(include_automatic_edges)]
-            .get_or_init(|| PullLayout::build(self, include_automatic_edges))
+    /// brought up to this snapshot, and how: `None` when it already
+    /// described it, otherwise which refresh ran and its wall time.
+    ///
+    /// The layout is taken out of its slot while it grows, as
+    /// [`FrozenHandle::snapshot`] takes the snapshot, so a panic leaves
+    /// the slot empty rather than half-grown, and the next walk builds.
+    /// [`Arc::make_mut`] grows it in place when no other snapshot or walk
+    /// holds it, and grows a copy when one does.
+    fn pull_layout(
+        &self,
+        include_automatic_edges: bool,
+    ) -> (Arc<PullLayout>, Option<(Refresh, Duration)>) {
+        let mut slot = lock(&self.pull[usize::from(include_automatic_edges)]);
+        if let Some(layout) = slot.as_ref().filter(|layout| layout.describes(self)) {
+            return (layout.clone(), None);
+        }
+        let sw = ClockHandle::real().start();
+        let (layout, refresh) = match slot.take() {
+            Some(mut layout) if layout.precedes(self) => {
+                Arc::make_mut(&mut layout).extend(self, include_automatic_edges);
+                (layout, Refresh::Extended)
+            }
+            _ => (
+                Arc::new(PullLayout::build(self, include_automatic_edges)),
+                Refresh::Rebuilt,
+            ),
+        };
+        *slot = Some(layout.clone());
+        (layout, Some((refresh, sw.elapsed())))
     }
 }
 
+/// Locks `mutex`, recovering it from a poisoning panic: every lock here
+/// guards state that is whole whenever the lock is released.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A snapshot's incidence rows laid out for the PageRank kernel, in
-/// jagged-diagonal form. Row `i` is node `i`'s forward slots followed by
-/// its reverse slots, each weighted `w(kind) / conductance(target)` for
-/// one automatic-edge setting.
+/// jagged-diagonal form. Row `i` is node `i`'s incidence row (forward
+/// slots, then reverse slots), each slot weighted `w(kind) /
+/// conductance(target)` for one automatic-edge setting.
 ///
-/// Rows are ordered by length, longest first, ties by node id, and
-/// stored column by column: column `j` holds slot `j` of every row longer
-/// than `j`, and those rows are a prefix of the row order. The kernel
-/// sweeps each column as one multiply-add per row across independent
-/// rows, so the add chains of many rows advance together and no branch
-/// marks a row's end; each row still adds its slots in row order.
+/// Rows are ordered by length, longest first, and stored column by
+/// column: column `j` holds slot `j` of every row longer than `j`, and
+/// those rows are a prefix of the row order. The kernel sweeps each
+/// column as one multiply-add per row across independent rows, so the
+/// add chains of many rows advance together and no branch marks a row's
+/// end; each row still adds its slots in row order. A build breaks length
+/// ties by node id; [`PullLayout::extend`] does not keep that, and no
+/// score depends on it.
+///
+/// The columns share one arena per slot field, in column order, each
+/// column followed by room to grow, and spare empty columns follow the
+/// last one (see [`place`]), so a column takes a new slot in place. A
+/// column out of room spreads the columns apart again
+/// ([`PullLayout::relayout`]). Narrow columns, the tails of the few long
+/// rows, stay contiguous there; held in a vector each, they made the
+/// kernel about 5% slower.
+#[derive(Clone)]
 struct PullLayout {
+    /// The edge count of the snapshot this layout describes; its node
+    /// count is the number of rows.
+    edges: usize,
     /// `position[i]` is node `i`'s place in the row order.
     position: Vec<u32>,
-    /// Column `j`'s slots are `columns[j]..columns[j + 1]`, one per row
-    /// longer than `j`, in row order.
-    columns: Vec<u32>,
+    /// `order[k]` is the node in place `k`: `position`'s inverse.
+    order: Vec<u32>,
+    /// Where each column's slots are in the arenas. Column lengths never
+    /// increase from one column to the next.
+    columns: Vec<Column>,
     /// Per slot, the node it pulls from.
     targets: Vec<u32>,
     /// Per slot, its damping-free pull coefficient.
     weights: Vec<f64>,
+}
+
+/// Where a [`PullLayout`] column is: slot `k` of its rows at `start + k`
+/// in the arenas, which hold room for `room` slots from `start`.
+#[derive(Clone, Copy)]
+struct Column {
+    start: usize,
+    len: usize,
+    room: usize,
+}
+
+impl Column {
+    /// The column's slots in the arenas.
+    fn slots(&self) -> Range<usize> {
+        self.start..self.start + self.len
+    }
+}
+
+/// Places empty columns, one for each of `lens`, with room for that many
+/// slots, an eighth more and 16 more; after them `lens.len() / 8 + 16`
+/// spare columns with room for 16 each. Returns the columns and the
+/// arena length they need.
+fn place(lens: &[usize]) -> (Vec<Column>, usize) {
+    let spare = lens.len() / 8 + 16;
+    let mut end = 0;
+    let columns = lens
+        .iter()
+        .chain(std::iter::repeat_n(&0, spare))
+        .map(|&len| {
+            let room = len + len / 8 + 16;
+            end += room;
+            Column {
+                start: end - room,
+                len: 0,
+                room,
+            }
+        })
+        .collect();
+    (columns, end)
 }
 
 impl PullLayout {
@@ -559,33 +656,179 @@ impl PullLayout {
         // Column `j` holds the rows longer than `j`: a prefix of the order
         // that shrinks as `j` grows.
         let width = order.first().map_or(0, |&i| len[i as usize]);
-        let mut columns = Vec::with_capacity(width + 1);
-        columns.push(0u32);
+        let mut heights = Vec::with_capacity(width);
         let mut rows = order.len();
         for j in 0..width {
             while len[order[rows - 1] as usize] <= j {
                 rows -= 1;
             }
-            columns.push(columns[j] + rows as u32);
+            heights.push(rows);
         }
-        let total = columns[width] as usize;
-        let mut targets = vec![0u32; total];
-        let mut weights = vec![0.0f64; total];
-        for (k, &i) in order.iter().enumerate() {
-            let i = i as usize;
-            for (j, (t, kind)) in fwd.slots(i).chain(rev.slots(i)).enumerate() {
-                let s = columns[j] as usize + k;
-                targets[s] = t;
-                weights[s] =
+        let (columns, slots) = place(&heights);
+        let mut layout = PullLayout {
+            edges: frozen.edge_count(),
+            position,
+            order,
+            columns,
+            targets: vec![0; slots],
+            weights: vec![0.0; slots],
+        };
+        // Every earlier row is at least as long, so slot `j` of the row in
+        // place `k` is slot `k` of column `j`.
+        for k in 0..frozen.n {
+            let i = layout.order[k] as usize;
+            for (j, (t, kind)) in frozen.incidence(i).enumerate() {
+                let weight =
                     pull_coefficient(kind, frozen.cond[t as usize], include_automatic_edges);
+                layout.push(j, t, weight);
             }
         }
-        PullLayout {
-            position,
-            columns,
-            targets,
-            weights,
+        layout
+    }
+
+    /// Whether this layout describes `frozen`.
+    fn describes(&self, frozen: &FrozenGraph) -> bool {
+        self.position.len() == frozen.n && self.edges == frozen.edge_count()
+    }
+
+    /// Whether this layout describes an earlier snapshot of `frozen`'s
+    /// graph, one that `frozen` extends. Only [`FrozenGraph::extend`]
+    /// carries a layout over, so a layout no larger than the snapshot is
+    /// one of them.
+    fn precedes(&self, frozen: &FrozenGraph) -> bool {
+        self.position.len() <= frozen.n && self.edges <= frozen.edge_count()
+    }
+
+    /// Grows this layout to describe `frozen`, which extends the snapshot
+    /// it describes, slot for slot as [`PullLayout::build`] would lay out
+    /// each row.
+    ///
+    /// New nodes enter as empty rows at the end of the order. The new
+    /// edges are the forward slots past [`PullLayout::edges`], in source
+    /// order, since a forward slot's index is its [`EdgeId`]; each adds a
+    /// slot at the end of its source's row and of its destination's row,
+    /// and taken in edge-id order those slots arrive in row order. Then
+    /// every slot that points at an endpoint of a new edge takes its
+    /// endpoint's new conductance: no other node's changed.
+    fn extend(&mut self, frozen: &FrozenGraph, include_automatic_edges: bool) {
+        let coefficient = |kind: u8, target: u32| {
+            pull_coefficient(kind, frozen.cond[target as usize], include_automatic_edges)
+        };
+        for i in self.position.len()..frozen.n {
+            self.position.push(i as u32);
+            self.order.push(i as u32);
         }
+        let old_edges = self.edges;
+        // The source of the first new edge: the last row starting at or
+        // before it.
+        let first = frozen
+            .fwd
+            .offsets
+            .partition_point(|&o| o as usize <= old_edges)
+            .saturating_sub(1);
+        let mut touched: Vec<u32> = Vec::new();
+        let mut is_touched = vec![false; frozen.n];
+        for src in first..frozen.n {
+            let row = frozen.fwd.range(src);
+            for slot in row.start.max(old_edges)..row.end {
+                let (dst, kind) = (frozen.fwd.targets[slot], frozen.fwd.kinds[slot]);
+                let src = src as u32;
+                self.push_slot(src, dst, coefficient(kind, dst));
+                self.push_slot(dst, src, coefficient(kind, src));
+                for x in [src, dst] {
+                    if !std::mem::replace(&mut is_touched[x as usize], true) {
+                        touched.push(x);
+                    }
+                }
+            }
+        }
+        // A slot pointing at `x` is in the row of one of `x`'s neighbors.
+        let (fwd, rev) = (&frozen.fwd, &frozen.rev);
+        for &x in &touched {
+            // `x -> y`: `x` is among the in-edge sources of `y`, which its
+            // reverse row lists in source order after its forward slots.
+            for &y in &fwd.targets[fwd.range(x as usize)] {
+                let (out, row) = (fwd.range(y as usize).len(), rev.range(y as usize));
+                let sources = &rev.targets[row.clone()];
+                let from = sources.partition_point(|&s| s < x);
+                let to = from + sources[from..].partition_point(|&s| s == x);
+                let k = self.position[y as usize] as usize;
+                for at in from..to {
+                    let kind = rev.kinds[row.start + at];
+                    self.weights[self.columns[out + at].start + k] = coefficient(kind, x);
+                }
+            }
+            // `y -> x`: `x` is among the targets of `y`'s forward slots,
+            // which lead its row.
+            for &y in &rev.targets[rev.range(x as usize)] {
+                let k = self.position[y as usize] as usize;
+                for (j, at) in fwd.range(y as usize).enumerate() {
+                    if fwd.targets[at] == x {
+                        self.weights[self.columns[j].start + k] = coefficient(fwd.kinds[at], x);
+                    }
+                }
+            }
+        }
+        self.edges = frozen.edge_count();
+    }
+
+    /// Appends a slot pulling from `target` at `weight` to node `node`'s
+    /// row. The row, of length `L`, first swaps places with the first row
+    /// of length `L` (their `L` slots and their `position` and `order`
+    /// entries), so rows of each length stay contiguous and the row's new
+    /// slot is the next slot of column `L`.
+    fn push_slot(&mut self, node: u32, target: u32, weight: f64) {
+        let k = self.position[node as usize] as usize;
+        // Column lengths never increase, and row `k` is in exactly the
+        // first `len` columns.
+        let len = self.columns.partition_point(|c| c.len > k);
+        let first = self.columns.get(len).map_or(0, |c| c.len);
+        if first != k {
+            for column in &self.columns[..len] {
+                self.targets.swap(column.start + first, column.start + k);
+                self.weights.swap(column.start + first, column.start + k);
+            }
+            self.order.swap(first, k);
+            self.position[self.order[first] as usize] = first as u32;
+            self.position[self.order[k] as usize] = k as u32;
+        }
+        if self.columns.get(len).is_none_or(|c| c.len == c.room) {
+            self.relayout(len + 1);
+        }
+        self.push(len, target, weight);
+    }
+
+    /// Writes `target` and `weight` as the next slot of column `j`, which
+    /// has room for it.
+    fn push(&mut self, j: usize, target: u32, weight: f64) {
+        let column = &mut self.columns[j];
+        let at = column.start + column.len;
+        self.targets[at] = target;
+        self.weights[at] = weight;
+        column.len += 1;
+    }
+
+    /// Moves the columns to where [`place`] puts them now, keeping at
+    /// least `width` columns. A column never shrinks, so none moves left,
+    /// and moving the last column first overwrites only slots already
+    /// moved: the arenas grow in place rather than into copies.
+    fn relayout(&mut self, width: usize) {
+        let used = self.columns.partition_point(|c| c.len > 0).max(width);
+        let lens: Vec<usize> = (0..used)
+            .map(|j| self.columns.get(j).map_or(0, |c| c.len))
+            .collect();
+        let (mut columns, slots) = place(&lens);
+        let end = slots.max(self.targets.len());
+        self.targets.resize(end, 0);
+        self.weights.resize(end, 0.0);
+        for (new, old) in columns.iter_mut().zip(&self.columns).rev() {
+            new.len = old.len;
+            self.targets.copy_within(old.slots(), new.start);
+            self.weights.copy_within(old.slots(), new.start);
+        }
+        self.targets.truncate(slots);
+        self.weights.truncate(slots);
+        self.columns = columns;
     }
 }
 
@@ -602,6 +845,10 @@ pub struct FrozenScores {
     pub iterations: usize,
     /// `true` if the budget deadline stopped iteration before convergence.
     pub truncated: bool,
+    /// How the walk brought the snapshot's slot layout up to date, and
+    /// its wall time: `None` when the layout already described the
+    /// snapshot, or the walk needed none.
+    pub layout: Option<(Refresh, Duration)>,
 }
 
 impl FrozenScores {
@@ -635,15 +882,16 @@ impl FrozenScores {
 /// convergence.
 ///
 /// Each iteration pulls mass over the snapshot's `PullLayout` for the
-/// automatic-edge setting, which the first walk over a snapshot builds.
-/// Every row adds its slots in row order, and pushed mass and L1 delta
-/// are summed per 1024-node chunk and folded in chunk order, so the
-/// scores are a pure function of the snapshot, seeds and config, bit
-/// for bit.
+/// automatic-edge setting, which the first walk over a snapshot grows
+/// from the previous snapshot's, or builds when there is none
+/// ([`FrozenScores::layout`] says which). Every row adds its slots in row
+/// order, and pushed mass and L1 delta are summed per 1024-node chunk and
+/// folded in chunk order, so the scores are a pure function of the
+/// snapshot, seeds and config, bit for bit.
 ///
 /// `budget.deadline()` runs from the budget's pinned instant (this entry
-/// for an unpinned budget), so a walk that pays the layout build counts
-/// it, and is honored at iteration boundaries: the first boundary past
+/// for an unpinned budget), so a walk that grows or builds the layout
+/// counts it, and is honored at iteration boundaries: the first boundary past
 /// the deadline returns the partially-converged scores with `truncated`
 /// set rather than blocking the interactive bound. At least one
 /// iteration always runs.
@@ -673,12 +921,11 @@ pub fn personalized_pagerank_frozen(
         // Zero iterations means the walk never leaves the seeds.
         return FrozenScores {
             entries: positive_entries(&restart),
-            iterations: 0,
-            truncated: false,
+            ..FrozenScores::default()
         };
     }
 
-    let layout = frozen.pull_layout(config.include_automatic_edges);
+    let (layout, refresh) = frozen.pull_layout(config.include_automatic_edges);
     let mut cur = restart.clone();
     let mut next = vec![0.0f64; n];
     // Pulled mass per row, in the layout's row order.
@@ -686,11 +933,21 @@ pub fn personalized_pagerank_frozen(
     let mut partials = vec![0.0f64; n.div_ceil(CHUNK)];
     let mut iterations = 0;
     loop {
-        pulled.fill(0.0);
-        for column in layout.columns.windows(2) {
-            let slots = column[0] as usize..column[1] as usize;
-            let (targets, weights) = (&layout.targets[slots.clone()], &layout.weights[slots]);
-            for ((acc, &t), &w) in pulled.iter_mut().zip(targets).zip(weights) {
+        // Column 0 stores its products rather than adding them to zero:
+        // each is `+0.0` or positive, and `0.0 + x == x`, bit for bit,
+        // for every such `x`. The rows past it have no slots, so no
+        // column writes them and they keep the zero they started with.
+        let (targets, weights) = (&layout.targets, &layout.weights);
+        let mut columns = layout.columns.iter().map(Column::slots);
+        if let Some(slots) = columns.next() {
+            let pairs = targets[slots.clone()].iter().zip(&weights[slots]);
+            for (acc, (&t, &w)) in pulled.iter_mut().zip(pairs) {
+                *acc = w * cur[t as usize];
+            }
+        }
+        for slots in columns {
+            let pairs = targets[slots.clone()].iter().zip(&weights[slots]);
+            for (acc, (&t, &w)) in pulled.iter_mut().zip(pairs) {
                 *acc += w * cur[t as usize];
             }
         }
@@ -731,6 +988,7 @@ pub fn personalized_pagerank_frozen(
                 entries: positive_entries(&cur),
                 iterations,
                 truncated: expired && delta >= config.tolerance,
+                layout: refresh,
             };
         }
     }
@@ -786,7 +1044,7 @@ pub fn expand_frozen(
     }
     let mut weight = vec![0.0f64; n];
     let mut reached = vec![false; n];
-    let mut reached_ids: Vec<u32> = Vec::new();
+    let mut reached_count = 0usize;
     let mut truncated = false;
     let mut frontier: Vec<(u32, f64)> = Vec::new();
     for &(node, w) in seeds {
@@ -794,7 +1052,7 @@ pub fn expand_frozen(
             let i = node.index();
             if !reached[i as usize] {
                 reached[i as usize] = true;
-                reached_ids.push(i);
+                reached_count += 1;
             }
             weight[i as usize] += w;
             frontier.push((i, w));
@@ -846,7 +1104,7 @@ pub fn expand_frozen(
             }
         }
         if let Some(max) = budget.max_nodes() {
-            if reached_ids.len() + touched.len() > max {
+            if reached_count + touched.len() > max {
                 truncated = true;
                 // Keep the heaviest next-layer entries up to the cap.
                 let mut entries: Vec<(u32, f64)> = touched
@@ -858,10 +1116,9 @@ pub fn expand_frozen(
                         .unwrap_or(std::cmp::Ordering::Equal)
                         .then(a.0.cmp(&b.0))
                 });
-                entries.truncate(max.saturating_sub(reached_ids.len()));
+                entries.truncate(max.saturating_sub(reached_count));
                 for &(i, w) in &entries {
                     reached[i as usize] = true;
-                    reached_ids.push(i);
                     weight[i as usize] += w;
                 }
                 for &i in &touched {
@@ -872,24 +1129,25 @@ pub fn expand_frozen(
             }
         }
         frontier.clear();
+        reached_count += touched.len();
         for &i in &touched {
             let w = next_weight[i as usize];
             next_weight[i as usize] = 0.0;
             reached[i as usize] = true;
-            reached_ids.push(i);
             weight[i as usize] += w;
             frontier.push((i, w));
         }
         touched.clear();
     }
-    reached_ids.sort_unstable();
-    FrozenExpansion {
-        entries: reached_ids
-            .into_iter()
-            .map(|i| (i, weight[i as usize]))
-            .collect(),
-        truncated,
-    }
+    // One pass over `reached` lists each reached node once, in id
+    // order, with no sort.
+    let entries = reached
+        .iter()
+        .zip(&weight)
+        .enumerate()
+        .filter_map(|(i, (&r, &w))| r.then_some((i as u32, w)))
+        .collect();
+    FrozenExpansion { entries, truncated }
 }
 
 // ---------------------------------------------------------------------------
@@ -1045,15 +1303,9 @@ impl ScoreCache {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, CacheInner> {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     /// Looks up `key`, counting a hit or miss and refreshing recency.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<CachedAnswer>> {
-        let mut inner = self.lock();
+        let mut inner = lock(&self.inner);
         inner.tick += 1;
         let tick = inner.tick;
         match inner.map.get_mut(key) {
@@ -1076,7 +1328,7 @@ impl ScoreCache {
     /// is ignored: the graph has moved past it. Returns how many entries
     /// were evicted.
     pub fn put(&self, key: CacheKey, value: Arc<CachedAnswer>) -> u64 {
-        let mut inner = self.lock();
+        let mut inner = lock(&self.inner);
         let mut evicted = 0u64;
         if key.epoch < inner.epoch {
             return 0;
@@ -1124,7 +1376,7 @@ impl ScoreCache {
 
     /// Current counters and occupancy.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.lock();
+        let inner = lock(&self.inner);
         CacheStats {
             hits: inner.hits,
             misses: inner.misses,
@@ -1226,14 +1478,17 @@ pub fn fingerprint_answer(
 // Snapshot handle
 // ---------------------------------------------------------------------------
 
-/// How [`FrozenHandle::snapshot`] brought a stale snapshot up to date.
+/// How [`FrozenHandle::snapshot`] brought a stale snapshot up to date,
+/// or a PageRank walk its snapshot's slot layout
+/// ([`FrozenScores::layout`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Refresh {
-    /// Grown from the previous snapshot: the graph had only gained nodes
-    /// and edges, or edited intervals and attributes, since.
+    /// Grown from the previous snapshot, or from the layout of an
+    /// earlier one: the graph had only gained nodes and edges, or edited
+    /// intervals and attributes, since.
     Extended,
-    /// Built from the live graph: the first snapshot, or the first after
-    /// a redaction rewrote a key.
+    /// Built in full: the first snapshot or layout, or the first after a
+    /// redaction rewrote a key.
     Rebuilt,
 }
 
@@ -1275,10 +1530,7 @@ impl FrozenHandle {
         &self,
         graph: &ProvenanceGraph,
     ) -> (Arc<FrozenGraph>, Option<(Refresh, Duration)>) {
-        let mut slot = self
-            .slot
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut slot = lock(&self.slot);
         if let Some(f) = slot.as_ref() {
             if f.epoch() == graph.epoch() {
                 return (f.clone(), None);
@@ -1305,10 +1557,7 @@ impl FrozenHandle {
     /// the graph, and never refreshed by this call. `None` before the
     /// first snapshot.
     pub fn current(&self) -> Option<Arc<FrozenGraph>> {
-        self.slot
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
+        lock(&self.slot).clone()
     }
 
     /// How many snapshots this handle has produced, extended or rebuilt.
@@ -1407,11 +1656,11 @@ mod tests {
         // The seed's row is its two in-edges: the link, then the
         // redirect. Only the link carries mass without automatic edges.
         assert_eq!(
-            layout_row(f.pull_layout(true), seed.index()),
+            layout_row(&f.pull_layout(true).0, seed.index()),
             [(by_link.index(), 1.0), (by_redirect.index(), 1.0)]
         );
         assert_eq!(
-            layout_row(f.pull_layout(false), seed.index()),
+            layout_row(&f.pull_layout(false).0, seed.index()),
             [(by_link.index(), 1.0), (by_redirect.index(), 0.0)]
         );
         let config = PageRankConfig {
@@ -1680,11 +1929,11 @@ mod tests {
         let k = layout.position[node as usize] as usize;
         layout
             .columns
-            .windows(2)
-            .take_while(|column| column[0] as usize + k < column[1] as usize)
+            .iter()
+            .take_while(|column| k < column.len)
             .map(|column| {
-                let s = column[0] as usize + k;
-                (layout.targets[s], layout.weights[s])
+                let at = column.start + k;
+                (layout.targets[at], layout.weights[at])
             })
             .collect()
     }
@@ -1693,7 +1942,7 @@ mod tests {
     fn layout_stores_rows_longest_first_column_by_column() {
         let g = tangled(40);
         let f = FrozenGraph::build(&g);
-        let layout = f.pull_layout(true);
+        let (layout, _) = f.pull_layout(true);
         let mut order = vec![0u32; f.n];
         for (i, &k) in layout.position.iter().enumerate() {
             order[k as usize] = i as u32;
@@ -1708,7 +1957,7 @@ mod tests {
             );
         }
         for id in g.node_ids() {
-            let row: Vec<u32> = layout_row(layout, id.index())
+            let row: Vec<u32> = layout_row(&layout, id.index())
                 .into_iter()
                 .map(|(t, _)| t)
                 .collect();
@@ -1719,7 +1968,124 @@ mod tests {
                 .collect();
             assert_eq!(row, live, "row of {id:?}");
         }
-        assert_eq!(layout.targets.len(), 2 * f.edge_count());
+        let slots: usize = layout.columns.iter().map(|c| c.len).sum();
+        assert_eq!(slots, 2 * f.edge_count());
+    }
+
+    /// Fails unless `grown` holds, for every node, the row `fresh` holds,
+    /// slot for slot with weights compared by bits, and its rows never
+    /// grow longer along the row order, with `order` the inverse of
+    /// `position`.
+    fn assert_same_rows(grown: &PullLayout, fresh: &PullLayout) -> Result<(), TestCaseError> {
+        let bits = |row: Vec<(u32, f64)>| -> Vec<(u32, u64)> {
+            row.into_iter().map(|(t, w)| (t, w.to_bits())).collect()
+        };
+        prop_assert_eq!(grown.edges, fresh.edges);
+        prop_assert_eq!(grown.position.len(), fresh.position.len());
+        prop_assert_eq!(grown.order.len(), grown.position.len());
+        for node in 0..fresh.position.len() as u32 {
+            prop_assert_eq!(
+                bits(layout_row(grown, node)),
+                bits(layout_row(fresh, node)),
+                "row of node {}",
+                node
+            );
+        }
+        for (k, &node) in grown.order.iter().enumerate() {
+            prop_assert_eq!(grown.position[node as usize] as usize, k);
+        }
+        let lengths: Vec<usize> = grown
+            .order
+            .iter()
+            .map(|&node| layout_row(grown, node).len())
+            .collect();
+        prop_assert!(lengths.windows(2).all(|pair| pair[0] >= pair[1]));
+        Ok(())
+    }
+
+    /// Adds `nodes` nodes to `g`, each linked to two older nodes, so old
+    /// rows and old conductances change too.
+    fn grow_tangle(g: &mut ProvenanceGraph, nodes: u32) {
+        for _ in 0..nodes {
+            let n = g.node_count() as u32;
+            let x = g.add_node(Node::new(
+                NodeKind::PageVisit,
+                format!("u{n}"),
+                t(i64::from(n)),
+            ));
+            g.add_edge(x, NodeId::new(n / 3), EdgeKind::Link, t(1))
+                .unwrap();
+            g.add_edge(x, NodeId::new(n - 1), EdgeKind::TemporalOverlap, t(2))
+                .unwrap();
+        }
+    }
+
+    fn score_bits(scores: &FrozenScores) -> Vec<(u32, u64)> {
+        scores
+            .entries
+            .iter()
+            .map(|&(i, x)| (i, x.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn an_older_snapshot_keeps_its_scores_after_a_newer_one_grows_the_layout() {
+        let mut g = tangled(200);
+        let handle = FrozenHandle::new();
+        let seeds = [(NodeId::new(7), 1.0), (NodeId::new(150), 0.5)];
+        let config = PageRankConfig::default();
+        let walk =
+            |f: &FrozenGraph| personalized_pagerank_frozen(f, &seeds, &config, &Budget::new());
+        let (older, _) = handle.snapshot(&g);
+        let before = walk(&older);
+        assert_eq!(before.layout.map(|(how, _)| how), Some(Refresh::Rebuilt));
+        grow_tangle(&mut g, 40);
+        let (newer, _) = handle.snapshot(&g);
+        let grown = walk(&newer);
+        assert_eq!(grown.layout.map(|(how, _)| how), Some(Refresh::Extended));
+        assert!(
+            !Arc::ptr_eq(&older.pull_layout(true).0, &newer.pull_layout(true).0),
+            "the older snapshot still holds the layout, so the newer one grew a copy"
+        );
+        let after = walk(&older);
+        assert_eq!(after.layout, None, "the older layout still describes it");
+        assert_eq!(score_bits(&after), score_bits(&before));
+        assert_scores_like_the_reference(&older, &seeds, &config).unwrap();
+        assert_scores_like_the_reference(&newer, &seeds, &config).unwrap();
+    }
+
+    #[test]
+    fn a_layout_grows_in_place_when_nothing_else_holds_it() {
+        let mut g = tangled(200);
+        let handle = FrozenHandle::new();
+        let seeds = [(NodeId::new(3), 1.0)];
+        let config = PageRankConfig::default();
+        let (first, _) = handle.snapshot(&g);
+        personalized_pagerank_frozen(&first, &seeds, &config, &Budget::new());
+        let (built, room) = {
+            let (layout, _) = first.pull_layout(true);
+            (Arc::as_ptr(&layout), layout.columns[0].room)
+        };
+        drop(first);
+        // Two refreshes without a walk: the layout lags both, and the
+        // handle has dropped every snapshot it was carried through.
+        for _ in 0..2 {
+            grow_tangle(&mut g, 40);
+            handle.snapshot(&g);
+        }
+        let (last, _) = handle.snapshot(&g);
+        let scores = personalized_pagerank_frozen(&last, &seeds, &config, &Budget::new());
+        assert_eq!(scores.layout.map(|(how, _)| how), Some(Refresh::Extended));
+        let (layout, _) = last.pull_layout(true);
+        assert_eq!(Arc::as_ptr(&layout), built, "grown in place");
+        assert_ne!(layout.columns[0].room, room, "column 0 outgrew its room");
+        let again = personalized_pagerank_frozen(&last, &seeds, &config, &Budget::new());
+        assert_eq!(again.layout, None, "a second walk reuses it");
+        assert_same_rows(
+            &last.pull_layout(true).0,
+            &PullLayout::build(&FrozenGraph::build(&g), true),
+        )
+        .unwrap();
     }
 
     /// Personalized PageRank written plainly: node by node, each node's
@@ -1807,7 +2173,7 @@ mod tests {
                 .filter_map(|(i, &s)| (s > 0.0).then_some((i as u32, s)))
                 .collect(),
             iterations,
-            truncated: false,
+            ..FrozenScores::default()
         }
     }
 
@@ -1962,8 +2328,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// Snapshots grown through a handle, their conductance extended
-        /// rather than rebuilt, score exactly as the reference does.
+        /// Snapshots grown through a handle, their conductance and slot
+        /// layouts extended rather than rebuilt, score exactly as the
+        /// reference does. Only some snapshots are walked, so one layout
+        /// extension spans several refreshes, now and then a redaction's
+        /// rebuild among them.
         #[test]
         fn grown_snapshots_score_like_the_reference(
             steps in prop::collection::vec((0u8..100, 0u16..1000, 0u16..1000, 0u8..15), 1..40),
@@ -1974,8 +2343,37 @@ mod tests {
                 let (a, b) = grow(&mut g, step);
                 if step.3 % 3 != 0 {
                     let (f, _) = handle.snapshot(&g);
-                    let seeds = [(a, 1.0), (b, 0.5)];
-                    assert_scores_like_the_reference(&f, &seeds, &PageRankConfig::default())?;
+                    if step.2 % 3 == 0 {
+                        let seeds = [(a, 1.0), (b, 0.5)];
+                        assert_scores_like_the_reference(&f, &seeds, &PageRankConfig::default())?;
+                    }
+                }
+            }
+            let (f, _) = handle.snapshot(&g);
+            let seeds = [(NodeId::new(0), 1.0)];
+            assert_scores_like_the_reference(&f, &seeds, &PageRankConfig::default())?;
+        }
+
+        /// Every row of a layout grown across refreshes equals a fresh
+        /// build's row for its node, weights by bits, under both
+        /// automatic-edge settings.
+        #[test]
+        fn grown_layouts_hold_the_rows_of_a_fresh_build(
+            steps in prop::collection::vec((0u8..100, 0u16..1000, 0u16..1000, 0u8..15), 1..60),
+        ) {
+            let mut g = tangled(12);
+            let handle = FrozenHandle::new();
+            for &step in &steps {
+                grow(&mut g, step);
+                if step.3 % 3 != 0 {
+                    let (f, _) = handle.snapshot(&g);
+                    if step.2 % 3 == 0 {
+                        for include_automatic_edges in [true, false] {
+                            let (grown, _) = f.pull_layout(include_automatic_edges);
+                            let fresh = PullLayout::build(&FrozenGraph::build(&g), include_automatic_edges);
+                            assert_same_rows(&grown, &fresh)?;
+                        }
+                    }
                 }
             }
         }

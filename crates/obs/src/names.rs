@@ -152,6 +152,12 @@ declare! {
     CounterName BP_GRAPH_FROZEN_REBUILD = "bp_graph_frozen.rebuild";
     /// Time a snapshot refresh took, in µs.
     HistogramName BP_GRAPH_FROZEN_BUILD_US = "bp_graph_frozen.build_us";
+    /// PageRank walks that built their snapshot's slot layout in full.
+    CounterName BP_GRAPH_FROZEN_LAYOUT_BUILD = "bp_graph_frozen.layout_build";
+    /// PageRank walks that grew an earlier snapshot's slot layout.
+    CounterName BP_GRAPH_FROZEN_LAYOUT_EXTEND = "bp_graph_frozen.layout_extend";
+    /// Time a walk spent building or growing the slot layout, in µs.
+    HistogramName BP_GRAPH_FROZEN_LAYOUT_US = "bp_graph_frozen.layout_us";
 
     // --- serve daemon ---
     /// HTTP requests served.

@@ -15,6 +15,7 @@ use bp_core::ProvenanceBrowser;
 use bp_graph::frozen::{
     expand_frozen, fingerprint_answer, fingerprint_expansion, fingerprint_ppr,
     personalized_pagerank_frozen, CacheDomain, CacheKey, CachedAnswer, CachedHit, FrozenGraph,
+    Refresh,
 };
 use bp_graph::hits::{hits, HitsConfig};
 use bp_graph::neighborhood::ExpansionConfig;
@@ -232,6 +233,9 @@ impl Search<'_> {
 
     /// The answer ranked over personalized PageRank from the seeds, its
     /// scores rescaled so the top one is 1, as the expansion's roughly are.
+    /// A walk that built or grew the snapshot's slot layout counts it in
+    /// `bp_graph_frozen.layout_build` or `bp_graph_frozen.layout_extend`
+    /// and records its wall time in `bp_graph_frozen.layout_us`.
     fn pagerank_answer(&self, pagerank: &PageRankConfig) -> Arc<CachedAnswer> {
         let budget = self.scope.budget();
         let walk = fingerprint_ppr(self.seeds, pagerank, budget);
@@ -241,6 +245,16 @@ impl Search<'_> {
             "pagerank",
             |stage| {
                 let s = personalized_pagerank_frozen(self.frozen, self.seeds, pagerank, budget);
+                if let Some((how, took)) = s.layout {
+                    let obs = self.browser.obs();
+                    obs.counter(match how {
+                        Refresh::Extended => names::BP_GRAPH_FROZEN_LAYOUT_EXTEND,
+                        Refresh::Rebuilt => names::BP_GRAPH_FROZEN_LAYOUT_BUILD,
+                    })
+                    .inc();
+                    obs.histogram(names::BP_GRAPH_FROZEN_LAYOUT_US)
+                        .record_duration(took);
+                }
                 stage.rows(self.seeds.len(), s.entries.len());
                 stage.touched(s.entries.len(), 0);
                 if s.truncated {
@@ -371,9 +385,11 @@ impl Search<'_> {
         let mut winner_slot = vec![NONE; key_reps.len()];
         let mut candidates: Vec<CachedHit> = Vec::new();
         for (blended, &(raw_node, raw_context)) in entries.iter().enumerate() {
-            // The deadline guards the loop, but a clock read per candidate
-            // would dominate the now-allocation-free loop body.
-            if blended % 64 == 0 && budget.expired() {
+            // The deadline guards the loop after each batch of 64
+            // candidates: a clock read per candidate would dominate the
+            // allocation-free loop body, and a walk that spent the budget
+            // still has its first batch ranked.
+            if blended > 0 && blended % 64 == 0 && budget.expired() {
                 truncated = true;
                 let remaining = (entries.len() - blended) as u64;
                 stage.truncated(remaining, "deadline hit", "candidates unscored");
@@ -744,6 +760,73 @@ mod tests {
         };
         let r = contextual_history_search(&tb.browser, "rosebud", &config);
         assert!(r.truncated);
+    }
+
+    #[test]
+    fn a_deadline_cut_search_ranks_what_its_walk_reached() {
+        let tb = rosebud_history("deadline-ranks");
+        let config = ContextualConfig {
+            budget: Budget::new().with_deadline(std::time::Duration::ZERO),
+            ..ContextualConfig::default()
+        };
+        let pagerank = bp_graph::pagerank::PageRankConfig::default();
+        let expansion = contextual_history_search(&tb.browser, "rosebud", &config);
+        let ppr = contextual_history_search_ppr(&tb.browser, "rosebud", &config, &pagerank);
+        for r in [expansion, ppr] {
+            assert!(r.truncated);
+            assert!(
+                r.contains_key("http://se/?q=rosebud"),
+                "the walk reached its seed, so the blend ranks it: {:?}",
+                r.top_keys(5)
+            );
+        }
+    }
+
+    #[test]
+    fn pagerank_walks_build_the_layout_once_then_grow_it() {
+        let obs = bp_obs::Obs::isolated();
+        let dir = std::env::temp_dir().join(format!(
+            "bp-query-ctx-layout-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut b = ProvenanceBrowser::open_with_obs(
+            &dir,
+            CaptureConfig::default(),
+            bp_storage::SyncPolicy::OsManaged,
+            obs.clone(),
+        )
+        .unwrap();
+        let counts = || {
+            (
+                obs.counter(names::BP_GRAPH_FROZEN_LAYOUT_BUILD).get(),
+                obs.counter(names::BP_GRAPH_FROZEN_LAYOUT_EXTEND).get(),
+                obs.histogram(names::BP_GRAPH_FROZEN_LAYOUT_US).count(),
+            )
+        };
+        let pagerank = bp_graph::pagerank::PageRankConfig::default();
+        let config = ContextualConfig::default();
+        b.ingest(&BrowserEvent::tab_opened(t(0), TabId(0), None))
+            .unwrap();
+        for i in 0..6 {
+            let url = format!("http://wine{i}.example/");
+            b.ingest(&BrowserEvent::navigate(
+                t(i + 1),
+                TabId(0),
+                url,
+                Some("wine page"),
+                NavigationCause::Link,
+            ))
+            .unwrap();
+            contextual_history_search_ppr(&b, "wine", &config, &pagerank);
+            assert_eq!(counts(), (1, i as u64, i as u64 + 1), "after walk {i}");
+        }
+        // An unmutated graph serves the answer from the cache: no walk.
+        contextual_history_search_ppr(&b, "wine", &config, &pagerank);
+        assert_eq!(counts(), (1, 5, 6));
+        drop(b);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -13,7 +13,10 @@
 # bound. Beside each verdict it prints the parent runs' spread (quartile
 # distance over the median) and marks the metric "unresolved" where that
 # spread is wider than the bound: such a comparison cannot tell a change
-# of the bound's size apart from noise.
+# of the bound's size apart from noise. It also prints how many of the
+# pairs the head won, which tells a change every pair shows from a flip
+# between two modes that moves the median; that count never decides the
+# verdict.
 set -euo pipefail
 
 PAIRS=10
@@ -107,8 +110,24 @@ def load(workload, side):
     return runs
 
 
+def pairs_won(runs, name, better):
+    """Pairs whose head run beat its parent run, ties, and pairs compared.
+
+    The i-th run of each side is pair i: both files grow one line per pair.
+    """
+    won = tied = pairs = 0
+    for parent, head in zip(runs["parent"], runs["head"]):
+        if name not in parent or name not in head:
+            continue
+        p, h = parent[name]["value"], head[name]["value"]
+        pairs += 1
+        tied += h == p
+        won += h < p if better == "lower" else h > p
+    return won, tied, pairs
+
+
 print(f"{'workload':<9} {'metric':<21} {'parent median (spread)':>25} {'head median':>12}"
-      f" {'change':>8} {'bound':>6}  verdict")
+      f" {'change':>8} {'bound':>6} {'head won':>9}  verdict")
 for workload in (w["name"] for w in bench["workloads"]):
     runs = {side: load(workload, side) for side in ("parent", "head")}
     for metric in bench["end_to_end"]:
@@ -131,8 +150,11 @@ for workload in (w["name"] for w in bench["workloads"]):
         failed = failed or worse > bound
         if spread > bound:
             verdict += ", unresolved"
+        won, tied, pairs = pairs_won(runs, name, metric["better"])
+        if tied:
+            verdict += f", {tied} pairs tied"
         print(f"{workload:<9} {name:<21} {parent:>14.4g} ({spread:6.1%}) {head:>12.4g}"
-              f" {change:>+8.1%} {bound:>6.0%}  {verdict}")
+              f" {change:>+8.1%} {bound:>6.0%} {f'{won}/{pairs}':>9}  {verdict}")
 sys.exit(1 if failed else 0)
 EOF
 echo "perfgate: $([ $status -eq 0 ] && echo passed || echo FAILED) in ${SECONDS}s"

@@ -21,6 +21,9 @@ static PERSONALIZE_PLAN: QueryPlan = QueryPlan {
     stages: &["contextual", "term_profile"],
 };
 
+/// Hits the term profile takes between two deadline checks.
+const PROFILE_BATCH: usize = 8;
+
 /// Tuning for query expansion.
 #[derive(Debug, Clone)]
 pub struct PersonalizeConfig {
@@ -124,8 +127,10 @@ pub fn personalize_query(
     let mut truncated = contextual.truncated;
     for (profiled, hit) in contextual.hits.iter().enumerate() {
         // The inner search spends most of the budget; the profile pass
-        // over its hits honors whatever remains.
-        if scope.budget().expired() {
+        // over its hits honors whatever remains, checked after each batch
+        // so that a search that spent it all still has its strongest
+        // hits profiled.
+        if profiled > 0 && profiled % PROFILE_BATCH == 0 && scope.budget().expired() {
             truncated = true;
             let remaining = (contextual.hits.len() - profiled) as u64;
             stage.truncated(remaining, "deadline hit", "hits unprofiled");
@@ -137,7 +142,10 @@ pub fn personalize_query(
             profile.add_text(title, hit.score);
         }
     }
-    let exclude: Vec<String> = query.split_whitespace().map(str::to_owned).collect();
+    // The query's own terms, tokenized and stemmed as the profile's are,
+    // so no spelling of them ("Rosebud", "rosebud,", "ROSEBUDS") comes
+    // back as an added term.
+    let exclude = bp_text::significant_tokens(query);
     let added_terms: Vec<String> = profile
         .top_terms(config.expansion_terms, &exclude)
         .into_iter()
@@ -249,6 +257,44 @@ mod tests {
         let tb = gardener("norepeat");
         let expanded = personalize_query(&tb.browser, "rosebud", &PersonalizeConfig::default());
         assert!(expanded.added_terms.iter().all(|t| t != "rosebud"));
+    }
+
+    #[test]
+    fn query_terms_are_excluded_however_they_are_typed() {
+        let tb = gardener("spellings");
+        for query in ["Rosebud", "rosebud,", "ROSEBUDS"] {
+            let expanded = personalize_query(&tb.browser, query, &PersonalizeConfig::default());
+            assert!(
+                !expanded.is_unchanged(),
+                "{query:?} finds the gardener's pages"
+            );
+            assert!(
+                expanded.added_terms.iter().all(|t| t != "rosebud"),
+                "{query:?} added {:?}",
+                expanded.added_terms
+            );
+        }
+    }
+
+    #[test]
+    fn a_deadline_cut_personalization_profiles_its_first_hits() {
+        let tb = gardener("deadline");
+        let config = PersonalizeConfig {
+            contextual: ContextualConfig {
+                budget: bp_graph::traverse::Budget::new().with_deadline(std::time::Duration::ZERO),
+                ..ContextualConfig::default()
+            },
+            ..PersonalizeConfig::default()
+        };
+        let expanded = personalize_query(&tb.browser, "rosebud", &config);
+        assert!(
+            expanded
+                .added_terms
+                .iter()
+                .any(|t| ["flower", "care", "prun"].contains(&t.as_str())),
+            "the strongest hits are profiled past the deadline: {:?}",
+            expanded.added_terms
+        );
     }
 
     #[test]

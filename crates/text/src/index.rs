@@ -10,7 +10,7 @@
 // cast, as in the storage codecs.
 #![cfg_attr(not(test), deny(clippy::as_conversions))]
 
-use crate::stem::stem;
+use crate::stem::{stem, stem_into};
 use crate::tokenize::for_each_significant_token;
 use std::collections::hash_map::{Entry, HashMap};
 
@@ -50,6 +50,19 @@ pub struct InvertedIndex {
     doc_lengths: HashMap<DocId, u32>,
     total_docs: usize,
     total_postings: usize,
+    buffers: Buffers,
+}
+
+/// The buffers of [`InvertedIndex::add_document`], kept from call to call
+/// so that indexing allocates only for terms new to the index.
+#[derive(Debug, Clone, Default)]
+struct Buffers {
+    /// The token being lowercased.
+    token: String,
+    /// The document's stems, back to back.
+    stems: String,
+    /// Each stem's byte range in `stems`.
+    spans: Vec<(usize, usize)>,
 }
 
 impl InvertedIndex {
@@ -77,29 +90,35 @@ impl InvertedIndex {
     /// text to it (e.g. URL first, then title when it loads), exactly as
     /// if the texts had been indexed as one, joined by a space.
     ///
-    /// The document's stems are counted in one buffer and each is looked
-    /// up by `&str`, so besides that buffer only a term new to the index,
-    /// or a stem whose rule appends a replacement, allocates.
+    /// The document's tokens and stems go into buffers the index keeps
+    /// from call to call, and each stem is looked up by `&str`, so only a
+    /// term new to the index allocates.
     pub fn add_document(&mut self, doc: DocId, text: &str) {
-        // The document's stems, back to back in `stems`, as byte ranges.
-        let mut stems = String::new();
-        let mut spans: Vec<(usize, usize)> = Vec::new();
-        for_each_significant_token(text, |token| {
+        let Buffers {
+            token,
+            stems,
+            spans,
+        } = &mut self.buffers;
+        stems.clear();
+        spans.clear();
+        for_each_significant_token(text, token, |token| {
             let start = stems.len();
-            stems.push_str(&stem(token));
+            stem_into(token, stems);
             spans.push((start, stems.len()));
         });
         if spans.is_empty() {
             return;
         }
         // Sorting brings each term's occurrences together; a run's length
-        // is the term's frequency in the document.
-        spans.sort_unstable_by(|a, b| stems[a.0..a.1].cmp(&stems[b.0..b.1]));
-        for run in spans.chunk_by(|a, b| stems[a.0..a.1] == stems[b.0..b.1]) {
+        // is the term's frequency in the document. Bytes order as the
+        // strings do, without checking character boundaries.
+        let bytes = stems.as_bytes();
+        spans.sort_unstable_by(|a, b| bytes[a.0..a.1].cmp(&bytes[b.0..b.1]));
+        for run in spans.chunk_by(|a, b| bytes[a.0..a.1] == bytes[b.0..b.1]) {
             let (start, end) = run[0];
-            let term = &stems[start..end];
             let count = u32::try_from(run.len()).unwrap_or(u32::MAX);
-            self.add_posting(term, doc, count);
+            let added = add_posting(&mut self.postings, &stems[start..end], doc, count);
+            self.total_postings += usize::from(added);
         }
         let added = u32::try_from(spans.len()).unwrap_or(u32::MAX);
         match self.doc_lengths.entry(doc) {
@@ -107,39 +126,6 @@ impl InvertedIndex {
             Entry::Vacant(length) => {
                 length.insert(added);
                 self.total_docs += 1;
-            }
-        }
-    }
-
-    /// Adds `count` occurrences of `term` in `doc` to the term's posting
-    /// list, keeping the list sorted by document.
-    fn add_posting(&mut self, term: &str, doc: DocId, count: u32) {
-        let posting = Posting {
-            doc,
-            term_frequency: count,
-        };
-        let Some(list) = self.postings.get_mut(term) else {
-            self.postings.insert(term.to_owned(), vec![posting]);
-            self.total_postings += 1;
-            return;
-        };
-        // Documents are added in nondecreasing id order in the common
-        // case (history node ids grow monotonically), so the matching
-        // or insertion point is almost always the tail; fall back to a
-        // binary search for out-of-order additions. Keeping lists
-        // sorted makes this O(1) amortized instead of O(list).
-        match list.last_mut() {
-            Some(last) if last.doc == doc => last.term_frequency += count,
-            Some(last) if last.doc > doc => match list.binary_search_by_key(&doc, |p| p.doc) {
-                Ok(i) => list[i].term_frequency += count,
-                Err(i) => {
-                    list.insert(i, posting);
-                    self.total_postings += 1;
-                }
-            },
-            _ => {
-                list.push(posting);
-                self.total_postings += 1;
             }
         }
     }
@@ -169,7 +155,7 @@ impl InvertedIndex {
     pub fn search(&self, query: &str) -> Vec<(DocId, f64)> {
         // Each matching query term's postings and idf, in query order.
         let mut lists: Vec<(&[Posting], f64)> = Vec::new();
-        for_each_significant_token(query, |token| {
+        for_each_significant_token(query, &mut String::new(), |token| {
             let list = self.postings(&stem(token));
             if !list.is_empty() {
                 lists.push((list, crate::score::idf(self.total_docs, list.len())));
@@ -225,6 +211,45 @@ impl InvertedIndex {
         self.total_postings -= removed;
         true
     }
+}
+
+/// Adds `count` occurrences of `term` in `doc` to the term's posting list,
+/// keeping the list sorted by document. Returns `true` if that added a
+/// posting rather than counting into one.
+fn add_posting(
+    postings: &mut HashMap<String, Vec<Posting>>,
+    term: &str,
+    doc: DocId,
+    count: u32,
+) -> bool {
+    let posting = Posting {
+        doc,
+        term_frequency: count,
+    };
+    let Some(list) = postings.get_mut(term) else {
+        postings.insert(term.to_owned(), vec![posting]);
+        return true;
+    };
+    // Documents are added in nondecreasing id order in the common case
+    // (history node ids grow monotonically), so the matching or insertion
+    // point is almost always the tail; fall back to a binary search for
+    // out-of-order additions. Keeping lists sorted makes this O(1)
+    // amortized instead of O(list).
+    match list.last_mut() {
+        Some(last) if last.doc == doc => last.term_frequency += count,
+        Some(last) if last.doc > doc => match list.binary_search_by_key(&doc, |p| p.doc) {
+            Ok(i) => list[i].term_frequency += count,
+            Err(i) => {
+                list.insert(i, posting);
+                return true;
+            }
+        },
+        _ => {
+            list.push(posting);
+            return true;
+        }
+    }
+    false
 }
 
 #[cfg(test)]

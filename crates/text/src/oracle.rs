@@ -1,11 +1,13 @@
 //! The allocating text paths the crate replaced, kept as test oracles.
 //!
 //! The tokenizer, stemmer, index and term profile used to build a `String`
-//! per token, count a document's stems and sum search scores in hash maps,
-//! and clone every term to rank a profile. Those versions are simple
-//! enough to trust, so the properties below demand that today's paths
-//! reproduce them exactly: the same tokens and stems, the same postings
-//! and counters, and scores and weights equal bit for bit.
+//! per token, compare a token's string against the stopword list's, count
+//! a document's stems and sum search scores in hash maps, and clone every
+//! term to rank a profile. Those versions are simple enough to trust, so
+//! the properties below demand that today's paths reproduce them exactly:
+//! the same stopwords, tokens and stems, the same postings and counters
+//! through additions and removals, and scores and weights equal bit for
+//! bit.
 
 use crate::index::{DocId, InvertedIndex, Posting};
 use crate::score::{idf, tf_weight, TermProfile};
@@ -28,10 +30,16 @@ fn tokenize(text: &str) -> Vec<String> {
     tokens
 }
 
+/// A binary search of the stopword list's strings, as `is_stopword` was
+/// before it packed them into integer keys.
+fn is_stopword(token: &str) -> bool {
+    crate::stopwords::STOPWORDS.binary_search(&token).is_ok()
+}
+
 fn significant_tokens(text: &str) -> Vec<String> {
     tokenize(text)
         .into_iter()
-        .filter(|t| t.len() >= 3 && !crate::stopwords::is_stopword(t))
+        .filter(|t| t.len() >= 3 && !is_stopword(t))
         .collect()
 }
 
@@ -122,6 +130,21 @@ impl Index {
             }
         }
         *self.doc_lengths.entry(doc).or_insert(0) += added;
+    }
+
+    fn remove_document(&mut self, doc: DocId) -> bool {
+        if self.doc_lengths.remove(&doc).is_none() {
+            return false;
+        }
+        self.total_docs -= 1;
+        for list in self.postings.values_mut() {
+            if let Ok(i) = list.binary_search_by_key(&doc, |p| p.doc) {
+                list.remove(i);
+                self.total_postings -= 1;
+            }
+        }
+        self.postings.retain(|_, list| !list.is_empty());
+        true
     }
 
     fn search(&self, query: &str) -> Vec<(DocId, f64)> {
@@ -243,6 +266,64 @@ fn weight() -> impl Strategy<Value = f64> {
     prop_oneof![Just(1.0), Just(0.5), Just(0.1), -2.0f64..5.0]
 }
 
+/// Strings that probe the stopword keys and the stemmer's last-byte test:
+/// NUL bytes, stopwords padded or run on past eight bytes, rule suffixes
+/// after doubled consonants, and multibyte final characters.
+fn word_like() -> impl Strategy<Value = String> {
+    const PIECES: &[&str] = &[
+        "\0",
+        "the",
+        "www",
+        "because",
+        "through",
+        "http",
+        "s",
+        "es",
+        "ies",
+        "ing",
+        "ed",
+        "ly",
+        "ational",
+        "ization",
+        "iness",
+        "fulness",
+        "pp",
+        "ll",
+        "é",
+        "ß",
+        "İ",
+        "日本",
+        "\u{301}",
+        "ǅ",
+        "\u{10348}",
+    ];
+    let pieces = prop::collection::vec(one_of(PIECES), 0..5).prop_map(|pieces| pieces.concat());
+    let padded = (
+        one_of(crate::stopwords::STOPWORDS),
+        one_of(&["", "\0", "\0\0", "s", "é"]),
+    )
+        .prop_map(|(word, pad)| format!("{word}{pad}"));
+    prop_oneof![3 => pieces, 2 => padded, 1 => ".{0,12}"]
+}
+
+/// One step of an index's life: text added to a document, or a document
+/// removed.
+#[derive(Debug, Clone)]
+enum Step {
+    Add(DocId, String),
+    Remove(DocId),
+}
+
+/// Additions and removals under random ids below 40, so that documents
+/// are removed, removed again and re-added, and arrive out of order.
+fn steps() -> impl Strategy<Value = Vec<Step>> {
+    let step = prop_oneof![
+        3 => (0u32..40, document()).prop_map(|(doc, text)| Step::Add(doc, text)),
+        1 => (0u32..40).prop_map(Step::Remove),
+    ];
+    prop::collection::vec(step, 1..60)
+}
+
 fn both_indexes(docs: &[(DocId, String)]) -> (InvertedIndex, Index) {
     let mut index = InvertedIndex::new();
     let mut oracle = Index::default();
@@ -251,6 +332,22 @@ fn both_indexes(docs: &[(DocId, String)]) -> (InvertedIndex, Index) {
         oracle.add_document(*doc, text);
     }
     (index, oracle)
+}
+
+/// Requires the index to hold the oracle's postings, document lengths and
+/// counters.
+fn same_index(index: &InvertedIndex, oracle: &Index) -> Result<(), TestCaseError> {
+    prop_assert_eq!(index.doc_count(), oracle.total_docs);
+    prop_assert_eq!(index.term_count(), oracle.postings.len());
+    prop_assert_eq!(index.posting_count(), oracle.total_postings);
+    for (term, list) in &oracle.postings {
+        prop_assert_eq!(index.postings(term), list.as_slice());
+    }
+    for doc in 0..40 {
+        let expected = oracle.doc_lengths.get(&doc).copied().unwrap_or(0);
+        prop_assert_eq!(index.doc_length(doc), expected);
+    }
+    Ok(())
 }
 
 fn same_hits(hits: &[(DocId, f64)], expected: &[(DocId, f64)]) -> bool {
@@ -273,19 +370,44 @@ proptest! {
         }
     }
 
+    /// On any string, not only the tokenizer's output, the stopword test
+    /// equals a search of the list's strings, and both faces of the
+    /// stemmer equal the allocating stemmer.
+    #[test]
+    fn stopwords_and_stems_match_the_oracle(word in word_like()) {
+        prop_assert_eq!(crate::is_stopword(&word), is_stopword(&word));
+        let expected = stem(&word);
+        prop_assert_eq!(&crate::stem(&word), &expected);
+        let mut appended = String::from("x");
+        crate::stem::stem_into(&word, &mut appended);
+        prop_assert_eq!(appended, format!("x{expected}"));
+    }
+
     /// Postings, document lengths and counters equal the oracle's.
     #[test]
     fn index_matches_the_oracle(docs in documents()) {
         let (index, oracle) = both_indexes(&docs);
-        prop_assert_eq!(index.doc_count(), oracle.total_docs);
-        prop_assert_eq!(index.term_count(), oracle.postings.len());
-        prop_assert_eq!(index.posting_count(), oracle.total_postings);
-        for (term, list) in &oracle.postings {
-            prop_assert_eq!(index.postings(term), list.as_slice());
-        }
-        for doc in 0..40 {
-            let expected = oracle.doc_lengths.get(&doc).copied().unwrap_or(0);
-            prop_assert_eq!(index.doc_length(doc), expected);
+        same_index(&index, &oracle)?;
+    }
+
+    /// Through any interleaving of additions and removals, every removal
+    /// reports what the oracle's does, and after every step the postings,
+    /// document lengths and counters equal the oracle's.
+    #[test]
+    fn adds_and_removals_match_the_oracle(steps in steps()) {
+        let mut index = InvertedIndex::new();
+        let mut oracle = Index::default();
+        for step in &steps {
+            match step {
+                Step::Add(doc, text) => {
+                    index.add_document(*doc, text);
+                    oracle.add_document(*doc, text);
+                }
+                Step::Remove(doc) => {
+                    prop_assert_eq!(index.remove_document(*doc), oracle.remove_document(*doc));
+                }
+            }
+            same_index(&index, &oracle)?;
         }
     }
 

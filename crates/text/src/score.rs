@@ -82,6 +82,10 @@ pub fn cosine(a: &HashMap<String, f64>, b: &HashMap<String, f64>) -> f64 {
 #[derive(Debug, Clone, Default)]
 pub struct TermProfile {
     weights: HashMap<String, f64>,
+    /// The token and stem buffers of [`TermProfile::add_text`], kept from
+    /// call to call.
+    token: String,
+    stem: String,
 }
 
 impl TermProfile {
@@ -91,15 +95,21 @@ impl TermProfile {
     }
 
     /// Adds every significant term of `text`, each weighted by `weight`,
-    /// in token order. Only a term new to the profile, or a stem whose
-    /// rule appends a replacement, allocates.
+    /// in token order. Tokens and stems go into buffers the profile keeps
+    /// from call to call, so only a term new to the profile allocates.
     pub fn add_text(&mut self, text: &str, weight: f64) {
-        crate::tokenize::for_each_significant_token(text, |token| {
-            let term = crate::stem::stem(token);
-            match self.weights.get_mut(&*term) {
+        let Self {
+            weights,
+            token,
+            stem,
+        } = self;
+        crate::tokenize::for_each_significant_token(text, token, |token| {
+            stem.clear();
+            crate::stem::stem_into(token, stem);
+            match weights.get_mut(stem.as_str()) {
                 Some(total) => *total += weight,
                 None => {
-                    self.weights.insert(term.into_owned(), 0.0 + weight);
+                    weights.insert(stem.clone(), 0.0 + weight);
                 }
             }
         });

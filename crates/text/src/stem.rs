@@ -8,11 +8,45 @@
 
 use std::borrow::Cow;
 
+/// The suffix rules as `(suffix, replacement)`, tried in order: the first
+/// whose suffix the token ends with and whose base keeps three characters
+/// fires.
+const RULES: &[(&str, &str)] = &[
+    ("ational", "ate"),
+    ("fulness", "ful"),
+    ("iveness", "ive"),
+    ("ization", "ize"),
+    ("iness", "y"),
+    ("ings", ""),
+    ("edly", ""),
+    ("ing", ""),
+    ("ies", "y"),
+    ("ed", ""),
+    ("es", ""),
+    ("ly", ""),
+    ("s", ""),
+];
+
+/// `ENDS_A_SUFFIX[b]` is `true` if some rule's suffix ends in byte `b`:
+/// a token whose last byte is not one of them stems to itself.
+static ENDS_A_SUFFIX: [bool; 256] = {
+    let mut ends = [false; 256];
+    let mut i = 0;
+    while i < RULES.len() {
+        let suffix = RULES[i].0.as_bytes();
+        assert!(!suffix.is_empty(), "a rule strips a suffix");
+        ends[suffix[suffix.len() - 1] as usize] = true;
+        i += 1;
+    }
+    ends
+};
+
 /// Stems a lowercase token by stripping common inflectional suffixes.
 ///
-/// The algorithm applies at most one suffix rule, longest first:
-/// `-ational → -ate`, `-iness → -y`, `-fulness`, `-ings`, `-ing`, `-edly`,
-/// `-eds`, `-ed`, `-ies → -y`, `-es`, `-s`, `-ly`. A rule only fires if the
+/// The algorithm applies at most one suffix rule, the first that fits of
+/// `-ational → -ate`, `-fulness → -ful`, `-iveness → -ive`,
+/// `-ization → -ize`, `-iness → -y`, `-ings`, `-edly`, `-ing`,
+/// `-ies → -y`, `-ed`, `-es`, `-ly` and `-s`. A rule only fires if the
 /// remaining stem keeps at least three characters.
 ///
 /// The stem borrows a prefix of `token` unless its rule appends a
@@ -29,23 +63,30 @@ use std::borrow::Cow;
 /// assert_eq!(stem("wine"), "wine");
 /// ```
 pub fn stem(token: &str) -> Cow<'_, str> {
-    // (suffix, replacement)
-    const RULES: &[(&str, &str)] = &[
-        ("ational", "ate"),
-        ("fulness", "ful"),
-        ("iveness", "ive"),
-        ("ization", "ize"),
-        ("iness", "y"),
-        ("ings", ""),
-        ("edly", ""),
-        ("ing", ""),
-        ("ies", "y"),
-        ("ed", ""),
-        ("es", ""),
-        ("ly", ""),
-        ("s", ""),
-    ];
-    for (suffix, replacement) in RULES {
+    match split(token) {
+        (base, "") => Cow::Borrowed(base),
+        (base, replacement) => Cow::Owned([base, replacement].concat()),
+    }
+}
+
+/// Appends the stem of `token` to `out`: [`stem`] for callers that keep
+/// their own buffer.
+pub(crate) fn stem_into(token: &str, out: &mut String) {
+    let (base, replacement) = split(token);
+    out.push_str(base);
+    out.push_str(replacement);
+}
+
+/// The stem of `token` as a prefix of it and the replacement to append.
+fn split(token: &str) -> (&str, &'static str) {
+    if !token
+        .as_bytes()
+        .last()
+        .is_some_and(|&last| ENDS_A_SUFFIX[usize::from(last)])
+    {
+        return (token, "");
+    }
+    for &(suffix, replacement) in RULES {
         let Some(base) = token.strip_suffix(suffix) else {
             continue;
         };
@@ -54,19 +95,19 @@ pub fn stem(token: &str) -> Cow<'_, str> {
             continue;
         }
         if !replacement.is_empty() {
-            return Cow::Owned(format!("{base}{replacement}"));
+            return (base, replacement);
         }
         // Undouble a trailing doubled consonant left by -ing/-ed
         // stripping ("stopping" -> "stopp" -> "stop").
         let mut tail = base.chars().rev();
         if let (Some(last), Some(prev)) = (tail.next(), tail.next()) {
             if chars >= 4 && last == prev && !"aeiou".contains(last) && last != 's' {
-                return Cow::Borrowed(&base[..base.len() - last.len_utf8()]);
+                return (&base[..base.len() - last.len_utf8()], "");
             }
         }
-        return Cow::Borrowed(base);
+        return (base, "");
     }
-    Cow::Borrowed(token)
+    (token, "")
 }
 
 #[cfg(test)]

@@ -7,32 +7,33 @@
 
 /// Calls `f` with each lowercase alphanumeric token of `text`, in order.
 ///
-/// Every token is lowercased into one buffer that the next token reuses,
-/// so a call allocates one buffer, not one string per token. This is the
-/// only tokenizing loop: indexing, search and term profiles all run on it.
-pub(crate) fn for_each_token(text: &str, mut f: impl FnMut(&str)) {
-    let mut current = String::with_capacity(text.len());
+/// Every token is lowercased into `buf`, which the next token reuses, so
+/// a caller that keeps `buf` from call to call tokenizes without
+/// allocating once it holds the longest token. This is the only
+/// tokenizing loop: indexing, search and term profiles all run on it.
+pub(crate) fn for_each_token(text: &str, buf: &mut String, mut f: impl FnMut(&str)) {
+    buf.clear();
     for c in text.chars() {
         if c.is_ascii_alphanumeric() {
-            current.push(c.to_ascii_lowercase());
+            buf.push(c.to_ascii_lowercase());
         } else if !c.is_ascii() && c.is_alphanumeric() {
             // Lowercasing can emit combining marks that are not themselves
             // alphanumeric (e.g. 'İ' → "i\u{307}"); keep tokens pure.
-            current.extend(c.to_lowercase().filter(|lc| lc.is_alphanumeric()));
-        } else if !current.is_empty() {
-            f(&current);
-            current.clear();
+            buf.extend(c.to_lowercase().filter(|lc| lc.is_alphanumeric()));
+        } else if !buf.is_empty() {
+            f(buf);
+            buf.clear();
         }
     }
-    if !current.is_empty() {
-        f(&current);
+    if !buf.is_empty() {
+        f(buf);
     }
 }
 
 /// Calls `f` with each significant token of `text`: tokens of at least
-/// three bytes that are not stopwords.
-pub(crate) fn for_each_significant_token(text: &str, mut f: impl FnMut(&str)) {
-    for_each_token(text, |token| {
+/// three bytes that are not stopwords. `buf` is [`for_each_token`]'s.
+pub(crate) fn for_each_significant_token(text: &str, buf: &mut String, mut f: impl FnMut(&str)) {
+    for_each_token(text, buf, |token| {
         if token.len() >= 3 && !crate::stopwords::is_stopword(token) {
             f(token);
         }
@@ -53,7 +54,9 @@ pub(crate) fn for_each_significant_token(text: &str, mut f: impl FnMut(&str)) {
 /// ```
 pub fn tokenize(text: &str) -> Vec<String> {
     let mut tokens = Vec::new();
-    for_each_token(text, |token| tokens.push(token.to_owned()));
+    for_each_token(text, &mut String::new(), |token| {
+        tokens.push(token.to_owned());
+    });
     tokens
 }
 
@@ -69,7 +72,9 @@ pub fn tokenize(text: &str) -> Vec<String> {
 /// ```
 pub fn significant_tokens(text: &str) -> Vec<String> {
     let mut tokens = Vec::new();
-    for_each_significant_token(text, |token| tokens.push(token.to_owned()));
+    for_each_significant_token(text, &mut String::new(), |token| {
+        tokens.push(token.to_owned());
+    });
     tokens
 }
 

@@ -15,8 +15,10 @@ use bp_storage::{ProvenanceStore, SizeReport, SyncPolicy};
 use bp_text::InvertedIndex;
 use std::path::Path;
 
-/// Events per write group when bulk-ingesting a stream.
-const INGEST_GROUP_MAX: usize = 256;
+/// Most events in one write group: [`ProvenanceBrowser::ingest_all`] and
+/// the capture thread of [`CapturePipeline`](crate::CapturePipeline) both
+/// commit a group at this many.
+pub(crate) const WRITE_GROUP_MAX: usize = 256;
 
 /// A provenance-aware browser backend.
 ///
@@ -182,8 +184,8 @@ impl ProvenanceBrowser {
             }
             n += 1;
             // Bound the in-memory group (and the crash-loss window) on
-            // long streams by committing every INGEST_GROUP_MAX events.
-            if n % INGEST_GROUP_MAX == 0 {
+            // long streams by committing every WRITE_GROUP_MAX events.
+            if n % WRITE_GROUP_MAX == 0 {
                 self.end_write_group()?;
                 self.begin_write_group();
             }

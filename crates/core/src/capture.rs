@@ -46,6 +46,7 @@ pub struct CaptureConfig {
 }
 
 impl Default for CaptureConfig {
+    /// The full provenance-aware configuration: everything on.
     fn default() -> Self {
         CaptureConfig {
             record_typed_location: true,
@@ -67,11 +68,6 @@ impl Default for CaptureConfig {
 }
 
 impl CaptureConfig {
-    /// The full provenance-aware configuration (everything on).
-    pub fn provenance_aware() -> Self {
-        Self::default()
-    }
-
     /// What the paper's §4 prototype plausibly stored: every §3.3 object
     /// (search terms, forms, bookmarks, downloads) and every navigation
     /// relationship including typed/new-tab, with close timestamps for
@@ -174,11 +170,6 @@ impl CaptureEngine {
     /// Mutable access to the underlying store (snapshotting, syncing).
     pub fn store_mut(&mut self) -> &mut ProvenanceStore {
         &mut self.store
-    }
-
-    /// Consumes the engine, returning the store.
-    pub fn into_store(self) -> ProvenanceStore {
-        self.store
     }
 
     /// Number of times `url` has been visited (versions of its visit

@@ -10,19 +10,16 @@
 //!   thread that takes short write locks per event, so readers interleave
 //!   freely between events.
 
-use crate::browser::ProvenanceBrowser;
+use crate::browser::{ProvenanceBrowser, WRITE_GROUP_MAX};
 use crate::error::CoreError;
 use crate::event::BrowserEvent;
 use bp_obs::{names, Counter, Gauge};
 use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Largest number of queued events drained into one write group (one lock
-/// acquisition, one grouped WAL append).
-const DRAIN_BATCH_MAX: usize = 256;
 
 /// Batches slower than this leave a flight-recorder line, so ingest tail
 /// spikes can be attributed next to the query traffic that felt them.
@@ -144,7 +141,10 @@ pub struct CapturePipeline {
     shared: SharedBrowser,
     sender: Sender<Message>,
     handle: Option<JoinHandle<()>>,
-    rejected: Arc<Mutex<u64>>,
+    /// Events rejected so far. It publishes no other data, so it is
+    /// `Relaxed`; a read after [`flush`](Self::flush) sees every earlier
+    /// rejection, because the flush acknowledgement orders it.
+    rejected: Arc<AtomicU64>,
     failed: Arc<Mutex<Option<String>>>,
     queue_depth: Arc<Gauge>,
     stalls: Arc<Counter>,
@@ -155,7 +155,7 @@ impl CapturePipeline {
     /// Wraps `browser` and starts the capture thread.
     ///
     /// The thread drains the queue in batches: queued messages are
-    /// gathered until the batch reaches `DRAIN_BATCH_MAX` events (a
+    /// gathered until the batch reaches `WRITE_GROUP_MAX` events (a
     /// message is never split) and applied under **one** write lock and
     /// one store write group, so per-event mutex/WAL/metric costs
     /// amortize across the batch while readers still interleave between
@@ -168,7 +168,7 @@ impl CapturePipeline {
         let batch_len = obs.histogram(names::CAPTURE_BATCH_LEN);
         let shared = SharedBrowser::new(browser);
         let (sender, receiver): (Sender<Message>, Receiver<Message>) = channel::unbounded();
-        let rejected = Arc::new(Mutex::new(0u64));
+        let rejected = Arc::new(AtomicU64::new(0));
         let failed = Arc::new(Mutex::new(None));
         let thread_shared = shared.clone();
         let thread_rejected = Arc::clone(&rejected);
@@ -183,7 +183,7 @@ impl CapturePipeline {
                 let Ok(first) = receiver.recv() else { return };
                 let mut events = Batch::new();
                 let mut tail = collect(&mut events, first);
-                while tail.is_none() && events.len() < DRAIN_BATCH_MAX {
+                while tail.is_none() && events.len() < WRITE_GROUP_MAX {
                     match receiver.try_recv() {
                         Some(message) => tail = collect(&mut events, message),
                         None => break,
@@ -203,7 +203,7 @@ impl CapturePipeline {
                             match b.ingest(event) {
                                 Ok(_) => applied += 1,
                                 Err(CoreError::BadEvent(reason)) => {
-                                    *thread_rejected.lock() += 1;
+                                    thread_rejected.fetch_add(1, Ordering::Relaxed);
                                     // With the submitter's context entered
                                     // above, this line carries the trace ID
                                     // of the request that enqueued the bad
@@ -305,7 +305,7 @@ impl CapturePipeline {
     /// Enqueues a batch of events under the submitter's current trace
     /// context, with one queue-depth update for the whole batch (the
     /// per-event gauge write is measurable at feeder rates). The batch
-    /// travels as messages of up to `DRAIN_BATCH_MAX` events, each
+    /// travels as messages of up to `WRITE_GROUP_MAX` events, each
     /// applied in one write group. Returns how many events were accepted
     /// — fewer than the batch only when the pipeline has stopped.
     pub fn submit_all(&self, events: impl IntoIterator<Item = BrowserEvent>) -> usize {
@@ -316,7 +316,7 @@ impl CapturePipeline {
         let mut accepted = 0usize;
         let mut events = events.into_iter();
         loop {
-            let chunk: Vec<BrowserEvent> = events.by_ref().take(DRAIN_BATCH_MAX).collect();
+            let chunk: Vec<BrowserEvent> = events.by_ref().take(WRITE_GROUP_MAX).collect();
             let len = chunk.len();
             if len == 0 || self.sender.send(Message::Events(chunk, context)).is_err() {
                 break;
@@ -346,7 +346,7 @@ impl CapturePipeline {
 
     /// Number of events rejected as inconsistent so far.
     pub fn rejected_events(&self) -> u64 {
-        *self.rejected.lock()
+        self.rejected.load(Ordering::Relaxed)
     }
 
     /// The storage failure that stopped the pipeline, if any.
@@ -710,8 +710,8 @@ mod tests {
         pipeline.flush();
         let batches = obs.histogram(names::CAPTURE_BATCH_LEN);
         assert_eq!(batches.count(), 1, "a 16-event chunk is one batch");
-        // A chunk longer than DRAIN_BATCH_MAX travels as bounded pieces.
-        let long = DRAIN_BATCH_MAX + 44;
+        // A chunk longer than WRITE_GROUP_MAX travels as bounded pieces.
+        let long = WRITE_GROUP_MAX + 44;
         assert_eq!(pipeline.submit_all(navigations(15, long)), long);
         pipeline.flush();
         assert_eq!(batches.count(), 3);

@@ -391,11 +391,6 @@ impl ProvenanceGraph {
         (0..self.nodes.len() as u32).map(NodeId::new)
     }
 
-    /// Iterates all edge ids in insertion order.
-    pub fn edge_ids(&self) -> impl Iterator<Item = EdgeId> {
-        (0..self.edges.len() as u32).map(EdgeId::new)
-    }
-
     /// Iterates `(id, node)` pairs.
     pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &Node)> {
         self.nodes

@@ -11,9 +11,8 @@
 //! - [`Wal`] — checksummed append-only log with torn-tail recovery;
 //! - [`Codec`]/[`Op`] — compact record format (varints, interned strings,
 //!   delta-encoded timestamps);
-//! - [`StringInterner`]/[`ShardedInterner`] — dictionary compression of
-//!   repeated strings (the sharded variant takes `&self` so capture no
-//!   longer serializes against queries);
+//! - [`StringInterner`] — dictionary compression of repeated strings,
+//!   one table owned by the store and mutated only through it;
 //! - [`factorize`] — Chapman-style structural factorization of repeated
 //!   edge patterns (ablation A2);
 //! - [`TimeIndex`] — the interval-overlap index (the substrate of
@@ -80,7 +79,7 @@ pub use crc::crc32c;
 pub use error::{StorageError, StorageResult};
 pub use factorize::{defactorize, factorize, raw_structure_size, FactorizedEdges};
 pub use index::TimeIndex;
-pub use intern::{ShardedInterner, StringInterner};
+pub use intern::StringInterner;
 pub use record::{Codec, Op};
 pub use store::{ProvenanceStore, SizeReport};
 pub use wal::{GroupAppend, SyncPolicy, Wal, WalContents};
@@ -326,7 +325,7 @@ mod proptests {
             let _ = writeln!(s, "K {key} {:?} {newest:?}", g.nodes_with_key(&key));
         }
         let _ = writeln!(s, "T {:?}", store.times());
-        let _ = writeln!(s, "S {:?}", store.interner().strings());
+        let _ = writeln!(s, "S {:?}", store.interner().iter().collect::<Vec<_>>());
         s
     }
 

@@ -30,7 +30,7 @@
 use crate::cast::{offset_u64, usize_from_u64};
 use crate::error::{StorageError, StorageResult};
 use crate::factorize::{defactorize, factorize, FactorizedEdges};
-use crate::intern::ShardedInterner;
+use crate::intern::StringInterner;
 use crate::record::{read_attrs, write_attrs, Op};
 use crate::varint;
 use bp_graph::{NodeId, NodeKind, ProvenanceGraph, Timestamp, Version};
@@ -48,7 +48,10 @@ const EDGES_FACTORIZED: u8 = 1;
 ///
 /// Infallible for any in-memory graph today; the `Result` keeps the
 /// signature aligned with [`decode`] and future size limits.
-pub(crate) fn encode(graph: &ProvenanceGraph, compact: &ShardedInterner) -> StorageResult<Vec<u8>> {
+pub(crate) fn encode(
+    graph: &ProvenanceGraph,
+    compact: &mut StringInterner,
+) -> StorageResult<Vec<u8>> {
     // First pass: assign compact string ids in reference order (node keys
     // and attr keys in node-id order, then edge attr keys in edge-id
     // order) — the same order the string table is emitted and replayed.
@@ -69,10 +72,9 @@ pub(crate) fn encode(graph: &ProvenanceGraph, compact: &ShardedInterner) -> Stor
     let mut out = Vec::new();
 
     // --- String table, front-coded in id order. ---
-    let table = compact.strings();
-    varint::write_u64(&mut out, offset_u64(table.len()));
+    varint::write_u64(&mut out, offset_u64(compact.len()));
     let mut prev = "";
-    for s in &table {
+    for (_, s) in compact.iter() {
         let shared = common_prefix_len(prev, s);
         varint::write_u64(&mut out, offset_u64(shared));
         varint::write_u64(&mut out, offset_u64(s.len() - shared));
@@ -349,9 +351,9 @@ mod tests {
         g
     }
 
-    fn replay(ops: Vec<Op>) -> (ProvenanceGraph, ShardedInterner) {
+    fn replay(ops: Vec<Op>) -> (ProvenanceGraph, StringInterner) {
         let g = std::cell::RefCell::new(ProvenanceGraph::new());
-        let interner = ShardedInterner::new();
+        let mut interner = StringInterner::new();
         for op in ops {
             match op {
                 Op::DefineString { id, value } => interner.define(id, &value).unwrap(),
@@ -414,12 +416,12 @@ mod tests {
             .unwrap()
             .close_at(t(101))
             .unwrap();
-        let compact = ShardedInterner::new();
-        let frame = encode(&g, &compact).unwrap();
+        let mut compact = StringInterner::new();
+        let frame = encode(&g, &mut compact).unwrap();
         let (decoded, interner) = replay(decode(&frame).unwrap());
         assert_eq!(fingerprint(&decoded), fingerprint(&g));
         assert_eq!(interner.len(), compact.len());
-        assert_eq!(interner.strings(), compact.strings());
+        assert!(interner.iter().eq(compact.iter()));
     }
 
     #[test]
@@ -432,7 +434,7 @@ mod tests {
         node.attrs_mut().set("b", true);
         node.attrs_mut().set("raw", AttrValue::Bytes(vec![0, 255]));
         g.add_node(node);
-        let frame = encode(&g, &ShardedInterner::new()).unwrap();
+        let frame = encode(&g, &mut StringInterner::new()).unwrap();
         let (decoded, _) = replay(decode(&frame).unwrap());
         assert_eq!(fingerprint(&decoded), fingerprint(&g));
     }
@@ -440,23 +442,23 @@ mod tests {
     #[test]
     fn empty_graph_roundtrips() {
         let g = ProvenanceGraph::new();
-        let frame = encode(&g, &ShardedInterner::new()).unwrap();
+        let frame = encode(&g, &mut StringInterner::new()).unwrap();
         assert!(decode(&frame).unwrap().is_empty());
     }
 
     #[test]
     fn columnar_is_smaller_than_op_stream() {
         let g = capture_shaped(200);
-        let compact = ShardedInterner::new();
-        let columns = encode(&g, &compact).unwrap();
+        let mut compact = StringInterner::new();
+        let columns = encode(&g, &mut compact).unwrap();
         // The v1 equivalent: the compacted op stream.
         let mut codec = crate::record::Codec::new();
         let mut v1 = Vec::new();
-        for (id, s) in compact.strings().iter().enumerate() {
+        for (id, s) in compact.iter() {
             codec.encode(
                 &Op::DefineString {
-                    id: u32::try_from(id).unwrap(),
-                    value: s.to_string(),
+                    id,
+                    value: s.to_owned(),
                 },
                 &mut v1,
             );
@@ -501,7 +503,7 @@ mod tests {
     #[test]
     fn truncated_frames_are_corrupt_never_panic() {
         let g = capture_shaped(10);
-        let frame = encode(&g, &ShardedInterner::new()).unwrap();
+        let frame = encode(&g, &mut StringInterner::new()).unwrap();
         for cut in 0..frame.len() {
             assert!(
                 decode(&frame[..cut]).is_err(),
@@ -513,7 +515,7 @@ mod tests {
     #[test]
     fn trailing_garbage_is_corrupt() {
         let g = capture_shaped(3);
-        let mut frame = encode(&g, &ShardedInterner::new()).unwrap();
+        let mut frame = encode(&g, &mut StringInterner::new()).unwrap();
         frame.push(7);
         assert!(decode(&frame).is_err());
     }
@@ -523,7 +525,7 @@ mod tests {
         let mut g = ProvenanceGraph::new();
         g.add_node(Node::new(NodeKind::Page, "http://é/aé", t(0)));
         g.add_node(Node::new(NodeKind::Page, "http://é/aüz", t(0)));
-        let frame = encode(&g, &ShardedInterner::new()).unwrap();
+        let frame = encode(&g, &mut StringInterner::new()).unwrap();
         let (decoded, _) = replay(decode(&frame).unwrap());
         assert_eq!(fingerprint(&decoded), fingerprint(&g));
     }

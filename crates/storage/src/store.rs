@@ -19,7 +19,7 @@
 
 use crate::error::{StorageError, StorageResult};
 use crate::index::TimeIndex;
-use crate::intern::ShardedInterner;
+use crate::intern::StringInterner;
 use crate::record::{Codec, Op};
 use crate::wal::{SyncPolicy, Wal};
 use bp_graph::{
@@ -62,7 +62,7 @@ const SNAPSHOT_HEADER: &[u8] = b"BPSNAP\x02";
 #[derive(Debug)]
 pub struct ProvenanceStore {
     graph: ProvenanceGraph,
-    interner: ShardedInterner,
+    interner: StringInterner,
     times: TimeIndex,
     wal: Wal,
     codec: Codec,
@@ -120,7 +120,7 @@ impl ProvenanceStore {
         let wal_group_sync_us = obs.histogram(names::WAL_GROUP_COMMIT_SYNC_US);
         let mut store = ProvenanceStore {
             graph: ProvenanceGraph::new(),
-            interner: ShardedInterner::new(),
+            interner: StringInterner::new(),
             times: TimeIndex::new(),
             wal: Wal::open(dir.join(LOG_FILE), policy)?,
             codec: Codec::new(),
@@ -135,6 +135,8 @@ impl ProvenanceStore {
             wal_group_events,
             wal_group_sync_us,
         };
+        // `log.wal` may have just been created.
+        sync_dir(&store.dir)?;
         store.recover()?;
         store.publish_gauges();
         Ok(store)
@@ -696,7 +698,7 @@ impl ProvenanceStore {
     }
 
     /// The string interner.
-    pub fn interner(&self) -> &ShardedInterner {
+    pub fn interner(&self) -> &StringInterner {
         &self.interner
     }
 
@@ -716,12 +718,13 @@ impl ProvenanceStore {
 
     /// Writes a compacted snapshot of the current state and resets the log.
     ///
-    /// The snapshot is written to a temporary file and renamed into place,
-    /// and only then is the log reset. A crash before the rename leaves the
-    /// old snapshot and log intact. A crash between the rename and the log
-    /// reset leaves the new snapshot beside the old log, and that profile
-    /// fails to open: recovery replays the old log on top of the new
-    /// snapshot. DESIGN § Durability states the same guarantee.
+    /// The snapshot is written to a temporary file, synced and renamed into
+    /// place, and the directory is synced so that the rename survives a
+    /// power cut; only then is the log reset. A crash before the rename
+    /// leaves the old snapshot and log intact. A crash between the rename
+    /// and the log reset leaves the new snapshot beside the old log, and
+    /// that profile fails to open: recovery replays the old log on top of
+    /// the new snapshot. DESIGN § Durability states the same guarantee.
     ///
     /// Compaction rebuilds the string table from scratch: only strings the
     /// live graph still references are written. Together with
@@ -743,15 +746,18 @@ impl ProvenanceStore {
         let _ = std::fs::remove_file(&tmp);
         // Fresh interner: ids are re-assigned in first-reference order and
         // dead strings (including redacted keys) are dropped.
-        let compact = ShardedInterner::new();
+        let mut compact = StringInterner::new();
         {
             let mut snap = Wal::open(&tmp, SyncPolicy::OsManaged)?;
             snap.append(SNAPSHOT_HEADER)?;
-            let columns = crate::snapshot::encode(&self.graph, &compact)?;
+            let columns = crate::snapshot::encode(&self.graph, &mut compact)?;
             snap.append(&columns)?;
             snap.sync()?;
         }
         std::fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE))?;
+        // The reset below is synced; the rename must be durable before it,
+        // or a power cut could keep the empty log and lose the rename.
+        sync_dir(&self.dir)?;
         self.wal.reset()?;
         self.codec = Codec::new();
         // Future log records must reference the compact table, matching
@@ -796,6 +802,13 @@ impl ProvenanceStore {
     pub fn sync_policy(&self) -> SyncPolicy {
         self.policy
     }
+}
+
+/// Syncs `dir` itself, so that a file just created in it or renamed into
+/// it survives a power cut: syncing the file does not persist its entry.
+fn sync_dir(dir: &Path) -> StorageResult<()> {
+    std::fs::File::open(dir)?.sync_all()?;
+    Ok(())
 }
 
 /// On-disk footprint summary.
@@ -1195,6 +1208,39 @@ mod tests {
         }
     }
 
+    /// `bytes_per_node` counts only the live path: a key copied instead of
+    /// shared after a reopen or a compaction would double the key bytes
+    /// there and fail nothing else.
+    #[test]
+    fn every_node_key_is_the_interners_one_arc_on_every_path() {
+        fn assert_shared(store: &ProvenanceStore, path: &str) {
+            let interner = store.interner();
+            for (id, node) in store.graph().nodes() {
+                let shared = interner
+                    .lookup(node.key())
+                    .and_then(|k| interner.resolve(k));
+                assert!(
+                    shared.is_some_and(|s| Arc::ptr_eq(node.shared_key(), &s)),
+                    "{path}: node {id} holds its own copy of {:?}",
+                    node.key()
+                );
+            }
+        }
+        let dir = TempDir::new("shared-keys");
+        let (mut store, _) = build(&dir);
+        store.add_visit("http://films/kane", t(5)).unwrap();
+        store.redact_key("http://films/kane").unwrap();
+        assert_shared(&store, "live");
+        drop(store);
+        let mut store = ProvenanceStore::open(&dir.0, SyncPolicy::Always).unwrap();
+        assert_shared(&store, "log reopen");
+        store.snapshot().unwrap();
+        assert_shared(&store, "after snapshot");
+        drop(store);
+        let store = ProvenanceStore::open(&dir.0, SyncPolicy::Always).unwrap();
+        assert_shared(&store, "snapshot reopen");
+    }
+
     #[test]
     fn snapshot_after_redaction_leaves_no_url_bytes_on_disk() {
         let dir = TempDir::new("redact-snap");
@@ -1376,7 +1422,7 @@ mod tests {
             for (id, e) in store.graph().edges() {
                 let _ = writeln!(s, "E {id} {e:?}");
             }
-            let _ = writeln!(s, "I {:?}", store.interner().strings());
+            let _ = writeln!(s, "I {:?}", store.interner().iter().collect::<Vec<_>>());
             s
         };
 

@@ -890,20 +890,28 @@ mod tests {
 
     /// E1's ceiling: on the 7-day history the compacted store, under
     /// every capture configuration, takes at most 1.8× the bytes Places
-    /// takes for the same events. A capture or encoding change that
-    /// bloats the store fails here.
+    /// takes for the same events, the paper's envelope. Each configuration
+    /// also stays just above its figure since string values are interned
+    /// (0.617× and 0.642×; 0.854× and 0.878× while every visit held its
+    /// title inline), so a capture or encoding change that bloats the
+    /// store fails here.
     #[test]
     fn e1_compacted_store_stays_within_1_8x_places_at_7_days() {
         let sizes = e1_sizes(7);
-        for capture in &sizes.captures {
+        let ceilings = [
+            ("paper-prototype capture", 0.625),
+            ("full capture (+overlap edges)", 0.65),
+        ];
+        assert_eq!(sizes.captures.len(), ceilings.len());
+        for (capture, (name, ceiling)) in sizes.captures.iter().zip(ceilings) {
+            assert_eq!(capture.name, name);
             let ratio = capture.store_bytes as f64 / sizes.places_bytes as f64;
-            assert!(
-                ratio <= 1.8,
-                "{}: store {} B over Places {} B is {ratio:.3}",
-                capture.name,
-                capture.store_bytes,
-                sizes.places_bytes
+            let report = format!(
+                "{name}: store {} B over Places {} B is {ratio:.3}",
+                capture.store_bytes, sizes.places_bytes
             );
+            assert!(ratio <= 1.8, "{report}");
+            assert!(ratio <= ceiling, "{report}, ceiling {ceiling}");
         }
     }
 

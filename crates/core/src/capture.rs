@@ -343,6 +343,9 @@ impl CaptureEngine {
         }
 
         let mut edges = 0;
+        // One value for every record that carries the title; the store
+        // interns it, so each node holds the interner's one copy.
+        let title_attr = title.map(|t| ("title", AttrValue::from(t)));
 
         // Close the page being navigated away from (§3.2).
         if let Some(p) = close_prev {
@@ -357,13 +360,11 @@ impl CaptureEngine {
             Some(
                 match self.store.graph().newest_of_kind(NodeKind::Page, url) {
                     Some(p) => p,
-                    None => {
-                        // Known title at creation goes straight into the
-                        // AddNode record, saving a SetNodeAttr frame.
-                        let attrs = title.map(|t| ("title", AttrValue::from(t)));
-                        self.store
-                            .add_node(NodeKind::Page, url, at, attrs.as_slice())?
-                    }
+                    // Known title at creation goes straight into the
+                    // AddNode record, saving a SetNodeAttr frame.
+                    None => self
+                        .store
+                        .add_node(NodeKind::Page, url, at, title_attr.as_slice())?,
                 },
             )
         } else {
@@ -396,26 +397,22 @@ impl CaptureEngine {
 
         // The visit instance (auto-versioned, §3.1). The title rides in
         // the AddNode record itself — one log frame instead of two.
-        let visit = match title {
-            Some(t) => {
-                self.store
-                    .add_visit_with_attrs(url, at, &[("title", AttrValue::from(t))])?
-            }
-            None => self.store.add_visit(url, at)?,
-        };
+        let visit = self
+            .store
+            .add_visit_with_attrs(url, at, title_attr.as_slice())?;
 
         // Logical page object + instance_of edge. The page title is only
         // rewritten when it actually changed: revisits are the common case
         // and a same-title SetNodeAttr per revisit is pure log traffic.
         if let Some(page) = page {
-            if let Some(t) = title {
+            if let Some((name, value)) = &title_attr {
                 let stale = self
                     .store
                     .graph()
                     .node(page)
-                    .is_ok_and(|n| n.attrs().get_str("title") != Some(t));
+                    .is_ok_and(|n| n.attrs().get(name) != Some(value));
                 if stale {
-                    self.store.set_node_attr(page, "title", t)?;
+                    self.store.set_node_attr(page, name, value.clone())?;
                 }
             }
             self.store.add_edge(visit, page, EdgeKind::InstanceOf, at)?;
@@ -576,7 +573,7 @@ impl CaptureEngine {
                     NodeKind::Bookmark,
                     &url,
                     at,
-                    &[("name", AttrValue::Str(name.to_owned()))],
+                    &[("name", AttrValue::from(name))],
                 )?;
                 self.store
                     .add_edge(b, current, EdgeKind::BookmarkCreated, at)?;

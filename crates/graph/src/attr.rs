@@ -3,7 +3,8 @@
 //! The paper's §3.4 vision is "a single, homogeneous provenance graph store"
 //! in which "both nodes and edges can have attributes" (§3). Attributes are
 //! small typed values keyed by interned-able string names; the storage layer
-//! (`bp-storage`) interns the keys, the graph layer keeps them readable.
+//! (`bp-storage`) interns the names and the string values, the graph layer
+//! keeps them readable.
 
 use core::fmt;
 use std::sync::Arc;
@@ -20,8 +21,10 @@ use std::sync::Arc;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub enum AttrValue {
-    /// UTF-8 text.
-    Str(String),
+    /// UTF-8 text. Shared: the store hands every node the interner's one
+    /// copy of a string value, so a title repeated over many visits is
+    /// held once.
+    Str(Arc<str>),
     /// Signed integer.
     Int(i64),
     /// Floating point.
@@ -109,12 +112,12 @@ fn hex(bytes: &[u8]) -> String {
 
 impl From<&str> for AttrValue {
     fn from(s: &str) -> Self {
-        AttrValue::Str(s.to_owned())
+        AttrValue::Str(Arc::from(s))
     }
 }
 impl From<String> for AttrValue {
     fn from(s: String) -> Self {
-        AttrValue::Str(s)
+        AttrValue::Str(Arc::from(s))
     }
 }
 impl From<i64> for AttrValue {
@@ -230,6 +233,12 @@ impl AttrMap {
     /// Iterates attributes in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &AttrValue)> {
         self.entries.iter().map(|(k, v)| (&**k, v))
+    }
+
+    /// Iterates attributes in key order, each name as the map's shared
+    /// `Arc`, so an interner can keep that copy instead of its own.
+    pub fn iter_shared(&self) -> impl Iterator<Item = (&Arc<str>, &AttrValue)> {
+        self.entries.iter().map(|(k, v)| (k, v))
     }
 
     /// Approximate encoded size in bytes (keys + values), for experiment E1.

@@ -1,11 +1,12 @@
 //! String interning.
 //!
 //! Browser histories repeat strings heavily — domains, attribute keys
-//! ("title", "visit_count"), transition labels. Chapman et al.'s provenance
-//! factorization (cited in §3.1) begins with exactly this observation;
-//! interning is the store's first compression layer. Each distinct string
-//! gets a dense `u32` id; records reference ids, and `define` records in
-//! the WAL persist the mapping itself.
+//! ("title", "visit_count"), transition labels, a page's title on every
+//! visit to it. Chapman et al.'s provenance factorization (cited in §3.1)
+//! begins with exactly this observation; interning is the store's first
+//! compression layer. Each distinct string gets a dense `u32` id; records
+//! reference ids, and `define` records in the WAL persist the mapping
+//! itself.
 //!
 //! The store owns one [`StringInterner`] and mutates it only under
 //! `&mut ProvenanceStore`, and a compaction fills a private one; no query
@@ -23,7 +24,7 @@ use std::sync::Arc;
 /// Each string is stored once, as an `Arc<str>` that the string → id map
 /// and the id table share. [`resolve`](Self::resolve) hands out clones of
 /// that one `Arc`, so the graph's nodes hold the interner's copy of their
-/// key and attribute names instead of their own.
+/// key, attribute names and string values instead of their own.
 ///
 /// # Examples
 ///

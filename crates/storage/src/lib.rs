@@ -80,7 +80,7 @@ pub use error::{StorageError, StorageResult};
 pub use factorize::{defactorize, factorize, raw_structure_size, FactorizedEdges};
 pub use index::TimeIndex;
 pub use intern::StringInterner;
-pub use record::{Codec, Op};
+pub use record::{Codec, Op, OpValue};
 pub use store::{ProvenanceStore, SizeReport};
 pub use wal::{GroupAppend, SyncPolicy, Wal, WalContents};
 

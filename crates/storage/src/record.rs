@@ -1,8 +1,9 @@
 //! Log-record format: the operations that mutate a provenance store.
 //!
-//! The store is a replayable sequence of [`Op`]s. String payloads that
-//! repeat (URLs, attribute keys) go through the interner and appear in the
-//! log as [`Op::DefineString`] records followed by references; timestamps
+//! The store is a replayable sequence of [`Op`]s. Every string payload
+//! (URLs, attribute names, string attribute values such as titles) goes
+//! through the interner and appears in the log as one
+//! [`Op::DefineString`] record followed by references; timestamps
 //! are delta-encoded against the previous record ([`Codec`] carries that
 //! state), since history events are nearly sorted in time and deltas
 //! compress far better than absolute microsecond counts.
@@ -12,8 +13,40 @@
 
 use crate::cast::{offset_u64, usize_from_u64};
 use crate::error::{StorageError, StorageResult};
+use crate::intern::StringInterner;
 use crate::varint;
 use bp_graph::{AttrValue, EdgeKind, NodeId, NodeKind, Timestamp, Version};
+
+/// An attribute value as a record carries it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum OpValue {
+    /// A string value by its interned id. The store writes every string
+    /// value this way, so a title repeated over many visits is stored
+    /// once, in its [`Op::DefineString`].
+    Str(u32),
+    /// A value held in the record itself: every value that is not a
+    /// string, and a string value read from a log or snapshot written
+    /// before string values were interned. Such a string takes no id.
+    Inline(AttrValue),
+}
+
+impl OpValue {
+    /// The attribute value, with a string id resolved to the interner's
+    /// shared copy.
+    ///
+    /// # Errors
+    ///
+    /// [`StorageError::UnknownStringId`] if `interner` has no such id.
+    pub(crate) fn resolve(&self, interner: &StringInterner) -> StorageResult<AttrValue> {
+        match self {
+            OpValue::Str(id) => interner
+                .resolve(*id)
+                .map(AttrValue::Str)
+                .ok_or(StorageError::UnknownStringId(*id)),
+            OpValue::Inline(value) => Ok(value.clone()),
+        }
+    }
+}
 
 /// One replayable store mutation.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,7 +70,7 @@ pub enum Op {
         /// Opening timestamp.
         open_at: Timestamp,
         /// Attributes as (interned key id, value) pairs, sorted by key id.
-        attrs: Vec<(u32, AttrValue)>,
+        attrs: Vec<(u32, OpValue)>,
     },
     /// Appends an edge (same implicit dense numbering as nodes).
     AddEdge {
@@ -50,7 +83,7 @@ pub enum Op {
         /// When the action occurred.
         at: Timestamp,
         /// Attributes as (interned key id, value) pairs.
-        attrs: Vec<(u32, AttrValue)>,
+        attrs: Vec<(u32, OpValue)>,
     },
     /// Closes a node's open interval (§3.2's missing "close" record).
     CloseNode {
@@ -67,7 +100,7 @@ pub enum Op {
         /// Interned attribute key id.
         key: u32,
         /// New value.
-        value: AttrValue,
+        value: OpValue,
     },
     /// Redacts a node: its key becomes the interned `replacement` and its
     /// attributes are dropped (§4 privacy). Structure is preserved.
@@ -86,12 +119,16 @@ const TAG_CLOSE_NODE: u8 = 3;
 const TAG_SET_NODE_ATTR: u8 = 4;
 const TAG_REDACT_NODE: u8 = 5;
 
+/// A string value inline: written before string values were interned,
+/// and still read so that such logs and snapshots open.
 const ATTR_STR: u8 = 0;
 const ATTR_INT: u8 = 1;
 const ATTR_FLOAT: u8 = 2;
 const ATTR_BOOL_FALSE: u8 = 3;
 const ATTR_BOOL_TRUE: u8 = 4;
 const ATTR_BYTES: u8 = 5;
+/// A string value by its interned id.
+const ATTR_STR_ID: u8 = 6;
 
 /// Stateful encoder/decoder for [`Op`]s.
 ///
@@ -255,7 +292,7 @@ fn read_byte(buf: &[u8], pos: &mut usize) -> StorageResult<u8> {
     Ok(b)
 }
 
-pub(crate) fn write_attrs(out: &mut Vec<u8>, attrs: &[(u32, AttrValue)]) {
+pub(crate) fn write_attrs(out: &mut Vec<u8>, attrs: &[(u32, OpValue)]) {
     varint::write_u64(out, offset_u64(attrs.len()));
     for (key, value) in attrs {
         varint::write_u64(out, u64::from(*key));
@@ -263,7 +300,7 @@ pub(crate) fn write_attrs(out: &mut Vec<u8>, attrs: &[(u32, AttrValue)]) {
     }
 }
 
-pub(crate) fn read_attrs(buf: &[u8], pos: &mut usize) -> StorageResult<Vec<(u32, AttrValue)>> {
+pub(crate) fn read_attrs(buf: &[u8], pos: &mut usize) -> StorageResult<Vec<(u32, OpValue)>> {
     // Guard against absurd counts from corrupt data before allocating.
     let count = usize_from_u64(varint::read_u64(buf, pos)?)
         .filter(|&c| c <= buf.len().saturating_sub(*pos))
@@ -277,35 +314,40 @@ pub(crate) fn read_attrs(buf: &[u8], pos: &mut usize) -> StorageResult<Vec<(u32,
     Ok(attrs)
 }
 
-fn write_attr_value(out: &mut Vec<u8>, value: &AttrValue) {
+fn write_attr_value(out: &mut Vec<u8>, value: &OpValue) {
     match value {
-        AttrValue::Str(s) => {
+        OpValue::Str(id) => {
+            out.push(ATTR_STR_ID);
+            varint::write_u64(out, u64::from(*id));
+        }
+        OpValue::Inline(AttrValue::Str(s)) => {
             out.push(ATTR_STR);
             varint::write_str(out, s);
         }
-        AttrValue::Int(i) => {
+        OpValue::Inline(AttrValue::Int(i)) => {
             out.push(ATTR_INT);
             varint::write_i64(out, *i);
         }
-        AttrValue::Float(f) => {
+        OpValue::Inline(AttrValue::Float(f)) => {
             out.push(ATTR_FLOAT);
             out.extend_from_slice(&f.to_le_bytes());
         }
-        AttrValue::Bool(false) => out.push(ATTR_BOOL_FALSE),
-        AttrValue::Bool(true) => out.push(ATTR_BOOL_TRUE),
-        AttrValue::Bytes(b) => {
+        OpValue::Inline(AttrValue::Bool(false)) => out.push(ATTR_BOOL_FALSE),
+        OpValue::Inline(AttrValue::Bool(true)) => out.push(ATTR_BOOL_TRUE),
+        OpValue::Inline(AttrValue::Bytes(b)) => {
             out.push(ATTR_BYTES);
             varint::write_bytes(out, b);
         }
     }
 }
 
-fn read_attr_value(buf: &[u8], pos: &mut usize) -> StorageResult<AttrValue> {
+fn read_attr_value(buf: &[u8], pos: &mut usize) -> StorageResult<OpValue> {
     let at = offset_u64(*pos);
     let tag = read_byte(buf, pos)?;
-    match tag {
-        ATTR_STR => Ok(AttrValue::Str(varint::read_str(buf, pos)?.to_owned())),
-        ATTR_INT => Ok(AttrValue::Int(varint::read_i64(buf, pos)?)),
+    let inline = match tag {
+        ATTR_STR_ID => return Ok(OpValue::Str(varint::read_u32(buf, pos)?)),
+        ATTR_STR => AttrValue::from(varint::read_str(buf, pos)?),
+        ATTR_INT => AttrValue::Int(varint::read_i64(buf, pos)?),
         ATTR_FLOAT => {
             let end = *pos + 8;
             if end > buf.len() {
@@ -314,16 +356,19 @@ fn read_attr_value(buf: &[u8], pos: &mut usize) -> StorageResult<AttrValue> {
             let mut bytes = [0u8; 8];
             bytes.copy_from_slice(&buf[*pos..end]);
             *pos = end;
-            Ok(AttrValue::Float(f64::from_le_bytes(bytes)))
+            AttrValue::Float(f64::from_le_bytes(bytes))
         }
-        ATTR_BOOL_FALSE => Ok(AttrValue::Bool(false)),
-        ATTR_BOOL_TRUE => Ok(AttrValue::Bool(true)),
-        ATTR_BYTES => Ok(AttrValue::Bytes(varint::read_bytes(buf, pos)?.to_vec())),
-        other => Err(StorageError::corrupt(
-            at,
-            format!("unknown attr tag {other}"),
-        )),
-    }
+        ATTR_BOOL_FALSE => AttrValue::Bool(false),
+        ATTR_BOOL_TRUE => AttrValue::Bool(true),
+        ATTR_BYTES => AttrValue::Bytes(varint::read_bytes(buf, pos)?.to_vec()),
+        other => {
+            return Err(StorageError::corrupt(
+                at,
+                format!("unknown attr tag {other}"),
+            ))
+        }
+    };
+    Ok(OpValue::Inline(inline))
 }
 
 #[cfg(test)]
@@ -362,7 +407,7 @@ mod tests {
                 key: 0,
                 version: Version::FIRST,
                 open_at: Timestamp::from_micros(1_000_000),
-                attrs: vec![(1, AttrValue::Str("Example".to_owned()))],
+                attrs: vec![(1, OpValue::Str(0))],
             },
             Op::AddNode {
                 kind: NodeKind::Download,
@@ -376,7 +421,7 @@ mod tests {
                 dst: NodeId::new(0),
                 kind: EdgeKind::DownloadFrom,
                 at: Timestamp::from_micros(1_000_700),
-                attrs: vec![(1, AttrValue::Int(7))],
+                attrs: vec![(1, OpValue::Inline(AttrValue::Int(7)))],
             },
             Op::CloseNode {
                 node: NodeId::new(0),
@@ -385,7 +430,14 @@ mod tests {
             Op::SetNodeAttr {
                 node: NodeId::new(0),
                 key: 1,
-                value: AttrValue::Float(2.5),
+                value: OpValue::Inline(AttrValue::Float(2.5)),
+            },
+            // A title the way logs held it before string values were
+            // interned.
+            Op::SetNodeAttr {
+                node: NodeId::new(0),
+                key: 1,
+                value: OpValue::Inline(AttrValue::from("Example")),
             },
         ]
     }
@@ -459,6 +511,35 @@ mod tests {
         }
     }
 
+    /// A history whose every title is new still pays for interning: each
+    /// value costs a `DefineString` tag and a second copy of its id beside
+    /// the reference. That is at most 1 + 2 × 2 = 5 B more than the inline
+    /// encoding while ids fit in two varint bytes (below 16,384).
+    #[test]
+    fn an_all_unique_title_costs_at_most_five_bytes_more_than_inline() {
+        const TITLES: u32 = 2_000;
+        let (mut inline, mut interned) = (Vec::new(), Vec::new());
+        let (mut old, mut new) = (Codec::new(), Codec::new());
+        for id in 0..TITLES {
+            let title = format!("Unique page title number {id}");
+            let visit = |value| Op::AddNode {
+                kind: NodeKind::PageVisit,
+                key: 0,
+                version: Version::FIRST,
+                open_at: Timestamp::from_secs(i64::from(id)),
+                attrs: vec![(1, value)],
+            };
+            old.encode(&visit(OpValue::Inline(title.as_str().into())), &mut inline);
+            new.encode(&Op::DefineString { id, value: title }, &mut interned);
+            new.encode(&visit(OpValue::Str(id)), &mut interned);
+        }
+        // Ids below 128 take one varint byte, so those cost 3 B more.
+        let expected = 128 * 3 + (TITLES - 128) * 5;
+        assert_eq!(interned.len() - inline.len(), expected as usize);
+        let per_title = f64::from(expected) / f64::from(TITLES);
+        assert!(per_title <= 5.0, "{per_title:.2} B more per title");
+    }
+
     #[test]
     fn bad_kind_codes_are_corrupt() {
         // AddNode with kind code 99.
@@ -480,19 +561,22 @@ mod tests {
         assert!(dec.decode(&buf, &mut pos).is_err());
     }
 
-    fn attr_value_strategy() -> impl Strategy<Value = AttrValue> {
+    /// String values both by id and inline, as older logs hold them.
+    fn attr_value_strategy() -> impl Strategy<Value = OpValue> {
         prop_oneof![
-            ".{0,20}".prop_map(AttrValue::Str),
-            any::<i64>().prop_map(AttrValue::Int),
+            any::<u32>().prop_map(OpValue::Str),
+            ".{0,20}".prop_map(|s: String| OpValue::Inline(s.into())),
+            any::<i64>().prop_map(|i| OpValue::Inline(AttrValue::Int(i))),
             any::<f64>()
                 .prop_filter("NaN breaks PartialEq", |f| !f.is_nan())
-                .prop_map(AttrValue::Float),
-            any::<bool>().prop_map(AttrValue::Bool),
-            prop::collection::vec(any::<u8>(), 0..20).prop_map(AttrValue::Bytes),
+                .prop_map(|f| OpValue::Inline(AttrValue::Float(f))),
+            any::<bool>().prop_map(|b| OpValue::Inline(AttrValue::Bool(b))),
+            prop::collection::vec(any::<u8>(), 0..20)
+                .prop_map(|b| OpValue::Inline(AttrValue::Bytes(b))),
         ]
     }
 
-    fn attrs_strategy() -> impl Strategy<Value = Vec<(u32, AttrValue)>> {
+    fn attrs_strategy() -> impl Strategy<Value = Vec<(u32, OpValue)>> {
         prop::collection::vec((any::<u32>(), attr_value_strategy()), 0..4)
     }
 
@@ -530,6 +614,13 @@ mod tests {
             (any::<u32>(), any::<i64>()).prop_map(|(n, ts)| Op::CloseNode {
                 node: NodeId::new(n),
                 at: Timestamp::from_micros(ts / 2),
+            }),
+            (any::<u32>(), any::<u32>(), attr_value_strategy()).prop_map(|(n, key, value)| {
+                Op::SetNodeAttr {
+                    node: NodeId::new(n),
+                    key,
+                    value,
+                }
             }),
             (any::<u32>(), any::<u32>()).prop_map(|(n, r)| Op::RedactNode {
                 node: NodeId::new(n),

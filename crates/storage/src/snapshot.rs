@@ -9,7 +9,9 @@
 //! - **strings** are front-coded in id order: each entry stores the length
 //!   of the prefix it shares with its predecessor plus the differing
 //!   suffix. Interned strings are dominated by URLs that share long
-//!   scheme://host/path prefixes.
+//!   scheme://host/path prefixes. String attribute values (titles) are in
+//!   the table too, after every key, and the attribute columns hold their
+//!   ids: a title repeated over many visits is stored once.
 //! - **nodes** are split into columns: kind bytes, zigzag-delta key ids,
 //!   versions, zigzag-delta open timestamps, then attribute lists. Sorted
 //!   and near-sorted columns make the varints one byte each.
@@ -31,9 +33,9 @@ use crate::cast::{offset_u64, usize_from_u64};
 use crate::error::{StorageError, StorageResult};
 use crate::factorize::{defactorize, factorize, FactorizedEdges};
 use crate::intern::StringInterner;
-use crate::record::{read_attrs, write_attrs, Op};
+use crate::record::{read_attrs, write_attrs, Op, OpValue};
 use crate::varint;
-use bp_graph::{NodeId, NodeKind, ProvenanceGraph, Timestamp, Version};
+use bp_graph::{AttrMap, AttrValue, NodeId, NodeKind, ProvenanceGraph, Timestamp, Version};
 
 /// Edge-structure encoding selector: factorized signature dictionary.
 /// Selector 0 (explicit triples, for edges out of source order) is
@@ -53,19 +55,29 @@ pub(crate) fn encode(
     compact: &mut StringInterner,
 ) -> StorageResult<Vec<u8>> {
     // First pass: assign compact string ids in reference order (node keys
-    // and attr keys in node-id order, then edge attr keys in edge-id
-    // order) — the same order the string table is emitted and replayed.
-    // Keys enter the table as the nodes' own shared strings, so the store
-    // that adopts `compact` still holds each key once.
+    // and attr names in node-id order, then edge attr names in edge-id
+    // order, then string values in that same order) — the same order the
+    // string table is emitted and replayed. Values come after every key
+    // so that URLs stay adjacent for the front coding. Strings enter the
+    // table as the graph's own shared `Arc`s, so the store that adopts
+    // `compact` still holds each one once.
     for (_, node) in graph.nodes() {
         compact.intern_shared(node.shared_key());
-        for (k, _) in node.attrs().iter() {
-            compact.intern(k);
+        for (k, _) in node.attrs().iter_shared() {
+            compact.intern_shared(k);
         }
     }
     for (_, edge) in graph.edges() {
-        for (k, _) in edge.attrs().iter() {
-            compact.intern(k);
+        for (k, _) in edge.attrs().iter_shared() {
+            compact.intern_shared(k);
+        }
+    }
+    let node_attrs = graph.nodes().map(|(_, node)| node.attrs());
+    for attrs in node_attrs.chain(graph.edges().map(|(_, edge)| edge.attrs())) {
+        for (_, value) in attrs.iter() {
+            if let AttrValue::Str(s) = value {
+                compact.intern_shared(s);
+            }
         }
     }
 
@@ -104,12 +116,7 @@ pub(crate) fn encode(
         last_open = micros;
     }
     for (_, node) in graph.nodes() {
-        let attrs: Vec<(u32, bp_graph::AttrValue)> = node
-            .attrs()
-            .iter()
-            .map(|(k, v)| (compact.intern(k), v.clone()))
-            .collect();
-        write_attrs(&mut out, &attrs);
+        write_attrs(&mut out, &attr_refs(node.attrs(), compact));
     }
 
     // --- Edge structure. ---
@@ -124,12 +131,7 @@ pub(crate) fn encode(
         last_at = micros;
     }
     for (_, edge) in graph.edges() {
-        let attrs: Vec<(u32, bp_graph::AttrValue)> = edge
-            .attrs()
-            .iter()
-            .map(|(k, v)| (compact.intern(k), v.clone()))
-            .collect();
-        write_attrs(&mut out, &attrs);
+        write_attrs(&mut out, &attr_refs(edge.attrs(), compact));
     }
 
     // --- Close records, ascending node id. ---
@@ -281,6 +283,21 @@ pub(crate) fn decode(frame: &[u8]) -> StorageResult<Vec<Op>> {
     Ok(ops)
 }
 
+/// `attrs` as a record carries them, each name and string value by its
+/// id in `compact`, which the first pass of [`encode`] has filled.
+fn attr_refs(attrs: &AttrMap, compact: &mut StringInterner) -> Vec<(u32, OpValue)> {
+    attrs
+        .iter_shared()
+        .map(|(k, v)| {
+            let value = match v {
+                AttrValue::Str(s) => OpValue::Str(compact.intern_shared(s)),
+                other => OpValue::Inline(other.clone()),
+            };
+            (compact.intern_shared(k), value)
+        })
+        .collect()
+}
+
 fn common_prefix_len(a: &str, b: &str) -> usize {
     let mut n = a
         .as_bytes()
@@ -367,6 +384,7 @@ mod tests {
                     let key = interner.resolve(key).unwrap();
                     let mut node = Node::with_version(kind, key, version, open_at);
                     for (kid, v) in attrs {
+                        let v = v.resolve(&interner).unwrap();
                         node.attrs_mut().set(interner.resolve(kid).unwrap(), v);
                     }
                     g.borrow_mut().add_node(node);
@@ -380,6 +398,7 @@ mod tests {
                 } => {
                     let mut edge = bp_graph::Edge::new(src, dst, kind, at);
                     for (kid, v) in attrs {
+                        let v = v.resolve(&interner).unwrap();
                         edge.attrs_mut().set(interner.resolve(kid).unwrap(), v);
                     }
                     g.borrow_mut().add_edge_full(edge).unwrap();
@@ -439,6 +458,54 @@ mod tests {
         assert_eq!(fingerprint(&decoded), fingerprint(&g));
     }
 
+    /// A snapshot written before string values were interned holds each
+    /// title inline in its attribute column, once per visit. It still
+    /// decodes, to the graph the current encoding gives, and its titles
+    /// take no string id; the current encoding holds the title once.
+    #[test]
+    fn an_inline_title_from_an_older_snapshot_still_decodes() {
+        let mut g = ProvenanceGraph::new();
+        for (version, at) in [(0, t(1)), (1, t(2))] {
+            let url = "http://a.example/";
+            let mut node = Node::with_version(NodeKind::PageVisit, url, Version::new(version), at);
+            node.attrs_mut().set("title", "Example");
+            g.add_node(node);
+        }
+
+        let mut frame = Vec::new();
+        varint::write_u64(&mut frame, 2); // strings: the key, the name
+        for s in ["http://a.example/", "title"] {
+            varint::write_u64(&mut frame, 0); // shared prefix
+            varint::write_str(&mut frame, s);
+        }
+        varint::write_u64(&mut frame, 2); // nodes
+        frame.extend([NodeKind::PageVisit.code(); 2]);
+        frame.extend([0, 0]); // key id deltas
+        frame.extend([0, 1]); // versions
+        varint::write_i64(&mut frame, t(1).as_micros()); // open deltas
+        varint::write_i64(&mut frame, t(1).as_micros());
+        for _ in 0..2 {
+            write_attrs(&mut frame, &[(1, OpValue::Inline("Example".into()))]);
+        }
+        varint::write_u64(&mut frame, 0); // edges
+        frame.push(EDGES_FACTORIZED);
+        varint::write_bytes(&mut frame, factorize(&ProvenanceGraph::new()).as_bytes());
+        varint::write_u64(&mut frame, 0); // closes
+
+        let (decoded, interner) = replay(decode(&frame).unwrap());
+        assert_eq!(fingerprint(&decoded), fingerprint(&g));
+        assert_eq!(interner.len(), 2);
+        let mut compact = StringInterner::new();
+        let current = encode(&g, &mut compact).unwrap();
+        assert_eq!(compact.lookup("Example"), Some(2));
+        let copies = |frame: &[u8]| frame.windows(7).filter(|w| w == b"Example").count();
+        assert_eq!((copies(&frame), copies(&current)), (2, 1));
+        assert_eq!(
+            fingerprint(&replay(decode(&current).unwrap()).0),
+            fingerprint(&g)
+        );
+    }
+
     #[test]
     fn empty_graph_roundtrips() {
         let g = ProvenanceGraph::new();
@@ -464,11 +531,7 @@ mod tests {
             );
         }
         for (_, node) in g.nodes() {
-            let attrs = node
-                .attrs()
-                .iter()
-                .map(|(k, v)| (compact.intern(k), v.clone()))
-                .collect();
+            let attrs = attr_refs(node.attrs(), &mut compact);
             codec.encode(
                 &Op::AddNode {
                     kind: node.kind(),

@@ -20,11 +20,11 @@
 use crate::error::{StorageError, StorageResult};
 use crate::index::TimeIndex;
 use crate::intern::StringInterner;
-use crate::record::{Codec, Op};
+use crate::record::{Codec, Op, OpValue};
 use crate::wal::{SyncPolicy, Wal};
 use bp_graph::{
-    AttrValue, Edge, EdgeKind, Node, NodeId, NodeKind, ProvenanceGraph, TimeInterval, Timestamp,
-    Version,
+    AttrMap, AttrValue, Edge, EdgeKind, Node, NodeId, NodeKind, ProvenanceGraph, TimeInterval,
+    Timestamp, Version,
 };
 use bp_obs::{names, Counter, Histogram, Obs};
 use std::path::{Path, PathBuf};
@@ -242,8 +242,8 @@ impl ProvenanceStore {
     }
 
     /// Applies a non-DefineString op to graph + indexes (shared between
-    /// live mutation and replay). Keys and attribute names are the
-    /// interner's shared strings, so applying an op allocates none.
+    /// live mutation and replay). Keys, attribute names and string values
+    /// are the interner's shared strings, so applying an op allocates none.
     fn apply_structural(&mut self, op: &Op) -> StorageResult<Option<NodeId>> {
         match op {
             Op::DefineString { .. } => Err(StorageError::Replay(
@@ -256,18 +256,9 @@ impl ProvenanceStore {
                 open_at,
                 attrs,
             } => {
-                let key = self
-                    .interner
-                    .resolve(*key)
-                    .ok_or(StorageError::UnknownStringId(*key))?;
+                let key = self.resolve(*key)?;
                 let mut node = Node::with_version(*kind, key, *version, *open_at);
-                for (kid, value) in attrs {
-                    let kname = self
-                        .interner
-                        .resolve(*kid)
-                        .ok_or(StorageError::UnknownStringId(*kid))?;
-                    node.attrs_mut().set(kname, value.clone());
-                }
+                self.resolve_attrs(attrs, node.attrs_mut())?;
                 let id = self.graph.add_node(node);
                 self.times.insert(id, TimeInterval::open_at(*open_at));
                 Ok(Some(id))
@@ -280,13 +271,7 @@ impl ProvenanceStore {
                 attrs,
             } => {
                 let mut edge = Edge::new(*src, *dst, *kind, *at);
-                for (kid, value) in attrs {
-                    let kname = self
-                        .interner
-                        .resolve(*kid)
-                        .ok_or(StorageError::UnknownStringId(*kid))?;
-                    edge.attrs_mut().set(kname, value.clone());
-                }
+                self.resolve_attrs(attrs, edge.attrs_mut())?;
                 self.graph
                     .add_edge_full(edge)
                     .map_err(|e| StorageError::Replay(e.to_string()))?;
@@ -301,28 +286,38 @@ impl ProvenanceStore {
                 Ok(None)
             }
             Op::SetNodeAttr { node, key, value } => {
-                let kname = self
-                    .interner
-                    .resolve(*key)
-                    .ok_or(StorageError::UnknownStringId(*key))?;
+                let kname = self.resolve(*key)?;
+                let value = value.resolve(&self.interner)?;
                 self.graph
                     .node_mut(*node)
                     .map_err(|e| StorageError::Replay(e.to_string()))?
                     .attrs_mut()
-                    .set(kname, value.clone());
+                    .set(kname, value);
                 Ok(None)
             }
             Op::RedactNode { node, replacement } => {
-                let replacement = self
-                    .interner
-                    .resolve(*replacement)
-                    .ok_or(StorageError::UnknownStringId(*replacement))?;
+                let replacement = self.resolve(*replacement)?;
                 self.graph
                     .redact_node(*node, replacement)
                     .map_err(|e| StorageError::Replay(e.to_string()))?;
                 Ok(None)
             }
         }
+    }
+
+    /// The interner's shared copy of string `id`.
+    fn resolve(&self, id: u32) -> StorageResult<Arc<str>> {
+        self.interner
+            .resolve(id)
+            .ok_or(StorageError::UnknownStringId(id))
+    }
+
+    /// Sets `attrs` on `map` with their names and string values resolved.
+    fn resolve_attrs(&self, attrs: &[(u32, OpValue)], map: &mut AttrMap) -> StorageResult<()> {
+        for (kid, value) in attrs {
+            map.set(self.resolve(*kid)?, value.resolve(&self.interner)?);
+        }
+        Ok(())
     }
 
     /// Interns `s`, appending a DefineString record if new.
@@ -338,14 +333,23 @@ impl ProvenanceStore {
         id
     }
 
+    /// A value as its record carries it: a string by its interned id,
+    /// its DefineString record (if new) ahead of its first use.
+    fn intern_value(&mut self, value: &AttrValue, batch: &mut Vec<u8>) -> OpValue {
+        match value {
+            AttrValue::Str(s) => OpValue::Str(self.intern(s, batch)),
+            other => OpValue::Inline(other.clone()),
+        }
+    }
+
     fn intern_attrs(
         &mut self,
         attrs: &[(&str, AttrValue)],
         batch: &mut Vec<u8>,
-    ) -> Vec<(u32, AttrValue)> {
+    ) -> Vec<(u32, OpValue)> {
         attrs
             .iter()
-            .map(|(k, v)| (self.intern(k, batch), v.clone()))
+            .map(|(k, v)| (self.intern(k, batch), self.intern_value(v, batch)))
             .collect()
     }
 
@@ -640,11 +644,12 @@ impl ProvenanceStore {
             .map_err(|e| StorageError::Replay(e.to_string()))?;
         let mut batch = Vec::new();
         let key_id = self.intern(key, &mut batch);
+        let value = self.intern_value(&value.into(), &mut batch);
         self.commit(
             Op::SetNodeAttr {
                 node,
                 key: key_id,
-                value: value.into(),
+                value,
             },
             batch,
         )?;
@@ -1208,27 +1213,55 @@ mod tests {
         }
     }
 
-    /// `bytes_per_node` counts only the live path: a key copied instead of
-    /// shared after a reopen or a compaction would double the key bytes
-    /// there and fail nothing else.
+    /// `bytes_per_node` counts only the live path: a key, an attribute
+    /// name or a title copied instead of shared after a reopen or a
+    /// compaction would double those bytes there and fail nothing else.
     #[test]
     fn every_node_key_is_the_interners_one_arc_on_every_path() {
         fn assert_shared(store: &ProvenanceStore, path: &str) {
             let interner = store.interner();
-            for (id, node) in store.graph().nodes() {
-                let shared = interner
-                    .lookup(node.key())
-                    .and_then(|k| interner.resolve(k));
+            let shared = |s: &Arc<str>| {
+                let interned = interner.lookup(s).and_then(|id| interner.resolve(id));
+                interned.is_some_and(|i| Arc::ptr_eq(s, &i))
+            };
+            let graph = store.graph();
+            let nodes = graph
+                .nodes()
+                .map(|(id, n)| (format!("node {id}"), n.attrs()));
+            let edges = graph
+                .edges()
+                .map(|(id, e)| (format!("edge {id}"), e.attrs()));
+            for (id, node) in graph.nodes() {
+                let key = node.shared_key();
                 assert!(
-                    shared.is_some_and(|s| Arc::ptr_eq(node.shared_key(), &s)),
-                    "{path}: node {id} holds its own copy of {:?}",
-                    node.key()
+                    shared(key),
+                    "{path}: node {id} holds its own copy of {key:?}"
                 );
             }
+            let mut values = 0;
+            for (owner, attrs) in nodes.chain(edges) {
+                for (name, value) in attrs.iter_shared() {
+                    assert!(shared(name), "{path}: {owner} holds its own {name:?}");
+                    if let AttrValue::Str(s) = value {
+                        assert!(shared(s), "{path}: {owner} holds its own {name} {s:?}");
+                        values += 1;
+                    }
+                }
+            }
+            assert_eq!(values, 3, "{path}: two titles and an edge's note");
         }
         let dir = TempDir::new("shared-keys");
-        let (mut store, _) = build(&dir);
-        store.add_visit("http://films/kane", t(5)).unwrap();
+        let (mut store, ids) = build(&dir);
+        let kane = store.add_visit("http://films/kane", t(5)).unwrap();
+        let title = [("title", AttrValue::from("Citizen Kane"))];
+        let welles = store
+            .add_visit_with_attrs("http://films/welles", t(6), &title)
+            .unwrap();
+        let note = [("note", AttrValue::from("Citizen Kane"))];
+        store
+            .add_edge_with_attrs(welles, kane, EdgeKind::Link, t(6), &note)
+            .unwrap();
+        store.set_node_attr(ids[1], "title", "rosebud").unwrap();
         store.redact_key("http://films/kane").unwrap();
         assert_shared(&store, "live");
         drop(store);
@@ -1239,6 +1272,101 @@ mod tests {
         drop(store);
         let store = ProvenanceStore::open(&dir.0, SyncPolicy::Always).unwrap();
         assert_shared(&store, "snapshot reopen");
+    }
+
+    /// Logs written before string values were interned hold each title
+    /// inline. Such a log still opens; its titles take no string id, so
+    /// the `DefineString`s after them keep their ids, and the next
+    /// compaction stores the titles by reference.
+    #[test]
+    fn a_log_with_inline_titles_replays_and_compacts_by_reference() {
+        // The history both ways: a visit titled "Kane", a revisit with the
+        // same title, then a visit to a new URL titled "Kane" too.
+        let new_dir = TempDir::new("inline-new");
+        let mut new = ProvenanceStore::open(&new_dir.0, SyncPolicy::Always).unwrap();
+        let title = [("title", AttrValue::from("Kane"))];
+        new.add_visit_with_attrs("http://a/", t(1), &title).unwrap();
+        new.add_visit_with_attrs("http://a/", t(2), &title).unwrap();
+        new.add_visit_with_attrs("http://b/", t(3), &title).unwrap();
+
+        let old_dir = TempDir::new("inline-old");
+        std::fs::create_dir_all(&old_dir.0).unwrap();
+        let inline = || vec![(1, OpValue::Inline(AttrValue::from("Kane")))];
+        let define = |id, value: &str| Op::DefineString {
+            id,
+            value: value.to_owned(),
+        };
+        let visit = |key, version, open_at| Op::AddNode {
+            kind: NodeKind::PageVisit,
+            key,
+            version: Version::new(version),
+            open_at,
+            attrs: inline(),
+        };
+        let frames = [
+            vec![
+                define(0, "http://a/"),
+                define(1, "title"),
+                visit(0, 0, t(1)),
+            ],
+            vec![
+                visit(0, 1, t(2)),
+                Op::AddEdge {
+                    src: NodeId::new(1),
+                    dst: NodeId::new(0),
+                    kind: EdgeKind::VersionOf,
+                    at: t(2),
+                    attrs: Vec::new(),
+                },
+            ],
+            vec![define(2, "http://b/"), visit(2, 0, t(3))],
+        ];
+        let mut wal = Wal::open(old_dir.0.join(LOG_FILE), SyncPolicy::Always).unwrap();
+        let mut codec = Codec::new();
+        for ops in &frames {
+            let mut frame = Vec::new();
+            for op in ops {
+                codec.encode(op, &mut frame);
+            }
+            wal.append(&frame).unwrap();
+        }
+        drop(wal);
+
+        let graph = |store: &ProvenanceStore| -> Vec<String> {
+            let g = store.graph();
+            let nodes = g.nodes().map(|(id, n)| format!("N {id} {n:?}"));
+            nodes
+                .chain(g.edges().map(|(id, e)| format!("E {id} {e:?}")))
+                .collect()
+        };
+        let strings = |store: &ProvenanceStore| -> Vec<String> {
+            store.interner().iter().map(|(_, s)| s.to_owned()).collect()
+        };
+        let mut old = ProvenanceStore::open(&old_dir.0, SyncPolicy::Always).unwrap();
+        assert_eq!(graph(&old), graph(&new));
+        assert_eq!(strings(&new), ["http://a/", "title", "Kane", "http://b/"]);
+        assert_eq!(strings(&old), ["http://a/", "title", "http://b/"]);
+
+        // New records after the old ones intern the title with the next id.
+        for store in [&mut old, &mut new] {
+            store
+                .add_visit_with_attrs("http://b/", t(4), &title)
+                .unwrap();
+        }
+        drop(old);
+        let mut old = ProvenanceStore::open(&old_dir.0, SyncPolicy::Always).unwrap();
+        assert_eq!(graph(&old), graph(&new));
+        assert_eq!(strings(&old), ["http://a/", "title", "http://b/", "Kane"]);
+
+        // A compaction writes the same snapshot for both.
+        old.snapshot().unwrap();
+        new.snapshot().unwrap();
+        let snapshot = |dir: &TempDir| std::fs::read(dir.0.join(SNAPSHOT_FILE)).unwrap();
+        assert_eq!(snapshot(&old_dir), snapshot(&new_dir));
+        drop(old);
+        let old = ProvenanceStore::open(&old_dir.0, SyncPolicy::Always).unwrap();
+        assert_eq!(graph(&old), graph(&new));
+        assert_eq!(strings(&old), strings(&new));
     }
 
     #[test]

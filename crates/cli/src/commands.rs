@@ -36,11 +36,7 @@ USAGE:
   browserprov lineage   --profile DIR FILEPATH         first recognizable ancestor of a download
   browserprov whence    --profile DIR KEY              narrate how an object came to be
   browserprov downloads-from --profile DIR URL         downloads descending from a page
-  browserprov query     --profile DIR SUB ARGS...      run one use-case query path
-                                                       (SUB: context|ppr|textual|personalize|
-                                                       timectx|lineage|describe; timectx takes
-                                                       SUBJECT --with COMPANION); any other
-                                                       first word runs as a QL string (see docs)
+  browserprov query     --profile DIR QL...            run a query-language string (see docs)
   browserprov dot       --profile DIR [--around KEY --radius N]
                                                        export the graph (or one key's
                                                        neighborhood) as Graphviz DOT
@@ -62,14 +58,16 @@ USAGE:
 Common options:
   --profile DIR   profile directory (default ./profile)
   --budget MS     query deadline in milliseconds (default unlimited)
-  --trace         (search/personalize/when/lineage/query) print a span
-                  tree with per-stage timings after the results
+  --trace         (search, personalize, when, lineage, whence,
+                  downloads-from, query) print a span tree with
+                  per-stage timings after the results
   --trace-id      (same commands) assign the run a request trace ID and
                   print it; log lines, histogram exemplars, and retained
                   /tracez records of the run all carry the same ID
-  --explain       (query) print the EXPLAIN profile: per-stage wall time,
-                  rows in/out, node/edge touches, budget use, truncation
-  --explain-json  (query) the same profile as JSON
+  --explain       (same commands) print the EXPLAIN profile: per-stage
+                  wall time, rows in/out, node/edge touches, budget use,
+                  truncation
+  --explain-json  (same commands) the same profile as JSON
 ";
 
 /// Runs one command, returning its textual output.
@@ -88,7 +86,7 @@ pub fn run(args: &Args) -> Result<String, String> {
         "lineage" => lineage(args),
         "whence" => whence(args),
         "downloads-from" => downloads_from(args),
-        "query" => query_cmd(args),
+        "query" => query(args),
         "dot" => dot(args),
         "snapshot" => snapshot(args),
         "redact" => redact(args),
@@ -136,14 +134,14 @@ pub(crate) fn export_metrics(args: &Args) {
     let _ = std::fs::write(metrics_path(args), expo::export_snapshot(&snap));
 }
 
-/// Runs `f`, collecting its span trees when `--trace` asks to see them
-/// or, where `explain` allows it, `--explain` or `--explain-json` does,
-/// and returns its result plus what was asked for, in that order: the
-/// trees, the `--trace-id` line, and the EXPLAIN tables or JSON lines
-/// read off the same trees. `--trace-id` mints a request trace context up
-/// front — the run's log lines, exemplars, and tail-sampler record all
-/// share the printed ID, usable against `/tracez?id=` and flight dumps.
-fn observe<R>(args: &Args, explain: bool, f: impl FnOnce() -> R) -> (R, String) {
+/// Runs `f`, collecting its span trees when `--trace`, `--explain` or
+/// `--explain-json` asks to see them, and returns its result plus what
+/// was asked for, in that order: the trees, the `--trace-id` line, and
+/// the EXPLAIN tables or JSON lines read off the same trees. `--trace-id`
+/// mints a request trace context up front — the run's log lines,
+/// exemplars, and tail-sampler record all share the printed ID, usable
+/// against `/tracez?id=` and flight dumps.
+fn observe<R>(args: &Args, f: impl FnOnce() -> R) -> (R, String) {
     let ctx = args
         .has("trace-id")
         .then(|| trace::enter_new(&ClockHandle::real()));
@@ -152,8 +150,8 @@ fn observe<R>(args: &Args, explain: bool, f: impl FnOnce() -> R) -> (R, String) 
         .and_then(|guard| guard.context())
         .map(|c| format!("\ntrace id: {}\n", trace::format_trace_id(c.trace_id)))
         .unwrap_or_default();
-    let json = explain && args.has("explain-json");
-    let explain = json || (explain && args.has("explain"));
+    let json = args.has("explain-json");
+    let explain = json || args.has("explain");
     let tree = args.has("trace");
     if !tree && !explain {
         return (f(), id_note);
@@ -319,7 +317,7 @@ fn search(args: &Args) -> Result<String, String> {
     if args.has("hits") {
         config.hits_weight = 1.0;
     }
-    let (result, traced) = observe(args, false, || {
+    let (result, traced) = observe(args, || {
         if args.has("textual") {
             textual_history_search(&browser, &query, &config)
         } else if args.has("ppr") {
@@ -333,6 +331,13 @@ fn search(args: &Args) -> Result<String, String> {
             contextual_history_search(&browser, &query, &config)
         }
     });
+    let out = render_hits(&result) + &traced;
+    export_metrics(args);
+    Ok(out)
+}
+
+/// Renders scored hits: a count line, then one line per hit.
+fn render_hits(result: &bp_query::QueryResult) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -351,9 +356,7 @@ fn search(args: &Args) -> Result<String, String> {
             hit.title.as_deref().unwrap_or("")
         );
     }
-    out.push_str(&traced);
-    export_metrics(args);
-    Ok(out)
+    out
 }
 
 fn personalize(args: &Args) -> Result<String, String> {
@@ -370,7 +373,7 @@ fn personalize(args: &Args) -> Result<String, String> {
     };
     import_metrics(args);
     let browser = open(args)?;
-    let (expanded, traced) = observe(args, false, || personalize_query(&browser, &query, &config));
+    let (expanded, traced) = observe(args, || personalize_query(&browser, &query, &config));
     let mut out = if expanded.is_unchanged() {
         format!("no history context for {query:?}; query unchanged")
     } else {
@@ -397,7 +400,7 @@ fn when(args: &Args) -> Result<String, String> {
     };
     import_metrics(args);
     let browser = open(args)?;
-    let (result, traced) = observe(args, false, || {
+    let (result, traced) = observe(args, || {
         time_contextual_search(&browser, &subject, &companion, &config)
     });
     let mut out = String::new();
@@ -435,7 +438,7 @@ fn lineage(args: &Args) -> Result<String, String> {
         budget,
         ..LineageConfig::default()
     };
-    let (answer, traced) = observe(args, false, || {
+    let (answer, traced) = observe(args, || {
         first_recognizable_ancestor(&browser, download, &config)
     });
     let result = match answer {
@@ -472,13 +475,15 @@ fn whence(args: &Args) -> Result<String, String> {
         .first()
         .ok_or("whence requires a URL/query/path")?;
     let budget = budget(args)?;
+    import_metrics(args);
     let browser = open(args)?;
     let config = bp_query::DescribeConfig {
         budget,
         ..bp_query::DescribeConfig::default()
     };
-    bp_query::describe_origin(&browser, key, &config)
-        .ok_or_else(|| format!("nothing in history matches {key:?}"))
+    let (story, traced) = observe(args, || bp_query::describe_origin(&browser, key, &config));
+    export_metrics(args);
+    Ok(story.ok_or_else(|| format!("nothing in history matches {key:?}"))? + &traced)
 }
 
 fn downloads_from(args: &Args) -> Result<String, String> {
@@ -487,8 +492,11 @@ fn downloads_from(args: &Args) -> Result<String, String> {
         .first()
         .ok_or("downloads-from requires a URL")?;
     let budget = budget(args)?;
+    import_metrics(args);
     let browser = open(args)?;
-    let (downloads, truncated) = downloads_descending_from(&browser, url, &budget);
+    let ((downloads, truncated), traced) =
+        observe(args, || downloads_descending_from(&browser, url, &budget));
+    export_metrics(args);
     let mut out = String::new();
     let _ = writeln!(out, "{} downloads descend from {url}", downloads.len());
     for (_, path) in &downloads {
@@ -497,137 +505,12 @@ fn downloads_from(args: &Args) -> Result<String, String> {
     if truncated {
         out.push_str("truncated: the budget ran out, so more may descend from it\n");
     }
+    out.push_str(&traced);
     Ok(out)
 }
 
-fn query_cmd(args: &Args) -> Result<String, String> {
-    match args.positional.first().map(String::as_str) {
-        Some(
-            "context" | "ppr" | "textual" | "personalize" | "timectx" | "lineage" | "describe",
-        ) => query_usecase(args),
-        _ => query_ql(args),
-    }
-}
-
-/// Renders scored hits the way `search`/`when` do.
-fn render_hits(result: &bp_query::QueryResult) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{} hits in {:?}{}",
-        result.hits.len(),
-        result.elapsed,
-        if result.truncated { " (truncated)" } else { "" }
-    );
-    for hit in &result.hits {
-        let _ = writeln!(
-            out,
-            "  {:>8.4}  [{}] {}  {}",
-            hit.score,
-            hit.kind,
-            hit.key,
-            hit.title.as_deref().unwrap_or("")
-        );
-    }
-    out
-}
-
-/// `query <sub> ARGS…`: runs one named query path, with `--trace` and
-/// `--explain[-json]` observability.
-fn query_usecase(args: &Args) -> Result<String, String> {
-    let sub = args.positional[0].clone();
-    let rest = args.positional[1..].join(" ");
-    if rest.is_empty() {
-        return Err(format!("query {sub} requires an argument"));
-    }
-    let budget = budget(args)?;
-    import_metrics(args);
-    let browser = open(args)?;
-    let contextual = ContextualConfig {
-        budget: budget.clone(),
-        ..ContextualConfig::default()
-    };
-    let (body, observed) = observe(args, true, || -> Result<String, String> {
-        match sub.as_str() {
-            "context" => Ok(render_hits(&contextual_history_search(
-                &browser,
-                &rest,
-                &contextual,
-            ))),
-            "ppr" => Ok(render_hits(&bp_query::contextual_history_search_ppr(
-                &browser,
-                &rest,
-                &contextual,
-                &bp_graph::pagerank::PageRankConfig::default(),
-            ))),
-            "textual" => Ok(render_hits(&textual_history_search(
-                &browser,
-                &rest,
-                &contextual,
-            ))),
-            "personalize" => {
-                let config = PersonalizeConfig {
-                    contextual: contextual.clone(),
-                    ..PersonalizeConfig::default()
-                };
-                let expanded = personalize_query(&browser, &rest, &config);
-                Ok(if expanded.is_unchanged() {
-                    format!("no history context for {rest:?}; query unchanged\n")
-                } else {
-                    format!("expanded query: {:?}\n", expanded.to_query_string())
-                })
-            }
-            "timectx" => {
-                let companion = args.opt("with", "");
-                if companion.is_empty() {
-                    return Err("query timectx requires SUBJECT --with COMPANION".to_owned());
-                }
-                let config = TimeContextConfig {
-                    budget: budget.clone(),
-                    ..TimeContextConfig::default()
-                };
-                Ok(render_hits(&time_contextual_search(
-                    &browser, &rest, &companion, &config,
-                )))
-            }
-            "lineage" => {
-                let download = find_download(&browser, &rest)
-                    .ok_or_else(|| format!("no download recorded for {rest}"))?;
-                let config = LineageConfig {
-                    budget: budget.clone(),
-                    ..LineageConfig::default()
-                };
-                Ok(
-                    match first_recognizable_ancestor(&browser, download, &config) {
-                        Some(a) => format!(
-                            "first recognizable ancestor: {} ({} visits, {} hops)\n",
-                            a.url,
-                            a.visit_count,
-                            a.path.hops()
-                        ),
-                        None => {
-                            format!("no recognizable ancestor found for {rest} (within budget)\n")
-                        }
-                    },
-                )
-            }
-            "describe" => {
-                let config = bp_query::DescribeConfig {
-                    budget: budget.clone(),
-                    ..bp_query::DescribeConfig::default()
-                };
-                bp_query::describe_origin(&browser, &rest, &config)
-                    .ok_or_else(|| format!("nothing in history matches {rest:?}"))
-            }
-            other => Err(format!("unknown query path {other:?}")),
-        }
-    });
-    let out = body? + &observed;
-    export_metrics(args);
-    Ok(out)
-}
-
-fn query_ql(args: &Args) -> Result<String, String> {
+/// `query QL...`: runs one query-language string.
+fn query(args: &Args) -> Result<String, String> {
     let text = args.positional.join(" ");
     if text.is_empty() {
         return Err("query requires a query string".to_owned());
@@ -635,7 +518,7 @@ fn query_ql(args: &Args) -> Result<String, String> {
     let budget = budget(args)?;
     import_metrics(args);
     let browser = open(args)?;
-    let (rows, traced) = observe(args, false, || bp_query::ql::run(&browser, &text, &budget));
+    let (rows, traced) = observe(args, || bp_query::ql::run(&browser, &text, &budget));
     let rows = rows.map_err(|e| e.to_string())?;
     let mut out = String::new();
     let _ = writeln!(
@@ -779,6 +662,16 @@ mod tests {
         run(&parse(line))
     }
 
+    /// The first URL an event log visits.
+    fn first_url(log: &str) -> String {
+        std::fs::read_to_string(log)
+            .unwrap()
+            .lines()
+            .find_map(|l| l.split('\t').nth(4).filter(|f| f.starts_with("http")))
+            .unwrap()
+            .to_owned()
+    }
+
     #[test]
     fn budget_is_a_deadline_in_milliseconds_or_an_error() {
         assert_eq!(budget(&parse("search news")).unwrap().deadline(), None);
@@ -899,37 +792,27 @@ mod tests {
         ))
         .unwrap();
         assert!(out.contains("truncated"), "{out}");
+        let out = run_line(&format!("downloads-from --profile {profile} {url} --trace")).unwrap();
+        assert!(out.contains("\ntrace:\nquery.downloads_from"), "{out}");
     }
 
     #[test]
-    fn query_usecase_dispatch_and_explain() {
+    fn query_commands_trace_and_explain() {
         let dir = TempDir::new("explain");
         let log = dir.path("events.log");
         let profile = dir.path("profile");
         run_line(&format!("generate --days 2 --seed 7 --out {log}")).unwrap();
         run_line(&format!("ingest --profile {profile} {log}")).unwrap();
 
-        // Every use-case subcommand dispatches.
-        for sub in ["context", "ppr", "textual"] {
-            let out = run_line(&format!("query --profile {profile} {sub} news")).unwrap();
-            assert!(out.contains("hits"), "{sub}: {out}");
-        }
-        let out = run_line(&format!("query --profile {profile} personalize news")).unwrap();
+        let out = run_line(&format!("personalize --profile {profile} news")).unwrap();
         assert!(out.contains("query"), "{out}");
-        let out = run_line(&format!(
-            "query --profile {profile} timectx news --with software"
-        ))
-        .unwrap();
+        let out = run_line(&format!("when --profile {profile} news --with software")).unwrap();
         assert!(out.contains("hits"), "{out}");
-        assert!(run_line(&format!("query --profile {profile} timectx news")).is_err());
-        assert!(run_line(&format!("query --profile {profile} lineage /nope.bin")).is_err());
+        assert!(run_line(&format!("when --profile {profile} news")).is_err());
 
         // --trace-id prints the minted request ID in the canonical 16-hex
         // format, and the ID is findable in the tail sampler afterwards.
-        let out = run_line(&format!(
-            "query --profile {profile} context news --trace-id"
-        ))
-        .unwrap();
+        let out = run_line(&format!("search --profile {profile} news --trace-id")).unwrap();
         let id_line = out
             .lines()
             .find(|l| l.starts_with("trace id: "))
@@ -941,40 +824,48 @@ mod tests {
 
         // --explain prints the per-stage table with every plan stage, the
         // budget story, and the (other) remainder row.
-        let out = run_line(&format!("query --profile {profile} context news --explain")).unwrap();
+        let out = run_line(&format!("search --profile {profile} news --explain")).unwrap();
         assert!(out.contains("query.context  total"), "{out}");
         for stage in ["text_seeds", "expand", "hits", "blend", "(other)"] {
             assert!(out.contains(stage), "missing {stage}: {out}");
         }
         assert!(out.contains("budget none"), "{out}");
         let out = run_line(&format!(
-            "query --profile {profile} context news --budget 200 --explain"
+            "search --profile {profile} news --budget 200 --explain"
         ))
         .unwrap();
         assert!(out.contains("budget 200.00ms"), "{out}");
 
         // --explain-json emits parseable JSON with the same accounting.
-        let out = run_line(&format!(
-            "query --profile {profile} context news --explain-json"
-        ))
-        .unwrap();
+        let out = run_line(&format!("search --profile {profile} news --explain-json")).unwrap();
         let json_line = out.lines().find(|l| l.starts_with('{')).unwrap();
         let v = bp_obs::json::parse(json_line).expect("explain JSON parses");
         assert_eq!(v.get("query").and_then(|q| q.as_str()), Some("context"));
         assert!(v.get("stages").and_then(|s| s.as_array()).is_some());
 
+        // Every query command takes --explain, whence included.
+        let url = first_url(&log);
+        for (line, root) in [
+            ("search news --textual".to_owned(), "query.textual"),
+            ("search news --ppr".to_owned(), "query.ppr"),
+            ("when news --with software".to_owned(), "query.timectx"),
+            (format!("whence {url}"), "query.describe"),
+        ] {
+            let (command, rest) = line.split_once(' ').unwrap();
+            let out = run_line(&format!("{command} --profile {profile} {rest} --explain"));
+            let out = out.unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert!(out.contains(&format!("{root}  total")), "{line}: {out}");
+        }
+
         // The nested personalize profile carries its contextual child.
-        let out = run_line(&format!(
-            "query --profile {profile} personalize news --explain"
-        ))
-        .unwrap();
+        let out = run_line(&format!("personalize --profile {profile} news --explain")).unwrap();
         assert!(out.contains("query.personalize"), "{out}");
         assert!(out.contains("query.context"), "{out}");
 
         // --trace with --explain renders one run's span trees both ways:
         // the tree first, then the EXPLAIN tables read off it.
         let out = run_line(&format!(
-            "query --profile {profile} personalize news --trace --explain"
+            "personalize --profile {profile} news --trace --explain"
         ))
         .unwrap();
         let tree = out.find("\ntrace:\nquery.personalize  ");
@@ -986,6 +877,22 @@ mod tests {
         assert!(out.contains("│  └─ query.context  "), "{out}");
         assert!(out.contains("\n  query.context  total "), "{out}");
         assert_eq!(out.matches("query.personalize  total").count(), 1, "{out}");
+    }
+
+    #[test]
+    fn whence_and_downloads_from_persist_their_metrics() {
+        let dir = TempDir::new("persist");
+        let log = dir.path("events.log");
+        let profile = dir.path("profile");
+        run_line(&format!("generate --days 1 --seed 5 --out {log}")).unwrap();
+        run_line(&format!("ingest --profile {profile} {log}")).unwrap();
+        let url = first_url(&log);
+        let snapshot = std::path::Path::new(&profile).join("metrics.snapshot");
+        for command in ["whence", "downloads-from"] {
+            std::fs::remove_file(&snapshot).unwrap();
+            run_line(&format!("{command} --profile {profile} {url}")).unwrap();
+            assert!(snapshot.exists(), "{command} wrote no metrics snapshot");
+        }
     }
 
     #[test]

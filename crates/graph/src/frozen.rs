@@ -49,19 +49,6 @@ use std::time::Duration;
 /// for bit, so it never changes.
 const CHUNK: usize = 1024;
 
-/// `AUTOMATIC[code]` tells whether the edge kind with that
-/// [`EdgeKind::code`] is automatic (dropped when a walk excludes
-/// automatic edges).
-const AUTOMATIC: [bool; 16] = {
-    let mut table = [false; 16];
-    let mut i = 0;
-    while i < EdgeKind::ALL.len() {
-        table[EdgeKind::ALL[i].code() as usize] = EdgeKind::ALL[i].is_automatic();
-        i += 1;
-    }
-    table
-};
-
 /// Base walk weight of an edge kind: temporal-overlap edges participate
 /// at reduced conductance (they are association, not navigation).
 #[inline]
@@ -74,23 +61,9 @@ fn base_weight(kind_code: u8) -> f64 {
 }
 
 /// The damping-free pull coefficient of a slot of kind `kind_code` whose
-/// target has conductance `(all, noauto)`: `w(kind) / conductance`, with
-/// every edge participating or, when automatic edges are excluded, over
-/// the non-automatic conductance (an automatic slot then carries
-/// nothing).
+/// target has conductance `cond`: `w(kind) / conductance`.
 #[inline]
-fn pull_coefficient(
-    kind_code: u8,
-    (all, noauto): (f64, f64),
-    include_automatic_edges: bool,
-) -> f64 {
-    let cond = if include_automatic_edges {
-        all
-    } else if AUTOMATIC[kind_code as usize] {
-        return 0.0;
-    } else {
-        noauto
-    };
+fn pull_coefficient(kind_code: u8, cond: f64) -> f64 {
     if cond > 0.0 {
         base_weight(kind_code) / cond
     } else {
@@ -254,16 +227,14 @@ pub struct FrozenGraph {
     n: usize,
     fwd: Rows,
     rev: Rows,
-    /// Per node, its undirected conductance `(all edges, non-automatic
-    /// edges)`: the denominators of the PageRank coefficients of the
-    /// slots pointing at it.
-    cond: Vec<(f64, f64)>,
-    /// The PageRank kernel's slot layouts, indexed by
-    /// `include_automatic_edges`. An extension carries each one over from
-    /// the previous snapshot, whatever snapshot it describes, and the
-    /// first walk that needs it grows it to this one. Snapshots no
-    /// PageRank query reads pay one `Arc` clone per setting.
-    pull: [Mutex<Option<Arc<PullLayout>>>; 2],
+    /// Per node, its undirected conductance: the denominator of the
+    /// PageRank coefficients of the slots pointing at it.
+    cond: Vec<f64>,
+    /// The PageRank kernel's slot layout. An extension carries it over
+    /// from the previous snapshot, whatever snapshot it describes, and
+    /// the first walk that needs it grows it to this one. Snapshots no
+    /// PageRank query reads pay one `Arc` clone.
+    pull: Mutex<Option<Arc<PullLayout>>>,
     /// `key_rep[i]` is the lowest node id whose key string equals node
     /// `i`'s — the canonical representative of its dedup group. Blend
     /// passes collapse multiple visit versions of one URL through this
@@ -304,18 +275,12 @@ impl FrozenGraph {
         // both endpoints, mirroring the undirected walk. Each node's sum
         // runs in this loop's order — by owning source node, then slot —
         // which `conductance` reproduces for a single node.
-        let mut cond = vec![(0.0f64, 0.0f64); n];
+        let mut cond = vec![0.0f64; n];
         for i in 0..n {
             for s in fwd.range(i) {
-                let kind = fwd.kinds[s];
-                let w = base_weight(kind);
-                let t = fwd.targets[s] as usize;
-                cond[i].0 += w;
-                cond[t].0 += w;
-                if !AUTOMATIC[kind as usize] {
-                    cond[i].1 += w;
-                    cond[t].1 += w;
-                }
+                let w = base_weight(fwd.kinds[s]);
+                cond[i] += w;
+                cond[fwd.targets[s] as usize] += w;
             }
         }
         // Key-dedup groups: one string hash per node at snapshot time
@@ -384,17 +349,14 @@ impl FrozenGraph {
             fwd,
             rev,
             cond: Vec::new(),
-            pull: self
-                .pull
-                .each_ref()
-                .map(|slot| Mutex::new(lock(slot).clone())),
+            pull: Mutex::new(lock(&self.pull).clone()),
             key_rep,
         };
 
         // Only endpoints of new edges change conductance.
         let mut cond = Vec::with_capacity(n);
         cond.extend_from_slice(&self.cond);
-        cond.resize(n, (0.0, 0.0));
+        cond.resize(n, 0.0);
         for &x in &touched {
             cond[x as usize] = next.conductance(x as usize);
         }
@@ -402,20 +364,15 @@ impl FrozenGraph {
         next
     }
 
-    /// Node `x`'s undirected conductance `(all edges, non-automatic
-    /// edges)`, summed in [`FrozenGraph::build`]'s order so the result is
-    /// bit-identical: by owning (source) node, then slot. Every in-edge of
-    /// `x` comes from a newer node, and its reverse row lists them in
-    /// edge-id and therefore source order, so that order is `x`'s
-    /// incidence row.
-    fn conductance(&self, x: usize) -> (f64, f64) {
-        let mut cond = (0.0f64, 0.0f64);
+    /// Node `x`'s undirected conductance, summed in
+    /// [`FrozenGraph::build`]'s order so the result is bit-identical: by
+    /// owning (source) node, then slot. Every in-edge of `x` comes from a
+    /// newer node, and its reverse row lists them in edge-id and therefore
+    /// source order, so that order is `x`'s incidence row.
+    fn conductance(&self, x: usize) -> f64 {
+        let mut cond = 0.0f64;
         for (_, kind) in self.incidence(x) {
-            let w = base_weight(kind);
-            cond.0 += w;
-            if !AUTOMATIC[kind as usize] {
-                cond.1 += w;
-            }
+            cond += base_weight(kind);
         }
         cond
     }
@@ -523,33 +480,27 @@ impl FrozenGraph {
         })
     }
 
-    /// The PageRank kernel's slot layout for one automatic-edge setting,
-    /// brought up to this snapshot, and how: `None` when it already
-    /// described it, otherwise which refresh ran and its wall time.
+    /// The PageRank kernel's slot layout, brought up to this snapshot,
+    /// and how: `None` when it already described it, otherwise which
+    /// refresh ran and its wall time.
     ///
     /// The layout is taken out of its slot while it grows, as
     /// [`FrozenHandle::snapshot`] takes the snapshot, so a panic leaves
     /// the slot empty rather than half-grown, and the next walk builds.
     /// [`Arc::make_mut`] grows it in place when no other snapshot or walk
     /// holds it, and grows a copy when one does.
-    fn pull_layout(
-        &self,
-        include_automatic_edges: bool,
-    ) -> (Arc<PullLayout>, Option<(Refresh, Duration)>) {
-        let mut slot = lock(&self.pull[usize::from(include_automatic_edges)]);
+    fn pull_layout(&self) -> (Arc<PullLayout>, Option<(Refresh, Duration)>) {
+        let mut slot = lock(&self.pull);
         if let Some(layout) = slot.as_ref().filter(|layout| layout.describes(self)) {
             return (layout.clone(), None);
         }
         let sw = ClockHandle::real().start();
         let (layout, refresh) = match slot.take() {
             Some(mut layout) if layout.precedes(self) => {
-                Arc::make_mut(&mut layout).extend(self, include_automatic_edges);
+                Arc::make_mut(&mut layout).extend(self);
                 (layout, Refresh::Extended)
             }
-            _ => (
-                Arc::new(PullLayout::build(self, include_automatic_edges)),
-                Refresh::Rebuilt,
-            ),
+            _ => (Arc::new(PullLayout::build(self)), Refresh::Rebuilt),
         };
         *slot = Some(layout.clone());
         (layout, Some((refresh, sw.elapsed())))
@@ -565,7 +516,7 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// A snapshot's incidence rows laid out for the PageRank kernel, in
 /// jagged-diagonal form. Row `i` is node `i`'s incidence row (forward
 /// slots, then reverse slots), each slot weighted `w(kind) /
-/// conductance(target)` for one automatic-edge setting.
+/// conductance(target)`.
 ///
 /// Rows are ordered by length, longest first, and stored column by
 /// column: column `j` holds slot `j` of every row longer than `j`, and
@@ -641,7 +592,7 @@ fn place(lens: &[usize]) -> (Vec<Column>, usize) {
 }
 
 impl PullLayout {
-    fn build(frozen: &FrozenGraph, include_automatic_edges: bool) -> PullLayout {
+    fn build(frozen: &FrozenGraph) -> PullLayout {
         let (fwd, rev) = (&frozen.fwd, &frozen.rev);
         let len: Vec<usize> = (0..frozen.n)
             .map(|i| fwd.range(i).len() + rev.range(i).len())
@@ -678,9 +629,7 @@ impl PullLayout {
         for k in 0..frozen.n {
             let i = layout.order[k] as usize;
             for (j, (t, kind)) in frozen.incidence(i).enumerate() {
-                let weight =
-                    pull_coefficient(kind, frozen.cond[t as usize], include_automatic_edges);
-                layout.push(j, t, weight);
+                layout.push(j, t, pull_coefficient(kind, frozen.cond[t as usize]));
             }
         }
         layout
@@ -710,10 +659,9 @@ impl PullLayout {
     /// and taken in edge-id order those slots arrive in row order. Then
     /// every slot that points at an endpoint of a new edge takes its
     /// endpoint's new conductance: no other node's changed.
-    fn extend(&mut self, frozen: &FrozenGraph, include_automatic_edges: bool) {
-        let coefficient = |kind: u8, target: u32| {
-            pull_coefficient(kind, frozen.cond[target as usize], include_automatic_edges)
-        };
+    fn extend(&mut self, frozen: &FrozenGraph) {
+        let coefficient =
+            |kind: u8, target: u32| pull_coefficient(kind, frozen.cond[target as usize]);
         for i in self.position.len()..frozen.n {
             self.position.push(i as u32);
             self.order.push(i as u32);
@@ -875,19 +823,17 @@ impl FrozenScores {
 /// Runs personalized PageRank with restart over a [`FrozenGraph`], with
 /// flat score buffers, serially.
 ///
-/// Walks are undirected, temporal-overlap edges conduct at 0.4, automatic
-/// edges are droppable via `config.include_automatic_edges` (their
-/// coefficients are then zero), and the restart mass is `1 − damping`
-/// plus whatever strands on degree-0 nodes; iteration stops at L1
-/// convergence.
+/// Walks are undirected over every edge, automatic ones (§3.2's redirects
+/// and embeds) included, temporal-overlap edges conduct at 0.4, and the
+/// restart mass is `1 − damping` plus whatever strands on degree-0 nodes;
+/// iteration stops at L1 convergence.
 ///
-/// Each iteration pulls mass over the snapshot's `PullLayout` for the
-/// automatic-edge setting, which the first walk over a snapshot grows
-/// from the previous snapshot's, or builds when there is none
-/// ([`FrozenScores::layout`] says which). Every row adds its slots in row
-/// order, and pushed mass and L1 delta are summed per 1024-node chunk and
-/// folded in chunk order, so the scores are a pure function of the
-/// snapshot, seeds and config, bit for bit.
+/// Each iteration pulls mass over the snapshot's `PullLayout`, which the
+/// first walk over a snapshot grows from the previous snapshot's, or
+/// builds when there is none ([`FrozenScores::layout`] says which). Every
+/// row adds its slots in row order, and pushed mass and L1 delta are
+/// summed per 1024-node chunk and folded in chunk order, so the scores
+/// are a pure function of the snapshot, seeds and config, bit for bit.
 ///
 /// `budget.deadline()` runs from the budget's pinned instant (this entry
 /// for an unpinned budget), so a walk that grows or builds the layout
@@ -925,7 +871,7 @@ pub fn personalized_pagerank_frozen(
         };
     }
 
-    let (layout, refresh) = frozen.pull_layout(config.include_automatic_edges);
+    let (layout, refresh) = frozen.pull_layout();
     let mut cur = restart.clone();
     let mut next = vec![0.0f64; n];
     // Pulled mass per row, in the layout's row order.
@@ -1425,7 +1371,6 @@ pub fn fingerprint_ppr(seeds: &[(NodeId, f64)], config: &PageRankConfig, budget:
     h = mix(h, config.damping.to_bits());
     h = mix(h, config.max_iterations as u64);
     h = mix(h, config.tolerance.to_bits());
-    h = mix(h, u64::from(config.include_automatic_edges));
     mix_budget(h, budget)
 }
 
@@ -1644,7 +1589,7 @@ mod tests {
     }
 
     #[test]
-    fn automatic_edge_filter_zeroes_automatic_slots() {
+    fn redirect_slots_are_weighted_like_links() {
         let mut g = ProvenanceGraph::new();
         let seed = g.add_node(Node::new(NodeKind::PageVisit, "s", t(0)));
         let by_link = g.add_node(Node::new(NodeKind::PageVisit, "l", t(1)));
@@ -1654,26 +1599,23 @@ mod tests {
             .unwrap();
         let f = FrozenGraph::build(&g);
         // The seed's row is its two in-edges: the link, then the
-        // redirect. Only the link carries mass without automatic edges.
+        // redirect, which §3.2 makes a provenance edge like any other.
         assert_eq!(
-            layout_row(&f.pull_layout(true).0, seed.index()),
+            layout_row(&f.pull_layout().0, seed.index()),
             [(by_link.index(), 1.0), (by_redirect.index(), 1.0)]
         );
-        assert_eq!(
-            layout_row(&f.pull_layout(false).0, seed.index()),
-            [(by_link.index(), 1.0), (by_redirect.index(), 0.0)]
-        );
-        let config = PageRankConfig {
-            include_automatic_edges: false,
-            ..PageRankConfig::default()
-        };
-        let scores =
-            personalized_pagerank_frozen(&f, &[(seed, 1.0)], &config, &Budget::new()).into_scores();
+        let scores = personalized_pagerank_frozen(
+            &f,
+            &[(seed, 1.0)],
+            &PageRankConfig::default(),
+            &Budget::new(),
+        )
+        .into_scores();
         assert!(scores.score_of(by_link) > 0.0);
         assert_eq!(
-            scores.score_of(by_redirect),
-            0.0,
-            "redirect carries no mass"
+            scores.score_of(by_redirect).to_bits(),
+            scores.score_of(by_link).to_bits(),
+            "a redirect carries mass as a link does"
         );
     }
 
@@ -1874,17 +1816,15 @@ mod tests {
         Ok(())
     }
 
-    fn cond_bits(cond: &[(f64, f64)]) -> Vec<(u64, u64)> {
-        cond.iter()
-            .map(|&(all, noauto)| (all.to_bits(), noauto.to_bits()))
-            .collect()
+    fn cond_bits(cond: &[f64]) -> Vec<u64> {
+        cond.iter().map(|c| c.to_bits()).collect()
     }
 
     /// Fails unless `f` describes `g` as computed here straight from the
     /// live graph: adjacency rows, per-node conductance by bits, and the
     /// lowest node id per key.
     fn assert_matches_live(f: &FrozenGraph, g: &ProvenanceGraph) -> Result<(), TestCaseError> {
-        let mut cond = vec![(0.0f64, 0.0f64); g.node_count()];
+        let mut cond = vec![0.0f64; g.node_count()];
         for id in g.node_ids() {
             for (eid, dst) in g.parents(id) {
                 let kind = g.edge(eid).unwrap().kind();
@@ -1893,12 +1833,8 @@ mod tests {
                 } else {
                     1.0
                 };
-                cond[id.as_usize()].0 += w;
-                cond[dst.as_usize()].0 += w;
-                if !kind.is_automatic() {
-                    cond[id.as_usize()].1 += w;
-                    cond[dst.as_usize()].1 += w;
-                }
+                cond[id.as_usize()] += w;
+                cond[dst.as_usize()] += w;
             }
         }
         let mut first_of_key: HashMap<&str, u32> = HashMap::new();
@@ -1942,7 +1878,7 @@ mod tests {
     fn layout_stores_rows_longest_first_column_by_column() {
         let g = tangled(40);
         let f = FrozenGraph::build(&g);
-        let (layout, _) = f.pull_layout(true);
+        let (layout, _) = f.pull_layout();
         let mut order = vec![0u32; f.n];
         for (i, &k) in layout.position.iter().enumerate() {
             order[k as usize] = i as u32;
@@ -2044,7 +1980,7 @@ mod tests {
         let grown = walk(&newer);
         assert_eq!(grown.layout.map(|(how, _)| how), Some(Refresh::Extended));
         assert!(
-            !Arc::ptr_eq(&older.pull_layout(true).0, &newer.pull_layout(true).0),
+            !Arc::ptr_eq(&older.pull_layout().0, &newer.pull_layout().0),
             "the older snapshot still holds the layout, so the newer one grew a copy"
         );
         let after = walk(&older);
@@ -2063,7 +1999,7 @@ mod tests {
         let (first, _) = handle.snapshot(&g);
         personalized_pagerank_frozen(&first, &seeds, &config, &Budget::new());
         let (built, room) = {
-            let (layout, _) = first.pull_layout(true);
+            let (layout, _) = first.pull_layout();
             (Arc::as_ptr(&layout), layout.columns[0].room)
         };
         drop(first);
@@ -2076,14 +2012,14 @@ mod tests {
         let (last, _) = handle.snapshot(&g);
         let scores = personalized_pagerank_frozen(&last, &seeds, &config, &Budget::new());
         assert_eq!(scores.layout.map(|(how, _)| how), Some(Refresh::Extended));
-        let (layout, _) = last.pull_layout(true);
+        let (layout, _) = last.pull_layout();
         assert_eq!(Arc::as_ptr(&layout), built, "grown in place");
         assert_ne!(layout.columns[0].room, room, "column 0 outgrew its room");
         let again = personalized_pagerank_frozen(&last, &seeds, &config, &Budget::new());
         assert_eq!(again.layout, None, "a second walk reuses it");
         assert_same_rows(
-            &last.pull_layout(true).0,
-            &PullLayout::build(&FrozenGraph::build(&g), true),
+            &last.pull_layout().0,
+            &PullLayout::build(&FrozenGraph::build(&g)),
         )
         .unwrap();
     }
@@ -2120,12 +2056,7 @@ mod tests {
             } else {
                 1.0
             };
-            let (all, noauto) = f.cond[target as usize];
-            let cond = match (config.include_automatic_edges, kind.is_automatic()) {
-                (true, _) => all,
-                (false, true) => return 0.0,
-                (false, false) => noauto,
-            };
+            let cond = f.cond[target as usize];
             if cond > 0.0 {
                 w / cond
             } else {
@@ -2178,9 +2109,8 @@ mod tests {
     }
 
     /// Fails unless the kernel scores `f` exactly as
-    /// [`reference_pagerank`] does, under both automatic-edge settings:
-    /// the same entries with scores equal by bits, the same iteration
-    /// count, and the same `truncated` flag.
+    /// [`reference_pagerank`] does: the same entries with scores equal by
+    /// bits, the same iteration count, and the same `truncated` flag.
     fn assert_scores_like_the_reference(
         f: &FrozenGraph,
         seeds: &[(NodeId, f64)],
@@ -2192,17 +2122,11 @@ mod tests {
                 .map(|&(i, x)| (i, x.to_bits()))
                 .collect::<Vec<_>>()
         };
-        for include_automatic_edges in [true, false] {
-            let config = PageRankConfig {
-                include_automatic_edges,
-                ..config.clone()
-            };
-            let got = personalized_pagerank_frozen(f, seeds, &config, &Budget::new());
-            let want = reference_pagerank(f, seeds, &config);
-            prop_assert_eq!(got.iterations, want.iterations);
-            prop_assert_eq!(got.truncated, want.truncated);
-            prop_assert_eq!(bits(&got), bits(&want));
-        }
+        let got = personalized_pagerank_frozen(f, seeds, config, &Budget::new());
+        let want = reference_pagerank(f, seeds, config);
+        prop_assert_eq!(got.iterations, want.iterations);
+        prop_assert_eq!(got.truncated, want.truncated);
+        prop_assert_eq!(bits(&got), bits(&want));
         Ok(())
     }
 
@@ -2274,10 +2198,9 @@ mod tests {
     }
 
     proptest! {
-        /// The CSR snapshot round-trips every node, edge, and kind filter
-        /// of the live graph: adjacency rows match in content and order,
-        /// and every node's conductance, with and without automatic
-        /// edges, equals the live graph's by bits.
+        /// The CSR snapshot round-trips every node, edge, and kind of the
+        /// live graph: adjacency rows match in content and order, and
+        /// every node's conductance equals the live graph's by bits.
         #[test]
         fn csr_round_trips_random_graphs(
             links in prop::collection::vec((1u8..30, 0u8..30, 0u8..15), 0..120),
@@ -2355,8 +2278,7 @@ mod tests {
         }
 
         /// Every row of a layout grown across refreshes equals a fresh
-        /// build's row for its node, weights by bits, under both
-        /// automatic-edge settings.
+        /// build's row for its node, weights by bits.
         #[test]
         fn grown_layouts_hold_the_rows_of_a_fresh_build(
             steps in prop::collection::vec((0u8..100, 0u16..1000, 0u16..1000, 0u8..15), 1..60),
@@ -2368,11 +2290,8 @@ mod tests {
                 if step.3 % 3 != 0 {
                     let (f, _) = handle.snapshot(&g);
                     if step.2 % 3 == 0 {
-                        for include_automatic_edges in [true, false] {
-                            let (grown, _) = f.pull_layout(include_automatic_edges);
-                            let fresh = PullLayout::build(&FrozenGraph::build(&g), include_automatic_edges);
-                            assert_same_rows(&grown, &fresh)?;
-                        }
+                        let (grown, _) = f.pull_layout();
+                        assert_same_rows(&grown, &PullLayout::build(&FrozenGraph::build(&g)))?;
                     }
                 }
             }

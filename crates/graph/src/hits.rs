@@ -38,9 +38,6 @@ pub struct HitsConfig {
     pub max_iterations: usize,
     /// L2 convergence threshold on the authority vector.
     pub tolerance: f64,
-    /// Whether automatic edges (redirect/embed/version bookkeeping)
-    /// contribute; §3.2 suggests personalization algorithms exclude them.
-    pub include_automatic_edges: bool,
 }
 
 impl Default for HitsConfig {
@@ -48,7 +45,6 @@ impl Default for HitsConfig {
         HitsConfig {
             max_iterations: 50,
             tolerance: 1e-9,
-            include_automatic_edges: false,
         }
     }
 }
@@ -58,8 +54,10 @@ impl Default for HitsConfig {
 /// *hub pointing at* `dst`, and `dst` an *authority*.
 ///
 /// In browser terms: pages that many navigation journeys passed *through*
-/// become hubs; pages journeys *arrived at* become authorities. Temporal
-/// overlap edges never contribute (they are not navigational). Ids outside
+/// become hubs; pages journeys *arrived at* become authorities. Only
+/// causal, non-automatic edges contribute: temporal overlap is not
+/// navigational, and §3.2 suggests personalization algorithms leave out
+/// automatic edges (redirects, embeds, version bookkeeping). Ids outside
 /// the snapshot are dropped from the base set; a node listed twice is an
 /// authority only at its last place.
 ///
@@ -84,9 +82,7 @@ pub fn hits(
     if members.is_empty() {
         return HitsScores::default();
     }
-    let edge_ok = |kind: EdgeKind| {
-        kind.is_causal() && (config.include_automatic_edges || !kind.is_automatic())
-    };
+    let edge_ok = |kind: EdgeKind| kind.is_causal() && !kind.is_automatic();
 
     // The induced adjacency as (hub, authority) member-index pairs.
     // `place[v]` is node v's last place in the members.
@@ -209,9 +205,7 @@ pub(crate) mod live {
                 iterations: 0,
             };
         }
-        let edge_ok = |kind: EdgeKind| {
-            kind.is_causal() && (config.include_automatic_edges || !kind.is_automatic())
-        };
+        let edge_ok = |kind: EdgeKind| kind.is_causal() && !kind.is_automatic();
         let index_of: HashMap<NodeId, usize> =
             members.iter().enumerate().map(|(i, &n)| (n, i)).collect();
         let mut arcs: Vec<(usize, usize)> = Vec::new();
@@ -352,15 +346,6 @@ mod tests {
         g.add_edge(b, a, EdgeKind::Redirect, t(1)).unwrap();
         let excl = hits(&g, &[a, b], &HitsConfig::default());
         assert_eq!(excl.authority[&a], 0.0, "redirect must not grant authority");
-        let incl = hits(
-            &g,
-            &[a, b],
-            &HitsConfig {
-                include_automatic_edges: true,
-                ..HitsConfig::default()
-            },
-        );
-        assert!(incl.authority[&a] > 0.9);
     }
 
     #[test]
@@ -501,14 +486,13 @@ mod tests {
     }
 
     proptest! {
-        /// The CSR pass scores random graphs bit for bit as the live oracle
-        /// does, with and without automatic edges, over base sets with
-        /// repeated ids and ids past the graph.
+        /// The CSR pass scores random graphs of every edge kind bit for
+        /// bit as the live oracle does, over base sets with repeated ids
+        /// and ids past the graph.
         #[test]
         fn csr_hits_matches_the_live_oracle_bit_for_bit(
             links in prop::collection::vec((1u8..30, 0u8..30, 0u8..15), 0..100),
             base in prop::collection::vec(0u32..36, 0..40),
-            include_automatic_edges: bool,
         ) {
             let mut g = ProvenanceGraph::new();
             for i in 0..30 {
@@ -526,11 +510,7 @@ mod tests {
                     .unwrap();
             }
             let base: Vec<NodeId> = base.into_iter().map(NodeId::new).collect();
-            let config = HitsConfig {
-                include_automatic_edges,
-                ..HitsConfig::default()
-            };
-            assert_matches_live(&g, &base, &config)?;
+            assert_matches_live(&g, &base, &HitsConfig::default())?;
         }
     }
 }

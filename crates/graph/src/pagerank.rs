@@ -9,7 +9,9 @@
 //! and distant-but-well-connected nodes surface.
 //!
 //! Walks treat provenance edges as undirected (context flows both ways
-//! along a derivation), like [`crate::neighborhood`]. The kernel runs over
+//! along a derivation), like [`crate::neighborhood`], and walk every
+//! edge: §3.2 makes redirects and embeds provenance edges too. The kernel
+//! runs over
 //! the CSR snapshot: [`crate::frozen::personalized_pagerank_frozen`].
 
 #[cfg(test)]
@@ -26,8 +28,6 @@ pub struct PageRankConfig {
     pub max_iterations: usize,
     /// L1 convergence threshold.
     pub tolerance: f64,
-    /// Whether automatic edges (redirect/embed/bookkeeping) carry mass.
-    pub include_automatic_edges: bool,
 }
 
 impl Default for PageRankConfig {
@@ -36,7 +36,6 @@ impl Default for PageRankConfig {
             damping: 0.7,
             max_iterations: 50,
             tolerance: 1e-9,
-            include_automatic_edges: true,
         }
     }
 }

@@ -28,23 +28,19 @@ const STEPS: u32 = 30;
 /// initial graph.
 const SEEDS: [(NodeId, f64); 2] = [(NodeId::new(0), 1.0), (NodeId::new(150), 0.5)];
 
-/// One snapshot and, per automatic-edge setting, the bits of the walk
-/// over a fresh build of the same graph.
+/// One snapshot and the bits of the walk over a fresh build of the same
+/// graph.
 struct Published {
     step: u32,
     snapshot: Arc<FrozenGraph>,
-    expected: [Vec<(u32, u64)>; 2],
+    expected: Vec<(u32, u64)>,
 }
 
 /// The newest snapshot, and on odd steps the one before it.
 type Step = (Arc<Published>, Option<Arc<Published>>);
 
-fn walk(snapshot: &FrozenGraph, include_automatic_edges: bool) -> Vec<(u32, u64)> {
-    let config = PageRankConfig {
-        include_automatic_edges,
-        ..PageRankConfig::default()
-    };
-    personalized_pagerank_frozen(snapshot, &SEEDS, &config, &Budget::new())
+fn walk(snapshot: &FrozenGraph) -> Vec<(u32, u64)> {
+    personalized_pagerank_frozen(snapshot, &SEEDS, &PageRankConfig::default(), &Budget::new())
         .entries
         .iter()
         .map(|&(i, s)| (i, s.to_bits()))
@@ -65,13 +61,12 @@ fn grow(g: &mut ProvenanceGraph, count: u32) {
     }
 }
 
-/// Fails unless walking `published` under one setting gives the fresh
-/// build's bits.
-fn check(published: &Published, include_automatic_edges: bool) {
+/// Fails unless walking `published` gives the fresh build's bits.
+fn check(published: &Published) {
     assert_eq!(
-        walk(&published.snapshot, include_automatic_edges),
-        published.expected[usize::from(include_automatic_edges)],
-        "step {}, automatic edges {include_automatic_edges}",
+        walk(&published.snapshot),
+        published.expected,
+        "step {}",
         published.step
     );
 }
@@ -99,15 +94,17 @@ fn concurrent_walks_over_growing_snapshots_match_fresh_builds() {
                     let (newest, older) = current.lock().unwrap().clone().unwrap();
                     taken.wait();
                     assert_eq!(newest.step, step);
-                    // Workers and steps alternate settings, so both
-                    // layouts grow.
-                    let include = (worker + step as usize).is_multiple_of(2);
-                    check(&newest, include);
-                    if let Some(older) = older {
-                        check(&older, include);
-                        check(&older, !include);
+                    // Workers alternate which snapshot they walk first,
+                    // so walks of the older one run beside the newest
+                    // layout's growth.
+                    let mut published: Vec<&Published> =
+                        std::iter::once(&*newest).chain(older.as_deref()).collect();
+                    if worker % 2 == 1 {
+                        published.reverse();
                     }
-                    check(&newest, !include);
+                    for published in published {
+                        check(published);
+                    }
                 }
             });
         }
@@ -118,7 +115,7 @@ fn concurrent_walks_over_growing_snapshots_match_fresh_builds() {
             }
             let (snapshot, _) = handle.snapshot(&g);
             let fresh = FrozenGraph::build(&g);
-            let expected = [walk(&fresh, false), walk(&fresh, true)];
+            let expected = walk(&fresh);
             let newest = Arc::new(Published {
                 step,
                 snapshot,

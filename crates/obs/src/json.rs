@@ -1,7 +1,8 @@
-//! A minimal JSON reader (no external deps), used to verify that the
-//! crate's hand-rolled JSON emitters ([`crate::expo::render_json`],
+//! A minimal JSON reader (no external deps), used by tests to verify that
+//! the crate's hand-rolled JSON emitters ([`crate::expo::render_json`],
 //! [`crate::profile::Profile::to_json`]) produce well-formed output, and
-//! by `bench --serve-smoke` to read a live daemon's `/metrics.json`.
+//! by the `serve` integration tests to read a live daemon's
+//! `/metrics.json`.
 //!
 //! The parser accepts the full JSON grammar (objects, arrays, strings
 //! with escapes, numbers, booleans, null); numbers are held as `f64`,

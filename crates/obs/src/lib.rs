@@ -6,7 +6,7 @@
 //! browsing; queries answer interactively); this crate makes that envelope
 //! *observable* at runtime rather than only in offline experiments:
 //!
-//! * [`MetricsRegistry`] — named [`Counter`]s (sharded atomics),
+//! * [`MetricsRegistry`] — named [`Counter`]s (one atomic each),
 //!   [`Gauge`]s, and log₂-bucketed [`Histogram`]s with p50/p95/p99/max
 //!   readout, under the names [`names`] declares.
 //! * [`trace`] — span-based tracing with thread-local span stacks: the one

@@ -1,39 +1,22 @@
 //! The metrics registry: named counters, gauges, and log₂ histograms.
 //!
 //! Handles returned by the registry are `Arc`s; hot paths resolve a metric
-//! once at construction time and then touch only atomics. Counters are
-//! sharded across cache-line-padded cells so concurrent writers on
-//! different cores do not contend; reads sum the shards (eventually exact:
-//! a quiescent counter reads the precise total).
+//! once at construction time and then touch only atomics. A counter is one
+//! atomic: no workload has many cores writing one counter at once.
 
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Number of independent cells a counter stripes its increments across.
-const COUNTER_SHARDS: usize = 16;
 
 /// Number of histogram buckets: one zero bucket plus one per power of two
 /// up to `2^63..=u64::MAX`.
 pub const HISTOGRAM_BUCKETS: usize = 65;
 
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedU64(AtomicU64);
-
-thread_local! {
-    /// Each thread gets a sticky shard index, assigned round-robin.
-    static SHARD: usize = {
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        NEXT.fetch_add(1, Ordering::Relaxed) % COUNTER_SHARDS
-    };
-}
-
 /// A monotonically increasing event count.
 #[derive(Default)]
 pub struct Counter {
-    shards: [PaddedU64; COUNTER_SHARDS],
+    value: AtomicU64,
 }
 
 impl Counter {
@@ -44,16 +27,12 @@ impl Counter {
 
     /// Adds `n`.
     pub fn add(&self, n: u64) {
-        let idx = SHARD.with(|s| *s);
-        self.shards[idx].0.fetch_add(n, Ordering::Relaxed);
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Sum of all shards.
+    /// The count.
     pub fn get(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+        self.value.load(Ordering::Relaxed)
     }
 }
 
@@ -421,7 +400,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_sums_shards() {
+    fn counter_sums_adds() {
         let c = Counter::default();
         c.inc();
         c.add(41);

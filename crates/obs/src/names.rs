@@ -92,7 +92,8 @@ declare! {
     HistogramName STORAGE_SNAPSHOT_DURATION_US = "storage.snapshot_duration_us";
 
     // --- capture pipeline ---
-    /// Submissions that waited for queue space.
+    /// Flushes that found events still queued: a caller waited on the
+    /// capture thread. The queue is unbounded, so no submission waits.
     CounterName CAPTURE_BACKPRESSURE_STALLS = "capture.backpressure_stalls";
     /// Edges capture added.
     CounterName CAPTURE_EDGES_ADDED = "capture.edges_added";

@@ -10,8 +10,9 @@
 //! clock (so deadline tests drive them with a mock clock).
 //! [`from_spans`] reads profiles off the finished trees; they render as an
 //! aligned text table ([`Profile::render_table`]) or JSON
-//! ([`Profile::to_json`]) for `browserprov query <sub> --explain`. Nested
-//! queries (personalize wraps contextual search) become child profiles.
+//! ([`Profile::to_json`]) for `--explain` on `browserprov search` and the
+//! other query commands. Nested queries (personalize wraps contextual
+//! search) become child profiles.
 
 use crate::trace::{Explain, SpanNode};
 use std::fmt::Write as _;

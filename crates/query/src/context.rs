@@ -9,7 +9,7 @@
 //! it. A page that never mentions "rosebud" but was *reached from* the
 //! rosebud search ranks — the Citizen Kane case.
 
-use crate::result::{QueryResult, ScoredHit};
+use crate::result::{BestByKey, QueryResult, ScoredHit};
 use crate::scope::{Scope, Stage};
 use bp_core::ProvenanceBrowser;
 use bp_graph::frozen::{
@@ -530,8 +530,7 @@ pub fn textual_history_search(
         &unbounded,
     );
     let graph = browser.graph();
-    let mut best_by_key: std::collections::HashMap<String, ScoredHit> =
-        std::collections::HashMap::new();
+    let mut best = BestByKey::default();
     let text_hits = {
         let stage = scope.stage("text_search");
         let text_hits = browser.text_index().search(query);
@@ -546,7 +545,7 @@ pub fn textual_history_search(
         if !config.result_kinds.contains(&n.kind()) {
             continue;
         }
-        let hit = ScoredHit {
+        best.offer(ScoredHit {
             node,
             kind: n.kind(),
             key: n.key().to_owned(),
@@ -554,22 +553,9 @@ pub fn textual_history_search(
             score,
             text_score: score,
             context_score: 0.0,
-        };
-        match best_by_key.get_mut(n.key()) {
-            Some(existing) if existing.score >= score => {}
-            _ => {
-                best_by_key.insert(n.key().to_owned(), hit);
-            }
-        }
+        });
     }
-    let mut hits: Vec<ScoredHit> = best_by_key.into_values().collect();
-    hits.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.node.cmp(&b.node))
-    });
-    hits.truncate(config.max_results);
+    let hits = best.ranked(config.max_results);
     stage.rows(candidates, hits.len());
     drop(stage);
     QueryResult {

@@ -1,6 +1,7 @@
 //! Shared result types for history queries.
 
 use bp_graph::{NodeId, NodeKind};
+use std::collections::HashMap;
 use std::time::Duration;
 
 /// One scored history object returned by a search query.
@@ -21,6 +22,38 @@ pub struct ScoredHit {
     pub text_score: f64,
     /// Provenance-context component of the score.
     pub context_score: f64,
+}
+
+/// The best hit per history key, for the text-first paths to rank:
+/// versions of one URL collapse to their best-scoring instance.
+#[derive(Default)]
+pub(crate) struct BestByKey(HashMap<String, ScoredHit>);
+
+impl BestByKey {
+    /// Keeps `hit` unless a hit with its key scores at least as high, so
+    /// of equal scores the first is kept.
+    pub(crate) fn offer(&mut self, hit: ScoredHit) {
+        match self.0.get(&hit.key) {
+            Some(best) if best.score >= hit.score => {}
+            _ => {
+                self.0.insert(hit.key.clone(), hit);
+            }
+        }
+    }
+
+    /// The kept hits by score, best first, ties by node id, at most `max`
+    /// of them.
+    pub(crate) fn ranked(self, max: usize) -> Vec<ScoredHit> {
+        let mut hits: Vec<ScoredHit> = self.0.into_values().collect();
+        hits.sort_by(|a, b| {
+            b.score
+                .partial_cmp(&a.score)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.node.cmp(&b.node))
+        });
+        hits.truncate(max);
+        hits
+    }
 }
 
 /// A ranked result list plus execution metadata.
@@ -57,8 +90,12 @@ mod tests {
     use super::*;
 
     fn hit(key: &str, score: f64) -> ScoredHit {
+        hit_at(0, key, score)
+    }
+
+    fn hit_at(node: u32, key: &str, score: f64) -> ScoredHit {
         ScoredHit {
-            node: NodeId::new(0),
+            node: NodeId::new(node),
             kind: NodeKind::PageVisit,
             key: key.to_owned(),
             title: None,
@@ -79,5 +116,34 @@ mod tests {
         assert_eq!(r.rank_of_key("c"), None);
         assert!(r.contains_key("a"));
         assert_eq!(r.top_keys(1), vec!["a"]);
+    }
+
+    #[test]
+    fn best_by_key_keeps_the_first_best_and_ranks_by_score_then_node() {
+        let ranked = |max| -> Vec<(u32, String)> {
+            let mut best = BestByKey::default();
+            for hit in [
+                hit_at(4, "a", 1.0),
+                hit_at(2, "a", 1.0),
+                hit_at(7, "b", 0.5),
+                hit_at(6, "b", 2.0),
+                hit_at(3, "c", 2.0),
+                hit_at(1, "d", 0.1),
+            ] {
+                best.offer(hit);
+            }
+            best.ranked(max)
+                .into_iter()
+                .map(|h| (h.node.index(), h.key))
+                .collect()
+        };
+        let hit = |node: u32, key: &str| (node, key.to_owned());
+        // "a" keeps node 4, the first of its equal scores; "b" the better
+        // one; "c" and "b" tie on score and rank by node id.
+        assert_eq!(
+            ranked(10),
+            [hit(3, "c"), hit(6, "b"), hit(4, "a"), hit(1, "d")]
+        );
+        assert_eq!(ranked(2), [hit(3, "c"), hit(6, "b")]);
     }
 }

@@ -9,7 +9,7 @@
 //! records and temporal-overlap edges that this system captures and
 //! Firefox does not.
 
-use crate::result::{QueryResult, ScoredHit};
+use crate::result::{BestByKey, QueryResult, ScoredHit};
 use crate::scope::Scope;
 use bp_core::ProvenanceBrowser;
 use bp_graph::frozen::FrozenGraph;
@@ -100,8 +100,7 @@ pub fn time_contextual_search(
         .collect();
     let overlap = OverlapProbe::new(browser, &companion_nodes);
 
-    let mut best_by_key: std::collections::HashMap<String, ScoredHit> =
-        std::collections::HashMap::new();
+    let mut best = BestByKey::default();
     let mut truncated = false;
     for (associated, (doc, text_score)) in subject_hits.into_iter().enumerate() {
         // The interval/edge check per subject hit is the expensive part;
@@ -128,7 +127,7 @@ pub fn time_contextual_search(
             continue;
         }
         let score = text_score * if edge_match { config.edge_bonus } else { 1.0 };
-        let hit = ScoredHit {
+        best.offer(ScoredHit {
             node,
             kind: n.kind(),
             key: n.key().to_owned(),
@@ -136,22 +135,9 @@ pub fn time_contextual_search(
             score,
             text_score,
             context_score: score - text_score,
-        };
-        match best_by_key.get_mut(n.key()) {
-            Some(existing) if existing.score >= score => {}
-            _ => {
-                best_by_key.insert(n.key().to_owned(), hit);
-            }
-        }
+        });
     }
-    let mut hits: Vec<ScoredHit> = best_by_key.into_values().collect();
-    hits.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.node.cmp(&b.node))
-    });
-    hits.truncate(config.max_results);
+    let hits = best.ranked(config.max_results);
     stage.rows(subject_total, hits.len());
     drop(stage);
     QueryResult {

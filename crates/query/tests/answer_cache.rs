@@ -92,9 +92,6 @@ fn cases() -> Vec<Case> {
         case("damping", |_, p| p.damping = 0.5),
         case("max_iterations", |_, p| p.max_iterations = 2),
         case("tolerance", |_, p| p.tolerance = 1e-2),
-        case("include_automatic_edges", |_, p| {
-            p.include_automatic_edges = !p.include_automatic_edges;
-        }),
         case("max_nodes", |c, _| {
             c.budget = Budget::new().with_max_nodes(40)
         }),

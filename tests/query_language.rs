@@ -4,7 +4,7 @@
 
 use bp_core::{CaptureConfig, ProvenanceBrowser};
 use bp_graph::traverse::Budget;
-use bp_graph::NodeKind;
+use bp_graph::{NodeId, NodeKind};
 use bp_query::ql;
 use bp_sim::calibrate;
 use std::path::PathBuf;
@@ -119,6 +119,53 @@ fn printable_queries_execute_identically() {
     let a = ql::execute(&b, &parsed, &Budget::new()).unwrap();
     let b2 = ql::run(&b, &reprinted, &Budget::new()).unwrap();
     assert_eq!(a.rows, b2.rows, "printed query is semantically identical");
+}
+
+/// `overlapping(#id)` answers with every other node whose interval
+/// overlaps the anchor's, ordered by (open timestamp, node id), for
+/// anchors spread over the whole history: every kind, open and closed.
+#[test]
+fn overlapping_returns_every_overlapping_node_in_open_order() {
+    let (_dir, b) = browser("overlap");
+    let graph = b.graph();
+    let (mut anchors, mut still_open, mut rows_seen) = (0, 0, 0);
+    for anchor in (0..graph.node_count() as u32).step_by(29).map(NodeId::new) {
+        let interval = *graph.node(anchor).unwrap().interval();
+        let mut expected: Vec<_> = graph
+            .nodes()
+            .filter(|&(id, n)| id != anchor && n.interval().overlaps(&interval))
+            .map(|(id, n)| (n.opened_at(), id))
+            .collect();
+        expected.sort_unstable();
+        let rows = ql::run(
+            &b,
+            &format!("overlapping(#{})", anchor.index()),
+            &Budget::new(),
+        )
+        .unwrap()
+        .rows;
+        let got: Vec<_> = rows
+            .iter()
+            .map(|r| (graph.node(r.node).unwrap().opened_at(), r.node))
+            .collect();
+        assert_eq!(got, expected, "overlapping(#{})", anchor.index());
+        for row in &rows {
+            let node = graph.node(row.node).unwrap();
+            assert_eq!(
+                (row.kind, row.key.as_str(), row.depth),
+                (node.kind(), node.key(), 0)
+            );
+        }
+        anchors += 1;
+        still_open += usize::from(interval.is_open());
+        rows_seen += rows.len();
+    }
+    assert!(anchors >= 50, "only {anchors} anchors");
+    assert!(
+        0 < still_open && still_open < anchors,
+        "{still_open} of {anchors} open"
+    );
+    assert!(rows_seen > 0);
 }
 
 #[test]

@@ -587,6 +587,9 @@ pub fn run(args: &Args) -> Result<String, String> {
         snapshot_interval: options.snapshot_interval,
         passes: Mutex::new(VecDeque::new()),
     });
+    // Publish the burn-rate gauges (at 0) before the first request is
+    // served; the maintenance loop's first evaluation is a second away.
+    let _ = state.slo.evaluate();
     log::info(
         "bp_cli::serve",
         "serve daemon listening",

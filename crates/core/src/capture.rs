@@ -29,8 +29,8 @@ pub struct CaptureConfig {
     pub record_typed_location: bool,
     /// Record new-tab opener relationships (§3.2).
     pub record_new_tab: bool,
-    /// Record temporal-overlap edges between simultaneously open pages
-    /// (§3.2).
+    /// Record a temporal-overlap edge between simultaneously open pages
+    /// (§3.2): one per navigation, to the page another open tab shows.
     pub record_temporal_overlap: bool,
     /// Record close timestamps for pages and tabs (§3.2).
     pub record_close: bool,
@@ -40,9 +40,6 @@ pub struct CaptureConfig {
     pub record_form_entries: bool,
     /// Maintain logical Page objects with `instance_of` edges from visits.
     pub record_page_objects: bool,
-    /// Cap on temporal-overlap edges emitted per navigation (bounds the
-    /// quadratic blowup of a user with very many open tabs).
-    pub max_overlap_edges: usize,
 }
 
 impl Default for CaptureConfig {
@@ -56,13 +53,6 @@ impl Default for CaptureConfig {
             record_search_terms: true,
             record_form_entries: true,
             record_page_objects: true,
-            // One materialized association per navigation (to the
-            // lowest-numbered other open tab showing a page, so replays
-            // produce the same graph). The interval index answers the
-            // full overlap relation from close records; materializing
-            // O(open tabs) edges per navigation would dominate the store
-            // (§3.2's relationships should cost tens of percent, not 3x).
-            max_overlap_edges: 1,
         }
     }
 }
@@ -78,7 +68,6 @@ impl CaptureConfig {
     pub fn paper_prototype() -> Self {
         CaptureConfig {
             record_temporal_overlap: false,
-            max_overlap_edges: 0,
             ..Self::default()
         }
     }
@@ -95,7 +84,6 @@ impl CaptureConfig {
             record_search_terms: false,
             record_form_entries: false,
             record_page_objects: true,
-            max_overlap_edges: 0,
         }
     }
 }
@@ -503,19 +491,20 @@ impl CaptureEngine {
             }
         }
 
-        // Temporal overlap with other open tabs' current pages (§3.2),
-        // directed later → earlier to keep the DAG invariant. Tabs are
-        // visited in id order, so the partners are the lowest-numbered
-        // ones.
+        // Temporal overlap with another open tab's current page (§3.2),
+        // directed later → earlier to keep the DAG invariant. One edge per
+        // navigation, to the lowest-numbered other tab showing a page (tabs
+        // are visited in id order, so replays produce the same graph): an
+        // edge to every open tab would make the store O(open tabs) larger
+        // per navigation, and the nodes' own intervals answer the full
+        // overlap relation from close records.
         if self.config.record_temporal_overlap {
-            let others: Vec<NodeId> = self
+            let other = self
                 .tabs
                 .iter()
                 .filter(|(&id, _)| id != tab)
-                .filter_map(|(_, s)| s.current)
-                .take(self.config.max_overlap_edges)
-                .collect();
-            for other in others {
+                .find_map(|(_, s)| s.current);
+            if let Some(other) = other {
                 self.store
                     .add_edge(visit, other, EdgeKind::TemporalOverlap, at)?;
                 edges += 1;

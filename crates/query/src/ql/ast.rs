@@ -29,8 +29,8 @@ pub enum Shape {
     Path(Selector, Selector),
     /// `nodes` — scan all nodes.
     Nodes,
-    /// `overlapping(sel)` — nodes whose interval overlaps the selected
-    /// node's interval.
+    /// `overlapping(sel)` — every other node whose interval overlaps the
+    /// selected node's, ordered by (open timestamp, node id).
     Overlapping(Selector),
 }
 

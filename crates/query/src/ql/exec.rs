@@ -203,23 +203,25 @@ fn execute_shape(
             })
             .collect(),
         Shape::Overlapping(sel) => {
-            let node = resolve(browser, sel)?;
+            let anchor = resolve(browser, sel)?;
             let interval = *graph
-                .node(node)
+                .node(anchor)
                 .map_err(|e| ExecError::new(e.to_string()))?
                 .interval();
-            browser
-                .store()
-                .times()
-                .overlapping_except(&interval, node)
+            let mut overlapping: Vec<_> = graph
+                .nodes()
+                .filter(|&(id, n)| id != anchor && n.interval().overlaps(&interval))
+                .collect();
+            // The scan yields ascending ids and the sort is stable, so rows
+            // come out in (open timestamp, node id) order.
+            overlapping.sort_by_key(|(_, n)| n.opened_at());
+            overlapping
                 .into_iter()
-                .filter_map(|id| {
-                    graph.node(id).ok().map(|n| Row {
-                        node: id,
-                        kind: n.kind(),
-                        key: n.key().to_owned(),
-                        depth: 0,
-                    })
+                .map(|(id, n)| Row {
+                    node: id,
+                    kind: n.kind(),
+                    key: n.key().to_owned(),
+                    depth: 0,
                 })
                 .collect()
         }
@@ -377,7 +379,7 @@ mod tests {
     }
 
     #[test]
-    fn overlapping_uses_the_time_index() {
+    fn overlapping_finds_a_page_open_in_another_tab() {
         let mut tb = history("overlap");
         let b = &mut tb.browser;
         // A second tab opened while leaf is current.

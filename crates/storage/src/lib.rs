@@ -15,11 +15,11 @@
 //!   one table owned by the store and mutated only through it;
 //! - [`factorize`] — Chapman-style structural factorization of repeated
 //!   edge patterns (ablation A2);
-//! - [`TimeIndex`] — the interval-overlap index (the substrate of
-//!   time-contextual search, §2.3); URL lookup is the graph's own key
-//!   table (`ProvenanceGraph::nodes_with_key`);
-//! - [`ProvenanceStore`] — the façade tying graph, log, and indexes
-//!   together with exact crash recovery.
+//! - [`ProvenanceStore`] — the façade tying graph, interner, codec and log
+//!   together with exact crash recovery. It keeps no index beside the
+//!   graph: URL lookup is the graph's own key table
+//!   (`ProvenanceGraph::nodes_with_key`), and interval overlap reads each
+//!   node's own interval (`Node::interval`).
 //!
 //! # Example
 //!
@@ -67,7 +67,6 @@ mod cast;
 mod crc;
 mod error;
 mod factorize;
-mod index;
 mod intern;
 mod record;
 mod snapshot;
@@ -78,7 +77,6 @@ mod wal;
 pub use crc::crc32c;
 pub use error::{StorageError, StorageResult};
 pub use factorize::{defactorize, factorize, raw_structure_size, FactorizedEdges};
-pub use index::TimeIndex;
 pub use intern::StringInterner;
 pub use record::{Codec, Op, OpValue};
 pub use store::{ProvenanceStore, SizeReport};
@@ -305,9 +303,10 @@ mod proptests {
         store.commit_write_group().unwrap();
     }
 
-    /// Everything a reopened store must recover: every node and edge with
-    /// its attributes, the key table through `nodes_with_key` and
-    /// `newest_of_kind`, the time index and the interned strings.
+    /// Everything a reopened store must recover: every node with its
+    /// interval and attributes, every edge with its attributes, the key
+    /// table through `nodes_with_key` and `newest_of_kind`, and the
+    /// interned strings.
     fn recoverable_state(store: &ProvenanceStore) -> String {
         use std::fmt::Write;
         let g = store.graph();
@@ -324,7 +323,6 @@ mod proptests {
             let newest = NodeKind::ALL.map(|kind| g.newest_of_kind(kind, &key));
             let _ = writeln!(s, "K {key} {:?} {newest:?}", g.nodes_with_key(&key));
         }
-        let _ = writeln!(s, "T {:?}", store.times());
         let _ = writeln!(s, "S {:?}", store.interner().iter().collect::<Vec<_>>());
         s
     }

@@ -2,9 +2,9 @@
 //!
 //! [`ProvenanceStore`] is the paper's "single, homogeneous provenance graph
 //! store" (§3.4) made durable: an in-memory [`ProvenanceGraph`] kept
-//! consistent with an on-disk write-ahead log plus snapshot, and an
-//! interval-overlap index maintained inline (the graph itself answers
-//! key → nodes).
+//! consistent with an on-disk write-ahead log plus snapshot. The store
+//! keeps no index beside the graph: the graph's key table answers
+//! key → nodes, and each node holds its own open/close interval.
 //!
 //! Layout on disk (one directory per profile):
 //!
@@ -18,13 +18,11 @@
 //! rebuilt graph is byte-for-byte the pre-crash committed state.
 
 use crate::error::{StorageError, StorageResult};
-use crate::index::TimeIndex;
 use crate::intern::StringInterner;
 use crate::record::{Codec, Op, OpValue};
 use crate::wal::{SyncPolicy, Wal};
 use bp_graph::{
-    AttrMap, AttrValue, Edge, EdgeKind, Node, NodeId, NodeKind, ProvenanceGraph, TimeInterval,
-    Timestamp, Version,
+    AttrMap, AttrValue, Edge, EdgeKind, Node, NodeId, NodeKind, ProvenanceGraph, Timestamp, Version,
 };
 use bp_obs::{names, Counter, Histogram, Obs};
 use std::path::{Path, PathBuf};
@@ -38,7 +36,7 @@ const LOG_FILE: &str = "log.wal";
 /// ([`crate::snapshot`]); version 1 (the literal op stream) is refused.
 const SNAPSHOT_HEADER: &[u8] = b"BPSNAP\x02";
 
-/// A durable, indexed browser-provenance store.
+/// A durable browser-provenance store.
 ///
 /// # Examples
 ///
@@ -63,11 +61,9 @@ const SNAPSHOT_HEADER: &[u8] = b"BPSNAP\x02";
 pub struct ProvenanceStore {
     graph: ProvenanceGraph,
     interner: StringInterner,
-    times: TimeIndex,
     wal: Wal,
     codec: Codec,
     dir: PathBuf,
-    policy: SyncPolicy,
     /// When batching, encoded ops accumulate here and are appended as one
     /// frame at [`commit_batch`](Self::commit_batch) — making multi-op
     /// units (one browser event's worth of mutations) atomic on disk.
@@ -121,11 +117,9 @@ impl ProvenanceStore {
         let mut store = ProvenanceStore {
             graph: ProvenanceGraph::new(),
             interner: StringInterner::new(),
-            times: TimeIndex::new(),
             wal: Wal::open(dir.join(LOG_FILE), policy)?,
             codec: Codec::new(),
             dir,
-            policy,
             pending: None,
             group: None,
             obs,
@@ -241,7 +235,7 @@ impl ProvenanceStore {
         }
     }
 
-    /// Applies a non-DefineString op to graph + indexes (shared between
+    /// Applies a non-DefineString op to the graph (shared between
     /// live mutation and replay). Keys, attribute names and string values
     /// are the interner's shared strings, so applying an op allocates none.
     fn apply_structural(&mut self, op: &Op) -> StorageResult<Option<NodeId>> {
@@ -259,9 +253,7 @@ impl ProvenanceStore {
                 let key = self.resolve(*key)?;
                 let mut node = Node::with_version(*kind, key, *version, *open_at);
                 self.resolve_attrs(attrs, node.attrs_mut())?;
-                let id = self.graph.add_node(node);
-                self.times.insert(id, TimeInterval::open_at(*open_at));
-                Ok(Some(id))
+                Ok(Some(self.graph.add_node(node)))
             }
             Op::AddEdge {
                 src,
@@ -282,7 +274,6 @@ impl ProvenanceStore {
                     .node_mut(*node)
                     .and_then(|n| n.close_at(*at))
                     .map_err(|e| StorageError::Replay(e.to_string()))?;
-                self.times.close(*node, *at);
                 Ok(None)
             }
             Op::SetNodeAttr { node, key, value } => {
@@ -697,11 +688,6 @@ impl ProvenanceStore {
         &self.graph
     }
 
-    /// The interval-overlap index.
-    pub fn times(&self) -> &TimeIndex {
-        &self.times
-    }
-
     /// The string interner.
     pub fn interner(&self) -> &StringInterner {
         &self.interner
@@ -802,11 +788,6 @@ impl ProvenanceStore {
             interned_bytes: self.interner.payload_bytes() as u64,
         }
     }
-
-    /// Durability policy the store was opened with.
-    pub fn sync_policy(&self) -> SyncPolicy {
-        self.policy
-    }
 }
 
 /// Syncs `dir` itself, so that a file just created in it or renamed into
@@ -898,10 +879,6 @@ mod tests {
             store.graph().node(ids[1]).unwrap().interval().close(),
             Some(t(4))
         );
-        // Time index was updated by the close.
-        let hits = store.times().overlapping(&TimeInterval::closed(t(5), t(6)));
-        assert!(!hits.contains(&ids[1]), "search closed at t=4");
-        assert!(hits.contains(&ids[2]), "kane still open");
     }
 
     #[test]
@@ -1124,7 +1101,6 @@ mod tests {
         }
         let store = ProvenanceStore::open(&dir.0, SyncPolicy::OsManaged).unwrap();
         assert_eq!(store.graph().node_count(), 0);
-        assert_eq!(store.sync_policy(), SyncPolicy::OsManaged);
     }
 
     #[test]

@@ -177,6 +177,17 @@ fn soak_metrics_scrapes_stay_consistent() {
     // the first cycle takes a while in debug builds, hence the long
     // readiness allowance.
     let serve = ServeChild::spawn("soak", &[]);
+    // The burn-rate gauges are published before the first request is
+    // served, not at the first periodic SLO evaluation.
+    let (status, body) = serve.get("/metrics").expect("first scrape");
+    assert_eq!(status, 200);
+    for gauge in ["bp_slo_burn_rate_5m", "bp_slo_burn_rate_1h"] {
+        assert_eq!(
+            metric(&body, gauge),
+            Some(0.0),
+            "{gauge} in the first scrape"
+        );
+    }
     serve.wait_for("/readyz", Duration::from_secs(180), |s, _| s == 200);
 
     let mut last_requests = 0.0f64;

@@ -48,7 +48,6 @@ USAGE:
                                                        /metrics /healthz /readyz /tracez
                                                        /profilez /debug/flightz endpoints
                                                        (--days N --seed S --duration-s T
-                                                       --snapshot-interval-s T
                                                        --inject-latency-us U
                                                        --query-interval-ms T
                                                        --allow-debug-panic); writes the bound

@@ -7,6 +7,7 @@ mod commands;
 mod serve;
 mod signals;
 
+use std::io::{ErrorKind, Write as _};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -14,11 +15,18 @@ fn main() -> ExitCode {
     let parsed = args::Args::parse(&raw);
     match commands::run(&parsed) {
         Ok(output) => {
-            print!("{output}");
-            if !output.ends_with('\n') {
-                println!();
+            let newline = if output.ends_with('\n') { "" } else { "\n" };
+            let mut stdout = std::io::stdout().lock();
+            match write!(stdout, "{output}{newline}").and_then(|()| stdout.flush()) {
+                Ok(()) => ExitCode::SUCCESS,
+                // The reader stopped early (`browserprov dot ... | head`):
+                // it has read what it wanted, so the command ends quietly.
+                Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+                Err(e) => {
+                    eprintln!("error: writing the output failed: {e}");
+                    ExitCode::FAILURE
+                }
             }
-            ExitCode::SUCCESS
         }
         Err(message) => {
             eprintln!("error: {message}");

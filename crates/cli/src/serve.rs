@@ -11,7 +11,7 @@
 //! | `/metrics`        | Prometheus text exposition of every live metric   |
 //! | `/metrics.json`   | the same registry as JSON                         |
 //! | `/healthz`        | liveness: WAL dir writable, capture thread alive  |
-//! | `/readyz`         | readiness: warmed up, queue drained, snapshots on |
+//! | `/readyz`         | readiness: warmed up, capture queue draining      |
 //! | `/tracez`         | recent sampled query span trees; `?min_ms=&path=` |
 //! |                   | `&id=` (plus `format=json`) searches tail-sampled |
 //! |                   | traces                                            |
@@ -46,7 +46,7 @@ use bp_sim::calibrate;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -74,7 +74,6 @@ struct ServeOptions {
     days: u32,
     seed: u64,
     duration: Option<Duration>,
-    snapshot_interval: Duration,
     inject_latency: Duration,
     query_interval: Duration,
     allow_debug_panic: bool,
@@ -89,9 +88,6 @@ impl ServeOptions {
             days: args.opt_int("days", 79u32)?,
             seed: args.opt_int("seed", 42u64)?,
             duration: (duration_s > 0).then(|| Duration::from_secs(duration_s)),
-            snapshot_interval: Duration::from_secs(
-                args.opt_int("snapshot-interval-s", 30u64)?.max(1),
-            ),
             inject_latency: Duration::from_micros(args.opt_int("inject-latency-us", 0u64)?),
             query_interval: Duration::from_millis(args.opt_int("query-interval-ms", 50u64)?.max(1)),
             allow_debug_panic: args.has("allow-debug-panic"),
@@ -112,9 +108,6 @@ struct ServeState {
     ready: AtomicBool,
     /// All workers exit when this goes true.
     stop: AtomicBool,
-    /// Unix ms of the last successful snapshot (start time until then).
-    last_snapshot_ms: AtomicU64,
-    snapshot_interval: Duration,
     /// The span trees of the most recent sampled query passes, one entry
     /// per pass: `/tracez` renders them as trees, `/profilez` as EXPLAIN
     /// tables.
@@ -127,7 +120,7 @@ impl ServeState {
     }
 
     /// Liveness: the WAL directory accepts writes and the capture thread
-    /// has not died on a storage error.
+    /// has not died on a storage error, a failed compaction included.
     fn health(&self) -> Result<(), String> {
         if let Some(failure) = self.pipeline.failure() {
             return Err(format!("capture pipeline stopped: {failure}"));
@@ -139,7 +132,7 @@ impl ServeState {
         Ok(())
     }
 
-    /// Readiness: warmed up, capture queue draining, snapshots recent.
+    /// Readiness: warmed up and capture queue draining.
     fn readiness(&self) -> Result<(), String> {
         self.health()?;
         if !self.ready.load(Ordering::SeqCst) {
@@ -148,12 +141,6 @@ impl ServeState {
         let depth = self.obs.gauge(names::CAPTURE_QUEUE_DEPTH).get();
         if depth > READY_MAX_QUEUE_DEPTH {
             return Err(format!("capture queue backed up ({depth} events)"));
-        }
-        let age_ms =
-            bp_obs::unix_time_ms().saturating_sub(self.last_snapshot_ms.load(Ordering::SeqCst));
-        let stale_after = self.snapshot_interval * 10;
-        if age_ms > stale_after.as_millis() as u64 {
-            return Err(format!("last snapshot {age_ms} ms ago"));
         }
         Ok(())
     }
@@ -486,8 +473,8 @@ fn query_loop(state: &ServeState, inject: Duration, interval: Duration) {
     }
 }
 
-/// Housekeeping: SLO evaluation (~1 s), periodic snapshots, signal
-/// handling, uptime gauge, and the `--duration-s` clock.
+/// Housekeeping: SLO evaluation (~1 s), signal handling, uptime gauge,
+/// and the `--duration-s` clock. Compaction is the capture thread's.
 fn maintenance_loop(
     state: &ServeState,
     shutdown: &httpx::ShutdownHandle,
@@ -495,7 +482,6 @@ fn maintenance_loop(
 ) {
     let clock = ClockHandle::real();
     let started = clock.start();
-    let mut last_snapshot = clock.start();
     let mut last_evaluate = clock.start();
     loop {
         if signals::shutdown_requested() || duration.is_some_and(|d| started.elapsed() >= d) {
@@ -525,23 +511,6 @@ fn maintenance_loop(
                 .obs
                 .gauge(names::BP_SERVE_UPTIME_SECONDS)
                 .set(started.elapsed().as_secs() as i64);
-        }
-        if state.ready.load(Ordering::SeqCst) && last_snapshot.elapsed() >= state.snapshot_interval
-        {
-            last_snapshot = clock.start();
-            let result = state.shared.with_mut(|b| b.snapshot());
-            match result {
-                Ok(()) => {
-                    state
-                        .last_snapshot_ms
-                        .store(bp_obs::unix_time_ms(), Ordering::SeqCst);
-                }
-                Err(e) => log::error(
-                    "bp_cli::serve",
-                    "periodic snapshot failed",
-                    &[("error", e.to_string())],
-                ),
-            }
         }
         std::thread::sleep(Duration::from_millis(50));
     }
@@ -583,8 +552,6 @@ pub fn run(args: &Args) -> Result<String, String> {
         allow_debug_panic: options.allow_debug_panic,
         ready: AtomicBool::new(false),
         stop: AtomicBool::new(false),
-        last_snapshot_ms: AtomicU64::new(bp_obs::unix_time_ms()),
-        snapshot_interval: options.snapshot_interval,
         passes: Mutex::new(VecDeque::new()),
     });
     // Publish the burn-rate gauges (at 0) before the first request is

@@ -11,7 +11,7 @@
 //!   freely between events.
 
 use crate::browser::{ProvenanceBrowser, WRITE_GROUP_MAX};
-use crate::error::CoreError;
+use crate::error::{CoreError, CoreResult};
 use crate::event::BrowserEvent;
 use bp_obs::{names, Counter, Gauge};
 use crossbeam::channel::{self, Receiver, Sender};
@@ -24,6 +24,22 @@ use std::time::Duration;
 /// Batches slower than this leave a flight-recorder line, so ingest tail
 /// spikes can be attributed next to the query traffic that felt them.
 const SLOW_BATCH: Duration = Duration::from_millis(2);
+
+/// The capture thread compacts the store once the log's committed bytes
+/// exceed the snapshot's and this floor, so a fresh or small profile does
+/// not compact on its first write groups. Compacting when the log matches
+/// the snapshot bounds the profile at about twice its compacted size, and
+/// the bytes written at about twice what capture logs.
+const COMPACT_FLOOR_BYTES: u64 = 64 * 1024;
+
+/// Compacts `b` once its log has outgrown its snapshot and the floor.
+fn compact_if_due(b: &mut ProvenanceBrowser) -> CoreResult<()> {
+    let size = b.size_report();
+    if size.log_bytes > size.snapshot_bytes.max(COMPACT_FLOOR_BYTES) {
+        b.snapshot()?;
+    }
+    Ok(())
+}
 
 /// A clonable, thread-safe handle to a provenance browser.
 ///
@@ -114,6 +130,12 @@ fn collect(batch: &mut Batch, message: Message) -> Option<Message> {
 /// skipped — a background pipeline has nobody to return them to — while
 /// storage errors stop the pipeline (they mean the profile is broken).
 ///
+/// The capture thread also keeps the profile compact: after a write group,
+/// once the log has outgrown the snapshot (and a 64 KiB floor), it takes a
+/// snapshot under the same write lock, before it acknowledges any flush
+/// queued behind the group. A failed compaction stops the pipeline like
+/// any storage error.
+///
 /// # Examples
 ///
 /// ```
@@ -159,7 +181,8 @@ impl CapturePipeline {
     /// message is never split) and applied under **one** write lock and
     /// one store write group, so per-event mutex/WAL/metric costs
     /// amortize across the batch while readers still interleave between
-    /// batches.
+    /// batches. The group's commit is followed, under the same lock, by a
+    /// compaction when the log has outgrown the snapshot.
     pub fn start(browser: ProvenanceBrowser) -> Self {
         let obs = browser.obs().clone();
         let queue_depth = obs.gauge(names::CAPTURE_QUEUE_DEPTH);
@@ -192,7 +215,7 @@ impl CapturePipeline {
                 if !events.is_empty() {
                     let batch = events.len();
                     let start = clock.now_micros();
-                    let (applied, ok) = thread_shared.with_mut(|b| {
+                    let (applied, result) = thread_shared.with_mut(|b| {
                         let mut applied = 0usize;
                         b.begin_write_group();
                         for (event, context) in &events {
@@ -218,26 +241,12 @@ impl CapturePipeline {
                                     // Keep the events already applied in
                                     // this group durable before stopping.
                                     let _ = b.end_write_group();
-                                    bp_obs::log::error(
-                                        "bp_core::shared",
-                                        "capture pipeline stopped on storage error",
-                                        &[("error", other.to_string())],
-                                    );
-                                    *thread_failed.lock() = Some(other.to_string());
-                                    return (applied, false);
+                                    return (applied, Err(other));
                                 }
                             }
                         }
-                        if let Err(err) = b.end_write_group() {
-                            bp_obs::log::error(
-                                "bp_core::shared",
-                                "capture pipeline stopped on storage error",
-                                &[("error", err.to_string())],
-                            );
-                            *thread_failed.lock() = Some(err.to_string());
-                            return (applied, false);
-                        }
-                        (applied, true)
+                        let result = b.end_write_group().and_then(|()| compact_if_due(b));
+                        (applied, result)
                     });
                     let wall = Duration::from_micros(clock.now_micros().saturating_sub(start));
                     thread_depth.sub(batch as i64);
@@ -256,7 +265,13 @@ impl CapturePipeline {
                             ],
                         );
                     }
-                    if !ok {
+                    if let Err(err) = result {
+                        bp_obs::log::error(
+                            "bp_core::shared",
+                            "capture pipeline stopped on storage error",
+                            &[("error", err.to_string())],
+                        );
+                        *thread_failed.lock() = Some(err.to_string());
                         return;
                     }
                 }
@@ -723,6 +738,41 @@ mod tests {
                 .count(),
             15 + long
         );
+    }
+
+    /// A compaction that fails stops the pipeline like any storage error:
+    /// `failure()` names it, later submits are refused, and the profile
+    /// reopens to every event applied before it.
+    #[test]
+    fn a_failed_compaction_stops_the_pipeline() {
+        let dir = TempDir::new("compaction-fails");
+        let pipeline = CapturePipeline::start(browser(&dir));
+        // A directory where the compaction writes its snapshot makes the
+        // write fail.
+        let blocker = dir.0.join("snapshot.bps.tmp");
+        std::fs::create_dir_all(&blocker).unwrap();
+        pipeline.submit(BrowserEvent::tab_opened(t(0), TabId(0), None));
+        // Each visit logs over 200 bytes: the second write group takes the
+        // log past the 64 KiB floor.
+        let long = "x".repeat(200);
+        pipeline.submit_all((1..=1000).map(|i| {
+            let url = format!("http://p{i}/{long}");
+            BrowserEvent::navigate(t(i), TabId(0), url, None, NavigationCause::Link)
+        }));
+        pipeline.flush();
+        let failure = pipeline.failure().expect("the compaction failed");
+        assert!(failure.contains("i/o error"), "{failure}");
+        assert!(!pipeline.submit(BrowserEvent::tab_opened(t(2000), TabId(1), None)));
+        let live = pipeline.shutdown();
+        let visits = live
+            .graph()
+            .nodes_of_kind(bp_graph::NodeKind::PageVisit)
+            .count();
+        assert!((256..1000).contains(&visits), "{visits} visits applied");
+        let nodes = live.graph().node_count();
+        drop(live);
+        std::fs::remove_dir(&blocker).unwrap();
+        assert_eq!(browser(&dir).graph().node_count(), nodes);
     }
 
     #[test]

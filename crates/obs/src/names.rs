@@ -80,6 +80,10 @@ declare! {
     CounterName STORAGE_COMPACTIONS_TOTAL = "storage.compactions_total";
     /// Nodes redacted.
     CounterName STORAGE_REDACTIONS_TOTAL = "storage.redactions_total";
+    /// Logs that recovery skipped and reset because the snapshot already
+    /// covered them: a compaction stopped between its rename and its log
+    /// reset.
+    CounterName STORAGE_STALE_LOGS_SKIPPED_TOTAL = "storage.stale_logs_skipped_total";
     /// Edges in the live graph.
     GaugeName STORAGE_GRAPH_EDGES = "storage.graph_edges";
     /// Nodes in the live graph.

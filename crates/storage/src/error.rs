@@ -36,6 +36,12 @@ pub enum StorageError {
         /// The maximum payload size a frame may carry.
         max: u32,
     },
+    /// A compaction renamed its snapshot into place but failed before it
+    /// started the next log, so the snapshot covers the log still open and
+    /// recovery would skip anything appended to it. The store refuses
+    /// every write until a later snapshot succeeds; reopening the profile
+    /// also recovers it. Carries the compaction's error.
+    LogSuperseded(String),
 }
 
 impl StorageError {
@@ -62,6 +68,11 @@ impl fmt::Display for StorageError {
             StorageError::FrameTooLarge { len, max } => {
                 write!(f, "wal payload of {len} bytes exceeds max frame size {max}")
             }
+            StorageError::LogSuperseded(reason) => write!(
+                f,
+                "writes refused: a compaction failed after its rename ({reason}), \
+                 so the snapshot covers the open log"
+            ),
         }
     }
 }

@@ -83,25 +83,39 @@ impl FactorizedEdges {
 /// [group_count][per group: src_id_delta, sig_id, dst_deltas...]
 /// ```
 pub fn factorize(graph: &ProvenanceGraph) -> FactorizedEdges {
-    // Build the signature dictionary.
+    // Build the signature dictionary while encoding each group as it
+    // comes into a buffer of its own: the groups follow the dictionary.
     let mut dict: HashMap<Vec<u8>, u32> = HashMap::new();
     let mut dict_order: Vec<Vec<u8>> = Vec::new();
-    let mut groups: Vec<(u32, u32, Vec<i64>)> = Vec::new(); // (src, sig, dst deltas)
+    let mut groups = Vec::new();
+    let mut group_count = 0u64;
+    let mut last_src = 0u32;
     let mut edge_count = 0usize;
+    let mut kinds = Vec::new();
 
     for (src, run) in graph.out_runs() {
-        let mut kinds = Vec::with_capacity(run.len());
-        let mut deltas = Vec::with_capacity(run.len());
-        for e in run {
-            kinds.push(e.kind().code());
-            deltas.push(i64::from(src.index()) - i64::from(e.dst().index()));
-        }
+        kinds.clear();
+        kinds.extend(run.iter().map(|e| e.kind().code()));
         edge_count += run.len();
-        let sig_id = *dict.entry(kinds.clone()).or_insert_with(|| {
-            dict_order.push(kinds);
-            (dict_order.len() - 1) as u32
-        });
-        groups.push((src.index(), sig_id, deltas));
+        let sig_id = match dict.get(&kinds) {
+            Some(&id) => id,
+            None => {
+                let id = dict_order.len() as u32;
+                dict.insert(kinds.clone(), id);
+                dict_order.push(kinds.clone());
+                id
+            }
+        };
+        varint::write_u64(&mut groups, u64::from(src.index() - last_src));
+        last_src = src.index();
+        varint::write_u64(&mut groups, u64::from(sig_id));
+        for e in run {
+            varint::write_i64(
+                &mut groups,
+                i64::from(src.index()) - i64::from(e.dst().index()),
+            );
+        }
+        group_count += 1;
     }
 
     let mut bytes = Vec::new();
@@ -110,16 +124,8 @@ pub fn factorize(graph: &ProvenanceGraph) -> FactorizedEdges {
         varint::write_u64(&mut bytes, sig.len() as u64);
         bytes.extend_from_slice(sig);
     }
-    varint::write_u64(&mut bytes, groups.len() as u64);
-    let mut last_src = 0u32;
-    for (src, sig_id, deltas) in &groups {
-        varint::write_u64(&mut bytes, u64::from(src - last_src));
-        last_src = *src;
-        varint::write_u64(&mut bytes, u64::from(*sig_id));
-        for &d in deltas {
-            varint::write_i64(&mut bytes, d);
-        }
-    }
+    varint::write_u64(&mut bytes, group_count);
+    bytes.extend_from_slice(&groups);
 
     FactorizedEdges {
         bytes,

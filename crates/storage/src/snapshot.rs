@@ -1,4 +1,5 @@
-//! Columnar, delta-encoded snapshot format (`BPSNAP\x02`).
+//! Columnar, delta-encoded snapshot format (`BPSNAP\x02`, and `BPSNAP\x03`,
+//! whose header frame adds the log generation the snapshot covers).
 //!
 //! The v1 snapshot was simply the compacted op stream — every node record
 //! re-paid the per-op framing (tag byte, interleaved string defines,

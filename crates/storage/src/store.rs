@@ -9,13 +9,19 @@
 //! Layout on disk (one directory per profile):
 //!
 //! ```text
-//! <dir>/snapshot.bps   compacted op stream (atomic rename on snapshot)
-//! <dir>/log.wal        ops appended since the last snapshot
+//! <dir>/snapshot.bps   header (`BPSNAP\x03`, the last log generation it
+//!                      covers), then the compacted graph; replaced by an
+//!                      atomic rename at each compaction
+//! <dir>/log.wal        header (`BPLOG\x01`, the log's generation), then
+//!                      the ops appended since the last snapshot
 //! ```
 //!
-//! Recovery replays the snapshot, then the log, truncating any torn tail.
-//! Replay is deterministic: node/edge ids are dense log positions, so the
-//! rebuilt graph is byte-for-byte the pre-crash committed state.
+//! Recovery replays the snapshot, then the log if the log's generation is
+//! the one after the snapshot's, truncating any torn tail. A log the
+//! snapshot already covers is skipped and reset; one from a later
+//! generation is refused. Replay is deterministic: node/edge ids are dense
+//! log positions, so the rebuilt graph is byte-for-byte the pre-crash
+//! committed state.
 
 use crate::error::{StorageError, StorageResult};
 use crate::intern::StringInterner;
@@ -30,13 +36,26 @@ use std::sync::Arc;
 
 const SNAPSHOT_FILE: &str = "snapshot.bps";
 const LOG_FILE: &str = "log.wal";
-/// Magic + format version, written as the snapshot's first frame. Recovery
-/// rejects snapshots from an unknown format generation instead of
-/// misinterpreting their bytes. Version 2 is the columnar delta encoding
-/// ([`crate::snapshot`]); version 1 (the literal op stream) is refused.
-const SNAPSHOT_HEADER: &[u8] = b"BPSNAP\x02";
+/// Magic + format version of the snapshot's first frame, which goes on with
+/// the last log generation the snapshot covers (`u64`, little-endian).
+/// Recovery rejects snapshots from an unknown format generation instead of
+/// misinterpreting their bytes. Version 3 is version 2's columnar delta
+/// encoding ([`crate::snapshot`]) plus that generation; version 1 (the
+/// literal op stream) is refused.
+const SNAPSHOT_MAGIC: &[u8] = b"BPSNAP\x03";
+/// The whole first frame of a version-2 snapshot, which predates log
+/// generations: it covers generation 0, so the log beside it is replayed.
+const SNAPSHOT_HEADER_V2: &[u8] = b"BPSNAP\x02";
+/// Magic of the log's first frame, which goes on with the log's generation
+/// (`u64`, little-endian). No op record starts with these bytes: op tags
+/// are below 6.
+const LOG_MAGIC: &[u8] = b"BPLOG\x01";
 
 /// A durable browser-provenance store.
+///
+/// Every mutator returns [`StorageError::LogSuperseded`], and changes
+/// nothing, after a compaction failed past its rename, until a later
+/// [`snapshot`](Self::snapshot) succeeds.
 ///
 /// # Examples
 ///
@@ -72,6 +91,19 @@ pub struct ProvenanceStore {
     /// and hit the log as one [`Wal::append_group`] call (one `write`, one
     /// policy-driven `sync`) at [`commit_write_group`](Self::commit_write_group).
     group: Option<Vec<Vec<u8>>>,
+    /// Generation of the log being appended to. The snapshot on disk
+    /// covers every earlier one.
+    generation: u64,
+    /// Bytes of the snapshot on disk, kept so that sizing the store
+    /// costs no `stat`.
+    snapshot_bytes: u64,
+    /// Why writes are refused: a compaction renamed its snapshot into
+    /// place but could not start the next log, so the snapshot covers the
+    /// log still open, and recovery would skip anything appended to it.
+    superseded: Option<String>,
+    /// Makes the next compaction fail after its rename.
+    #[cfg(test)]
+    fail_after_rename: bool,
     obs: Obs,
     /// Hot-path metric handles, resolved once at open.
     wal_appends: Arc<Counter>,
@@ -122,6 +154,11 @@ impl ProvenanceStore {
             dir,
             pending: None,
             group: None,
+            generation: 0,
+            snapshot_bytes: 0,
+            superseded: None,
+            #[cfg(test)]
+            fail_after_rename: false,
             obs,
             wal_appends,
             wal_bytes,
@@ -158,45 +195,20 @@ impl ProvenanceStore {
     }
 
     fn recover(&mut self) -> StorageResult<()> {
-        let snapshot_path = self.dir.join(SNAPSHOT_FILE);
-        if snapshot_path.exists() {
-            let mut snap = Wal::open(&snapshot_path, SyncPolicy::OsManaged)?;
-            let contents = snap.read_all()?;
-            let mut frames = contents.frames.iter();
-            match frames.next() {
-                Some(header) if header == SNAPSHOT_HEADER => {
-                    // Columnar frames lower back into the op stream.
-                    for frame in frames {
-                        for op in crate::snapshot::decode(frame)? {
-                            self.replay(op)?;
-                        }
-                    }
-                }
-                Some(other) => {
-                    return Err(StorageError::corrupt(
-                        0,
-                        format!(
-                            "snapshot format mismatch: expected {SNAPSHOT_HEADER:?}, found {:?}",
-                            &other[..other.len().min(8)]
-                        ),
-                    ))
-                }
-                None => {} // empty snapshot: nothing to replay
-            }
-        }
-        // The log's codec state continues from a fresh codec (the log is
-        // reset at snapshot time), not from the snapshot codec.
+        let covered = self.replay_snapshot()?;
+        let next = covered.saturating_add(1);
         let contents = self.wal.read_all()?;
-        let mut codec = Codec::new();
-        for frame in &contents.frames {
-            let mut pos = 0;
-            while pos < frame.len() {
-                let op = codec.decode(frame, &mut pos)?;
-                self.replay(op)?;
-            }
-        }
-        // Future appends continue the replayed delta state.
-        self.codec = codec;
+        let (generation, records) = match contents.frames.split_first() {
+            Some((first, rest)) => match parse_header(LOG_MAGIC, first) {
+                Some(generation) => (generation, rest),
+                // Written before logs carried a header: the first
+                // generation's log.
+                None => (1, contents.frames.as_slice()),
+            },
+            // Empty, or torn inside its header: the next generation's
+            // empty log.
+            None => (next, &[][..]),
+        };
         if self.wal.truncated_on_open() {
             self.obs.counter(names::WAL_TORN_TAIL_TRUNCATIONS).inc();
             bp_obs::log::warn(
@@ -205,21 +217,117 @@ impl ProvenanceStore {
                 &[],
             );
         }
-        if !contents.frames.is_empty() {
+        if generation > next {
+            return Err(StorageError::corrupt(
+                0,
+                format!(
+                    "log generation {generation} follows a snapshot of generation \
+                     {covered}: the snapshot is older than the log"
+                ),
+            ));
+        }
+        if generation < next {
+            // A compaction renamed its snapshot into place and stopped
+            // before it reset the log: the snapshot holds all of it.
+            self.obs
+                .counter(names::STORAGE_STALE_LOGS_SKIPPED_TOTAL)
+                .inc();
+            bp_obs::log::warn(
+                "bp_storage::store",
+                "log already covered by the snapshot; skipped and reset",
+                &[
+                    ("log_generation", generation.to_string()),
+                    ("snapshot_generation", covered.to_string()),
+                ],
+            );
+            return self.start_log(next);
+        }
+        if contents.frames.is_empty() {
+            self.start_log(next)?;
+        }
+        self.generation = generation;
+        // The log's codec state continues from a fresh codec (the log is
+        // reset at snapshot time), not from the snapshot codec.
+        let mut codec = Codec::new();
+        for frame in records {
+            let mut pos = 0;
+            while pos < frame.len() {
+                let op = codec.decode(frame, &mut pos)?;
+                self.replay(op)?;
+            }
+        }
+        // Future appends continue the replayed delta state.
+        self.codec = codec;
+        if !records.is_empty() {
             self.obs
                 .counter(names::WAL_RECOVERED_FRAMES)
-                .add(contents.frames.len() as u64);
+                .add(records.len() as u64);
             bp_obs::log::info(
                 "bp_storage::store",
                 "write-ahead log recovered",
                 &[
-                    ("frames", contents.frames.len().to_string()),
+                    ("frames", records.len().to_string()),
                     ("nodes", self.graph.node_count().to_string()),
                     ("edges", self.graph.edge_count().to_string()),
                 ],
             );
         }
         Ok(())
+    }
+
+    /// Replays the snapshot, if there is one, and returns the last log
+    /// generation it covers: 0 without a snapshot or with a version-2 one.
+    fn replay_snapshot(&mut self) -> StorageResult<u64> {
+        let path = self.dir.join(SNAPSHOT_FILE);
+        if !path.exists() {
+            return Ok(0);
+        }
+        let mut snap = Wal::open(&path, SyncPolicy::OsManaged)?;
+        self.snapshot_bytes = snap.len_bytes();
+        let contents = snap.read_all()?;
+        let mut frames = contents.frames.iter();
+        let covered = match frames.next() {
+            None => return Ok(0), // empty snapshot: nothing to replay
+            Some(header) if header == SNAPSHOT_HEADER_V2 => 0,
+            Some(header) => parse_header(SNAPSHOT_MAGIC, header).ok_or_else(|| {
+                StorageError::corrupt(
+                    0,
+                    format!(
+                        "snapshot format mismatch: expected {SNAPSHOT_MAGIC:?}, found {:?}",
+                        &header[..header.len().min(8)]
+                    ),
+                )
+            })?,
+        };
+        // Columnar frames lower back into the op stream.
+        for frame in frames {
+            for op in crate::snapshot::decode(frame)? {
+                self.replay(op)?;
+            }
+        }
+        Ok(covered)
+    }
+
+    /// Empties the log and starts it again as generation `generation`,
+    /// its header frame synced before any record follows it.
+    fn start_log(&mut self, generation: u64) -> StorageResult<()> {
+        self.wal.reset()?;
+        self.wal.append(&header(LOG_MAGIC, generation))?;
+        self.wal.sync()?;
+        self.generation = generation;
+        Ok(())
+    }
+
+    /// Refuses a write that recovery would skip (see `superseded`).
+    /// Every mutator calls it before it interns anything, and `commit`
+    /// before it applies an op, so a refused write changes nothing; and
+    /// since `snapshot` flushes every open batch and group before its
+    /// rename, no frame is left to reach the covered log.
+    fn check_writable(&self) -> StorageResult<()> {
+        match &self.superseded {
+            Some(reason) => Err(StorageError::LogSuperseded(reason.clone())),
+            None => Ok(()),
+        }
     }
 
     fn replay(&mut self, op: Op) -> StorageResult<()> {
@@ -367,6 +475,7 @@ impl ProvenanceStore {
     }
 
     fn commit(&mut self, op: Op, mut batch: Vec<u8>) -> StorageResult<Option<NodeId>> {
+        self.check_writable()?;
         self.codec.encode(&op, &mut batch);
         let result = self.apply_structural(&op)?;
         match &mut self.pending {
@@ -496,6 +605,7 @@ impl ProvenanceStore {
         attrs: &[(&str, AttrValue)],
         version: Version,
     ) -> StorageResult<NodeId> {
+        self.check_writable()?;
         let mut batch = Vec::new();
         let key_id = self.intern(key, &mut batch);
         let encoded_attrs = self.intern_attrs(attrs, &mut batch);
@@ -579,6 +689,7 @@ impl ProvenanceStore {
         // Validate before interning or encoding: a rejected edge must not
         // reach the log (replay would fail on it) nor perturb codec or
         // interner state.
+        self.check_writable()?;
         self.check_edge(src, dst)?;
         let mut batch = Vec::new();
         let encoded_attrs = self.intern_attrs(attrs, &mut batch);
@@ -630,6 +741,7 @@ impl ProvenanceStore {
         key: &str,
         value: impl Into<AttrValue>,
     ) -> StorageResult<()> {
+        self.check_writable()?;
         self.graph
             .node(node)
             .map_err(|e| StorageError::Replay(e.to_string()))?;
@@ -661,6 +773,7 @@ impl ProvenanceStore {
     /// Returns [`StorageError::Io`] if logging fails; an unknown key is
     /// not an error (returns an empty list).
     pub fn redact_key(&mut self, key: &str) -> StorageResult<Vec<NodeId>> {
+        self.check_writable()?;
         let nodes = self.graph.nodes_with_key(key).to_vec();
         for &node in &nodes {
             let mut batch = Vec::new();
@@ -707,15 +820,34 @@ impl ProvenanceStore {
         self.wal.sync()
     }
 
-    /// Writes a compacted snapshot of the current state and resets the log.
+    /// The generation of the log being appended to. The snapshot on disk
+    /// covers every earlier generation; a log written before logs carried
+    /// a header counts as generation 1.
+    pub fn log_generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// Writes a compacted snapshot of the current state and starts the
+    /// next generation's log.
     ///
-    /// The snapshot is written to a temporary file, synced and renamed into
-    /// place, and the directory is synced so that the rename survives a
-    /// power cut; only then is the log reset. A crash before the rename
-    /// leaves the old snapshot and log intact. A crash between the rename
-    /// and the log reset leaves the new snapshot beside the old log, and
-    /// that profile fails to open: recovery replays the old log on top of
-    /// the new snapshot. DESIGN § Durability states the same guarantee.
+    /// The snapshot records the generation of the log it supersedes. It is
+    /// written to a temporary file, synced and renamed into place, and the
+    /// directory is synced so that the rename survives a power cut; only
+    /// then is the log reset, to a synced header frame carrying the next
+    /// generation. A crash at any point leaves a profile that opens to the
+    /// full history:
+    ///
+    /// - before the rename, the old snapshot and log are intact;
+    /// - between the rename and the log reset, the new snapshot sits beside
+    ///   a log it already covers, and recovery skips that log and resets
+    ///   it (`storage.stale_logs_skipped_total` counts it);
+    /// - during the reset, the log is empty or torn inside its header, and
+    ///   reads as the next generation's empty log.
+    ///
+    /// If the compaction fails after the rename, the store refuses every
+    /// later write with [`StorageError::LogSuperseded`], since recovery
+    /// would skip what it appended, until a later snapshot succeeds.
+    /// DESIGN § Durability states the same guarantee.
     ///
     /// Compaction rebuilds the string table from scratch: only strings the
     /// live graph still references are written. Together with
@@ -738,18 +870,27 @@ impl ProvenanceStore {
         // Fresh interner: ids are re-assigned in first-reference order and
         // dead strings (including redacted keys) are dropped.
         let mut compact = StringInterner::new();
-        {
+        let snapshot_bytes = {
             let mut snap = Wal::open(&tmp, SyncPolicy::OsManaged)?;
-            snap.append(SNAPSHOT_HEADER)?;
+            snap.append(&header(SNAPSHOT_MAGIC, self.generation))?;
             let columns = crate::snapshot::encode(&self.graph, &mut compact)?;
             snap.append(&columns)?;
             snap.sync()?;
-        }
+            snap.len_bytes()
+        };
         std::fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE))?;
-        // The reset below is synced; the rename must be durable before it,
-        // or a power cut could keep the empty log and lose the rename.
-        sync_dir(&self.dir)?;
-        self.wal.reset()?;
+        self.snapshot_bytes = snapshot_bytes;
+        // From here the snapshot covers the open log.
+        if let Err(err) = self.start_next_log() {
+            self.superseded = Some(err.to_string());
+            bp_obs::log::error(
+                "bp_storage::store",
+                "compaction failed after its rename; writes refused",
+                &[("error", err.to_string())],
+            );
+            return Err(err);
+        }
+        self.superseded = None;
         self.codec = Codec::new();
         // Future log records must reference the compact table, matching
         // what recovery will replay.
@@ -766,6 +907,7 @@ impl ProvenanceStore {
             "compaction complete; log reset",
             &[
                 ("snapshot_bytes", report.snapshot_bytes.to_string()),
+                ("generation", self.generation.to_string()),
                 ("nodes", report.node_count.to_string()),
                 ("edges", report.edge_count.to_string()),
                 ("elapsed", format!("{elapsed:?}")),
@@ -774,13 +916,24 @@ impl ProvenanceStore {
         Ok(())
     }
 
+    /// Starts the log of the generation after the one the new snapshot
+    /// covers.
+    fn start_next_log(&mut self) -> StorageResult<()> {
+        #[cfg(test)]
+        if std::mem::take(&mut self.fail_after_rename) {
+            return Err(std::io::Error::other("injected failure after the rename").into());
+        }
+        // The reset below is synced; the rename must be durable before it,
+        // or a power cut could keep the next generation's log beside the
+        // old snapshot, which recovery refuses.
+        sync_dir(&self.dir)?;
+        self.start_log(self.generation.saturating_add(1))
+    }
+
     /// On-disk size accounting for experiment E1.
     pub fn size_report(&self) -> SizeReport {
-        let snapshot_bytes = std::fs::metadata(self.dir.join(SNAPSHOT_FILE))
-            .map(|m| m.len())
-            .unwrap_or(0);
         SizeReport {
-            snapshot_bytes,
+            snapshot_bytes: self.snapshot_bytes,
             log_bytes: self.wal.len_bytes(),
             node_count: self.graph.node_count(),
             edge_count: self.graph.edge_count(),
@@ -797,12 +950,25 @@ fn sync_dir(dir: &Path) -> StorageResult<()> {
     Ok(())
 }
 
+/// The header frame of a log or a snapshot: `magic`, then `generation`.
+fn header(magic: &[u8], generation: u64) -> Vec<u8> {
+    let mut frame = magic.to_vec();
+    frame.extend_from_slice(&generation.to_le_bytes());
+    frame
+}
+
+/// The generation in `frame`, if it is a header frame with `magic`.
+fn parse_header(magic: &[u8], frame: &[u8]) -> Option<u64> {
+    let generation = frame.strip_prefix(magic)?;
+    Some(u64::from_le_bytes(generation.try_into().ok()?))
+}
+
 /// On-disk footprint summary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SizeReport {
     /// Bytes in the snapshot file.
     pub snapshot_bytes: u64,
-    /// Committed bytes in the log.
+    /// Committed bytes in the log, its header frame included.
     pub log_bytes: u64,
     /// Nodes in the store.
     pub node_count: usize,
@@ -846,6 +1012,9 @@ mod tests {
     fn t(s: i64) -> Timestamp {
         Timestamp::from_secs(s)
     }
+
+    /// On-disk bytes of a log that holds only its header frame.
+    const LOG_HEADER_BYTES: u64 = 8 + LOG_MAGIC.len() as u64 + 8;
 
     /// Builds a small history; returns (dir kept alive, node ids).
     fn build(dir: &TempDir) -> (ProvenanceStore, Vec<NodeId>) {
@@ -1023,7 +1192,10 @@ mod tests {
         store.snapshot().unwrap();
         let report = store.size_report();
         assert!(report.snapshot_bytes > 0);
-        assert_eq!(report.log_bytes, 0, "log reset after snapshot");
+        assert_eq!(
+            report.log_bytes, LOG_HEADER_BYTES,
+            "log reset to its header after snapshot"
+        );
         // Post-snapshot writes land in the fresh log.
         let dl = store
             .add_node(NodeKind::Download, "/tmp/x", t(20), &[])
@@ -1392,7 +1564,7 @@ mod tests {
         let path = dir.0.join("snapshot.bps");
         let mut wal = Wal::open(&path, SyncPolicy::OsManaged).unwrap();
         let frames = wal.read_all().unwrap().frames;
-        assert_eq!(frames[0], b"BPSNAP\x02".to_vec());
+        assert_eq!(frames[0], header(b"BPSNAP\x03", 1));
         drop(wal);
         // The retired literal-op-stream generation is as alien as any.
         for header in [b"BPSNAP\x01", b"BPSNAP\x63"] {
@@ -1426,12 +1598,12 @@ mod tests {
         store.commit_batch().unwrap();
         drop(store);
 
-        // The log holds exactly two frames: cut the file before the second
-        // frame's end and the FIRST batch must survive completely.
+        // The log holds its header and two frames: cut the file before the
+        // second frame's end and the FIRST batch must survive completely.
         let log = dir.0.join("log.wal");
         let mut wal = Wal::open(&log, SyncPolicy::OsManaged).unwrap();
         let contents = wal.read_all().unwrap();
-        assert_eq!(contents.frames.len(), 2, "one frame per batch");
+        assert_eq!(contents.frames.len(), 1 + 2, "one frame per batch");
         drop(wal);
         let bytes = std::fs::read(&log).unwrap();
         std::fs::write(&log, &bytes[..bytes.len() - 3]).unwrap();
@@ -1458,7 +1630,7 @@ mod tests {
         store.begin_batch(); // nesting is a no-op
         store.commit_batch().unwrap(); // empty batch writes nothing
         store.commit_batch().unwrap(); // double-commit is a no-op
-        assert_eq!(store.size_report().log_bytes, 0);
+        assert_eq!(store.size_report().log_bytes, LOG_HEADER_BYTES);
         // Snapshot mid-batch flushes it first.
         store.begin_batch();
         store.add_visit("http://x/", t(1)).unwrap();
@@ -1481,8 +1653,8 @@ mod tests {
             store.add_visit(&format!("http://g{i}/"), t(i)).unwrap();
             store.commit_batch().unwrap();
         }
-        // Nothing on disk until the group commits.
-        assert_eq!(store.size_report().log_bytes, 0);
+        // Nothing but the header on disk until the group commits.
+        assert_eq!(store.size_report().log_bytes, LOG_HEADER_BYTES);
         store.commit_write_group().unwrap();
         assert!(!store.group_active());
         // Double-commit and empty groups are no-ops.
@@ -1494,9 +1666,9 @@ mod tests {
         assert_eq!(obs.counter(names::WAL_APPENDS_TOTAL).get(), 3);
         drop(store);
 
-        // Each batch kept its own frame inside the group.
+        // Each batch kept its own frame inside the group, after the header.
         let mut wal = Wal::open(dir.0.join(LOG_FILE), SyncPolicy::OsManaged).unwrap();
-        assert_eq!(wal.read_all().unwrap().frames.len(), 3);
+        assert_eq!(wal.read_all().unwrap().frames.len(), 1 + 3);
     }
 
     /// Cutting a group-committed log at every byte offset recovers a
@@ -1548,12 +1720,19 @@ mod tests {
         let bytes = std::fs::read(&log).unwrap();
         let mut wal = Wal::open(&log, SyncPolicy::OsManaged).unwrap();
         let frames = wal.read_all().unwrap().frames;
-        assert_eq!(frames.len(), visits.len());
+        assert_eq!(
+            frames.len(),
+            1 + visits.len(),
+            "the header, then a frame each"
+        );
         drop(wal);
+        // Where each frame ends; a cut inside the header leaves the empty
+        // log of the next generation, which holds no batch either.
         let mut boundaries = vec![0usize];
         for frame in &frames {
             boundaries.push(boundaries.last().unwrap() + 8 + frame.len());
         }
+        boundaries.remove(0);
 
         // Reference fingerprints for every complete prefix.
         let expected: Vec<String> = (0..=visits.len())
@@ -1566,13 +1745,106 @@ mod tests {
 
         for cut in 0..=bytes.len() {
             std::fs::write(&log, &bytes[..cut]).unwrap();
-            let complete = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
+            let complete = boundaries
+                .iter()
+                .filter(|&&b| b <= cut)
+                .count()
+                .saturating_sub(1);
             let store = ProvenanceStore::open(&dir.0, SyncPolicy::OsManaged).unwrap();
             assert_eq!(
                 fingerprint(&store),
                 expected[complete],
                 "cut at byte {cut} must recover exactly {complete} batches"
             );
+        }
+    }
+
+    /// Nodes, edges and strings, in id order.
+    fn state(store: &ProvenanceStore) -> Vec<String> {
+        let g = store.graph();
+        let nodes = g.nodes().map(|(id, n)| format!("N {id} {n:?}"));
+        let edges = g.edges().map(|(id, e)| format!("E {id} {e:?}"));
+        let strings = store.interner().iter().map(|(id, s)| format!("S {id} {s}"));
+        nodes.chain(edges).chain(strings).collect()
+    }
+
+    /// A log without a header beside a version-3 snapshot is the log of
+    /// a profile whose first compaction stopped after its rename: the
+    /// snapshot covers it, so recovery skips it and starts generation 2.
+    #[test]
+    fn a_headerless_log_beside_a_new_snapshot_counts_as_covered() {
+        let dir = TempDir::new("headerless-covered");
+        let (mut store, _) = build(&dir);
+        let log = dir.0.join(LOG_FILE);
+        let mut records = Wal::open(&log, SyncPolicy::OsManaged)
+            .unwrap()
+            .read_all()
+            .unwrap()
+            .frames;
+        assert_eq!(parse_header(LOG_MAGIC, &records.remove(0)), Some(1));
+        store.snapshot().unwrap();
+        let live = state(&store);
+        drop(store);
+        // The same records as a log written before logs carried a header.
+        std::fs::remove_file(&log).unwrap();
+        let mut headerless = Wal::open(&log, SyncPolicy::OsManaged).unwrap();
+        headerless.append_group(&records).unwrap();
+        drop(headerless);
+
+        let obs = Obs::isolated();
+        let store =
+            ProvenanceStore::open_with_obs(&dir.0, SyncPolicy::Always, obs.clone()).unwrap();
+        assert_eq!(state(&store), live);
+        assert_eq!(store.log_generation(), 2);
+        assert_eq!(store.size_report().log_bytes, LOG_HEADER_BYTES);
+        assert_eq!(
+            obs.counter(names::STORAGE_STALE_LOGS_SKIPPED_TOTAL).get(),
+            1
+        );
+    }
+
+    /// A compaction that fails after its rename leaves a snapshot that
+    /// covers the open log. The store then refuses every write, applying
+    /// nothing, so no acknowledged record lands where recovery skips it;
+    /// the profile reopens to the full history, and a later snapshot that
+    /// succeeds lifts the refusal.
+    #[test]
+    fn writes_are_refused_after_a_compaction_fails_past_its_rename() {
+        let refused = |r: StorageResult<NodeId>| matches!(r, Err(StorageError::LogSuperseded(_)));
+        for retry in [false, true] {
+            let dir = TempDir::new(&format!("superseded-{retry}"));
+            let (mut store, ids) = build(&dir);
+            store.fail_after_rename = true;
+            assert!(matches!(store.snapshot(), Err(StorageError::Io(_))));
+            let live = state(&store);
+            assert!(refused(store.add_visit("http://late/", t(9))));
+            store.begin_batch();
+            assert!(refused(store.add_node(
+                NodeKind::Download,
+                "/late",
+                t(9),
+                &[]
+            )));
+            assert!(store.set_node_attr(ids[2], "title", "late").is_err());
+            assert!(
+                store.commit_batch().is_ok(),
+                "the refused batch holds nothing"
+            );
+            assert_eq!(state(&store), live, "a refused write applies nothing");
+            if retry {
+                store.snapshot().unwrap();
+                assert_eq!(store.log_generation(), 2);
+                let late = store.add_visit("http://late/", t(9)).unwrap();
+                assert_eq!(store.graph().node_count(), late.index() as usize + 1);
+            }
+            let live = state(&store);
+            drop(store);
+            let obs = Obs::isolated();
+            let store =
+                ProvenanceStore::open_with_obs(&dir.0, SyncPolicy::Always, obs.clone()).unwrap();
+            assert_eq!(state(&store), live, "retry {retry}");
+            let stale = obs.counter(names::STORAGE_STALE_LOGS_SKIPPED_TOTAL).get();
+            assert_eq!(stale, u64::from(!retry), "retry {retry}");
         }
     }
 

@@ -9,9 +9,12 @@
 //! tests don't sample tear points; they enumerate every byte offset of
 //! the encoded group (including offset 0 and mid-header tears), for
 //! several seeded payload mixes, and check the replayed frames are
-//! bit-identical to the expected prefix.
+//! bit-identical to the expected prefix. A store's log starts with a
+//! header frame carrying its generation; a tear inside that frame is
+//! checked too.
 
-use bp_storage::{SyncPolicy, Wal};
+use bp_graph::Timestamp;
+use bp_storage::{ProvenanceStore, SyncPolicy, Wal};
 use std::fs;
 use std::path::PathBuf;
 
@@ -180,6 +183,39 @@ fn bitflips_inside_a_group_stop_replay_at_the_corrupt_frame() {
         );
         for (i, frame) in contents.frames.iter().enumerate() {
             assert_eq!(frame, &group[i], "flip at {flip}: prefix not intact");
+        }
+    }
+}
+
+/// A log torn inside its header frame (a crash while a compaction reset
+/// it, or while a fresh profile started it) reads as the empty log of the
+/// generation after the snapshot's: the store recovers the snapshot's
+/// history and writes that header again.
+#[test]
+fn a_log_torn_inside_its_header_reads_as_the_next_generations_empty_log() {
+    for compactions in [0u64, 2] {
+        let dir = TempDir::new(&format!("header-{compactions}"));
+        let profile = dir.file("profile");
+        let mut store = ProvenanceStore::open(&profile, SyncPolicy::Always).unwrap();
+        for i in 0..compactions {
+            let at = Timestamp::from_secs(i as i64);
+            store.add_visit(&format!("http://p{i}/"), at).unwrap();
+            store.snapshot().unwrap();
+        }
+        let generation = compactions + 1;
+        assert_eq!(store.log_generation(), generation);
+        let nodes = store.graph().node_count();
+        drop(store);
+        let log = profile.join("log.wal");
+        let header = fs::read(&log).unwrap();
+        assert_eq!(header.len(), 8 + 6 + 8, "the log holds only its header");
+        for cut in 0..header.len() {
+            fs::write(&log, &header[..cut]).unwrap();
+            let store = ProvenanceStore::open(&profile, SyncPolicy::Always).unwrap();
+            assert_eq!(store.log_generation(), generation, "cut at byte {cut}");
+            assert_eq!(store.graph().node_count(), nodes, "cut at byte {cut}");
+            drop(store);
+            assert_eq!(fs::read(&log).unwrap(), header, "cut at byte {cut}");
         }
     }
 }

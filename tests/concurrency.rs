@@ -198,3 +198,66 @@ fn two_pipelines_on_distinct_profiles_do_not_interfere() {
         .edges()
         .any(|(_, e)| e.kind() == bp_graph::EdgeKind::TypedLocation));
 }
+
+/// What a reopened store must recover, as `same_history_same_bytes`
+/// compares it: every node with its interval and attributes, every edge
+/// with its attributes, the key table through `nodes_with_key` and
+/// `newest_of_kind`, and the interned strings.
+fn recoverable_state(browser: &ProvenanceBrowser) -> String {
+    use std::fmt::Write;
+    let g = browser.graph();
+    let mut s = String::new();
+    let mut keys = std::collections::BTreeSet::new();
+    for (id, n) in g.nodes() {
+        let _ = writeln!(s, "N {id} {n:?}");
+        keys.insert(n.key().to_owned());
+    }
+    for (id, e) in g.edges() {
+        let _ = writeln!(s, "E {id} {e:?}");
+    }
+    for key in keys {
+        let newest = NodeKind::ALL.map(|kind| g.newest_of_kind(kind, &key));
+        let _ = writeln!(s, "K {key} {:?} {newest:?}", g.nodes_with_key(&key));
+    }
+    let strings: Vec<_> = browser.store().interner().iter().collect();
+    let _ = writeln!(s, "S {strings:?}");
+    s
+}
+
+/// Capture through the pipeline compacts the profile by itself once the
+/// log outgrows the snapshot and the 64 KiB floor, with no failure, and
+/// the profile reopens to exactly the live store. Each compaction counts
+/// in `storage.compactions_total` and `storage.snapshot_duration_us`.
+#[test]
+fn the_pipeline_compacts_once_the_log_outgrows_the_snapshot() {
+    let dir = TempDir::new("compacts");
+    let web = calibrate::paper_web(42);
+    let events = calibrate::days_history(&web, 42, 10);
+    let obs = Obs::isolated();
+    let config = CaptureConfig::default();
+    let browser =
+        ProvenanceBrowser::open_with_obs(&dir.0, config, SyncPolicy::OsManaged, obs.clone())
+            .unwrap();
+    let pipeline = CapturePipeline::start(browser);
+    for chunk in events.chunks(64) {
+        assert_eq!(pipeline.submit_all(chunk.iter().cloned()), chunk.len());
+        pipeline.flush();
+    }
+    assert_eq!(pipeline.failure(), None);
+    assert_eq!(pipeline.rejected_events(), 0);
+    let compactions = obs.counter(names::STORAGE_COMPACTIONS_TOTAL).get();
+    assert!(compactions >= 2, "{compactions} automatic compactions");
+    let durations = obs.histogram(names::STORAGE_SNAPSHOT_DURATION_US);
+    assert_eq!(durations.count(), compactions);
+    let live = pipeline.shutdown();
+    let size = live.size_report();
+    assert!(
+        size.log_bytes <= size.snapshot_bytes.max(64 * 1024),
+        "no write group leaves the log past the rule: {size:?}"
+    );
+    assert_eq!(live.store().log_generation(), compactions + 1);
+    let state = recoverable_state(&live);
+    drop(live);
+    let reopened = ProvenanceBrowser::open(&dir.0, CaptureConfig::default()).unwrap();
+    assert_eq!(recoverable_state(&reopened), state);
+}

@@ -1,10 +1,13 @@
 //! Crash-recovery integration: the durable store survives restarts,
-//! snapshots, and torn log tails with zero committed-data loss.
+//! snapshots, crashes inside a compaction, and torn log tails with zero
+//! committed-data loss.
 
-use bp_core::{CaptureConfig, ProvenanceBrowser};
+use bp_core::{eventlog, CaptureConfig, CoreError, ProvenanceBrowser};
+use bp_obs::{names, Obs};
 use bp_sim::calibrate;
+use bp_storage::{StorageError, SyncPolicy, Wal};
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 struct TempDir(PathBuf);
 impl TempDir {
@@ -37,6 +40,21 @@ fn fingerprint(browser: &ProvenanceBrowser) -> (usize, usize, usize, String) {
         browser.store().interner().len(),
         sample,
     )
+}
+
+/// Every node and edge, and the interned strings in id order.
+fn history(browser: &ProvenanceBrowser) -> Vec<String> {
+    let g = browser.graph();
+    let nodes = g.nodes().map(|(id, n)| format!("N {id} {n:?}"));
+    let edges = g.edges().map(|(id, e)| format!("E {id} {e:?}"));
+    let interner = browser.store().interner();
+    let strings = interner.iter().map(|(id, s)| format!("S {id} {s}"));
+    nodes.chain(edges).chain(strings).collect()
+}
+
+fn open_with(dir: &Path, obs: &Obs) -> ProvenanceBrowser {
+    let config = CaptureConfig::default();
+    ProvenanceBrowser::open_with_obs(dir, config, SyncPolicy::OsManaged, obs.clone()).unwrap()
 }
 
 #[test]
@@ -151,5 +169,131 @@ fn repeated_snapshot_cycles_are_stable() {
     drop(browser);
     let browser = ProvenanceBrowser::open(&dir.0, CaptureConfig::default()).unwrap();
     assert_eq!(fingerprint(&browser), before);
-    assert_eq!(browser.size_report().log_bytes, 0, "fully compacted");
+    let empty = TempDir::new("cycles-empty");
+    let fresh = ProvenanceBrowser::open(&empty.0, CaptureConfig::default()).unwrap();
+    assert_eq!(
+        browser.size_report().log_bytes,
+        fresh.size_report().log_bytes,
+        "fully compacted: the log holds only its header, as a fresh profile's does"
+    );
+}
+
+/// A crash between a compaction's rename and its log reset leaves the new
+/// snapshot beside the log it covers. The profile reopens to the full
+/// history: recovery skips that log and starts the next generation's.
+#[test]
+fn a_crash_between_the_snapshot_rename_and_the_log_reset_loses_nothing() {
+    let dir = TempDir::new("rename-window");
+    let web = calibrate::paper_web(42);
+    let events = calibrate::days_history(&web, 42, 4);
+    let (first, rest) = events.split_at(events.len() / 2);
+    let log = dir.0.join("log.wal");
+    let live = {
+        let mut browser = ProvenanceBrowser::open(&dir.0, CaptureConfig::default()).unwrap();
+        browser.ingest_all(first).unwrap();
+        browser.snapshot().unwrap();
+        browser.ingest_all(rest).unwrap();
+        let covered = std::fs::read(&log).unwrap();
+        browser.snapshot().unwrap();
+        // The crash: the new snapshot is in place, the log not yet reset.
+        std::fs::write(&log, covered).unwrap();
+        history(&browser)
+    };
+    let obs = Obs::isolated();
+    let browser = open_with(&dir.0, &obs);
+    assert_eq!(history(&browser), live, "the live store's full history");
+    assert_eq!(
+        obs.counter(names::STORAGE_STALE_LOGS_SKIPPED_TOTAL).get(),
+        1
+    );
+    assert_eq!(browser.store().log_generation(), 3);
+    drop(browser);
+    // The skipped log was reset, so the next open skips nothing.
+    let obs = Obs::isolated();
+    assert_eq!(history(&open_with(&dir.0, &obs)), live);
+    assert_eq!(
+        obs.counter(names::STORAGE_STALE_LOGS_SKIPPED_TOTAL).get(),
+        0
+    );
+}
+
+/// A snapshot from an earlier generation put back beside a later
+/// generation's log is refused as corrupt, and the profile is left as it
+/// was: that log follows another snapshot, so replaying it onto this one
+/// would build a history that never happened.
+#[test]
+fn an_older_snapshot_beside_a_newer_log_is_refused_as_corrupt() {
+    let dir = TempDir::new("old-snapshot");
+    let web = calibrate::paper_web(27);
+    let events = calibrate::days_history(&web, 27, 3);
+    let third = events.len() / 3;
+    let snapshot = dir.0.join("snapshot.bps");
+    let older = {
+        let mut browser = ProvenanceBrowser::open(&dir.0, CaptureConfig::default()).unwrap();
+        browser.ingest_all(&events[..third]).unwrap();
+        browser.snapshot().unwrap();
+        let older = std::fs::read(&snapshot).unwrap();
+        browser.ingest_all(&events[third..2 * third]).unwrap();
+        browser.snapshot().unwrap();
+        browser.ingest_all(&events[2 * third..]).unwrap();
+        older
+    };
+    std::fs::write(&snapshot, older).unwrap();
+    let files = || ["snapshot.bps", "log.wal"].map(|f| std::fs::read(dir.0.join(f)).unwrap());
+    let before = files();
+    let err = ProvenanceBrowser::open(&dir.0, CaptureConfig::default()).unwrap_err();
+    assert!(
+        matches!(err, CoreError::Storage(StorageError::Corrupt { .. })),
+        "{err}"
+    );
+    assert!(files() == before, "a refused profile is left as it was");
+}
+
+/// Written by the code from before logs carried a generation: the first
+/// 60 events of `events.log`, a compaction (a `BPSNAP\x02` snapshot), then
+/// the other 60 into a log without a header frame.
+const V2_PROFILE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/fixtures/v2_profile"
+);
+
+/// A profile from before log generations opens to the history that the
+/// same events build today, and its next compaction rewrites it in the
+/// new format: a `BPSNAP\x03` snapshot covering generation 1, and a log
+/// of generation 2.
+#[test]
+fn a_profile_from_before_log_generations_opens_and_compacts_to_the_new_format() {
+    let fixture = Path::new(V2_PROFILE);
+    let dir = TempDir::new("v2-profile");
+    std::fs::create_dir_all(&dir.0).unwrap();
+    for file in ["snapshot.bps", "log.wal"] {
+        std::fs::copy(fixture.join(file), dir.0.join(file)).unwrap();
+    }
+    let text = std::fs::read_to_string(fixture.join("events.log")).unwrap();
+    let events = eventlog::parse_log(&text).unwrap();
+    assert_eq!(events.len(), 120);
+    let today_dir = TempDir::new("v2-profile-today");
+    let mut today = ProvenanceBrowser::open(&today_dir.0, CaptureConfig::default()).unwrap();
+    today.ingest_all(&events[..60]).unwrap();
+    today.snapshot().unwrap();
+    today.ingest_all(&events[60..]).unwrap();
+
+    let mut old = ProvenanceBrowser::open(&dir.0, CaptureConfig::default()).unwrap();
+    assert_eq!(history(&old), history(&today));
+    assert_eq!(
+        old.store().log_generation(),
+        1,
+        "a headerless log is generation 1"
+    );
+    old.snapshot().unwrap();
+    let header = |file: &str| {
+        let mut wal = Wal::open(dir.0.join(file), SyncPolicy::OsManaged).unwrap();
+        wal.read_all().unwrap().frames.remove(0)
+    };
+    assert_eq!(header("snapshot.bps"), b"BPSNAP\x03\x01\0\0\0\0\0\0\0");
+    assert_eq!(header("log.wal"), b"BPLOG\x01\x02\0\0\0\0\0\0\0");
+    let live = history(&old);
+    drop(old);
+    let reopened = ProvenanceBrowser::open(&dir.0, CaptureConfig::default()).unwrap();
+    assert_eq!(history(&reopened), live);
 }
